@@ -15,6 +15,11 @@
 #                package, no memstats: the cheap bit-rot gate (bench
 #                measures, bench-smoke only proves the benchmarks
 #                still compile and execute)
+#   make bench-smoke-ext  vet and test the nested bench/ module (the
+#                repo's benchmark, BENCHMARK.json): `go build ./...`
+#                and `go test ./...` at the root cannot see it, so a
+#                change to an API its probes compile against would
+#                otherwise surface only when the benchmark is next run
 #   make bench-json   run the bench suite (BENCHTIME per benchmark)
 #                and write BENCH_serve.json (benchmark name → ns/op,
 #                B/op, allocs/op, per-benchmark gomaxprocs, plus every
@@ -56,7 +61,7 @@
 #                into the serve loop or the pooled kernel dispatch
 #   make ci      build + fmt + vet + staticcheck + test + race +
 #                chaos-smoke + fleet-smoke + obs-smoke + alloc-gate +
-#                bench-json
+#                bench-smoke-ext + bench-json
 
 GO ?= go
 # Pinned staticcheck: 2024.1.1 supports the go 1.22/1.23 CI matrix.
@@ -69,7 +74,7 @@ GIT_SHA := $(shell git rev-parse HEAD 2>/dev/null || echo unknown)
 # comparable across commits.
 BENCHTIME ?= 100ms
 
-.PHONY: build fmt vet test race bench bench-smoke bench-json serve-bench staticcheck chaos-smoke fleet-smoke obs-smoke alloc-gate ci
+.PHONY: build fmt vet test race bench bench-smoke bench-smoke-ext bench-json serve-bench staticcheck chaos-smoke fleet-smoke obs-smoke alloc-gate ci
 
 build:
 	$(GO) build ./...
@@ -85,18 +90,22 @@ test:
 
 # The serving engine, the fleet coordinator and the tensor matmul pool
 # are the concurrent hot paths; govern drives serve's epoch pipeline
-# and stream feeds them all, so every one of them runs under the race
+# and stream feeds them all, and adapt owns the step every serve worker
+# runs on its replica, so every one of them runs under the race
 # detector. -short skips the long seeded acceptance pins (they rerun
 # whole fleets and probe no extra concurrency) — make test still runs
 # them race-free.
 race:
-	$(GO) test -race -short ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/govern/... ./internal/stream/... ./internal/tensor/... ./internal/nn/...
+	$(GO) test -race -short ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/govern/... ./internal/stream/... ./internal/tensor/... ./internal/nn/... ./internal/adapt/...
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime $(BENCHTIME) ./...
 
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
+
+bench-smoke-ext:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Separate test and serialize steps so a benchmark failure fails the
 # target instead of being masked by the pipe (benchjson would happily
@@ -173,4 +182,4 @@ alloc-gate:
 	$(GO) run ./cmd/allocgate -budget ALLOC_BUDGET < alloc-gate.out
 	@rm -f alloc-gate.out
 
-ci: build fmt vet staticcheck test race chaos-smoke fleet-smoke obs-smoke alloc-gate bench-json
+ci: build fmt vet staticcheck test race chaos-smoke fleet-smoke obs-smoke alloc-gate bench-smoke-ext bench-json

@@ -7,6 +7,12 @@
 // (γ, β) — ≈1 % of the model. The package also provides the ablation
 // variants the paper mentions (convolutional-only and FC-only
 // adaptation) and a no-op baseline.
+//
+// There is one adaptation step, Step.Run: every Method here and the
+// serving engine's per-stream step (internal/serve) run it. A Step
+// freezes every parameter outside its own set when it is built, so the
+// backward pass computes only the gradients the optimizer will read
+// (see internal/nn/README.md, "Frozen parameters").
 package adapt
 
 import (
@@ -90,30 +96,60 @@ func newOptimizer(cfg Config) nn.Optimizer {
 	return nn.NewSGD(cfg.LR, cfg.Momentum, 0)
 }
 
-// entropyStep runs the shared inner loop: forward under mode, compute
-// the unsupervised loss gradient, one backward pass, one optimizer
-// step restricted to params. During warmup the parameter update is
-// skipped (in Adapt mode the forward still refreshes BN statistics,
-// which is the point of the warmup). Returns the loss value.
-func entropyStep(m *ufld.Model, x *tensor.Tensor, mode nn.Mode, params []*nn.Param, opt nn.Optimizer, cfg Config, step int) float64 {
-	nn.ZeroGrads(m.Params())
-	logits := m.Forward(x, mode)
+// Step is the adaptation step every method shares: zero the stepped
+// gradients, forward under the method's mode, unsupervised loss,
+// warm-up gate, one backward pass, clip, one optimizer update — all
+// restricted to one parameter set of one model. It owns the loss
+// scratch, so a steady-state Run allocates nothing.
+type Step struct {
+	model  *ufld.Model
+	params []*nn.Param
+	cfg    Config
+	loss   nn.LossScratch
+}
+
+// NewStep wires a step to the params of m it will update, marking
+// exactly those trainable and every other parameter of m frozen: the
+// layers then skip the gradients nobody steps and backprop stops below
+// the lowest trainable layer. One model carries one Step at a time —
+// building a second re-draws the freeze, and the displaced Step's Run
+// panics rather than silently stepping nothing.
+func NewStep(m *ufld.Model, params []*nn.Param, cfg Config) *Step {
+	nn.SetTrainable(m.Params(), params)
+	return &Step{model: m, params: params, cfg: cfg}
+}
+
+// Run performs one step on the batch x [n,3,H,W] and returns the loss.
+// step is the caller's count of steps already taken: while it is below
+// cfg.WarmupSteps the parameter update is skipped (in Adapt mode the
+// forward still refreshes BN statistics, which is the point of the
+// warmup). The optimizer is a parameter because its state may outlive
+// the model the step runs on (a served stream's moments follow it
+// across worker replicas).
+func (s *Step) Run(x *tensor.Tensor, mode nn.Mode, opt nn.Optimizer, step int) float64 {
+	for _, p := range s.params {
+		if p.Frozen {
+			panic(fmt.Sprintf("adapt: %s is frozen: another Step was built on this model", p.Name))
+		}
+	}
+	nn.ZeroGrads(s.params)
+	logits := s.model.Forward(x, mode)
 	var loss float64
 	var grad *tensor.Tensor
-	switch cfg.Loss {
+	switch s.cfg.Loss {
 	case Confidence:
-		loss, grad = nn.ConfidenceLoss(logits)
+		loss, grad = nn.ConfidenceLossInto(&s.loss, logits)
 	default:
-		loss, grad = nn.EntropyLoss(logits)
+		loss, grad = nn.EntropyLossInto(&s.loss, logits)
 	}
-	if step < cfg.WarmupSteps {
+	if step < s.cfg.WarmupSteps {
 		return loss
 	}
-	m.Backward(grad)
-	if cfg.ClipNorm > 0 {
-		nn.ClipGradNorm(params, cfg.ClipNorm)
+	s.model.Backward(grad)
+	if s.cfg.ClipNorm > 0 {
+		nn.ClipGradNorm(s.params, s.cfg.ClipNorm)
 	}
-	opt.Step(params)
+	opt.Step(s.params)
 	return loss
 }
 
@@ -125,23 +161,16 @@ func entropyStep(m *ufld.Model, x *tensor.Tensor, mode nn.Mode, params []*nn.Par
 //  2. one backpropagation pass of the entropy loss updates only the BN
 //     scale and shift parameters (γ, β).
 type LDBNAdapt struct {
-	model  *ufld.Model
-	cfg    Config
-	opt    nn.Optimizer
-	params []*nn.Param
-	steps  int
+	step  *Step
+	opt   nn.Optimizer
+	steps int
 	// LastLoss is the unsupervised loss of the most recent step.
 	LastLoss float64
 }
 
 // NewLDBNAdapt wires the method to a deployed model.
 func NewLDBNAdapt(m *ufld.Model, cfg Config) *LDBNAdapt {
-	return &LDBNAdapt{
-		model:  m,
-		cfg:    cfg,
-		opt:    newOptimizer(cfg),
-		params: m.BNParams(),
-	}
+	return &LDBNAdapt{step: NewStep(m, m.BNParams(), cfg), opt: newOptimizer(cfg)}
 }
 
 // Name returns the paper's name for the method.
@@ -151,11 +180,11 @@ func (a *LDBNAdapt) Name() string { return "LD-BN-ADAPT" }
 func (a *LDBNAdapt) Steps() int { return a.steps }
 
 // AdaptedParamCount returns the number of scalars the method updates.
-func (a *LDBNAdapt) AdaptedParamCount() int { return nn.ParamCount(a.params) }
+func (a *LDBNAdapt) AdaptedParamCount() int { return nn.ParamCount(a.step.params) }
 
 // Adapt performs one LD-BN-ADAPT step on an unlabeled batch.
 func (a *LDBNAdapt) Adapt(batch *tensor.Tensor) {
-	a.LastLoss = entropyStep(a.model, batch, nn.Adapt, a.params, a.opt, a.cfg, a.steps)
+	a.LastLoss = a.step.Run(batch, nn.Adapt, a.opt, a.steps)
 	a.steps++
 }
 
@@ -164,90 +193,64 @@ func (a *LDBNAdapt) Adapt(batch *tensor.Tensor) {
 // the BN statistics), so it is valid as soon as one step has run.
 func (a *LDBNAdapt) LastStepLoss() (float64, bool) { return a.LastLoss, a.steps > 0 }
 
-// ConvAdapt is the paper's ablation: entropy adaptation of the
-// convolution weights only (BN statistics stay at their source values).
-type ConvAdapt struct {
-	model    *ufld.Model
-	cfg      Config
+// weightAdapt is the body the two weight ablations share: entropy
+// steps in Eval mode (BN statistics stay at their source values) on a
+// fixed parameter set. Warmup steps consume their batch without running
+// the model at all: unlike LD-BN-ADAPT, whose warmup forwards refresh
+// the BN statistics, an Eval-mode warmup forward would compute nothing
+// that is kept. Updates still begin only after WarmupSteps batches,
+// keeping step counts comparable across methods.
+type weightAdapt struct {
+	step     *Step
 	opt      nn.Optimizer
-	params   []*nn.Param
 	steps    int
 	lastLoss float64
 	hasLoss  bool
 }
 
+func newWeightAdapt(m *ufld.Model, params []*nn.Param, cfg Config) weightAdapt {
+	return weightAdapt{step: NewStep(m, params, cfg), opt: newOptimizer(cfg)}
+}
+
+// Steps reports adaptation steps taken.
+func (a *weightAdapt) Steps() int { return a.steps }
+
+// LastStepLoss reports the most recent step's loss (invalid during
+// warmup, whose forwards are skipped).
+func (a *weightAdapt) LastStepLoss() (float64, bool) { return a.lastLoss, a.hasLoss }
+
+// Adapt performs one entropy step on the method's parameter set.
+func (a *weightAdapt) Adapt(batch *tensor.Tensor) {
+	a.hasLoss = a.steps >= a.step.cfg.WarmupSteps
+	if a.hasLoss {
+		a.lastLoss = a.step.Run(batch, nn.Eval, a.opt, a.steps)
+	}
+	a.steps++
+}
+
+// ConvAdapt is the paper's ablation: entropy adaptation of the
+// convolution weights only.
+type ConvAdapt struct{ weightAdapt }
+
 // NewConvAdapt wires the ablation to a model.
 func NewConvAdapt(m *ufld.Model, cfg Config) *ConvAdapt {
-	return &ConvAdapt{model: m, cfg: cfg, opt: newOptimizer(cfg), params: m.ConvParams()}
+	return &ConvAdapt{newWeightAdapt(m, m.ConvParams(), cfg)}
 }
 
 // Name identifies the ablation.
 func (a *ConvAdapt) Name() string { return "CONV-ADAPT" }
 
-// Steps reports adaptation steps taken.
-func (a *ConvAdapt) Steps() int { return a.steps }
-
-// LastStepLoss reports the most recent step's loss (invalid during
-// warmup, whose forwards are skipped).
-func (a *ConvAdapt) LastStepLoss() (float64, bool) { return a.lastLoss, a.hasLoss }
-
-// Adapt performs one entropy step on the conv weights. Warmup steps
-// consume their batch without running the model at all: this ablation
-// adapts in Eval mode, so — unlike LD-BN-ADAPT, whose warmup forwards
-// refresh the BN statistics — a warmup forward here would compute
-// nothing that is kept. Updates still begin only after WarmupSteps
-// batches, keeping step counts comparable across methods.
-func (a *ConvAdapt) Adapt(batch *tensor.Tensor) {
-	if a.steps < a.cfg.WarmupSteps {
-		a.steps++
-		a.hasLoss = false
-		return
-	}
-	a.lastLoss = entropyStep(a.model, batch, nn.Eval, a.params, a.opt, a.cfg, a.steps)
-	a.hasLoss = true
-	a.steps++
-}
-
 // FCAdapt is the paper's ablation: entropy adaptation of the
 // fully-connected head only.
-type FCAdapt struct {
-	model    *ufld.Model
-	cfg      Config
-	opt      nn.Optimizer
-	params   []*nn.Param
-	steps    int
-	lastLoss float64
-	hasLoss  bool
-}
+type FCAdapt struct{ weightAdapt }
 
 // NewFCAdapt wires the ablation to a model.
 func NewFCAdapt(m *ufld.Model, cfg Config) *FCAdapt {
-	return &FCAdapt{model: m, cfg: cfg, opt: newOptimizer(cfg), params: m.FCParams()}
+	return &FCAdapt{newWeightAdapt(m, m.FCParams(), cfg)}
 }
 
 // Name identifies the ablation.
 func (a *FCAdapt) Name() string { return "FC-ADAPT" }
-
-// Steps reports adaptation steps taken.
-func (a *FCAdapt) Steps() int { return a.steps }
-
-// LastStepLoss reports the most recent step's loss (invalid during
-// warmup, whose forwards are skipped).
-func (a *FCAdapt) LastStepLoss() (float64, bool) { return a.lastLoss, a.hasLoss }
-
-// Adapt performs one entropy step on the FC head. As with ConvAdapt,
-// warmup steps skip the dead Eval-mode forward entirely: there are no
-// BN statistics to refresh, so the forward's result would be discarded.
-func (a *FCAdapt) Adapt(batch *tensor.Tensor) {
-	if a.steps < a.cfg.WarmupSteps {
-		a.steps++
-		a.hasLoss = false
-		return
-	}
-	a.lastLoss = entropyStep(a.model, batch, nn.Eval, a.params, a.opt, a.cfg, a.steps)
-	a.hasLoss = true
-	a.steps++
-}
 
 // NoAdapt is the "UFLD no adaptation" baseline of Fig. 2.
 type NoAdapt struct{ steps int }
@@ -318,7 +321,7 @@ func RunOnline(m *ufld.Model, method Method, stream *ufld.Dataset, val *ufld.Dat
 		for i := range idx {
 			idx[i] = lo + i
 		}
-		x, _ := ufld.Batch(m.Cfg, stream.Samples, idx)
+		x := ufld.Images(m.Cfg, stream.Samples, idx)
 		// Phase 1: inference with the current model.
 		logits := m.Forward(x, nn.Eval)
 		preds := ufld.Decode(m.Cfg, logits, len(idx))

@@ -269,15 +269,23 @@ func TestRunOnlineRejectsBadBatch(t *testing.T) {
 	RunOnline(f.model.Clone(f.rng.Split()), NewNoAdapt(), f.bench.TargetTrain, nil, 0)
 }
 
+// TestAdaptationIsDeterministic: two runs of the paper's method on the
+// fixture agree, and — the frozen-backward pin at RunOnline level — both
+// equal the full-backward reference's OnlineResult field for field
+// (online and final accuracy, mean loss, frame count).
 func TestAdaptationIsDeterministic(t *testing.T) {
 	f := getFixture(t)
-	run := func() OnlineResult {
+	run := func(mk func(m *ufld.Model) Method) OnlineResult {
 		m := f.model.Clone(tensor.NewRNG(1))
-		return RunOnline(m, NewLDBNAdapt(m, DefaultConfig()), f.bench.TargetTrain, f.bench.TargetVal, 2)
+		return RunOnline(m, mk(m), f.bench.TargetTrain, f.bench.TargetVal, 2)
 	}
-	a, b := run(), run()
-	if a.FinalAccuracy != b.FinalAccuracy || a.OnlineAccuracy != b.OnlineAccuracy {
+	ldbn := func(m *ufld.Model) Method { return NewLDBNAdapt(m, DefaultConfig()) }
+	a, b := run(ldbn), run(ldbn)
+	if a != b {
 		t.Fatalf("non-deterministic adaptation: %+v vs %+v", a, b)
+	}
+	if ref := run(func(m *ufld.Model) Method { return refLDBN(m, DefaultConfig()) }); a != ref {
+		t.Fatalf("OnlineResult %+v, full-backward reference %+v", a, ref)
 	}
 }
 

@@ -113,6 +113,9 @@ func (b *BatchNorm2D) Name() string { return b.name }
 // Params returns γ and β.
 func (b *BatchNorm2D) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 
+// HasTrainable reports whether γ or β is unfrozen.
+func (b *BatchNorm2D) HasTrainable() bool { return !b.Gamma.Frozen || !b.Beta.Frozen }
+
 // SetSampleSources installs per-sample normalization state for
 // subsequent Infer-mode forwards: sample i is normalized with src[i]
 // instead of the layer's own running statistics and γ/β. Pass nil to
@@ -350,8 +353,12 @@ func (t *bnBwdBody) Chunk(_, clo, chi int) {
 				sumDYX += g * hs[i]
 			}
 		}
-		b.Beta.Grad.Data[c] += sumDY
-		b.Gamma.Grad.Data[c] += sumDYX
+		if !b.Beta.Frozen {
+			b.Beta.Grad.Data[c] += sumDY
+		}
+		if !b.Gamma.Frozen {
+			b.Gamma.Grad.Data[c] += sumDYX
+		}
 		g, is := b.Gamma.Value.Data[c], b.lastInvStd[c]
 		if b.lastMode == Eval {
 			scale := g * is
@@ -378,7 +385,8 @@ func (t *bnBwdBody) Chunk(_, clo, chi int) {
 	}
 }
 
-// Backward returns dX and accumulates dγ, dβ.
+// Backward returns dX and accumulates dγ, dβ (each unless frozen; the
+// two reductions feed dX either way).
 //
 // In Train/Adapt mode the batch statistics depend on the input, so the
 // full BN gradient is used:

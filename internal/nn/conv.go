@@ -23,9 +23,13 @@ type Conv2D struct {
 	Geom         tensor.ConvGeom
 	Weight       *Param // [outC, inC, kh, kw]
 	Bias         *Param // [outC] or nil
-	lastCols     []*tensor.Tensor
 	lastIn       [4]int // cached input shape [n,c,h,w]
 	lastOutShape [4]int
+	// fwdOK is set by a Train/Eval/Adapt forward (Backward may follow);
+	// lastCols holds its per-sample lowerings, nil when Weight was
+	// frozen at that forward.
+	fwdOK    bool
+	lastCols []*tensor.Tensor
 
 	// Scratch buffers and cached headers (see scratch.go for the
 	// ownership contract). Infer and Adapt keep separate output
@@ -50,19 +54,25 @@ type Conv2D struct {
 	fwdBody convFwdBody
 	bwdBody convBwdBody
 
-	// Int8 weight cache for InferInt8: per-output-channel symmetric
-	// quantization of Weight, built lazily on first use. Serving
-	// freezes conv weights, so the cache stays valid; callers that
-	// mutate Weight.Value must call InvalidateInt8.
+	// Weight-derived caches, built lazily on first use and owned by
+	// this layer instance (replicas share Weight.Value, never these):
+	// the per-output-channel symmetric int8 table for InferInt8, and
+	// the transposed weight matrix [K, outC] a frozen conv's Backward
+	// multiplies by. Serving freezes conv weights, so both stay valid;
+	// callers that mutate Weight.Value must call
+	// InvalidateWeightCaches.
 	wq      []int8
 	wScales []float32
 	wqOK    bool
+	wt      []float32
+	wtView  View
+	wtOK    bool
 }
 
 // convShard is one band's private scratch: lowering buffers, cached
 // sub-tensor headers and the int8 staging blocks.
 type convShard struct {
-	cols  Scratch // infer-mode im2col lowering
+	cols  Scratch // im2col lowering nobody retains (infer modes, frozen weight)
 	dcols Scratch // backward column gradient
 	xi    View    // per-sample input view
 	oi    View    // per-sample output view
@@ -111,6 +121,11 @@ func (c *Conv2D) Params() []*Param {
 	return []*Param{c.Weight}
 }
 
+// HasTrainable reports whether the weight or the bias is unfrozen.
+func (c *Conv2D) HasTrainable() bool {
+	return !c.Weight.Frozen || (c.Bias != nil && !c.Bias.Frozen)
+}
+
 // kDim is the lowered weight-matrix inner dimension inC·kh·kw.
 func (c *Conv2D) kDim() int { return c.InC * c.Geom.KH * c.Geom.KW }
 
@@ -135,6 +150,7 @@ type convFwdBody struct {
 	x, out       *tensor.Tensor
 	wm           *tensor.Tensor
 	mode         Mode
+	retain       bool // keep each sample's lowering for dW
 	h, w, oh, ow int
 }
 
@@ -153,11 +169,11 @@ func (b *convFwdBody) Chunk(band, lo, hi int) {
 		} else {
 			xi := sh.xi.Of(b.x.Data[ni*chw:(ni+1)*chw], 1, c.InC, b.h, b.w)
 			var cols *tensor.Tensor
-			switch b.mode {
-			case Infer:
+			switch {
+			case !b.retain:
 				cols = sh.cols.For(K, hw)
 				tensor.Im2ColInto(cols, xi, c.Geom)
-			case Adapt:
+			case b.mode == Adapt:
 				cols = c.colViews[ni].Of(c.adaptCols[ni*K*hw:(ni+1)*K*hw], K, hw)
 				tensor.Im2ColInto(cols, xi, c.Geom)
 				c.lastCols[ni] = cols
@@ -177,9 +193,11 @@ func (b *convFwdBody) Chunk(band, lo, hi int) {
 // im2col matrix has shape [inC*kh*kw, oh*ow] and the product
 // W[outC, inC*kh*kw]·cols lands directly in the output layout.
 // Infer/InferInt8 and Adapt mode use layer-owned scratch for the
-// im2col lowering and the output (Adapt additionally keeps the
-// lowering as the backward cache); Train and Eval allocate fresh
-// tensors so their outputs are safe to retain across calls. Samples
+// im2col lowering and the output; Train and Eval allocate fresh
+// tensors so their outputs are safe to retain across calls. The
+// lowering is kept as the backward cache only while Weight is
+// trainable — dW is its one consumer, so a frozen conv lowers into the
+// per-band shard scratch like the infer modes do. Samples
 // are processed in parallel bands over the worker pool when the batch
 // is big enough; the nested per-sample kernels parallelize over
 // whatever workers remain.
@@ -190,16 +208,25 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh, ow := c.Geom.OutSize(h, w)
 	infer := mode.IsInfer()
-	hot := mode == Adapt
+	retain := !infer && !c.Weight.Frozen
 	K := c.kDim()
 	hw := oh * ow
 	var out *tensor.Tensor
 	switch {
 	case infer:
 		out = c.inferOut.For(n, c.OutC, oh, ow)
-		c.lastCols = nil // Backward after an Infer forward must panic
-	case hot:
+	case mode == Adapt:
 		out = c.adaptOut.For(n, c.OutC, oh, ow)
+	default:
+		out = tensor.New(n, c.OutC, oh, ow)
+	}
+	c.fwdOK = !infer // Backward after an Infer forward must panic
+	c.lastIn = [4]int{n, c.InC, h, w}
+	c.lastOutShape = [4]int{n, c.OutC, oh, ow}
+	switch {
+	case !retain:
+		c.lastCols = nil
+	case mode == Adapt:
 		c.adaptCols = growF32(c.adaptCols, n*K*hw)
 		if cap(c.colViews) < n {
 			c.colViews = make([]View, n)
@@ -209,13 +236,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 			c.lastCols = make([]*tensor.Tensor, n)
 		}
 		c.lastCols = c.lastCols[:n]
-		c.lastIn = [4]int{n, c.InC, h, w}
-		c.lastOutShape = [4]int{n, c.OutC, oh, ow}
 	default:
-		out = tensor.New(n, c.OutC, oh, ow)
 		c.lastCols = make([]*tensor.Tensor, n)
-		c.lastIn = [4]int{n, c.InC, h, w}
-		c.lastOutShape = [4]int{n, c.OutC, oh, ow}
 	}
 	bands := par.Width(n, 1)
 	c.ensureShards(bands)
@@ -227,7 +249,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 		}
 	}
 	body := &c.fwdBody
-	*body = convFwdBody{c: c, x: x, out: out, mode: mode, h: h, w: w, oh: oh, ow: ow}
+	*body = convFwdBody{c: c, x: x, out: out, mode: mode, retain: retain, h: h, w: w, oh: oh, ow: ow}
 	if mode != InferInt8 {
 		body.wm = c.wmView.Of(c.Weight.Value.Data, c.OutC, K)
 	}
@@ -252,18 +274,42 @@ func (c *Conv2D) ensureInt8() {
 	c.wqOK = true
 }
 
-// InvalidateInt8 drops the cached int8 weights so the next InferInt8
-// forward re-quantizes Weight.Value. Call after mutating the weights.
-func (c *Conv2D) InvalidateInt8() { c.wqOK = false }
+// frozenWT returns the cached transpose of the weight matrix, [K, outC],
+// building it on first use.
+func (c *Conv2D) frozenWT() *tensor.Tensor {
+	K := c.kDim()
+	if !c.wtOK {
+		c.wt = growF32(c.wt, K*c.OutC)
+		w := c.Weight.Value.Data
+		for oc := 0; oc < c.OutC; oc++ {
+			for k, v := range w[oc*K : (oc+1)*K] {
+				c.wt[k*c.OutC+oc] = v
+			}
+		}
+		c.wtOK = true
+	}
+	return c.wtView.Of(c.wt, K, c.OutC)
+}
+
+// InvalidateWeightCaches drops the cached int8 and transposed weights
+// so the next InferInt8 forward re-quantizes, and the next frozen
+// Backward re-transposes, Weight.Value. Call after mutating the
+// weights.
+func (c *Conv2D) InvalidateWeightCaches() { c.wqOK, c.wtOK = false, false }
 
 // convBwdBody is the sample-parallel half of Backward: the input
 // gradient. Each band owns its samples' dcols/dx scratch, and the
 // per-sample kernels (Wᵀ·gi then col2im) are the serial ones, so dX
-// is bitwise stable at any band count.
+// is bitwise stable at any band count. Exactly one of wm and wt is
+// set: a trainable conv multiplies by wmᵀ through MatMulTAInto, a
+// frozen one by its cached transpose through the faster MatMulInto.
+// Per output row both kernels apply the same axpyRow updates in the
+// same increasing-p order with the same zero-skip, so the two are
+// bitwise interchangeable.
 type convBwdBody struct {
 	c         *Conv2D
 	grad, dx  *tensor.Tensor
-	wm        *tensor.Tensor
+	wm, wt    *tensor.Tensor
 	inC, h, w int
 	hw        int
 }
@@ -275,7 +321,11 @@ func (b *convBwdBody) Chunk(band, lo, hi int) {
 	for ni := lo; ni < hi; ni++ {
 		gi := sh.gi.Of(b.grad.Data[ni*c.OutC*b.hw:(ni+1)*c.OutC*b.hw], c.OutC, b.hw)
 		dcols := sh.dcols.For(K, b.hw)
-		tensor.MatMulTAInto(dcols, b.wm, gi)
+		if b.wt != nil {
+			tensor.MatMulInto(dcols, b.wt, gi)
+		} else {
+			tensor.MatMulTAInto(dcols, b.wm, gi)
+		}
 		dxi := sh.dxi.Of(b.dx.Data[ni*b.inC*b.h*b.w:(ni+1)*b.inC*b.h*b.w], 1, b.inC, b.h, b.w)
 		tensor.Col2ImInto(dxi, dcols, c.Geom)
 	}
@@ -286,10 +336,17 @@ func (b *convBwdBody) Chunk(band, lo, hi int) {
 // Backward. Two phases: the weight/bias gradients walk the batch
 // serially (dW accumulates across samples — its per-element order is
 // part of the bitwise contract — while the GEMM inside row-bands over
-// output channels), then the input gradients run sample-parallel.
+// output channels), then the input gradients run sample-parallel. A
+// frozen Weight or Bias skips its half of the first phase and leaves
+// its Grad untouched.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.lastCols == nil {
+	if !c.fwdOK {
 		panic(fmt.Sprintf("nn: %s: Backward before Forward", c.name))
+	}
+	needW := !c.Weight.Frozen
+	needB := c.Bias != nil && !c.Bias.Frozen
+	if needW && c.lastCols == nil {
+		panic(fmt.Sprintf("nn: %s: weight unfrozen between Forward and Backward: the frozen forward kept no lowering for dW", c.name))
 	}
 	n, inC, h, w := c.lastIn[0], c.lastIn[1], c.lastIn[2], c.lastIn[3]
 	oh, ow := c.lastOutShape[2], c.lastOutShape[3]
@@ -298,33 +355,44 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s: grad %v, want %v", c.name, grad.Shape(), c.lastOutShape))
 	}
 	K := c.kDim()
-	dW := c.dwView.Of(c.Weight.Grad.Data, c.OutC, K)
-	wm := c.wmView.Of(c.Weight.Value.Data, c.OutC, K)
 	dx := c.dxOut.For(n, inC, h, w)
-	for ni := 0; ni < n; ni++ {
-		gi := c.giView.Of(grad.Data[ni*c.OutC*hw:(ni+1)*c.OutC*hw], c.OutC, hw)
-		// dW += gi · colsᵀ
-		tensor.MatMulTBAcc(dW, gi, c.lastCols[ni])
-		if c.Bias != nil {
-			for oc := 0; oc < c.OutC; oc++ {
-				s := float32(0)
-				for _, v := range gi.Data[oc*hw : (oc+1)*hw] {
-					s += v
+	if needW || needB {
+		dW := c.dwView.Of(c.Weight.Grad.Data, c.OutC, K)
+		for ni := 0; ni < n; ni++ {
+			gi := c.giView.Of(grad.Data[ni*c.OutC*hw:(ni+1)*c.OutC*hw], c.OutC, hw)
+			if needW {
+				// dW += gi · colsᵀ
+				tensor.MatMulTBAcc(dW, gi, c.lastCols[ni])
+			}
+			if needB {
+				for oc := 0; oc < c.OutC; oc++ {
+					s := float32(0)
+					for _, v := range gi.Data[oc*hw : (oc+1)*hw] {
+						s += v
+					}
+					c.Bias.Grad.Data[oc] += s
 				}
-				c.Bias.Grad.Data[oc] += s
 			}
 		}
 	}
 	bands := par.Width(n, 1)
 	c.ensureShards(bands)
 	body := &c.bwdBody
-	*body = convBwdBody{c: c, grad: grad, dx: dx, wm: wm, inC: inC, h: h, w: w, hw: hw}
+	*body = convBwdBody{c: c, grad: grad, dx: dx, inC: inC, h: h, w: w, hw: hw}
+	if needW {
+		// A trainable weight is about to be stepped: whatever transpose
+		// an earlier frozen phase cached is stale from here on.
+		c.wtOK = false
+		body.wm = c.wmView.Of(c.Weight.Value.Data, c.OutC, K)
+	} else {
+		body.wt = c.frozenWT()
+	}
 	if n >= 2 && n*c.OutC*K*hw >= batchParMin {
 		par.For(n, 1, body)
 	} else {
 		body.Chunk(0, 0, n)
 	}
-	body.grad, body.dx, body.wm = nil, nil, nil
+	body.grad, body.dx, body.wm, body.wt = nil, nil, nil, nil
 	return dx
 }
 

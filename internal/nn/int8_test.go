@@ -123,7 +123,7 @@ func eqData(a, b *tensor.Tensor) bool {
 }
 
 // TestInt8InvalidateRequantizes pins the lazy-cache contract: after a
-// weight mutation, InvalidateInt8 must make the next InferInt8 forward
+// weight mutation, InvalidateWeightCaches must make the next InferInt8 forward
 // bitwise-identical to a fresh layer holding the same weights — and
 // without the call the stale cache keeps serving the old weights,
 // which is exactly why every weight-mutating path must invalidate.
@@ -138,9 +138,9 @@ func TestInt8InvalidateRequantizes(t *testing.T) {
 		l.Weight.Value.Data[i] *= 1.5
 	}
 	if got := l.Forward(x, InferInt8); !eqData(got, stale) {
-		t.Fatal("int8 cache requantized without InvalidateInt8 — the cache is not actually lazy")
+		t.Fatal("int8 cache requantized without InvalidateWeightCaches — the cache is not actually lazy")
 	}
-	l.InvalidateInt8()
+	l.InvalidateWeightCaches()
 	got := l.Forward(x, InferInt8).Clone()
 
 	fresh := NewLinear("fc2", 64, 16, tensor.NewRNG(99))

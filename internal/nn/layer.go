@@ -83,6 +83,12 @@ type Param struct {
 	Value *tensor.Tensor
 	// Grad accumulates the loss gradient; same shape as Value.
 	Grad *tensor.Tensor
+	// Frozen marks a parameter no optimizer will step: the owning
+	// layer's Backward leaves Grad untouched, and backprop stops below
+	// the lowest layer that still has an unfrozen parameter (see
+	// Sequential.Backward). The zero value is trainable; SetTrainable
+	// is how the adaptation methods set it.
+	Frozen bool
 }
 
 // NewParam allocates a parameter with a zeroed gradient.
@@ -113,6 +119,39 @@ func ZeroGrads(params []*Param) {
 	for _, p := range params {
 		p.ZeroGrad()
 	}
+}
+
+// SetTrainable marks exactly the params in trainable as trainable and
+// every other param in all as frozen. It is a pure function of its
+// arguments, so calling it again — or with another set on the same
+// model — simply re-draws the line.
+func SetTrainable(all, trainable []*Param) {
+	for _, p := range all {
+		p.Frozen = true
+	}
+	for _, p := range trainable {
+		p.Frozen = false
+	}
+}
+
+// TrainableReporter is implemented by layers that can say whether any
+// of their parameters is unfrozen without building a Params slice (the
+// adaptation step asks once per Backward and must not allocate).
+type TrainableReporter interface {
+	HasTrainable() bool
+}
+
+// HasTrainable reports whether l has at least one unfrozen parameter.
+func HasTrainable(l Layer) bool {
+	if r, ok := l.(TrainableReporter); ok {
+		return r.HasTrainable()
+	}
+	for _, p := range l.Params() {
+		if !p.Frozen {
+			return true
+		}
+	}
+	return false
 }
 
 // ParamCount returns the total number of scalar parameters.

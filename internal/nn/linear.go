@@ -31,7 +31,9 @@ type Linear struct {
 	dxOut    Scratch // backward input gradient
 
 	// Int8 weight cache for InferInt8 (per-output-feature scales),
-	// built lazily; see Conv2D for the invalidation contract.
+	// built lazily; see Conv2D for the invalidation contract. (No
+	// transposed-weight cache here: dX = dY·W already runs through
+	// MatMulInto.)
 	wq      []int8
 	wScales []float32
 	wqOK    bool
@@ -57,6 +59,9 @@ func (l *Linear) Name() string { return l.name }
 
 // Params returns weight and bias.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
+
+// HasTrainable reports whether the weight or the bias is unfrozen.
+func (l *Linear) HasTrainable() bool { return !l.Weight.Frozen || !l.Bias.Frozen }
 
 // Forward computes x·Wᵀ + b. Infer/InferInt8 and Adapt mode write into
 // layer-owned scratch (no backward cache on the infer paths); Train
@@ -110,12 +115,14 @@ func (l *Linear) ensureInt8() {
 	l.wqOK = true
 }
 
-// InvalidateInt8 drops the cached int8 weights so the next InferInt8
-// forward re-quantizes Weight.Value. Call after mutating the weights.
-func (l *Linear) InvalidateInt8() { l.wqOK = false }
+// InvalidateWeightCaches drops the cached int8 weights so the next
+// InferInt8 forward re-quantizes Weight.Value. Call after mutating the
+// weights.
+func (l *Linear) InvalidateWeightCaches() { l.wqOK = false }
 
 // Backward accumulates dW = dYᵀ·X and db = Σ dY, returning dX = dY·W
-// in layer-owned scratch (valid until the next Backward).
+// in layer-owned scratch (valid until the next Backward). A frozen
+// Weight or Bias skips its gradient and leaves its Grad untouched.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if l.lastX == nil {
 		panic(fmt.Sprintf("nn: %s: Backward before Forward", l.name))
@@ -124,13 +131,17 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if grad.NDim() != 2 || grad.Dim(0) != n || grad.Dim(1) != l.Out {
 		panic(fmt.Sprintf("nn: %s: grad %v, want [%d,%d]", l.name, grad.Shape(), n, l.Out))
 	}
-	dw := l.dwTmp.For(l.Out, l.In)
-	tensor.MatMulTAInto(dw, grad, l.lastX)
-	tensor.AddInPlace(l.Weight.Grad, dw)
-	for i := 0; i < n; i++ {
-		row := grad.Data[i*l.Out : (i+1)*l.Out]
-		for j, v := range row {
-			l.Bias.Grad.Data[j] += v
+	if !l.Weight.Frozen {
+		dw := l.dwTmp.For(l.Out, l.In)
+		tensor.MatMulTAInto(dw, grad, l.lastX)
+		tensor.AddInPlace(l.Weight.Grad, dw)
+	}
+	if !l.Bias.Frozen {
+		for i := 0; i < n; i++ {
+			row := grad.Data[i*l.Out : (i+1)*l.Out]
+			for j, v := range row {
+				l.Bias.Grad.Data[j] += v
+			}
 		}
 	}
 	dx := l.dxOut.For(n, l.In)

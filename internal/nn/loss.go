@@ -46,6 +46,15 @@ func CrossEntropyRows(logits *tensor.Tensor, targets []int) (float64, *tensor.Te
 	return loss / float64(active), grad
 }
 
+// LossScratch is the caller-owned storage the …LossInto forms write
+// into: the gradient tensor they return and one row of log
+// probabilities. The zero value is ready to use; a returned gradient is
+// valid until the scratch's next use.
+type LossScratch struct {
+	grad Scratch
+	logp []float64
+}
+
 // EntropyLoss computes the mean Shannon entropy of softmax(logits) over
 // rows and its gradient w.r.t. the logits. This is the fully
 // unsupervised objective of LD-BN-ADAPT (and of TENT): minimizing
@@ -54,26 +63,36 @@ func CrossEntropyRows(logits *tensor.Tensor, targets []int) (float64, *tensor.Te
 // For one row with probabilities p and entropy H = −Σ p log p the
 // gradient w.r.t. logit z_k is −p_k (log p_k + H).
 func EntropyLoss(logits *tensor.Tensor) (float64, *tensor.Tensor) {
+	return EntropyLossInto(new(LossScratch), logits)
+}
+
+// EntropyLossInto is EntropyLoss with the gradient in ws: a
+// steady-state caller at a stable logits shape allocates nothing.
+func EntropyLossInto(ws *LossScratch, logits *tensor.Tensor) (float64, *tensor.Tensor) {
 	if logits.NDim() != 2 {
 		panic(fmt.Sprintf("nn: EntropyLoss needs 2-D logits, got %v", logits.Shape()))
 	}
 	rows, classes := logits.Dim(0), logits.Dim(1)
-	probs := tensor.SoftmaxRows(logits)
-	grad := tensor.New(rows, classes)
+	grad := ws.grad.For(rows, classes)
+	if cap(ws.logp) < classes {
+		ws.logp = make([]float64, classes)
+	}
+	logp := ws.logp[:classes] // fully overwritten each row
 	total := 0.0
 	inv := 1.0 / float64(rows)
-	logp := make([]float64, classes) // reused across rows (fully overwritten each row)
 	for i := 0; i < rows; i++ {
-		p := probs.Data[i*classes : (i+1)*classes]
+		// The row's probabilities land in its gradient slot and are
+		// overwritten element by element once H is known.
+		g := grad.Data[i*classes : (i+1)*classes]
+		tensor.SoftmaxRow(g, logits.Data[i*classes:(i+1)*classes])
 		h := 0.0
-		for j, pv := range p {
+		for j, pv := range g {
 			lp := math.Log(math.Max(float64(pv), 1e-12))
 			logp[j] = lp
 			h -= float64(pv) * lp
 		}
 		total += h
-		g := grad.Data[i*classes : (i+1)*classes]
-		for j, pv := range p {
+		for j, pv := range g {
 			g[j] = float32(-float64(pv) * (logp[j] + h) * inv)
 		}
 	}
@@ -85,27 +104,31 @@ func EntropyLoss(logits *tensor.Tensor) (float64, *tensor.Tensor) {
 // the winning class's probability also sharpens predictions.
 // Returns the loss −mean_i max_c p_ic and its logit gradient.
 func ConfidenceLoss(logits *tensor.Tensor) (float64, *tensor.Tensor) {
+	return ConfidenceLossInto(new(LossScratch), logits)
+}
+
+// ConfidenceLossInto is ConfidenceLoss with the gradient in ws.
+func ConfidenceLossInto(ws *LossScratch, logits *tensor.Tensor) (float64, *tensor.Tensor) {
 	if logits.NDim() != 2 {
 		panic(fmt.Sprintf("nn: ConfidenceLoss needs 2-D logits, got %v", logits.Shape()))
 	}
 	rows, classes := logits.Dim(0), logits.Dim(1)
-	probs := tensor.SoftmaxRows(logits)
-	grad := tensor.New(rows, classes)
+	grad := ws.grad.For(rows, classes)
 	total := 0.0
 	inv := 1.0 / float64(rows)
 	for i := 0; i < rows; i++ {
-		p := probs.Data[i*classes : (i+1)*classes]
+		g := grad.Data[i*classes : (i+1)*classes]
+		tensor.SoftmaxRow(g, logits.Data[i*classes:(i+1)*classes])
 		best := 0
-		for j, pv := range p {
-			if pv > p[best] {
+		for j, pv := range g {
+			if pv > g[best] {
 				best = j
 			}
 		}
-		pm := float64(p[best])
+		pm := float64(g[best])
 		total -= pm
 		// d(−p_m)/dz_k = −p_m (δ_km − p_k)
-		g := grad.Data[i*classes : (i+1)*classes]
-		for j, pv := range p {
+		for j, pv := range g {
 			d := -pm * (-float64(pv))
 			if j == best {
 				d = -pm * (1 - float64(pv))

@@ -1,6 +1,10 @@
 package nn
 
-import "ldbnadapt/internal/tensor"
+import (
+	"fmt"
+
+	"ldbnadapt/internal/tensor"
+)
 
 // Sequential chains layers, forwarding left-to-right and backwarding
 // right-to-left. It itself satisfies Layer, so sequences nest.
@@ -28,26 +32,61 @@ func (s *Sequential) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	return x
 }
 
-// Backward runs each layer's backward pass in reverse order.
+// Backward runs each layer's backward pass in reverse order, stopping
+// after the lowest layer that still has a trainable parameter: below
+// it nothing consumes a gradient. When it stops early it returns nil
+// (under LD-BN-ADAPT the stem convolution's Backward is never called;
+// under FC-ADAPT the whole backbone's is not). With every parameter
+// frozen — or none at all — the chain is a pure function of its input
+// and the full input gradient is returned, as it is when the bottom
+// layer is trainable.
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
+	cut := 0
+	for i, l := range s.Layers {
+		if HasTrainable(l) {
+			cut = i
+			break
+		}
+	}
+	for i := len(s.Layers) - 1; i >= cut; i-- {
 		grad = s.Layers[i].Backward(grad)
+		if grad == nil && i > cut {
+			panic(fmt.Sprintf("nn: %s: %s stopped backprop, but %s below it still has trainable parameters",
+				s.name, s.Layers[i].Name(), s.Layers[cut].Name()))
+		}
+	}
+	if cut > 0 {
+		return nil
 	}
 	return grad
 }
 
-// Int8Invalidator is implemented by layers (and composite layers) that
-// cache quantized weights for InferInt8 forwards.
-type Int8Invalidator interface {
-	InvalidateInt8()
+// HasTrainable reports whether any layer in the chain has an unfrozen
+// parameter.
+func (s *Sequential) HasTrainable() bool {
+	for _, l := range s.Layers {
+		if HasTrainable(l) {
+			return true
+		}
+	}
+	return false
 }
 
-// InvalidateInt8 drops every cached int8 weight table in the chain so
-// the next InferInt8 forward re-quantizes from the current weights.
-func (s *Sequential) InvalidateInt8() {
+// WeightCacheInvalidator is implemented by layers (and composite
+// layers) that cache something derived from their weights: the int8
+// tables for InferInt8 forwards and the transposed weights a frozen
+// conv's backward multiplies by.
+type WeightCacheInvalidator interface {
+	InvalidateWeightCaches()
+}
+
+// InvalidateWeightCaches drops every weight-derived cache in the chain
+// (int8 tables, transposed frozen weights) so the next use rebuilds
+// from the current weights.
+func (s *Sequential) InvalidateWeightCaches() {
 	for _, l := range s.Layers {
-		if inv, ok := l.(Int8Invalidator); ok {
-			inv.InvalidateInt8()
+		if inv, ok := l.(WeightCacheInvalidator); ok {
+			inv.InvalidateWeightCaches()
 		}
 	}
 }

@@ -174,13 +174,23 @@ func (b *BasicBlock) Forward(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	return out
 }
 
-// InvalidateInt8 drops the block's cached int8 weights (both branches).
-func (b *BasicBlock) InvalidateInt8() {
-	b.conv1.InvalidateInt8()
-	b.conv2.InvalidateInt8()
+// InvalidateWeightCaches drops the block's weight-derived caches (both
+// branches).
+func (b *BasicBlock) InvalidateWeightCaches() {
+	b.conv1.InvalidateWeightCaches()
+	b.conv2.InvalidateWeightCaches()
 	if b.dsConv != nil {
-		b.dsConv.InvalidateInt8()
+		b.dsConv.InvalidateWeightCaches()
 	}
+}
+
+// HasTrainable reports whether any of the block's layers has an
+// unfrozen parameter.
+func (b *BasicBlock) HasTrainable() bool {
+	if b.conv1.HasTrainable() || b.bn1.HasTrainable() || b.conv2.HasTrainable() || b.bn2.HasTrainable() {
+		return true
+	}
+	return b.dsConv != nil && (b.dsConv.HasTrainable() || b.dsBN.HasTrainable())
 }
 
 // Backward propagates through both branches and sums the input grads.
@@ -257,11 +267,17 @@ func (r *ResNet) Forward(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	return r.net.Forward(x, mode)
 }
 
-// Backward propagates through the backbone.
+// Backward propagates through the backbone, stopping (and returning
+// nil) below the lowest layer with a trainable parameter — see
+// nn.Sequential.Backward.
 func (r *ResNet) Backward(grad *tensor.Tensor) *tensor.Tensor { return r.net.Backward(grad) }
 
-// InvalidateInt8 drops every cached int8 weight table in the backbone.
-func (r *ResNet) InvalidateInt8() { r.net.InvalidateInt8() }
+// InvalidateWeightCaches drops every weight-derived cache in the
+// backbone.
+func (r *ResNet) InvalidateWeightCaches() { r.net.InvalidateWeightCaches() }
+
+// HasTrainable reports whether any backbone parameter is unfrozen.
+func (r *ResNet) HasTrainable() bool { return r.net.HasTrainable() }
 
 // Params returns all backbone parameters.
 func (r *ResNet) Params() []*nn.Param { return r.net.Params() }

@@ -435,10 +435,13 @@ func (e *Engine) buildReport(p *planner, states []*streamState, recs []execRec, 
 
 // worker is one serving replica with its reusable batch buffers.
 type worker struct {
-	e        *Engine
-	model    *ufld.Model
-	bns      []*nn.BatchNorm2D
-	bnParams []*nn.Param
+	e     *Engine
+	model *ufld.Model
+	bns   []*nn.BatchNorm2D
+	// step is the LD-BN-ADAPT step on this replica's γ/β; building it
+	// freezes the replica's (shared, read-only) conv and FC weights.
+	step    *adapt.Step
+	decoder ufld.Decoder
 
 	inBuf    []float32       // [MaxBatch, 3, H, W] assembly buffer
 	adaptBuf []float32       // [AdaptBatch, 3, H, W] adaptation buffer
@@ -457,7 +460,7 @@ func (e *Engine) newWorker() *worker {
 	// overwritten by Replica, so a fixed seed keeps workers cheap and
 	// deterministic.
 	m := e.model.Replica(tensor.NewRNG(1))
-	wk := &worker{e: e, model: m, bns: m.BatchNorms(), bnParams: m.BNParams()}
+	wk := &worker{e: e, model: m, bns: m.BatchNorms(), step: adapt.NewStep(m, m.BNParams(), e.cfg.Adapt)}
 	chw := 3 * m.Cfg.InputH * m.Cfg.InputW
 	wk.inBuf = make([]float32, e.cfg.MaxBatch*chw)
 	wk.adaptBuf = make([]float32, e.cfg.AdaptBatch*chw)
@@ -526,7 +529,7 @@ func (wk *worker) serve(pb plannedBatch, states []*streamState, records chan<- e
 	} else {
 		logits = wk.model.ForwardInfer(x)
 	}
-	preds := ufld.Decode(mcfg, logits, n)
+	preds := wk.decoder.Decode(mcfg, logits, n)
 	for _, b := range wk.bns {
 		b.SetSampleSources(nil)
 	}
@@ -560,15 +563,15 @@ func (wk *worker) serve(pb plannedBatch, states []*streamState, records chan<- e
 }
 
 // adaptLocked runs one LD-BN-ADAPT step for a stream on this worker's
-// replica (caller holds st.mu): swap the stream's BN state in, run the
-// entropy step on the window's most recent AdaptBatch frames, and
-// capture the refreshed statistics and updated γ/β back out. This
-// mirrors adapt.LDBNAdapt's step with model-portable optimizer state.
+// replica (caller holds st.mu): swap the stream's BN state in, run
+// adapt.Step — the same step adapt.LDBNAdapt runs, here with the
+// stream's model-portable optimizer and step count — on the window's
+// most recent AdaptBatch frames, and capture the refreshed statistics
+// and updated γ/β back out.
 func (wk *worker) adaptLocked(st *streamState) {
-	e := wk.e
 	mcfg := wk.model.Cfg
 	chw := 3 * mcfg.InputH * mcfg.InputW
-	nb := e.cfg.AdaptBatch
+	nb := wk.e.cfg.AdaptBatch
 	if nb > len(st.pending) {
 		nb = len(st.pending)
 	}
@@ -579,22 +582,7 @@ func (wk *worker) adaptLocked(st *streamState) {
 	xa := wk.adaptView.Of(wk.adaptBuf[:nb*chw], nb, 3, mcfg.InputH, mcfg.InputW)
 
 	st.swapInto(wk.bns)
-	nn.ZeroGrads(wk.model.Params())
-	logits := wk.model.Forward(xa, nn.Adapt)
-	var grad *tensor.Tensor
-	switch e.cfg.Adapt.Loss {
-	case adapt.Confidence:
-		_, grad = nn.ConfidenceLoss(logits)
-	default:
-		_, grad = nn.EntropyLoss(logits)
-	}
-	if st.steps >= e.cfg.Adapt.WarmupSteps {
-		wk.model.Backward(grad)
-		if e.cfg.Adapt.ClipNorm > 0 {
-			nn.ClipGradNorm(wk.bnParams, e.cfg.Adapt.ClipNorm)
-		}
-		st.opt.apply(wk.bnParams)
-	}
+	wk.step.Run(xa, nn.Adapt, st.opt, st.steps)
 	st.steps++
 	st.captureFrom(wk.bns)
 }

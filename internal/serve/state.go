@@ -108,7 +108,8 @@ func (st *streamState) captureFrom(bns []*nn.BatchNorm2D) {
 // bnOpt is a per-stream optimizer over the flattened γ/β vector. It
 // mirrors nn.Adam / nn.SGD but keys its moments by flat offset instead
 // of *nn.Param, so a stream's optimizer state is portable across the
-// worker replicas that execute its adaptation steps.
+// worker replicas that execute its adaptation steps. It is the
+// nn.Optimizer the shared adapt.Step runs with on the serving path.
 type bnOpt struct {
 	cfg  adapt.Config
 	step int
@@ -120,11 +121,11 @@ func newBNOpt(cfg adapt.Config, flat int) *bnOpt {
 	return &bnOpt{cfg: cfg, m: make([]float32, flat), v: make([]float32, flat)}
 }
 
-// apply performs one update on the replica's BN params from their
+// Step performs one update on the replica's BN params from their
 // accumulated gradients, advancing the stream's moments. The params
 // must be the replica's BNParams() in model order, matching the flat
 // layout the moments were allocated for.
-func (o *bnOpt) apply(params []*nn.Param) {
+func (o *bnOpt) Step(params []*nn.Param) {
 	o.step++
 	if o.cfg.UseAdam {
 		const beta1, beta2, eps = 0.9, 0.999, 1e-8

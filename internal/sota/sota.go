@@ -159,6 +159,9 @@ func (a *Adapter) Run(source, target *ufld.Dataset, rng *tensor.RNG) (*Result, e
 	res.Cost.UpdatedParams = nn.ParamCount(a.model.Params())
 	opt := nn.NewAdam(a.cfg.LR)
 	params := a.model.Params()
+	// The baseline retrains every parameter, whatever an adaptation
+	// method wired to the model earlier may have frozen.
+	nn.SetTrainable(params, params)
 	m := a.model
 	cfg := m.Cfg
 

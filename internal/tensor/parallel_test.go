@@ -96,6 +96,11 @@ func TestMatMulBitwiseAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestMatMulTABitwiseAcrossWorkers also holds MatMulInto over the
+// materialized transpose to the same bits: a frozen conv's backward
+// swaps one for the other (internal/nn), which is only sound because
+// per output row both apply the same axpy updates in the same
+// increasing-p order with the same zero-skip.
 func TestMatMulTABitwiseAcrossWorkers(t *testing.T) {
 	rng := NewRNG(0xabcd)
 	for _, sh := range gemmShapes {
@@ -104,6 +109,15 @@ func TestMatMulTABitwiseAcrossWorkers(t *testing.T) {
 		b := New(sh.k, sh.n)
 		rng.FillUniform(a, -2, 2)
 		rng.FillUniform(b, -2, 2)
+		for i := 0; i < len(a.Data); i += 5 {
+			a.Data[i] = 0 // exercise the zero-skip on both kernels
+		}
+		at := New(sh.m, sh.k)
+		for p := 0; p < sh.k; p++ {
+			for i := 0; i < sh.m; i++ {
+				at.Data[i*sh.k+p] = a.Data[p*sh.m+i]
+			}
+		}
 		golden := New(sh.m, sh.n)
 		restore := serialGates(t)
 		MatMulTAInto(golden, a, b)
@@ -118,6 +132,11 @@ func TestMatMulTABitwiseAcrossWorkers(t *testing.T) {
 				MatMulTAInto(got, a, b)
 				if i := bitsEqual(golden.Data, got.Data); i >= 0 {
 					t.Fatalf("MatMulTA %dx%dx%d procs=%d: element %d differs",
+						sh.m, sh.k, sh.n, procs, i)
+				}
+				MatMulInto(got, at, b)
+				if i := bitsEqual(golden.Data, got.Data); i >= 0 {
+					t.Fatalf("MatMul over the transpose %dx%dx%d procs=%d: element %d differs from MatMulTA",
 						sh.m, sh.k, sh.n, procs, i)
 				}
 			})

@@ -14,13 +14,15 @@ func SoftmaxRows(logits *Tensor) *Tensor {
 	r, c := logits.shape[0], logits.shape[1]
 	out := New(r, c)
 	for i := 0; i < r; i++ {
-		softmaxRow(out.Data[i*c:(i+1)*c], logits.Data[i*c:(i+1)*c])
+		SoftmaxRow(out.Data[i*c:(i+1)*c], logits.Data[i*c:(i+1)*c])
 	}
 	return out
 }
 
-// softmaxRow writes softmax(src) into dst (same length).
-func softmaxRow(dst, src []float32) {
+// SoftmaxRow writes the numerically-stable softmax of src into dst
+// (same length). It is the row kernel of SoftmaxRows,
+// for callers that want one row at a time in their own buffer.
+func SoftmaxRow(dst, src []float32) {
 	m := src[0]
 	for _, v := range src[1:] {
 		if v > m {

@@ -1,6 +1,7 @@
 package ufld
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -35,9 +36,13 @@ func TestInferForwardAllocationFree(t *testing.T) {
 // worker pool engaged. testing.AllocsPerRun forces GOMAXPROCS to 1 —
 // which makes par.For strictly serial and would bypass every pooled
 // dispatch path — so this variant measures Mallocs deltas directly at
-// GOMAXPROCS 4. The budget is per-call fractional because background
-// runtime activity can add stray allocations; steady state must still
-// round to zero.
+// GOMAXPROCS 4. Mallocs is process-wide and the runtime allocates on
+// its own when the box is contended (`go test ./...` runs the other
+// packages' binaries beside this one: 0.12 objects per call were read
+// on two shared cores), so the pin reads the quietest of several
+// windows and asks only that it stay under half an object per call: an
+// allocation site on the forward path costs at least one object every
+// call in every window, the runtime's strays do not.
 func TestInferForwardAllocationFreeParallel(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -52,15 +57,19 @@ func TestInferForwardAllocationFreeParallel(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			f() // warmup: grow scratch, shards, pooled task blocks, workers
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		const runs = 50
-		for i := 0; i < runs; i++ {
-			f()
+		const windows, runs = 8, 10
+		quietest := math.Inf(1)
+		for w := 0; w < windows && quietest > 0; w++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				f()
+			}
+			runtime.ReadMemStats(&after)
+			quietest = math.Min(quietest, float64(after.Mallocs-before.Mallocs)/runs)
 		}
-		runtime.ReadMemStats(&after)
-		if per := float64(after.Mallocs-before.Mallocs) / runs; per > 0.1 {
-			t.Fatalf("%s allocates %.2f objects per call at GOMAXPROCS 4, want 0", name, per)
+		if quietest >= 0.5 {
+			t.Fatalf("%s allocates %.2f objects per call at GOMAXPROCS 4 in its quietest window, want 0", name, quietest)
 		}
 	}
 	measure("ForwardInfer", func() { m.ForwardInfer(x) })

@@ -24,17 +24,48 @@ type Prediction struct {
 // per-sample predictions. Following UFLD: the "no lane" decision uses
 // the argmax over all Classes; the location uses the expectation of
 // the cell index under the softmax restricted to the location cells.
+// The result is freshly allocated and safe to retain.
 func Decode(cfg Config, logitsRows *tensor.Tensor, n int) []Prediction {
+	return new(Decoder).Decode(cfg, logitsRows, n)
+}
+
+// Decoder is Decode with its storage kept between calls: the softmax
+// row buffer, the Prediction slice and the one []LanePoint backing all
+// lanes of each sample. The zero value is ready to use. A result is
+// valid until the Decoder's next Decode, so a loop that scores each
+// batch before decoding the next (the serving worker) allocates nothing
+// in steady state.
+type Decoder struct {
+	row   []float32
+	preds []Prediction
+}
+
+// Decode is the package-level Decode into the Decoder's storage.
+func (d *Decoder) Decode(cfg Config, logitsRows *tensor.Tensor, n int) []Prediction {
 	classes := cfg.Classes()
-	probs := tensor.SoftmaxRows(logitsRows)
-	preds := make([]Prediction, n)
-	for ni := 0; ni < n; ni++ {
-		pts := make([][]LanePoint, cfg.Lanes)
+	if cap(d.row) < classes {
+		d.row = make([]float32, classes)
+	}
+	p := d.row[:classes]
+	for len(d.preds) < n {
+		d.preds = append(d.preds, Prediction{})
+	}
+	preds := d.preds[:n]
+	for ni := range preds {
+		pts := preds[ni].Points
+		if len(pts) != cfg.Lanes || len(pts[0]) != cfg.RowAnchors {
+			flat := make([]LanePoint, cfg.Lanes*cfg.RowAnchors)
+			pts = make([][]LanePoint, cfg.Lanes)
+			for lane := range pts {
+				pts[lane] = flat[lane*cfg.RowAnchors : (lane+1)*cfg.RowAnchors]
+			}
+			preds[ni].Points = pts
+		}
 		for lane := 0; lane < cfg.Lanes; lane++ {
-			pts[lane] = make([]LanePoint, cfg.RowAnchors)
 			for a := 0; a < cfg.RowAnchors; a++ {
+				pts[lane][a] = LanePoint{}
 				row := (ni*cfg.Lanes+lane)*cfg.RowAnchors + a
-				p := probs.Data[row*classes : (row+1)*classes]
+				tensor.SoftmaxRow(p, logitsRows.Data[row*classes:(row+1)*classes])
 				best := 0
 				for j, v := range p {
 					if v > p[best] {
@@ -56,7 +87,6 @@ func Decode(cfg Config, logitsRows *tensor.Tensor, n int) []Prediction {
 				pts[lane][a] = LanePoint{Present: true, Cell: loc / sum}
 			}
 		}
-		preds[ni] = Prediction{Points: pts}
 	}
 	return preds
 }

@@ -108,20 +108,26 @@ func (m *Model) ForwardInfer(x *tensor.Tensor) *tensor.Tensor {
 // per sample): the governed accuracy/latency rung. BatchNorm, ReLU and
 // pooling stay in float32 and per-sample BN sources are honoured, so
 // this path drops into the batched serving loop unchanged. The first
-// call quantizes the (frozen) weights once; call InvalidateInt8 after
-// mutating weights. Output differs from ForwardInfer only by the
+// call quantizes the (frozen) weights once; call InvalidateWeightCaches
+// after mutating weights. Output differs from ForwardInfer only by the
 // quantization error bound documented in internal/tensor/README.md;
 // batched and sequential InferInt8 forwards remain bitwise identical.
 func (m *Model) ForwardInferInt8(x *tensor.Tensor) *tensor.Tensor {
 	return m.Forward(x, nn.InferInt8)
 }
 
-// InvalidateInt8 drops every cached int8 weight table so the next
-// ForwardInferInt8 re-quantizes from the current weights.
-func (m *Model) InvalidateInt8() { m.net.InvalidateInt8() }
+// InvalidateWeightCaches drops every weight-derived cache — the int8
+// tables and the frozen convolutions' transposed weights — so the next
+// ForwardInferInt8 re-quantizes, and the next frozen-weight Backward
+// re-transposes, from the current weights. Call it after writing conv
+// or FC weights in place (an optimizer step on a trainable weight needs
+// no call: a trainable conv keeps no transpose).
+func (m *Model) InvalidateWeightCaches() { m.net.InvalidateWeightCaches() }
 
 // Backward propagates a gradient with the same row layout Forward
-// returns, and returns the input gradient.
+// returns. It returns the input gradient, or nil when backprop stopped
+// above the input because every parameter further down is frozen (see
+// nn.Sequential.Backward).
 func (m *Model) Backward(gradRows *tensor.Tensor) *tensor.Tensor {
 	g := m.gradView.Of(gradRows.Data, m.lastN, m.Cfg.Groups()*m.Cfg.Classes())
 	return m.net.Backward(g)

@@ -39,15 +39,11 @@ func Batch(cfg Config, samples []Sample, idx []int) (*tensor.Tensor, []int) {
 	if len(idx) == 0 {
 		panic("ufld: empty batch")
 	}
-	chw := 3 * cfg.InputH * cfg.InputW
 	x := tensor.New(len(idx), 3, cfg.InputH, cfg.InputW)
+	copyImages(cfg, x, samples, idx)
 	targets := make([]int, 0, len(idx)*cfg.Groups())
-	for bi, si := range idx {
+	for _, si := range idx {
 		s := samples[si]
-		if s.Image.Size() != chw {
-			panic(fmt.Sprintf("ufld: sample %d image %v, want [3,%d,%d]", si, s.Image.Shape(), cfg.InputH, cfg.InputW))
-		}
-		copy(x.Data[bi*chw:(bi+1)*chw], s.Image.Data)
 		if len(s.Cells) != cfg.Groups() {
 			panic(fmt.Sprintf("ufld: sample %d has %d cells, want %d", si, len(s.Cells), cfg.Groups()))
 		}
@@ -62,8 +58,36 @@ func Batch(cfg Config, samples []Sample, idx []int) (*tensor.Tensor, []int) {
 	return x, targets
 }
 
-// Images assembles an unlabeled input batch (targets discarded).
+// checkImage panics unless sample si carries a [3,H,W] image.
+func checkImage(cfg Config, s Sample, si int) {
+	if s.Image.Size() != 3*cfg.InputH*cfg.InputW {
+		panic(fmt.Sprintf("ufld: sample %d image %v, want [3,%d,%d]", si, s.Image.Shape(), cfg.InputH, cfg.InputW))
+	}
+}
+
+// copyImages copies the images of samples[idx] into the rows of x.
+func copyImages(cfg Config, x *tensor.Tensor, samples []Sample, idx []int) {
+	chw := 3 * cfg.InputH * cfg.InputW
+	for bi, si := range idx {
+		checkImage(cfg, samples[si], si)
+		copy(x.Data[bi*chw:(bi+1)*chw], samples[si].Image.Data)
+	}
+}
+
+// Images assembles an unlabeled input batch [len(idx),3,H,W]. The
+// result is read-only: for a single index it is a header over the
+// sample's own image storage (the per-frame paper loop would otherwise
+// allocate, zero and copy a whole image just to hand it to a forward
+// pass that only reads it); larger batches are copied.
 func Images(cfg Config, samples []Sample, idx []int) *tensor.Tensor {
-	x, _ := Batch(cfg, samples, idx)
+	if len(idx) == 0 {
+		panic("ufld: empty batch")
+	}
+	if len(idx) == 1 {
+		checkImage(cfg, samples[idx[0]], idx[0])
+		return tensor.FromSlice(samples[idx[0]].Image.Data, 1, 3, cfg.InputH, cfg.InputW)
+	}
+	x := tensor.New(len(idx), 3, cfg.InputH, cfg.InputW)
+	copyImages(cfg, x, samples, idx)
 	return x
 }

@@ -51,6 +51,9 @@ func TrainSource(m *Model, train *Dataset, tc TrainConfig, rng *tensor.RNG) (flo
 	}
 	opt := nn.NewAdam(tc.LR)
 	params := m.Params()
+	// Training steps every parameter, whatever an adaptation method
+	// wired to m earlier may have frozen.
+	nn.SetTrainable(params, params)
 	var epochLoss float64
 	for epoch := 0; epoch < tc.Epochs; epoch++ {
 		perm := rng.Perm(train.Len())

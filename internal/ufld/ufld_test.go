@@ -241,6 +241,73 @@ func TestBatchAssembly(t *testing.T) {
 	}
 }
 
+// TestImagesViewsSingleAndCopiesBatches: a one-frame Images result is a
+// [1,3,H,W] header over the sample's own storage (no copy — the
+// documented read-only contract), a larger one is an assembled copy,
+// and both hold what Batch would have assembled.
+func TestImagesViewsSingleAndCopiesBatches(t *testing.T) {
+	cfg := Tiny(resnet.R18, 2)
+	rng := tensor.NewRNG(5)
+	samples := make([]Sample, 3)
+	for i := range samples {
+		img := tensor.New(3, cfg.InputH, cfg.InputW)
+		rng.FillUniform(img, 0, 1)
+		cells := make([]int, cfg.Groups())
+		samples[i] = Sample{Image: img, Cells: cells}
+	}
+	for _, idx := range [][]int{{1}, {2, 0}} {
+		want, _ := Batch(cfg, samples, idx)
+		got := Images(cfg, samples, idx)
+		if !got.SameShape(want) || !got.AllClose(want, 0) {
+			t.Fatalf("Images(%v) differs from Batch's tensor", idx)
+		}
+		shared := &got.Data[0] == &samples[idx[0]].Image.Data[0]
+		if shared != (len(idx) == 1) {
+			t.Fatalf("Images(%v): shares the sample's storage = %v", idx, shared)
+		}
+	}
+	samples[1].Image = tensor.New(3, cfg.InputH, cfg.InputW+1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Images accepted a wrong-sized single image")
+		}
+	}()
+	Images(cfg, samples, []int{1})
+}
+
+// TestDecoderMatchesDecode: a reused Decoder yields Predictions
+// bit-equal to the allocating Decode on every call (stale points from
+// the previous batch cleared), and allocates nothing once grown.
+func TestDecoderMatchesDecode(t *testing.T) {
+	cfg := Tiny(resnet.R18, 2)
+	var d Decoder
+	rng := tensor.NewRNG(12)
+	for round, n := range []int{2, 1, 2} {
+		logits := tensor.New(n*cfg.Groups(), cfg.Classes())
+		rng.FillUniform(logits, -4, 4)
+		for r := round; r < logits.Dim(0); r += 3 {
+			logits.Set(30, r, cfg.GridCells) // "no lane" rows move between rounds
+		}
+		want, got := Decode(cfg, logits, n), d.Decode(cfg, logits, n)
+		if len(got) != n {
+			t.Fatalf("round %d: %d predictions, want %d", round, len(got), n)
+		}
+		for ni := range want {
+			for lane := range want[ni].Points {
+				for a, w := range want[ni].Points[lane] {
+					g := got[ni].Points[lane][a]
+					if g.Present != w.Present || math.Float64bits(g.Cell) != math.Float64bits(w.Cell) {
+						t.Fatalf("round %d sample %d lane %d anchor %d: %+v, want %+v", round, ni, lane, a, g, w)
+					}
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { d.Decode(cfg, logits, n) }); allocs != 0 {
+			t.Fatalf("round %d: reused Decoder allocates %.1f objects per call", round, allocs)
+		}
+	}
+}
+
 func TestSimilarityLossZeroForIdenticalAnchors(t *testing.T) {
 	cfg := Tiny(resnet.R18, 2)
 	logits := tensor.New(cfg.Groups(), cfg.Classes())

@@ -4,6 +4,13 @@
 #   make fmt     fail if any file is not gofmt-clean
 #   make vet     static analysis
 #   make test    full unit + property suite (tier-1 gate)
+#   make purego  the kernel packages again with -tags purego (the amd64
+#                assembly in internal/tensor compiled out, so the Go
+#                kernels — the spec — carry tensor, nn and ufld on
+#                their own), plus vet of internal/tensor under that tag
+#                and under GOARCH=arm64, so the fallback's build tags
+#                cannot rot; plain `go vet` already checks the
+#                assembly's frame offsets against its Go declarations
 #   make race    race-detector pass over the concurrent packages
 #   make bench   every benchmark in every package for BENCHTIME
 #                (default 100ms — a fixed duration, not 1x, so numbers
@@ -47,7 +54,8 @@
 #                path — groups, admission, coordinator-overhead report
 #                — cannot rot while the package tests stay green
 #   make obs-smoke    one observed fleet run (-trace-out/-metrics-out/
-#                -epoch-csv) validated by cmd/tracecheck: the trace
+#                -epoch-csv, written under the git-ignored out/)
+#                validated by cmd/tracecheck: the trace
 #                must parse as Chrome trace JSON, spans must nest and
 #                async frame intervals must balance, so the Perfetto
 #                export path cannot rot while the package tests stay
@@ -59,7 +67,7 @@
 #                ALLOC_BUDGET via cmd/allocgate — the CI tripwire for
 #                regressions that re-introduce per-frame allocations
 #                into the serve loop or the pooled kernel dispatch
-#   make ci      build + fmt + vet + staticcheck + test + race +
+#   make ci      build + fmt + vet + staticcheck + test + purego + race +
 #                chaos-smoke + fleet-smoke + obs-smoke + alloc-gate +
 #                bench-smoke-ext + bench-json
 
@@ -74,7 +82,7 @@ GIT_SHA := $(shell git rev-parse HEAD 2>/dev/null || echo unknown)
 # comparable across commits.
 BENCHTIME ?= 100ms
 
-.PHONY: build fmt vet test race bench bench-smoke bench-smoke-ext bench-json serve-bench staticcheck chaos-smoke fleet-smoke obs-smoke alloc-gate ci
+.PHONY: build fmt vet test purego race bench bench-smoke bench-smoke-ext bench-json serve-bench staticcheck chaos-smoke fleet-smoke obs-smoke alloc-gate ci
 
 build:
 	$(GO) build ./...
@@ -87,6 +95,11 @@ vet:
 
 test:
 	$(GO) test ./...
+
+purego:
+	$(GO) vet -tags purego ./internal/tensor/
+	GOARCH=arm64 $(GO) vet ./internal/tensor/
+	$(GO) test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/ufld/...
 
 # The serving engine, the fleet coordinator and the tensor matmul pool
 # are the concurrent hot paths; govern drives serve's epoch pipeline
@@ -161,10 +174,11 @@ fleet-smoke:
 # tracecheck holds the trace to the Chrome trace-event invariants
 # Perfetto needs (parse, span nesting, async balance).
 obs-smoke:
+	@mkdir -p out
 	$(GO) run ./cmd/ldserve -streams 8 -frames 24 -fps 8 -boards 4 -workers 1 -epochs 1 \
 		-epoch-ms 250 -govern predictive -migrate -chaos kill:hot@4 \
-		-trace-out obs-trace.json -metrics-out obs-metrics.txt -epoch-csv obs-epochs.csv >/dev/null
-	$(GO) run ./cmd/tracecheck obs-trace.json
+		-trace-out out/obs-trace.json -metrics-out out/obs-metrics.txt -epoch-csv out/obs-epochs.csv >/dev/null
+	$(GO) run ./cmd/tracecheck out/obs-trace.json
 
 # Fixed -benchtime 30x (not a duration): the budget is calibrated in
 # epochs, and a fixed epoch count keeps the amortized arena/warmup
@@ -182,4 +196,4 @@ alloc-gate:
 	$(GO) run ./cmd/allocgate -budget ALLOC_BUDGET < alloc-gate.out
 	@rm -f alloc-gate.out
 
-ci: build fmt vet staticcheck test race chaos-smoke fleet-smoke obs-smoke alloc-gate bench-smoke-ext bench-json
+ci: build fmt vet staticcheck test purego race chaos-smoke fleet-smoke obs-smoke alloc-gate bench-smoke-ext bench-json

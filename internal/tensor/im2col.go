@@ -42,6 +42,22 @@ func (g ConvGeom) tapOOB(h, w, oh, ow, ky, kx int) bool {
 		kx-g.PW < 0 || (ow-1)*g.SW+kx-g.PW >= w
 }
 
+// oxRange returns the half-open range [ox0,ox1) of output columns
+// whose kernel tap kx reads inside the input row, i.e. those with
+// 0 <= ox*SW-PW+kx < w. The lowerings compute it once per tap and run
+// the range without a per-pixel bounds test; columns outside it are
+// the padding zeros. The range is empty (ox0 == ox1) when the tap
+// never lands inside.
+func (g ConvGeom) oxRange(w, ow, kx int) (ox0, ox1 int) {
+	if lead := g.PW - kx; lead > 0 {
+		ox0 = (lead + g.SW - 1) / g.SW
+	}
+	if last := w - 1 + g.PW - kx; last >= 0 {
+		ox1 = min(last/g.SW+1, ow)
+	}
+	return min(ox0, ox1), ox1
+}
+
 // Im2Col lowers a batched image tensor x with shape [n, c, h, w] into a
 // matrix of shape [c*kh*kw, n*oh*ow] so that convolution becomes a
 // single matrix product weights[outC, c*kh*kw] · cols.
@@ -101,10 +117,12 @@ func Im2ColInto(out, x *Tensor, g ConvGeom) {
 	im2colCache.Put(t)
 }
 
-// im2colRows fills output rows [rlo,rhi). Row r corresponds to
-// (channel ci, kernel tap ky,kx); column corresponds to (image ni,
-// output pixel oy,ox).
-func im2colRows(out, x []float32, n, c, h, w, oh, ow int, g ConvGeom, rlo, rhi int) {
+// im2colRows fills output rows [rlo,rhi) of the float or int8
+// lowering. Row r corresponds to (channel ci, kernel tap ky,kx); column
+// corresponds to (image ni, output pixel oy,ox). A row is zero-filled
+// only when its tap can read out of bounds; the in-bounds run of each
+// output line is one copy when SW == 1.
+func im2colRows[T float32 | int8](out, x []T, n, c, h, w, oh, ow int, g ConvGeom, rlo, rhi int) {
 	cols := n * oh * ow
 	for r := rlo; r < rhi; r++ {
 		kx := r % g.KW
@@ -114,6 +132,11 @@ func im2colRows(out, x []float32, n, c, h, w, oh, ow int, g ConvGeom, rlo, rhi i
 		if g.tapOOB(h, w, oh, ow, ky, kx) {
 			clear(dst)
 		}
+		ox0, ox1 := g.oxRange(w, ow, kx)
+		if ox0 == ox1 {
+			continue // the tap only ever reads padding
+		}
+		ix0 := ox0*g.SW - g.PW + kx
 		for ni := 0; ni < n; ni++ {
 			src := x[(ni*c+ci)*h*w : (ni*c+ci+1)*h*w]
 			base := ni * oh * ow
@@ -123,12 +146,14 @@ func im2colRows(out, x []float32, n, c, h, w, oh, ow int, g ConvGeom, rlo, rhi i
 					continue // leave zeros
 				}
 				rowSrc := src[iy*w : (iy+1)*w]
-				dcol := base + oy*ow
-				ix := -g.PW + kx
-				for ox := 0; ox < ow; ox++ {
-					if ix >= 0 && ix < w {
-						dst[dcol+ox] = rowSrc[ix]
-					}
+				run := dst[base+oy*ow+ox0 : base+oy*ow+ox1]
+				if g.SW == 1 {
+					copy(run, rowSrc[ix0:ix0+len(run)])
+					continue
+				}
+				ix := ix0
+				for i := range run {
+					run[i] = rowSrc[ix]
 					ix += g.SW
 				}
 			}
@@ -204,6 +229,11 @@ func col2imChans(out, cols []float32, n, c, h, w, oh, ow int, g ConvGeom, clo, c
 			for kx := 0; kx < g.KW; kx++ {
 				r := (ci*g.KH+ky)*g.KW + kx
 				src := cols[r*nc : (r+1)*nc]
+				ox0, ox1 := g.oxRange(w, ow, kx)
+				if ox0 == ox1 {
+					continue // the tap only ever reads padding
+				}
+				ix0 := ox0*g.SW - g.PW + kx
 				for ni := 0; ni < n; ni++ {
 					dst := out[(ni*c+ci)*h*w : (ni*c+ci+1)*h*w]
 					base := ni * oh * ow
@@ -213,17 +243,28 @@ func col2imChans(out, cols []float32, n, c, h, w, oh, ow int, g ConvGeom, clo, c
 							continue
 						}
 						dstRow := dst[iy*w : (iy+1)*w]
-						scol := base + oy*ow
-						ix := -g.PW + kx
-						for ox := 0; ox < ow; ox++ {
-							if ix >= 0 && ix < w {
-								dstRow[ix] += src[scol+ox]
-							}
+						run := src[base+oy*ow+ox0 : base+oy*ow+ox1]
+						if g.SW == 1 {
+							addRow(dstRow[ix0:ix0+len(run)], run)
+							continue
+						}
+						ix := ix0
+						for _, v := range run {
+							dstRow[ix] += v
 							ix += g.SW
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// addRowGo computes dst += src elementwise: the SW == 1 scatter run
+// of col2im, and the spec the assembly mirrors.
+func addRowGo(dst, src []float32) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] += v
 	}
 }

@@ -236,7 +236,7 @@ func Im2ColInt8Into(dst []int8, x []int8, c, h, w int, g ConvGeom) {
 			len(x), len(dst), c*h*w, rows*cols))
 	}
 	if rows*cols < lowerParMin {
-		im2colInt8Rows(dst, x, c, h, w, oh, ow, g, 0, rows)
+		im2colRows(dst, x, 1, c, h, w, oh, ow, g, 0, rows)
 		return
 	}
 	t := i8LowerCache.Get()
@@ -247,7 +247,9 @@ func Im2ColInt8Into(dst []int8, x []int8, c, h, w int, g ConvGeom) {
 }
 
 // i8LowerTask is the pooled argument block for Im2ColInt8Into, banded
-// over output rows like the float lowering.
+// over output rows like the float lowering, whose row kernel it shares
+// (im2colRows with n = 1): quantized zero is exactly 0, so padding
+// stays exact and unpadded geometries skip the clearing pass too.
 type i8LowerTask struct {
 	dst, x  []int8
 	c, h, w int
@@ -256,40 +258,7 @@ type i8LowerTask struct {
 }
 
 func (t *i8LowerTask) Chunk(_, lo, hi int) {
-	im2colInt8Rows(t.dst, t.x, t.c, t.h, t.w, t.oh, t.ow, t.g, lo, hi)
+	im2colRows(t.dst, t.x, 1, t.c, t.h, t.w, t.oh, t.ow, t.g, lo, hi)
 }
 
 var i8LowerCache par.Cache[i8LowerTask]
-
-// im2colInt8Rows fills int8 lowering rows [rlo,rhi). Like the float
-// kernel, a row is zero-filled only when its kernel tap can read out
-// of bounds — quantized zero is exactly 0, so padding stays exact and
-// unpadded geometries skip the clearing pass entirely.
-func im2colInt8Rows(dst, x []int8, c, h, w, oh, ow int, g ConvGeom, rlo, rhi int) {
-	cols := oh * ow
-	for r := rlo; r < rhi; r++ {
-		kx := r % g.KW
-		ky := (r / g.KW) % g.KH
-		ci := r / (g.KH * g.KW)
-		src := x[ci*h*w : (ci+1)*h*w]
-		d := dst[r*cols : (r+1)*cols]
-		if g.tapOOB(h, w, oh, ow, ky, kx) {
-			clear(d)
-		}
-		for oy := 0; oy < oh; oy++ {
-			iy := oy*g.SH - g.PH + ky
-			if iy < 0 || iy >= h {
-				continue
-			}
-			rowSrc := src[iy*w : (iy+1)*w]
-			dcol := oy * ow
-			ix := -g.PW + kx
-			for ox := 0; ox < ow; ox++ {
-				if ix >= 0 && ix < w {
-					d[dcol+ox] = rowSrc[ix]
-				}
-				ix += g.SW
-			}
-		}
-	}
-}

@@ -11,12 +11,15 @@ import (
 // channel operations and a free-list round trip per helper (~1 µs
 // uncontended, a scheduler switch when GOMAXPROCS exceeds physical
 // cores), so shapes whose whole product runs in that budget must not
-// pay it. 1<<19 MACs ≈ 340 µs of serial pure-Go GEMM on the
-// reference container; tuned empirically — at 1<<16 the many small
-// conv layers of the Tiny model made the oversubscribed -cpu 4
+// pay it. 1<<19 MACs ≈ 340 µs of serial GEMM through the Go kernel
+// on the reference container; tuned empirically — at 1<<16 the many
+// small conv layers of the Tiny model made the oversubscribed -cpu 4
 // forward measurably slower than -cpu 1, at 1<<19 it is flat within
 // noise while every heavy layer (≥10⁷ MACs) still bands (see the
-// parallel-kernel-model section of PERFORMANCE.md). Vars, not
+// parallel-kernel-model section of PERFORMANCE.md). Through the AVX2
+// kernel the same gate is only ≈ 40 µs of work; it was deliberately
+// not retuned with the kernel (PERFORMANCE.md has the measurement,
+// ROADMAP item 6(a) owns the re-derivation). Vars, not
 // consts, so the cross-kernel bitwise property suite can lower them
 // and exercise banding on adversarial small shapes.
 var (
@@ -106,12 +109,12 @@ func MatMulInto(out, a, b *Tensor) {
 	matmulInto(out.Data, a.Data, b.Data, m, k, n)
 }
 
-// matmulInto computes dst = a·b (dst fully overwritten). The i-k-j
-// loop order keeps the inner loop streaming over contiguous rows of b
-// and dst, which is the fastest pure-Go arrangement for row-major
-// data. Banding is over dst rows — or dst columns when m is too small
-// to feed the pool — so each output element's accumulation order is
-// the serial kernel's regardless of worker count.
+// matmulInto computes dst = a·b (dst fully overwritten), one output
+// row at a time through the row kernel (gemmRow), whose inner loop
+// streams over contiguous rows of b and dst. Banding is over dst rows
+// — or dst columns when m is too small to feed the pool — so each
+// output element's accumulation order is the serial kernel's
+// regardless of worker count.
 func matmulInto(dst, a, b []float32, m, k, n int) {
 	if m*k*n < matmulParMin {
 		matmulRows(dst, a, b, 0, m, k, n)
@@ -130,16 +133,7 @@ func matmulInto(dst, a, b []float32, m, k, n int) {
 // matmulRows computes rows [lo,hi) of dst = a·b.
 func matmulRows(dst, a, b []float32, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
-		ai := a[i*k : (i+1)*k]
-		di := dst[i*n : (i+1)*n]
-		clear(di)
-		for p, av := range ai {
-			if av == 0 {
-				continue
-			}
-			bp := b[p*n : (p+1)*n]
-			axpyRow(di, bp, av)
-		}
+		gemmRow(dst[i*n:(i+1)*n], a[i*k:(i+1)*k], b, n)
 	}
 }
 
@@ -147,15 +141,23 @@ func matmulRows(dst, a, b []float32, lo, hi, k, n int) {
 // Per output element the p-accumulation order matches matmulRows.
 func matmulCols(dst, a, b []float32, m, k, n, jlo, jhi int) {
 	for i := 0; i < m; i++ {
-		ai := a[i*k : (i+1)*k]
-		di := dst[i*n+jlo : i*n+jhi]
-		clear(di)
-		for p, av := range ai {
-			if av == 0 {
-				continue
-			}
-			axpyRow(di, b[p*n+jlo:p*n+jhi], av)
+		gemmRow(dst[i*n+jlo:i*n+jhi], a[i*k:(i+1)*k], b[jlo:], n)
+	}
+}
+
+// gemmRowGo is the row kernel every a·b product reduces to, and the
+// spec the assembly mirrors: di[j] = Σ_p ai[p]·b[p·ldb+j], each sum
+// starting from +0 and taking p in increasing order, zero ai[p]
+// skipped. ldb is b's row stride — len(di) for a whole row, the full
+// row width when di is a column band.
+func gemmRowGo(di, ai, b []float32, ldb int) {
+	clear(di)
+	n := len(di)
+	for p, av := range ai {
+		if av == 0 {
+			continue
 		}
+		axpyRow(di, b[p*ldb:p*ldb+n], av)
 	}
 }
 
@@ -220,7 +222,7 @@ func matmulTARows(dst, a, b []float32, m, k, n, lo, hi int) {
 		bp := b[p*n : (p+1)*n]
 		for i := lo; i < hi; i++ {
 			if av := ap[i]; av != 0 {
-				axpyRow(dst[i*n:(i+1)*n], bp, av)
+				axpy(dst[i*n:(i+1)*n], bp, av)
 			}
 		}
 	}

@@ -5,12 +5,16 @@
 #   make vet     static analysis
 #   make test    full unit + property suite (tier-1 gate)
 #   make purego  the kernel packages again with -tags purego (the amd64
-#                assembly in internal/tensor compiled out, so the Go
-#                kernels — the spec — carry tensor, nn and ufld on
-#                their own), plus vet of internal/tensor under that tag
-#                and under GOARCH=arm64, so the fallback's build tags
-#                cannot rot; plain `go vet` already checks the
-#                assembly's frame offsets against its Go declarations
+#                assembly in internal/tensor — gemm_amd64.s and
+#                elem_amd64.s — compiled out, so the Go kernels — the
+#                spec — carry tensor, nn, resnet and ufld on their
+#                own; nn and resnet call the elementwise kernels
+#                directly), plus vet of internal/tensor under that tag
+#                and under GOARCH=arm64, so the fallbacks
+#                (gemm_generic.go, elem_generic.go) and their build
+#                tags cannot rot; plain `go vet` already checks both
+#                assembly files' frame offsets against their Go
+#                declarations
 #   make race    race-detector pass over the concurrent packages
 #   make bench   every benchmark in every package for BENCHTIME
 #                (default 100ms — a fixed duration, not 1x, so numbers
@@ -99,7 +103,7 @@ test:
 purego:
 	$(GO) vet -tags purego ./internal/tensor/
 	GOARCH=arm64 $(GO) vet ./internal/tensor/
-	$(GO) test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/ufld/...
+	$(GO) test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/resnet/... ./internal/ufld/...
 
 # The serving engine, the fleet coordinator and the tensor matmul pool
 # are the concurrent hot paths; govern drives serve's epoch pipeline

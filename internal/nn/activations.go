@@ -8,8 +8,11 @@ import (
 
 // ReLU is the rectified linear activation max(0, x).
 type ReLU struct {
-	name     string
-	lastMask []bool
+	name string
+	// lastOut is the last Train/Eval/Adapt output (layer-owned or fresh,
+	// written in place by no one): y > 0 exactly where x was, so it is
+	// the backward gate and no separate mask is kept.
+	lastOut  *tensor.Tensor
 	adaptOut Scratch // Adapt-mode forward output
 	dxOut    Scratch // backward gradient output
 }
@@ -23,57 +26,36 @@ func (r *ReLU) Name() string { return r.name }
 // Params returns nil (ReLU has no parameters).
 func (r *ReLU) Params() []*Param { return nil }
 
-// Forward computes max(0, x), caching the pass-through mask.
+// Forward computes max(0, x) and retains the output for Backward.
 // In Infer mode it clamps in place (the input is an upstream layer's
-// scratch buffer that is not read again) and keeps no mask.
+// scratch buffer that is not read again) and retains nothing.
 func (r *ReLU) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	if mode.IsInfer() {
-		r.lastMask = nil // Backward after an Infer forward must panic
-		for i, v := range x.Data {
-			if v <= 0 {
-				x.Data[i] = 0
-			}
-		}
+		r.lastOut = nil // Backward after an Infer forward must panic
+		tensor.ReLUClamp(x.Data)
 		return x
 	}
 	var out *tensor.Tensor
 	if mode == Adapt {
 		out = r.adaptOut.For(x.Shape()...)
-		out.Zero()
 	} else {
 		out = tensor.New(x.Shape()...)
 	}
-	if cap(r.lastMask) < x.Size() {
-		r.lastMask = make([]bool, x.Size())
-	}
-	r.lastMask = r.lastMask[:x.Size()]
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-			r.lastMask[i] = true
-		} else {
-			r.lastMask[i] = false
-		}
-	}
+	tensor.ReLUInto(out.Data, x.Data)
+	r.lastOut = out
 	return out
 }
 
-// Backward gates the incoming gradient by the forward mask.
+// Backward gates the incoming gradient by the retained output.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if r.lastMask == nil {
+	if r.lastOut == nil {
 		panic(fmt.Sprintf("nn: %s: Backward before Forward", r.name))
 	}
-	if grad.Size() != len(r.lastMask) {
-		panic(fmt.Sprintf("nn: %s: grad size %d, want %d", r.name, grad.Size(), len(r.lastMask)))
+	if grad.Size() != r.lastOut.Size() {
+		panic(fmt.Sprintf("nn: %s: grad size %d, want %d", r.name, grad.Size(), r.lastOut.Size()))
 	}
 	out := r.dxOut.For(grad.Shape()...)
-	for i, v := range grad.Data {
-		if r.lastMask[i] {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
-	}
+	tensor.ReLUGradInto(out.Data, r.lastOut.Data, grad.Data)
 	return out
 }
 

@@ -32,7 +32,8 @@ var bnParMin = 1 << 17
 // channels (each channel's float64/float32 reduction runs in the exact
 // serial order), the normalize and infer passes band over samples.
 // Both partitions are pure output-ownership splits, so results are
-// bitwise identical at any worker count.
+// bitwise identical at any worker count. The per-element arithmetic of
+// the normalize, infer and dX passes is tensor.BNAffineInto/BNGradInto.
 type BatchNorm2D struct {
 	name string
 	C    int
@@ -128,6 +129,12 @@ func (b *BatchNorm2D) SetSampleSources(src []*BNSource) { b.sampleSrc = src }
 // EMA update for channels [clo,chi). Each channel's two float64
 // reductions walk samples in order — exactly the serial loop — and a
 // channel's running stats are touched by exactly one band.
+//
+// A reduction is one dependent add per element, so a lone chain runs
+// at the adder's latency, not its throughput. stats4 therefore walks
+// four channels abreast: four independent chains, each adding its own
+// channel's values in the order stats1 would, so every sum keeps its
+// bits; the band's last C mod 4 channels go through stats1.
 type bnStatsBody struct {
 	b     *BatchNorm2D
 	x     []float32
@@ -136,30 +143,84 @@ type bnStatsBody struct {
 }
 
 func (t *bnStatsBody) Chunk(_, clo, chi int) {
-	b := t.b
-	cnt := t.n * t.hw
-	for c := clo; c < chi; c++ {
-		s := 0.0
-		for ni := 0; ni < t.n; ni++ {
-			base := (ni*b.C + c) * t.hw
-			for _, v := range t.x[base : base+t.hw] {
-				s += float64(v)
-			}
-		}
-		m := s / float64(cnt)
-		v := 0.0
-		for ni := 0; ni < t.n; ni++ {
-			base := (ni*b.C + c) * t.hw
-			for _, xv := range t.x[base : base+t.hw] {
-				d := float64(xv) - m
-				v += d * d
-			}
-		}
-		b.meanBuf[c] = float32(m)
-		b.varBuf[c] = float32(v / float64(cnt))
-		b.RunningMean.Data[c] = (1-t.mom)*b.RunningMean.Data[c] + t.mom*b.meanBuf[c]
-		b.RunningVar.Data[c] = (1-t.mom)*b.RunningVar.Data[c] + t.mom*b.varBuf[c]
+	c := clo
+	for ; c+4 <= chi; c += 4 {
+		t.stats4(c)
 	}
+	for ; c < chi; c++ {
+		t.stats1(c)
+	}
+}
+
+func (t *bnStatsBody) stats1(c int) {
+	cnt := float64(t.n * t.hw)
+	s := 0.0
+	for ni := 0; ni < t.n; ni++ {
+		base := (ni*t.b.C + c) * t.hw
+		for _, v := range t.x[base : base+t.hw] {
+			s += float64(v)
+		}
+	}
+	m := s / cnt
+	v := 0.0
+	for ni := 0; ni < t.n; ni++ {
+		base := (ni*t.b.C + c) * t.hw
+		for _, xv := range t.x[base : base+t.hw] {
+			d := float64(xv) - m
+			v += d * d
+		}
+	}
+	t.store(c, m, v/cnt)
+}
+
+// planes4 returns the hw-element planes of channels c..c+3 of sample
+// ni (adjacent in NCHW), all cut to one length for the compiler.
+func planes4(x []float32, ni, channels, c, hw int) (x0, x1, x2, x3 []float32) {
+	x = x[(ni*channels+c)*hw:]
+	return x[:hw], x[hw : 2*hw][:hw], x[2*hw : 3*hw][:hw], x[3*hw : 4*hw][:hw]
+}
+
+func (t *bnStatsBody) stats4(c int) {
+	cnt := float64(t.n * t.hw)
+	var s0, s1, s2, s3 float64
+	for ni := 0; ni < t.n; ni++ {
+		x0, x1, x2, x3 := planes4(t.x, ni, t.b.C, c, t.hw)
+		for i, v := range x0 {
+			s0 += float64(v)
+			s1 += float64(x1[i])
+			s2 += float64(x2[i])
+			s3 += float64(x3[i])
+		}
+	}
+	m0, m1, m2, m3 := s0/cnt, s1/cnt, s2/cnt, s3/cnt
+	var v0, v1, v2, v3 float64
+	for ni := 0; ni < t.n; ni++ {
+		x0, x1, x2, x3 := planes4(t.x, ni, t.b.C, c, t.hw)
+		for i, xv := range x0 {
+			d0 := float64(xv) - m0
+			v0 += d0 * d0
+			d1 := float64(x1[i]) - m1
+			v1 += d1 * d1
+			d2 := float64(x2[i]) - m2
+			v2 += d2 * d2
+			d3 := float64(x3[i]) - m3
+			v3 += d3 * d3
+		}
+	}
+	t.store(c, m0, v0/cnt)
+	t.store(c+1, m1, v1/cnt)
+	t.store(c+2, m2, v2/cnt)
+	t.store(c+3, m3, v3/cnt)
+}
+
+// store records channel c's batch mean and variance and folds them
+// into the running statistics.
+func (t *bnStatsBody) store(c int, mean, variance float64) {
+	b := t.b
+	b.meanBuf[c] = float32(mean)
+	b.varBuf[c] = float32(variance)
+	b.RunningMean.Data[c] = (1-t.mom)*b.RunningMean.Data[c] + t.mom*b.meanBuf[c]
+	b.RunningVar.Data[c] = (1-t.mom)*b.RunningVar.Data[c] + t.mom*b.varBuf[c]
 }
 
 // bnNormBody writes x̂ and the affine output for samples [nlo,nhi).
@@ -175,16 +236,8 @@ func (t *bnNormBody) Chunk(_, nlo, nhi int) {
 	for ni := nlo; ni < nhi; ni++ {
 		for c := 0; c < b.C; c++ {
 			base := (ni*b.C + c) * t.hw
-			m, is := t.mean[c], t.invStd[c]
-			g, bt := b.Gamma.Value.Data[c], b.Beta.Value.Data[c]
-			xs := t.x[base : base+t.hw]
-			hs := t.xhat[base : base+t.hw]
-			os := t.out[base : base+t.hw]
-			for i, v := range xs {
-				xh := (v - m) * is
-				hs[i] = xh
-				os[i] = g*xh + bt
-			}
+			tensor.BNAffineInto(t.out[base:base+t.hw], t.xhat[base:base+t.hw], t.x[base:base+t.hw],
+				t.mean[c], t.invStd[c], b.Gamma.Value.Data[c], b.Beta.Value.Data[c])
 		}
 	}
 }
@@ -295,15 +348,8 @@ func (t *bnInferBody) Chunk(_, nlo, nhi int) {
 		}
 		for c := 0; c < b.C; c++ {
 			base := (ni*b.C + c) * t.hw
-			m := mean[c]
 			is := float32(1.0 / math.Sqrt(float64(varc[c])+float64(b.Eps)))
-			g, bt := gamma[c], beta[c]
-			xs := t.x[base : base+t.hw]
-			os := t.out[base : base+t.hw]
-			for i, v := range xs {
-				xh := (v - m) * is
-				os[i] = g*xh + bt
-			}
+			tensor.BNAffineInto(t.out[base:base+t.hw], nil, t.x[base:base+t.hw], mean[c], is, gamma[c], beta[c])
 		}
 	}
 }
@@ -332,7 +378,9 @@ func (b *BatchNorm2D) forwardInfer(x *tensor.Tensor, n, h, w int) *tensor.Tensor
 
 // bnBwdBody runs the full per-channel backward for channels [clo,chi):
 // the Σ dY and Σ dY·x̂ reductions (serial sample order), the γ/β
-// gradient accumulation (one band per channel) and the dX write.
+// gradient accumulation (one band per channel) and the dX write. Like
+// the statistics, the reductions run four channels abreast (sums4)
+// with the remainder through sums1, each chain in unchanged order.
 type bnBwdBody struct {
 	b             *BatchNorm2D
 	grad, dx      []float32
@@ -341,47 +389,80 @@ type bnBwdBody struct {
 }
 
 func (t *bnBwdBody) Chunk(_, clo, chi int) {
+	c := clo
+	for ; c+4 <= chi; c += 4 {
+		sumDY, sumDYX := t.sums4(c)
+		for j := range sumDY {
+			t.finish(c+j, sumDY[j], sumDYX[j])
+		}
+	}
+	for ; c < chi; c++ {
+		sumDY, sumDYX := t.sums1(c)
+		t.finish(c, sumDY, sumDYX)
+	}
+}
+
+func (t *bnBwdBody) sums1(c int) (sumDY, sumDYX float32) {
 	b := t.b
-	for c := clo; c < chi; c++ {
-		sumDY, sumDYX := float32(0), float32(0)
+	for ni := 0; ni < t.n; ni++ {
+		base := (ni*b.C + c) * t.hw
+		gs := t.grad[base : base+t.hw]
+		hs := b.lastXHat.Data[base : base+t.hw]
+		for i, g := range gs {
+			sumDY += g
+			sumDYX += g * hs[i]
+		}
+	}
+	return sumDY, sumDYX
+}
+
+func (t *bnBwdBody) sums4(c int) (sumDY, sumDYX [4]float32) {
+	var s0, s1, s2, s3, p0, p1, p2, p3 float32
+	for ni := 0; ni < t.n; ni++ {
+		g0, g1, g2, g3 := planes4(t.grad, ni, t.b.C, c, t.hw)
+		h0, h1, h2, h3 := planes4(t.b.lastXHat.Data, ni, t.b.C, c, t.hw)
+		for i, g := range g0 {
+			s0 += g
+			p0 += g * h0[i]
+			s1 += g1[i]
+			p1 += g1[i] * h1[i]
+			s2 += g2[i]
+			p2 += g2[i] * h2[i]
+			s3 += g3[i]
+			p3 += g3[i] * h3[i]
+		}
+	}
+	return [4]float32{s0, s1, s2, s3}, [4]float32{p0, p1, p2, p3}
+}
+
+// finish accumulates channel c's dβ/dγ (unless frozen) and writes its
+// dX from the two sums.
+func (t *bnBwdBody) finish(c int, sumDY, sumDYX float32) {
+	b := t.b
+	if !b.Beta.Frozen {
+		b.Beta.Grad.Data[c] += sumDY
+	}
+	if !b.Gamma.Frozen {
+		b.Gamma.Grad.Data[c] += sumDYX
+	}
+	g, is := b.Gamma.Value.Data[c], b.lastInvStd[c]
+	if b.lastMode == Eval {
+		scale := g * is
 		for ni := 0; ni < t.n; ni++ {
 			base := (ni*b.C + c) * t.hw
 			gs := t.grad[base : base+t.hw]
-			hs := b.lastXHat.Data[base : base+t.hw]
-			for i, g := range gs {
-				sumDY += g
-				sumDYX += g * hs[i]
-			}
-		}
-		if !b.Beta.Frozen {
-			b.Beta.Grad.Data[c] += sumDY
-		}
-		if !b.Gamma.Frozen {
-			b.Gamma.Grad.Data[c] += sumDYX
-		}
-		g, is := b.Gamma.Value.Data[c], b.lastInvStd[c]
-		if b.lastMode == Eval {
-			scale := g * is
-			for ni := 0; ni < t.n; ni++ {
-				base := (ni*b.C + c) * t.hw
-				gs := t.grad[base : base+t.hw]
-				ds := t.dx[base : base+t.hw]
-				for i, gv := range gs {
-					ds[i] = scale * gv
-				}
-			}
-			continue
-		}
-		k := g * is / t.cnt
-		for ni := 0; ni < t.n; ni++ {
-			base := (ni*b.C + c) * t.hw
-			gs := t.grad[base : base+t.hw]
-			hs := b.lastXHat.Data[base : base+t.hw]
 			ds := t.dx[base : base+t.hw]
 			for i, gv := range gs {
-				ds[i] = k * (t.cnt*gv - t.statsMom*(sumDY+hs[i]*sumDYX))
+				ds[i] = scale * gv
 			}
 		}
+		return
+	}
+	k := g * is / t.cnt
+	for ni := 0; ni < t.n; ni++ {
+		base := (ni*b.C + c) * t.hw
+		tensor.BNGradInto(t.dx[base:base+t.hw], t.grad[base:base+t.hw], b.lastXHat.Data[base:base+t.hw],
+			k, t.cnt, t.statsMom, sumDY, sumDYX)
 	}
 }
 

@@ -76,7 +76,9 @@ type BasicBlock struct {
 	dsConv *nn.Conv2D
 	dsBN   *nn.BatchNorm2D
 
-	lastMask []bool     // final ReLU mask
+	// lastOut is the last Train/Eval/Adapt output: positive exactly
+	// where the residual sum was, so it gates Backward (see nn.ReLU).
+	lastOut  *tensor.Tensor
 	adaptOut nn.Scratch // Adapt-mode residual-add output
 	dMask    nn.Scratch // backward masked-gradient staging
 }
@@ -141,14 +143,9 @@ func (b *BasicBlock) Forward(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	}
 	if mode.IsInfer() {
 		// Serving fast path: the residual add and final ReLU run in
-		// place on bn2's scratch output; no mask is cached.
-		b.lastMask = nil
-		tensor.AddInPlace(main, short)
-		for i, v := range main.Data {
-			if v <= 0 {
-				main.Data[i] = 0
-			}
-		}
+		// place on bn2's scratch output; nothing is retained.
+		b.lastOut = nil
+		tensor.AddReLUClamp(main.Data, short.Data)
 		return main
 	}
 	var out *tensor.Tensor
@@ -157,20 +154,8 @@ func (b *BasicBlock) Forward(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	} else {
 		out = tensor.New(main.Shape()...)
 	}
-	if cap(b.lastMask) < out.Size() {
-		b.lastMask = make([]bool, out.Size())
-	}
-	b.lastMask = b.lastMask[:out.Size()]
-	for i := range out.Data {
-		v := main.Data[i] + short.Data[i]
-		if v > 0 {
-			out.Data[i] = v
-			b.lastMask[i] = true
-		} else {
-			out.Data[i] = 0
-			b.lastMask[i] = false
-		}
-	}
+	tensor.AddReLUInto(out.Data, main.Data, short.Data)
+	b.lastOut = out
 	return out
 }
 
@@ -195,17 +180,11 @@ func (b *BasicBlock) HasTrainable() bool {
 
 // Backward propagates through both branches and sums the input grads.
 func (b *BasicBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if b.lastMask == nil {
+	if b.lastOut == nil {
 		panic(fmt.Sprintf("resnet: %s: Backward before Forward", b.name))
 	}
 	d := b.dMask.For(grad.Shape()...)
-	for i, v := range grad.Data {
-		if b.lastMask[i] {
-			d.Data[i] = v
-		} else {
-			d.Data[i] = 0
-		}
-	}
+	tensor.ReLUGradInto(d.Data, b.lastOut.Data, grad.Data)
 	// Main branch.
 	dm := b.bn2.Backward(d)
 	dm = b.conv2.Backward(dm)

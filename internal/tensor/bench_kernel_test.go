@@ -106,3 +106,62 @@ func BenchmarkKernelInt8MatMul(b *testing.B) {
 		Int8MatMulInto(out, a, aScales, x, xScale, bkM, bkK, bkN)
 	}
 }
+
+// The elementwise rows run at the size of Small's layer-1 activation
+// (6 channels of 48×120 planes): the ReLU and residual kernels take
+// the whole tensor in one call, the BN kernels one plane per call, as
+// the layers drive them.
+const (
+	bkPlane = 48 * 120
+	bkChans = 6
+)
+
+func benchElemOperands() (dst, a, b []float32) {
+	rng := NewRNG(7)
+	ta, tb := New(bkChans*bkPlane), New(bkChans*bkPlane)
+	rng.FillUniform(ta, -1, 1)
+	rng.FillUniform(tb, -1, 1)
+	return make([]float32, bkChans*bkPlane), ta.Data, tb.Data
+}
+
+func BenchmarkKernelReLU(b *testing.B) {
+	dst, x, _ := benchElemOperands()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ReLUInto(dst, x)
+	}
+}
+
+func BenchmarkKernelAddReLU(b *testing.B) {
+	dst, x, y := benchElemOperands()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AddReLUInto(dst, x, y)
+	}
+}
+
+func BenchmarkKernelBNAffine(b *testing.B) {
+	out, x, xhat := benchElemOperands()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c := 0; c < bkChans; c++ {
+			lo, hi := c*bkPlane, (c+1)*bkPlane
+			BNAffineInto(out[lo:hi], xhat[lo:hi], x[lo:hi], 0.1, 1.7, 0.9, -0.2)
+		}
+	}
+}
+
+func BenchmarkKernelBNGrad(b *testing.B) {
+	dx, g, xhat := benchElemOperands()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c := 0; c < bkChans; c++ {
+			lo, hi := c*bkPlane, (c+1)*bkPlane
+			BNGradInto(dx[lo:hi], g[lo:hi], xhat[lo:hi], 0.3, bkPlane, 0.3, 1.5, -0.7)
+		}
+	}
+}

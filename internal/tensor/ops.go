@@ -42,9 +42,7 @@ func AddInPlace(a, b *Tensor) *Tensor {
 	if len(a.Data) != len(b.Data) {
 		panic(fmt.Sprintf("tensor: AddInPlace size mismatch %v vs %v", a.shape, b.shape))
 	}
-	for i := range a.Data {
-		a.Data[i] += b.Data[i]
-	}
+	addRow(a.Data, b.Data)
 	return a
 }
 

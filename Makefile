@@ -42,7 +42,6 @@
 #                Convention: the manifest is committed at the repo
 #                root, so refresh it (and include it in the commit)
 #                whenever a change moves the serving or fleet numbers
-#   make serve-bench  the multi-stream serving benchmark only
 #   make staticcheck  honnef.co staticcheck at a pinned version; uses a
 #                PATH binary if present (CI installs one), otherwise
 #                fetches via `go run`, and skips with a notice when the
@@ -86,7 +85,7 @@ GIT_SHA := $(shell git rev-parse HEAD 2>/dev/null || echo unknown)
 # comparable across commits.
 BENCHTIME ?= 100ms
 
-.PHONY: build fmt vet test purego race bench bench-smoke bench-smoke-ext bench-json serve-bench staticcheck chaos-smoke fleet-smoke obs-smoke alloc-gate ci
+.PHONY: build fmt vet test purego race bench bench-smoke bench-smoke-ext bench-json staticcheck chaos-smoke fleet-smoke obs-smoke alloc-gate ci
 
 build:
 	$(GO) build ./...
@@ -106,14 +105,13 @@ purego:
 	$(GO) test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/resnet/... ./internal/ufld/...
 
 # The serving engine, the fleet coordinator and the tensor matmul pool
-# are the concurrent hot paths; govern drives serve's epoch pipeline
-# and stream feeds them all, and adapt owns the step every serve worker
-# runs on its replica, so every one of them runs under the race
-# detector. -short skips the long seeded acceptance pins (they rerun
-# whole fleets and probe no extra concurrency) — make test still runs
-# them race-free.
+# are the concurrent hot paths; govern drives serve's epoch pipeline,
+# and adapt owns the step every serve worker runs on its replica, so
+# every one of them runs under the race detector. -short skips the
+# long seeded acceptance pins (they rerun whole fleets and probe no
+# extra concurrency) — make test still runs them race-free.
 race:
-	$(GO) test -race -short ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/govern/... ./internal/stream/... ./internal/tensor/... ./internal/nn/... ./internal/adapt/...
+	$(GO) test -race -short ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/govern/... ./internal/tensor/... ./internal/nn/... ./internal/adapt/...
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime $(BENCHTIME) ./...
@@ -139,9 +137,6 @@ bench-json:
 	$(GO) test -run xxx -bench 'Fig2Inference|Fig2AdaptStepBS4' -benchmem -benchtime $(BENCHTIME) -cpu 4 . >> bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_serve.json -sha $(GIT_SHA) < bench.out
 	@rm -f bench.out
-
-serve-bench:
-	$(GO) test -run xxx -bench BenchmarkServeMultiStream -benchtime 3x .
 
 # A PATH binary wins (CI installs the pinned version, so findings fail
 # the build there); otherwise probe whether the module is fetchable

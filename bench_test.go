@@ -257,46 +257,6 @@ func BenchmarkAblationFCAdaptStep(b *testing.B) {
 	}
 }
 
-// BenchmarkServeMultiStream measures the multi-stream serving engine
-// against the naive one-goroutine-per-stream unbatched deployment on
-// the same 8-stream fleet: the batched engine coalesces frames into
-// Infer-path forwards with per-stream BN conditioning and amortizes
-// adaptation across each stream's window (AdaptEvery=4, the paper's
-// bs=4 operating point), while the naive baseline runs the paper's
-// single-camera loop per stream (allocating eval forward + one bs=1
-// adaptation step on every frame). The acceptance target is batched
-// throughput ≥ 2× naive at 8 streams; both sub-benchmarks report
-// frames/s so the trajectory is tracked.
-func BenchmarkServeMultiStream(b *testing.B) {
-	f := getFixture(b)
-	const streams, frames = 8, 12
-	fleet := serve.SyntheticFleet(f.model.Cfg, streams, frames, 30, 99)
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e := serve.New(f.model, serve.Config{
-				MaxBatch:   8,
-				AdaptEvery: 4,
-				Adapt:      adapt.DefaultConfig(),
-			})
-			if rep := e.Run(fleet); rep.Frames != streams*frames {
-				b.Fatalf("served %d frames, want %d", rep.Frames, streams*frames)
-			}
-		}
-		b.ReportMetric(float64(streams*frames*b.N)/b.Elapsed().Seconds(), "frames/s")
-	})
-	b.Run("naive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cfg := serve.Config{AdaptEvery: 1, Adapt: adapt.DefaultConfig()}
-			if rep := serve.RunNaive(f.model, cfg, fleet); rep.Frames != streams*frames {
-				b.Fatalf("served %d frames, want %d", rep.Frames, streams*frames)
-			}
-		}
-		b.ReportMetric(float64(streams*frames*b.N)/b.Elapsed().Seconds(), "frames/s")
-	})
-}
-
 // BenchmarkServeSteadyState measures one control epoch of a
 // long-lived serving session at steady state — the allocation profile
 // the planner arena and the nn scratch path exist to flatten. The

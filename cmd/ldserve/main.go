@@ -6,7 +6,7 @@
 // online accuracy).
 //
 //	ldserve -streams 8 -frames 48 -maxbatch 8 -adapt-every 4
-//	ldserve -streams 8 -weights molane_r18.ldp -naive
+//	ldserve -streams 8 -weights molane_r18.ldp -maxbatch 1 -adapt-every 1
 //	ldserve -streams 6 -watts 15 -workers 1 -policy drop-frames
 //	ldserve -streams 4 -fps 30 -fps-alt 15 -policy skip-adapt
 //	ldserve -streams 4 -govern hysteresis -power-budget 50 -epoch-ms 500
@@ -86,7 +86,9 @@
 // size bs of the Fig. 2/3 sweep (its cost amortization); -maxbatch,
 // -window, -policy and -backlog are the serving extensions this engine
 // adds on top of the paper's single-camera deployment, and -govern
-// takes the paper's offline power-mode analysis online.
+// takes the paper's offline power-mode analysis online. -maxbatch 1
+// -adapt-every 1 is the paper's own loop (one frame per forward, a step
+// on every frame): rerun with it to see what coalescing buys.
 package main
 
 import (
@@ -135,7 +137,6 @@ func main() {
 	adaptBatch := flag.Int("adapt-batch", 1, "frames per adaptation step")
 	epochs := flag.Int("epochs", 5, "source pre-training epochs (ignored with -weights)")
 	weights := flag.String("weights", "", "optional weights file from ldtrain")
-	naive := flag.Bool("naive", false, "also run the unbatched one-goroutine-per-stream baseline")
 	governName := flag.String("govern", "", "closed-loop governor: static|hysteresis|predictive|oracle (empty = one-shot run at -watts)")
 	powerBudget := flag.Int("power-budget", 0, "governor power budget in watts (0 = unconstrained)")
 	epochMs := flag.Float64("epoch-ms", 500, "governor control-epoch length in virtual ms")
@@ -178,9 +179,6 @@ func main() {
 	policy, err := stream.ParsePolicy(*policyName)
 	if err != nil {
 		fail(err)
-	}
-	if *boards > 1 && *naive {
-		fail(fmt.Errorf("-naive is a single-board comparison; drop it or use -boards 1"))
 	}
 	if *consolidate && *boards <= 1 {
 		fail(fmt.Errorf("-consolidate needs a fleet; use -boards >1"))
@@ -364,31 +362,6 @@ func main() {
 	writeObsOutputs(tr, reg, *traceOut, *metricsOut)
 	if *epochCSV != "" {
 		writeEpochCSV(*epochCSV, epochRows(0, rep.Epochs))
-	}
-
-	if *naive {
-		// The unbatched baseline adapts on every frame (the paper's
-		// bs=1 loop) when the engine adapts at all, and not at all when
-		// adaptation is disabled, so the ratio compares like with like.
-		// It shares the engine's Config — only the fields RunNaive
-		// honors differ — so a field added to the engine configuration
-		// cannot silently skew the comparison.
-		ncfg := scfg
-		ncfg.AdaptEvery = 0
-		if *adaptEvery > 0 {
-			ncfg.AdaptEvery = 1
-		}
-		nrep := serve.RunNaive(m, ncfg, fleet)
-		fmt.Println()
-		printReport("naive baseline", nrep)
-		if nrep.ThroughputFPS > 0 {
-			naiveDesc := "no adaptation"
-			if ncfg.AdaptEvery > 0 {
-				naiveDesc = "adapt every frame"
-			}
-			fmt.Printf("\nbatched (maxbatch %d, adapt every %d) vs naive (unbatched, %s): %.2fx throughput\n",
-				*maxBatch, *adaptEvery, naiveDesc, rep.ThroughputFPS/nrep.ThroughputFPS)
-		}
 	}
 }
 

@@ -351,7 +351,7 @@ type MomentumCell struct {
 }
 
 // RunMomentumAblation sweeps the Adapt-mode statistics momentum on
-// MoLane — the design choice DESIGN.md calls out: at full scale,
+// MoLane — the reason Adapt mode keeps an EMA at all: at full scale,
 // per-image statistics are stable and TENT normalizes with raw batch
 // stats (momentum 1); at reduced scale an EMA over the stream is
 // needed for batch-size-1 stability.

@@ -11,8 +11,7 @@
 // so that the full-scale ResNet-18 UFLD at the 60 W mode lands where
 // Fig. 3 places it (inference+adaptation just under the 33.3 ms
 // deadline). All tests assert ordering properties only, never absolute
-// milliseconds, so recalibrating cannot silently break the suite. See
-// DESIGN.md §8.
+// milliseconds, so recalibrating cannot silently break the suite.
 package orin
 
 import "fmt"

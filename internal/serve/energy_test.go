@@ -212,14 +212,14 @@ func TestEpochTelemetryConsistency(t *testing.T) {
 	}
 }
 
-// TestNaiveEnergyAccounting: the unbatched baseline prices every frame
-// at the full single-frame draw with the board on for the whole
-// makespan.
+// TestNaiveEnergyAccounting: the unbatched baseline (one worker,
+// MaxBatch 1, a step after every frame) prices every frame at the full
+// single-frame draw with the board on for the whole makespan.
 func TestNaiveEnergyAccounting(t *testing.T) {
 	m := testModel(65)
 	fleet := SyntheticFleet(m.Cfg, 2, 4, 30, 37)
 	mode := orin.Mode30W
-	rep := RunNaive(m, Config{AdaptEvery: 1, Adapt: adapt.DefaultConfig(), Mode: mode}, fleet)
+	rep := New(m, Config{Workers: 1, MaxBatch: 1, AdaptEvery: 1, Adapt: adapt.DefaultConfig(), Mode: mode}).Run(fleet)
 	cost := ufld.DescribeModel(ufld.FullScale(resnet.R18, m.Cfg.Lanes))
 	frameMs := orin.EstimateFrame("R-18", cost, mode, 1).TotalMs
 	wantBusy := float64(mode.Watts) * frameMs * 8

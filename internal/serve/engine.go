@@ -238,10 +238,9 @@ type Engine struct {
 	def    *modeTable
 }
 
-// New builds an engine around a deployed model. Latency pricing uses
-// the full-scale architecture of cfg.Variant, mirroring
-// stream.Run's convention of running the repro-scale model
-// functionally while pricing the deployed one.
+// New builds an engine around a deployed model. The repro-scale model
+// runs functionally while latency is priced on the full-scale
+// architecture of cfg.Variant — the board the paper deploys.
 func New(m *ufld.Model, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	cost := ufld.DescribeModel(ufld.FullScale(cfg.Variant, m.Cfg.Lanes))

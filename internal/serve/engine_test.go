@@ -182,12 +182,12 @@ func TestSyntheticFleetShapes(t *testing.T) {
 	}
 }
 
-// TestRunNaiveBaseline exercises the reference deployment: every frame
-// adapts, nothing batches.
+// TestRunNaiveBaseline exercises the reference deployment on the
+// engine: one worker, every frame adapts, nothing batches.
 func TestRunNaiveBaseline(t *testing.T) {
 	m := testModel(26)
 	fleet := SyntheticFleet(m.Cfg, 2, 4, 30, 3)
-	rep := RunNaive(m, Config{AdaptEvery: 1, Adapt: adapt.DefaultConfig()}, fleet)
+	rep := New(m, Config{Workers: 1, MaxBatch: 1, AdaptEvery: 1, Adapt: adapt.DefaultConfig()}).Run(fleet)
 	if rep.Frames != 8 {
 		t.Fatalf("served %d frames, want 8", rep.Frames)
 	}

@@ -30,39 +30,43 @@ func overloadConfig(policy stream.OverloadPolicy) Config {
 // TestSchedUnderloadedNearZeroQueue: when every stream's work fits its
 // camera period with room to spare, measured queue waits collapse to
 // (at most) the batching grace and nothing is shed — the event-time
-// scheduler must not invent queueing that is not there.
+// scheduler must not invent queueing that is not there, and no overload
+// policy may shed work a fast board keeps up with.
 func TestSchedUnderloadedNearZeroQueue(t *testing.T) {
 	m := testModel(41)
 	// 5 FPS (200 ms period) at 60 W: per-period work is tens of ms.
 	fleet := SyntheticFleet(m.Cfg, 2, 8, 5, 7)
-	e := New(m, Config{
-		Workers:    1,
-		MaxBatch:   2, // both streams arrive together: batch fills instantly
-		Window:     2 * time.Millisecond,
-		AdaptEvery: 2,
-		Adapt:      adapt.DefaultConfig(),
-		Mode:       orin.Mode60W,
-	})
-	rep := e.Run(fleet)
-	if rep.Frames != 16 {
-		t.Fatalf("served %d frames, want 16", rep.Frames)
-	}
-	if rep.MaxQueueDepth > 1 {
-		t.Fatalf("underloaded fleet reached queue depth %d", rep.MaxQueueDepth)
-	}
-	windowMs := 2.0
-	for si, sr := range rep.Streams {
-		if sr.MaxQueueMs > windowMs+1e-9 {
-			t.Fatalf("stream %d max queue wait %.3f ms exceeds the %.1f ms batching grace", si, sr.MaxQueueMs, windowMs)
+	for _, policy := range []stream.OverloadPolicy{stream.DropNone, stream.SkipAdapt, stream.DropFrames} {
+		e := New(m, Config{
+			Workers:    1,
+			MaxBatch:   2, // both streams arrive together: batch fills instantly
+			Window:     2 * time.Millisecond,
+			AdaptEvery: 2,
+			Adapt:      adapt.DefaultConfig(),
+			Mode:       orin.Mode60W,
+			Policy:     policy,
+		})
+		rep := e.Run(fleet)
+		if rep.Frames != 16 {
+			t.Fatalf("%v: served %d frames, want 16", policy, rep.Frames)
 		}
-	}
-	if rep.FramesDropped != 0 || rep.AdaptsSkipped != 0 {
-		t.Fatalf("underloaded fleet shed work: %d dropped, %d skipped", rep.FramesDropped, rep.AdaptsSkipped)
-	}
-	// Synchronized arrivals fill the MaxBatch=2 batch the instant it
-	// opens, so the wait is not even the window grace — it is zero.
-	if rep.MeanQueueMs > 1e-9 {
-		t.Fatalf("mean queue wait %.6f ms, want 0", rep.MeanQueueMs)
+		if rep.MaxQueueDepth > 1 {
+			t.Fatalf("%v: underloaded fleet reached queue depth %d", policy, rep.MaxQueueDepth)
+		}
+		windowMs := 2.0
+		for si, sr := range rep.Streams {
+			if sr.MaxQueueMs > windowMs+1e-9 {
+				t.Fatalf("%v: stream %d max queue wait %.3f ms exceeds the %.1f ms batching grace", policy, si, sr.MaxQueueMs, windowMs)
+			}
+		}
+		if rep.FramesDropped != 0 || rep.AdaptsSkipped != 0 {
+			t.Fatalf("%v: underloaded fleet shed work: %d dropped, %d skipped", policy, rep.FramesDropped, rep.AdaptsSkipped)
+		}
+		// Synchronized arrivals fill the MaxBatch=2 batch the instant it
+		// opens, so the wait is not even the window grace — it is zero.
+		if rep.MeanQueueMs > 1e-9 {
+			t.Fatalf("%v: mean queue wait %.6f ms, want 0", policy, rep.MeanQueueMs)
+		}
 	}
 }
 

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"ldbnadapt/internal/adapt"
+	"ldbnadapt/internal/metrics"
 	"ldbnadapt/internal/nn"
+	"ldbnadapt/internal/orin"
+	"ldbnadapt/internal/resnet"
 	"ldbnadapt/internal/stream"
 	"ldbnadapt/internal/tensor"
 	"ldbnadapt/internal/ufld"
@@ -103,37 +107,126 @@ func TestWorkerStepMatchesFullBackward(t *testing.T) {
 	}
 }
 
-// TestReportMatchesFullBackward pins the functional half of a Report —
-// per-stream online accuracy and step counts — to the reference: at
-// one worker, one frame per batch and a step after every frame, the
-// engine is exactly "infer on the stream's state, score, adapt", which
-// the reference replays stream by stream.
+// serialPrices is the one-camera deployment priced as a serial
+// recurrence: each frame starts at max(arrival, previous end) and costs
+// frameMs, so its latency is its queue wait plus frameMs.
+type serialPrices struct {
+	lats, queues []float64
+	maxDepth     int
+	misses       int
+	endMs        float64
+}
+
+func serialSchedule(src *stream.Source, frameMs, deadlineMs float64) serialPrices {
+	var s serialPrices
+	arrived := 0
+	for i, fr := range src.Frames {
+		arr := float64(fr.Arrival) / 1e6
+		start := math.Max(arr, s.endMs)
+		s.endMs = start + frameMs
+		s.queues = append(s.queues, start-arr)
+		s.lats = append(s.lats, start-arr+frameMs)
+		if s.lats[i] > deadlineMs {
+			s.misses++
+		}
+		for arrived < len(src.Frames) && float64(src.Frames[arrived].Arrival)/1e6 <= start {
+			arrived++
+		}
+		s.maxDepth = max(s.maxDepth, arrived-i)
+	}
+	return s
+}
+
+// TestReportMatchesFullBackward pins the engine at one worker and one
+// frame per batch to the paper's serial loop. Functionally the engine
+// is then exactly "infer on the stream's state, score, adapt", which
+// the reference replays stream by stream: every row holds per-stream
+// online accuracy and step counts to the reference's bits. One-stream
+// rows also hold every priced field to serialSchedule, with the frame
+// priced as orin.EstimateFrame at bs 1 (or EstimateInferenceOnly with
+// adaptation off).
 func TestReportMatchesFullBackward(t *testing.T) {
 	m := testModel(32)
 	cfg := adapt.DefaultConfig()
-	const streams, frames = 2, 8
-	fleet := SyntheticFleet(m.Cfg, streams, frames, 30, 41)
-	rep := New(m, Config{Workers: 1, MaxBatch: 1, AdaptEvery: 1, Adapt: cfg}).Run(fleet)
-
+	const frames = 8
+	cost := ufld.DescribeModel(ufld.FullScale(resnet.R18, m.Cfg.Lanes))
 	ref := newRefWorker(m, cfg)
-	for si, src := range fleet {
-		st := newStreamState(m, cfg)
-		accW, points := 0.0, 0
-		for _, fr := range src.Frames {
-			st.swapInto(ref.bns)
-			x := ufld.Images(m.Cfg, []ufld.Sample{fr.Sample}, []int{0})
-			preds := ufld.Decode(m.Cfg, ref.model.ForwardInfer(x), 1)
-			acc, pts := stream.ScoreSample(m.Cfg, preds[0], fr.Sample)
-			accW += acc * float64(pts)
-			points += pts
-			ref.adapt(st, []ufld.Sample{fr.Sample})
+	near := func(row, what string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-12*math.Abs(want) {
+			t.Fatalf("%s: %s %.17g, serial recurrence %.17g", row, what, got, want)
 		}
-		sr := rep.Streams[si]
-		if want := accW / float64(points); math.Float64bits(sr.OnlineAccuracy) != math.Float64bits(want) {
-			t.Fatalf("stream %d: online accuracy %v, reference %v", si, sr.OnlineAccuracy, want)
-		}
-		if sr.AdaptSteps != st.steps || sr.Frames != frames {
-			t.Fatalf("stream %d: %d steps over %d frames, reference %d over %d", si, sr.AdaptSteps, sr.Frames, st.steps, frames)
+	}
+	for _, streams := range []int{1, 2} {
+		for _, fps := range []float64{30, 10} {
+			fleet := SyntheticFleet(m.Cfg, streams, frames, fps, 41)
+			for _, mode := range []orin.PowerMode{orin.Mode60W, orin.Mode30W, orin.Mode15W} {
+				inferOnlyMs := 0.0
+				for _, every := range []int{0, 1} {
+					row := fmt.Sprintf("%d streams, %v FPS, %s, adapt every %d", streams, fps, mode.Name, every)
+					rep := New(m, Config{Workers: 1, MaxBatch: 1, AdaptEvery: every, Adapt: cfg, Mode: mode}).Run(fleet)
+					for si, src := range fleet {
+						st := newStreamState(m, cfg)
+						accW, points := 0.0, 0
+						for _, fr := range src.Frames {
+							st.swapInto(ref.bns)
+							x := ufld.Images(m.Cfg, []ufld.Sample{fr.Sample}, []int{0})
+							preds := ufld.Decode(m.Cfg, ref.model.ForwardInfer(x), 1)
+							acc, pts := stream.ScoreSample(m.Cfg, preds[0], fr.Sample)
+							accW += acc * float64(pts)
+							points += pts
+							if every > 0 {
+								ref.adapt(st, []ufld.Sample{fr.Sample})
+							}
+						}
+						sr := rep.Streams[si]
+						if want := accW / float64(points); math.Float64bits(sr.OnlineAccuracy) != math.Float64bits(want) {
+							t.Fatalf("%s: stream %d online accuracy %v, reference %v", row, si, sr.OnlineAccuracy, want)
+						}
+						if sr.AdaptSteps != st.steps || sr.Frames != frames {
+							t.Fatalf("%s: stream %d ran %d steps over %d frames, reference %d over %d", row, si, sr.AdaptSteps, sr.Frames, st.steps, frames)
+						}
+					}
+					// Fig. 3's verdicts: R-18 at 15 W misses every 30 FPS
+					// deadline, adapting or not.
+					if mode.Watts == 15 && rep.MissRate != 1 {
+						t.Fatalf("%s: miss rate %v, want 1", row, rep.MissRate)
+					}
+					if streams > 1 {
+						continue
+					}
+					frameMs := orin.EstimateInferenceOnly("R-18", cost, mode).TotalMs
+					if every > 0 {
+						frameMs = orin.EstimateFrame("R-18", cost, mode, 1).TotalMs
+					}
+					s := serialSchedule(fleet[0], frameMs, orin.Deadline30FPS)
+					sr := rep.Streams[0]
+					near(row, "mean latency", sr.MeanLatencyMs, metrics.Mean(s.lats))
+					near(row, "p50 latency", sr.P50LatencyMs, metrics.Percentile(s.lats, 50))
+					near(row, "p99 latency", sr.P99LatencyMs, metrics.Percentile(s.lats, 99))
+					near(row, "max latency", sr.MaxLatencyMs, metrics.Percentile(s.lats, 100))
+					near(row, "mean queue", sr.MeanQueueMs, metrics.Mean(s.queues))
+					near(row, "max queue", sr.MaxQueueMs, metrics.Percentile(s.queues, 100))
+					near(row, "virtual seconds", rep.VirtualSeconds, s.endMs/1e3)
+					busyMJ, idleMJ := float64(mode.Watts)*frameMs*frames, mode.IdleWatts*s.endMs
+					near(row, "busy energy", rep.BusyEnergyMJ, busyMJ)
+					near(row, "idle energy", rep.IdleEnergyMJ, idleMJ)
+					near(row, "total energy", rep.EnergyMJ, busyMJ+idleMJ)
+					if sr.MaxQueueDepth != s.maxDepth || sr.MissRate != float64(s.misses)/frames {
+						t.Fatalf("%s: depth %d, miss rate %v; serial recurrence %d, %v", row, sr.MaxQueueDepth, sr.MissRate, s.maxDepth, float64(s.misses)/frames)
+					}
+					// The paper's headline: R-18 at 60 W adapts on every frame
+					// inside the 30 FPS budget.
+					if mode.Watts == 60 && fps == 30 && every == 1 && sr.MissRate != 0 {
+						t.Fatalf("%s: miss rate %v, want 0", row, sr.MissRate)
+					}
+					if every == 0 {
+						inferOnlyMs = sr.MeanLatencyMs
+					} else if inferOnlyMs >= sr.MeanLatencyMs {
+						t.Fatalf("%s: inference-only %.3f ms is not cheaper than adapting %.3f ms", row, inferOnlyMs, sr.MeanLatencyMs)
+					}
+				}
+			}
 		}
 	}
 }

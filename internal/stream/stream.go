@@ -1,21 +1,16 @@
-// Package stream simulates the paper's deployment setting: a 30 FPS
-// camera feeding target-domain frames to the vehicle, which must run
-// inference and then LD-BN-ADAPT adaptation on each frame inside the
-// frame budget. Functional behaviour (predictions, adaptation) runs on
-// the real models; per-frame latency is priced by the Orin performance
-// model so deadline misses reflect the paper's hardware, not the host
-// CPU.
+// Package stream holds the inputs and vocabulary of the paper's
+// deployment setting: camera sources that replay target-domain frames
+// at fixed or phased rates (the paper's cameras run at 30 FPS), the
+// per-frame scoring stage, and the overload policies a serving loop may
+// apply when the work does not fit the camera period. The serving loop
+// itself — inference, LD-BN-ADAPT steps and Orin-priced latency — is
+// internal/serve's engine.
 package stream
 
 import (
 	"fmt"
-	"io"
 	"time"
 
-	"ldbnadapt/internal/adapt"
-	"ldbnadapt/internal/nn"
-	"ldbnadapt/internal/orin"
-	"ldbnadapt/internal/resnet"
 	"ldbnadapt/internal/ufld"
 )
 
@@ -114,10 +109,9 @@ func NewSourceSchedule(ds *ufld.Dataset, start time.Duration, phases []RatePhase
 	return s
 }
 
-// ScoreSample is the scoring stage shared by the single-camera
-// simulator and the multi-stream serving engine: it counts the labeled
-// ground-truth points of s and computes the TuSimple accuracy of pred
-// against them.
+// ScoreSample is the serving engine's scoring stage: it counts the
+// labeled ground-truth points of s and computes the TuSimple accuracy
+// of pred against them.
 func ScoreSample(cfg ufld.Config, pred ufld.Prediction, s ufld.Sample) (acc float64, points int) {
 	for _, c := range s.Cells {
 		if c != ufld.Absent {
@@ -128,179 +122,22 @@ func ScoreSample(cfg ufld.Config, pred ufld.Prediction, s ufld.Sample) (acc floa
 	return acc, points
 }
 
-// Config describes one deployment to simulate.
-type Config struct {
-	// Method adapts the model (use adapt.NewNoAdapt() to disable).
-	Method adapt.Method
-	// BatchSize groups frames per adaptation step (paper: 1, 2, 4).
-	BatchSize int
-	// Mode is the Orin power mode to price latencies with.
-	Mode orin.PowerMode
-	// DeadlineMs is the per-frame budget (Deadline30FPS etc.).
-	DeadlineMs float64
-	// Log, when non-nil, receives one line per deadline miss.
-	Log io.Writer
-}
-
-// FrameRecord is the outcome of one streamed frame.
-type FrameRecord struct {
-	// Index is the frame number.
-	Index int
-	// LatencyMs is the Orin-model per-frame latency (inference +
-	// amortized adaptation + overhead).
-	LatencyMs float64
-	// DeadlineMet reports LatencyMs ≤ deadline.
-	DeadlineMet bool
-	// Accuracy is the frame's TuSimple point accuracy (NaN-free: 0 if
-	// the frame has no labeled points).
-	Accuracy float64
-	// Points is the number of labeled ground-truth points.
-	Points int
-}
-
-// Result aggregates a streamed run.
-type Result struct {
-	// MethodName, ModelName, ModeName identify the deployment.
-	MethodName, ModelName, ModeName string
-	// Records holds per-frame outcomes in order.
-	Records []FrameRecord
-	// OnlineAccuracy is the point-weighted accuracy over the stream.
-	OnlineAccuracy float64
-	// MissRate is the fraction of frames whose priced latency exceeded
-	// the deadline.
-	MissRate float64
-	// MeanLatencyMs and MaxLatencyMs summarize the latency profile.
-	MeanLatencyMs, MaxLatencyMs float64
-	// AdaptSteps counts adaptation steps performed.
-	AdaptSteps int
-}
-
-// Run streams every frame through the model: inference first (scored
-// against the hidden labels), then adaptation per batch, with latency
-// priced by the Orin model for the deployed full-scale architecture.
-func Run(m *ufld.Model, variant resnet.Variant, src *Source, cfg Config) Result {
-	if cfg.BatchSize < 1 {
-		panic(fmt.Sprintf("stream: batch size %d", cfg.BatchSize))
-	}
-	cost := ufld.DescribeModel(ufld.FullScale(variant, m.Cfg.Lanes))
-	_, isNoAdapt := cfg.Method.(*adapt.NoAdapt)
-	var est orin.Estimate
-	if isNoAdapt {
-		est = orin.EstimateInferenceOnly(variant.String(), cost, cfg.Mode)
-	} else {
-		est = orin.EstimateFrame(variant.String(), cost, cfg.Mode, cfg.BatchSize)
-	}
-	// The final partial batch (when the stream length is not a multiple
-	// of BatchSize) adapts at its real, smaller size, so its frames
-	// amortize the adaptation step over fewer frames and must be priced
-	// accordingly.
-	nFrames := len(src.Frames)
-	trailing := 0
-	estTail := est
-	if !isNoAdapt {
-		if trailing = nFrames % cfg.BatchSize; trailing > 0 {
-			estTail = orin.EstimateFrame(variant.String(), cost, cfg.Mode, trailing)
-		}
-	}
-	res := Result{
-		MethodName: cfg.Method.Name(),
-		ModelName:  variant.String(),
-		ModeName:   cfg.Mode.Name,
-	}
-	accW, points := 0.0, 0
-	var batch []int
-	latSum := 0.0
-	for fi, fr := range src.Frames {
-		frameEst := est
-		if fi >= nFrames-trailing {
-			frameEst = estTail
-		}
-		// Phase 1: inference.
-		x, _ := ufld.Batch(m.Cfg, []ufld.Sample{fr.Sample}, []int{0})
-		logits := m.Forward(x, nn.Eval)
-		preds := ufld.Decode(m.Cfg, logits, 1)
-		acc, cnt := ScoreSample(m.Cfg, preds[0], fr.Sample)
-		accW += acc * float64(cnt)
-		points += cnt
-
-		rec := FrameRecord{
-			Index:       fr.Index,
-			LatencyMs:   frameEst.TotalMs,
-			DeadlineMet: frameEst.TotalMs <= cfg.DeadlineMs,
-			Accuracy:    acc,
-			Points:      cnt,
-		}
-		latSum += rec.LatencyMs
-		if rec.LatencyMs > res.MaxLatencyMs {
-			res.MaxLatencyMs = rec.LatencyMs
-		}
-		if !rec.DeadlineMet {
-			res.MissRate++
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "frame %d: %.1f ms > %.1f ms deadline\n",
-					fr.Index, rec.LatencyMs, cfg.DeadlineMs)
-			}
-		}
-		res.Records = append(res.Records, rec)
-
-		// Phase 2: adaptation once the batch is full.
-		batch = append(batch, fr.Index)
-		if len(batch) == cfg.BatchSize {
-			xb, _ := ufld.Batch(m.Cfg, samplesOf(src, batch), indices(len(batch)))
-			cfg.Method.Adapt(xb)
-			res.AdaptSteps++
-			batch = batch[:0]
-		}
-	}
-	if len(batch) > 0 { // trailing partial batch
-		xb, _ := ufld.Batch(m.Cfg, samplesOf(src, batch), indices(len(batch)))
-		cfg.Method.Adapt(xb)
-		res.AdaptSteps++
-	}
-	if points > 0 {
-		res.OnlineAccuracy = accW / float64(points)
-	}
-	n := float64(len(src.Frames))
-	if n > 0 {
-		res.MissRate /= n
-		res.MeanLatencyMs = latSum / n
-	}
-	return res
-}
-
-// samplesOf gathers the stream samples at the given frame indices.
-func samplesOf(src *Source, idx []int) []ufld.Sample {
-	out := make([]ufld.Sample, len(idx))
-	for i, fi := range idx {
-		out[i] = src.Frames[fi].Sample
-	}
-	return out
-}
-
-// indices returns [0, 1, ..., n-1].
-func indices(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // OverloadPolicy selects what happens when the per-frame work does not
 // fit the camera period: an overloaded deployment must either skip the
-// adaptation phase or drop whole frames to catch up.
+// adaptation phase or drop whole frames to catch up. A stream counts as
+// behind once a frame has queued past the serving engine's backlog cap.
 type OverloadPolicy int
 
 const (
-	// DropNone processes every frame regardless of overrun (latency
-	// misses accumulate; the default Run behaviour).
+	// DropNone processes every frame regardless of overrun (queue waits
+	// and latency misses accumulate).
 	DropNone OverloadPolicy = iota
-	// SkipAdapt keeps inference on every frame but skips the
-	// adaptation phase whenever the previous frame overran — the model
-	// still drives, adaptation degrades gracefully.
+	// SkipAdapt keeps inference on every frame but skips due
+	// adaptation steps while the stream is behind — the model still
+	// drives, adaptation degrades gracefully.
 	SkipAdapt
-	// DropFrames discards incoming frames while the pipeline is busy
-	// (classic camera-queue behaviour).
+	// DropFrames discards frames that are already stale when the
+	// pipeline gets to them (classic camera-queue behaviour).
 	DropFrames
 )
 
@@ -326,83 +163,4 @@ func ParsePolicy(s string) (OverloadPolicy, error) {
 		}
 	}
 	return DropNone, fmt.Errorf("stream: unknown overload policy %q (have drop-none/skip-adapt/drop-frames)", s)
-}
-
-// OverloadResult extends Result with overload accounting.
-type OverloadResult struct {
-	// Result is the base accounting over the frames actually processed.
-	Result
-	// FramesDropped counts frames discarded by DropFrames.
-	FramesDropped int
-	// AdaptsSkipped counts adaptation phases skipped by SkipAdapt.
-	AdaptsSkipped int
-}
-
-// RunWithOverload streams frames under an overload policy: a virtual
-// pipeline clock advances by the Orin-priced latency of the work
-// actually performed, and the policy decides what to shed whenever the
-// clock falls behind a frame's arrival time.
-func RunWithOverload(m *ufld.Model, variant resnet.Variant, src *Source, cfg Config, policy OverloadPolicy) OverloadResult {
-	cost := ufld.DescribeModel(ufld.FullScale(variant, m.Cfg.Lanes))
-	inferOnly := orin.EstimateInferenceOnly(variant.String(), cost, cfg.Mode)
-	full := orin.EstimateFrame(variant.String(), cost, cfg.Mode, 1)
-	res := OverloadResult{Result: Result{
-		MethodName: cfg.Method.Name(),
-		ModelName:  variant.String(),
-		ModeName:   cfg.Mode.Name,
-	}}
-	clockMs := 0.0
-	accW, points := 0.0, 0
-	latSum := 0.0
-	processed := 0
-	for _, fr := range src.Frames {
-		arrivalMs := float64(fr.Arrival) / 1e6
-		if policy == DropFrames && clockMs > arrivalMs {
-			res.FramesDropped++
-			continue
-		}
-		if clockMs < arrivalMs {
-			clockMs = arrivalMs // pipeline idles until the frame arrives
-		}
-		behind := clockMs > arrivalMs
-		frameMs := full.TotalMs
-		doAdapt := true
-		if policy == SkipAdapt && behind {
-			frameMs = inferOnly.TotalMs
-			doAdapt = false
-			res.AdaptsSkipped++
-		}
-		x, _ := ufld.Batch(m.Cfg, []ufld.Sample{fr.Sample}, []int{0})
-		logits := m.Forward(x, nn.Eval)
-		preds := ufld.Decode(m.Cfg, logits, 1)
-		acc, cnt := ScoreSample(m.Cfg, preds[0], fr.Sample)
-		accW += acc * float64(cnt)
-		points += cnt
-		if doAdapt {
-			cfg.Method.Adapt(x)
-			res.AdaptSteps++
-		}
-		clockMs += frameMs
-		latSum += frameMs
-		if frameMs > res.MaxLatencyMs {
-			res.MaxLatencyMs = frameMs
-		}
-		met := frameMs <= cfg.DeadlineMs
-		if !met {
-			res.MissRate++
-		}
-		res.Records = append(res.Records, FrameRecord{
-			Index: fr.Index, LatencyMs: frameMs, DeadlineMet: met,
-			Accuracy: acc, Points: cnt,
-		})
-		processed++
-	}
-	if points > 0 {
-		res.OnlineAccuracy = accW / float64(points)
-	}
-	if processed > 0 {
-		res.MissRate /= float64(processed)
-		res.MeanLatencyMs = latSum / float64(processed)
-	}
-	return res
 }

@@ -1,23 +1,19 @@
 package stream
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"ldbnadapt/internal/adapt"
 	"ldbnadapt/internal/carlane"
-	"ldbnadapt/internal/orin"
 	"ldbnadapt/internal/resnet"
-	"ldbnadapt/internal/tensor"
 	"ldbnadapt/internal/ufld"
 )
 
+// fixture is the benchmark the source tests replay; no test here needs
+// a model.
 type fixture struct {
 	bench *carlane.Benchmark
-	model *ufld.Model
-	rng   *tensor.RNG
 }
 
 var (
@@ -28,16 +24,8 @@ var (
 func getFixture(t *testing.T) *fixture {
 	t.Helper()
 	fixOnce.Do(func() {
-		rng := tensor.NewRNG(99)
-		b := carlane.Build(carlane.MoLane, resnet.R18, ufld.Tiny,
+		fix.bench = carlane.Build(carlane.MoLane, resnet.R18, ufld.Tiny,
 			carlane.Sizes{SourceTrain: 40, SourceVal: 12, TargetTrain: 24, TargetVal: 16}, 13)
-		m := ufld.MustNewModel(b.Cfg, rng)
-		tc := ufld.DefaultTrainConfig()
-		tc.Epochs = 4
-		if _, err := ufld.TrainSource(m, b.SourceTrain, tc, rng.Split()); err != nil {
-			panic(err)
-		}
-		fix = fixture{bench: b, model: m, rng: rng}
 	})
 	return &fix
 }
@@ -143,244 +131,12 @@ func TestNewSourceRejectsBadFPS(t *testing.T) {
 	NewSource(f.bench.TargetTrain, 0)
 }
 
-func TestRunMeets30FPSWithR18At60W(t *testing.T) {
-	f := getFixture(t)
-	m := f.model.Clone(f.rng.Split())
-	src := NewSource(f.bench.TargetTrain, 30)
-	res := Run(m, resnet.R18, src, Config{
-		Method:     adapt.NewLDBNAdapt(m, adapt.DefaultConfig()),
-		BatchSize:  1,
-		Mode:       orin.Mode60W,
-		DeadlineMs: orin.Deadline30FPS,
-	})
-	// The paper's headline: R-18 at 60 W meets every 33.3 ms deadline.
-	if res.MissRate != 0 {
-		t.Fatalf("R-18@60W miss rate %.2f, want 0", res.MissRate)
-	}
-	if res.AdaptSteps != len(src.Frames) {
-		t.Fatalf("bs=1 must adapt once per frame: %d vs %d", res.AdaptSteps, len(src.Frames))
-	}
-	if res.OnlineAccuracy <= 0 || res.OnlineAccuracy > 1 {
-		t.Fatalf("online accuracy %v", res.OnlineAccuracy)
-	}
-}
-
-func TestRunMissesDeadlineAtLowPower(t *testing.T) {
-	f := getFixture(t)
-	m := f.model.Clone(f.rng.Split())
-	src := NewSource(f.bench.TargetTrain, 30)
-	var log strings.Builder
-	res := Run(m, resnet.R18, src, Config{
-		Method:     adapt.NewLDBNAdapt(m, adapt.DefaultConfig()),
-		BatchSize:  1,
-		Mode:       orin.Mode15W,
-		DeadlineMs: orin.Deadline30FPS,
-		Log:        &log,
-	})
-	// 15 W misses every frame per Fig. 3.
-	if res.MissRate != 1 {
-		t.Fatalf("R-18@15W miss rate %.2f, want 1", res.MissRate)
-	}
-	if !strings.Contains(log.String(), "deadline") {
-		t.Fatal("misses must be logged")
-	}
-}
-
-func TestRunNoAdaptIsCheaper(t *testing.T) {
-	f := getFixture(t)
-	src := NewSource(f.bench.TargetTrain, 30)
-	mA := f.model.Clone(f.rng.Split())
-	withAdapt := Run(mA, resnet.R18, src, Config{
-		Method: adapt.NewLDBNAdapt(mA, adapt.DefaultConfig()), BatchSize: 1,
-		Mode: orin.Mode60W, DeadlineMs: orin.Deadline30FPS,
-	})
-	mB := f.model.Clone(f.rng.Split())
-	noAdapt := Run(mB, resnet.R18, src, Config{
-		Method: adapt.NewNoAdapt(), BatchSize: 1,
-		Mode: orin.Mode60W, DeadlineMs: orin.Deadline30FPS,
-	})
-	if noAdapt.MeanLatencyMs >= withAdapt.MeanLatencyMs {
-		t.Fatal("inference-only must be cheaper than inference+adaptation")
-	}
-}
-
-func TestRunTrailingPartialBatchAdapts(t *testing.T) {
-	f := getFixture(t)
-	m := f.model.Clone(f.rng.Split())
-	src := NewSource(f.bench.TargetTrain, 30) // 24 frames
-	res := Run(m, resnet.R18, src, Config{
-		Method:     adapt.NewLDBNAdapt(m, adapt.DefaultConfig()),
-		BatchSize:  5, // 24 = 4 full batches + trailing 4
-		Mode:       orin.Mode60W,
-		DeadlineMs: orin.Deadline18FPS,
-	})
-	want := (len(src.Frames) + 4) / 5
-	if res.AdaptSteps != want {
-		t.Fatalf("adapt steps %d, want %d", res.AdaptSteps, want)
-	}
-}
-
-func TestRunRecordsPerFrame(t *testing.T) {
-	f := getFixture(t)
-	m := f.model.Clone(f.rng.Split())
-	src := NewSource(f.bench.TargetTrain, 30)
-	res := Run(m, resnet.R18, src, Config{
-		Method: adapt.NewNoAdapt(), BatchSize: 2,
-		Mode: orin.Mode60W, DeadlineMs: orin.Deadline30FPS,
-	})
-	if len(res.Records) != len(src.Frames) {
-		t.Fatal("per-frame records missing")
-	}
-	for i, r := range res.Records {
-		if r.Index != i || r.LatencyMs <= 0 {
-			t.Fatalf("record %d malformed: %+v", i, r)
-		}
-		if r.DeadlineMet != (r.LatencyMs <= orin.Deadline30FPS) {
-			t.Fatal("deadline flag inconsistent")
-		}
-	}
-	if res.MaxLatencyMs < res.MeanLatencyMs-1e-9 {
-		t.Fatal("max < mean")
-	}
-}
-
-func TestRunAdaptationImprovesOverStream(t *testing.T) {
-	// Accuracy over the second half of the stream should be at least
-	// as good as the first half once adaptation kicks in.
-	f := getFixture(t)
-	m := f.model.Clone(f.rng.Split())
-	src := NewSource(f.bench.TargetTrain, 30)
-	res := Run(m, resnet.R18, src, Config{
-		Method:     adapt.NewLDBNAdapt(m, adapt.DefaultConfig()),
-		BatchSize:  1,
-		Mode:       orin.Mode60W,
-		DeadlineMs: orin.Deadline30FPS,
-	})
-	half := len(res.Records) / 2
-	score := func(rs []FrameRecord) float64 {
-		w, p := 0.0, 0
-		for _, r := range rs {
-			w += r.Accuracy * float64(r.Points)
-			p += r.Points
-		}
-		if p == 0 {
-			return 0
-		}
-		return w / float64(p)
-	}
-	first, second := score(res.Records[:half]), score(res.Records[half:])
-	if second+0.05 < first {
-		t.Fatalf("accuracy degraded over the stream: %.3f → %.3f", first, second)
-	}
-}
-
 func TestOverloadPolicyNames(t *testing.T) {
 	if DropNone.String() != "drop-none" || SkipAdapt.String() != "skip-adapt" || DropFrames.String() != "drop-frames" {
 		t.Fatal("policy names wrong")
 	}
 	if OverloadPolicy(9).String() == "" {
 		t.Fatal("unknown policy must render")
-	}
-}
-
-func TestOverloadDropFramesShedsLoad(t *testing.T) {
-	f := getFixture(t)
-	m := f.model.Clone(f.rng.Split())
-	src := NewSource(f.bench.TargetTrain, 30)
-	// 15 W is massively overloaded at 30 FPS: frames must be dropped.
-	res := RunWithOverload(m, resnet.R18, src, Config{
-		Method:     adapt.NewLDBNAdapt(m, adapt.DefaultConfig()),
-		BatchSize:  1,
-		Mode:       orin.Mode15W,
-		DeadlineMs: orin.Deadline30FPS,
-	}, DropFrames)
-	if res.FramesDropped == 0 {
-		t.Fatal("overloaded pipeline dropped no frames")
-	}
-	if res.FramesDropped+len(res.Records) != len(src.Frames) {
-		t.Fatal("dropped+processed != total")
-	}
-}
-
-func TestOverloadSkipAdaptKeepsEveryFrame(t *testing.T) {
-	f := getFixture(t)
-	m := f.model.Clone(f.rng.Split())
-	src := NewSource(f.bench.TargetTrain, 30)
-	res := RunWithOverload(m, resnet.R18, src, Config{
-		Method:     adapt.NewLDBNAdapt(m, adapt.DefaultConfig()),
-		BatchSize:  1,
-		Mode:       orin.Mode15W,
-		DeadlineMs: orin.Deadline30FPS,
-	}, SkipAdapt)
-	if len(res.Records) != len(src.Frames) {
-		t.Fatal("SkipAdapt must process every frame")
-	}
-	if res.AdaptsSkipped == 0 {
-		t.Fatal("overloaded pipeline skipped no adaptations")
-	}
-	if res.AdaptSteps+res.AdaptsSkipped != len(src.Frames) {
-		t.Fatal("adapt accounting inconsistent")
-	}
-}
-
-func TestOverloadNoShedWhenFast(t *testing.T) {
-	f := getFixture(t)
-	m := f.model.Clone(f.rng.Split())
-	src := NewSource(f.bench.TargetTrain, 30)
-	// 60 W fits the budget: nothing is shed under any policy.
-	for _, pol := range []OverloadPolicy{DropNone, SkipAdapt, DropFrames} {
-		mc := f.model.Clone(f.rng.Split())
-		res := RunWithOverload(mc, resnet.R18, src, Config{
-			Method:     adapt.NewLDBNAdapt(mc, adapt.DefaultConfig()),
-			BatchSize:  1,
-			Mode:       orin.Mode60W,
-			DeadlineMs: orin.Deadline30FPS,
-		}, pol)
-		if res.FramesDropped != 0 || res.AdaptsSkipped != 0 {
-			t.Fatalf("%v: shed work despite meeting the deadline", pol)
-		}
-		if len(res.Records) != len(src.Frames) {
-			t.Fatalf("%v: frames missing", pol)
-		}
-	}
-	_ = m
-}
-
-// TestRunTrailingBatchPricedAtActualSize is the regression test for
-// trailing-batch pricing: the final partial batch adapts at its real
-// (smaller) size, so its frames amortize the adaptation step over
-// fewer frames and must be priced more expensively than full-batch
-// frames — not with the full batch's amortization.
-func TestRunTrailingBatchPricedAtActualSize(t *testing.T) {
-	f := getFixture(t)
-	m := f.model.Clone(f.rng.Split())
-	src := NewSource(f.bench.TargetTrain, 30) // 24 frames
-	const bs = 5                              // 24 = 4 full batches + trailing 4
-	res := Run(m, resnet.R18, src, Config{
-		Method:     adapt.NewLDBNAdapt(m, adapt.DefaultConfig()),
-		BatchSize:  bs,
-		Mode:       orin.Mode60W,
-		DeadlineMs: orin.Deadline18FPS,
-	})
-	n := len(src.Frames)
-	trailing := n % bs
-	if trailing == 0 {
-		t.Fatalf("fixture stream length %d is a multiple of %d — test needs a partial batch", n, bs)
-	}
-	cost := ufld.DescribeModel(ufld.FullScale(resnet.R18, m.Cfg.Lanes))
-	wantFull := orin.EstimateFrame("R-18", cost, orin.Mode60W, bs).TotalMs
-	wantTail := orin.EstimateFrame("R-18", cost, orin.Mode60W, trailing).TotalMs
-	if wantTail <= wantFull {
-		t.Fatalf("pricing model broken: bs=%d frame %.3f ms not above bs=%d frame %.3f ms", trailing, wantTail, bs, wantFull)
-	}
-	for i, rec := range res.Records {
-		want := wantFull
-		if i >= n-trailing {
-			want = wantTail
-		}
-		if diff := rec.LatencyMs - want; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("frame %d latency %.6f ms, want %.6f ms", i, rec.LatencyMs, want)
-		}
 	}
 }
 

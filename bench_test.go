@@ -1,403 +1,31 @@
-// Benchmark harness: one testing.B benchmark per paper artifact.
-//
-//	Fig. 1 — BenchmarkFig1DatasetGeneration (benchmark synthesis)
-//	Fig. 2 — BenchmarkFig2* (inference, adaptation step per batch size,
-//	         SOTA baseline epoch — the work units behind the accuracy grid;
-//	         regenerate the accuracies themselves with `ldbench -exp fig2`)
-//	Fig. 3 — BenchmarkFig3* (per-frame deployment cost of both backbones,
-//	         plus the analytic Orin pricing itself)
-//	§II    — BenchmarkSOTACostModel (epoch-cost claim)
-//	§III   — BenchmarkAblation* (conv/FC adaptation step costs)
-//	fleet  — BenchmarkFleetScale (the hierarchical coordinator at 16
-//	         and 64 boards: fleet step rate and coordinator-overhead
-//	         share, the serving-extension trajectory BENCH_serve.json
-//	         archives)
-//
-// Run with: go test -bench=. -benchmem
+// Root-package sanity test: a tiny MoLane source model, trained for 3
+// epochs on 40 frames, must learn its own source split. Performance is
+// measured by the benchmark in bench/ (BENCHMARK.json,
+// `bash bench/run.sh`), not here.
 package ldbnadapt_test
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
-	"ldbnadapt/internal/adapt"
 	"ldbnadapt/internal/carlane"
-	"ldbnadapt/internal/nn"
-	"ldbnadapt/internal/orin"
 	"ldbnadapt/internal/resnet"
-	"ldbnadapt/internal/serve"
-	"ldbnadapt/internal/shard"
-	"ldbnadapt/internal/sota"
 	"ldbnadapt/internal/tensor"
 	"ldbnadapt/internal/ufld"
 )
 
-// benchFixture pre-trains one tiny MoLane model shared by every
-// benchmark (training is excluded from all measured loops).
-type benchFixture struct {
-	bench *carlane.Benchmark
-	model *ufld.Model
-	rng   *tensor.RNG
-}
-
-var (
-	fixOnce sync.Once
-	fix     benchFixture
-)
-
-func getFixture(b *testing.B) *benchFixture {
-	b.Helper()
-	fixOnce.Do(func() {
-		rng := tensor.NewRNG(1234)
-		bench := carlane.Build(carlane.MoLane, resnet.R18, ufld.Tiny,
-			carlane.Sizes{SourceTrain: 40, SourceVal: 8, TargetTrain: 32, TargetVal: 16}, 55)
-		m := ufld.MustNewModel(bench.Cfg, rng)
-		tc := ufld.DefaultTrainConfig()
-		tc.Epochs = 3
-		if _, err := ufld.TrainSource(m, bench.SourceTrain, tc, rng.Split()); err != nil {
-			panic(err)
-		}
-		fix = benchFixture{bench: bench, model: m, rng: rng}
-	})
-	return &fix
-}
-
-// BenchmarkFig1DatasetGeneration measures CARLANE-style benchmark
-// synthesis (scene rendering + domain shift + labeling), the workload
-// behind Fig. 1.
-func BenchmarkFig1DatasetGeneration(b *testing.B) {
-	cfg := ufld.Tiny(resnet.R18, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ds := carlane.Generate(cfg, carlane.SplitSpec{
-			Name:    "bench",
-			Layouts: []carlane.Layout{carlane.Ego2},
-			Domains: []carlane.Domain{carlane.MoReal},
-			N:       8,
-			Seed:    uint64(i),
-		})
-		if ds.Len() != 8 {
-			b.Fatal("bad dataset")
-		}
-	}
-}
-
-// BenchmarkFig2Inference measures one frame through the detector on
-// the serving fast path (ForwardInfer) — the inference phase of every
-// Fig. 2 configuration as deployed. The Infer mode reuses layer-owned
-// scratch, so after the warmup forward grows it the loop is
-// allocation-free; Eval mode is the cold diagnostic path (fresh
-// tensors every call, ~700 allocs per forward) and is deliberately
-// not what this trajectory tracks.
-func BenchmarkFig2Inference(b *testing.B) {
-	f := getFixture(b)
-	x := ufld.Images(f.model.Cfg, f.bench.TargetTrain.Samples, []int{0})
-	f.model.ForwardInfer(x) // grow scratch outside the timer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.model.ForwardInfer(x)
-	}
-}
-
-// BenchmarkFig2InferenceInt8 is the same single frame on the int8
-// inference rung (ForwardInferInt8): symmetric per-channel weights,
-// per-sample dynamic activation scales, int32 accumulation. The
-// warmup call triggers the lazy weight quantization so the loop
-// measures steady state. priced-speedup is the Orin cost model's
-// float/int8 per-frame latency ratio for the full-scale R-18 at 30 W
-// — the deployment claim the host ns/op cannot make, since a host
-// CPU has no int8 tensor cores (see PERFORMANCE.md).
-func BenchmarkFig2InferenceInt8(b *testing.B) {
-	f := getFixture(b)
-	x := ufld.Images(f.model.Cfg, f.bench.TargetTrain.Samples, []int{0})
-	f.model.ForwardInferInt8(x) // quantize weights + grow scratch outside the timer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.model.ForwardInferInt8(x)
-	}
-	b.StopTimer()
-	cost := ufld.DescribeModel(ufld.FullScale(resnet.R18, 4))
-	fp := orin.EstimateInferenceBatch("R-18", cost, orin.Mode30W, 1)
-	q8 := orin.EstimateInferenceBatchInt8("R-18", cost, orin.Mode30W, 1)
-	b.ReportMetric(fp.PerFrameMs/q8.PerFrameMs, "priced-speedup")
-}
-
-// benchmarkAdaptStep measures one LD-BN-ADAPT step at the given batch
-// size (the per-step work unit of the Fig. 2 bs ∈ {1,2,4} sweep).
-func benchmarkAdaptStep(b *testing.B, bs int) {
-	f := getFixture(b)
-	m := f.model.Clone(f.rng.Split())
-	meth := adapt.NewLDBNAdapt(m, adapt.DefaultConfig())
-	idx := make([]int, bs)
-	for i := range idx {
-		idx[i] = i
-	}
-	x := ufld.Images(m.Cfg, f.bench.TargetTrain.Samples, idx)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		meth.Adapt(x)
-	}
-}
-
-// BenchmarkFig2AdaptStepBS1 is the paper's chosen configuration.
-func BenchmarkFig2AdaptStepBS1(b *testing.B) { benchmarkAdaptStep(b, 1) }
-
-// BenchmarkFig2AdaptStepBS2 is the bs=2 variant.
-func BenchmarkFig2AdaptStepBS2(b *testing.B) { benchmarkAdaptStep(b, 2) }
-
-// BenchmarkFig2AdaptStepBS4 is the bs=4 variant.
-func BenchmarkFig2AdaptStepBS4(b *testing.B) { benchmarkAdaptStep(b, 4) }
-
-// BenchmarkFig2SOTAEpoch measures one epoch of the CARLANE SOTA
-// baseline (embeddings + K-means + full retraining) — the cost that
-// makes it non-real-time.
-func BenchmarkFig2SOTAEpoch(b *testing.B) {
-	f := getFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := f.model.Clone(tensor.NewRNG(uint64(i)))
-		cfg := sota.DefaultConfig()
-		cfg.Epochs = 1
-		if _, err := sota.New(m, cfg).Run(f.bench.SourceTrain, f.bench.TargetTrain, tensor.NewRNG(uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig3FrameR18 measures the full deployed frame for R-18:
-// eval-mode inference followed by one LD-BN-ADAPT step (the quantity
-// Fig. 3 plots, here executed functionally on the repro-scale model).
-func BenchmarkFig3FrameR18(b *testing.B) {
-	benchmarkDeployedFrame(b, resnet.R18)
-}
-
-// BenchmarkFig3FrameR34 is the R-34 row of Fig. 3.
-func BenchmarkFig3FrameR34(b *testing.B) {
-	benchmarkDeployedFrame(b, resnet.R34)
-}
-
-func benchmarkDeployedFrame(b *testing.B, v resnet.Variant) {
-	rng := tensor.NewRNG(9)
-	bench := carlane.Build(carlane.MoLane, v, ufld.Tiny,
-		carlane.Sizes{SourceTrain: 8, SourceVal: 4, TargetTrain: 8, TargetVal: 4}, 3)
-	m := ufld.MustNewModel(bench.Cfg, rng)
-	meth := adapt.NewLDBNAdapt(m, adapt.DefaultConfig())
-	x := ufld.Images(m.Cfg, bench.TargetTrain.Samples, []int{0})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Forward(x, nn.Eval) // inference phase
-		meth.Adapt(x)         // adaptation phase
-	}
-}
-
-// BenchmarkFig3LatencyModel measures the analytic Orin pricing of the
-// full Fig. 3 grid (2 models × 4 power modes).
-func BenchmarkFig3LatencyModel(b *testing.B) {
-	c18 := ufld.DescribeModel(ufld.FullScale(resnet.R18, 4))
-	c34 := ufld.DescribeModel(ufld.FullScale(resnet.R34, 4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, mode := range orin.Modes {
-			orin.EstimateFrame("R-18", c18, mode, 1)
-			orin.EstimateFrame("R-34", c34, mode, 1)
-		}
-	}
-}
-
-// BenchmarkSOTACostModel prices the §II claim (SOTA epoch on Orin).
-func BenchmarkSOTACostModel(b *testing.B) {
-	cost := ufld.DescribeModel(ufld.FullScale(resnet.R18, 4))
-	wl := orin.CARLANEScaleWorkload()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if orin.SOTAEpochCost(cost, wl, orin.Mode60W) <= 0 {
-			b.Fatal("bad cost")
-		}
-	}
-}
-
-// BenchmarkAblationConvAdaptStep measures the §III conv-only
-// adaptation step (heavier than BN: all conv weights get gradients
-// applied).
-func BenchmarkAblationConvAdaptStep(b *testing.B) {
-	f := getFixture(b)
-	m := f.model.Clone(f.rng.Split())
-	cfg := adapt.DefaultConfig()
-	cfg.LR /= 10
-	meth := adapt.NewConvAdapt(m, cfg)
-	x := ufld.Images(m.Cfg, f.bench.TargetTrain.Samples, []int{0})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		meth.Adapt(x)
-	}
-}
-
-// BenchmarkAblationFCAdaptStep measures the §III FC-only adaptation
-// step.
-func BenchmarkAblationFCAdaptStep(b *testing.B) {
-	f := getFixture(b)
-	m := f.model.Clone(f.rng.Split())
-	cfg := adapt.DefaultConfig()
-	cfg.LR /= 10
-	meth := adapt.NewFCAdapt(m, cfg)
-	x := ufld.Images(m.Cfg, f.bench.TargetTrain.Samples, []int{0})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		meth.Adapt(x)
-	}
-}
-
-// BenchmarkServeSteadyState measures one control epoch of a
-// long-lived serving session at steady state — the allocation profile
-// the planner arena and the nn scratch path exist to flatten. The
-// session, its worker replicas and a few warmup epochs (which grow
-// every arena chunk, scratch buffer and adaptation window) run
-// outside the timer; the measured loop is RunEpoch only, over a fleet
-// sized so arrivals never run dry before b.N epochs. allocs/op here
-// is the number `make alloc-gate` holds against the committed budget
-// (ALLOC_BUDGET): it must stay flat in epoch count — per-epoch
-// telemetry slices and amortized arena-chunk growth, not per-frame
-// or per-batch garbage.
-func BenchmarkServeSteadyState(b *testing.B) {
-	f := getFixture(b)
-	const (
-		streams = 4
-		fps     = 30.0
-		epochMs = 100.0
-	)
-	perEpoch := int(fps * epochMs / 1000) // frames per stream per epoch
-	const warmup = 4
-	fleet := serve.SyntheticFleet(f.model.Cfg, streams, (b.N+warmup+1)*perEpoch, fps, 7)
-	e := serve.New(f.model, serve.Config{
-		Workers:    2,
-		MaxBatch:   8,
-		AdaptEvery: 4,
-		Adapt:      adapt.DefaultConfig(),
-	})
-	s := e.NewSession(fleet)
-	end := 0.0
-	for i := 0; i < warmup; i++ {
-		end += epochMs
-		s.RunEpoch(end)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		end += epochMs
-		s.RunEpoch(end)
-	}
-	b.StopTimer()
-	if rep := s.Finish(); rep.Frames == 0 {
-		b.Fatal("steady-state session served nothing")
-	}
-}
-
-// BenchmarkFleetScale measures the hierarchical fleet coordinator at
-// scale: boards run as actors in placement groups of 16, streams share
-// one rendered scene set with phase-shifted arrivals (setup is
-// O(frames), so the 64-board × 1024-stream point stays affordable),
-// and migration plus consolidation keep the group placers busy. Each
-// sub-benchmark reports the fleet step rate (control-epoch boundaries
-// per host second) and the coordinator-overhead share (wall time the
-// board actors spent idle at the barrier while the coordinator placed,
-// admitted and checkpointed) — the two numbers the tentpole runtime is
-// tracked by.
-func BenchmarkFleetScale(b *testing.B) {
-	f := getFixture(b)
-	for _, sc := range []struct{ boards, streams int }{
-		{16, 256},
-		{64, 1024},
-	} {
-		b.Run(fmt.Sprintf("boards=%d,streams=%d", sc.boards, sc.streams), func(b *testing.B) {
-			fleet := serve.SyntheticFleetShared(f.model.Cfg, sc.streams, 4, 4, 2024)
-			cfg := shard.Config{
-				Boards: sc.boards,
-				Board: serve.Config{
-					Workers:    1,
-					MaxBatch:   8,
-					AdaptEvery: 4,
-					Adapt:      adapt.DefaultConfig(),
-					Mode:       orin.Mode30W,
-				},
-				Governor:    "hysteresis",
-				EpochMs:     250,
-				Migrate:     true,
-				Consolidate: true,
-				GroupSize:   16,
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			epochs, coord, wall := 0, 0.0, 0.0
-			for i := 0; i < b.N; i++ {
-				fl, err := shard.New(f.model, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep := fl.Run(fleet)
-				if rep.Frames <= 0 || rep.FleetEpochs <= 0 {
-					b.Fatalf("degenerate fleet run: %d frames, %d epochs", rep.Frames, rep.FleetEpochs)
-				}
-				epochs += rep.FleetEpochs
-				coord += rep.CoordSeconds
-				wall += rep.WallSeconds
-			}
-			b.ReportMetric(float64(epochs)/b.Elapsed().Seconds(), "steps/s")
-			b.ReportMetric(coord/wall, "coord-share")
-		})
-	}
-}
-
-// BenchmarkTrainEpoch measures one supervised source-training epoch
-// (the pre-deployment cost, for scale context).
-func BenchmarkTrainEpoch(b *testing.B) {
-	f := getFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := f.model.Clone(tensor.NewRNG(uint64(i)))
-		tc := ufld.DefaultTrainConfig()
-		tc.Epochs = 1
-		if _, err := ufld.TrainSource(m, f.bench.SourceTrain, tc, tensor.NewRNG(uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestBenchFixtureIsSane is a plain test so the root package's
-// benchmark fixture is validated by `go test ./...` as well: the
-// pre-trained model must beat chance on its own source split.
+// TestBenchFixtureIsSane trains the tiny source model and asks that it
+// beat chance on its own source validation split.
 func TestBenchFixtureIsSane(t *testing.T) {
-	f := getFixtureT(t)
-	acc := ufld.Evaluate(f.model, f.bench.SourceVal, 8).Accuracy
-	if acc < 0.3 {
+	rng := tensor.NewRNG(1234)
+	bench := carlane.Build(carlane.MoLane, resnet.R18, ufld.Tiny,
+		carlane.Sizes{SourceTrain: 40, SourceVal: 8, TargetTrain: 32, TargetVal: 16}, 55)
+	m := ufld.MustNewModel(bench.Cfg, rng)
+	tc := ufld.DefaultTrainConfig()
+	tc.Epochs = 3
+	if _, err := ufld.TrainSource(m, bench.SourceTrain, tc, rng.Split()); err != nil {
+		t.Fatal(err)
+	}
+	if acc := ufld.Evaluate(m, bench.SourceVal, 8).Accuracy; acc < 0.3 {
 		t.Fatalf("fixture source accuracy %.3f — training failed", acc)
 	}
-}
-
-// getFixtureT adapts getFixture for testing.T callers.
-func getFixtureT(t *testing.T) *benchFixture {
-	t.Helper()
-	fixOnce.Do(func() {
-		rng := tensor.NewRNG(1234)
-		bench := carlane.Build(carlane.MoLane, resnet.R18, ufld.Tiny,
-			carlane.Sizes{SourceTrain: 40, SourceVal: 8, TargetTrain: 32, TargetVal: 16}, 55)
-		m := ufld.MustNewModel(bench.Cfg, rng)
-		tc := ufld.DefaultTrainConfig()
-		tc.Epochs = 3
-		if _, err := ufld.TrainSource(m, bench.SourceTrain, tc, rng.Split()); err != nil {
-			panic(err)
-		}
-		fix = benchFixture{bench: bench, model: m, rng: rng}
-	})
-	return &fix
 }

@@ -9,7 +9,8 @@
 //	ldbench -exp all               everything
 //
 // The -profile flag selects the scale: "quick" finishes in minutes on
-// one core, "full" is the profile recorded in EXPERIMENTS.md.
+// one core, "full" (`go run ./cmd/ldbench -profile full`) is the
+// paper-scale run.
 package main
 
 import (

@@ -3,8 +3,9 @@
 // (lane-detection accuracy across benchmarks, methods, batch sizes and
 // backbones), Fig. 3 (latency per Jetson Orin power mode against the
 // 30 FPS / 18 FPS deadlines), the §II SOTA-cost claim and the §III
-// parameter-set ablation. The same entry points back cmd/ldbench and
-// the testing.B benchmarks in bench_test.go.
+// parameter-set ablation. The same entry points back cmd/ldbench;
+// regenerate the paper-scale numbers with
+// `go run ./cmd/ldbench -profile full`.
 package experiments
 
 import (
@@ -50,7 +51,7 @@ func Quick() Profile {
 	}
 }
 
-// Full returns the profile behind the numbers in EXPERIMENTS.md:
+// Full returns the profile behind `go run ./cmd/ldbench -profile full`:
 // the Small detector configuration with the default split sizes.
 func Full() Profile {
 	return Profile{

@@ -125,9 +125,9 @@ func TestRunAblationQuick(t *testing.T) {
 		t.Fatal("BN adapted params not recorded")
 	}
 	// The paper's §III ordering (BN beats conv/FC adaptation) is a
-	// full-profile result recorded in EXPERIMENTS.md; at the quick
-	// profile the tiny stream is too noisy to assert it. Here we only
-	// require that BN adaptation does not lose to NoAdapt.
+	// full-profile result (`go run ./cmd/ldbench -profile full`); at
+	// the quick profile the tiny stream is too noisy to assert it. Here
+	// we only require that BN adaptation does not lose to NoAdapt.
 	if bn.Accuracy+0.02 < byName["NoAdapt"].Accuracy {
 		t.Errorf("LD-BN-ADAPT (%.3f) lost to NoAdapt (%.3f)", bn.Accuracy, byName["NoAdapt"].Accuracy)
 	}

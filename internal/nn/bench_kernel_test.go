@@ -6,10 +6,11 @@ import (
 	"ldbnadapt/internal/tensor"
 )
 
-// Layer-level kernel benchmarks for the bench-json `-cpu 1,4` rows:
-// where the tensor-level benchmarks measure one pooled kernel in
-// isolation, these measure the sample-banded layer paths (forward,
-// adapt step) whose nested kernel calls share the same pool.
+// Layer-level kernel benchmarks, meant for `-cpu 1,4` sweeps: where
+// the tensor-level benchmarks measure one pooled kernel in isolation,
+// these measure the sample-banded layer paths (forward, adapt step)
+// whose nested kernel calls share the same pool. `make bench-smoke`
+// executes each once so they cannot rot.
 
 func benchConv() (*Conv2D, *tensor.Tensor) {
 	rng := tensor.NewRNG(11)

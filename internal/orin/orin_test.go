@@ -197,6 +197,20 @@ func TestSOTAvsLDBNAdaptGap(t *testing.T) {
 	}
 }
 
+// TestInt8PricedSpeedup pins the int8 rung's deployment claim: one
+// full-scale R-18 frame at 30 W, bs 1, is priced 2.443× cheaper on the
+// int8 tensor cores than in float. The ratio stays well under the raw
+// Int8GOPS/EffGFLOPS ratio because the fixed dispatch overhead is the
+// same on both paths. PERFORMANCE.md quotes this number.
+func TestInt8PricedSpeedup(t *testing.T) {
+	cost := costFor(resnet.R18)
+	fp := EstimateInferenceBatch("R-18", cost, Mode30W, 1)
+	q8 := EstimateInferenceBatchInt8("R-18", cost, Mode30W, 1)
+	if got := fp.PerFrameMs / q8.PerFrameMs; math.Abs(got-2.443) > 0.001 {
+		t.Fatalf("priced int8 speed-up %.4f, want 2.443 ± 0.001", got)
+	}
+}
+
 func TestSelectPrefersLowPowerFeasible(t *testing.T) {
 	c18, c34 := costFor(resnet.R18), costFor(resnet.R34)
 	var cands []Candidate

@@ -29,8 +29,7 @@
 // fixed free list, and kernel argument blocks come from Cache (a
 // grow-to-high-water free list). This is what lets the parallel
 // infer forward stay 0 allocs/op at GOMAXPROCS > 1 (pinned by
-// ufld.TestInferForwardAllocationFree and the `make alloc-gate`
-// -cpu 4 row).
+// ufld.TestInferForwardAllocationFreeParallel).
 //
 // # Scheduling model
 //

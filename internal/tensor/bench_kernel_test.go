@@ -2,12 +2,12 @@ package tensor
 
 import "testing"
 
-// Kernel benchmarks behind the bench-json `-cpu 1,4` rows: the same
-// GEMM/lowering shapes the Tiny detector's heaviest conv layer feeds
-// the pool (64 output channels, 64·3·3 taps, 28×28 output). The -cpu
-// sweep measures the worker-pool speedup curve per kernel; BENCHTIME
-// and the manifest plumbing are shared with the serving benchmarks
-// (see Makefile bench-json and PERFORMANCE.md).
+// Kernel benchmarks on the GEMM/lowering shapes the Tiny detector's
+// heaviest conv layer feeds the pool (64 output channels, 64·3·3 taps,
+// 28×28 output). Run them at `-cpu 1,4` for the worker-pool speedup
+// curve per kernel; `make bench-smoke` executes each once so they
+// cannot rot. The repo's end-to-end measurement is bench/
+// (BENCHMARK.json).
 
 const (
 	bkM = 64  // output channels

@@ -15,7 +15,8 @@ import (
 // weights), repeated Infer-mode forwards of the same shape perform
 // zero heap allocations. This is what lets a worker replica serve
 // frames for hours without GC pressure; the contract is documented in
-// internal/nn/README.md and enforced fleet-wide by `make alloc-gate`.
+// internal/nn/README.md, and serve.TestSessionSteadyStateAllocs holds
+// the serve loop around it below one allocation per served frame.
 func TestInferForwardAllocationFree(t *testing.T) {
 	cfg := Tiny(resnet.R18, 2)
 	m := MustNewModel(cfg, tensor.NewRNG(3))

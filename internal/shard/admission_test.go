@@ -111,6 +111,15 @@ func TestAdmissionQueuesUntilHeadroom(t *testing.T) {
 	}
 }
 
+// queueCapScenario is the queue-cap admission workload: two late
+// cameras arrive into one board the upfront pair saturates, and the
+// gate queues at most one of them.
+func queueCapScenario(seed uint64) (*ufld.Model, []*stream.Source, Config) {
+	m := testModel(seed)
+	fleet := lateJoinFleet(m, 2, 40, 20, 2, 16, 4, time.Second, seed+2)
+	return m, fleet, admissionConfig(1, &Admission{Queue: 1})
+}
+
 // TestAdmissionShedAndQueueCap: with the shed policy a no-headroom
 // arrival is rejected outright; with a queue cap the overflow waiter
 // is shed while the one under the cap is eventually admitted.
@@ -134,8 +143,8 @@ func TestAdmissionShedAndQueueCap(t *testing.T) {
 		}
 	})
 	t.Run("queue-cap", func(t *testing.T) {
-		fleet := lateJoinFleet(m, 2, 40, 20, 2, 16, 4, time.Second, 117)
-		f, err := New(m, admissionConfig(1, &Admission{Queue: 1}))
+		m, fleet, cfg := queueCapScenario(115)
+		f, err := New(m, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,15 +164,12 @@ func TestAdmissionShedAndQueueCap(t *testing.T) {
 	})
 }
 
-// TestRebalanceAcrossGroups pins the top-level fleet placer: two
-// saturated boards alone in their group (no in-group destination has
-// headroom) while the other group idles is exactly the spread only the
-// cross-group rebalancer can fix.
-func TestRebalanceAcrossGroups(t *testing.T) {
-	m := testModel(119)
-	// RoundRobin: streams 0,1 (16 FPS, saturating a 15 W worker ~4 ×
-	// 72.5 ms per 250 ms epoch) land on boards 0,1 = group 0; streams
-	// 2,3 (2 FPS trickles) on boards 2,3 = group 1.
+// rebalanceScenario is the cross-group spread: RoundRobin homes
+// streams 0,1 (16 FPS, saturating a 15 W worker ~4 × 72.5 ms per
+// 250 ms epoch) on boards 0,1 = group 0 and streams 2,3 (2 FPS
+// trickles) on boards 2,3 = group 1.
+func rebalanceScenario(seed uint64) (*ufld.Model, []*stream.Source, Config) {
+	m := testModel(seed)
 	scheds := make([]serve.StreamSchedule, 4)
 	for i := range scheds {
 		if i < 2 {
@@ -172,8 +178,8 @@ func TestRebalanceAcrossGroups(t *testing.T) {
 			scheds[i] = serve.StreamSchedule{Phases: []stream.RatePhase{{Frames: 8, FPS: 2}}}
 		}
 	}
-	fleet := serve.SyntheticFleetSchedules(m.Cfg, scheds, 119)
-	f, err := New(m, Config{
+	fleet := serve.SyntheticFleetSchedules(m.Cfg, scheds, seed)
+	cfg := Config{
 		Boards:    4,
 		Board:     boardConfig(orin.Mode15W, 1),
 		Placement: RoundRobin{},
@@ -182,7 +188,17 @@ func TestRebalanceAcrossGroups(t *testing.T) {
 		EpochMs:   250,
 		Migrate:   true,
 		GroupSize: 2,
-	})
+	}
+	return m, fleet, cfg
+}
+
+// TestRebalanceAcrossGroups pins the top-level fleet placer: two
+// saturated boards alone in their group (no in-group destination has
+// headroom) while the other group idles is exactly the spread only the
+// cross-group rebalancer can fix.
+func TestRebalanceAcrossGroups(t *testing.T) {
+	m, fleet, cfg := rebalanceScenario(119)
+	f, err := New(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -251,14 +251,13 @@ func TestMembershipSurvivesBoardZero(t *testing.T) {
 	}
 }
 
-// TestRollingUpgrade pins the elastic-membership story: join a fresh
-// board, drain an old one — its streams evacuate live (nothing lost),
-// the leaver retires and stops charging its rail, and the new
-// incarnation takes over serving.
-func TestRollingUpgrade(t *testing.T) {
-	m := testModel(73)
-	fleet := serve.SyntheticFleet(m.Cfg, 4, 24, 4, 73)
-	f, err := New(m, Config{
+// rollingUpgradeScenario is the elastic-membership workload: four
+// steady cameras on two boards, a fresh board joining at epoch 2 and
+// board 0 draining at epoch 3.
+func rollingUpgradeScenario(seed uint64) (*ufld.Model, []*stream.Source, Config) {
+	m := testModel(seed)
+	fleet := serve.SyntheticFleet(m.Cfg, 4, 24, 4, seed)
+	cfg := Config{
 		Boards:    2,
 		Board:     boardConfig(orin.Mode60W, 1),
 		Placement: LeastLoaded{},
@@ -267,7 +266,17 @@ func TestRollingUpgrade(t *testing.T) {
 			{Epoch: 2, Kind: Join},
 			{Epoch: 3, Kind: Drain, Board: 0},
 		}},
-	})
+	}
+	return m, fleet, cfg
+}
+
+// TestRollingUpgrade pins the elastic-membership story: join a fresh
+// board, drain an old one — its streams evacuate live (nothing lost),
+// the leaver retires and stops charging its rail, and the new
+// incarnation takes over serving.
+func TestRollingUpgrade(t *testing.T) {
+	m, fleet, cfg := rollingUpgradeScenario(73)
+	f, err := New(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

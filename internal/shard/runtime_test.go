@@ -60,46 +60,62 @@ func scaleScenario(seed uint64) (*ufld.Model, []*stream.Source, Config) {
 	return m, fleet, cfg
 }
 
+// fleetScenario is one seeded fleet run. The equivalence, rerun and
+// fingerprint pins all build their fleets through these builders, so a
+// scenario is defined once however many pins hold it.
+type fleetScenario struct {
+	name  string
+	build func() (*ufld.Model, []*stream.Source, Config)
+}
+
+// lockstepScenarios are the fleets TestConcurrentMatchesLockstep holds
+// the concurrent runtime to the lockstep reference on.
+var lockstepScenarios = []fleetScenario{
+	{"migration", func() (*ufld.Model, []*stream.Source, Config) {
+		m, fleet, cfg := migrationScenario(53)
+		cfg.Migrate = true
+		return m, fleet, cfg
+	}},
+	{"chaos", func() (*ufld.Model, []*stream.Source, Config) {
+		m, fleet := chaosScenario(67)
+		cfg := chaosConfig(&FailurePlan{Events: []FleetEvent{{Epoch: 8, Kind: Kill, Board: HottestBoard}}})
+		return m, fleet, cfg
+	}},
+	{"rolling-upgrade", func() (*ufld.Model, []*stream.Source, Config) {
+		return rollingUpgradeScenario(73)
+	}},
+	{"scale", func() (*ufld.Model, []*stream.Source, Config) {
+		return scaleScenario(91)
+	}},
+}
+
+// runTraced runs one built fleet with a fresh trace and returns its
+// wall-clock-normalized report and the Chrome trace export.
+func runTraced(t *testing.T, build func() (*ufld.Model, []*stream.Source, Config), lockstep bool) (Report, []byte) {
+	t.Helper()
+	m, fleet, cfg := build()
+	cfg.Lockstep = lockstep
+	cfg.Trace = obs.NewTrace()
+	f, err := New(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := f.Run(fleet)
+	normalizeReport(&rep)
+	var trace bytes.Buffer
+	if err := cfg.Trace.WriteChromeJSON(&trace); err != nil {
+		t.Fatal(err)
+	}
+	return rep, trace.Bytes()
+}
+
 // TestConcurrentMatchesLockstep is the equivalence pin the tentpole is
 // gated on: on every pinned fleet the concurrent runtime must
 // reproduce the serial lockstep coordinator's Report exactly —
 // per-board serve reports, migration and event traces, admissions,
 // energy, everything but host wall time.
 func TestConcurrentMatchesLockstep(t *testing.T) {
-	scenarios := []struct {
-		name  string
-		build func() (*ufld.Model, []*stream.Source, Config)
-	}{
-		{"migration", func() (*ufld.Model, []*stream.Source, Config) {
-			m, fleet, cfg := migrationScenario(53)
-			cfg.Migrate = true
-			return m, fleet, cfg
-		}},
-		{"chaos", func() (*ufld.Model, []*stream.Source, Config) {
-			m, fleet := chaosScenario(67)
-			cfg := chaosConfig(&FailurePlan{Events: []FleetEvent{{Epoch: 8, Kind: Kill, Board: HottestBoard}}})
-			return m, fleet, cfg
-		}},
-		{"rolling-upgrade", func() (*ufld.Model, []*stream.Source, Config) {
-			m := testModel(73)
-			fleet := serve.SyntheticFleet(m.Cfg, 4, 24, 4, 73)
-			cfg := Config{
-				Boards:    2,
-				Board:     boardConfig(orin.Mode60W, 1),
-				Placement: LeastLoaded{},
-				EpochMs:   250,
-				Plan: &FailurePlan{Events: []FleetEvent{
-					{Epoch: 2, Kind: Join},
-					{Epoch: 3, Kind: Drain, Board: 0},
-				}},
-			}
-			return m, fleet, cfg
-		}},
-		{"scale", func() (*ufld.Model, []*stream.Source, Config) {
-			return scaleScenario(91)
-		}},
-	}
-	for _, sc := range scenarios {
+	for _, sc := range lockstepScenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			if testing.Short() && sc.name != "scale" {
@@ -108,24 +124,8 @@ func TestConcurrentMatchesLockstep(t *testing.T) {
 				// acceptance pins make test still runs.
 				t.Skip("equivalence pins run without -short")
 			}
-			run := func(lockstep bool) (Report, []byte) {
-				m, fleet, cfg := sc.build()
-				cfg.Lockstep = lockstep
-				cfg.Trace = obs.NewTrace()
-				f, err := New(m, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep := f.Run(fleet)
-				normalizeReport(&rep)
-				var trace bytes.Buffer
-				if err := cfg.Trace.WriteChromeJSON(&trace); err != nil {
-					t.Fatal(err)
-				}
-				return rep, trace.Bytes()
-			}
-			ref, refTrace := run(true)
-			got, gotTrace := run(false)
+			ref, refTrace := runTraced(t, sc.build, true)
+			got, gotTrace := runTraced(t, sc.build, false)
 			if !reflect.DeepEqual(ref, got) {
 				t.Fatalf("concurrent runtime diverged from lockstep reference:\nlockstep:   %+v\nconcurrent: %+v", ref, got)
 			}
@@ -149,22 +149,8 @@ func TestConcurrentMatchesLockstep(t *testing.T) {
 // scenario produce identical reports, so host goroutine scheduling
 // never leaks into fleet decisions.
 func TestConcurrentRerunDeterministic(t *testing.T) {
-	run := func() (Report, []byte) {
-		m, fleet, cfg := scaleScenario(97)
-		cfg.Trace = obs.NewTrace()
-		f, err := New(m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := f.Run(fleet)
-		normalizeReport(&rep)
-		var trace bytes.Buffer
-		if err := cfg.Trace.WriteChromeJSON(&trace); err != nil {
-			t.Fatal(err)
-		}
-		return rep, trace.Bytes()
-	}
-	a, aTrace := run()
+	build := func() (*ufld.Model, []*stream.Source, Config) { return scaleScenario(97) }
+	a, aTrace := runTraced(t, build, false)
 	// The scale scenario's membership churn must surface in the trace
 	// as control-plane instants (with this seed the killed board homes
 	// no recoverable stream, so failover re-homes are exercised by the
@@ -177,7 +163,7 @@ func TestConcurrentRerunDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism rerun runs without -short")
 	}
-	b, bTrace := run()
+	b, bTrace := runTraced(t, build, false)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("concurrent rerun diverged:\nfirst:  %+v\nsecond: %+v", a, b)
 	}

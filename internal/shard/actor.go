@@ -243,23 +243,23 @@ func (b *board) retire() serve.Report {
 	return rep
 }
 
-// stepBarrier runs one fleet epoch across the live boards: broadcast,
-// then collect — the explicit epoch barrier. Lockstep mode awaits each
-// board before dispatching the next, which is the serial reference
-// execution the concurrent runtime must reproduce bit for bit.
-func (f *Fleet) stepBarrier(stepped []*board, end float64) {
-	if f.cfg.Lockstep {
-		for _, b := range stepped {
-			b.beginStep(end)
-			b.awaitStep()
+// broadcast is the explicit barrier: begin(i) dispatches board i's
+// directive and await(i) collects its reply, both in index order, every
+// dispatch before any collect. Lockstep mode awaits each board before
+// dispatching the next — the serial reference execution the concurrent
+// runtime must reproduce bit for bit.
+func (f *Fleet) broadcast(n int, begin, await func(i int)) {
+	for i := 0; i < n; i++ {
+		begin(i)
+		if f.cfg.Lockstep {
+			await(i)
 		}
+	}
+	if f.cfg.Lockstep {
 		return
 	}
-	for _, b := range stepped {
-		b.beginStep(end)
-	}
-	for _, b := range stepped {
-		b.awaitStep()
+	for i := 0; i < n; i++ {
+		await(i)
 	}
 }
 
@@ -268,19 +268,13 @@ func (f *Fleet) stepBarrier(stepped []*board, end float64) {
 // govern (and an oracle would sweep probes for nothing) — its
 // controller resumes at the first boundary after a stream attaches.
 func (f *Fleet) decideBarrier(stepped []*board) {
-	var waiting []*board
+	var govd []*board
 	for _, b := range stepped {
-		if !b.alive || b.ctl == nil || b.sess.Done() {
-			continue
-		}
-		b.beginDecide(f.cfg.EpochMs)
-		if f.cfg.Lockstep {
-			b.awaitDecide()
-		} else {
-			waiting = append(waiting, b)
+		if b.alive && b.ctl != nil && !b.sess.Done() {
+			govd = append(govd, b)
 		}
 	}
-	for _, b := range waiting {
-		b.awaitDecide()
-	}
+	f.broadcast(len(govd),
+		func(i int) { govd[i].beginDecide(f.cfg.EpochMs) },
+		func(i int) { govd[i].awaitDecide() })
 }

@@ -1,9 +1,6 @@
 package shard
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Admission control. The legacy contract attaches every stream to a
 // board unconditionally at placement time, which at fleet scale means
@@ -87,15 +84,15 @@ func (r *runCtx) admitPass(epoch int, end float64) {
 	if adm == nil || len(r.pending) == 0 {
 		return
 	}
-	f := r.f
+	cfg := &r.f.cfg
 	groups := r.groupView()
 	// Load admitted this boundary, per board: the gate packs against
 	// it so a burst of arrivals cannot all squeeze under the same
 	// stale headroom reading.
-	planned := make(map[*board]float64)
+	pl := r.newPlan()
 	var still []pendingStream
 	for _, p := range r.pending {
-		if p.arrives >= end+f.cfg.EpochMs {
+		if p.arrives >= end+cfg.EpochMs {
 			still = append(still, p) // camera not online yet
 			continue
 		}
@@ -111,9 +108,18 @@ func (r *runCtx) admitPass(epoch int, end float64) {
 		}
 		// Provision by the camera's nominal rate — the same prior cold
 		// recovery uses, since an unattached stream has no forecaster.
-		load := src.FPS * f.cfg.EpochMs / 1000
-		util := load * f.topFrameMs() / (f.cfg.EpochMs * float64(f.workers))
-		dst := r.admitTarget(groups, planned, util, adm.MaxUtil)
+		load := src.FPS * cfg.EpochMs / 1000
+		util := r.util(load)
+		// Hierarchical scoring: groups in ascending mean score (planned
+		// load included), then the least-loaded board of the first group
+		// that fits the stream under the ceiling — the coolest group's
+		// coolest board, found without a fleet-wide stream scan.
+		var dst *board
+		for _, g := range groupsByMean(groups, pl.score) {
+			if dst = pl.pick(groups[g.id], util, adm.MaxUtil); dst != nil {
+				break
+			}
+		}
 		if dst == nil {
 			if adm.Shed || (adm.Queue > 0 && len(still) >= adm.Queue) {
 				r.admitReject(epoch, p)
@@ -122,25 +128,22 @@ func (r *runCtx) admitPass(epoch int, end float64) {
 			}
 			continue
 		}
-		nl := dst.attach(r.eng.NewHandoff(src))
-		dst.local[p.gid] = nl
-		dst.globals = append(dst.globals, p.gid)
-		r.home[p.gid] = dst.id
+		r.rehome(dst, p.gid, r.eng.NewHandoff(src))
 		dropped := len(r.sources[p.gid].Frames) - len(src.Frames)
 		r.admitDropped += dropped
 		r.admissions = append(r.admissions, AdmissionRecord{
 			Epoch: epoch, Stream: p.gid, Board: dst.id,
 			Waited: epoch - p.since, DroppedFrames: dropped,
 		})
-		f.rec.Instant("admit", f.nowMs,
+		r.rec.Instant("admit", r.nowMs,
 			fmt.Sprintf("stream=%d board=%d waited=%d dropped=%d", p.gid, dst.id, epoch-p.since, dropped))
-		f.met.admitted.Add(1)
-		f.met.admitDroppedFrames.Add(int64(dropped))
+		r.met.admitted.Add(1)
+		r.met.admitDroppedFrames.Add(int64(dropped))
 		// Hold the consolidation clock so the admitted stream is not
 		// immediately re-packed while its telemetry is still settling.
 		r.lastCon[p.gid] = epoch
-		planned[dst] += util
-		f.energize(dst, load)
+		pl.add(dst, load, util)
+		r.energize(dst, load)
 	}
 	r.pending = still
 }
@@ -153,52 +156,8 @@ func (r *runCtx) admitReject(epoch int, p pendingStream) {
 		Epoch: epoch, Stream: p.gid, Board: -1,
 		Waited: epoch - p.since, DroppedFrames: len(r.sources[p.gid].Frames), Rejected: true,
 	})
-	r.f.rec.Instant("admit-shed", r.f.nowMs,
+	r.rec.Instant("admit-shed", r.nowMs,
 		fmt.Sprintf("stream=%d waited=%d dropped=%d", p.gid, epoch-p.since, len(r.sources[p.gid].Frames)))
-	r.f.met.admitRejected.Add(1)
-	r.f.met.admitDroppedFrames.Add(int64(len(r.sources[p.gid].Frames)))
-}
-
-// admitTarget scores the gate hierarchically: placement groups in
-// ascending mean forecast-utilization order, then the least-loaded
-// board inside the group that still fits the stream under the ceiling
-// — the coolest group's coolest board, found without a fleet-wide
-// stream scan.
-func (r *runCtx) admitTarget(groups [][]*board, planned map[*board]float64, util, ceiling float64) *board {
-	f := r.f
-	score := func(b *board) float64 { return f.forecastUtil(b) + planned[b] }
-	type gm struct {
-		id   int
-		mean float64
-	}
-	var order []gm
-	for gi, grp := range groups {
-		n, sum := 0, 0.0
-		for _, b := range grp {
-			if b.leaving {
-				continue
-			}
-			n++
-			sum += score(b)
-		}
-		if n > 0 {
-			order = append(order, gm{id: gi, mean: sum / float64(n)})
-		}
-	}
-	sort.SliceStable(order, func(i, j int) bool { return order[i].mean < order[j].mean })
-	for _, g := range order {
-		var dst *board
-		for _, b := range groups[g.id] {
-			if b.leaving || score(b)+util > ceiling {
-				continue
-			}
-			if dst == nil || score(b) < score(dst) {
-				dst = b
-			}
-		}
-		if dst != nil {
-			return dst
-		}
-	}
-	return nil
+	r.met.admitRejected.Add(1)
+	r.met.admitDroppedFrames.Add(int64(len(r.sources[p.gid].Frames)))
 }

@@ -42,8 +42,8 @@ const peakDecay = 0.95
 // cooldown clock; lastSat is read-only here — a stream that saturation
 // migration just rescued must not be packed straight back into the hot
 // spot it escaped.
-func (f *Fleet) consolidate(grp []*board, home, lastSat, lastCon []int,
-	peak []float64, epoch int, migrations []Migration) []Migration {
+func (r *runCtx) consolidate(grp []*board, epoch int) {
+	cfg := &r.f.cfg
 	// Board provisioning loads in utilization units and homed streams,
 	// indexed by position in the group slice.
 	homed := make([][]conHome, len(grp))
@@ -57,18 +57,15 @@ func (f *Fleet) consolidate(grp []*board, home, lastSat, lastCon []int,
 			// block real consolidation elsewhere for the rest of the run.
 			continue
 		}
-		for li, gid := range b.globals {
-			if home[gid] != b.id || b.local[gid] != li {
-				continue
-			}
+		r.eachHomed(b, func(_, gid int) {
 			frames := streamForecast(b, gid)
-			if peak[gid] > frames {
-				frames = peak[gid]
+			if r.peak[gid] > frames {
+				frames = r.peak[gid]
 			}
-			u := frames * f.topFrameMs() / (f.cfg.EpochMs * float64(f.workers))
+			u := r.util(frames)
 			homed[pi] = append(homed[pi], conHome{gid: gid, util: u})
 			loads[pi] += u
-		}
+		})
 	}
 	// The victim is the coldest occupied board; it needs company — a
 	// group already on one board has nothing left to consolidate.
@@ -84,25 +81,24 @@ func (f *Fleet) consolidate(grp []*board, home, lastSat, lastCon []int,
 		}
 	}
 	if occupied < 2 {
-		return migrations
+		return
 	}
 	// Plan the full drain: every victim stream must be off cooldown and
 	// must fit a keeper under the packing ceiling, or nothing moves.
 	streams := append([]conHome(nil), homed[victim]...)
 	sort.SliceStable(streams, func(i, j int) bool { return streams[i].util < streams[j].util })
-	cap := f.cfg.ConsolidateUtil
 	planned := make([]float64, len(grp))
 	dests := make([]int, len(streams))
 	for i, s := range streams {
-		if epoch-lastCon[s.gid] < f.cfg.Cooldown || epoch-lastSat[s.gid] < f.cfg.Cooldown {
-			return migrations
+		if epoch-r.lastCon[s.gid] < cfg.Cooldown || epoch-r.lastSat[s.gid] < cfg.Cooldown {
+			return
 		}
 		dst := -1
 		for pi, b := range grp {
-			if pi == victim || len(homed[pi]) == 0 || f.saturated(b) {
+			if pi == victim || len(homed[pi]) == 0 || r.saturated(b) {
 				continue // keepers only: occupied, healthy, live boards
 			}
-			if loads[pi]+planned[pi]+s.util > cap {
+			if loads[pi]+planned[pi]+s.util > cfg.ConsolidateUtil {
 				continue
 			}
 			if dst < 0 || loads[pi]+planned[pi] < loads[dst]+planned[dst] {
@@ -110,7 +106,7 @@ func (f *Fleet) consolidate(grp []*board, home, lastSat, lastCon []int,
 			}
 		}
 		if dst < 0 {
-			return migrations // no headroom anywhere: the lull is not deep enough
+			return // no headroom anywhere: the lull is not deep enough
 		}
 		dests[i] = dst
 		planned[dst] += s.util
@@ -118,16 +114,13 @@ func (f *Fleet) consolidate(grp []*board, home, lastSat, lastCon []int,
 	// Execute. A stream with no future frames detaches to nil and stays
 	// to drain — it does not keep the board awake, so the drain still
 	// completes.
-	first := len(migrations)
+	first := len(r.migrations)
 	for i, s := range streams {
-		var ok bool
-		migrations, ok = f.move(grp[victim], grp[dests[i]], s.gid, home, epoch, Consolidate, migrations)
-		if ok {
-			lastCon[s.gid] = epoch
+		if r.move(grp[victim], grp[dests[i]], s.gid, epoch, Consolidate) {
+			r.lastCon[s.gid] = epoch
 		}
 	}
-	if len(migrations) > first {
-		migrations[len(migrations)-1].Drained = true
+	if len(r.migrations) > first {
+		r.migrations[len(r.migrations)-1].Drained = true
 	}
-	return migrations
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -153,36 +154,6 @@ type pendingKill struct {
 	lost    int
 }
 
-// runCtx is one Run's mutable fleet state: the board registry, the
-// stream→board map and cooldown clocks, and the fault-tolerance
-// bookkeeping.
-type runCtx struct {
-	f       *Fleet
-	eng     *serve.Engine
-	boards  []*board
-	sources []*stream.Source
-	home    []int
-	lastSat []int
-	lastCon []int
-	peak    []float64
-
-	migrations []Migration
-	events     []EventRecord
-	store      serve.CheckpointStore
-	ckpts      int
-	ckptErrs   int
-	epochs     int
-
-	pendingKills  []pendingKill
-	pendingDrains []*board
-
-	// Admission-gate state (see admission.go): arrivals waiting for
-	// forecast headroom, and the gate's outcome trace.
-	pending      []pendingStream
-	admissions   []AdmissionRecord
-	admitDropped int
-}
-
 // resolve maps an event target to a live, non-leaving board (nil when
 // nothing qualifies — the event is skipped). Hottest/coldest consider
 // only boards homing at least one stream, because killing or draining
@@ -209,7 +180,7 @@ func (r *runCtx) resolve(target int) *board {
 			pick = b
 			continue
 		}
-		u, best := r.f.forecastUtil(b), r.f.forecastUtil(pick)
+		u, best := r.forecastUtil(b), r.forecastUtil(pick)
 		if (target == HottestBoard && u > best) || (target == ColdestBoard && u < best) {
 			pick = b
 		}
@@ -238,7 +209,7 @@ func (r *runCtx) applyEvents(epoch int, end float64) {
 			if b := r.resolve(ev.Board); b != nil {
 				b.leaving = true
 				r.pendingDrains = append(r.pendingDrains, b)
-				r.f.rec.Instant("drain", r.f.nowMs, fmt.Sprintf("board=%d epoch=%d", b.id, epoch))
+				r.rec.Instant("drain", r.nowMs, fmt.Sprintf("board=%d epoch=%d", b.id, epoch))
 			}
 		case Join:
 			id := len(r.boards)
@@ -250,7 +221,7 @@ func (r *runCtx) applyEvents(epoch int, end float64) {
 			b.awaitStep()
 			r.boards = append(r.boards, b)
 			r.events = append(r.events, EventRecord{Epoch: epoch, Kind: Join, Board: id})
-			r.f.rec.Instant("join", r.f.nowMs, fmt.Sprintf("board=%d group=%d epoch=%d", id, b.group, epoch))
+			r.rec.Instant("join", r.nowMs, fmt.Sprintf("board=%d group=%d epoch=%d", id, b.group, epoch))
 		}
 	}
 }
@@ -273,9 +244,9 @@ func (r *runCtx) kill(b *board, epoch int) {
 		}
 	}
 	r.pendingKills = append(r.pendingKills, pk)
-	r.f.rec.Instant("kill", r.f.nowMs,
+	r.rec.Instant("kill", r.nowMs,
 		fmt.Sprintf("board=%d epoch=%d lost=%d orphans=%d", b.id, epoch, pk.lost, len(pk.orphans)))
-	r.f.met.lostFrames.Add(int64(pk.lost))
+	r.met.lostFrames.Add(int64(pk.lost))
 }
 
 // futureSource clips a stream's original source to the frames the
@@ -332,7 +303,6 @@ func (r *runCtx) recoverOrphans(epoch int, end float64) {
 	if len(r.pendingKills) == 0 {
 		return
 	}
-	f := r.f
 	for _, pk := range r.pendingKills {
 		cands := r.survivorCandidates(pk.b.group)
 		ev := EventRecord{Epoch: epoch, Kind: Kill, Board: pk.b.id, LostFrames: pk.lost}
@@ -370,49 +340,30 @@ func (r *runCtx) recoverOrphans(epoch int, end float64) {
 			if o.load <= 0 {
 				// No forecaster history: provision by the camera's nominal
 				// rate, the same prior cold admission uses.
-				o.load = src.FPS * f.cfg.EpochMs / 1000
+				o.load = src.FPS * r.f.cfg.EpochMs / 1000
 			}
 			orphans = append(orphans, o)
 		}
 		sort.SliceStable(orphans, func(i, j int) bool { return orphans[i].load > orphans[j].load })
-		planned := make(map[*board]float64)
-		extra := make(map[*board]float64)
+		p := r.newPlan()
 		for _, o := range orphans {
-			var dst *board
-			score := func(c *board) float64 { return f.forecastUtil(c) + planned[c] }
-			for _, c := range cands {
-				if dst == nil || score(c) < score(dst) {
-					dst = c
-				}
-			}
+			u := r.util(o.load)
+			dst := p.pick(cands, u, math.Inf(1))
 			if dst == nil {
 				break // no survivors: the remaining orphans die with the fleet
 			}
-			nl := dst.attach(o.h)
-			dst.local[o.gid] = nl
-			dst.globals = append(dst.globals, o.gid)
-			r.home[o.gid] = dst.id
-			pk.b.out++
-			dst.in++
-			r.migrations = append(r.migrations, Migration{
-				Epoch: epoch, Stream: o.gid, From: pk.b.id, To: dst.id, Reason: Failover,
-			})
-			// Failover re-homes bypass Fleet.move (the dead board's actor is
-			// gone; the handoff is rebuilt from the checkpoint), so the
-			// migrate instant is emitted here.
-			f.rec.Instant("migrate", f.nowMs,
-				fmt.Sprintf("stream=%d from=%d to=%d reason=%s", o.gid, pk.b.id, dst.id, Failover))
-			f.met.migrations.Add(1)
+			// The dead board's actor is gone and the handoff was rebuilt
+			// from the checkpoint, so there is nothing to detach: the
+			// re-home is an attach plus the move's bookkeeping.
+			r.rehome(dst, o.gid, o.h)
+			r.recordMove(pk.b, dst, o.gid, epoch, Failover)
 			// Hold the consolidation clock so the recovered stream is not
 			// immediately re-packed while its telemetry is still settling.
 			r.lastCon[o.gid] = epoch
-			planned[dst] += o.load * f.topFrameMs() / (f.cfg.EpochMs * float64(f.workers))
-			extra[dst] += o.load
+			p.add(dst, o.load, u)
 			ev.Streams++
 		}
-		for dst, x := range extra {
-			f.energize(dst, x)
-		}
+		p.energize()
 		r.events = append(r.events, ev)
 	}
 	r.pendingKills = nil
@@ -431,7 +382,6 @@ func (r *runCtx) evacuateLeavers(epoch int) {
 	if len(r.pendingDrains) == 0 {
 		return
 	}
-	f := r.f
 	for _, b := range r.pendingDrains {
 		if !b.alive {
 			continue // already retired: it was Done the moment it was marked
@@ -443,43 +393,29 @@ func (r *runCtx) evacuateLeavers(epoch int) {
 			load float64
 		}
 		var items []item
-		for li, gid := range b.globals {
-			if r.home[gid] != b.id || b.local[gid] != li {
-				continue
-			}
+		r.eachHomed(b, func(_, gid int) {
 			items = append(items, item{gid: gid, load: streamForecast(b, gid)})
-		}
+		})
 		sort.SliceStable(items, func(i, j int) bool { return items[i].load < items[j].load })
-		planned := make(map[*board]float64)
-		extra := make(map[*board]float64)
+		p := r.newPlan()
 		first := len(r.migrations)
 		for _, it := range items {
-			var dst *board
-			score := func(c *board) float64 { return f.forecastUtil(c) + planned[c] }
-			for _, c := range cands {
-				if dst == nil || score(c) < score(dst) {
-					dst = c
-				}
-			}
+			u := r.util(it.load)
+			dst := p.pick(cands, u, math.Inf(1))
 			if dst == nil {
 				break // nowhere to go: the board keeps serving until done
 			}
-			var ok bool
-			r.migrations, ok = f.move(b, dst, it.gid, r.home, epoch, Evacuate, r.migrations)
-			if !ok {
+			if !r.move(b, dst, it.gid, epoch, Evacuate) {
 				continue // no future frames: the stream drains in place
 			}
 			r.lastCon[it.gid] = epoch
-			planned[dst] += it.load * f.topFrameMs() / (f.cfg.EpochMs * float64(f.workers))
-			extra[dst] += it.load
+			p.add(dst, it.load, u)
 			ev.Streams++
 		}
 		if len(r.migrations) > first {
 			r.migrations[len(r.migrations)-1].Drained = true
 		}
-		for dst, x := range extra {
-			f.energize(dst, x)
-		}
+		p.energize()
 		r.events = append(r.events, ev)
 	}
 	r.pendingDrains = nil
@@ -499,53 +435,43 @@ func (r *runCtx) checkpointPass(epoch int) {
 		return
 	}
 	type job struct {
-		b       *board
-		globals []int
+		b               *board
+		locals, globals []int
 	}
-	write := func(j job, data [][]byte) {
-		for i, d := range data {
-			if d == nil {
-				r.ckptErrs++
-				continue
-			}
-			if err := r.store.Put(j.globals[i], d); err != nil {
-				r.ckptErrs++
-				continue
-			}
-			r.ckpts++
-		}
-	}
-	c0, e0 := r.ckpts, r.ckptErrs
 	var jobs []job
 	for _, b := range r.boards {
 		if !b.alive {
 			continue
 		}
-		var locals, globals []int
-		for li, gid := range b.globals {
-			if r.home[gid] != b.id || b.local[gid] != li {
-				continue
+		j := job{b: b}
+		r.eachHomed(b, func(li, gid int) {
+			j.locals = append(j.locals, li)
+			j.globals = append(j.globals, gid)
+		})
+		if len(j.locals) > 0 {
+			jobs = append(jobs, j)
+		}
+	}
+	c0, e0 := r.ckpts, r.ckptErrs
+	r.f.broadcast(len(jobs),
+		func(i int) { jobs[i].b.beginCheckpoint(jobs[i].locals, jobs[i].globals, epoch) },
+		func(i int) {
+			for k, d := range jobs[i].b.awaitCheckpoint() {
+				if d == nil {
+					r.ckptErrs++
+					continue
+				}
+				if err := r.store.Put(jobs[i].globals[k], d); err != nil {
+					r.ckptErrs++
+					continue
+				}
+				r.ckpts++
 			}
-			locals = append(locals, li)
-			globals = append(globals, gid)
-		}
-		if len(locals) == 0 {
-			continue
-		}
-		b.beginCheckpoint(locals, globals, epoch)
-		if r.f.cfg.Lockstep {
-			write(job{b: b, globals: globals}, b.awaitCheckpoint())
-			continue
-		}
-		jobs = append(jobs, job{b: b, globals: globals})
-	}
-	for _, j := range jobs {
-		write(j, j.b.awaitCheckpoint())
-	}
+		})
 	if wrote, failed := r.ckpts-c0, r.ckptErrs-e0; wrote > 0 || failed > 0 {
-		r.f.rec.Instant("checkpoint", r.f.nowMs,
+		r.rec.Instant("checkpoint", r.nowMs,
 			fmt.Sprintf("epoch=%d written=%d errors=%d", epoch, wrote, failed))
-		r.f.met.checkpoints.Add(int64(wrote))
-		r.f.met.checkpointErrors.Add(int64(failed))
+		r.met.checkpoints.Add(int64(wrote))
+		r.met.checkpointErrors.Add(int64(failed))
 	}
 }

@@ -1,7 +1,5 @@
 package shard
 
-import "sort"
-
 // Group placers. Boards partition into placement groups of
 // Config.GroupSize (founding board i belongs to group i/GroupSize;
 // joins land in the emptiest group). Saturation migration and lull
@@ -66,23 +64,90 @@ func (r *runCtx) assignGroup() int {
 // failover or evacuation): the migrants' forecasts are not yet in any
 // board's telemetry, so packing decisions this boundary would run on a
 // stale picture of the group.
-func (f *Fleet) runGroups(r *runCtx, epoch int) {
+func (r *runCtx) runGroups(epoch int) {
+	cfg := &r.f.cfg
 	groups := r.groupView()
 	for _, grp := range groups {
 		if len(grp) == 0 {
 			continue
 		}
 		moved := len(r.migrations)
-		if f.cfg.Migrate {
-			r.migrations = f.migrate(grp, r.home, r.lastSat, epoch, r.migrations)
+		if cfg.Migrate {
+			r.migrate(grp, epoch)
 		}
-		if f.cfg.Consolidate && len(r.migrations) == moved {
-			r.migrations = f.consolidate(grp, r.home, r.lastSat, r.lastCon, r.peak, epoch, r.migrations)
+		if cfg.Consolidate && len(r.migrations) == moved {
+			r.consolidate(grp, epoch)
 		}
 	}
-	if f.cfg.Migrate {
+	if cfg.Migrate {
 		r.rebalance(groups, epoch)
 	}
+}
+
+// migrate sheds streams off each saturated board in the group —
+// hottest first, one per eligible destination — onto the group's
+// boards with the most forecast headroom, carrying each stream's
+// adaptation state (and forecaster) through a serve.Handoff. Both the
+// source scan and the destination scoring are O(group): cross-group
+// spreads are the top-level rebalancer's job. A destination takes at
+// most one migrant per boundary: its epoch stats are stale within the
+// pass, and several saturated boards dumping onto the same cool board
+// would just move the hot spot. A single saturated board may shed
+// several streams in one boundary (one per destination) — a board that
+// inherited a packed lull fleet cannot wait an epoch per stream when
+// the burst lands.
+func (r *runCtx) migrate(grp []*board, epoch int) {
+	taken := make(map[*board]bool)
+	for _, src := range grp {
+		if !src.alive || src.leaving || !r.saturated(src) {
+			continue
+		}
+		// Shed at least one stream (the board is missing its target
+		// regardless of what the forecast claims), then keep shedding
+		// until the remaining forecast load fits the same headroom gate
+		// destinations are held to — or the group runs out of cool
+		// boards.
+		remaining := r.forecastUtil(src)
+		for first := true; first || remaining >= r.f.cfg.MaxUtil; first = false {
+			dst := r.coolest(grp, func(c *board) bool { return c == src || taken[c] })
+			if dst == nil {
+				break // nowhere cooler to go: the whole group is hot
+			}
+			gid := r.hottest(src, epoch)
+			if gid < 0 {
+				break
+			}
+			shedFrames := streamForecast(src, gid)
+			if !r.move(src, dst, gid, epoch, Saturate) {
+				break
+			}
+			r.energize(dst, shedFrames)
+			r.lastSat[gid] = epoch
+			taken[dst] = true
+			remaining -= r.util(shedFrames)
+		}
+	}
+}
+
+// hottest picks the stream homed on board src with the highest
+// forecast arrivals for the next epoch — the load whose removal the
+// forecast says relieves the board soonest. Streams still in their
+// saturation-migration cooldown are skipped; consolidation moves do
+// not count against it, so a stream packed during a lull can be
+// rescued the moment the lull ends. Returns -1 when no eligible
+// stream forecasts upcoming arrivals (a saturated board draining
+// backlog sheds nothing by migration).
+func (r *runCtx) hottest(src *board, epoch int) int {
+	best, bestDue := -1, 0.0
+	r.eachHomed(src, func(_, gid int) {
+		if epoch-r.lastSat[gid] < r.f.cfg.Cooldown {
+			return
+		}
+		if due := streamForecast(src, gid); due > bestDue {
+			best, bestDue = gid, due
+		}
+	})
+	return best
 }
 
 // rebalance is the top-level fleet placer. It never looks at
@@ -95,31 +160,12 @@ func (f *Fleet) runGroups(r *runCtx, epoch int) {
 // board onto the cool group's least-loaded board with headroom), so
 // group telemetry catches up between moves.
 func (r *runCtx) rebalance(groups [][]*board, epoch int) {
-	f := r.f
-	type gload struct {
-		id   int
-		mean float64
-	}
-	var loads []gload
-	for gi, grp := range groups {
-		n, sum := 0, 0.0
-		for _, b := range grp {
-			if b.leaving {
-				continue
-			}
-			n++
-			sum += f.forecastUtil(b)
-		}
-		if n > 0 {
-			loads = append(loads, gload{id: gi, mean: sum / float64(n)})
-		}
-	}
+	loads := groupsByMean(groups, r.forecastUtil)
 	if len(loads) < 2 {
 		return
 	}
-	sort.SliceStable(loads, func(i, j int) bool { return loads[i].mean < loads[j].mean })
 	hot, cold := loads[len(loads)-1], loads[0]
-	if hot.mean < f.cfg.MaxUtil || hot.mean-cold.mean < f.cfg.RebalanceGap {
+	if hot.mean < r.f.cfg.MaxUtil || hot.mean-cold.mean < r.f.cfg.RebalanceGap {
 		return
 	}
 	var src *board
@@ -127,32 +173,22 @@ func (r *runCtx) rebalance(groups [][]*board, epoch int) {
 		if b.leaving {
 			continue
 		}
-		if src == nil || f.forecastUtil(b) > f.forecastUtil(src) {
+		if src == nil || r.forecastUtil(b) > r.forecastUtil(src) {
 			src = b
 		}
 	}
-	var dst *board
-	for _, b := range groups[cold.id] {
-		if b.leaving || f.forecastUtil(b) >= f.cfg.MaxUtil || f.saturated(b) {
-			continue
-		}
-		if dst == nil || f.forecastUtil(b) < f.forecastUtil(dst) {
-			dst = b
-		}
-	}
+	dst := r.coolest(groups[cold.id], nil)
 	if src == nil || dst == nil {
 		return
 	}
-	gid := f.hottest(src, r.home, r.lastSat, epoch)
+	gid := r.hottest(src, epoch)
 	if gid < 0 {
 		return
 	}
 	shed := streamForecast(src, gid)
-	var ok bool
-	r.migrations, ok = f.move(src, dst, gid, r.home, epoch, Rebalance, r.migrations)
-	if !ok {
+	if !r.move(src, dst, gid, epoch, Rebalance) {
 		return
 	}
-	f.energize(dst, shed)
+	r.energize(dst, shed)
 	r.lastSat[gid] = epoch
 }

@@ -192,7 +192,7 @@ type Migration struct {
 	Stream int
 	// From and To are board ids.
 	From, To int
-	// Reason is Saturate, Consolidate, Failover or Evacuate.
+	// Reason is Saturate, Consolidate, Failover, Evacuate or Rebalance.
 	Reason string
 	// Drained marks the final move of a consolidation or evacuation
 	// that emptied the source board: every stream it still homed either
@@ -338,28 +338,68 @@ type board struct {
 	futil *obs.Gauge
 }
 
-// Fleet coordinates N governed boards serving one stream fleet.
+// Fleet coordinates N governed boards serving one stream fleet. It is
+// immutable after New: everything one Run mutates lives on its runCtx,
+// so Runs share nothing but the configuration and the model.
 type Fleet struct {
 	cfg    Config
 	model  *ufld.Model
 	topW   int
 	topEff float64
 	ladder []orin.PowerMode
-	// frameMs and workers are run-scoped pricing context (set by Run):
-	// the zero-queue per-frame cost at the configured mode, and the
-	// per-board worker count — the currency placement seeds, migration
-	// headroom gates and consolidation packing all share. refEff is the
-	// configured mode's EffGFLOPS, the rung frameMs was priced at.
-	frameMs float64
-	workers int
-	refEff  float64
+}
+
+// runCtx is one Run's mutable state: the pricing context, the board
+// registry, the stream→board map and cooldown clocks, the
+// fault-tolerance and admission bookkeeping, and the records the
+// Report is built from. Only the coordinator touches it, at barriers.
+type runCtx struct {
+	f       *Fleet
+	eng     *serve.Engine
+	boards  []*board
+	sources []*stream.Source
+
+	// frameMs and workers are the pricing context: the zero-queue
+	// per-frame cost at the configured mode, and the per-board worker
+	// count — the currency placement seeds, migration headroom gates
+	// and consolidation packing all share. refEff is the configured
+	// mode's EffGFLOPS, the rung frameMs was priced at.
+	frameMs, refEff float64
+	workers         int
 	// rec is the coordinator's trace recorder (control-plane instants;
 	// nil when tracing is off), met the fleet-level instrument bundle,
-	// and nowMs the current boundary's fleet clock — run-scoped like
-	// frameMs/workers, written only by the coordinator.
+	// and nowMs the current boundary's fleet clock.
 	rec   *obs.Recorder
 	met   fleetMetrics
 	nowMs float64
+
+	// home maps fleet stream id → current board (-1 while unplaced).
+	// Two cooldown clocks: lastSat guards saturation migration against
+	// ping-pong between hot boards; lastCon keeps consolidation from
+	// re-packing a stream every boundary. They are separate so a stream
+	// packed during a lull stays immediately rescuable when the lull
+	// ends. peak is the per-stream decayed peak of observed epoch
+	// arrivals — the consolidation insurance against square-wave bursts
+	// no causal forecaster sees coming.
+	home             []int
+	lastSat, lastCon []int
+	peak             []float64
+
+	migrations []Migration
+	events     []EventRecord
+	store      serve.CheckpointStore
+	ckpts      int
+	ckptErrs   int
+	epochs     int
+
+	pendingKills  []pendingKill
+	pendingDrains []*board
+
+	// Admission-gate state (see admission.go): arrivals waiting for
+	// forecast headroom, and the gate's outcome trace.
+	pending      []pendingStream
+	admissions   []AdmissionRecord
+	admitDropped int
 }
 
 // fleetMetrics bundles the coordinator's instruments. The zero value
@@ -495,28 +535,18 @@ func (f *Fleet) Run(sources []*stream.Source) Report {
 	// and per-board mutable state lives in each board's Session. Its
 	// per-frame cost also prices the placement forecast.
 	eng := serve.New(f.model, cfg.Board)
-	// The coordinator's recorder must exist before any board's: recorder
-	// creation order is the trace merge's tie-break order, and fleet
-	// instants win equal-timestamp ties against board events.
-	f.rec = cfg.Trace.Recorder(-1, nil)
-	f.met = newFleetMetrics(cfg.Metrics)
-	f.nowMs = 0
-	f.frameMs = eng.FrameLatencyMs(1)
-	f.workers = eng.Config().Workers
-	f.refEff = eng.Config().Mode.EffGFLOPS
-	loads := ForecastLoads(sources, f.frameMs, cfg.EpochMs, eng.Config().Forecast)
-	workers := f.workers
-
-	// Two cooldown clocks: lastSat guards saturation migration against
-	// ping-pong between hot boards; lastCon keeps consolidation from
-	// re-packing a stream every boundary. They are separate so a stream
-	// packed during a lull stays immediately rescuable when the lull
-	// ends. peak is the per-stream decayed peak of observed epoch
-	// arrivals — the consolidation insurance against square-wave bursts
-	// no causal forecaster sees coming.
 	r := &runCtx{
 		f: f, eng: eng, sources: sources,
-		home:    make([]int, len(sources)), // fleet stream id → current board
+		// The coordinator's recorder must exist before any board's:
+		// recorder creation order is the trace merge's tie-break order,
+		// and fleet instants win equal-timestamp ties against board
+		// events.
+		rec:     cfg.Trace.Recorder(-1, nil),
+		met:     newFleetMetrics(cfg.Metrics),
+		frameMs: eng.FrameLatencyMs(1),
+		refEff:  eng.Config().Mode.EffGFLOPS,
+		workers: eng.Config().Workers,
+		home:    make([]int, len(sources)),
 		lastSat: make([]int, len(sources)),
 		lastCon: make([]int, len(sources)),
 		peak:    make([]float64, len(sources)),
@@ -527,11 +557,12 @@ func (f *Fleet) Run(sources []*stream.Source) Report {
 		r.lastCon[i] = -cfg.Cooldown
 		r.home[i] = -1
 	}
+	loads := ForecastLoads(sources, r.frameMs, cfg.EpochMs, eng.Config().Forecast)
 	// With an admission gate, streams that come online later than the
 	// first boundary are withheld from initial placement and queue for
 	// the gate instead; without one every stream is placed up front.
 	upfront := r.splitAdmission()
-	assign := cfg.Placement.Place(pickLoads(loads, upfront), cfg.Boards, workers)
+	assign := cfg.Placement.Place(pickLoads(loads, upfront), cfg.Boards, r.workers)
 	for i, gi := range upfront {
 		r.home[gi] = assign[i]
 	}
@@ -582,27 +613,29 @@ func (f *Fleet) Run(sources []*stream.Source) Report {
 			}
 		}
 		end := now + cfg.EpochMs
-		f.stepBarrier(stepped, end)
+		f.broadcast(len(stepped),
+			func(i int) { stepped[i].beginStep(end) },
+			func(i int) { stepped[i].awaitStep() })
 		r.epochs++
-		f.nowMs = end
-		f.rec.Instant("epoch", end, fmt.Sprintf("epoch=%d boards=%d", epoch, len(stepped)))
+		r.nowMs = end
+		r.rec.Instant("epoch", end, fmt.Sprintf("epoch=%d boards=%d", epoch, len(stepped)))
 		if cfg.Metrics != nil {
 			for _, b := range stepped {
-				b.futil.Set(f.forecastUtil(b))
+				b.futil.Set(r.forecastUtil(b))
 			}
 		}
 		t0 := time.Now()
 		for _, b := range stepped {
-			for li, gid := range b.globals {
-				if r.home[gid] != b.id || b.local[gid] != li || li >= len(b.stats.StreamArrivals) {
-					continue
+			r.eachHomed(b, func(li, gid int) {
+				if li >= len(b.stats.StreamArrivals) {
+					return
 				}
 				if arr := float64(b.stats.StreamArrivals[li]); arr > peakDecay*r.peak[gid] {
 					r.peak[gid] = arr
 				} else {
 					r.peak[gid] = peakDecay * r.peak[gid]
 				}
-			}
+			})
 		}
 		// Membership first: kills and drains change who may be
 		// governed or placed onto at this boundary; joins add fresh
@@ -631,7 +664,7 @@ func (f *Fleet) Run(sources []*stream.Source) Report {
 		r.recoverOrphans(epoch, end)
 		r.evacuateLeavers(epoch)
 		r.admitPass(epoch, end)
-		f.runGroups(r, epoch)
+		r.runGroups(epoch)
 		r.checkpointPass(epoch)
 		coord += time.Since(t0)
 	}
@@ -641,7 +674,7 @@ func (f *Fleet) Run(sources []*stream.Source) Report {
 		}
 	}
 
-	return f.buildReport(r, workers, time.Since(start), coord)
+	return r.buildReport(time.Since(start), coord)
 }
 
 // pickLoads selects the load-forecast entries for the given fleet
@@ -654,208 +687,11 @@ func pickLoads(loads []float64, idx []int) []float64 {
 	return out
 }
 
-// topFrameMs reprices the shared per-frame cost from the configured
-// mode to the fleet's top affordable rung — the capacity currency
-// saturation detection and destination headroom compare against.
-func (f *Fleet) topFrameMs() float64 {
-	if f.refEff <= 0 || f.topEff <= 0 {
-		return f.frameMs
-	}
-	return f.frameMs * f.refEff / f.topEff
-}
-
-// saturated reports whether a board needs load taken off it — a
-// problem the governor cannot resolve with watts, only placement can.
-// Two triggers: the reactive one (the epoch ran pinned at its top
-// rung and still missed the service target) and the predictive one
-// (the forecast demand — next-epoch arrivals plus the backlog already
-// queued — exceeds the board's worker capacity even at top-rung
-// pricing, so waiting for the governor to finish climbing would just
-// let deadlines die in the queue).
-func (f *Fleet) saturated(b *board) bool {
-	es := b.stats
-	if es.Controls.Mode.Watts >= b.satW && es.DeadlineHitRate < f.cfg.TargetHitRate {
-		return true
-	}
-	demand := (es.ForecastArrived + float64(es.QueueDepth)) * f.topFrameMs() / (f.cfg.EpochMs * float64(f.workers))
-	return es.QueueDepth > 0 && demand >= 1
-}
-
-// forecastUtil is a board's predicted next-epoch utilization at its
-// top affordable rung: its streams' forecast arrivals priced at the
-// shared per-frame cost over the epoch. The observed utilization —
-// rescaled from the rung it was measured at to the top rung, because
-// a board running hot at 15 W still has a ladder to climb — is taken
-// as a floor: a board draining backlog is busier than its arrivals
-// suggest.
-func (f *Fleet) forecastUtil(b *board) float64 {
-	es := b.stats
-	u := es.ForecastArrived * f.topFrameMs() / (f.cfg.EpochMs * float64(f.workers))
-	if es.Controls.Mode.EffGFLOPS > 0 && f.topEff > 0 {
-		if obs := es.Utilization * es.Controls.Mode.EffGFLOPS / f.topEff; obs > u {
-			u = obs
-		}
-	}
-	return u
-}
-
-// streamForecast reads one homed stream's next-epoch arrival forecast
-// from its board's last telemetry (zero when the epoch predates the
-// stream's attach).
-func streamForecast(b *board, gid int) float64 {
-	li, ok := b.local[gid]
-	if !ok || li >= len(b.stats.StreamForecasts) {
-		return 0
-	}
-	return b.stats.StreamForecasts[li]
-}
-
-// energize raises a migration destination's power mode when its
-// current rung cannot serve its post-attach forecast demand — a
-// reopened board wakes at whatever rung it froze at (often the ladder
-// floor), and waiting one epoch for its governor to notice the
-// migrant costs exactly the deadlines the move was meant to save. The
-// coordinator knows the incoming load, so it actuates the lowest
-// affordable rung that fits; the board's own controller takes over at
-// the next boundary, by then fed telemetry that includes the migrant.
-// Static deployments are left alone — pinning the mode is their
-// contract.
-func (f *Fleet) energize(dst *board, extraFrames float64) {
-	if dst.ctl == nil || f.cfg.Governor == "static" {
-		return
-	}
-	es := dst.stats
-	demand := es.ForecastArrived + float64(es.QueueDepth) + extraFrames
-	utilAt := func(m orin.PowerMode) float64 {
-		return demand * f.frameMs * f.refEff / m.EffGFLOPS / (f.cfg.EpochMs * float64(f.workers))
-	}
-	cur := dst.sess.Controls()
-	if utilAt(cur.Mode) <= 0.7 {
-		return
-	}
-	for _, m := range f.ladder {
-		if m.Watts <= cur.Mode.Watts {
-			continue
-		}
-		if utilAt(m) <= 0.7 || m.Watts == f.ladder[len(f.ladder)-1].Watts {
-			cur.Mode = m
-			dst.setControls(cur)
-			return
-		}
-	}
-}
-
-// move hands stream gid from src to dst at an epoch boundary — a
-// detach/attach request-reply pair on the two boards' buses, never a
-// direct cross-board session call — and records the migration. Returns
-// false when the stream has no future frames (nothing to migrate — it
-// drains where it is).
-func (f *Fleet) move(src, dst *board, gid int, home []int, epoch int,
-	reason string, migrations []Migration) ([]Migration, bool) {
-	h := src.detach(src.local[gid])
-	if h == nil {
-		return migrations, false
-	}
-	nl := dst.attach(h)
-	delete(src.local, gid)
-	dst.local[gid] = nl
-	dst.globals = append(dst.globals, gid)
-	home[gid] = dst.id
-	src.out++
-	dst.in++
-	f.rec.Instant("migrate", f.nowMs,
-		fmt.Sprintf("stream=%d from=%d to=%d reason=%s", gid, src.id, dst.id, reason))
-	f.met.migrations.Add(1)
-	return append(migrations, Migration{
-		Epoch: epoch, Stream: gid, From: src.id, To: dst.id, Reason: reason,
-	}), true
-}
-
-// migrate sheds streams off each saturated board in the group —
-// hottest first, one per eligible destination — onto the group's
-// boards with the most forecast headroom, carrying each stream's
-// adaptation state (and forecaster) through a serve.Handoff. Both the
-// source scan and the destination scoring are O(group): cross-group
-// spreads are the top-level rebalancer's job. A destination takes at
-// most one migrant per boundary: its epoch stats are stale within the
-// pass, and several saturated boards dumping onto the same cool board
-// would just move the hot spot. A single saturated board may shed
-// several streams in one boundary (one per destination) — a board that
-// inherited a packed lull fleet cannot wait an epoch per stream when
-// the burst lands.
-func (f *Fleet) migrate(grp []*board, home, lastSat []int, epoch int,
-	migrations []Migration) []Migration {
-	taken := make(map[*board]bool)
-	for _, src := range grp {
-		if !src.alive || src.leaving || !f.saturated(src) {
-			continue
-		}
-		// Shed at least one stream (the board is missing its target
-		// regardless of what the forecast claims), then keep shedding
-		// until the remaining forecast load fits the same headroom gate
-		// destinations are held to — or the group runs out of cool
-		// boards.
-		remaining := f.forecastUtil(src)
-		for first := true; first || remaining >= f.cfg.MaxUtil; first = false {
-			var dst *board
-			for _, c := range grp {
-				if c == src || !c.alive || c.leaving || taken[c] ||
-					f.forecastUtil(c) >= f.cfg.MaxUtil || f.saturated(c) {
-					continue
-				}
-				if dst == nil || f.forecastUtil(c) < f.forecastUtil(dst) {
-					dst = c
-				}
-			}
-			if dst == nil {
-				break // nowhere cooler to go: the whole group is hot
-			}
-			gid := f.hottest(src, home, lastSat, epoch)
-			if gid < 0 {
-				break
-			}
-			shedFrames := streamForecast(src, gid)
-			var ok bool
-			migrations, ok = f.move(src, dst, gid, home, epoch, Saturate, migrations)
-			if !ok {
-				break
-			}
-			f.energize(dst, shedFrames)
-			lastSat[gid] = epoch
-			taken[dst] = true
-			remaining -= shedFrames * f.topFrameMs() / (f.cfg.EpochMs * float64(f.workers))
-		}
-	}
-	return migrations
-}
-
-// hottest picks the stream homed on board src with the highest
-// forecast arrivals for the next epoch — the load whose removal the
-// forecast says relieves the board soonest. Streams still in their
-// saturation-migration cooldown are skipped; consolidation moves do
-// not count against it, so a stream packed during a lull can be
-// rescued the moment the lull ends. Returns -1 when no eligible
-// stream forecasts upcoming arrivals (a saturated board draining
-// backlog sheds nothing by migration).
-func (f *Fleet) hottest(src *board, home, lastSat []int, epoch int) int {
-	best, bestDue := -1, 0.0
-	for li, gid := range src.globals {
-		if home[gid] != src.id || src.local[gid] != li ||
-			epoch-lastSat[gid] < f.cfg.Cooldown {
-			continue
-		}
-		if due := streamForecast(src, gid); due > bestDue {
-			best, bestDue = gid, due
-		}
-	}
-	return best
-}
-
 // buildReport finalizes every board incarnation (every actor is
 // stopped by now, so the coordinator owns the sessions again; Finish
 // is idempotent, so killed and retired boards contribute their
 // already-final reports) and aggregates the fleet view.
-func (f *Fleet) buildReport(r *runCtx, workers int, wall, coord time.Duration) Report {
+func (r *runCtx) buildReport(wall, coord time.Duration) Report {
 	rep := Report{
 		Streams:          make([]StreamSummary, len(r.sources)),
 		Migrations:       r.migrations,
@@ -897,7 +733,7 @@ func (f *Fleet) buildReport(r *runCtx, workers int, wall, coord time.Duration) R
 			onMs += es.EndMs - es.StartMs
 			busyMs += es.BusyMs
 		}
-		rep.StrandedMs += onMs*float64(workers) - busyMs
+		rep.StrandedMs += onMs*float64(r.workers) - busyMs
 		// A stream that migrates to the same board twice holds two local
 		// ids there; count distinct boards, not attachments.
 		counted := make(map[int]bool)
@@ -928,8 +764,8 @@ func (f *Fleet) buildReport(r *runCtx, workers int, wall, coord time.Duration) R
 	}
 	// Wall-clock gauges are the one non-deterministic corner of the
 	// registry; trace bytes stay pinned, the dump does not claim to be.
-	f.met.epochs.Set(float64(rep.FleetEpochs))
-	f.met.coordSeconds.Set(rep.CoordSeconds)
-	f.met.wallSec.Set(rep.WallSeconds)
+	r.met.epochs.Set(float64(rep.FleetEpochs))
+	r.met.coordSeconds.Set(rep.CoordSeconds)
+	r.met.wallSec.Set(rep.WallSeconds)
 	return rep
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -132,6 +133,41 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// The restored forecaster predicts exactly what the live one does.
 	if got.Forecast() != s.fc[0].Forecast() {
 		t.Fatalf("restored forecast %v != live %v", got.Forecast(), s.fc[0].Forecast())
+	}
+}
+
+// TestCheckpointV2Golden pins the LDP1 checkpoint layout across
+// commits: testdata/checkpoint_v2.ldp1 is checkpointedSession's stream
+// (Stream 7, Epoch 2) encoded once and committed — past warm-up, with
+// non-zero Adam moments and an open adaptation window. It must still
+// decode, and re-encode to the identical bytes.
+func TestCheckpointV2Golden(t *testing.T) {
+	data, err := os.ReadFile("testdata/checkpoint_v2.ldp1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(testModel(91), migrationConfig())
+	c, err := e.DecodeCheckpoint(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Stream != 7 || c.Epoch != 2 || c.state.opt.step == 0 || len(c.state.pending) == 0 {
+		t.Fatalf("golden decodes to stream %d epoch %d, %d optimizer steps, %d pending",
+			c.Stream, c.Epoch, c.state.opt.step, len(c.state.pending))
+	}
+	moved := false
+	for i := range c.state.opt.m {
+		moved = moved || c.state.opt.m[i] != 0 && c.state.opt.v[i] != 0
+	}
+	if !moved {
+		t.Fatal("golden carries zero optimizer moments")
+	}
+	var again bytes.Buffer
+	if err := EncodeCheckpoint(&again, c); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, again.Bytes()) {
+		t.Fatalf("re-encode diverges from the golden: %d vs %d bytes", again.Len(), len(data))
 	}
 }
 

@@ -82,12 +82,13 @@ purego:
 
 # The serving engine, the fleet coordinator and the tensor matmul pool
 # are the concurrent hot paths; govern drives serve's epoch pipeline,
-# and adapt owns the step every serve worker runs on its replica, so
-# every one of them runs under the race detector. -short skips the
+# adapt owns the step every serve worker runs on its replica, and
+# stream's deploy tests run the engine again, so every one of them runs
+# under the race detector. -short skips the
 # long seeded acceptance pins (they rerun whole fleets and probe no
 # extra concurrency) — make test still runs them race-free.
 race:
-	$(GO) test -race -short ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/govern/... ./internal/tensor/... ./internal/nn/... ./internal/adapt/...
+	$(GO) test -race -short ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/govern/... ./internal/tensor/... ./internal/nn/... ./internal/adapt/... ./internal/stream/...
 
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

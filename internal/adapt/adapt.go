@@ -88,8 +88,11 @@ func DefaultConfig() Config {
 	return Config{LR: 3e-3, UseAdam: true, WarmupSteps: 4, Loss: Entropy, ClipNorm: 10}
 }
 
-// newOptimizer builds the configured optimizer.
-func newOptimizer(cfg Config) nn.Optimizer {
+// NewOptimizer builds the configured update rule — the one constructor
+// behind every adaptation step, the serving engine's included (Adam, or
+// SGD with cfg.Momentum; no weight decay). The state it steps is the
+// caller's nn.OptState.
+func NewOptimizer(cfg Config) nn.Optimizer {
 	if cfg.UseAdam {
 		return nn.NewAdam(cfg.LR)
 	}
@@ -99,12 +102,14 @@ func newOptimizer(cfg Config) nn.Optimizer {
 // Step is the adaptation step every method shares: zero the stepped
 // gradients, forward under the method's mode, unsupervised loss,
 // warm-up gate, one backward pass, clip, one optimizer update — all
-// restricted to one parameter set of one model. It owns the loss
-// scratch, so a steady-state Run allocates nothing.
+// restricted to one parameter set of one model. It owns the update
+// rule and the loss scratch, so a steady-state Run allocates nothing;
+// the optimizer state belongs to the caller.
 type Step struct {
 	model  *ufld.Model
 	params []*nn.Param
 	cfg    Config
+	opt    nn.Optimizer
 	loss   nn.LossScratch
 }
 
@@ -116,17 +121,22 @@ type Step struct {
 // panics rather than silently stepping nothing.
 func NewStep(m *ufld.Model, params []*nn.Param, cfg Config) *Step {
 	nn.SetTrainable(m.Params(), params)
-	return &Step{model: m, params: params, cfg: cfg}
+	return &Step{model: m, params: params, cfg: cfg, opt: NewOptimizer(cfg)}
 }
+
+// NewState returns zero optimizer state laid out over the step's params.
+func (s *Step) NewState() nn.OptState { return nn.NewOptState(nn.ParamCount(s.params)) }
 
 // Run performs one step on the batch x [n,3,H,W] and returns the loss.
 // step is the caller's count of steps already taken: while it is below
 // cfg.WarmupSteps the parameter update is skipped (in Adapt mode the
 // forward still refreshes BN statistics, which is the point of the
-// warmup). The optimizer is a parameter because its state may outlive
-// the model the step runs on (a served stream's moments follow it
-// across worker replicas).
-func (s *Step) Run(x *tensor.Tensor, mode nn.Mode, opt nn.Optimizer, step int) float64 {
+// warmup). opt is the caller's optimizer state, flat over the step's
+// params in order (see nn.OptState): the update advances it in place,
+// and it may outlive the model the step runs on — a served stream's
+// state follows it across worker replicas, whose BN params have the
+// same layout. The update panics if opt is sized for other params.
+func (s *Step) Run(x *tensor.Tensor, mode nn.Mode, opt *nn.OptState, step int) float64 {
 	for _, p := range s.params {
 		if p.Frozen {
 			panic(fmt.Sprintf("adapt: %s is frozen: another Step was built on this model", p.Name))
@@ -149,7 +159,7 @@ func (s *Step) Run(x *tensor.Tensor, mode nn.Mode, opt nn.Optimizer, step int) f
 	if s.cfg.ClipNorm > 0 {
 		nn.ClipGradNorm(s.params, s.cfg.ClipNorm)
 	}
-	opt.Step(s.params)
+	s.opt.Step(s.params, opt)
 	return loss
 }
 
@@ -162,7 +172,7 @@ func (s *Step) Run(x *tensor.Tensor, mode nn.Mode, opt nn.Optimizer, step int) f
 //     scale and shift parameters (γ, β).
 type LDBNAdapt struct {
 	step  *Step
-	opt   nn.Optimizer
+	opt   nn.OptState
 	steps int
 	// LastLoss is the unsupervised loss of the most recent step.
 	LastLoss float64
@@ -170,7 +180,8 @@ type LDBNAdapt struct {
 
 // NewLDBNAdapt wires the method to a deployed model.
 func NewLDBNAdapt(m *ufld.Model, cfg Config) *LDBNAdapt {
-	return &LDBNAdapt{step: NewStep(m, m.BNParams(), cfg), opt: newOptimizer(cfg)}
+	s := NewStep(m, m.BNParams(), cfg)
+	return &LDBNAdapt{step: s, opt: s.NewState()}
 }
 
 // Name returns the paper's name for the method.
@@ -184,7 +195,7 @@ func (a *LDBNAdapt) AdaptedParamCount() int { return nn.ParamCount(a.step.params
 
 // Adapt performs one LD-BN-ADAPT step on an unlabeled batch.
 func (a *LDBNAdapt) Adapt(batch *tensor.Tensor) {
-	a.LastLoss = a.step.Run(batch, nn.Adapt, a.opt, a.steps)
+	a.LastLoss = a.step.Run(batch, nn.Adapt, &a.opt, a.steps)
 	a.steps++
 }
 
@@ -202,14 +213,15 @@ func (a *LDBNAdapt) LastStepLoss() (float64, bool) { return a.LastLoss, a.steps 
 // keeping step counts comparable across methods.
 type weightAdapt struct {
 	step     *Step
-	opt      nn.Optimizer
+	opt      nn.OptState
 	steps    int
 	lastLoss float64
 	hasLoss  bool
 }
 
 func newWeightAdapt(m *ufld.Model, params []*nn.Param, cfg Config) weightAdapt {
-	return weightAdapt{step: NewStep(m, params, cfg), opt: newOptimizer(cfg)}
+	s := NewStep(m, params, cfg)
+	return weightAdapt{step: s, opt: s.NewState()}
 }
 
 // Steps reports adaptation steps taken.
@@ -223,7 +235,7 @@ func (a *weightAdapt) LastStepLoss() (float64, bool) { return a.lastLoss, a.hasL
 func (a *weightAdapt) Adapt(batch *tensor.Tensor) {
 	a.hasLoss = a.steps >= a.step.cfg.WarmupSteps
 	if a.hasLoss {
-		a.lastLoss = a.step.Run(batch, nn.Eval, a.opt, a.steps)
+		a.lastLoss = a.step.Run(batch, nn.Eval, &a.opt, a.steps)
 	}
 	a.steps++
 }

@@ -23,6 +23,7 @@ type refMethod struct {
 	mode       nn.Mode
 	params     []*nn.Param
 	opt        nn.Optimizer
+	state      nn.OptState
 	cfg        Config
 	skipWarmup bool // the weight ablations skip their dead warmup forwards
 	steps      int
@@ -53,7 +54,7 @@ func (r *refMethod) step(x *tensor.Tensor) (float64, bool) {
 	if r.cfg.ClipNorm > 0 {
 		nn.ClipGradNorm(r.params, r.cfg.ClipNorm)
 	}
-	r.opt.Step(r.params)
+	r.opt.Step(r.params, &r.state)
 	return loss, true
 }
 
@@ -62,9 +63,16 @@ func (r *refMethod) Adapt(x *tensor.Tensor) {
 	r.steps++
 }
 
+// newRef builds a reference stepping params with its own optimizer
+// state.
+func newRef(name string, m *ufld.Model, mode nn.Mode, params []*nn.Param, cfg Config, skipWarmup bool) *refMethod {
+	return &refMethod{name: name, m: m, mode: mode, params: params, opt: NewOptimizer(cfg),
+		state: nn.NewOptState(nn.ParamCount(params)), cfg: cfg, skipWarmup: skipWarmup}
+}
+
 // refLDBN is the reference for the paper's method.
 func refLDBN(m *ufld.Model, cfg Config) *refMethod {
-	return &refMethod{name: "LD-BN-ADAPT", m: m, mode: nn.Adapt, params: m.BNParams(), opt: newOptimizer(cfg), cfg: cfg}
+	return newRef("LD-BN-ADAPT", m, nn.Adapt, m.BNParams(), cfg, false)
 }
 
 // stepCases are the three methods, each paired with its reference and
@@ -91,13 +99,13 @@ var stepCases = []struct {
 		[][2]int{{1, 1}, {4, 4}},
 		func(m *ufld.Model, cfg Config) Method { return NewConvAdapt(m, cfg) },
 		func(m *ufld.Model, cfg Config) *refMethod {
-			return &refMethod{name: "CONV-ADAPT", m: m, mode: nn.Eval, params: m.ConvParams(), opt: newOptimizer(cfg), cfg: cfg, skipWarmup: true}
+			return newRef("CONV-ADAPT", m, nn.Eval, m.ConvParams(), cfg, true)
 		}},
 	{"FC-ADAPT", warmup(weightConfig(), 1),
 		[][2]int{{1, 1}, {4, 4}},
 		func(m *ufld.Model, cfg Config) Method { return NewFCAdapt(m, cfg) },
 		func(m *ufld.Model, cfg Config) *refMethod {
-			return &refMethod{name: "FC-ADAPT", m: m, mode: nn.Eval, params: m.FCParams(), opt: newOptimizer(cfg), cfg: cfg, skipWarmup: true}
+			return newRef("FC-ADAPT", m, nn.Eval, m.FCParams(), cfg, true)
 		}},
 }
 

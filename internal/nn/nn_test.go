@@ -181,13 +181,13 @@ func TestSGDReducesQuadratic(t *testing.T) {
 	// Minimize f(w) = ||w - target||² with SGD; gradient = 2(w-target).
 	target := tensor.FromSlice([]float32{1, -2, 3}, 3)
 	p := NewParam("w", tensor.New(3))
-	opt := NewSGD(0.1, 0.9, 0)
+	opt, st := NewSGD(0.1, 0.9, 0), NewOptState(3)
 	for i := 0; i < 100; i++ {
 		p.ZeroGrad()
 		for j := range p.Value.Data {
 			p.Grad.Data[j] = 2 * (p.Value.Data[j] - target.Data[j])
 		}
-		opt.Step([]*Param{p})
+		opt.Step([]*Param{p}, &st)
 	}
 	if !p.Value.AllClose(target, 1e-2) {
 		t.Fatalf("SGD did not converge: %v", p.Value)
@@ -197,13 +197,13 @@ func TestSGDReducesQuadratic(t *testing.T) {
 func TestAdamReducesQuadratic(t *testing.T) {
 	target := tensor.FromSlice([]float32{0.5, -1.5}, 2)
 	p := NewParam("w", tensor.New(2))
-	opt := NewAdam(0.1)
+	opt, st := NewAdam(0.1), NewOptState(2)
 	for i := 0; i < 300; i++ {
 		p.ZeroGrad()
 		for j := range p.Value.Data {
 			p.Grad.Data[j] = 2 * (p.Value.Data[j] - target.Data[j])
 		}
-		opt.Step([]*Param{p})
+		opt.Step([]*Param{p}, &st)
 	}
 	if !p.Value.AllClose(target, 5e-2) {
 		t.Fatalf("Adam did not converge: %v", p.Value)
@@ -212,10 +212,10 @@ func TestAdamReducesQuadratic(t *testing.T) {
 
 func TestSGDWeightDecayShrinks(t *testing.T) {
 	p := NewParam("w", tensor.FromSlice([]float32{10}, 1))
-	opt := NewSGD(0.1, 0, 0.5)
+	opt, st := NewSGD(0.1, 0, 0.5), NewOptState(1)
 	for i := 0; i < 50; i++ {
 		p.ZeroGrad()
-		opt.Step([]*Param{p})
+		opt.Step([]*Param{p}, &st)
 	}
 	if math.Abs(float64(p.Value.Data[0])) > 1 {
 		t.Fatalf("weight decay ineffective: %v", p.Value.Data[0])

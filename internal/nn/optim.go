@@ -1,16 +1,51 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"ldbnadapt/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
+// Optimizer is an update rule: Step applies one update to every
+// parameter from its accumulated gradient and advances the state the
+// caller owns (see OptState). Gradients are left untouched (callers
+// clear them with ZeroGrads).
 type Optimizer interface {
-	// Step applies one update to every parameter and leaves the
-	// gradients untouched (callers clear them with ZeroGrads).
-	Step(params []*Param)
+	Step(params []*Param, s *OptState)
+}
+
+// OptState is an optimizer's state, owned by the caller and laid out
+// flat over the params slice it is stepped with: element i of params[k]
+// lives at offset ParamCount(params[:k]) + i. It holds no pointer to a
+// Param, so it can be copied, checkpointed, or stepped over another
+// model's params with the same sizes in the same order (a served
+// stream's state follows it across worker replicas). Step panics,
+// naming both sizes, when the params' total size differs from the
+// state's.
+type OptState struct {
+	// Step counts the updates applied (Adam's bias correction reads it).
+	Step int
+	// M is Adam's first moment, or SGD's velocity. V is Adam's second
+	// moment; SGD leaves it zero.
+	M, V []float32
+}
+
+// NewOptState returns zero state for n parameter values.
+func NewOptState(n int) OptState {
+	return OptState{M: make([]float32, n), V: make([]float32, n)}
+}
+
+// Clone returns a deep copy of s.
+func (s OptState) Clone() OptState {
+	return OptState{Step: s.Step, M: append([]float32(nil), s.M...), V: append([]float32(nil), s.V...)}
+}
+
+// check panics unless s is laid out over exactly params.
+func (s *OptState) check(params []*Param) {
+	if n := ParamCount(params); n != len(s.M) || n != len(s.V) {
+		panic(fmt.Sprintf("nn: optimizer state holds %d values, params hold %d", len(s.M), n))
+	}
 }
 
 // SGD is stochastic gradient descent with classical momentum and
@@ -22,32 +57,30 @@ type SGD struct {
 	Momentum float64
 	// WeightDecay is the L2 coefficient applied to the parameter value.
 	WeightDecay float64
-
-	velocity map[*Param]*tensor.Tensor
 }
 
 // NewSGD constructs an SGD optimizer.
 func NewSGD(lr, momentum, weightDecay float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay,
-		velocity: make(map[*Param]*tensor.Tensor)}
+	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay}
 }
 
-// Step applies v ← µv + (g + λw); w ← w − lr·v per parameter.
-func (s *SGD) Step(params []*Param) {
+// Step applies v ← µv + (g + λw); w ← w − lr·v per parameter, with the
+// velocity v in s.M.
+func (o *SGD) Step(params []*Param, s *OptState) {
+	s.check(params)
+	s.Step++
+	lr := float32(o.LR)
+	mu := float32(o.Momentum)
+	wd := float32(o.WeightDecay)
+	off := 0
 	for _, p := range params {
-		v := s.velocity[p]
-		if v == nil {
-			v = tensor.New(p.Value.Shape()...)
-			s.velocity[p] = v
-		}
-		lr := float32(s.LR)
-		mu := float32(s.Momentum)
-		wd := float32(s.WeightDecay)
+		v := s.M[off : off+len(p.Value.Data)]
 		for i := range p.Value.Data {
 			g := p.Grad.Data[i] + wd*p.Value.Data[i]
-			v.Data[i] = mu*v.Data[i] + g
-			p.Value.Data[i] -= lr * v.Data[i]
+			v[i] = mu*v[i] + g
+			p.Value.Data[i] -= lr * v[i]
 		}
+		off += len(v)
 	}
 }
 
@@ -61,42 +94,36 @@ type Adam struct {
 	Eps float64
 	// WeightDecay is the L2 coefficient.
 	WeightDecay float64
-
-	step int
-	m, v map[*Param]*tensor.Tensor
 }
 
 // NewAdam constructs an Adam optimizer with standard β parameters.
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[*Param]*tensor.Tensor), v: make(map[*Param]*tensor.Tensor)}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step applies one Adam update to every parameter.
-func (a *Adam) Step(params []*Param) {
-	a.step++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
+// Step applies one Adam update to every parameter, with the moments in
+// s.M and s.V.
+func (a *Adam) Step(params []*Param, s *OptState) {
+	s.check(params)
+	s.Step++
+	bc1 := 1 - math.Pow(a.Beta1, float64(s.Step))
+	bc2 := 1 - math.Pow(a.Beta2, float64(s.Step))
+	b1 := float32(a.Beta1)
+	b2 := float32(a.Beta2)
+	wd := float32(a.WeightDecay)
+	off := 0
 	for _, p := range params {
-		m := a.m[p]
-		v := a.v[p]
-		if m == nil {
-			m = tensor.New(p.Value.Shape()...)
-			v = tensor.New(p.Value.Shape()...)
-			a.m[p] = m
-			a.v[p] = v
-		}
-		b1 := float32(a.Beta1)
-		b2 := float32(a.Beta2)
-		wd := float32(a.WeightDecay)
+		m := s.M[off : off+len(p.Value.Data)]
+		v := s.V[off : off+len(p.Value.Data)]
 		for i := range p.Value.Data {
 			g := p.Grad.Data[i] + wd*p.Value.Data[i]
-			m.Data[i] = b1*m.Data[i] + (1-b1)*g
-			v.Data[i] = b2*v.Data[i] + (1-b2)*g*g
-			mh := float64(m.Data[i]) / bc1
-			vh := float64(v.Data[i]) / bc2
+			m[i] = b1*m[i] + (1-b1)*g
+			v[i] = b2*v[i] + (1-b2)*g*g
+			mh := float64(m[i]) / bc1
+			vh := float64(v[i]) / bc2
 			p.Value.Data[i] -= float32(a.LR * mh / (math.Sqrt(vh) + a.Eps))
 		}
+		off += len(m)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	"ldbnadapt/internal/tensor"
@@ -29,6 +30,7 @@ func TestOptimizerFingerprint(t *testing.T) {
 	} {
 		rng := tensor.NewRNG(29)
 		var params []*Param
+		st := NewOptState(3 + 7 + 13)
 		for i, n := range []int{3, 7, 13} {
 			v := tensor.New(n)
 			rng.FillUniform(v, -1, 1)
@@ -38,7 +40,7 @@ func TestOptimizerFingerprint(t *testing.T) {
 			for _, p := range params {
 				rng.FillUniform(p.Grad, -1, 1)
 			}
-			row.opt.Step(params)
+			row.opt.Step(params, &st)
 		}
 		h := sha256.New()
 		for _, p := range params {
@@ -47,5 +49,25 @@ func TestOptimizerFingerprint(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != row.want {
 			t.Errorf("%s: fingerprint %s, want %s", row.name, got, row.want)
 		}
+	}
+}
+
+// TestOptimizerStateSizeMismatchPanics: stepping state laid out for one
+// params slice over another of a different total size is a bug the
+// optimizers refuse, naming both sizes, instead of silently misaligning
+// the flat offsets.
+func TestOptimizerStateSizeMismatchPanics(t *testing.T) {
+	params := []*Param{NewParam("a", tensor.New(3)), NewParam("b", tensor.New(4))}
+	for _, opt := range []Optimizer{NewAdam(1e-2), NewSGD(1e-2, 0.9, 0)} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "state holds 6 values, params hold 7") {
+					t.Fatalf("%T: panic %q", opt, msg)
+				}
+			}()
+			st := NewOptState(6)
+			opt.Step(params, &st)
+		}()
 	}
 }

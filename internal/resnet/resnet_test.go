@@ -205,7 +205,7 @@ func TestTrainReducesLossOnToyTask(t *testing.T) {
 	gap := nn.NewGlobalAvgPool("gap")
 	head := nn.NewLinear("head", net.OutChannels(), 2, rng)
 	params := append(net.Params(), head.Params()...)
-	opt := nn.NewSGD(0.05, 0.9, 0)
+	opt, st := nn.NewSGD(0.05, 0.9, 0), nn.NewOptState(nn.ParamCount(params))
 
 	x := tensor.New(8, 1, 16, 16)
 	targets := make([]int, 8)
@@ -234,7 +234,7 @@ func TestTrainReducesLossOnToyTask(t *testing.T) {
 		}
 		last = loss
 		net.Backward(gap.Backward(head.Backward(grad)))
-		opt.Step(params)
+		opt.Step(params, &st)
 	}
 	if !(last < first*0.7) {
 		t.Fatalf("training did not reduce loss: %.4f → %.4f", first, last)

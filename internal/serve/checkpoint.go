@@ -106,7 +106,7 @@ func (e *Engine) RestoreHandoff(c *Checkpoint, src *stream.Source) *Handoff {
 // missing or unreadable: the stream survives, its adaptation history
 // does not.
 func (e *Engine) NewHandoff(src *stream.Source) *Handoff {
-	return &Handoff{Source: src, state: newStreamState(e.model, e.cfg.Adapt)}
+	return &Handoff{Source: src, state: newStreamState(e.model)}
 }
 
 // Forecast is the handoff's predicted next-epoch arrival count (zero
@@ -135,7 +135,7 @@ func EncodeCheckpoint(w io.Writer, c *Checkpoint) error {
 		"meta": packF64([]float64{
 			checkpointVersion,
 			float64(c.Stream), float64(c.Epoch), c.FPS,
-			float64(c.sinceAdapt), float64(st.steps), float64(st.opt.step),
+			float64(c.sinceAdapt), float64(st.steps), float64(st.opt.Step),
 			float64(len(st.bn)), float64(len(st.pending)),
 			b2f(c.Quantized),
 		}),
@@ -146,9 +146,9 @@ func EncodeCheckpoint(w io.Writer, c *Checkpoint) error {
 		extras[fmt.Sprintf("bn.%03d.gamma", i)] = tensor.FromSlice(b.Gamma, len(b.Gamma))
 		extras[fmt.Sprintf("bn.%03d.beta", i)] = tensor.FromSlice(b.Beta, len(b.Beta))
 	}
-	if len(st.opt.m) > 0 {
-		extras["opt.m"] = tensor.FromSlice(st.opt.m, len(st.opt.m))
-		extras["opt.v"] = tensor.FromSlice(st.opt.v, len(st.opt.v))
+	if len(st.opt.M) > 0 {
+		extras["opt.m"] = tensor.FromSlice(st.opt.M, len(st.opt.M))
+		extras["opt.v"] = tensor.FromSlice(st.opt.V, len(st.opt.V))
 	}
 	if c.fcKind != "" {
 		extras["fc."+c.fcKind] = packF64(c.fcState)
@@ -230,12 +230,12 @@ func (e *Engine) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		st.bn[i] = src
 		flat += 2 * b.C
 	}
-	st.opt = newBNOpt(e.cfg.Adapt, flat)
-	st.opt.step = int(meta[6])
+	st.opt = nn.NewOptState(flat)
+	st.opt.Step = int(meta[6])
 	for _, mv := range []struct {
 		name string
 		dst  []float32
-	}{{"opt.m", st.opt.m}, {"opt.v", st.opt.v}} {
+	}{{"opt.m", st.opt.M}, {"opt.v", st.opt.V}} {
 		t := extras[mv.name]
 		if t == nil {
 			if flat == 0 {

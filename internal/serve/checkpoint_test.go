@@ -32,8 +32,8 @@ func equalCheckpoints(t *testing.T, want, got *Checkpoint) {
 		t.Fatalf("window position %d, want %d", got.sinceAdapt, want.sinceAdapt)
 	}
 	w, g := want.state, got.state
-	if g.steps != w.steps || g.opt.step != w.opt.step {
-		t.Fatalf("counters diverge: steps %d/%d, opt %d/%d", g.steps, w.steps, g.opt.step, w.opt.step)
+	if g.steps != w.steps || g.opt.Step != w.opt.Step {
+		t.Fatalf("counters diverge: steps %d/%d, opt %d/%d", g.steps, w.steps, g.opt.Step, w.opt.Step)
 	}
 	if len(g.bn) != len(w.bn) {
 		t.Fatalf("%d BN layers, want %d", len(g.bn), len(w.bn))
@@ -46,8 +46,8 @@ func equalCheckpoints(t *testing.T, want, got *Checkpoint) {
 			}
 		}
 	}
-	for i := range w.opt.m {
-		if w.opt.m[i] != g.opt.m[i] || w.opt.v[i] != g.opt.v[i] {
+	for i := range w.opt.M {
+		if w.opt.M[i] != g.opt.M[i] || w.opt.V[i] != g.opt.V[i] {
 			t.Fatalf("optimizer moment %d diverges", i)
 		}
 	}
@@ -96,8 +96,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	defer s.Finish()
 	c := s.Checkpoint(0)
 	c.Stream, c.Epoch = 7, 2
-	if c.state.steps == 0 || c.state.opt.step == 0 {
-		t.Fatalf("scenario too shallow: %d steps, %d opt steps", c.state.steps, c.state.opt.step)
+	if c.state.steps == 0 || c.state.opt.Step == 0 {
+		t.Fatalf("scenario too shallow: %d steps, %d opt steps", c.state.steps, c.state.opt.Step)
 	}
 	if len(c.state.pending) == 0 || c.sinceAdapt == 0 {
 		t.Fatalf("scenario closed its adaptation window: %d pending, window at %d",
@@ -151,13 +151,13 @@ func TestCheckpointV2Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Stream != 7 || c.Epoch != 2 || c.state.opt.step == 0 || len(c.state.pending) == 0 {
+	if c.Stream != 7 || c.Epoch != 2 || c.state.opt.Step == 0 || len(c.state.pending) == 0 {
 		t.Fatalf("golden decodes to stream %d epoch %d, %d optimizer steps, %d pending",
-			c.Stream, c.Epoch, c.state.opt.step, len(c.state.pending))
+			c.Stream, c.Epoch, c.state.opt.Step, len(c.state.pending))
 	}
 	moved := false
-	for i := range c.state.opt.m {
-		moved = moved || c.state.opt.m[i] != 0 && c.state.opt.v[i] != 0
+	for i := range c.state.opt.M {
+		moved = moved || c.state.opt.M[i] != 0 && c.state.opt.V[i] != 0
 	}
 	if !moved {
 		t.Fatal("golden carries zero optimizer moments")
@@ -214,8 +214,8 @@ func TestCheckpointRestoreMatchesHandoff(t *testing.T) {
 	}
 	want := run(false)
 	got := run(true)
-	if want.steps != got.steps || want.opt.step != got.opt.step {
-		t.Fatalf("counters diverge: %d/%d vs %d/%d", got.steps, got.opt.step, want.steps, want.opt.step)
+	if want.steps != got.steps || want.opt.Step != got.opt.Step {
+		t.Fatalf("counters diverge: %d/%d vs %d/%d", got.steps, got.opt.Step, want.steps, want.opt.Step)
 	}
 	for j := range want.bn {
 		for c := range want.bn[j].Mean {
@@ -224,8 +224,8 @@ func TestCheckpointRestoreMatchesHandoff(t *testing.T) {
 			}
 		}
 	}
-	for i := range want.opt.m {
-		if want.opt.m[i] != got.opt.m[i] || want.opt.v[i] != got.opt.v[i] {
+	for i := range want.opt.M {
+		if want.opt.M[i] != got.opt.M[i] || want.opt.V[i] != got.opt.V[i] {
 			t.Fatalf("optimizer moment %d diverges through checkpoint", i)
 		}
 	}

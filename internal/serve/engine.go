@@ -563,8 +563,8 @@ func (wk *worker) serve(pb plannedBatch, states []*streamState, records chan<- e
 
 // adaptLocked runs one LD-BN-ADAPT step for a stream on this worker's
 // replica (caller holds st.mu): swap the stream's BN state in, run
-// adapt.Step — the same step adapt.LDBNAdapt runs, here with the
-// stream's model-portable optimizer and step count — on the window's
+// adapt.Step — the same step adapt.LDBNAdapt runs, here advancing the
+// stream's own optimizer state and step count — on the window's
 // most recent AdaptBatch frames, and capture the refreshed statistics
 // and updated γ/β back out.
 func (wk *worker) adaptLocked(st *streamState) {
@@ -581,7 +581,7 @@ func (wk *worker) adaptLocked(st *streamState) {
 	xa := wk.adaptView.Of(wk.adaptBuf[:nb*chw], nb, 3, mcfg.InputH, mcfg.InputW)
 
 	st.swapInto(wk.bns)
-	wk.step.Run(xa, nn.Adapt, st.opt, st.steps)
+	wk.step.Run(xa, nn.Adapt, &st.opt, st.steps)
 	st.steps++
 	st.captureFrom(wk.bns)
 }

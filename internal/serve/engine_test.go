@@ -120,7 +120,7 @@ func TestEngineAdaptationIsPerStream(t *testing.T) {
 	// the scheduler would tag adaptStep.
 	states := make([]*streamState, 2)
 	for i := range states {
-		states[i] = newStreamState(m, e.cfg.Adapt)
+		states[i] = newStreamState(m)
 	}
 	wk := e.newWorker()
 	records := make(chan execRec, 64)
@@ -137,7 +137,7 @@ func TestEngineAdaptationIsPerStream(t *testing.T) {
 	}
 
 	diffAB, diffA := 0.0, 0.0
-	base := newStreamState(m, e.cfg.Adapt)
+	base := newStreamState(m)
 	for j := range states[0].bn {
 		for c := range states[0].bn[j].Mean {
 			dAB := float64(states[0].bn[j].Mean[c] - states[1].bn[j].Mean[c])

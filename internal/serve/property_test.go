@@ -3,7 +3,6 @@ package serve
 import (
 	"testing"
 
-	"ldbnadapt/internal/adapt"
 	"ldbnadapt/internal/carlane"
 	"ldbnadapt/internal/nn"
 	"ldbnadapt/internal/resnet"
@@ -31,7 +30,7 @@ func testSamples(cfg ufld.Config, n int, seed uint64) []ufld.Sample {
 // perturbedState builds a stream state whose BN snapshot has drifted
 // away from the model's, simulating a stream mid-adaptation.
 func perturbedState(m *ufld.Model, rng *tensor.RNG) *streamState {
-	st := newStreamState(m, adapt.DefaultConfig())
+	st := newStreamState(m)
 	for j := range st.bn {
 		for c := range st.bn[j].Mean {
 			st.bn[j].Mean[c] += float32(rng.Range(-0.2, 0.2))

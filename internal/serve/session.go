@@ -96,7 +96,7 @@ func (e *Engine) NewSession(sources []*stream.Source) *Session {
 		start:     time.Now(),
 	}
 	for i := range s.states {
-		s.states[i] = newStreamState(e.model, e.cfg.Adapt)
+		s.states[i] = newStreamState(e.model)
 	}
 	s.fc = make([]forecast.Forecaster, len(sources))
 	for i := range s.fc {

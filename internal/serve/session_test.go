@@ -97,13 +97,13 @@ func TestMigrationPreservesStreamState(t *testing.T) {
 	if want.steps != got.steps {
 		t.Fatalf("step counters diverge: %d vs %d", got.steps, want.steps)
 	}
-	if want.opt.step != got.opt.step {
-		t.Fatalf("optimizer steps diverge: %d vs %d", got.opt.step, want.opt.step)
+	if want.opt.Step != got.opt.Step {
+		t.Fatalf("optimizer steps diverge: %d vs %d", got.opt.Step, want.opt.Step)
 	}
-	for i := range want.opt.m {
-		if want.opt.m[i] != got.opt.m[i] || want.opt.v[i] != got.opt.v[i] {
+	for i := range want.opt.M {
+		if want.opt.M[i] != got.opt.M[i] || want.opt.V[i] != got.opt.V[i] {
 			t.Fatalf("optimizer moment %d diverges: m %g vs %g, v %g vs %g",
-				i, got.opt.m[i], want.opt.m[i], got.opt.v[i], want.opt.v[i])
+				i, got.opt.M[i], want.opt.M[i], got.opt.V[i], want.opt.V[i])
 		}
 	}
 	for j := range want.bn {

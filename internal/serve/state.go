@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"math"
 	"sync"
 
-	"ldbnadapt/internal/adapt"
 	"ldbnadapt/internal/nn"
 	"ldbnadapt/internal/ufld"
 )
@@ -19,10 +17,9 @@ type streamState struct {
 	mu sync.Mutex
 	// bn holds one source per BN layer, in model.BatchNorms() order.
 	bn []nn.BNSource
-	// opt is the stream's private optimizer over the flattened γ/β
-	// vector (state keyed by offset, not parameter pointer, so it
-	// follows the stream across replicas).
-	opt *bnOpt
+	// opt is the stream's optimizer state over its γ/β, flat in
+	// BNParams() order, so it follows the stream across replicas.
+	opt nn.OptState
 	// steps counts the stream's lifetime adaptation steps (drives
 	// warmup, and survives migration with the stream).
 	steps int
@@ -36,7 +33,7 @@ type streamState struct {
 
 // newStreamState snapshots the deployed model's BN state for one
 // stream.
-func newStreamState(m *ufld.Model, cfg adapt.Config) *streamState {
+func newStreamState(m *ufld.Model) *streamState {
 	bns := m.BatchNorms()
 	st := &streamState{bn: make([]nn.BNSource, len(bns))}
 	flat := 0
@@ -49,7 +46,7 @@ func newStreamState(m *ufld.Model, cfg adapt.Config) *streamState {
 		}
 		flat += 2 * b.C
 	}
-	st.opt = newBNOpt(cfg, flat)
+	st.opt = nn.NewOptState(flat)
 	return st
 }
 
@@ -64,13 +61,8 @@ func (st *streamState) snapshot() *streamState {
 		bn:        make([]nn.BNSource, len(st.bn)),
 		steps:     st.steps,
 		baseSteps: st.steps,
-		opt: &bnOpt{
-			cfg:  st.opt.cfg,
-			step: st.opt.step,
-			m:    append([]float32(nil), st.opt.m...),
-			v:    append([]float32(nil), st.opt.v...),
-		},
-		pending: append([]ufld.Sample(nil), st.pending...),
+		opt:       st.opt.Clone(),
+		pending:   append([]ufld.Sample(nil), st.pending...),
 	}
 	for i, b := range st.bn {
 		cp.bn[i] = nn.BNSource{
@@ -102,57 +94,5 @@ func (st *streamState) captureFrom(bns []*nn.BatchNorm2D) {
 		copy(st.bn[i].Var, b.RunningVar.Data)
 		copy(st.bn[i].Gamma, b.Gamma.Value.Data)
 		copy(st.bn[i].Beta, b.Beta.Value.Data)
-	}
-}
-
-// bnOpt is a per-stream optimizer over the flattened γ/β vector. It
-// mirrors nn.Adam / nn.SGD but keys its moments by flat offset instead
-// of *nn.Param, so a stream's optimizer state is portable across the
-// worker replicas that execute its adaptation steps. It is the
-// nn.Optimizer the shared adapt.Step runs with on the serving path.
-type bnOpt struct {
-	cfg  adapt.Config
-	step int
-	m, v []float32 // Adam moments, or m as SGD velocity
-}
-
-// newBNOpt allocates optimizer state for flat parameters.
-func newBNOpt(cfg adapt.Config, flat int) *bnOpt {
-	return &bnOpt{cfg: cfg, m: make([]float32, flat), v: make([]float32, flat)}
-}
-
-// Step performs one update on the replica's BN params from their
-// accumulated gradients, advancing the stream's moments. The params
-// must be the replica's BNParams() in model order, matching the flat
-// layout the moments were allocated for.
-func (o *bnOpt) Step(params []*nn.Param) {
-	o.step++
-	if o.cfg.UseAdam {
-		const beta1, beta2, eps = 0.9, 0.999, 1e-8
-		bc1 := 1 - math.Pow(beta1, float64(o.step))
-		bc2 := 1 - math.Pow(beta2, float64(o.step))
-		i := 0
-		for _, p := range params {
-			for j := range p.Value.Data {
-				g := p.Grad.Data[j]
-				o.m[i] = beta1*o.m[i] + (1-beta1)*g
-				o.v[i] = beta2*o.v[i] + (1-beta2)*g*g
-				mh := float64(o.m[i]) / bc1
-				vh := float64(o.v[i]) / bc2
-				p.Value.Data[j] -= float32(o.cfg.LR * mh / (math.Sqrt(vh) + eps))
-				i++
-			}
-		}
-		return
-	}
-	lr := float32(o.cfg.LR)
-	mu := float32(o.cfg.Momentum)
-	i := 0
-	for _, p := range params {
-		for j := range p.Value.Data {
-			o.m[i] = mu*o.m[i] + p.Grad.Data[j]
-			p.Value.Data[j] -= lr * o.m[i]
-			i++
-		}
 	}
 }

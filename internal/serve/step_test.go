@@ -25,11 +25,12 @@ type refWorker struct {
 	bns      []*nn.BatchNorm2D
 	bnParams []*nn.Param
 	cfg      adapt.Config
+	opt      nn.Optimizer
 }
 
 func newRefWorker(m *ufld.Model, cfg adapt.Config) *refWorker {
 	r := m.Replica(tensor.NewRNG(1))
-	return &refWorker{model: r, bns: r.BatchNorms(), bnParams: r.BNParams(), cfg: cfg}
+	return &refWorker{model: r, bns: r.BatchNorms(), bnParams: r.BNParams(), cfg: cfg, opt: adapt.NewOptimizer(cfg)}
 }
 
 func (w *refWorker) adapt(st *streamState, window []ufld.Sample) {
@@ -52,7 +53,7 @@ func (w *refWorker) adapt(st *streamState, window []ufld.Sample) {
 		if w.cfg.ClipNorm > 0 {
 			nn.ClipGradNorm(w.bnParams, w.cfg.ClipNorm)
 		}
-		st.opt.Step(w.bnParams)
+		w.opt.Step(w.bnParams, &st.opt)
 	}
 	st.steps++
 	st.captureFrom(w.bns)
@@ -74,8 +75,8 @@ func sameStreamState(t *testing.T, step int, got, ref *streamState) {
 		cmp("gamma", got.bn[j].Gamma, ref.bn[j].Gamma)
 		cmp("beta", got.bn[j].Beta, ref.bn[j].Beta)
 	}
-	cmp("optimizer m", got.opt.m, ref.opt.m)
-	cmp("optimizer v", got.opt.v, ref.opt.v)
+	cmp("optimizer m", got.opt.M, ref.opt.M)
+	cmp("optimizer v", got.opt.V, ref.opt.V)
 	if got.steps != ref.steps {
 		t.Fatalf("step %d: %d lifetime steps, reference %d", step, got.steps, ref.steps)
 	}
@@ -94,7 +95,7 @@ func TestWorkerStepMatchesFullBackward(t *testing.T) {
 		for _, ab := range []int{1, 3} {
 			e := New(m, Config{Workers: 1, MaxBatch: 4, AdaptEvery: ab, AdaptBatch: ab, Adapt: cfg})
 			wk, ref := e.newWorker(), newRefWorker(m, cfg)
-			st, rst := newStreamState(m, cfg), newStreamState(m, cfg)
+			st, rst := newStreamState(m), newStreamState(m)
 			samples := testSamples(m.Cfg, ab*(cfg.WarmupSteps+3), 17)
 			for step := 0; step*ab < len(samples); step++ {
 				window := samples[step*ab : (step+1)*ab]
@@ -103,6 +104,59 @@ func TestWorkerStepMatchesFullBackward(t *testing.T) {
 				ref.adapt(rst, window)
 				sameStreamState(t, step, st, rst)
 			}
+		}
+	}
+}
+
+// TestEngineMatchesRunOnline pins a served stream to the paper's loop
+// itself: one stream on one worker, with every batch exactly one
+// adaptation window of b frames (MaxBatch = AdaptEvery = AdaptBatch = b,
+// and every frame queued at once), must reproduce adapt.RunOnline at
+// batch size b to the bit — online accuracy, step count, and every BN
+// layer's running statistics and γ/β. Rows cover Adam at b 1 and 4 and
+// the SGD/confidence variant.
+func TestEngineMatchesRunOnline(t *testing.T) {
+	m := testModel(32)
+	ds := &ufld.Dataset{Samples: testSamples(m.Cfg, 48, 17)}
+	sgd := adapt.Config{LR: 1e-3, Momentum: 0.9, WarmupSteps: 1, Loss: adapt.Confidence, ClipNorm: 1}
+	for _, row := range []struct {
+		name string
+		b    int
+		cfg  adapt.Config
+	}{
+		{"adam bs=1", 1, adapt.DefaultConfig()},
+		{"adam bs=4", 4, adapt.DefaultConfig()},
+		{"sgd+confidence bs=1", 1, sgd},
+	} {
+		ref := m.Clone(tensor.NewRNG(1))
+		meth := adapt.NewLDBNAdapt(ref, row.cfg)
+		want := adapt.RunOnline(ref, meth, ds, nil, row.b)
+
+		e := New(m, Config{Workers: 1, MaxBatch: row.b, AdaptEvery: row.b, AdaptBatch: row.b, Adapt: row.cfg})
+		s := e.NewSession([]*stream.Source{stream.NewSource(ds, 1e6)})
+		for !s.Done() {
+			s.RunEpoch(s.Now() + 1000)
+		}
+		sr := s.Finish().Streams[0]
+		if math.Float64bits(sr.OnlineAccuracy) != math.Float64bits(want.OnlineAccuracy) {
+			t.Errorf("%s: online accuracy %v, RunOnline %v", row.name, sr.OnlineAccuracy, want.OnlineAccuracy)
+		}
+		if sr.AdaptSteps != meth.Steps() || sr.Frames != want.Frames {
+			t.Errorf("%s: %d steps over %d frames, RunOnline %d over %d", row.name, sr.AdaptSteps, sr.Frames, meth.Steps(), want.Frames)
+		}
+		st, differ := s.states[0], 0
+		for j, b := range ref.BatchNorms() {
+			for c := 0; c < b.C; c++ {
+				if math.Float32bits(st.bn[j].Mean[c]) != math.Float32bits(b.RunningMean.Data[c]) ||
+					math.Float32bits(st.bn[j].Var[c]) != math.Float32bits(b.RunningVar.Data[c]) ||
+					math.Float32bits(st.bn[j].Gamma[c]) != math.Float32bits(b.Gamma.Value.Data[c]) ||
+					math.Float32bits(st.bn[j].Beta[c]) != math.Float32bits(b.Beta.Value.Data[c]) {
+					differ++
+				}
+			}
+		}
+		if differ > 0 {
+			t.Errorf("%s: %d BN channels differ from RunOnline", row.name, differ)
 		}
 	}
 }
@@ -166,7 +220,7 @@ func TestReportMatchesFullBackward(t *testing.T) {
 					row := fmt.Sprintf("%d streams, %v FPS, %s, adapt every %d", streams, fps, mode.Name, every)
 					rep := New(m, Config{Workers: 1, MaxBatch: 1, AdaptEvery: every, Adapt: cfg, Mode: mode}).Run(fleet)
 					for si, src := range fleet {
-						st := newStreamState(m, cfg)
+						st := newStreamState(m)
 						accW, points := 0.0, 0
 						for _, fr := range src.Frames {
 							st.swapInto(ref.bns)

@@ -159,6 +159,7 @@ func (a *Adapter) Run(source, target *ufld.Dataset, rng *tensor.RNG) (*Result, e
 	res.Cost.UpdatedParams = nn.ParamCount(a.model.Params())
 	opt := nn.NewAdam(a.cfg.LR)
 	params := a.model.Params()
+	st := nn.NewOptState(nn.ParamCount(params))
 	// The baseline retrains every parameter, whatever an adaptation
 	// method wired to the model earlier may have frozen.
 	nn.SetTrainable(params, params)
@@ -287,7 +288,7 @@ func (a *Adapter) Run(source, target *ufld.Dataset, rng *tensor.RNG) (*Result, e
 			if a.cfg.ClipNorm > 0 {
 				nn.ClipGradNorm(params, a.cfg.ClipNorm)
 			}
-			opt.Step(params)
+			opt.Step(params, &st)
 			epochLoss += loss
 			batches++
 		}

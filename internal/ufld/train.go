@@ -51,6 +51,7 @@ func TrainSource(m *Model, train *Dataset, tc TrainConfig, rng *tensor.RNG) (flo
 	}
 	opt := nn.NewAdam(tc.LR)
 	params := m.Params()
+	st := nn.NewOptState(nn.ParamCount(params))
 	// Training steps every parameter, whatever an adaptation method
 	// wired to m earlier may have frozen.
 	nn.SetTrainable(params, params)
@@ -83,7 +84,7 @@ func TrainSource(m *Model, train *Dataset, tc TrainConfig, rng *tensor.RNG) (flo
 			if tc.ClipNorm > 0 {
 				nn.ClipGradNorm(params, tc.ClipNorm)
 			}
-			opt.Step(params)
+			opt.Step(params, &st)
 			epochLoss += loss
 			batches++
 		}

@@ -3,7 +3,8 @@
 #   make build   compile everything
 #   make fmt     fail if any file is not gofmt-clean
 #   make vet     static analysis
-#   make test    full unit + property suite (tier-1 gate)
+#   make test    full unit + property suite (tier-1 gate), including
+#                each example's Example golden
 #   make purego  the kernel packages again with -tags purego (the amd64
 #                assembly in internal/tensor — gemm_amd64.s and
 #                elem_amd64.s — compiled out, so the Go kernels — the
@@ -14,7 +15,9 @@
 #                (gemm_generic.go, elem_generic.go) and their build
 #                tags cannot rot; plain `go vet` already checks both
 #                assembly files' frame offsets against their Go
-#                declarations
+#                declarations; and the examples' Example goldens under
+#                the same tag, so every example's printed output is
+#                checked end to end against the Go kernels alone
 #   make race    race-detector pass over the concurrent packages
 #   make bench-smoke  one iteration of every testing.B benchmark in
 #                every package (today the BenchmarkKernel* rows in
@@ -78,7 +81,7 @@ test:
 purego:
 	$(GO) vet -tags purego ./internal/tensor/
 	GOARCH=arm64 $(GO) vet ./internal/tensor/
-	$(GO) test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/resnet/... ./internal/ufld/...
+	$(GO) test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/resnet/... ./internal/ufld/... ./examples/...
 
 # The serving engine, the fleet coordinator and the tensor matmul pool
 # are the concurrent hot paths; govern drives serve's epoch pipeline,

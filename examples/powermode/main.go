@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"ldbnadapt/internal/orin"
@@ -19,11 +20,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "powermode:", err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	c18 := ufld.DescribeModel(ufld.FullScale(resnet.R18, 4))
 	c34 := ufld.DescribeModel(ufld.FullScale(resnet.R34, 4))
-	fmt.Printf("UFLD R-18: %.1f GFLOPs, %.1fM params\n",
+	fmt.Fprintf(w, "UFLD R-18: %.1f GFLOPs, %.1fM params\n",
 		float64(c18.TotalFLOPs())/1e9, float64(c18.TotalParams())/1e6)
-	fmt.Printf("UFLD R-34: %.1f GFLOPs, %.1fM params\n\n",
+	fmt.Fprintf(w, "UFLD R-34: %.1f GFLOPs, %.1fM params\n\n",
 		float64(c34.TotalFLOPs())/1e9, float64(c34.TotalParams())/1e6)
 
 	var estimates []orin.Estimate
@@ -36,17 +44,17 @@ func main() {
 			orin.Candidate{Estimate: e18, Robust: false},
 			orin.Candidate{Estimate: e34, Robust: true})
 	}
-	fmt.Println("latency per power mode (inference + LD-BN-ADAPT, bs=1):")
-	orin.WriteLatencyTable(os.Stdout, estimates)
+	fmt.Fprintln(w, "latency per power mode (inference + LD-BN-ADAPT, bs=1):")
+	orin.WriteLatencyTable(w, estimates)
 
 	ask := func(desc string, req orin.Requirement) {
 		rec, err := orin.Select(req, candidates)
 		if err != nil {
-			fmt.Printf("\n%s\n  -> no feasible deployment (%v)\n", desc, err)
+			fmt.Fprintf(w, "\n%s\n  -> no feasible deployment (%v)\n", desc, err)
 			return
 		}
 		e := rec.Chosen.Estimate
-		fmt.Printf("\n%s\n  -> %s at %s (%.1f ms, %.1f FPS, %.0f mJ/frame); %d feasible options\n",
+		fmt.Fprintf(w, "\n%s\n  -> %s at %s (%.1f ms, %.1f FPS, %.0f mJ/frame); %d feasible options\n",
 			desc, e.ModelName, e.Mode.Name, e.TotalMs, e.FPS(), e.EnergyMJ, len(rec.Feasible))
 	}
 	ask("Q1: strict 30 FPS camera deadline, no power limit?",
@@ -57,4 +65,5 @@ func main() {
 		orin.Requirement{DeadlineMs: orin.Deadline18FPS, MultiTarget: true})
 	ask("Q4: 30 FPS deadline at only 15 W?",
 		orin.Requirement{DeadlineMs: orin.Deadline30FPS, PowerBudgetW: 15})
+	return nil
 }

@@ -1,4 +1,4 @@
-// Quickstart: the end-to-end LD-BN-ADAPT story in one minute.
+// Quickstart: the end-to-end LD-BN-ADAPT story in a few seconds.
 //
 //  1. Generate a CARLANE-style MoLane benchmark (sim source, real
 //     target).
@@ -8,13 +8,16 @@
 //  4. Deploy LD-BN-ADAPT: per-frame, fully unsupervised BN adaptation.
 //  5. Observe the recovered accuracy — no labels, ~1% of parameters.
 //
+// The sizes are small enough for the Example in main_test.go to run
+// the whole program in tier-1; its Output block is what this prints.
+//
 // Run with: go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"ldbnadapt/internal/adapt"
 	"ldbnadapt/internal/carlane"
@@ -26,43 +29,49 @@ import (
 )
 
 func main() {
-	start := time.Now()
-	rng := tensor.NewRNG(7)
-
-	fmt.Println("== 1. generating MoLane benchmark (CARLA-style sim -> model-vehicle target)")
-	bench := carlane.Build(carlane.MoLane, resnet.R18, ufld.Tiny,
-		carlane.Sizes{SourceTrain: 96, SourceVal: 24, TargetTrain: 64, TargetVal: 32}, 11)
-	carlane.WriteBenchmarkTable(os.Stdout, bench)
-
-	fmt.Println("\n== 2. pre-training UFLD R-18 on labeled simulator data")
-	model := ufld.MustNewModel(bench.Cfg, rng)
-	tc := ufld.DefaultTrainConfig()
-	tc.Epochs = 7
-	tc.Log = os.Stdout
-	if _, err := ufld.TrainSource(model, bench.SourceTrain, tc, rng.Split()); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}
-	srcAcc := ufld.Evaluate(model, bench.SourceVal, 8).Accuracy
-	fmt.Printf("   simulator accuracy: %s\n", metrics.FormatPct(srcAcc))
+}
 
-	fmt.Println("\n== 3. deploying into the target domain without adaptation")
+func run(w io.Writer) error {
+	rng := tensor.NewRNG(7)
+
+	fmt.Fprintln(w, "== 1. generating MoLane benchmark (CARLA-style sim -> model-vehicle target)")
+	bench := carlane.Build(carlane.MoLane, resnet.R18, ufld.Tiny,
+		carlane.Sizes{SourceTrain: 40, SourceVal: 16, TargetTrain: 24, TargetVal: 24}, 11)
+	carlane.WriteBenchmarkTable(w, bench)
+
+	fmt.Fprintln(w, "\n== 2. pre-training UFLD R-18 on labeled simulator data")
+	model := ufld.MustNewModel(bench.Cfg, rng)
+	tc := ufld.DefaultTrainConfig()
+	tc.Epochs = 3
+	tc.BatchSize = 2
+	tc.Log = w
+	if _, err := ufld.TrainSource(model, bench.SourceTrain, tc, rng.Split()); err != nil {
+		return err
+	}
+	srcAcc := ufld.Evaluate(model, bench.SourceVal, 8).Accuracy
+	fmt.Fprintf(w, "   simulator accuracy: %s\n", metrics.FormatPct(srcAcc))
+
+	fmt.Fprintln(w, "\n== 3. deploying into the target domain without adaptation")
 	before := ufld.Evaluate(model, bench.TargetVal, 8)
-	fmt.Printf("   target accuracy: %s (prediction entropy %.3f) — the sim-to-real gap\n",
+	fmt.Fprintf(w, "   target accuracy: %s (prediction entropy %.3f) — the sim-to-real gap\n",
 		metrics.FormatPct(before.Accuracy), before.MeanEntropy)
 
-	fmt.Println("\n== 4. enabling LD-BN-ADAPT (batch size 1: adapt after every frame)")
-	fmt.Printf("   adapted parameters: %d of %d (%.1f%%)\n",
+	fmt.Fprintln(w, "\n== 4. enabling LD-BN-ADAPT (batch size 1: adapt after every frame)")
+	fmt.Fprintf(w, "   adapted parameters: %d of %d (%.1f%%)\n",
 		nn.ParamCount(model.BNParams()), nn.ParamCount(model.Params()),
 		100*float64(nn.ParamCount(model.BNParams()))/float64(nn.ParamCount(model.Params())))
 	method := adapt.NewLDBNAdapt(model, adapt.DefaultConfig())
 	res := adapt.RunOnline(model, method, bench.TargetTrain, bench.TargetVal, 1)
-	fmt.Printf("   %d frames streamed, %d adaptation steps\n", res.Frames, method.Steps())
+	fmt.Fprintf(w, "   %d frames streamed, %d adaptation steps\n", res.Frames, method.Steps())
 
-	fmt.Println("\n== 5. results")
+	fmt.Fprintln(w, "\n== 5. results")
 	after := ufld.Evaluate(model, bench.TargetVal, 8)
-	fmt.Printf("   target accuracy: %s -> %s (entropy %.3f -> %.3f)\n",
+	fmt.Fprintf(w, "   target accuracy: %s -> %s (entropy %.3f -> %.3f)\n",
 		metrics.FormatPct(before.Accuracy), metrics.FormatPct(after.Accuracy),
 		before.MeanEntropy, after.MeanEntropy)
-	fmt.Printf("   done in %s\n", time.Since(start).Round(time.Millisecond))
+	return nil
 }

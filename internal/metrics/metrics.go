@@ -60,19 +60,24 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 			}
 		}
 	}
+	// Lines carry no trailing spaces (the last cell is not padded), so a
+	// rendered table can stand verbatim in an Example's Output block:
+	// gofmt strips trailing spaces from comments.
 	var b strings.Builder
 	writeRow := func(cells []string) {
+		var line strings.Builder
 		for i, c := range cells {
 			if i > 0 {
-				b.WriteString("  ")
+				line.WriteString("  ")
 			}
-			b.WriteString(c)
+			line.WriteString(c)
 			if i < len(widths) {
 				for p := len(c); p < widths[i]; p++ {
-					b.WriteByte(' ')
+					line.WriteByte(' ')
 				}
 			}
 		}
+		b.WriteString(strings.TrimRight(line.String(), " "))
 		b.WriteByte('\n')
 	}
 	writeRow(t.header)

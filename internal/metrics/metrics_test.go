@@ -28,6 +28,11 @@ func TestTableRendersAligned(t *testing.T) {
 	if tb.Len() != 2 {
 		t.Fatal("Len wrong")
 	}
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasSuffix(l, " ") {
+			t.Fatalf("line ends in a space: %q", l)
+		}
+	}
 }
 
 func TestMean(t *testing.T) {

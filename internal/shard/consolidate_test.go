@@ -103,6 +103,8 @@ func TestConsolidationCutsFleetEnergy(t *testing.T) {
 	}
 	mig := consolidationScenario(t, false)
 	con := consolidationScenario(t, true)
+	t.Logf("%d frames, hit %.4f vs migrate-only %.4f at %.3f× the energy (static draw %.3f×)",
+		con.Frames, con.HitRate, mig.HitRate, con.EnergyMJ/mig.EnergyMJ, con.IdleEnergyMJ/mig.IdleEnergyMJ)
 
 	if con.HitRate < mig.HitRate {
 		t.Fatalf("consolidation hit rate %.4f below migrate-only's %.4f", con.HitRate, mig.HitRate)

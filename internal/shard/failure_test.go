@@ -76,20 +76,31 @@ func chaosConfig(plan *FailurePlan) Config {
 	}
 }
 
+// lostCheckpoints is a checkpoint store whose writes never persist:
+// every failover misses it and restarts the orphans cold.
+type lostCheckpoints struct{}
+
+func (lostCheckpoints) Put(int, []byte) error            { return nil }
+func (lostCheckpoints) Latest(int) ([]byte, bool, error) { return nil, false, nil }
+
 // TestChaosRecoveryPin is the seeded fault-tolerance acceptance pin:
 // killing the hottest board at the burst peak must re-admit every
 // orphaned stream from its checkpoint at the same boundary (zero
 // recovery epochs, no cold restarts), conserve every frame as served,
 // shed or lost-in-queue, and land within a pinned hit-rate margin of
-// the no-failure run — deterministically.
+// the no-failure run — deterministically. The same kill against a
+// store that lost every write must re-admit the same orphans at the
+// same boundary, all of them cold.
 func TestChaosRecoveryPin(t *testing.T) {
 	m, fleet := chaosScenario(67)
 	total := 0
 	for _, src := range fleet {
 		total += len(src.Frames)
 	}
-	run := func(plan *FailurePlan) Report {
-		f, err := New(m, chaosConfig(plan))
+	run := func(plan *FailurePlan, store serve.CheckpointStore) Report {
+		cfg := chaosConfig(plan)
+		cfg.Checkpoints = store
+		f, err := New(m, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,43 +109,50 @@ func TestChaosRecoveryPin(t *testing.T) {
 	plan := func() *FailurePlan {
 		return &FailurePlan{Events: []FleetEvent{{Epoch: 8, Kind: Kill, Board: HottestBoard}}}
 	}
-	chaos := run(plan())
-
-	if len(chaos.Events) != 1 {
-		t.Fatalf("%d events fired, want 1: %+v", len(chaos.Events), chaos.Events)
-	}
-	ev := chaos.Events[0]
-	if ev.Kind != Kill || ev.Epoch != 8 {
-		t.Fatalf("event %+v, want kill at epoch 8", ev)
-	}
-	// The burst makes board 0 the hottest at the kill boundary.
-	if ev.Board != 0 {
-		t.Fatalf("hottest-board kill resolved to board %d, want 0", ev.Board)
-	}
-	if ev.Streams != 2 || ev.Recovered != 2 || ev.Cold != 0 {
-		t.Fatalf("re-admitted %d streams (%d recovered, %d cold), want 2 from checkpoints",
-			ev.Streams, ev.Recovered, ev.Cold)
-	}
-	// Bounded recovery: every orphan re-admits at the kill boundary
-	// itself, not epochs later.
-	failovers := 0
-	for _, mg := range chaos.Migrations {
-		if mg.Reason == Failover {
-			failovers++
-			if mg.Epoch != 8 || mg.From != 0 {
-				t.Fatalf("failover move %+v, want from board 0 at epoch 8", mg)
+	// checkKill holds one kill run to same-boundary re-admission of both
+	// of board 0's streams, split recovered/cold as given, and to frame
+	// conservation.
+	checkKill := func(label string, rep Report, recovered, cold int) {
+		t.Helper()
+		if len(rep.Events) != 1 {
+			t.Fatalf("%s: %d events fired, want 1: %+v", label, len(rep.Events), rep.Events)
+		}
+		ev := rep.Events[0]
+		if ev.Kind != Kill || ev.Epoch != 8 {
+			t.Fatalf("%s: event %+v, want kill at epoch 8", label, ev)
+		}
+		// The burst makes board 0 the hottest at the kill boundary.
+		if ev.Board != 0 {
+			t.Fatalf("%s: hottest-board kill resolved to board %d, want 0", label, ev.Board)
+		}
+		if ev.Streams != 2 || ev.Recovered != recovered || ev.Cold != cold {
+			t.Fatalf("%s: re-admitted %d streams (%d recovered, %d cold), want 2 (%d recovered, %d cold)",
+				label, ev.Streams, ev.Recovered, ev.Cold, recovered, cold)
+		}
+		// Bounded recovery: every orphan re-admits at the kill boundary
+		// itself, not epochs later.
+		failovers := 0
+		for _, mg := range rep.Migrations {
+			if mg.Reason == Failover {
+				failovers++
+				if mg.Epoch != 8 || mg.From != 0 {
+					t.Fatalf("%s: failover move %+v, want from board 0 at epoch 8", label, mg)
+				}
 			}
 		}
+		if failovers != 2 {
+			t.Fatalf("%s: %d failover moves, want 2", label, failovers)
+		}
+		// Frame conservation: everything the cameras produced was served,
+		// shed, or died in the killed board's queue — nothing vanished.
+		if got := rep.Frames + rep.FramesDropped + rep.LostFrames; got != total {
+			t.Fatalf("%s: served %d + dropped %d + lost %d = %d frames, want %d",
+				label, rep.Frames, rep.FramesDropped, rep.LostFrames, got, total)
+		}
 	}
-	if failovers != 2 {
-		t.Fatalf("%d failover moves, want 2", failovers)
-	}
-	// Frame conservation: everything the cameras produced was served,
-	// shed, or died in the killed board's queue — nothing vanished.
-	if got := chaos.Frames + chaos.FramesDropped + chaos.LostFrames; got != total {
-		t.Fatalf("served %d + dropped %d + lost %d = %d frames, want %d",
-			chaos.Frames, chaos.FramesDropped, chaos.LostFrames, got, total)
-	}
+	chaos := run(plan(), nil)
+	checkKill("checkpointed", chaos, 2, 0)
+
 	// The killed board's report is final and bounded by the kill epoch.
 	dead := chaos.Boards[0]
 	if dead.LeaveEpoch != 8 {
@@ -156,13 +174,17 @@ func TestChaosRecoveryPin(t *testing.T) {
 		t.Fatalf("checkpointing: %d writes, %d errors", chaos.Checkpoints, chaos.CheckpointErrors)
 	}
 
+	// Cold restart: the only run that takes the store-miss branch.
+	checkKill("checkpoints lost", run(plan(), lostCheckpoints{}), 0, 2)
+
 	if testing.Short() {
-		// One chaos run exercises every concurrent recovery path (the race
-		// target's concern); the no-failure comparison and determinism
-		// rerun are seeded acceptance pins make test still covers.
+		// The two kill runs exercise every concurrent recovery path (the
+		// race target's concern); the no-failure comparison and
+		// determinism rerun are seeded acceptance pins make test still
+		// covers.
 		return
 	}
-	nofail := run(nil)
+	nofail := run(nil, nil)
 	if nofail.LostFrames != 0 || len(nofail.Events) != 0 {
 		t.Fatalf("no-failure run lost %d frames, fired %d events", nofail.LostFrames, len(nofail.Events))
 	}
@@ -177,7 +199,7 @@ func TestChaosRecoveryPin(t *testing.T) {
 		t.Fatalf("recovery goodput %.4f collapsed against no-failure %.4f",
 			goodput(chaos), goodput(nofail))
 	}
-	again := run(plan())
+	again := run(plan(), nil)
 	if again.Frames != chaos.Frames || again.HitRate != chaos.HitRate ||
 		again.EnergyMJ != chaos.EnergyMJ || again.LostFrames != chaos.LostFrames ||
 		len(again.Migrations) != len(chaos.Migrations) {

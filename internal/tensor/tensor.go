@@ -135,7 +135,9 @@ func (t *Tensor) offset(idx []int) int {
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+			// Format the failing axis, not idx: a formatted idx escapes,
+			// and every variadic At/Set call would then allocate.
+			panic(fmt.Sprintf("tensor: index %d on axis %d out of range for shape %v", x, i, t.shape))
 		}
 		off = off*t.shape[i] + x
 	}

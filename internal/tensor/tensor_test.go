@@ -274,3 +274,16 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 		t.Fatal("empty input accepted")
 	}
 }
+
+// TestAtSetAllocationFree pins that the variadic element accessors do
+// not heap-allocate their index slice: every pixel pass of the CARLANE
+// renderer goes through them.
+func TestAtSetAllocationFree(t *testing.T) {
+	x := New(3, 4, 5)
+	allocs := testing.AllocsPerRun(100, func() {
+		x.Set(x.At(2, 3, 4)+1, 1, 2, 3)
+	})
+	if allocs != 0 {
+		t.Fatalf("At+Set allocate %.1f times, want 0", allocs)
+	}
+}

@@ -71,3 +71,59 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	}
 	t.Logf("%.2f allocs/epoch in the quietest window (budget %.0f)", quietest, budget)
 }
+
+// TestStreamSnapshotAllocs pins the cost of copying a stream's state
+// for a checkpoint or a migration: the struct, one BN slab and its
+// views, and the two optimizer moment slices. An empty window adds
+// nothing. Per-layer BN slices would cost four objects per layer.
+func TestStreamSnapshotAllocs(t *testing.T) {
+	st := newStreamState(testModel(7))
+	allocs := testing.AllocsPerRun(50, func() { st.snapshot() })
+	if allocs > 5 {
+		t.Fatalf("snapshot allocates %.0f times, want <= 5", allocs)
+	}
+}
+
+// TestStreamStateSlabLayout pins the BN slab's layout: the views alias
+// the slab, the first half holds µ|σ² per layer in BatchNorms() order,
+// and the second half is γ|β in BNParams() order — element for element
+// the layout of the stream's optimizer state.
+func TestStreamStateSlabLayout(t *testing.T) {
+	m := testModel(7)
+	st := newStreamState(m)
+	half := len(st.slab) / 2
+	if len(st.opt.M) != half {
+		t.Fatalf("optimizer state holds %d values, slab half %d", len(st.opt.M), half)
+	}
+	same := func(view, want []float32, at int) bool {
+		if len(view) != len(want) || &view[0] != &st.slab[at] {
+			return false
+		}
+		for c := range want {
+			if view[c] != want[c] {
+				return false
+			}
+		}
+		return true
+	}
+	off := 0
+	for j, b := range m.BatchNorms() {
+		if !same(st.bn[j].Mean, b.RunningMean.Data, off) || !same(st.bn[j].Var, b.RunningVar.Data, off+b.C) {
+			t.Fatalf("layer %d statistics are not at slab offset %d", j, off)
+		}
+		off += 2 * b.C
+	}
+	for k, p := range m.BNParams() {
+		view := st.bn[k/2].Gamma
+		if k%2 == 1 {
+			view = st.bn[k/2].Beta
+		}
+		if !same(view, p.Value.Data, off) {
+			t.Fatalf("BN param %d is not at slab offset %d", k, off)
+		}
+		off += p.Value.Size()
+	}
+	if off != len(st.slab) {
+		t.Fatalf("layout covers %d of %d slab values", off, len(st.slab))
+	}
+}

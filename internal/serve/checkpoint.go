@@ -140,15 +140,10 @@ func EncodeCheckpoint(w io.Writer, c *Checkpoint) error {
 			b2f(c.Quantized),
 		}),
 	}
-	for i, b := range st.bn {
-		extras[fmt.Sprintf("bn.%03d.mean", i)] = tensor.FromSlice(b.Mean, len(b.Mean))
-		extras[fmt.Sprintf("bn.%03d.var", i)] = tensor.FromSlice(b.Var, len(b.Var))
-		extras[fmt.Sprintf("bn.%03d.gamma", i)] = tensor.FromSlice(b.Gamma, len(b.Gamma))
-		extras[fmt.Sprintf("bn.%03d.beta", i)] = tensor.FromSlice(b.Beta, len(b.Beta))
-	}
-	if len(st.opt.M) > 0 {
-		extras["opt.m"] = tensor.FromSlice(st.opt.M, len(st.opt.M))
-		extras["opt.v"] = tensor.FromSlice(st.opt.V, len(st.opt.V))
+	for _, l := range st.lanes() {
+		if len(l.data) > 0 {
+			extras[l.name] = tensor.FromSlice(l.data, len(l.data))
+		}
 	}
 	if c.fcKind != "" {
 		extras["fc."+c.fcKind] = packF64(c.fcState)
@@ -199,54 +194,21 @@ func (e *Engine) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if nBN != len(bns) {
 		return nil, fmt.Errorf("serve: checkpoint has %d BN layers, model has %d", nBN, len(bns))
 	}
-	st := &streamState{bn: make([]nn.BNSource, nBN), steps: int(meta[5])}
+	st := &streamState{steps: int(meta[5])}
 	st.baseSteps = st.steps
-	flat := 0
-	for i, b := range bns {
-		lane := func(kind string) ([]float32, error) {
-			t := extras[fmt.Sprintf("bn.%03d.%s", i, kind)]
-			if t == nil {
-				return nil, fmt.Errorf("serve: checkpoint is missing bn.%03d.%s", i, kind)
-			}
-			if t.Size() != b.C {
-				return nil, fmt.Errorf("serve: checkpoint bn.%03d.%s has %d channels, model has %d",
-					i, kind, t.Size(), b.C)
-			}
-			return t.Data, nil
-		}
-		var src nn.BNSource
-		if src.Mean, err = lane("mean"); err != nil {
-			return nil, err
-		}
-		if src.Var, err = lane("var"); err != nil {
-			return nil, err
-		}
-		if src.Gamma, err = lane("gamma"); err != nil {
-			return nil, err
-		}
-		if src.Beta, err = lane("beta"); err != nil {
-			return nil, err
-		}
-		st.bn[i] = src
-		flat += 2 * b.C
-	}
-	st.opt = nn.NewOptState(flat)
+	st.slab, st.bn = newBNSlab(bns)
+	st.opt = nn.NewOptState(len(st.slab) / 2)
 	st.opt.Step = int(meta[6])
-	for _, mv := range []struct {
-		name string
-		dst  []float32
-	}{{"opt.m", st.opt.M}, {"opt.v", st.opt.V}} {
-		t := extras[mv.name]
-		if t == nil {
-			if flat == 0 {
-				continue
-			}
-			return nil, fmt.Errorf("serve: checkpoint is missing %s", mv.name)
+	for _, l := range st.lanes() {
+		switch t := extras[l.name]; {
+		case t == nil && len(l.data) == 0:
+		case t == nil:
+			return nil, fmt.Errorf("serve: checkpoint is missing %s", l.name)
+		case t.Size() != len(l.data):
+			return nil, fmt.Errorf("serve: checkpoint %s has %d values, model needs %d", l.name, t.Size(), len(l.data))
+		default:
+			copy(l.data, t.Data)
 		}
-		if t.Size() != flat {
-			return nil, fmt.Errorf("serve: checkpoint %s has %d moments, model needs %d", mv.name, t.Size(), flat)
-		}
-		copy(mv.dst, t.Data)
 	}
 	st.pending = make([]ufld.Sample, nPending)
 	for i := range st.pending {
@@ -277,6 +239,24 @@ func (e *Engine) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		}
 	}
 	return c, nil
+}
+
+// lane is one named float32 record of a checkpoint.
+type lane struct {
+	name string
+	data []float32
+}
+
+// lanes names the state's float32 records as the v2 layout stores
+// them: four per BN layer, then the two optimizer moments.
+func (st *streamState) lanes() []lane {
+	ls := make([]lane, 0, 4*len(st.bn)+2)
+	for i, v := range st.bn {
+		for _, l := range [4]lane{{"mean", v.Mean}, {"var", v.Var}, {"gamma", v.Gamma}, {"beta", v.Beta}} {
+			ls = append(ls, lane{fmt.Sprintf("bn.%03d.%s", i, l.name), l.data})
+		}
+	}
+	return append(ls, lane{"opt.m", st.opt.M}, lane{"opt.v", st.opt.V})
 }
 
 // b2f encodes a bool as a meta lane.

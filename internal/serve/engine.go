@@ -442,10 +442,10 @@ type worker struct {
 	step    *adapt.Step
 	decoder ufld.Decoder
 
-	inBuf    []float32       // [MaxBatch, 3, H, W] assembly buffer
-	adaptBuf []float32       // [AdaptBatch, 3, H, W] adaptation buffer
-	srcs     [][]nn.BNSource // per BN layer: per-sample state copies
-	srcPtrs  [][]*nn.BNSource
+	inBuf    []float32        // [MaxBatch, 3, H, W] assembly buffer
+	adaptBuf []float32        // [AdaptBatch, 3, H, W] adaptation buffer
+	slabs    [][]float32      // per batch slot: its stream's BN slab
+	srcPtrs  [][]*nn.BNSource // per BN layer: per-slot views into slabs
 
 	// inView and adaptView are cached headers over the assembly
 	// buffers, so the steady-state serve loop builds its batch tensors
@@ -463,19 +463,13 @@ func (e *Engine) newWorker() *worker {
 	chw := 3 * m.Cfg.InputH * m.Cfg.InputW
 	wk.inBuf = make([]float32, e.cfg.MaxBatch*chw)
 	wk.adaptBuf = make([]float32, e.cfg.AdaptBatch*chw)
-	wk.srcs = make([][]nn.BNSource, len(wk.bns))
+	wk.slabs = make([][]float32, e.cfg.MaxBatch)
 	wk.srcPtrs = make([][]*nn.BNSource, len(wk.bns))
-	for j, b := range wk.bns {
-		wk.srcs[j] = make([]nn.BNSource, e.cfg.MaxBatch)
-		wk.srcPtrs[j] = make([]*nn.BNSource, e.cfg.MaxBatch)
-		for i := range wk.srcs[j] {
-			wk.srcs[j][i] = nn.BNSource{
-				Mean:  make([]float32, b.C),
-				Var:   make([]float32, b.C),
-				Gamma: make([]float32, b.C),
-				Beta:  make([]float32, b.C),
-			}
-			wk.srcPtrs[j][i] = &wk.srcs[j][i]
+	for i := range wk.slabs {
+		var views []nn.BNSource
+		wk.slabs[i], views = newBNSlab(wk.bns)
+		for j := range views {
+			wk.srcPtrs[j] = append(wk.srcPtrs[j], &views[j])
 		}
 	}
 	return wk
@@ -506,13 +500,7 @@ func (wk *worker) serve(pb plannedBatch, states []*streamState, records chan<- e
 		copy(wk.inBuf[i*chw:(i+1)*chw], img.Data)
 		st := states[pf.stream]
 		st.mu.Lock()
-		for j := range wk.bns {
-			dst := &wk.srcs[j][i]
-			copy(dst.Mean, st.bn[j].Mean)
-			copy(dst.Var, st.bn[j].Var)
-			copy(dst.Gamma, st.bn[j].Gamma)
-			copy(dst.Beta, st.bn[j].Beta)
-		}
+		copy(wk.slabs[i], st.slab)
 		st.mu.Unlock()
 	}
 

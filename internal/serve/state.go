@@ -8,17 +8,21 @@ import (
 )
 
 // streamState is everything one camera stream owns while being served:
-// a snapshot of every BatchNorm layer's state (running statistics and
-// the γ/β parameters LD-BN-ADAPT updates), the stream's optimizer
-// moments, and its pending adaptation window. Workers swap this state
-// into whichever model replica happens to process the stream, so the
-// stream's adaptation trajectory is independent of worker scheduling.
+// its BatchNorm state (running statistics and the γ/β LD-BN-ADAPT
+// updates), its optimizer moments, and its pending adaptation window.
+// Workers swap this state into whichever replica serves the stream, so
+// the replica choice does not matter. The order does: at Workers > 1,
+// st.mu stops tearing, but the Go scheduler decides whether a batch on
+// one worker sees the stream's step running on another.
 type streamState struct {
 	mu sync.Mutex
-	// bn holds one source per BN layer, in model.BatchNorms() order.
-	bn []nn.BNSource
+	// slab is the stream's whole BN state in one allocation, laid out
+	// by bnViews; bn holds its per-layer views, in BatchNorms() order.
+	slab []float32
+	bn   []nn.BNSource
 	// opt is the stream's optimizer state over its γ/β, flat in
-	// BNParams() order, so it follows the stream across replicas.
+	// BNParams() order — the same order as the second half of slab — so
+	// it follows the stream across replicas.
 	opt nn.OptState
 	// steps counts the stream's lifetime adaptation steps (drives
 	// warmup, and survives migration with the stream).
@@ -31,22 +35,43 @@ type streamState struct {
 	pending []ufld.Sample
 }
 
+// bnViews returns n per-layer views into a BN slab, layer j being
+// width(j) channels wide. The slab's first half holds µ|σ² per layer in
+// BatchNorms() order; its second half holds γ|β per layer in BNParams()
+// order, so it lines up element for element with an nn.OptState over
+// those parameters.
+func bnViews(slab []float32, n int, width func(j int) int) []nn.BNSource {
+	views := make([]nn.BNSource, n)
+	stats, affine := slab[:len(slab)/2], slab[len(slab)/2:]
+	for j := range views {
+		c := width(j)
+		views[j] = nn.BNSource{
+			Mean: stats[:c:c], Var: stats[c : 2*c : 2*c],
+			Gamma: affine[:c:c], Beta: affine[c : 2*c : 2*c],
+		}
+		stats, affine = stats[2*c:], affine[2*c:]
+	}
+	return views
+}
+
+// newBNSlab allocates a zeroed BN slab for layers bns and its views.
+func newBNSlab(bns []*nn.BatchNorm2D) ([]float32, []nn.BNSource) {
+	n := 0
+	for _, b := range bns {
+		n += 4 * b.C
+	}
+	slab := make([]float32, n)
+	return slab, bnViews(slab, len(bns), func(j int) int { return bns[j].C })
+}
+
 // newStreamState snapshots the deployed model's BN state for one
 // stream.
 func newStreamState(m *ufld.Model) *streamState {
 	bns := m.BatchNorms()
-	st := &streamState{bn: make([]nn.BNSource, len(bns))}
-	flat := 0
-	for i, b := range bns {
-		st.bn[i] = nn.BNSource{
-			Mean:  append([]float32(nil), b.RunningMean.Data...),
-			Var:   append([]float32(nil), b.RunningVar.Data...),
-			Gamma: append([]float32(nil), b.Gamma.Value.Data...),
-			Beta:  append([]float32(nil), b.Beta.Value.Data...),
-		}
-		flat += 2 * b.C
-	}
-	st.opt = nn.NewOptState(flat)
+	st := &streamState{}
+	st.slab, st.bn = newBNSlab(bns)
+	st.captureFrom(bns)
+	st.opt = nn.NewOptState(len(st.slab) / 2)
 	return st
 }
 
@@ -58,20 +83,13 @@ func (st *streamState) snapshot() *streamState {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	cp := &streamState{
-		bn:        make([]nn.BNSource, len(st.bn)),
+		slab:      append([]float32(nil), st.slab...),
 		steps:     st.steps,
 		baseSteps: st.steps,
 		opt:       st.opt.Clone(),
 		pending:   append([]ufld.Sample(nil), st.pending...),
 	}
-	for i, b := range st.bn {
-		cp.bn[i] = nn.BNSource{
-			Mean:  append([]float32(nil), b.Mean...),
-			Var:   append([]float32(nil), b.Var...),
-			Gamma: append([]float32(nil), b.Gamma...),
-			Beta:  append([]float32(nil), b.Beta...),
-		}
-	}
+	cp.bn = bnViews(cp.slab, len(st.bn), func(j int) int { return len(st.bn[j].Mean) })
 	return cp
 }
 

@@ -164,9 +164,9 @@ func EncodeCheckpoint(w io.Writer, c *Checkpoint) error {
 // validates it against this engine's deployed model: the BN layer
 // count and per-layer widths must match, because the state is about
 // to be swapped into this model's replicas. Truncated data, a foreign
-// magic, or a mismatched model are all errors — a failover that
-// cannot trust a checkpoint must fall back to cold state, never to a
-// torn one.
+// magic, a mismatched model, or a pending window whose count or frame
+// size cannot be right are all errors — a failover that cannot trust a
+// checkpoint must fall back to cold state, never to a torn one.
 func (e *Engine) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	extras, err := nn.LoadParams(r, nil)
 	if err != nil {
@@ -189,11 +189,18 @@ func (e *Engine) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		Quantized:  meta[9] != 0,
 		sinceAdapt: int(meta[4]),
 	}
+	// Each pending sample is two records, so a count past len(extras)
+	// (or a negative or NaN one) cannot be honest; checking the float
+	// before converting keeps the allocation below bounded.
+	if p := meta[8]; !(p >= 0 && p <= float64(len(extras))) {
+		return nil, fmt.Errorf("serve: checkpoint pending count %v out of range [0, %d]", p, len(extras))
+	}
 	nBN, nPending := int(meta[7]), int(meta[8])
 	bns := e.model.BatchNorms()
 	if nBN != len(bns) {
 		return nil, fmt.Errorf("serve: checkpoint has %d BN layers, model has %d", nBN, len(bns))
 	}
+	chw := 3 * e.model.Cfg.InputH * e.model.Cfg.InputW
 	st := &streamState{steps: int(meta[5])}
 	st.baseSteps = st.steps
 	st.slab, st.bn = newBNSlab(bns)
@@ -216,6 +223,10 @@ func (e *Engine) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		cells := extras[fmt.Sprintf("pending.%03d.cells", i)]
 		if img == nil || cells == nil {
 			return nil, fmt.Errorf("serve: checkpoint is missing pending sample %d", i)
+		}
+		if img.Size() != chw {
+			return nil, fmt.Errorf("serve: checkpoint pending.%03d.image has %d values, model needs %d",
+				i, img.Size(), chw)
 		}
 		n := int(cells.Data[0])
 		if n < 0 || n != cells.Size()-1 {

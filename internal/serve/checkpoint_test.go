@@ -2,9 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"strings"
 	"testing"
+
+	"ldbnadapt/internal/nn"
+	"ldbnadapt/internal/tensor"
 )
 
 // checkpointedSession drives a single-stream session two epochs deep —
@@ -254,6 +258,47 @@ func TestCheckpointDecodeErrors(t *testing.T) {
 	}
 	if _, err := e.DecodeCheckpoint(bytes.NewReader(nil)); err == nil {
 		t.Fatal("decode accepted an empty file")
+	}
+
+	// Hostile fields: the golden re-saved with one record changed must
+	// be rejected with an error, never a panic or a silent accept.
+	golden, err := os.ReadFile("testdata/checkpoint_v2.ldp1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resave := func(edit func(map[string]*tensor.Tensor)) []byte {
+		extras, err := nn.LoadParams(bytes.NewReader(golden), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(extras)
+		var out bytes.Buffer
+		if err := nn.SaveParams(&out, nil, extras); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	pendingCount := func(v float64) func(map[string]*tensor.Tensor) {
+		return func(extras map[string]*tensor.Tensor) {
+			meta, err := unpackF64(extras["meta"])
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta[8] = v
+			extras["meta"] = packF64(meta)
+		}
+	}
+	for name, edit := range map[string]func(map[string]*tensor.Tensor){
+		"pending count -1":   pendingCount(-1),
+		"pending count NaN":  pendingCount(math.NaN()),
+		"pending count 1e18": pendingCount(1e18),
+		"5-value pending image": func(extras map[string]*tensor.Tensor) {
+			extras["pending.000.image"] = tensor.New(5)
+		},
+	} {
+		if _, err := e.DecodeCheckpoint(bytes.NewReader(resave(edit))); err == nil {
+			t.Errorf("decode accepted a checkpoint with a %s", name)
+		}
 	}
 }
 

@@ -69,14 +69,21 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 			return nil, fmt.Errorf("tensor: implausible dimension %d", d)
 		}
 		shape[i] = int(d)
-		size *= int(d)
+		// Checked per axis, so the product cannot overflow.
+		if size *= int(d); size > 1<<28 {
+			return nil, fmt.Errorf("tensor: implausible element count %d", size)
+		}
 	}
-	if size > 1<<28 {
-		return nil, fmt.Errorf("tensor: implausible element count %d", size)
+	// Read the payload in bounded chunks: a forged shape header on a
+	// short stream then allocates in proportion to the bytes that
+	// arrive, not to the element count it claims.
+	const chunk = 1 << 16
+	data := make([]float32, 0, min(size, chunk))
+	for n := 0; n < size; n = len(data) {
+		data = append(data, make([]float32, min(size-n, chunk))...)
+		if err := binary.Read(br, binary.LittleEndian, data[n:]); err != nil {
+			return nil, fmt.Errorf("tensor: reading payload: %w", err)
+		}
 	}
-	t := New(shape...)
-	if err := binary.Read(br, binary.LittleEndian, t.Data); err != nil {
-		return nil, fmt.Errorf("tensor: reading payload: %w", err)
-	}
-	return t, nil
+	return &Tensor{Data: data, shape: shape}, nil
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -285,5 +286,39 @@ func TestAtSetAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("At+Set allocate %.1f times, want 0", allocs)
+	}
+}
+
+// TestReadFromForgedShape pins that a header claiming the largest
+// accepted tensor (2^28 elements, 1 GiB) over an empty payload fails
+// after allocating about one read chunk, and that a payload spanning
+// several chunks still round-trips.
+func TestReadFromForgedShape(t *testing.T) {
+	var hdr bytes.Buffer
+	for _, v := range []uint32{magic, 2, 1 << 14, 1 << 14} {
+		hdr.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrom(bytes.NewReader(hdr.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("forged header with no payload accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("forged header allocated %d bytes, want <= 4 MiB", grew)
+	}
+
+	x := New(3, 70001)
+	for i := range x.Data {
+		x.Data[i] = float32(i)
+	}
+	var buf bytes.Buffer
+	if _, err := x.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	y, err := ReadFrom(&buf)
+	if err != nil || !x.SameShape(y) || !x.AllClose(y, 0) {
+		t.Fatalf("multi-chunk round trip: err %v", err)
 	}
 }

@@ -55,16 +55,25 @@
 #                async frame intervals must balance, so the Perfetto
 #                export path cannot rot while the package tests stay
 #                green
+#   make fuzz-smoke  ten seconds of FuzzDecodeCheckpoint, the decoder the
+#                fleet's failover path runs on stored checkpoint bytes:
+#                no input may panic, and an accepted one must re-encode
+#                stably. Its seeds are the committed v2 golden and an
+#                empty file; a crasher it finds is committed under
+#                internal/serve/testdata/fuzz/, where plain `go test`
+#                replays it. Minimization is capped at 200 runs per new
+#                input: minimizing a mutant of the 12 KB golden takes the
+#                60 s default, which would leave no time to fuzz
 #   make ci      build + fmt + vet + staticcheck + test + purego + race +
-#                chaos-smoke + fleet-smoke + obs-smoke + bench-smoke +
-#                bench-smoke-ext
+#                chaos-smoke + fleet-smoke + obs-smoke + fuzz-smoke +
+#                bench-smoke + bench-smoke-ext
 
 GO ?= go
 # Pinned staticcheck: 2024.1.1 supports the go 1.22/1.23 CI matrix.
 # Keep in sync with the install step in .github/workflows/ci.yml.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build fmt vet test purego race bench-smoke bench-smoke-ext staticcheck chaos-smoke fleet-smoke obs-smoke ci
+.PHONY: build fmt vet test purego race bench-smoke bench-smoke-ext staticcheck chaos-smoke fleet-smoke obs-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -140,4 +149,7 @@ obs-smoke:
 		-trace-out out/obs-trace.json -metrics-out out/obs-metrics.txt -epoch-csv out/obs-epochs.csv >/dev/null
 	$(GO) run ./cmd/tracecheck out/obs-trace.json
 
-ci: build fmt vet staticcheck test purego race chaos-smoke fleet-smoke obs-smoke bench-smoke bench-smoke-ext
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s -fuzzminimizetime 200x ./internal/serve
+
+ci: build fmt vet staticcheck test purego race chaos-smoke fleet-smoke obs-smoke fuzz-smoke bench-smoke bench-smoke-ext

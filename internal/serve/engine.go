@@ -465,11 +465,14 @@ func (e *Engine) newWorker() *worker {
 	wk.adaptBuf = make([]float32, e.cfg.AdaptBatch*chw)
 	wk.slabs = make([][]float32, e.cfg.MaxBatch)
 	wk.srcPtrs = make([][]*nn.BNSource, len(wk.bns))
+	for j := range wk.srcPtrs {
+		wk.srcPtrs[j] = make([]*nn.BNSource, e.cfg.MaxBatch)
+	}
 	for i := range wk.slabs {
 		var views []nn.BNSource
 		wk.slabs[i], views = newBNSlab(wk.bns)
 		for j := range views {
-			wk.srcPtrs[j] = append(wk.srcPtrs[j], &views[j])
+			wk.srcPtrs[j][i] = &views[j]
 		}
 	}
 	return wk

@@ -258,21 +258,21 @@ func (p *planner) setControls(c Controls) {
 	p.ctrl = c
 }
 
-// arenaChunk is the plannedFrame slab granularity: one allocation
+// arenaChunk is the largest plannedFrame slab: one allocation
 // amortizes over this many planned frames at steady state.
 const arenaChunk = 256
 
 // takeBatch returns an empty batch slice carved from the arena with
 // room for a full MaxBatch, starting a fresh chunk when the current
-// one cannot hold one. The caller appends up to MaxBatch frames and
+// one cannot hold one. Chunks double from one MaxBatch up to
+// arenaChunk: a probe's clone starts with no arena and plans one
+// epoch, so it allocates in proportion to that epoch rather than a
+// full slab per probe. The caller appends up to MaxBatch frames and
 // commits the result with commitBatch; pointers into the slab stay
 // valid for the run because chunks never grow or get recycled.
 func (p *planner) takeBatch() []plannedFrame {
 	if cap(p.arena)-len(p.arena) < p.e.cfg.MaxBatch {
-		n := arenaChunk
-		if n < p.e.cfg.MaxBatch {
-			n = p.e.cfg.MaxBatch
-		}
+		n := min(max(2*cap(p.arena), p.e.cfg.MaxBatch), max(arenaChunk, p.e.cfg.MaxBatch))
 		p.arena = make([]plannedFrame, 0, n)
 	}
 	return p.arena[len(p.arena):len(p.arena)]

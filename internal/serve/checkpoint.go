@@ -263,8 +263,9 @@ type lane struct {
 func (st *streamState) lanes() []lane {
 	ls := make([]lane, 0, 4*len(st.bn)+2)
 	for i, v := range st.bn {
+		prefix := fmt.Sprintf("bn.%03d.", i)
 		for _, l := range [4]lane{{"mean", v.Mean}, {"var", v.Var}, {"gamma", v.Gamma}, {"beta", v.Beta}} {
-			ls = append(ls, lane{fmt.Sprintf("bn.%03d.%s", i, l.name), l.data})
+			ls = append(ls, lane{prefix + l.name, l.data})
 		}
 	}
 	return append(ls, lane{"opt.m", st.opt.M}, lane{"opt.v", st.opt.V})

@@ -291,22 +291,30 @@ func TestAtSetAllocationFree(t *testing.T) {
 
 // TestReadFromForgedShape pins that a header claiming the largest
 // accepted tensor (2^28 elements, 1 GiB) over an empty payload fails
-// after allocating about one read chunk, and that a payload spanning
-// several chunks still round-trips.
+// after allocating about one read chunk, that a shape whose element
+// count overflows int is rejected, and that a payload spanning several
+// chunks still round-trips.
 func TestReadFromForgedShape(t *testing.T) {
-	var hdr bytes.Buffer
-	for _, v := range []uint32{magic, 2, 1 << 14, 1 << 14} {
-		hdr.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+	header := func(words ...uint32) []byte {
+		var b bytes.Buffer
+		for _, v := range append([]uint32{magic}, words...) {
+			b.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+		}
+		return b.Bytes()
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadFrom(bytes.NewReader(hdr.Bytes()))
+	_, err := ReadFrom(bytes.NewReader(header(2, 1<<14, 1<<14)))
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("forged header with no payload accepted")
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
 		t.Fatalf("forged header allocated %d bytes, want <= 4 MiB", grew)
+	}
+	// 2^24 · 2^24 · 2^24 · 2^16 = 2^88 wraps a 64-bit product to 0.
+	if _, err := ReadFrom(bytes.NewReader(header(4, 1<<24, 1<<24, 1<<24, 1<<16))); err == nil {
+		t.Fatal("shape with an overflowing element count accepted")
 	}
 
 	x := New(3, 70001)

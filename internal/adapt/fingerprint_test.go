@@ -8,6 +8,8 @@ import (
 	"hash"
 	"testing"
 
+	"ldbnadapt/internal/carlane"
+	"ldbnadapt/internal/resnet"
 	"ldbnadapt/internal/tensor"
 	"ldbnadapt/internal/ufld"
 )
@@ -63,5 +65,53 @@ func TestAdaptFingerprint(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != row.want {
 			t.Errorf("%s: fingerprint %s, want %s (%+v)", row.name, got, row.want, res)
 		}
+	}
+}
+
+// TestSmallPaperLoopFingerprint pins the paper's per-frame loop on the
+// Small profile, whose convolutions are wide enough to take the kernel
+// paths Tiny never reaches: an untrained, seeded Small R-18 model runs
+// forty seeded MoLane target frames of ForwardInfer then one
+// LD-BN-ADAPT step each. The hash covers every frame's float logits,
+// the int8 logits of the first and last frame, and the final BN state
+// (γ/β and the running statistics). Never edit the constant in the same
+// change as a kernel or layer change. Skipped under -short (the race
+// pass): it probes no concurrency.
+func TestSmallPaperLoopFingerprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fingerprint pins rerun whole adaptation streams")
+	}
+	const frames = 40
+	cfg := ufld.Small(resnet.R18, 2)
+	m := ufld.MustNewModel(cfg, tensor.NewRNG(2024))
+	ds := carlane.Generate(cfg, carlane.SplitSpec{
+		Name: "adapt/small-fingerprint", Layouts: []carlane.Layout{carlane.Ego2},
+		Domains: []carlane.Domain{carlane.MoReal}, N: frames, Seed: 77,
+	})
+	meth := NewLDBNAdapt(m, DefaultConfig())
+	h := sha256.New()
+	idx := []int{0}
+	for i := 0; i < frames; i++ {
+		idx[0] = i
+		x := ufld.Images(cfg, ds.Samples, idx)
+		logits := m.ForwardInfer(x)
+		if logits.HasNaN() {
+			t.Fatalf("frame %d: non-finite logits", i)
+		}
+		_ = binary.Write(h, binary.LittleEndian, logits.Data)
+		if i == 0 || i == frames-1 {
+			_ = binary.Write(h, binary.LittleEndian, m.ForwardInferInt8(x).Data)
+		}
+		meth.Adapt(x)
+	}
+	for _, p := range m.BNParams() {
+		_ = binary.Write(h, binary.LittleEndian, p.Value.Data)
+	}
+	for _, b := range m.BatchNorms() {
+		_ = binary.Write(h, binary.LittleEndian, b.RunningMean.Data)
+		_ = binary.Write(h, binary.LittleEndian, b.RunningVar.Data)
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "4f5587021c8fed6459f3a55e7cc26c6bfb4102300b7b869eaa5b1797fde019bf"; got != want {
+		t.Errorf("Small paper loop: fingerprint %s, want %s", got, want)
 	}
 }

@@ -14,6 +14,9 @@ func cpuHasAVX2() bool
 func gemmRowAVX2(dst, a, b *float32, k, n, ldb int)
 
 //go:noescape
+func gemmRowOffAVX2(dst, a, b *float32, off *int, k, n int)
+
+//go:noescape
 func axpyAVX2(dst, b *float32, av float32, n int)
 
 //go:noescape
@@ -32,6 +35,23 @@ func gemmRow(di, ai, b []float32, ldb int) {
 	}
 	_ = b[(k-1)*ldb+n-1]
 	gemmRowAVX2(&di[0], &ai[0], &b[0], k, n, ldb)
+}
+
+// gemmRowOff checks every offset, not only those of non-zero
+// coefficients, so it is stricter than the Go kernel it dispatches to.
+func gemmRowOff(di, ai []float32, off []int, b []float32) {
+	k, n := len(ai), len(di)
+	if !useAVX2 || k == 0 || n == 0 {
+		gemmRowOffGo(di, ai, off, b)
+		return
+	}
+	lo, hi := off[k-1], off[k-1]
+	for _, o := range off[:k] {
+		lo, hi = min(lo, o), max(hi, o)
+	}
+	_ = b[lo]
+	_ = b[hi+n-1]
+	gemmRowOffAVX2(&di[0], &ai[0], &b[0], &off[0], k, n)
 }
 
 func axpy(di, bp []float32, av float32) {

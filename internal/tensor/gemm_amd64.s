@@ -3,9 +3,9 @@
 #include "textflag.h"
 
 // AVX2 mirrors of the Go float kernels in matmul.go (gemmRowGo,
-// axpyRow) and im2col.go (addRowGo). Every lane performs VMULPS then
-// VADDPS — never FMA — in the Go kernel's order, so each output
-// element goes through exactly the scalar sequence
+// gemmRowOffGo, axpyRow) and im2col.go (addRowGo). Every lane
+// performs VMULPS then VADDPS — never FMA — in the Go kernel's order,
+// so each output element goes through exactly the scalar sequence
 // acc = acc + float32(a·b) and the bits match the GOAMD64=v1 build of
 // the Go code. Loads and stores stay inside [0, n): the 32- and
 // 8-column tiles are entered only while that many columns remain, the
@@ -152,6 +152,120 @@ row1skip:
 	JMP    row1
 
 rowdone:
+	VZEROUPPER
+	RET
+
+// func gemmRowOffAVX2(dst, a, b *float32, off *int, k, n int)
+//
+// dst[j] = Σ_p a[p]·b[off[p]+j] for j in [0,n): gemmRowAVX2 with row p
+// of b found at element offset off[p] (loaded per p and applied as a
+// scaled index) instead of p·ldb, as gemmRowOffGo does. Same tiles,
+// same order, same ±0 skip. Requires k > 0 and n > 0.
+TEXT ·gemmRowOffAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ off+24(FP), BX
+	MOVQ k+32(FP), CX
+	MOVQ n+40(FP), R8
+
+off32:
+	CMPQ   R8, $32
+	JLT    off8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   SI, R10
+	MOVQ   BX, R11
+	MOVQ   CX, R12
+
+off32p:
+	MOVL         (R10), AX
+	ADDL         AX, AX
+	JZ           off32skip
+	MOVQ         (R11), R13
+	VBROADCASTSS (R10), Y4
+	VMULPS       (DX)(R13*4), Y4, Y5
+	VMULPS       32(DX)(R13*4), Y4, Y6
+	VMULPS       64(DX)(R13*4), Y4, Y7
+	VMULPS       96(DX)(R13*4), Y4, Y8
+	VADDPS       Y5, Y0, Y0
+	VADDPS       Y6, Y1, Y1
+	VADDPS       Y7, Y2, Y2
+	VADDPS       Y8, Y3, Y3
+
+off32skip:
+	ADDQ    $4, R10
+	ADDQ    $8, R11
+	DECQ    R12
+	JNZ     off32p
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	SUBQ    $32, R8
+	JMP     off32
+
+off8:
+	CMPQ   R8, $8
+	JLT    off1
+	VXORPS Y0, Y0, Y0
+	MOVQ   SI, R10
+	MOVQ   BX, R11
+	MOVQ   CX, R12
+
+off8p:
+	MOVL         (R10), AX
+	ADDL         AX, AX
+	JZ           off8skip
+	MOVQ         (R11), R13
+	VBROADCASTSS (R10), Y4
+	VMULPS       (DX)(R13*4), Y4, Y5
+	VADDPS       Y5, Y0, Y0
+
+off8skip:
+	ADDQ    $4, R10
+	ADDQ    $8, R11
+	DECQ    R12
+	JNZ     off8p
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	SUBQ    $8, R8
+	JMP     off8
+
+off1:
+	TESTQ  R8, R8
+	JZ     offdone
+	VXORPS X0, X0, X0
+	MOVQ   SI, R10
+	MOVQ   BX, R11
+	MOVQ   CX, R12
+
+off1p:
+	MOVL   (R10), AX
+	ADDL   AX, AX
+	JZ     off1skip
+	MOVQ   (R11), R13
+	VMOVSS (R10), X4
+	VMULSS (DX)(R13*4), X4, X5
+	VADDSS X5, X0, X0
+
+off1skip:
+	ADDQ   $4, R10
+	ADDQ   $8, R11
+	DECQ   R12
+	JNZ    off1p
+	VMOVSS X0, (DI)
+	ADDQ   $4, DI
+	ADDQ   $4, DX
+	DECQ   R8
+	JMP    off1
+
+offdone:
 	VZEROUPPER
 	RET
 

@@ -79,25 +79,6 @@ func offset(src *Tensor, off int) *Tensor {
 	return FromSlice(buf[off:], src.Shape()...)
 }
 
-// sameBits compares got against the Go kernels' want. With finite
-// inputs that is exact bit equality; where want is NaN only NaN-ness
-// is compared, because the payload that survives a commutative SSE
-// add depends on an operand order the compiler is free to choose.
-func sameBits(want, got []float32) int {
-	for i := range want {
-		if want[i] != want[i] {
-			if got[i] == got[i] {
-				return i
-			}
-			continue
-		}
-		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
 // eachPoolConfig runs check at the production gates (procs 0), then
 // with the gates forced low at every worker count: rows band at high
 // m, and at low m matmulCols' 16-float column bands reach the row
@@ -132,18 +113,6 @@ func avx2GEMMShapes() []gemmShape {
 		shapes = append(shapes, gemmShape{3, 7, n})
 	}
 	return shapes
-}
-
-// sprinkleZeros writes runs of +0 and −0 into a so the kernels'
-// zero-skip is crossed in both directions.
-func sprinkleZeros(a []float32) {
-	negZero := math.Float32frombits(1 << 31)
-	for i := 0; i < len(a); i += 11 {
-		a[i] = 0
-		if i+1 < len(a) {
-			a[i+1] = negZero
-		}
-	}
 }
 
 // checkGEMMAgainstGo holds one a·b variant to the Go kernels on every
@@ -217,6 +186,64 @@ func TestAVX2RowKernelEveryOffset(t *testing.T) {
 			}
 			if !intact() {
 				t.Fatalf("row kernel n=%d off=%d: wrote outside dst", n, off)
+			}
+		}
+	}
+}
+
+// TestAVX2RowOffKernelMatchesGo holds the offset-table row kernel to
+// its Go spec for every k in 1..60 and every n in 1..70 (each mix of
+// 32-wide tiles, 8-wide tiles and scalar tail), at every dst phase,
+// with ±0 runs in a, NaN, ±Inf and denormals in both operands, and
+// offset tables that run forwards, backwards and repeat a row.
+func TestAVX2RowOffKernelMatchesGo(t *testing.T) {
+	needAVX2(t)
+	rng := NewRNG(0x0ff7)
+	const bLen = 700
+	b := make([]float32, bLen)
+	for i := range b {
+		b[i] = float32(rng.Range(-2, 2))
+	}
+	specials := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(1), math.Float32frombits(0x807fffff), math.Float32frombits(1 << 31),
+	}
+	for i, v := range specials {
+		b[37*i+11] = v
+	}
+	ai := make([]float32, 60)
+	off := make([]int, 60)
+	for k := 1; k <= 60; k++ {
+		for n := 1; n <= 70; n++ {
+			for i := range ai[:k] {
+				ai[i] = float32(rng.Range(-2, 2))
+			}
+			sprinkleZeros(ai[:k])
+			if k%7 == 3 {
+				ai[k/2] = specials[(k+n)%len(specials)]
+			}
+			span := bLen - n
+			for p := range off[:k] {
+				switch (k + n) % 3 {
+				case 0: // forwards, rows overlapping
+					off[p] = p * span / k
+				case 1: // backwards
+					off[p] = span - p*span/k
+				default: // arbitrary, repeats allowed
+					off[p] = int(rng.Range(0, float64(span)))
+				}
+			}
+			want := make([]float32, n)
+			gemmRowOffGo(want, ai[:k], off[:k], b)
+			dOff := (k + n) % 8
+			got, intact := framed(dOff, n)
+			withAVX2(true, func() { gemmRowOff(got.Data, ai[:k], off[:k], b) })
+			if i := sameBits(want, got.Data); i >= 0 {
+				t.Fatalf("offset row kernel k=%d n=%d: element %d is %x, Go kernel gives %x",
+					k, n, i, math.Float32bits(got.Data[i]), math.Float32bits(want[i]))
+			}
+			if !intact() {
+				t.Fatalf("offset row kernel k=%d n=%d: wrote outside dst", k, n)
 			}
 		}
 	}
@@ -311,5 +338,13 @@ func TestAVX2EmptyProducts(t *testing.T) {
 		matmulTARows(dst, nil, nil, 1, 0, 3, 0, 1)
 		axpy(nil, nil, 2)
 		addRow(nil, nil)
+		dst = []float32{7, 7, 7}
+		gemmRowOff(dst, nil, nil, nil) // k == 0
+		for i, v := range dst {
+			if math.Float32bits(v) != 0 {
+				t.Fatalf("offset k=0: dst[%d] = %v, want +0", i, v)
+			}
+		}
+		gemmRowOff(nil, []float32{1, 2}, []int{0, 0}, nil) // n == 0
 	})
 }

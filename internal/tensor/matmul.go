@@ -161,6 +161,24 @@ func gemmRowGo(di, ai, b []float32, ldb int) {
 	}
 }
 
+// gemmRowOffGo is gemmRowGo with the rows of b named by an offset
+// table instead of a stride, and the spec of its assembly twin:
+// di[j] = Σ_p ai[p]·b[off[p]+j], each sum starting from +0 and taking
+// p in increasing order, zero ai[p] skipped. With off[p] = p·ldb it is
+// gemmRowGo bit for bit; ConvS1Into points the rows into a padded
+// input plane, so a stride-1 convolution needs no im2col slab.
+func gemmRowOffGo(di, ai []float32, off []int, b []float32) {
+	clear(di)
+	n := len(di)
+	for p, av := range ai {
+		if av == 0 {
+			continue
+		}
+		o := off[p]
+		axpyRow(di, b[o:o+n], av)
+	}
+}
+
 // axpyRow computes di += av*bp with 4-way unrolling.
 func axpyRow(di, bp []float32, av float32) {
 	n := len(di)

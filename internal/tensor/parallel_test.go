@@ -51,6 +51,37 @@ func bitsEqual(a, b []float32) int {
 	return -1
 }
 
+// sameBits compares got against the Go kernels' want. With finite
+// inputs that is exact bit equality; where want is NaN only NaN-ness
+// is compared, because the payload that survives a commutative SSE
+// add depends on an operand order the compiler is free to choose.
+func sameBits(want, got []float32) int {
+	for i := range want {
+		if want[i] != want[i] {
+			if got[i] == got[i] {
+				return i
+			}
+			continue
+		}
+		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// sprinkleZeros writes runs of +0 and −0 into a so the kernels'
+// zero-skip is crossed in both directions.
+func sprinkleZeros(a []float32) {
+	negZero := math.Float32frombits(1 << 31)
+	for i := 0; i < len(a); i += 11 {
+		a[i] = 0
+		if i+1 < len(a) {
+			a[i+1] = negZero
+		}
+	}
+}
+
 var parProcs = []int{1, 2, 3, 8}
 
 // gemmShapes covers both banding axes: m ≥ 2·width rows (row bands),

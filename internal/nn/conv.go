@@ -14,9 +14,14 @@ import (
 // bitwise suite can force sample banding on small shapes.
 var batchParMin = 1 << 16
 
-// Conv2D is a 2-D convolution over NCHW tensors, lowered to matrix
-// products via im2col. Bias is optional (ResNet convolutions are
-// bias-free because they are followed by BatchNorm).
+// Conv2D is a 2-D convolution over NCHW tensors. A forward whose
+// lowering nobody keeps (the float Infer mode, and Adapt/Eval/Train
+// with the weight frozen) reads a stride-1 geometry straight from a
+// zero-padded copy of each sample (tensor.ConvS1Into); every other
+// forward — stride 2, InferInt8, a trainable weight, whose lowering
+// feeds dW — and the dX backward (col2im) go through im2col and a
+// matrix product. The two are bitwise equal. Bias is optional (ResNet
+// convolutions are bias-free because they are followed by BatchNorm).
 type Conv2D struct {
 	name         string
 	InC, OutC    int
@@ -69,10 +74,11 @@ type Conv2D struct {
 	wtOK    bool
 }
 
-// convShard is one band's private scratch: lowering buffers, cached
-// sub-tensor headers and the int8 staging blocks.
+// convShard is one band's private scratch: lowering buffers, the
+// padded plane of the stride-1 path, cached sub-tensor headers and the
+// int8 staging blocks.
 type convShard struct {
-	cols  Scratch // im2col lowering nobody retains (infer modes, frozen weight)
+	cols  Scratch // im2col lowering nobody retains (stride 2, frozen weight)
 	dcols Scratch // backward column gradient
 	xi    View    // per-sample input view
 	oi    View    // per-sample output view
@@ -80,6 +86,8 @@ type convShard struct {
 	dxi   View    // per-sample view of dxOut
 	xq    []int8  // quantized input sample
 	colsQ []int8  // quantized im2col lowering
+
+	plane tensor.ConvPlane // padded sample, offsets and row of the stride-1 path
 }
 
 // ensureShards grows the shard slice to bands entries (never shrinks,
@@ -151,6 +159,7 @@ type convFwdBody struct {
 	wm           *tensor.Tensor
 	mode         Mode
 	retain       bool // keep each sample's lowering for dW
+	s1           bool // read the padded plane instead of lowering
 	h, w, oh, ow int
 }
 
@@ -162,11 +171,15 @@ func (b *convFwdBody) Chunk(band, lo, hi int) {
 	sh := &c.shards[band]
 	for ni := lo; ni < hi; ni++ {
 		oi := sh.oi.Of(b.out.Data[ni*c.OutC*hw:(ni+1)*c.OutC*hw], c.OutC, hw)
-		if b.mode == InferInt8 {
+		switch {
+		case b.mode == InferInt8:
 			xScale := tensor.QuantizeInt8(sh.xq, b.x.Data[ni*chw:(ni+1)*chw])
 			tensor.Im2ColInt8Into(sh.colsQ, sh.xq, c.InC, b.h, b.w, c.Geom)
 			tensor.Int8MatMulInto(oi, c.wq, c.wScales, sh.colsQ, xScale, c.OutC, K, hw)
-		} else {
+		case b.s1:
+			xi := sh.xi.Of(b.x.Data[ni*chw:(ni+1)*chw], 1, c.InC, b.h, b.w)
+			tensor.ConvS1Into(oi, b.wm, xi, c.Geom, &sh.plane)
+		default:
 			xi := sh.xi.Of(b.x.Data[ni*chw:(ni+1)*chw], 1, c.InC, b.h, b.w)
 			var cols *tensor.Tensor
 			switch {
@@ -189,18 +202,26 @@ func (b *convFwdBody) Chunk(band, lo, hi int) {
 	}
 }
 
-// Forward computes the convolution sample by sample: per sample the
-// im2col matrix has shape [inC*kh*kw, oh*ow] and the product
-// W[outC, inC*kh*kw]·cols lands directly in the output layout.
-// Infer/InferInt8 and Adapt mode use layer-owned scratch for the
-// im2col lowering and the output; Train and Eval allocate fresh
-// tensors so their outputs are safe to retain across calls. The
-// lowering is kept as the backward cache only while Weight is
-// trainable — dW is its one consumer, so a frozen conv lowers into the
-// per-band shard scratch like the infer modes do. Samples
-// are processed in parallel bands over the worker pool when the batch
-// is big enough; the nested per-sample kernels parallelize over
-// whatever workers remain.
+// Forward computes the convolution sample by sample, on one of two
+// paths fixed by the mode, the weight and the geometry:
+//
+//   - im2col: the sample is lowered to a [inC*kh*kw, oh*ow] matrix and
+//     the product W[outC, inC*kh*kw]·cols lands directly in the output
+//     layout. A trainable weight's forward takes it in Train, Eval and
+//     Adapt and keeps the lowering as dW's backward cache (fresh
+//     tensors, or the layer's Adapt slab); InferInt8 lowers in int8;
+//     any other stride-2 forward lowers into the per-band scratch.
+//   - padded plane: a stride-1 forward whose lowering nobody keeps —
+//     Infer, and Train/Eval/Adapt with the weight frozen — reads the
+//     sample from a zero-padded copy through an offset table
+//     (tensor.ConvS1Into) and builds no lowering at all. It runs
+//     serially inside the sample and is bitwise the im2col result.
+//
+// Infer/InferInt8 and Adapt mode write a layer-owned output scratch;
+// Train and Eval allocate fresh tensors so their outputs are safe to
+// retain across calls. Samples are processed in parallel bands over
+// the worker pool when the batch is big enough; the nested per-sample
+// GEMMs of the im2col path parallelize over whatever workers remain.
 func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: %s: input %v, want [n,%d,h,w]", c.name, x.Shape(), c.InC))
@@ -249,7 +270,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 		}
 	}
 	body := &c.fwdBody
-	*body = convFwdBody{c: c, x: x, out: out, mode: mode, retain: retain, h: h, w: w, oh: oh, ow: ow}
+	*body = convFwdBody{c: c, x: x, out: out, mode: mode, retain: retain, h: h, w: w, oh: oh, ow: ow,
+		s1: !retain && mode != InferInt8 && c.Geom.SH == 1 && c.Geom.SW == 1}
 	if mode != InferInt8 {
 		body.wm = c.wmView.Of(c.Weight.Value.Data, c.OutC, K)
 	}

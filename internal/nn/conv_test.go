@@ -1,0 +1,125 @@
+package nn
+
+import (
+	"math"
+	"testing"
+
+	"ldbnadapt/internal/tensor"
+)
+
+// convIm2ColRef is the im2col path of a conv forward, spelled out per
+// sample: lower, multiply by the weight matrix, add the bias.
+func convIm2ColRef(c *Conv2D, x *tensor.Tensor) []float32 {
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	oh, ow := c.Geom.OutSize(h, w)
+	hw, chw := oh*ow, c.InC*h*w
+	wm := tensor.FromSlice(c.Weight.Value.Data, c.OutC, c.kDim())
+	out := make([]float32, 0, n*c.OutC*hw)
+	for ni := 0; ni < n; ni++ {
+		xi := tensor.FromSlice(x.Data[ni*chw:(ni+1)*chw], 1, c.InC, h, w)
+		oi := tensor.New(c.OutC, hw)
+		tensor.MatMulInto(oi, wm, tensor.Im2Col(xi, c.Geom))
+		if c.Bias != nil {
+			c.addBiasRows(oi, hw)
+		}
+		out = append(out, oi.Data...)
+	}
+	return out
+}
+
+// sameF32 reports the first element whose bits differ, comparing only
+// NaN-ness where want is NaN (the payload a NaN keeps through an add is
+// the compiler's choice of operand order).
+func sameF32(want, got []float32) int {
+	if len(want) != len(got) {
+		return 0
+	}
+	for i := range want {
+		if want[i] != want[i] {
+			if got[i] == got[i] {
+				return i
+			}
+			continue
+		}
+		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestConvSlabFreeMatchesIm2Col holds the padded-plane forward that
+// Infer and the frozen-weight Adapt forward take on stride-1 convs to
+// the im2col path bit for bit: every stride-1 kernel size the models
+// use and larger ones, outputs one column wide and narrower than a
+// vector, ±0 weights, NaN/±Inf/−0 inputs, batches 1–4 with sample
+// banding forced on at 1, 2 and 4 procs. The path builds no lowering,
+// and a steady-state forward on it allocates nothing.
+func TestConvSlabFreeMatchesIm2Col(t *testing.T) {
+	sq := func(k, p int) tensor.ConvGeom { return tensor.ConvGeom{KH: k, KW: k, SH: 1, SW: 1, PH: p, PW: p} }
+	cases := []struct {
+		inC, outC, h, w int
+		g               tensor.ConvGeom
+		bias            bool
+	}{
+		{6, 6, 12, 30, sq(3, 1), false},
+		{5, 7, 7, 9, sq(3, 0), true},
+		{12, 24, 6, 15, sq(1, 0), false},
+		{4, 5, 9, 11, sq(5, 2), true},
+		{3, 6, 10, 13, sq(7, 3), false},
+		{3, 4, 5, 1, sq(3, 1), false}, // ow 1
+		{4, 3, 6, 5, sq(3, 1), true},  // ow 5
+		{2, 3, 4, 3, sq(1, 0), false}, // ow 3, no plane
+	}
+	lowLayerGates(t)
+	rng := tensor.NewRNG(0x51ab)
+	negZero := math.Float32frombits(1 << 31)
+	for ci, tc := range cases {
+		c := NewConv2D("c", tc.inC, tc.outC, tc.g, tc.bias, rng)
+		c.Weight.Frozen = true
+		for i := 0; i < len(c.Weight.Value.Data); i += 7 {
+			c.Weight.Value.Data[i] = 0
+			if i+1 < len(c.Weight.Value.Data) {
+				c.Weight.Value.Data[i+1] = negZero
+			}
+		}
+		if tc.bias {
+			rng.FillUniform(c.Bias.Value, -1, 1)
+		}
+		for n := 1; n <= 4; n++ {
+			x := tensor.New(n, tc.inC, tc.h, tc.w)
+			rng.FillUniform(x, -2, 2)
+			x.Data[len(x.Data)/3] = negZero
+			if n%2 == 0 {
+				x.Data[0] = float32(math.NaN())
+				x.Data[len(x.Data)/2] = float32(math.Inf(1))
+				x.Data[len(x.Data)-1] = float32(math.Inf(-1))
+			}
+			want := convIm2ColRef(c, x)
+			for _, mode := range []Mode{Infer, Adapt} {
+				for _, procs := range []int{1, 2, 4} {
+					withNNProcs(t, procs, func() {
+						got := c.Forward(x, mode)
+						if i := sameF32(want, got.Data); i >= 0 {
+							t.Fatalf("case %d n=%d %v procs=%d: element %d is %v, im2col gives %v",
+								ci, n, mode, procs, i, got.Data[i], want[i])
+						}
+					})
+				}
+			}
+		}
+		for b := range c.shards {
+			if c.shards[b].cols.buf != nil {
+				t.Fatalf("case %d: band %d built an im2col lowering", ci, b)
+			}
+		}
+		x := tensor.New(3, tc.inC, tc.h, tc.w)
+		rng.FillUniform(x, -2, 2)
+		for _, mode := range []Mode{Infer, Adapt} {
+			c.Forward(x, mode)
+			if a := testing.AllocsPerRun(5, func() { c.Forward(x, mode) }); a != 0 {
+				t.Fatalf("case %d %v: %.1f allocations per steady-state forward", ci, mode, a)
+			}
+		}
+	}
+}

@@ -55,25 +55,36 @@
 #                async frame intervals must balance, so the Perfetto
 #                export path cannot rot while the package tests stay
 #                green
-#   make fuzz-smoke  ten seconds of FuzzDecodeCheckpoint, the decoder the
-#                fleet's failover path runs on stored checkpoint bytes:
-#                no input may panic, and an accepted one must re-encode
-#                stably. Its seeds are the committed v2 golden and an
-#                empty file; a crasher it finds is committed under
-#                internal/serve/testdata/fuzz/, where plain `go test`
-#                replays it. Minimization is capped at 200 runs per new
-#                input: minimizing a mutant of the 12 KB golden takes the
-#                60 s default, which would leave no time to fuzz
+#   make fingerprints  every cross-commit pin (the Fingerprint, Golden
+#                and MatchesRunOnline tests of adapt, ufld, nn, serve,
+#                shard and carlane) at -cpu 1,2,4, then again under
+#                -tags purego: the pins were recorded through the Go
+#                kernels on one worker count, so a kernel or banding
+#                change that moves a bit at another count, or only with
+#                the assembly in, fails here. make test runs them once,
+#                at the box's GOMAXPROCS with the assembly
+#   make fuzz-smoke  ten seconds each of FuzzDecodeCheckpoint, the decoder
+#                the fleet's failover path runs on stored checkpoint
+#                bytes, and FuzzLoadParams, the reader of the weights
+#                file ldtrain writes for ldadapt and ldserve: no input
+#                may panic, and an accepted one must re-encode (re-save)
+#                stably. Their seeds are the committed v2 golden or a
+#                Tiny detector's SaveParams output, and an empty file; a
+#                crasher either finds is committed under the package's
+#                testdata/fuzz/, where plain `go test` replays it.
+#                Minimization is capped at 200 runs per new input:
+#                minimizing a mutant of the 12 KB golden takes the 60 s
+#                default, which would leave no time to fuzz
 #   make ci      build + fmt + vet + staticcheck + test + purego + race +
-#                chaos-smoke + fleet-smoke + obs-smoke + fuzz-smoke +
-#                bench-smoke + bench-smoke-ext
+#                fingerprints + chaos-smoke + fleet-smoke + obs-smoke +
+#                fuzz-smoke + bench-smoke + bench-smoke-ext
 
 GO ?= go
 # Pinned staticcheck: 2024.1.1 supports the go 1.22/1.23 CI matrix.
 # Keep in sync with the install step in .github/workflows/ci.yml.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build fmt vet test purego race bench-smoke bench-smoke-ext staticcheck chaos-smoke fleet-smoke obs-smoke fuzz-smoke ci
+.PHONY: build fmt vet test purego race fingerprints bench-smoke bench-smoke-ext staticcheck chaos-smoke fleet-smoke obs-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -101,6 +112,13 @@ purego:
 # extra concurrency) — make test still runs them race-free.
 race:
 	$(GO) test -race -short ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/govern/... ./internal/tensor/... ./internal/nn/... ./internal/adapt/... ./internal/stream/...
+
+PINS = 'Fingerprint|Golden|MatchesRunOnline'
+PIN_PKGS = ./internal/adapt/ ./internal/ufld/ ./internal/nn/ ./internal/serve/ ./internal/shard/ ./internal/carlane/
+
+fingerprints:
+	$(GO) test -cpu 1,2,4 -run $(PINS) $(PIN_PKGS)
+	$(GO) test -tags purego -cpu 1,2,4 -run $(PINS) $(PIN_PKGS)
 
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
@@ -151,5 +169,6 @@ obs-smoke:
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s -fuzzminimizetime 200x ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzLoadParams -fuzztime 10s -fuzzminimizetime 200x ./internal/nn
 
-ci: build fmt vet staticcheck test purego race chaos-smoke fleet-smoke obs-smoke fuzz-smoke bench-smoke bench-smoke-ext
+ci: build fmt vet staticcheck test purego race fingerprints chaos-smoke fleet-smoke obs-smoke fuzz-smoke bench-smoke bench-smoke-ext

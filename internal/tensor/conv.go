@@ -12,7 +12,7 @@ type ConvPlane struct {
 	plane   []float32 // [c, h+2PH, w+2PW], then zero slack; only the interior is rewritten per call
 	off     []int     // off[(ci·KH+ky)·KW+kx] = ci·Hp·Wp + ky·Wp + kx
 	row     []float32 // one channel over the grid, in whole row-kernel tiles
-	direct  bool      // 1×1-like: x is the grid, no plane and no row
+	direct  bool      // unpadded and one column wide (a 1×1): x is the grid, no plane or row
 	c, h, w int
 	g       ConvGeom
 }
@@ -38,8 +38,8 @@ const convTile = 32
 // straddle the halo, and the grid's round-up to whole 32-column tiles
 // (read from zero slack after the plane's last channel), are computed
 // and dropped when the ow valid columns of each line are copied out.
-// An unpadded 1×1 conv (Wp == ow, no halo) reads x itself and writes
-// its rows straight into out. It runs serially on the caller.
+// An unpadded conv one column wide, a 1×1 (no halo, Wp == ow), reads x
+// itself and writes its rows straight into out. It runs serially on the caller.
 func ConvS1Into(out, wm, x *Tensor, g ConvGeom, s *ConvPlane) {
 	if g.SH != 1 || g.SW != 1 {
 		panic(fmt.Sprintf("tensor: ConvS1Into needs stride 1, got %+v", g))

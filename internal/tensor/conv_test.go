@@ -58,17 +58,3 @@ func TestConvS1MatchesIm2Col(t *testing.T) {
 		}
 	}
 }
-
-// TestConvS1AllocationFree: a repeat call on an unchanged shape builds
-// nothing.
-func TestConvS1AllocationFree(t *testing.T) {
-	g := ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}
-	x := New(1, 6, 12, 30)
-	wm := New(6, 6*9)
-	out := New(6, 12*30)
-	var s ConvPlane
-	ConvS1Into(out, wm, x, g, &s)
-	if a := testing.AllocsPerRun(20, func() { ConvS1Into(out, wm, x, g, &s) }); a != 0 {
-		t.Fatalf("ConvS1Into allocates %.1f per call in steady state", a)
-	}
-}

@@ -217,8 +217,7 @@ func (r *runCtx) applyEvents(epoch int, end float64) {
 			b.group = r.assignGroup()
 			// One zero-cost epoch catches the empty session's clock up to
 			// the fleet boundary, so its first real epoch is in lockstep.
-			b.beginStep(end)
-			b.awaitStep()
+			b.do(func() { b.step(end) })
 			r.boards = append(r.boards, b)
 			r.events = append(r.events, EventRecord{Epoch: epoch, Kind: Join, Board: id})
 			r.rec.Instant("join", r.nowMs, fmt.Sprintf("board=%d group=%d epoch=%d", id, b.group, epoch))
@@ -425,49 +424,53 @@ func (r *runCtx) evacuateLeavers(epoch int) {
 // store on the configured cadence — after the boundary's placement, so
 // each checkpoint reflects the stream's current home and the state its
 // next epoch will start from. Snapshot and encode run on each board's
-// actor (broadcast, then collect — the deep copies and the binary
-// codec dominate the cost); only the store writes stay serial on the
-// coordinator, in board/stream order, so the pass is deterministic. In
-// Lockstep mode each board is awaited before the next is asked.
+// actor (one broadcast — the deep copies and the binary codec dominate
+// the cost); only the store writes stay serial on the coordinator, after
+// the barrier and in board/stream order, so the pass is deterministic.
 func (r *runCtx) checkpointPass(epoch int) {
 	every := r.f.cfg.CheckpointEvery
 	if r.store == nil || every <= 0 || epoch%every != 0 {
 		return
 	}
+	// jobs is indexed by board id, so each actor writes only its own
+	// slot.
 	type job struct {
-		b               *board
 		locals, globals []int
+		enc             [][]byte
 	}
-	var jobs []job
+	jobs := make([]job, len(r.boards))
+	var bs []*board
 	for _, b := range r.boards {
-		if !b.alive {
-			continue
+		j := &jobs[b.id]
+		if b.alive {
+			r.eachHomed(b, func(li, gid int) {
+				j.locals = append(j.locals, li)
+				j.globals = append(j.globals, gid)
+			})
 		}
-		j := job{b: b}
-		r.eachHomed(b, func(li, gid int) {
-			j.locals = append(j.locals, li)
-			j.globals = append(j.globals, gid)
-		})
 		if len(j.locals) > 0 {
-			jobs = append(jobs, j)
+			bs = append(bs, b)
 		}
 	}
+	r.f.broadcast(bs, func(b *board) {
+		j := &jobs[b.id]
+		j.enc = b.encode(j.locals, j.globals, epoch)
+	})
 	c0, e0 := r.ckpts, r.ckptErrs
-	r.f.broadcast(len(jobs),
-		func(i int) { jobs[i].b.beginCheckpoint(jobs[i].locals, jobs[i].globals, epoch) },
-		func(i int) {
-			for k, d := range jobs[i].b.awaitCheckpoint() {
-				if d == nil {
-					r.ckptErrs++
-					continue
-				}
-				if err := r.store.Put(jobs[i].globals[k], d); err != nil {
-					r.ckptErrs++
-					continue
-				}
-				r.ckpts++
+	for _, b := range bs {
+		j := &jobs[b.id]
+		for k, d := range j.enc {
+			if d == nil {
+				r.ckptErrs++
+				continue
 			}
-		})
+			if err := r.store.Put(j.globals[k], d); err != nil {
+				r.ckptErrs++
+				continue
+			}
+			r.ckpts++
+		}
+	}
 	if wrote, failed := r.ckpts-c0, r.ckptErrs-e0; wrote > 0 || failed > 0 {
 		r.rec.Instant("checkpoint", r.nowMs,
 			fmt.Sprintf("epoch=%d written=%d errors=%d", epoch, wrote, failed))

@@ -83,9 +83,10 @@ type Config struct {
 	// contract — every stream placed unconditionally at start.
 	Admission *Admission
 	// Lockstep steps the boards serially through their actors — one
-	// directive outstanding at a time — instead of concurrently. It is
-	// the reference execution the concurrent runtime is pinned against
-	// (TestConcurrentMatchesLockstep), not a production mode.
+	// function outstanding in the whole fleet at a time — instead of
+	// concurrently. It is the reference execution the concurrent
+	// runtime is pinned against (TestConcurrentMatchesLockstep), not a
+	// production mode.
 	Lockstep bool
 	// MakeController overrides Governor with a custom per-board
 	// controller factory (tests). Boards built this way are treated as
@@ -316,8 +317,8 @@ type board struct {
 	// top": the ladder top for closed-loop governors, the pinned mode
 	// for static deployments.
 	satW int
-	// stats is the board's last epoch telemetry, written only by the
-	// coordinator as it collects the actor's step reply at the barrier
+	// stats is the board's last epoch telemetry, written by step on the
+	// board's actor and read by the coordinator after the step barrier
 	// — there is no dense-id fleet slice to index out of range when
 	// membership changes mid-run.
 	stats serve.EpochStats
@@ -499,7 +500,7 @@ func (f *Fleet) openBoard(eng *serve.Engine, id, joinEpoch int, mine []*stream.S
 	})
 	b.sess.Observe(b.rec, obs.NewBoardMetrics(f.cfg.Metrics))
 	b.futil = f.cfg.Metrics.Gauge(fmt.Sprintf("board%03d.forecast_util", id))
-	b.act = newBoardActor(b.sess, b.ctl, b.rec)
+	b.act = newBoardActor()
 	return b
 }
 
@@ -613,9 +614,7 @@ func (f *Fleet) Run(sources []*stream.Source) Report {
 			}
 		}
 		end := now + cfg.EpochMs
-		f.broadcast(len(stepped),
-			func(i int) { stepped[i].beginStep(end) },
-			func(i int) { stepped[i].awaitStep() })
+		f.broadcast(stepped, func(b *board) { b.step(end) })
 		r.epochs++
 		r.nowMs = end
 		r.rec.Instant("epoch", end, fmt.Sprintf("epoch=%d boards=%d", epoch, len(stepped)))

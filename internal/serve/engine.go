@@ -106,32 +106,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// FrameRecord is the serving outcome of one frame.
-type FrameRecord struct {
-	// Stream and Index identify the frame.
-	Stream, Index int
-	// QueueMs is the measured wait from camera arrival to batch
-	// dispatch on the scheduler's virtual clock.
-	QueueMs float64
-	// LatencyMs is the event-time per-frame latency: measured queue
-	// wait + amortized batched-forward share + the frame's share of any
-	// adaptation step its window triggered.
-	LatencyMs float64
-	// EnergyMJ is the frame's dynamic energy in millijoules: its
-	// amortized share of per-dispatch Watts × busy-ms, under the power
-	// mode(s) actually in force when its forward and adaptation work
-	// dispatched.
-	EnergyMJ float64
-	// DeadlineMet reports LatencyMs ≤ deadline.
-	DeadlineMet bool
-	// Accuracy and Points score the frame against its hidden labels.
-	Accuracy float64
-	Points   int
-	// BatchSize is the size of the coalesced batch that served the
-	// frame.
-	BatchSize int
-}
-
 // StreamReport aggregates one stream's serving outcomes.
 type StreamReport struct {
 	// Stream is the stream id.
@@ -308,20 +282,13 @@ func (e *Engine) FrameLatencyMs(batchSize int) float64 {
 	return lat
 }
 
-// execRec is one executed frame: the functional outcome joined to its
-// planned frame. Latency and energy are read off the plan only after
-// all planning completes, because a later epoch may still assign the
-// frame its adaptation-step share retroactively.
-type execRec struct {
-	pf  *plannedFrame
-	acc float64
-	pts int
-	n   int // coalesced batch size that served the frame
-}
-
-// buildReport aggregates the executed frames, the plan's shed/energy
-// accounting and the epoch trace into the run report.
-func (e *Engine) buildReport(p *planner, states []*streamState, recs []execRec, epochs []EpochStats, wall time.Duration) Report {
+// buildReport aggregates the executed plan, its shed/energy accounting
+// and the epoch trace into the run report. Frames are walked in plan
+// order, never in the order workers finished them, so every sum is the
+// same at any host scheduling. Latency and energy are read off the plan
+// only now, because a later epoch may still assign a frame its
+// adaptation-step share retroactively.
+func (e *Engine) buildReport(p *planner, states []*streamState, epochs []EpochStats, wall time.Duration) Report {
 	nStreams := len(states)
 	type agg struct {
 		frames, points int
@@ -331,23 +298,20 @@ func (e *Engine) buildReport(p *planner, states []*streamState, recs []execRec, 
 		lats, queues   []float64
 	}
 	aggs := make([]agg, nStreams)
-	for _, r := range recs {
-		rec := FrameRecord{
-			Stream: r.pf.stream, Index: r.pf.frame.Index,
-			QueueMs: r.pf.queueMs, LatencyMs: r.pf.latencyMs, EnergyMJ: r.pf.energyMJ,
-			DeadlineMet: r.pf.latencyMs <= e.cfg.DeadlineMs,
-			Accuracy:    r.acc, Points: r.pts, BatchSize: r.n,
-		}
-		a := &aggs[rec.Stream]
-		a.frames++
-		a.accW += rec.Accuracy * float64(rec.Points)
-		a.points += rec.Points
-		a.latSum += rec.LatencyMs
-		a.energy += rec.EnergyMJ
-		a.lats = append(a.lats, rec.LatencyMs)
-		a.queues = append(a.queues, rec.QueueMs)
-		if !rec.DeadlineMet {
-			a.misses++
+	for _, pb := range p.sc.batches {
+		for i := range pb.frames {
+			pf := &pb.frames[i]
+			a := &aggs[pf.stream]
+			a.frames++
+			a.accW += pf.acc * float64(pf.pts)
+			a.points += pf.pts
+			a.latSum += pf.latencyMs
+			a.energy += pf.energyMJ
+			a.lats = append(a.lats, pf.latencyMs)
+			a.queues = append(a.queues, pf.queueMs)
+			if pf.latencyMs > e.cfg.DeadlineMs {
+				a.misses++
+			}
 		}
 	}
 
@@ -483,8 +447,9 @@ func (e *Engine) newWorker() *worker {
 // decided. Queue waits, deadline and energy accounting were fixed at
 // planning time (with step shares possibly still landing from later
 // epochs, which is why only the planner's final state is reported);
-// this stage supplies the functional results.
-func (wk *worker) serve(pb plannedBatch, states []*streamState, records chan<- execRec) {
+// this stage writes the functional results into the batch's planned
+// frames, ordered before buildReport reads them by the epoch barrier.
+func (wk *worker) serve(pb plannedBatch, states []*streamState) {
 	mcfg := wk.model.Cfg
 	chw := 3 * mcfg.InputH * mcfg.InputW
 	batch := pb.frames
@@ -526,8 +491,7 @@ func (wk *worker) serve(pb plannedBatch, states []*streamState, records chan<- e
 
 	for i := range batch {
 		pf := &batch[i]
-		acc, pts := stream.ScoreSample(mcfg, preds[i], pf.frame.Sample)
-		records <- execRec{pf: pf, acc: acc, pts: pts, n: n}
+		pf.acc, pf.pts = stream.ScoreSample(mcfg, preds[i], pf.frame.Sample)
 	}
 
 	// Adaptation stage: windowed frames join their stream's window; the

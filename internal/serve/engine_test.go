@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -123,7 +124,6 @@ func TestEngineAdaptationIsPerStream(t *testing.T) {
 		states[i] = newStreamState(m)
 	}
 	wk := e.newWorker()
-	records := make(chan execRec, 64)
 	for fi := 0; fi < 8; fi++ {
 		action := adaptNone
 		if fi%2 == 1 {
@@ -133,7 +133,7 @@ func TestEngineAdaptationIsPerStream(t *testing.T) {
 			{stream: 0, frame: fleet[0].Frames[fi], action: action, windowed: true},
 			{stream: 1, frame: fleet[1].Frames[fi], action: action, windowed: true},
 		}}
-		wk.serve(batch, states, records)
+		wk.serve(batch, states)
 	}
 
 	diffAB, diffA := 0.0, 0.0
@@ -182,9 +182,9 @@ func TestSyntheticFleetShapes(t *testing.T) {
 	}
 }
 
-// TestRunNaiveBaseline exercises the reference deployment on the
-// engine: one worker, every frame adapts, nothing batches.
-func TestRunNaiveBaseline(t *testing.T) {
+// TestUnbatchedEveryFrameBaseline exercises the reference deployment
+// on the engine: one worker, every frame adapts, nothing batches.
+func TestUnbatchedEveryFrameBaseline(t *testing.T) {
 	m := testModel(26)
 	fleet := SyntheticFleet(m.Cfg, 2, 4, 30, 3)
 	rep := New(m, Config{Workers: 1, MaxBatch: 1, AdaptEvery: 1, Adapt: adapt.DefaultConfig()}).Run(fleet)
@@ -197,6 +197,32 @@ func TestRunNaiveBaseline(t *testing.T) {
 	for si, sr := range rep.Streams {
 		if sr.AdaptSteps != 4 {
 			t.Fatalf("stream %d: %d adapt steps, want one per frame", si, sr.AdaptSteps)
+		}
+	}
+}
+
+// TestReportIndependentOfWorkerScheduling pins that host goroutine
+// scheduling never reaches the report: with adaptation off no worker's
+// output depends on another's, so four workers racing over 128
+// single-frame batches must render the same report on every run, host
+// timing aside. The report sums frames in plan order; summed in the
+// order workers finished them, mean latency and mean queue wait moved
+// in their last bits from run to run.
+func TestReportIndependentOfWorkerScheduling(t *testing.T) {
+	m := testModel(27)
+	fleet := SyntheticFleet(m.Cfg, 2, 64, 240, 41)
+	e := New(m, Config{Workers: 4, MaxBatch: 1, AdaptEvery: 0})
+	var want string
+	for run := 0; run < 7; run++ {
+		rep := e.Run(fleet)
+		rep.WallSeconds, rep.ThroughputFPS = 0, 0
+		got := fmt.Sprintf("%+v", rep)
+		if run == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Fatalf("run %d report differs from run 0:\n got %s\nwant %s", run, got, want)
 		}
 	}
 }

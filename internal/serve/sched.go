@@ -53,6 +53,11 @@ type plannedFrame struct {
 	// landed; telemetry estimates the steady-state share for the rest
 	// so epoch hit rates do not read optimistically at slow cadences.
 	shared bool
+	// acc and pts are the frame's functional outcome, its accuracy and
+	// scored points against the hidden labels: written once by the
+	// executing worker, read only by the report.
+	acc float64
+	pts int
 }
 
 // plannedBatch is one coalesced dispatch: which frames, when (virtual
@@ -76,7 +81,7 @@ type schedStream struct {
 
 // schedule is the full event-time plan for a fleet: every dispatch with
 // its frames priced, plus the shed and energy accounting the report
-// needs beyond per-frame records.
+// needs beyond the planned frames.
 type schedule struct {
 	batches    []plannedBatch
 	streams    []schedStream
@@ -294,7 +299,7 @@ func (p *planner) remaining() bool {
 // clone snapshots the planner for a what-if probe: the copy shares the
 // read-only event list but owns every piece of mutable state. Open
 // adaptation windows are deep-copied so a simulated step assigns its
-// retroactive shares to throwaway frames, never to the real records.
+// retroactive shares to throwaway frames, never to the real plan.
 func (p *planner) clone() *planner {
 	q := *p
 	scCopy := *p.sc

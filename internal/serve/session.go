@@ -35,9 +35,9 @@ import (
 // cross-goroutine handoff ordered by a happens-before edge. The fleet
 // runtime (internal/shard) follows exactly that contract: each
 // board's actor goroutine owns its Session for the board's lifetime
-// and serves typed directives over a control bus, and the coordinator
-// may read a quiescent session (Done, Now, Controls) only after
-// receiving the actor's reply for the current directive.
+// and runs the functions the coordinator sends over its bus, and the
+// coordinator may read a quiescent session (Done, Now, Controls) only
+// after the actor has signalled that the current function returned.
 type Session struct {
 	e       *Engine
 	p       *planner
@@ -49,12 +49,9 @@ type Session struct {
 	// it across boards.
 	fc []forecast.Forecaster
 
-	batches   chan plannedBatch
-	records   chan execRec
-	inflight  sync.WaitGroup // batches handed to workers, not yet executed
-	workers   sync.WaitGroup
-	recs      []execRec
-	collected chan struct{}
+	batches  chan plannedBatch
+	inflight sync.WaitGroup // batches handed to workers, not yet executed
+	workers  sync.WaitGroup
 
 	epochs     []EpochStats
 	epochIdx   int
@@ -86,14 +83,12 @@ func (s *Session) Observe(rec *obs.Recorder, bm obs.BoardMetrics) {
 // goroutines and obtain the report.
 func (e *Engine) NewSession(sources []*stream.Source) *Session {
 	s := &Session{
-		e:         e,
-		p:         e.newPlanner(sources),
-		sources:   append([]*stream.Source(nil), sources...),
-		states:    make([]*streamState, len(sources)),
-		batches:   make(chan plannedBatch, e.cfg.Workers),
-		records:   make(chan execRec, 4*e.cfg.MaxBatch),
-		collected: make(chan struct{}),
-		start:     time.Now(),
+		e:       e,
+		p:       e.newPlanner(sources),
+		sources: append([]*stream.Source(nil), sources...),
+		states:  make([]*streamState, len(sources)),
+		batches: make(chan plannedBatch, e.cfg.Workers),
+		start:   time.Now(),
 	}
 	for i := range s.states {
 		s.states[i] = newStreamState(e.model)
@@ -109,17 +104,11 @@ func (e *Engine) NewSession(sources []*stream.Source) *Session {
 			defer s.workers.Done()
 			wk := e.newWorker()
 			for b := range s.batches {
-				wk.serve(b, s.states, s.records)
+				wk.serve(b, s.states)
 				s.inflight.Done()
 			}
 		}()
 	}
-	go func() {
-		defer close(s.collected)
-		for r := range s.records {
-			s.recs = append(s.recs, r)
-		}
-	}()
 	return s
 }
 
@@ -209,9 +198,7 @@ func (s *Session) Finish() Report {
 	s.finished = true
 	close(s.batches)
 	s.workers.Wait()
-	close(s.records)
-	<-s.collected
-	s.rep = s.e.buildReport(s.p, s.states, s.recs, s.epochs, time.Since(s.start))
+	s.rep = s.e.buildReport(s.p, s.states, s.epochs, time.Since(s.start))
 	return s.rep
 }
 

@@ -62,15 +62,23 @@
 #                kernels on one worker count, so a kernel or banding
 #                change that moves a bit at another count, or only with
 #                the assembly in, fails here. make test runs them once,
-#                at the box's GOMAXPROCS with the assembly
+#                at the box's GOMAXPROCS with the assembly. The same run
+#                covers the two host-scheduling pins — shard's
+#                TestConcurrentMatchesLockstep (the board bus against
+#                its serial reference) and serve's
+#                TestReportIndependentOfWorkerScheduling — whose
+#                failures depend on how many CPUs race
 #   make fuzz-smoke  ten seconds each of FuzzDecodeCheckpoint, the decoder
 #                the fleet's failover path runs on stored checkpoint
-#                bytes, and FuzzLoadParams, the reader of the weights
+#                bytes, FuzzParsePlan, the parser of ldserve's -chaos
+#                spec, and FuzzLoadParams, the reader of the weights
 #                file ldtrain writes for ldadapt and ldserve: no input
-#                may panic, and an accepted one must re-encode (re-save)
-#                stably. Their seeds are the committed v2 golden or a
-#                Tiny detector's SaveParams output, and an empty file; a
-#                crasher either finds is committed under the package's
+#                may panic, an accepted checkpoint or weights file must
+#                re-encode (re-save) stably, and an accepted plan must
+#                hold only well-formed events. Their seeds are the
+#                committed v2 golden, the chaos specs the docs use, or a
+#                Tiny detector's SaveParams output, and an empty input; a
+#                crasher any of them finds is committed under the package's
 #                testdata/fuzz/, where plain `go test` replays it.
 #                Minimization is capped at 200 runs per new input:
 #                minimizing a mutant of the 12 KB golden takes the 60 s
@@ -113,7 +121,7 @@ purego:
 race:
 	$(GO) test -race -short ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/govern/... ./internal/tensor/... ./internal/nn/... ./internal/adapt/... ./internal/stream/...
 
-PINS = 'Fingerprint|Golden|MatchesRunOnline'
+PINS = 'Fingerprint|Golden|MatchesRunOnline|MatchesLockstep|IndependentOfWorkerScheduling'
 PIN_PKGS = ./internal/adapt/ ./internal/ufld/ ./internal/nn/ ./internal/serve/ ./internal/shard/ ./internal/carlane/
 
 fingerprints:
@@ -169,6 +177,7 @@ obs-smoke:
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s -fuzzminimizetime 200x ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s -fuzzminimizetime 200x ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzLoadParams -fuzztime 10s -fuzzminimizetime 200x ./internal/nn
 
 ci: build fmt vet staticcheck test purego race fingerprints chaos-smoke fleet-smoke obs-smoke fuzz-smoke bench-smoke bench-smoke-ext

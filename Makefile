@@ -57,7 +57,7 @@
 #                green
 #   make fingerprints  every cross-commit pin (the Fingerprint, Golden
 #                and MatchesRunOnline tests of adapt, ufld, nn, serve,
-#                shard and carlane) at -cpu 1,2,4, then again under
+#                shard, carlane, govern and sota) at -cpu 1,2,4, then again under
 #                -tags purego: the pins were recorded through the Go
 #                kernels on one worker count, so a kernel or banding
 #                change that moves a bit at another count, or only with
@@ -122,7 +122,7 @@ race:
 	$(GO) test -race -short ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/govern/... ./internal/tensor/... ./internal/nn/... ./internal/adapt/... ./internal/stream/...
 
 PINS = 'Fingerprint|Golden|MatchesRunOnline|MatchesLockstep|IndependentOfWorkerScheduling'
-PIN_PKGS = ./internal/adapt/ ./internal/ufld/ ./internal/nn/ ./internal/serve/ ./internal/shard/ ./internal/carlane/
+PIN_PKGS = ./internal/adapt/ ./internal/ufld/ ./internal/nn/ ./internal/serve/ ./internal/shard/ ./internal/carlane/ ./internal/govern/ ./internal/sota/
 
 fingerprints:
 	$(GO) test -cpu 1,2,4 -run $(PINS) $(PIN_PKGS)

@@ -13,12 +13,12 @@
 //   - Static pins the engine's configured controls — the baseline, and
 //     exactly Run's one-shot behavior.
 //   - Hysteresis is the deployable rule-based ladder climber: it
-//     climbs immediately when an epoch misses its service target,
-//     descends only after Patience consecutive healthy epochs whose
-//     load would fit the lower rung, and under saturation at the top
-//     rung stretches the adaptation cadence and escalates the
-//     overload policy before giving up frames. It never selects a
-//     mode above its power budget.
+//     climbs immediately when an epoch misses the service target
+//     (TargetHitRate), descends only after Patience consecutive
+//     healthy epochs whose load would fit the lower rung, and under
+//     saturation at the top rung stretches the adaptation cadence and
+//     escalates the overload policy before giving up frames. It never
+//     selects a mode above its power budget.
 //   - Predictive is Hysteresis plus feed-forward: the per-stream
 //     arrival forecasts (internal/forecast) riding in EpochStats let
 //     it pre-climb straight to the lowest rung that fits the
@@ -29,6 +29,11 @@
 //     ladder rung against the engine's exact queue/worker/window
 //     state (serve.RunGoverned's probe) and takes the cheapest rung
 //     that still meets the service target.
+//
+// Every governor holds the same service target, TargetHitRate, and
+// its thresholds are package constants: the recipe is fixed, and a
+// deployment picks only the policy, the power budget and the
+// Hysteresis inertia (Patience, Backoff).
 //
 // The energy a governor saves is the static rail draw: busy energy
 // alone favors MAXN (race-to-idle — higher modes finish the same work
@@ -51,10 +56,11 @@ import (
 	"ldbnadapt/internal/serve"
 )
 
-// defaultTargetHitRate is the service target a governor holds when
-// none is configured: at least 95% of an epoch's served frames inside
+// TargetHitRate is the per-epoch service target every governor holds,
+// and the one the fleet coordinator (internal/shard) detects
+// saturation against: at least 95% of an epoch's served frames inside
 // the deadline.
-const defaultTargetHitRate = 0.95
+const TargetHitRate = 0.95
 
 // Ladder returns the nvpmodel modes usable under a power budget, in
 // ascending power order (budgetW 0 = unconstrained).
@@ -95,12 +101,10 @@ func ByName(name string, budgetW int) (serve.Controller, error) {
 	return nil, fmt.Errorf("govern: unknown governor %q (have static/hysteresis/predictive/oracle)", name)
 }
 
-// Static pins one set of controls for the whole run — the offline
-// deployment the paper analyzes, and the baseline the closed-loop
-// governors are measured against.
+// Static pins the engine's configured controls for the whole run — the
+// offline deployment the paper analyzes, and the baseline the
+// closed-loop governors are measured against.
 type Static struct {
-	// Mode overrides the engine's configured power mode when set.
-	Mode orin.PowerMode
 	// BudgetW caps the pinned mode like the closed-loop governors' cap
 	// (0 = unconstrained): a mode over budget is clamped to the highest
 	// affordable rung, so `-govern static -power-budget 30` never runs
@@ -113,10 +117,7 @@ func (s Static) Name() string { return "static" }
 
 // Start implements serve.Controller.
 func (s Static) Start(cfg serve.Config) serve.Controls {
-	mode := s.Mode
-	if mode.Name == "" {
-		mode = cfg.Mode
-	}
+	mode := cfg.Mode
 	if s.BudgetW > 0 && mode.Watts > s.BudgetW {
 		ladder, err := Ladder(s.BudgetW)
 		if err != nil {

@@ -6,6 +6,11 @@ import (
 	"ldbnadapt/internal/stream"
 )
 
+// downUtil is the utilization ceiling predicted at the lower rung below
+// which a descent is allowed: descending into saturation would climb
+// right back — the flap hysteresis exists to prevent.
+const downUtil = 0.7
+
 // Hysteresis is the deployable rule-based governor: a ladder climber
 // with asymmetric inertia. An unhealthy epoch — deadline-hit rate
 // below target, or backlog left at the boundary — escalates
@@ -27,17 +32,9 @@ import (
 type Hysteresis struct {
 	// BudgetW caps the ladder (0 = unconstrained).
 	BudgetW int
-	// TargetHitRate is the per-epoch deadline-hit service target
-	// (default 0.95).
-	TargetHitRate float64
 	// Patience is how many consecutive healthy epochs precede any
 	// de-escalation (default 2).
 	Patience int
-	// DownUtil is the utilization ceiling predicted at the lower rung
-	// below which a descent is allowed (default 0.7): descending into
-	// saturation would climb right back — the flap hysteresis exists
-	// to prevent.
-	DownUtil float64
 	// Backoff is the initial failure backoff in epochs (default 16):
 	// how long an unhealthy epoch at a rung blocks descents back into
 	// it. Re-failures double it up to 8× the initial value. Measured on
@@ -71,25 +68,11 @@ func (h *Hysteresis) Name() string { return "hysteresis" }
 // Explain implements serve.Explainer: the branch the last Decide took.
 func (h *Hysteresis) Explain() string { return h.why }
 
-func (h *Hysteresis) target() float64 {
-	if h.TargetHitRate > 0 {
-		return h.TargetHitRate
-	}
-	return defaultTargetHitRate
-}
-
 func (h *Hysteresis) patience() int {
 	if h.Patience > 0 {
 		return h.Patience
 	}
 	return 2
-}
-
-func (h *Hysteresis) downUtil() float64 {
-	if h.DownUtil > 0 {
-		return h.DownUtil
-	}
-	return 0.7
 }
 
 func (h *Hysteresis) backoffInit() int {
@@ -132,7 +115,7 @@ func policyRank(p stream.OverloadPolicy) int {
 // Decide implements serve.Controller.
 func (h *Hysteresis) Decide(prev serve.EpochStats, cur serve.Controls, _ func(serve.Controls) serve.EpochStats) serve.Controls {
 	next := cur
-	healthy := prev.DeadlineHitRate >= h.target() && prev.QueueDepth == 0
+	healthy := prev.DeadlineHitRate >= TargetHitRate && prev.QueueDepth == 0
 	if !healthy {
 		h.goodRun = 0
 		if h.backoff[h.idx] == 0 {
@@ -205,7 +188,7 @@ func (h *Hysteresis) Decide(prev serve.EpochStats, cur serve.Controls, _ func(se
 		// by the compute-speed ratio.
 		lower := h.ladder[h.idx-1]
 		ratio := cur.Mode.EffGFLOPS / lower.EffGFLOPS
-		if prev.Utilization*ratio < h.downUtil() {
+		if prev.Utilization*ratio < downUtil {
 			h.idx--
 			h.why = "descend"
 		}

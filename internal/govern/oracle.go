@@ -27,9 +27,6 @@ import (
 type Oracle struct {
 	// BudgetW caps the ladder (0 = unconstrained).
 	BudgetW int
-	// TargetHitRate is the per-epoch deadline-hit service target
-	// (default 0.95).
-	TargetHitRate float64
 
 	ladder []orin.PowerMode
 	base   serve.Controls
@@ -44,13 +41,6 @@ func (o *Oracle) Name() string { return "oracle" }
 // Explain implements serve.Explainer: whether the last sweep found a
 // rung meeting the target or fell back to the best-serving one.
 func (o *Oracle) Explain() string { return o.why }
-
-func (o *Oracle) target() float64 {
-	if o.TargetHitRate > 0 {
-		return o.TargetHitRate
-	}
-	return defaultTargetHitRate
-}
 
 // Start implements serve.Controller: the first epoch runs blind (no
 // telemetry yet), so begin on the highest affordable rung — the
@@ -83,7 +73,7 @@ func (o *Oracle) Decide(prev serve.EpochStats, cur serve.Controls, probe func(se
 			cand := serve.Controls{Mode: mode, Policy: o.base.Policy, AdaptEvery: o.base.AdaptEvery, Quantized: quant}
 			es := probe(cand)
 			oc := &outcome{c: cand, es: es}
-			if es.DeadlineHitRate >= o.target() && es.QueueDepth <= prev.QueueDepth {
+			if es.DeadlineHitRate >= TargetHitRate && es.QueueDepth <= prev.QueueDepth {
 				best := &bestFloat
 				if quant {
 					best = &bestInt8

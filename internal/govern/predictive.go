@@ -4,6 +4,26 @@ import (
 	"ldbnadapt/internal/serve"
 )
 
+const (
+	// upUtil is the predicted-utilization ceiling above which the
+	// governor pre-climbs: high enough that a fitting rung is left
+	// alone, low enough that queueing never has to build before watts
+	// arrive.
+	upUtil = 0.85
+	// loadMargin scales the load memory: a rung inside its failure
+	// backoff may still be entered when the forecast load is below
+	// loadMargin × the smallest load that ever broke it.
+	loadMargin = 0.5
+	// peakDecay is the per-epoch decay of the peak-load memory that
+	// floors descents. Climbs trust the forecast; descents trust
+	// max(forecast, decayed peak), because a square-wave burst is
+	// exactly what a causal forecaster cannot see coming — the decayed
+	// peak is the insurance premium against the next onset, and its
+	// half-life prices how long a lull must last before the governor
+	// stops paying it.
+	peakDecay = 0.9
+)
+
 // Predictive is Hysteresis with a feed-forward term: it keeps every
 // piece of the reactive machinery — per-rung failure backoff, patience,
 // the power budget, cadence-stretch and policy-escalation under
@@ -46,23 +66,6 @@ import (
 // W workers is then work/Eff(m) × F / (S×W).
 type Predictive struct {
 	Hysteresis
-	// UpUtil is the predicted-utilization ceiling above which the
-	// governor pre-climbs (default 0.85): high enough that a fitting
-	// rung is left alone, low enough that queueing never has to build
-	// before watts arrive.
-	UpUtil float64
-	// LoadMargin scales the load memory (default 0.5): a rung inside
-	// its failure backoff may still be entered when the forecast load
-	// is below LoadMargin × the smallest load that ever broke it.
-	LoadMargin float64
-	// PeakDecay is the per-epoch decay of the peak-load memory that
-	// floors descents (default 0.9). Climbs trust the forecast; descents
-	// trust max(forecast, decayed peak), because a square-wave burst is
-	// exactly what a causal forecaster cannot see coming — the decayed
-	// peak is the insurance premium against the next onset, and its
-	// half-life prices how long a lull must last before the governor
-	// stops paying it.
-	PeakDecay float64
 
 	// workPerFrame is the smoothed mode-independent serving cost in
 	// ms×GFLOPS per frame; workers and spanMs remember the epoch
@@ -87,27 +90,6 @@ type Predictive struct {
 
 // Name implements serve.Controller.
 func (p *Predictive) Name() string { return "predictive" }
-
-func (p *Predictive) upUtil() float64 {
-	if p.UpUtil > 0 {
-		return p.UpUtil
-	}
-	return 0.85
-}
-
-func (p *Predictive) loadMargin() float64 {
-	if p.LoadMargin > 0 {
-		return p.LoadMargin
-	}
-	return 0.5
-}
-
-func (p *Predictive) peakDecay() float64 {
-	if p.PeakDecay > 0 && p.PeakDecay < 1 {
-		return p.PeakDecay
-	}
-	return 0.9
-}
 
 // Start implements serve.Controller.
 func (p *Predictive) Start(cfg serve.Config) serve.Controls {
@@ -138,11 +120,11 @@ func (p *Predictive) rungOf(watts int) int {
 // keep every safety property (budget, escalation order, patience);
 // the forecast then corrects the rung they chose on both sides.
 func (p *Predictive) Decide(prev serve.EpochStats, cur serve.Controls, probe func(serve.Controls) serve.EpochStats) serve.Controls {
-	healthy := prev.DeadlineHitRate >= p.target() && prev.QueueDepth == 0
+	healthy := prev.DeadlineHitRate >= TargetHitRate && prev.QueueDepth == 0
 	if ri := p.rungOf(prev.Controls.Mode.Watts); ri >= 0 {
 		load := float64(prev.Arrived + prev.QueueDepth)
 		switch {
-		case !healthy && prev.QueueDepth == 0 && prev.Utilization < p.downUtil():
+		case !healthy && prev.QueueDepth == 0 && prev.Utilization < downUtil:
 			// Deadlines died with an empty queue on an underworked rung:
 			// the rung's latency floor is the problem, not its capacity.
 			p.floorBad[ri] = true
@@ -177,7 +159,7 @@ func (p *Predictive) Decide(prev serve.EpochStats, cur serve.Controls, probe fun
 		return next
 	}
 	load := prev.ForecastArrived + float64(prev.QueueDepth) // what must be served next epoch
-	p.peakLoad = p.peakLoad * p.peakDecay()
+	p.peakLoad = p.peakLoad * peakDecay
 	if observed := float64(prev.Arrived + prev.QueueDepth); observed > p.peakLoad {
 		p.peakLoad = observed
 	}
@@ -193,7 +175,7 @@ func (p *Predictive) Decide(prev serve.EpochStats, cur serve.Controls, probe fun
 			return false
 		}
 		return prev.Epoch >= p.retryAt[i] ||
-			(p.failLoad[i] > 0 && load < p.loadMargin()*p.failLoad[i])
+			(p.failLoad[i] > 0 && load < loadMargin*p.failLoad[i])
 	}
 
 	if load > 0 {
@@ -201,7 +183,7 @@ func (p *Predictive) Decide(prev serve.EpochStats, cur serve.Controls, probe fun
 		// forecast; saturated already at the top, there is nothing the
 		// forecast can add that escalation has not done.
 		idx := p.idx
-		for idx < len(p.ladder)-1 && (predUtil(idx) > p.upUtil() || !usable(idx)) {
+		for idx < len(p.ladder)-1 && (predUtil(idx) > upUtil || !usable(idx)) {
 			idx++
 		}
 		if idx > p.idx {
@@ -227,7 +209,7 @@ func (p *Predictive) Decide(prev serve.EpochStats, cur serve.Controls, probe fun
 		if p.peakLoad > descLoad {
 			descLoad = p.peakLoad
 		}
-		for p.idx > 0 && usable(p.idx-1) && util(p.idx-1, descLoad) < p.downUtil() {
+		for p.idx > 0 && usable(p.idx-1) && util(p.idx-1, descLoad) < downUtil {
 			p.idx--
 			p.why = "forecast-descent"
 		}

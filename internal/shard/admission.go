@@ -19,8 +19,8 @@ import "fmt"
 type Admission struct {
 	// MaxUtil is the forecast-utilization ceiling a board may be
 	// filled to by admission, including its forecast load and the
-	// arrivals already admitted this boundary (default: Config.MaxUtil,
-	// the migration headroom gate).
+	// arrivals already admitted this boundary (default 0.5, the
+	// migration headroom gate).
 	MaxUtil float64
 	// Queue caps how many arrivals may wait for headroom; one more and
 	// the newest waiter is shed. 0 means an unbounded queue.

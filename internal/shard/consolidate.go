@@ -90,7 +90,7 @@ func (r *runCtx) consolidate(grp []*board, epoch int) {
 	planned := make([]float64, len(grp))
 	dests := make([]int, len(streams))
 	for i, s := range streams {
-		if epoch-r.lastCon[s.gid] < cfg.Cooldown || epoch-r.lastSat[s.gid] < cfg.Cooldown {
+		if epoch-r.lastCon[s.gid] < cooldown || epoch-r.lastSat[s.gid] < cooldown {
 			return
 		}
 		dst := -1

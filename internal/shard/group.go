@@ -108,7 +108,7 @@ func (r *runCtx) migrate(grp []*board, epoch int) {
 		// destinations are held to — or the group runs out of cool
 		// boards.
 		remaining := r.forecastUtil(src)
-		for first := true; first || remaining >= r.f.cfg.MaxUtil; first = false {
+		for first := true; first || remaining >= maxUtil; first = false {
 			dst := r.coolest(grp, func(c *board) bool { return c == src || taken[c] })
 			if dst == nil {
 				break // nowhere cooler to go: the whole group is hot
@@ -140,7 +140,7 @@ func (r *runCtx) migrate(grp []*board, epoch int) {
 func (r *runCtx) hottest(src *board, epoch int) int {
 	best, bestDue := -1, 0.0
 	r.eachHomed(src, func(_, gid int) {
-		if epoch-r.lastSat[gid] < r.f.cfg.Cooldown {
+		if epoch-r.lastSat[gid] < cooldown {
 			return
 		}
 		if due := streamForecast(src, gid); due > bestDue {
@@ -154,7 +154,7 @@ func (r *runCtx) hottest(src *board, epoch int) int {
 // individual streams across the fleet — only at each group's mean
 // forecast utilization — and acts when the hottest group's mean
 // clears the saturation ceiling while trailing the coolest group by at
-// least RebalanceGap: an imbalance the per-group placers are blind to
+// least rebalanceGap: an imbalance the per-group placers are blind to
 // because neither group has both ends of it. One stream moves per
 // boundary (the hottest eligible stream of the hot group's hottest
 // board onto the cool group's least-loaded board with headroom), so
@@ -165,7 +165,7 @@ func (r *runCtx) rebalance(groups [][]*board, epoch int) {
 		return
 	}
 	hot, cold := loads[len(loads)-1], loads[0]
-	if hot.mean < r.f.cfg.MaxUtil || hot.mean-cold.mean < r.f.cfg.RebalanceGap {
+	if hot.mean < maxUtil || hot.mean-cold.mean < rebalanceGap {
 		return
 	}
 	var src *board

@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"ldbnadapt/internal/forecast"
+	"ldbnadapt/internal/govern"
 	"ldbnadapt/internal/orin"
 	"ldbnadapt/internal/serve"
 	"ldbnadapt/internal/stream"
@@ -206,7 +207,7 @@ func (r *runCtx) util(frames float64) float64 {
 // let deadlines die in the queue).
 func (r *runCtx) saturated(b *board) bool {
 	es := b.stats
-	if es.Controls.Mode.Watts >= b.satW && es.DeadlineHitRate < r.f.cfg.TargetHitRate {
+	if es.Controls.Mode.Watts >= b.satW && es.DeadlineHitRate < govern.TargetHitRate {
 		return true
 	}
 	return es.QueueDepth > 0 && r.util(es.ForecastArrived+float64(es.QueueDepth)) >= 1
@@ -253,14 +254,14 @@ func (r *runCtx) eachHomed(b *board, fn func(li, gid int)) {
 }
 
 // coolest returns the live, non-leaving, unsaturated board in cands
-// with the lowest forecast utilization under the MaxUtil headroom gate
+// with the lowest forecast utilization under the maxUtil headroom gate
 // (ties to the earliest), passing over any board skip reports (skip
 // may be nil); nil when none qualifies.
 func (r *runCtx) coolest(cands []*board, skip func(*board) bool) *board {
 	var dst *board
 	for _, c := range cands {
 		if !c.alive || c.leaving || (skip != nil && skip(c)) ||
-			r.forecastUtil(c) >= r.f.cfg.MaxUtil || r.saturated(c) {
+			r.forecastUtil(c) >= maxUtil || r.saturated(c) {
 			continue
 		}
 		if dst == nil || r.forecastUtil(c) < r.forecastUtil(dst) {

@@ -52,18 +52,6 @@ type Config struct {
 	// worker capacity): low enough that a consolidated board rides a
 	// mild burst without immediately saturating.
 	ConsolidateUtil float64
-	// TargetHitRate is the per-epoch deadline-hit service target used
-	// for saturation detection (default 0.95, matching the governors).
-	TargetHitRate float64
-	// MaxUtil is the destination headroom gate: a stream migrates only
-	// onto a board whose last epoch ran below this utilization (default
-	// 0.5).
-	MaxUtil float64
-	// Cooldown is how many epochs a migrated stream stays put before it
-	// may move again (default 8): a board draining the backlog that made
-	// it saturated reads as still-saturated for a few epochs, and
-	// without inertia the same stream ping-pongs between boards.
-	Cooldown int
 	// GroupSize partitions boards into placement groups of this size
 	// (default 16). Saturation migration, lull consolidation and
 	// failover re-admission score O(group) inside each group's placer;
@@ -72,10 +60,6 @@ type Config struct {
 	// a single group and reproduce the flat coordinator's decisions
 	// exactly.
 	GroupSize int
-	// RebalanceGap is the minimum spread between the hottest and
-	// coolest group's mean forecast utilization before the fleet placer
-	// moves a stream across groups (default 0.25).
-	RebalanceGap float64
 	// Admission gates streams that come online after the run starts
 	// (first frame beyond the first epoch boundary): instead of being
 	// placed up front, they wait for a board with forecast headroom,
@@ -88,10 +72,6 @@ type Config struct {
 	// runtime is pinned against (TestConcurrentMatchesLockstep), not a
 	// production mode.
 	Lockstep bool
-	// MakeController overrides Governor with a custom per-board
-	// controller factory (tests). Boards built this way are treated as
-	// pinned at the ladder top for saturation detection.
-	MakeController func(board int) serve.Controller
 	// CheckpointEvery writes every homed stream's adaptation state into
 	// Checkpoints every N fleet epochs (0 disables checkpointing;
 	// defaults to 1 when a failure Plan is set). The cadence bounds the
@@ -117,6 +97,24 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// The coordinator's placement thresholds. Saturation is judged against
+// govern.TargetHitRate, the service target the governors hold.
+const (
+	// maxUtil is the destination headroom gate: a stream migrates only
+	// onto a board whose forecast utilization is below it, and it is
+	// the default admission ceiling.
+	maxUtil = 0.5
+	// cooldown is how many epochs a migrated stream stays put before it
+	// may move again: a board draining the backlog that made it
+	// saturated reads as still-saturated for a few epochs, and without
+	// inertia the same stream ping-pongs between boards.
+	cooldown = 8
+	// rebalanceGap is the minimum spread between the hottest and
+	// coolest group's mean forecast utilization before the fleet placer
+	// moves a stream across groups.
+	rebalanceGap = 0.25
+)
+
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	if c.Boards <= 0 {
@@ -125,17 +123,8 @@ func (c Config) withDefaults() Config {
 	if c.EpochMs <= 0 {
 		c.EpochMs = 250
 	}
-	if c.TargetHitRate <= 0 {
-		c.TargetHitRate = 0.95
-	}
-	if c.MaxUtil <= 0 {
-		c.MaxUtil = 0.5
-	}
 	if c.ConsolidateUtil <= 0 {
 		c.ConsolidateUtil = 0.5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 8
 	}
 	if c.Placement == nil {
 		c.Placement = LeastLoaded{}
@@ -143,14 +132,11 @@ func (c Config) withDefaults() Config {
 	if c.GroupSize <= 0 {
 		c.GroupSize = 16
 	}
-	if c.RebalanceGap <= 0 {
-		c.RebalanceGap = 0.25
-	}
 	if c.Admission != nil {
 		// Copy before defaulting so the caller's struct stays untouched.
 		a := *c.Admission
 		if a.MaxUtil <= 0 {
-			a.MaxUtil = c.MaxUtil
+			a.MaxUtil = maxUtil
 		}
 		c.Admission = &a
 	}
@@ -443,7 +429,7 @@ func New(m *ufld.Model, cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MakeController == nil && cfg.Governor != "" {
+	if cfg.Governor != "" {
 		if _, err := govern.ByName(cfg.Governor, cfg.BudgetW); err != nil {
 			return nil, err
 		}
@@ -452,11 +438,9 @@ func New(m *ufld.Model, cfg Config) (*Fleet, error) {
 	return &Fleet{cfg: cfg, model: m, topW: top.Watts, topEff: top.EffGFLOPS, ladder: ladder}, nil
 }
 
-// controller builds board b's private controller instance.
-func (f *Fleet) controller(b int) serve.Controller {
-	if f.cfg.MakeController != nil {
-		return f.cfg.MakeController(b)
-	}
+// controller builds one board's private controller instance (nil
+// when no governor is configured).
+func (f *Fleet) controller() serve.Controller {
 	if f.cfg.Governor == "" {
 		return nil
 	}
@@ -474,7 +458,7 @@ func (f *Fleet) controller(b int) serve.Controller {
 // still owns it.
 func (f *Fleet) openBoard(eng *serve.Engine, id, joinEpoch int, mine []*stream.Source) *board {
 	b := &board{
-		id: id, ctl: f.controller(id), local: make(map[int]int), satW: f.topW,
+		id: id, ctl: f.controller(), local: make(map[int]int), satW: f.topW,
 		alive: true, joinEpoch: joinEpoch, leaveEpoch: -1,
 	}
 	b.sess = eng.NewSession(mine)
@@ -554,8 +538,8 @@ func (f *Fleet) Run(sources []*stream.Source) Report {
 		store:   cfg.Checkpoints,
 	}
 	for i := range r.lastSat {
-		r.lastSat[i] = -cfg.Cooldown
-		r.lastCon[i] = -cfg.Cooldown
+		r.lastSat[i] = -cooldown
+		r.lastCon[i] = -cooldown
 		r.home[i] = -1
 	}
 	loads := ForecastLoads(sources, r.frameMs, cfg.EpochMs, eng.Config().Forecast)

@@ -29,49 +29,37 @@ import (
 	"ldbnadapt/internal/ufld"
 )
 
+// The baseline's fixed recipe.
+const (
+	// batchSize is the size of both source and target mini-batches.
+	batchSize = 8
+	// lr is the Adam learning rate.
+	lr = 1e-3
+	// clusters is K for the K-means semantic encoding.
+	clusters = 6
+	// alignWeight scales the embedding cluster-alignment loss.
+	alignWeight = 0.1
+	// pseudoWeight scales the pseudo-label cross-entropy on confident
+	// target predictions.
+	pseudoWeight = 0.5
+	// pseudoThreshold is the softmax confidence needed to accept a
+	// pseudo-label.
+	pseudoThreshold = 0.95
+	// clipNorm bounds the gradient norm.
+	clipNorm = 10
+)
+
 // Config controls the baseline.
 type Config struct {
 	// Epochs of full-network retraining (the paper's baseline uses ~10).
 	Epochs int
-	// BatchSize for both source and target mini-batches.
-	BatchSize int
-	// LR is the Adam learning rate.
-	LR float64
-	// Clusters is K for the K-means semantic encoding.
-	Clusters int
-	// AlignWeight scales the embedding cluster-alignment loss.
-	AlignWeight float64
-	// PseudoWeight scales the pseudo-label cross-entropy on confident
-	// target predictions.
-	PseudoWeight float64
-	// PseudoThreshold is the softmax confidence needed to accept a
-	// pseudo-label.
-	PseudoThreshold float64
-	// ClipNorm bounds the gradient norm (0 disables).
-	ClipNorm float64
-	// RecalibrateBN runs a final statistics-only pass over the
-	// unlabeled target data so the inference-time BN statistics match
-	// the deployment domain (training interleaves source and target
-	// batches, which leaves the running statistics blended between
-	// domains). Standard practice in UDA pipelines.
-	RecalibrateBN bool
 	// Log, when non-nil, receives one line per epoch.
 	Log io.Writer
 }
 
 // DefaultConfig returns the settings used in the reproduction.
 func DefaultConfig() Config {
-	return Config{
-		Epochs:          4,
-		BatchSize:       8,
-		LR:              1e-3,
-		Clusters:        6,
-		AlignWeight:     0.1,
-		PseudoWeight:    0.5,
-		PseudoThreshold: 0.95,
-		ClipNorm:        10,
-		RecalibrateBN:   true,
-	}
+	return Config{Epochs: 4}
 }
 
 // Cost tallies the work the baseline performed — the quantities that
@@ -125,9 +113,8 @@ func (a *Adapter) embedAll(ds *ufld.Dataset, cost *Cost) *tensor.Tensor {
 	n := ds.Len()
 	dim := a.model.Backbone().OutChannels()
 	out := tensor.New(n, dim)
-	bs := a.cfg.BatchSize
-	for lo := 0; lo < n; lo += bs {
-		hi := lo + bs
+	for lo := 0; lo < n; lo += batchSize {
+		hi := lo + batchSize
 		if hi > n {
 			hi = n
 		}
@@ -151,13 +138,13 @@ func (a *Adapter) Run(source, target *ufld.Dataset, rng *tensor.RNG) (*Result, e
 	if source.Len() == 0 || target.Len() == 0 {
 		return nil, fmt.Errorf("sota: empty source or target dataset")
 	}
-	if a.cfg.Epochs < 1 || a.cfg.BatchSize < 1 {
+	if a.cfg.Epochs < 1 {
 		return nil, fmt.Errorf("sota: bad config %+v", a.cfg)
 	}
 	res := &Result{}
 	res.Cost.LabeledSourceSamples = source.Len()
 	res.Cost.UpdatedParams = nn.ParamCount(a.model.Params())
-	opt := nn.NewAdam(a.cfg.LR)
+	opt := nn.NewAdam(lr)
 	params := a.model.Params()
 	st := nn.NewOptState(nn.ParamCount(params))
 	// The baseline retrains every parameter, whatever an adaptation
@@ -170,7 +157,7 @@ func (a *Adapter) Run(source, target *ufld.Dataset, rng *tensor.RNG) (*Result, e
 		// Step (i): semantic encoding — embeddings + K-means on the
 		// source domain, recomputed every epoch as the features move.
 		srcEmb := a.embedAll(source, &res.Cost)
-		k := a.cfg.Clusters
+		k := clusters
 		if k > source.Len() {
 			k = source.Len()
 		}
@@ -186,8 +173,8 @@ func (a *Adapter) Run(source, target *ufld.Dataset, rng *tensor.RNG) (*Result, e
 		perm := rng.Perm(source.Len())
 		tgtPerm := rng.Perm(target.Len())
 		tgtPos := 0
-		for lo := 0; lo < len(perm); lo += a.cfg.BatchSize {
-			hi := lo + a.cfg.BatchSize
+		for lo := 0; lo < len(perm); lo += batchSize {
+			hi := lo + batchSize
 			if hi > len(perm) {
 				hi = len(perm)
 			}
@@ -208,8 +195,8 @@ func (a *Adapter) Run(source, target *ufld.Dataset, rng *tensor.RNG) (*Result, e
 
 			// Target pass (ii): knowledge transfer — pull target
 			// embeddings toward their assigned source centroid.
-			tgtIdx := make([]int, 0, a.cfg.BatchSize)
-			for len(tgtIdx) < a.cfg.BatchSize {
+			tgtIdx := make([]int, 0, batchSize)
+			for len(tgtIdx) < batchSize {
 				tgtIdx = append(tgtIdx, tgtPerm[tgtPos%len(tgtPerm)])
 				tgtPos++
 			}
@@ -234,10 +221,10 @@ func (a *Adapter) Run(source, target *ufld.Dataset, rng *tensor.RNG) (*Result, e
 				for j := 0; j < c; j++ {
 					d := float64(emb.Data[i*c+j]) - float64(cent[j])
 					alignLoss += d * d
-					dEmb.Data[i*c+j] = float32(2 * d * a.cfg.AlignWeight / float64(n*c))
+					dEmb.Data[i*c+j] = float32(2 * d * alignWeight / float64(n*c))
 				}
 			}
-			alignLoss *= a.cfg.AlignWeight / float64(n*c)
+			alignLoss *= alignWeight / float64(n*c)
 			loss += alignLoss
 			// Spread the embedding gradient uniformly over the pooled
 			// spatial positions and backprop through the backbone.
@@ -267,7 +254,7 @@ func (a *Adapter) Run(source, target *ufld.Dataset, rng *tensor.RNG) (*Result, e
 						best = j
 					}
 				}
-				if float64(row[best]) >= a.cfg.PseudoThreshold {
+				if float64(row[best]) >= pseudoThreshold {
 					pseudo[r] = best
 					accepted++
 				} else {
@@ -277,17 +264,15 @@ func (a *Adapter) Run(source, target *ufld.Dataset, rng *tensor.RNG) (*Result, e
 			res.PseudoLabelsAccepted += accepted
 			if accepted > 0 {
 				pl, pgrad := nn.CrossEntropyRows(tLogits, pseudo)
-				loss += a.cfg.PseudoWeight * pl
-				tensor.ScaleInPlace(pgrad, float32(a.cfg.PseudoWeight))
+				loss += pseudoWeight * pl
+				tensor.ScaleInPlace(pgrad, float32(pseudoWeight))
 				m.Backward(pgrad)
 				res.Cost.FullBackwards += int64(n)
 			}
 			res.Cost.FullForwards += int64(n)
 
 			// Step (iii): update ALL parameters.
-			if a.cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(params, a.cfg.ClipNorm)
-			}
+			nn.ClipGradNorm(params, clipNorm)
 			opt.Step(params, &st)
 			epochLoss += loss
 			batches++
@@ -299,23 +284,25 @@ func (a *Adapter) Run(source, target *ufld.Dataset, rng *tensor.RNG) (*Result, e
 				epoch+1, a.cfg.Epochs, epochLoss, res.PseudoLabelsAccepted)
 		}
 	}
-	if a.cfg.RecalibrateBN {
-		// Final statistics-only pass over the unlabeled target stream:
-		// Adapt-mode forwards refresh the BN running statistics without
-		// touching any weights (no backward pass, no optimizer step).
-		for lo := 0; lo < target.Len(); lo += a.cfg.BatchSize {
-			hi := lo + a.cfg.BatchSize
-			if hi > target.Len() {
-				hi = target.Len()
-			}
-			idx := make([]int, hi-lo)
-			for i := range idx {
-				idx[i] = lo + i
-			}
-			tx := ufld.Images(cfg, target.Samples, idx)
-			m.Forward(tx, nn.Adapt)
-			res.Cost.FullForwards += int64(hi - lo)
+	// Final statistics-only pass over the unlabeled target stream, so
+	// the inference-time BN statistics match the deployment domain
+	// (training interleaves source and target batches, which leaves the
+	// running statistics blended between domains) — standard practice
+	// in UDA pipelines. Adapt-mode forwards refresh the BN running
+	// statistics without touching any weights (no backward pass, no
+	// optimizer step).
+	for lo := 0; lo < target.Len(); lo += batchSize {
+		hi := lo + batchSize
+		if hi > target.Len() {
+			hi = target.Len()
 		}
+		idx := make([]int, hi-lo)
+		for i := range idx {
+			idx[i] = lo + i
+		}
+		tx := ufld.Images(cfg, target.Samples, idx)
+		m.Forward(tx, nn.Adapt)
+		res.Cost.FullForwards += int64(hi - lo)
 	}
 	return res, nil
 }

@@ -8,6 +8,16 @@ import (
 	"ldbnadapt/internal/tensor"
 )
 
+// The source-training objective's fixed weights.
+const (
+	// simWeight weights the UFLD similarity structural loss.
+	simWeight = 0.1
+	// shapeWeight weights the UFLD shape structural loss.
+	shapeWeight = 0.01
+	// clipNorm bounds the global gradient norm.
+	clipNorm = 10
+)
+
 // TrainConfig controls supervised source-domain training.
 type TrainConfig struct {
 	// Epochs is the number of passes over the training set.
@@ -16,26 +26,13 @@ type TrainConfig struct {
 	BatchSize int
 	// LR is the learning rate (Adam).
 	LR float64
-	// SimWeight weights the UFLD similarity structural loss.
-	SimWeight float64
-	// ShapeWeight weights the UFLD shape structural loss.
-	ShapeWeight float64
-	// ClipNorm bounds the global gradient norm (0 disables).
-	ClipNorm float64
 	// Log, when non-nil, receives one line per epoch.
 	Log io.Writer
 }
 
 // DefaultTrainConfig returns the settings used by the repro profile.
 func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{
-		Epochs:      6,
-		BatchSize:   8,
-		LR:          2e-3,
-		SimWeight:   0.1,
-		ShapeWeight: 0.01,
-		ClipNorm:    10,
-	}
+	return TrainConfig{Epochs: 6, BatchSize: 8, LR: 2e-3}
 }
 
 // TrainSource trains the model on labeled source-domain data with the
@@ -70,20 +67,14 @@ func TrainSource(m *Model, train *Dataset, tc TrainConfig, rng *tensor.RNG) (flo
 			nn.ZeroGrads(params)
 			logits := m.Forward(x, nn.Train)
 			loss, grad := nn.CrossEntropyRows(logits, targets)
-			if tc.SimWeight > 0 {
-				sl, sg := SimilarityLoss(m.Cfg, logits, len(idx))
-				loss += tc.SimWeight * sl
-				tensor.AxpyInPlace(grad, float32(tc.SimWeight), sg)
-			}
-			if tc.ShapeWeight > 0 {
-				pl, pg := ShapeLoss(m.Cfg, logits, len(idx))
-				loss += tc.ShapeWeight * pl
-				tensor.AxpyInPlace(grad, float32(tc.ShapeWeight), pg)
-			}
+			sl, sg := SimilarityLoss(m.Cfg, logits, len(idx))
+			loss += simWeight * sl
+			tensor.AxpyInPlace(grad, simWeight, sg)
+			pl, pg := ShapeLoss(m.Cfg, logits, len(idx))
+			loss += shapeWeight * pl
+			tensor.AxpyInPlace(grad, shapeWeight, pg)
 			m.Backward(grad)
-			if tc.ClipNorm > 0 {
-				nn.ClipGradNorm(params, tc.ClipNorm)
-			}
+			nn.ClipGradNorm(params, clipNorm)
 			opt.Step(params, &st)
 			epochLoss += loss
 			batches++

@@ -149,7 +149,6 @@ func main() {
 	admitUtil := flag.Float64("admit-util", 0, "forecast-utilization ceiling the admission gate fills boards to (0 = the migration headroom gate)")
 	admitQueue := flag.Int("admit-queue", 0, "cap on streams waiting at the admission gate; overflow is shed (0 = unbounded, -admit queue only)")
 	sharedScenes := flag.Bool("shared-scenes", false, "render one scene set shared by every stream with phase-shifted arrivals — O(frames) setup for fleet-scale runs instead of O(streams x frames)")
-	lockstep := flag.Bool("lockstep", false, "step boards serially through the coordinator instead of concurrently (the equivalence-pin reference execution, not a production mode)")
 	forecastName := flag.String("forecast", "holt", "per-stream arrival-rate forecaster: naive|ewma|holt")
 	quantized := flag.Bool("quantized", false, "start every board on the int8 inference rung (symmetric per-channel weights, per-sample activation scales); closed-loop governors also reach this rung on their own under saturation")
 	chaos := flag.String("chaos", "", "seeded membership plan, e.g. kill:hot@8,join@10,drain:0@12 (-boards >1)")
@@ -189,8 +188,8 @@ func main() {
 	if (*chaos != "" || *ckptEvery > 0 || *ckptDir != "") && *boards <= 1 {
 		fail(fmt.Errorf("-chaos, -ckpt-every and -ckpt-dir need a fleet; use -boards >1"))
 	}
-	if (*groups > 0 || *admitName != "" || *lockstep) && *boards <= 1 {
-		fail(fmt.Errorf("-groups, -admit and -lockstep need a fleet; use -boards >1"))
+	if (*groups > 0 || *admitName != "") && *boards <= 1 {
+		fail(fmt.Errorf("-groups and -admit need a fleet; use -boards >1"))
 	}
 	if *admitName != "" && *admitName != "queue" && *admitName != "shed" {
 		fail(fmt.Errorf("unknown admission policy %q: want queue or shed", *admitName))
@@ -315,7 +314,6 @@ func main() {
 			Consolidate:     *consolidate,
 			GroupSize:       *groups,
 			Admission:       adm,
-			Lockstep:        *lockstep,
 			Plan:            plan,
 			CheckpointEvery: *ckptEvery,
 			Checkpoints:     ckpts,

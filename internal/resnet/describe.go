@@ -63,24 +63,6 @@ func (m ModelCost) TotalBNParams() int64 {
 	return s
 }
 
-// TotalActBytes sums activation output bytes (one sample).
-func (m ModelCost) TotalActBytes() int64 {
-	var s int64
-	for _, l := range m.Layers {
-		s += l.ActBytes
-	}
-	return s
-}
-
-// TotalWeightBytes sums weight bytes.
-func (m ModelCost) TotalWeightBytes() int64 {
-	var s int64
-	for _, l := range m.Layers {
-		s += l.WeightBytes
-	}
-	return s
-}
-
 // convCost prices a conv layer.
 func convCost(name string, inC, outC, kh, kw, stride, h, w int) (LayerCost, int, int) {
 	oh := (h + 2*(kh/2) - kh) / stride // symmetric same-style padding kh/2

@@ -31,9 +31,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Data: make([]float32, n), shape: append([]int(nil), shape...)}
 }
 
-// Zeros is an alias for New, provided for readability at call sites.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Ones allocates a tensor filled with 1.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 

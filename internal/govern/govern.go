@@ -117,15 +117,15 @@ func (s Static) Name() string { return "static" }
 
 // Start implements serve.Controller.
 func (s Static) Start(cfg serve.Config) serve.Controls {
-	mode := cfg.Mode
-	if s.BudgetW > 0 && mode.Watts > s.BudgetW {
+	c := serve.Controls{Mode: cfg.Mode, Policy: cfg.Policy, AdaptEvery: cfg.AdaptEvery, Quantized: cfg.Quantized}
+	if s.BudgetW > 0 && c.Mode.Watts > s.BudgetW {
 		ladder, err := Ladder(s.BudgetW)
 		if err != nil {
 			panic(err.Error()) // ByName validates; direct construction must too
 		}
-		mode = ladder[len(ladder)-1]
+		c.Mode = ladder[len(ladder)-1]
 	}
-	return serve.Controls{Mode: mode, Policy: cfg.Policy, AdaptEvery: cfg.AdaptEvery, Quantized: cfg.Quantized}
+	return c
 }
 
 // Decide implements serve.Controller: static controls never move.

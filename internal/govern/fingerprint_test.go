@@ -148,7 +148,7 @@ func (b *synthBoard) run(h hash.Hash, ctl serve.Controller, epochs int) {
 // over every epoch's controls and Explain() must match the constants
 // below. The telemetry is continuous, so nudging any decision
 // threshold — the service target, the descent and pre-climb
-// utilization ceilings, the load margin, the peak decay, Patience or
+// utilization ceilings, the load margin, the peak decay, patience or
 // Backoff — by 1–2 % flips some decision and turns a row red. Never
 // edit a constant in the same change as a refactor.
 func TestGovernorFingerprint(t *testing.T) {

@@ -14,7 +14,7 @@
 //     exactly Run's one-shot behavior.
 //   - Hysteresis is the deployable rule-based ladder climber: it
 //     climbs immediately when an epoch misses the service target
-//     (TargetHitRate), descends only after Patience consecutive
+//     (TargetHitRate), descends only after two consecutive
 //     healthy epochs whose load would fit the lower rung, and under
 //     saturation at the top rung stretches the adaptation cadence and
 //     escalates the overload policy before giving up frames. It never
@@ -33,7 +33,7 @@
 // Every governor holds the same service target, TargetHitRate, and
 // its thresholds are package constants: the recipe is fixed, and a
 // deployment picks only the policy, the power budget and the
-// Hysteresis inertia (Patience, Backoff).
+// Hysteresis failure backoff (Backoff).
 //
 // The energy a governor saves is the static rail draw: busy energy
 // alone favors MAXN (race-to-idle — higher modes finish the same work

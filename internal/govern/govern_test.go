@@ -174,10 +174,10 @@ func TestHysteresisRespectsPowerBudget(t *testing.T) {
 
 // TestHysteresisClimbsAndRecovers scripts the control loop: a floor
 // miss climbs one rung, saturation jumps to the top rung, recovery
-// descends one rung per Patience healthy epochs, and a rung that
+// descends one rung per patience healthy epochs, and a rung that
 // failed recently stays blocked until its backoff expires.
 func TestHysteresisClimbsAndRecovers(t *testing.T) {
-	h := &Hysteresis{Patience: 2, Backoff: 4}
+	h := &Hysteresis{Backoff: 4}
 	cur := h.Start(serve.Config{Mode: orin.Mode60W, Policy: stream.DropNone, AdaptEvery: 4})
 	if cur.Mode.Watts != orin.Modes[0].Watts {
 		t.Fatalf("hysteresis must start on the lowest rung, got %s", cur.Mode.Name)
@@ -195,7 +195,7 @@ func TestHysteresisClimbsAndRecovers(t *testing.T) {
 	if cur.Mode.Watts != top.Watts {
 		t.Fatalf("saturation must jump to the top rung, got %s", cur.Mode.Name)
 	}
-	// Recovery: one descent per Patience healthy epochs. The rung below
+	// Recovery: one descent per patience healthy epochs. The rung below
 	// the top never failed, so no backoff blocks it.
 	good := serve.EpochStats{Served: 10, DeadlineHitRate: 1, QueueDepth: 0, Utilization: 0.05}
 	good.Epoch = 2
@@ -260,7 +260,7 @@ func TestHysteresisSaturationEscalation(t *testing.T) {
 	}
 	// Recovery retraces in reverse: policy first, precision after.
 	good := serve.EpochStats{Epoch: 10, Served: 10, DeadlineHitRate: 1, QueueDepth: 0, Utilization: 0.05}
-	for i := 0; i < 2*h.patience(); i++ {
+	for i := 0; i < 2*patience; i++ {
 		good.Epoch++
 		cur = h.Decide(good, cur, nil)
 	}
@@ -271,7 +271,7 @@ func TestHysteresisSaturationEscalation(t *testing.T) {
 		t.Fatal("precision must restore after policy, not before")
 	}
 	good.Epoch++
-	for i := 0; i < h.patience(); i++ {
+	for i := 0; i < patience; i++ {
 		good.Epoch++
 		cur = h.Decide(good, cur, nil)
 	}

@@ -11,12 +11,16 @@ import (
 // right back — the flap hysteresis exists to prevent.
 const downUtil = 0.7
 
+// patience is how many consecutive healthy epochs precede any
+// de-escalation.
+const patience = 2
+
 // Hysteresis is the deployable rule-based governor: a ladder climber
 // with asymmetric inertia. An unhealthy epoch — deadline-hit rate
 // below target, or backlog left at the boundary — escalates
 // immediately: a floor miss with an empty queue climbs one rung, while
 // a backlog left by a near-capacity epoch (saturation) jumps straight
-// to the top affordable rung to drain it, cpufreq-ondemand style. Descending requires Patience
+// to the top affordable rung to drain it, cpufreq-ondemand style. Descending requires patience
 // consecutive healthy epochs and a load that would still fit the lower
 // rung, so a bursty fleet does not flap between modes at every lull. When the top
 // affordable rung is still unhealthy, it spends accuracy before
@@ -32,9 +36,6 @@ const downUtil = 0.7
 type Hysteresis struct {
 	// BudgetW caps the ladder (0 = unconstrained).
 	BudgetW int
-	// Patience is how many consecutive healthy epochs precede any
-	// de-escalation (default 2).
-	Patience int
 	// Backoff is the initial failure backoff in epochs (default 16):
 	// how long an unhealthy epoch at a rung blocks descents back into
 	// it. Re-failures double it up to 8× the initial value. Measured on
@@ -67,13 +68,6 @@ func (h *Hysteresis) Name() string { return "hysteresis" }
 
 // Explain implements serve.Explainer: the branch the last Decide took.
 func (h *Hysteresis) Explain() string { return h.why }
-
-func (h *Hysteresis) patience() int {
-	if h.Patience > 0 {
-		return h.Patience
-	}
-	return 2
-}
 
 func (h *Hysteresis) backoffInit() int {
 	if h.Backoff > 0 {
@@ -118,9 +112,9 @@ func (h *Hysteresis) Decide(prev serve.EpochStats, cur serve.Controls, _ func(se
 	healthy := prev.DeadlineHitRate >= TargetHitRate && prev.QueueDepth == 0
 	if !healthy {
 		h.goodRun = 0
-		if h.backoff[h.idx] == 0 {
-			h.backoff[h.idx] = h.backoffInit()
-		} else if h.backoff[h.idx] < 8*h.backoffInit() {
+		if b := h.backoffInit(); h.backoff[h.idx] == 0 {
+			h.backoff[h.idx] = b
+		} else if h.backoff[h.idx] < 8*b {
 			h.backoff[h.idx] *= 2
 		}
 		h.retryAt[h.idx] = prev.Epoch + h.backoff[h.idx]
@@ -160,7 +154,7 @@ func (h *Hysteresis) Decide(prev serve.EpochStats, cur serve.Controls, _ func(se
 	}
 	h.backoff[h.idx] = 0 // the rung holds this load; forget old failures
 	h.goodRun++
-	if h.goodRun < h.patience() {
+	if h.goodRun < patience {
 		h.why = "patience"
 		next.Mode = h.ladder[h.idx]
 		return next

@@ -40,7 +40,7 @@ const (
 //     the first bursty epoch still surprises it — and then jumps to
 //     the correct rung at the next boundary.
 //   - Forecast descent: when a de-escalation window opens (the same
-//     Patience healthy epochs Hysteresis requires), ride down to the
+//     patience healthy epochs Hysteresis requires), ride down to the
 //     lowest rung the forecast load still fits with the descent
 //     margin, instead of paying one patience window of idle draw per
 //     rung. A burst tail inflates observed utilization long after the

@@ -165,9 +165,13 @@ func TestLogOutput(t *testing.T) {
 
 func TestEmbedShape(t *testing.T) {
 	f := getFixture(t)
-	x := ufld.Images(f.model.Cfg, f.bench.SourceTrain.Samples, []int{0, 1, 2})
-	emb := f.model.Embed(x, 0 /* Train */)
-	if emb.Dim(0) != 3 || emb.Dim(1) != f.model.Backbone().OutChannels() {
+	// A Train-mode forward updates BN running statistics, so embed with a
+	// clone and leave the shared fixture model as TestSOTAFingerprint
+	// expects it whatever order the tests run in.
+	m := f.model.Clone(tensor.NewRNG(1))
+	x := ufld.Images(m.Cfg, f.bench.SourceTrain.Samples, []int{0, 1, 2})
+	emb := m.Embed(x, 0 /* Train */)
+	if emb.Dim(0) != 3 || emb.Dim(1) != m.Backbone().OutChannels() {
 		t.Fatalf("embedding shape %v", emb.Shape())
 	}
 }

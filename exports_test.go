@@ -31,7 +31,6 @@ var testOnlyExports = map[string]string{
 	"metrics.Summarize":             "pending: delete with its unit test",
 	"nn.ConfidenceLoss":             "pending: tests call ConfidenceLossInto",
 	"nn.GradThroughSoftmax":         "pending: delete with its unit test",
-	"nn.NewGlobalAvgPool":           "pending: ufld.Model.Embed pools with it",
 	"nn.Sequential.Append":          "pending: delete",
 	"tensor.Add":                    "pending: move into tensor's tests",
 	"tensor.AddScalar":              "pending: move into tensor's tests",

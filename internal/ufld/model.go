@@ -21,6 +21,7 @@ type Model struct {
 	neckConv *nn.Conv2D
 	neckBN   *nn.BatchNorm2D
 	fc1, fc2 *nn.Linear
+	pool     *nn.GlobalAvgPool // Embed's pooling, outside net
 	lastN    int
 
 	// Cached reshape headers for the hot paths (see nn.View): the
@@ -57,7 +58,8 @@ func NewModel(cfg Config, rng *tensor.RNG) (*Model, error) {
 		fc2,
 	)
 	return &Model{Cfg: cfg, net: net, backbone: backbone,
-		neckConv: neckConv, neckBN: neckBN, fc1: fc1, fc2: fc2}, nil
+		neckConv: neckConv, neckBN: neckBN, fc1: fc1, fc2: fc2,
+		pool: nn.NewGlobalAvgPool("embed.pool")}, nil
 }
 
 // MustNewModel is NewModel that panics on configuration errors
@@ -172,19 +174,7 @@ func (m *Model) Backbone() *resnet.ResNet { return m.backbone }
 // baseline clusters these embeddings to encode the semantic structure
 // of the source and target domains.
 func (m *Model) Embed(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
-	feats := m.backbone.Forward(x, mode)
-	n, c, h, w := feats.Dim(0), feats.Dim(1), feats.Dim(2), feats.Dim(3)
-	out := tensor.New(n, c)
-	hw := h * w
-	inv := 1.0 / float64(hw)
-	for i := 0; i < n*c; i++ {
-		s := 0.0
-		for _, v := range feats.Data[i*hw : (i+1)*hw] {
-			s += float64(v)
-		}
-		out.Data[i] = float32(s * inv)
-	}
-	return out
+	return m.pool.Forward(m.backbone.Forward(x, mode), mode)
 }
 
 // RowIndex returns the logits-row index for (sample, lane, anchor).

@@ -18,7 +18,6 @@ import (
 var testOnlyExports = map[string]string{
 	"tensor.Tensor.AllClose":         "tolerance check shared by the tests of eight packages",
 	"tensor.RNG.FillUniform":         "random fill shared by the tests of five packages",
-	"tensor.RNG.Float32":             "pending: tensor's parallel test can draw Float64 instead",
 	"tensor.Tensor.HasNaN":           "non-finite check shared by the adapt, carlane and tensor tests; the planned divergence guard calls it",
 	"tensor.Dot":                     "reference inner product shared by the nn, resnet and tensor tests",
 	"tensor.Tensor.MeanStd":          "moment check shared by the carlane, nn and tensor tests",
@@ -34,17 +33,11 @@ var testOnlyExports = map[string]string{
 	"nn.Sequential.Append":          "pending: delete",
 	"tensor.Add":                    "pending: move into tensor's tests",
 	"tensor.AddScalar":              "pending: move into tensor's tests",
-	"tensor.ApplyInPlace":           "pending: delete with its assertion",
-	"tensor.Clamp":                  "pending: delete with its unit test",
 	"tensor.Col2Im":                 "pending: move into tensor's tests",
-	"tensor.Div":                    "pending: delete with its unit test",
-	"tensor.LogSoftmaxRows":         "pending: delete with its unit test",
 	"tensor.MatMul":                 "pending: move into tensor's tests",
 	"tensor.MatMulTA":               "pending: move into tensor's tests",
-	"tensor.Mul":                    "pending: delete with its unit test",
 	"tensor.Scale":                  "pending: move into tensor's tests",
 	"tensor.Sub":                    "pending: move into tensor's tests",
-	"tensor.Tensor.Argmax":          "pending: delete with its assertion",
 	"tensor.Tensor.Fill":            "pending: move into tensor's tests",
 	"tensor.Transpose":              "pending: move into tensor's tests",
 	"ufld.Model.RowIndex":           "pending: delete with its unit test",

@@ -27,16 +27,6 @@ func Sub(a, b *Tensor) *Tensor {
 	return ewise(a, b, "Sub", func(x, y float32) float32 { return x - y })
 }
 
-// Mul returns a*b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor {
-	return ewise(a, b, "Mul", func(x, y float32) float32 { return x * y })
-}
-
-// Div returns a/b elementwise.
-func Div(a, b *Tensor) *Tensor {
-	return ewise(a, b, "Div", func(x, y float32) float32 { return x / y })
-}
-
 // AddInPlace accumulates b into a and returns a.
 func AddInPlace(a, b *Tensor) *Tensor {
 	if len(a.Data) != len(b.Data) {
@@ -83,23 +73,6 @@ func AddScalar(a *Tensor, c float32) *Tensor {
 	return out
 }
 
-// Apply returns f mapped over a in a fresh tensor.
-func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := New(a.shape...)
-	for i := range a.Data {
-		out.Data[i] = f(a.Data[i])
-	}
-	return out
-}
-
-// ApplyInPlace maps f over a in place and returns a.
-func ApplyInPlace(a *Tensor, f func(float32) float32) *Tensor {
-	for i := range a.Data {
-		a.Data[i] = f(a.Data[i])
-	}
-	return a
-}
-
 // Sum returns the sum of all elements (accumulated in float64 for
 // stability).
 func (t *Tensor) Sum() float64 {
@@ -133,17 +106,6 @@ func (t *Tensor) Min() float32 {
 		}
 	}
 	return m
-}
-
-// Argmax returns the flat index of the largest element (first on ties).
-func (t *Tensor) Argmax() int {
-	best, bi := t.Data[0], 0
-	for i, v := range t.Data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
 }
 
 // Dot returns the inner product of two equal-sized tensors.
@@ -194,17 +156,4 @@ func Transpose(a *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// Clamp returns a fresh tensor with every element limited to [lo, hi].
-func Clamp(a *Tensor, lo, hi float32) *Tensor {
-	return Apply(a, func(v float32) float32 {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	})
 }

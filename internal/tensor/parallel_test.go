@@ -301,12 +301,12 @@ func TestInt8KernelsBitwiseAcrossWorkers(t *testing.T) {
 			bt[i] = int8(rng.Intn(255) - 127)
 		}
 		for i := range aScales {
-			aScales[i] = rng.Float32() + 0.01
+			aScales[i] = float32(rng.Float64()) + 0.01
 		}
 		for i := range bScales {
-			bScales[i] = rng.Float32() + 0.01
+			bScales[i] = float32(rng.Float64()) + 0.01
 		}
-		xScale := rng.Float32() + 0.01
+		xScale := float32(rng.Float64()) + 0.01
 		goldenMM := New(sh.m, sh.n)
 		goldenTB := New(sh.m, sh.n)
 		restore := serialGates(t)

@@ -25,9 +25,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// Float32 returns a uniform sample in [0, 1).
-func (r *RNG) Float32() float32 { return float32(r.Float64()) }
-
 // Intn returns a uniform sample in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

@@ -41,35 +41,6 @@ func SoftmaxRow(dst, src []float32) {
 	}
 }
 
-// LogSoftmaxRows applies a numerically-stable log-softmax to each row
-// of a 2-D tensor.
-func LogSoftmaxRows(logits *Tensor) *Tensor {
-	if logits.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: LogSoftmaxRows needs 2-D input, got %v", logits.shape))
-	}
-	r, c := logits.shape[0], logits.shape[1]
-	out := New(r, c)
-	for i := 0; i < r; i++ {
-		src := logits.Data[i*c : (i+1)*c]
-		dst := out.Data[i*c : (i+1)*c]
-		m := src[0]
-		for _, v := range src[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		sum := 0.0
-		for _, v := range src {
-			sum += math.Exp(float64(v - m))
-		}
-		lse := float32(math.Log(sum)) + m
-		for j, v := range src {
-			dst[j] = v - lse
-		}
-	}
-	return out
-}
-
 // RowEntropy returns the Shannon entropy (in nats) of each row of a
 // 2-D probability tensor. Zero probabilities contribute zero.
 func RowEntropy(probs *Tensor) []float64 {

@@ -44,19 +44,6 @@ func TestSoftmaxShiftInvariance(t *testing.T) {
 	}
 }
 
-func TestLogSoftmaxMatchesLogOfSoftmax(t *testing.T) {
-	rng := NewRNG(32)
-	x := New(4, 9)
-	rng.FillNormal(x, 0, 2)
-	ls := LogSoftmaxRows(x)
-	p := SoftmaxRows(x)
-	for i := range ls.Data {
-		if math.Abs(float64(ls.Data[i])-math.Log(float64(p.Data[i]))) > 1e-4 {
-			t.Fatalf("log-softmax mismatch at %d", i)
-		}
-	}
-}
-
 func TestRowEntropyBounds(t *testing.T) {
 	// One-hot rows have zero entropy; uniform rows have log(c).
 	c := 5

@@ -31,15 +31,6 @@ var testOnlyExports = map[string]string{
 	"nn.ConfidenceLoss":             "pending: tests call ConfidenceLossInto",
 	"nn.GradThroughSoftmax":         "pending: delete with its unit test",
 	"nn.Sequential.Append":          "pending: delete",
-	"tensor.Add":                    "pending: move into tensor's tests",
-	"tensor.AddScalar":              "pending: move into tensor's tests",
-	"tensor.Col2Im":                 "pending: move into tensor's tests",
-	"tensor.MatMul":                 "pending: move into tensor's tests",
-	"tensor.MatMulTA":               "pending: move into tensor's tests",
-	"tensor.Scale":                  "pending: move into tensor's tests",
-	"tensor.Sub":                    "pending: move into tensor's tests",
-	"tensor.Tensor.Fill":            "pending: move into tensor's tests",
-	"tensor.Transpose":              "pending: move into tensor's tests",
 	"ufld.Model.RowIndex":           "pending: delete with its unit test",
 }
 

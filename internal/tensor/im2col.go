@@ -161,16 +161,6 @@ func im2colRows[T float32 | int8](out, x []T, n, c, h, w, oh, ow int, g ConvGeom
 	}
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters a [c*kh*kw, n*oh*ow]
-// matrix back into a [n, c, h, w] tensor, accumulating where kernel
-// windows overlap. It is the gradient of Im2Col and is used by the
-// convolution backward pass.
-func Col2Im(cols *Tensor, n, c, h, w int, g ConvGeom) *Tensor {
-	out := New(n, c, h, w)
-	Col2ImInto(out, cols, g)
-	return out
-}
-
 // col2imTask is the pooled argument block for Col2ImInto, banded over
 // input channels: destination element (ni,ci,iy,ix) only receives
 // scatter-adds from im2col rows of the same channel ci, so channel
@@ -190,9 +180,11 @@ func (t *col2imTask) Chunk(_, lo, hi int) {
 
 var col2imCache par.Cache[col2imTask]
 
-// Col2ImInto is Col2Im scattering into a preallocated [n,c,h,w] tensor.
-// The destination is zeroed first and the scatter order matches Col2Im,
-// so a scratch-backed call is bitwise equal to the allocating one.
+// Col2ImInto is the adjoint of Im2Col: it scatters a [c*kh*kw, n*oh*ow]
+// matrix back into the preallocated [n, c, h, w] tensor out,
+// accumulating where kernel windows overlap. It is the gradient of
+// Im2Col and is used by the convolution backward pass. out is zeroed
+// first, and the scatter order is the same at any worker count.
 func Col2ImInto(out, cols *Tensor, g ConvGeom) {
 	if out.NDim() != 4 {
 		panic(fmt.Sprintf("tensor: Col2ImInto needs [n,c,h,w] dst, got %v", out.shape))

@@ -79,24 +79,6 @@ func runGEMM(op, items, minPer int, dst, a, b []float32, m, k, n int) {
 	gemmCache.Put(t)
 }
 
-// MatMul computes the matrix product a·b of two 2-D tensors
-// ([m,k]·[k,n] → [m,n]). The kernel is parallelized over output
-// bands through the shared worker pool (internal/par) when the shape
-// is past the serial gate.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul needs 2-D operands, got %v × %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner-dimension mismatch %v × %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	matmulInto(out.Data, a.Data, b.Data, m, k, n)
-	return out
-}
-
 // MatMulInto computes out = a·b, reusing out's storage. Shapes must
 // already agree; out must not alias a or b. Every element of out is
 // written (the kernel zeroes each output band before accumulating).
@@ -194,26 +176,11 @@ func axpyRow(di, bp []float32, av float32) {
 	}
 }
 
-// MatMulTA computes aᵀ·b for a:[k,m], b:[k,n] → [m,n] without
-// materializing the transpose.
-func MatMulTA(a, b *Tensor) *Tensor {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTA needs 2-D operands, got %v × %v", a.shape, b.shape))
-	}
-	k, m := a.shape[0], a.shape[1]
-	if b.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatMulTA inner-dimension mismatch %v × %v", a.shape, b.shape))
-	}
-	out := New(m, b.shape[1])
-	MatMulTAInto(out, a, b)
-	return out
-}
-
 // MatMulTAInto computes out = aᵀ·b reusing out's storage ([k,m]ᵀ·[k,n]
-// → [m,n]). The accumulation order is identical to MatMulTA at any
-// worker count — banding is over output rows and each row accumulates
-// over k in serial order — so a scratch-backed call is bitwise equal
-// to the allocating one. out must not alias a or b.
+// → [m,n]) without materializing the transpose. The accumulation order
+// is the same at any worker count — banding is over output rows and
+// each row accumulates over k in serial order. out must not alias a or
+// b.
 func MatMulTAInto(out, a, b *Tensor) {
 	k, m := a.shape[0], a.shape[1]
 	n := b.shape[1]

@@ -5,28 +5,6 @@ import (
 	"math"
 )
 
-// binary applies op elementwise into a fresh tensor.
-func ewise(a, b *Tensor, name string, op func(x, y float32) float32) *Tensor {
-	if len(a.Data) != len(b.Data) {
-		panic(fmt.Sprintf("tensor: %s size mismatch %v vs %v", name, a.shape, b.shape))
-	}
-	out := New(a.shape...)
-	for i := range a.Data {
-		out.Data[i] = op(a.Data[i], b.Data[i])
-	}
-	return out
-}
-
-// Add returns a+b elementwise.
-func Add(a, b *Tensor) *Tensor {
-	return ewise(a, b, "Add", func(x, y float32) float32 { return x + y })
-}
-
-// Sub returns a-b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	return ewise(a, b, "Sub", func(x, y float32) float32 { return x - y })
-}
-
 // AddInPlace accumulates b into a and returns a.
 func AddInPlace(a, b *Tensor) *Tensor {
 	if len(a.Data) != len(b.Data) {
@@ -47,30 +25,12 @@ func AxpyInPlace(a *Tensor, alpha float32, b *Tensor) *Tensor {
 	return a
 }
 
-// Scale returns alpha*a in a fresh tensor.
-func Scale(a *Tensor, alpha float32) *Tensor {
-	out := New(a.shape...)
-	for i := range a.Data {
-		out.Data[i] = alpha * a.Data[i]
-	}
-	return out
-}
-
 // ScaleInPlace multiplies every element of a by alpha and returns a.
 func ScaleInPlace(a *Tensor, alpha float32) *Tensor {
 	for i := range a.Data {
 		a.Data[i] *= alpha
 	}
 	return a
-}
-
-// AddScalar returns a+c elementwise in a fresh tensor.
-func AddScalar(a *Tensor, c float32) *Tensor {
-	out := New(a.shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + c
-	}
-	return out
 }
 
 // Sum returns the sum of all elements (accumulated in float64 for
@@ -140,20 +100,4 @@ func (t *Tensor) MeanStd() (mean, std float64) {
 	}
 	v /= float64(len(t.Data))
 	return mean, math.Sqrt(v)
-}
-
-// Transpose returns the transpose of a 2-D tensor.
-func Transpose(a *Tensor) *Tensor {
-	if a.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose needs 2-D tensor, got %v", a.shape))
-	}
-	r, c := a.shape[0], a.shape[1]
-	out := New(c, r)
-	for i := 0; i < r; i++ {
-		row := a.Data[i*c : (i+1)*c]
-		for j, v := range row {
-			out.Data[j*r+i] = v
-		}
-	}
-	return out
 }

@@ -395,7 +395,7 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Fatal("clone output differs")
 	}
 	// Mutating the clone must not affect the original.
-	c.Params()[0].Value.Fill(0)
+	c.Params()[0].Value.Zero()
 	if m.Params()[0].Value.Norm2() == 0 {
 		t.Fatal("clone shares storage with original")
 	}

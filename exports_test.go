@@ -28,9 +28,6 @@ var testOnlyExports = map[string]string{
 	"carlane.TestSizes":             "pending: move into carlane's tests",
 	"experiments.Fig2Result.Lookup": "pending: move into experiments' tests",
 	"metrics.Summarize":             "pending: delete with its unit test",
-	"nn.ConfidenceLoss":             "pending: tests call ConfidenceLossInto",
-	"nn.GradThroughSoftmax":         "pending: delete with its unit test",
-	"nn.Sequential.Append":          "pending: delete",
 	"ufld.Model.RowIndex":           "pending: delete with its unit test",
 }
 

@@ -43,7 +43,7 @@ func (r *refMethod) step(x *tensor.Tensor) (float64, bool) {
 	var loss float64
 	var grad *tensor.Tensor
 	if r.cfg.Loss == Confidence {
-		loss, grad = nn.ConfidenceLoss(logits)
+		loss, grad = nn.ConfidenceLossInto(new(nn.LossScratch), logits)
 	} else {
 		loss, grad = nn.EntropyLoss(logits)
 	}

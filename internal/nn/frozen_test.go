@@ -315,7 +315,7 @@ func TestSequentialBackwardStopsBelowLowestTrainable(t *testing.T) {
 	}
 	seq := NewSequential("seq")
 	for _, l := range layers {
-		seq.Append(l)
+		seq.Layers = append(seq.Layers, l)
 	}
 	g := tensor.New(1)
 	if got := seq.Backward(g); got != nil {
@@ -448,7 +448,9 @@ func TestLossIntoMatchesReferenceAndReusesScratch(t *testing.T) {
 		fn   func(*tensor.Tensor) (float64, *tensor.Tensor)
 	}{
 		{"entropy", refEntropyLoss, EntropyLossInto, EntropyLoss},
-		{"confidence", refConfidenceLoss, ConfidenceLossInto, ConfidenceLoss},
+		{"confidence", refConfidenceLoss, ConfidenceLossInto, func(x *tensor.Tensor) (float64, *tensor.Tensor) {
+			return ConfidenceLossInto(new(LossScratch), x)
+		}},
 	}
 	for _, c := range cases {
 		var ws LossScratch

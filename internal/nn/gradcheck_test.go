@@ -269,15 +269,15 @@ func TestConfidenceLossGradient(t *testing.T) {
 	rng := tensor.NewRNG(14)
 	logits := tensor.New(3, 5)
 	rng.FillNormal(logits, 0, 2)
-	_, grad := ConfidenceLoss(logits)
+	_, grad := ConfidenceLossInto(new(LossScratch), logits)
 	eps := float32(5e-3)
 	num := tensor.New(3, 5)
 	for i := range logits.Data {
 		orig := logits.Data[i]
 		logits.Data[i] = orig + eps
-		lp, _ := ConfidenceLoss(logits)
+		lp, _ := ConfidenceLossInto(new(LossScratch), logits)
 		logits.Data[i] = orig - eps
-		lm, _ := ConfidenceLoss(logits)
+		lm, _ := ConfidenceLossInto(new(LossScratch), logits)
 		logits.Data[i] = orig
 		num.Data[i] = float32((lp - lm) / (2 * float64(eps)))
 	}

@@ -99,18 +99,14 @@ func EntropyLossInto(ws *LossScratch, logits *tensor.Tensor) (float64, *tensor.T
 	return total * inv, grad
 }
 
-// ConfidenceLoss is the negative mean max-probability objective, an
+// ConfidenceLossInto is the negative mean max-probability objective, an
 // alternative unsupervised loss used by the ablation study: maximizing
 // the winning class's probability also sharpens predictions.
-// Returns the loss −mean_i max_c p_ic and its logit gradient.
-func ConfidenceLoss(logits *tensor.Tensor) (float64, *tensor.Tensor) {
-	return ConfidenceLossInto(new(LossScratch), logits)
-}
-
-// ConfidenceLossInto is ConfidenceLoss with the gradient in ws.
+// Returns the loss −mean_i max_c p_ic and its logit gradient, held in
+// ws.
 func ConfidenceLossInto(ws *LossScratch, logits *tensor.Tensor) (float64, *tensor.Tensor) {
 	if logits.NDim() != 2 {
-		panic(fmt.Sprintf("nn: ConfidenceLoss needs 2-D logits, got %v", logits.Shape()))
+		panic(fmt.Sprintf("nn: ConfidenceLossInto needs 2-D logits, got %v", logits.Shape()))
 	}
 	rows, classes := logits.Dim(0), logits.Dim(1)
 	grad := ws.grad.For(rows, classes)
@@ -137,25 +133,4 @@ func ConfidenceLossInto(ws *LossScratch, logits *tensor.Tensor) (float64, *tenso
 		}
 	}
 	return total * inv, grad
-}
-
-// GradThroughSoftmax converts a gradient w.r.t. the softmax output p
-// into a gradient w.r.t. the logits, row by row:
-// dL/dz_k = p_k (g_k − Σ_c g_c p_c).
-func GradThroughSoftmax(probs, gradP *tensor.Tensor) *tensor.Tensor {
-	rows, classes := probs.Dim(0), probs.Dim(1)
-	out := tensor.New(rows, classes)
-	for i := 0; i < rows; i++ {
-		p := probs.Data[i*classes : (i+1)*classes]
-		g := gradP.Data[i*classes : (i+1)*classes]
-		dot := float32(0)
-		for j := range p {
-			dot += p[j] * g[j]
-		}
-		o := out.Data[i*classes : (i+1)*classes]
-		for j := range p {
-			o[j] = p[j] * (g[j] - dot)
-		}
-	}
-	return out
 }

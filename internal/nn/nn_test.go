@@ -333,27 +333,3 @@ func TestCrossEntropyKnownValue(t *testing.T) {
 		t.Fatalf("loss = %v, want %v", loss, math.Log(4))
 	}
 }
-
-func TestGradThroughSoftmaxMatchesNumeric(t *testing.T) {
-	rng := tensor.NewRNG(24)
-	logits := tensor.New(3, 4)
-	rng.FillNormal(logits, 0, 1)
-	// L = Σ w·p with fixed w.
-	w := tensor.New(3, 4)
-	rng.FillUniform(w, -1, 1)
-	probs := tensor.SoftmaxRows(logits)
-	grad := GradThroughSoftmax(probs, w)
-	eps := float32(1e-2)
-	for i := range logits.Data {
-		orig := logits.Data[i]
-		logits.Data[i] = orig + eps
-		lp := tensor.Dot(tensor.SoftmaxRows(logits), w)
-		logits.Data[i] = orig - eps
-		lm := tensor.Dot(tensor.SoftmaxRows(logits), w)
-		logits.Data[i] = orig
-		num := (lp - lm) / (2 * float64(eps))
-		if math.Abs(num-float64(grad.Data[i])) > 1e-2 {
-			t.Fatalf("grad mismatch at %d: %v vs %v", i, grad.Data[i], num)
-		}
-	}
-}

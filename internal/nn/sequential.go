@@ -21,9 +21,6 @@ func NewSequential(name string, layers ...Layer) *Sequential {
 // Name returns the chain identifier.
 func (s *Sequential) Name() string { return s.name }
 
-// Append adds layers to the end of the chain.
-func (s *Sequential) Append(layers ...Layer) { s.Layers = append(s.Layers, layers...) }
-
 // Forward runs each layer in order.
 func (s *Sequential) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	for _, l := range s.Layers {

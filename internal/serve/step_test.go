@@ -44,7 +44,7 @@ func (w *refWorker) adapt(st *streamState, window []ufld.Sample) {
 	logits := w.model.Forward(xa, nn.Adapt)
 	var grad *tensor.Tensor
 	if w.cfg.Loss == adapt.Confidence {
-		_, grad = nn.ConfidenceLoss(logits)
+		_, grad = nn.ConfidenceLossInto(new(nn.LossScratch), logits)
 	} else {
 		_, grad = nn.EntropyLoss(logits)
 	}

@@ -25,10 +25,6 @@ var testOnlyExports = map[string]string{
 	"orin.EstimateInferenceOnly":     "independent inference price that serve's exact latency recurrence is checked against",
 	"resnet.ModelCost.TotalBNParams": "the paper's BN-parameter share, checked by the resnet and ufld tests",
 
-	"carlane.TestSizes":             "pending: move into carlane's tests",
-	"experiments.Fig2Result.Lookup": "pending: move into experiments' tests",
-	"metrics.Summarize":             "pending: delete with its unit test",
-	"ufld.Model.RowIndex":           "pending: delete with its unit test",
 }
 
 // ifaceMethods are the standard-library interface methods production

@@ -153,11 +153,6 @@ func DefaultSizes() Sizes {
 	return Sizes{SourceTrain: 240, SourceVal: 48, TargetTrain: 96, TargetVal: 64}
 }
 
-// TestSizes returns very small splits for unit tests.
-func TestSizes() Sizes {
-	return Sizes{SourceTrain: 24, SourceVal: 8, TargetTrain: 16, TargetVal: 12}
-}
-
 // BenchmarkName enumerates the three CARLANE benchmarks.
 type BenchmarkName string
 

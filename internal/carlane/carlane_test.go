@@ -216,7 +216,7 @@ func TestGenerateRejectsLaneMismatch(t *testing.T) {
 }
 
 func TestBuildBenchmarks(t *testing.T) {
-	sizes := TestSizes()
+	sizes := testSizes()
 	for _, name := range AllBenchmarks {
 		b := Build(name, resnet.R18, ufld.Tiny, sizes, 7)
 		if b.Cfg.Lanes != name.Lanes() {
@@ -236,7 +236,7 @@ func TestBuildBenchmarks(t *testing.T) {
 }
 
 func TestMuLaneInterleavesTargets(t *testing.T) {
-	b := Build(MuLane, resnet.R18, ufld.Tiny, TestSizes(), 9)
+	b := Build(MuLane, resnet.R18, ufld.Tiny, testSizes(), 9)
 	if b.TargetVal.Domain != "mixed" {
 		t.Fatalf("MuLane target domain %q, want mixed", b.TargetVal.Domain)
 	}
@@ -276,7 +276,7 @@ func TestComputeStats(t *testing.T) {
 }
 
 func TestWriteBenchmarkTable(t *testing.T) {
-	b := Build(MoLane, resnet.R18, ufld.Tiny, TestSizes(), 11)
+	b := Build(MoLane, resnet.R18, ufld.Tiny, testSizes(), 11)
 	var sb strings.Builder
 	WriteBenchmarkTable(&sb, b)
 	out := sb.String()
@@ -297,4 +297,9 @@ func TestDomainStringAndUnknownPanics(t *testing.T) {
 		}
 	}()
 	ApplyDomain(tensor.New(3, 4, 4), Domain(99), tensor.NewRNG(1))
+}
+
+// testSizes returns very small splits for unit tests.
+func testSizes() Sizes {
+	return Sizes{SourceTrain: 24, SourceVal: 8, TargetTrain: 16, TargetVal: 12}
 }

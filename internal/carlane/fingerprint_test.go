@@ -23,7 +23,7 @@ func TestDatasetFingerprint(t *testing.T) {
 		MuLane: "426b5e85963500478aee0266b3b3926a81763aa8d4da27eaeea3df0dfa5e368f",
 	}
 	for _, name := range AllBenchmarks {
-		b := Build(name, resnet.R18, ufld.Tiny, TestSizes(), 7)
+		b := Build(name, resnet.R18, ufld.Tiny, testSizes(), 7)
 		h := sha256.New()
 		var buf [8]byte
 		for _, ds := range []*ufld.Dataset{b.SourceTrain, b.SourceVal, b.TargetTrain, b.TargetVal} {

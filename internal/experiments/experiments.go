@@ -167,16 +167,6 @@ func RunFig2(p Profile, benchmarks []carlane.BenchmarkName, variants []resnet.Va
 	return res, nil
 }
 
-// Lookup returns the accuracy of a cell (ok=false when absent).
-func (r *Fig2Result) Lookup(benchmark, model, method string, bs int) (float64, bool) {
-	for _, c := range r.Cells {
-		if c.Benchmark == benchmark && c.Model == model && c.Method == method && c.BatchSize == bs {
-			return c.Accuracy, true
-		}
-	}
-	return 0, false
-}
-
 // BestPerBenchmark returns, per benchmark, the best accuracy the given
 // method achieves across models (and batch sizes) — the quantity the
 // paper quotes ("LD-BN-ADAPT's best accuracies ... avg of 92.19%").

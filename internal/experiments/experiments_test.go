@@ -178,3 +178,13 @@ func TestRunMomentumAblationQuick(t *testing.T) {
 		t.Fatal("momentum table missing TENT note")
 	}
 }
+
+// Lookup returns the accuracy of a cell (ok=false when absent).
+func (r *Fig2Result) Lookup(benchmark, model, method string, bs int) (float64, bool) {
+	for _, c := range r.Cells {
+		if c.Benchmark == benchmark && c.Model == model && c.Method == method && c.BatchSize == bs {
+			return c.Accuracy, true
+		}
+	}
+	return 0, false
+}

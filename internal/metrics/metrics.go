@@ -139,24 +139,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[rank]
 }
 
-// Stats summarizes a latency or accuracy series.
-type Stats struct {
-	// N is the sample count.
-	N int
-	// Mean, P50, P95, Max summarize the distribution.
-	Mean, P50, P95, Max float64
-}
-
-// Summarize computes Stats over xs.
-func Summarize(xs []float64) Stats {
-	if len(xs) == 0 {
-		return Stats{}
-	}
-	st := Stats{N: len(xs), Mean: Mean(xs), P50: Percentile(xs, 50), P95: Percentile(xs, 95)}
-	st.Max = Percentile(xs, 100)
-	return st
-}
-
 // FormatPct renders a [0,1] fraction as a percentage with two
 // decimals, the format used in the paper's accuracy figures.
 func FormatPct(v float64) string { return fmt.Sprintf("%.2f%%", 100*v) }

@@ -74,20 +74,6 @@ func TestPercentile(t *testing.T) {
 	Percentile(nil, 50)
 }
 
-func TestSummarize(t *testing.T) {
-	st := Summarize([]float64{1, 2, 3, 4, 100})
-	if st.N != 5 || st.Max != 100 || st.P50 != 3 {
-		t.Fatalf("stats %+v", st)
-	}
-	if math.Abs(st.Mean-22) > 1e-9 {
-		t.Fatalf("mean %v", st.Mean)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || empty.Mean != 0 {
-		t.Fatal("empty summarize")
-	}
-}
-
 func TestFormatPct(t *testing.T) {
 	if FormatPct(0.9219) != "92.19%" {
 		t.Fatalf("FormatPct = %q", FormatPct(0.9219))

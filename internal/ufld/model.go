@@ -177,11 +177,6 @@ func (m *Model) Embed(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	return m.pool.Forward(m.backbone.Forward(x, mode), mode)
 }
 
-// RowIndex returns the logits-row index for (sample, lane, anchor).
-func (m *Model) RowIndex(sample, lane, anchor int) int {
-	return (sample*m.Cfg.Lanes+lane)*m.Cfg.RowAnchors + anchor
-}
-
 // Clone returns a deep copy of the model (weights, BN running stats).
 // The clone shares no storage with the original, so adapting one does
 // not disturb the other.

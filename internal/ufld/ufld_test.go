@@ -69,16 +69,28 @@ func TestModelForwardShape(t *testing.T) {
 }
 
 func TestRowIndexLayout(t *testing.T) {
+	// Logits row (sample, lane, anchor) lives at index
+	// (sample·Lanes+lane)·RowAnchors+anchor: mark one row and check
+	// that Decode finds the lane there and nowhere else.
 	cfg := Tiny(resnet.R18, 2)
-	m := MustNewModel(cfg, tensor.NewRNG(2))
-	if m.RowIndex(0, 0, 0) != 0 {
-		t.Fatal("first row index wrong")
+	const n, sample, lane, anchor, cell = 2, 1, 1, 2, 3
+	logits := tensor.New(n*cfg.Groups(), cfg.Classes())
+	for r := 0; r < logits.Dim(0); r++ {
+		logits.Set(20, r, cfg.GridCells) // "no lane"
 	}
-	if m.RowIndex(1, 0, 0) != cfg.Groups() {
-		t.Fatal("sample stride wrong")
-	}
-	if m.RowIndex(0, 1, 2) != cfg.RowAnchors+2 {
-		t.Fatal("lane/anchor layout wrong")
+	row := (sample*cfg.Lanes+lane)*cfg.RowAnchors + anchor
+	logits.Set(0, row, cfg.GridCells)
+	logits.Set(20, row, cell)
+	preds := Decode(cfg, logits, n)
+	for ni, p := range preds {
+		for l, pts := range p.Points {
+			for a, pt := range pts {
+				want := ni == sample && l == lane && a == anchor
+				if pt.Present != want || want && math.Abs(pt.Cell-cell) > 1e-3 {
+					t.Fatalf("sample %d lane %d anchor %d decoded %+v", ni, l, a, pt)
+				}
+			}
+		}
 	}
 }
 

@@ -16,15 +16,14 @@ import (
 // "pkg.Name" for a function, type, variable or constant and
 // "pkg.Recv.Name" for a method, pkg being the directory under internal/.
 var testOnlyExports = map[string]string{
-	"tensor.Tensor.AllClose":         "tolerance check shared by the tests of eight packages",
-	"tensor.RNG.FillUniform":         "random fill shared by the tests of five packages",
+	"tensor.Tensor.AllClose":         "tolerance check shared by the tests of most packages",
+	"tensor.RNG.FillUniform":         "random fill shared by the tests of most packages",
 	"tensor.Tensor.HasNaN":           "non-finite check shared by the adapt, carlane and tensor tests; the planned divergence guard calls it",
 	"tensor.Dot":                     "reference inner product shared by the nn, resnet and tensor tests",
 	"tensor.Tensor.MeanStd":          "moment check shared by the carlane, nn and tensor tests",
 	"serve.BurstyFleet":              "bursty arrival fixture shared by the govern, serve and shard tests",
 	"orin.EstimateInferenceOnly":     "independent inference price that serve's exact latency recurrence is checked against",
 	"resnet.ModelCost.TotalBNParams": "the paper's BN-parameter share, checked by the resnet and ufld tests",
-
 }
 
 // ifaceMethods are the standard-library interface methods production

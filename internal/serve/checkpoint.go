@@ -164,8 +164,9 @@ func EncodeCheckpoint(w io.Writer, c *Checkpoint) error {
 // validates it against this engine's deployed model: the BN layer
 // count and per-layer widths must match, because the state is about
 // to be swapped into this model's replicas. Truncated data, a foreign
-// magic, a mismatched model, or a pending window whose count or frame
-// size cannot be right are all errors — a failover that cannot trust a
+// magic, a mismatched model, a counter that is not a non-negative
+// integer, an FPS that is not finite and positive, or a pending window
+// whose count or frame size cannot be right are all errors — a failover that cannot trust a
 // checkpoint must fall back to cold state, never to a torn one.
 func (e *Engine) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	extras, err := nn.LoadParams(r, nil)
@@ -181,6 +182,21 @@ func (e *Engine) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	if v := int(meta[0]); v != checkpointVersion {
 		return nil, fmt.Errorf("serve: checkpoint version %d, want %d", v, checkpointVersion)
+	}
+	// A negative or fractional counter cannot be honest, and a negative
+	// optimizer step poisons the next Adam update (its bias correction
+	// 1 − β^step is 0 at step 0), so each counter is checked as a float
+	// before converting.
+	for _, f := range [...]struct {
+		name string
+		i    int
+	}{{"stream", 1}, {"epoch", 2}, {"frames since adaptation", 4}, {"step count", 5}, {"optimizer step", 6}} {
+		if v := meta[f.i]; !(v >= 0 && v <= 1<<53 && v == math.Trunc(v)) {
+			return nil, fmt.Errorf("serve: checkpoint %s %v is not a non-negative integer", f.name, v)
+		}
+	}
+	if fps := meta[3]; !(fps > 0 && fps <= math.MaxFloat64) {
+		return nil, fmt.Errorf("serve: checkpoint FPS %v is not finite and positive", fps)
 	}
 	c := &Checkpoint{
 		Stream:     int(meta[1]),

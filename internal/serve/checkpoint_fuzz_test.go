@@ -2,13 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"testing"
 )
 
 // FuzzDecodeCheckpoint feeds arbitrary bytes to DecodeCheckpoint, the
 // decoder the fleet's failover path runs on stored checkpoints. No
-// input may panic, and any input it accepts must re-encode to bytes
+// input may panic, any input it accepts must hold non-negative
+// counters and a finite positive FPS, and it must re-encode to bytes
 // that decode and re-encode to the same bytes.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	golden, err := os.ReadFile("testdata/checkpoint_v2.ldp1")
@@ -22,6 +24,14 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		c, err := e.DecodeCheckpoint(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		st := c.state
+		if c.Stream < 0 || c.Epoch < 0 || c.sinceAdapt < 0 || st.steps < 0 || st.opt.Step < 0 {
+			t.Fatalf("accepted negative counters: stream %d epoch %d sinceAdapt %d steps %d optimizer step %d",
+				c.Stream, c.Epoch, c.sinceAdapt, st.steps, st.opt.Step)
+		}
+		if !(c.FPS > 0 && c.FPS <= math.MaxFloat64) {
+			t.Fatalf("accepted FPS %v", c.FPS)
 		}
 		var once, twice bytes.Buffer
 		if err := EncodeCheckpoint(&once, c); err != nil {

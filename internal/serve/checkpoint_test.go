@@ -278,20 +278,31 @@ func TestCheckpointDecodeErrors(t *testing.T) {
 		}
 		return out.Bytes()
 	}
-	pendingCount := func(v float64) func(map[string]*tensor.Tensor) {
+	metaField := func(i int, v float64) func(map[string]*tensor.Tensor) {
 		return func(extras map[string]*tensor.Tensor) {
 			meta, err := unpackF64(extras["meta"])
 			if err != nil {
 				t.Fatal(err)
 			}
-			meta[8] = v
+			meta[i] = v
 			extras["meta"] = packF64(meta)
 		}
 	}
 	for name, edit := range map[string]func(map[string]*tensor.Tensor){
-		"pending count -1":   pendingCount(-1),
-		"pending count NaN":  pendingCount(math.NaN()),
-		"pending count 1e18": pendingCount(1e18),
+		"pending count -1":       metaField(8, -1),
+		"pending count NaN":      metaField(8, math.NaN()),
+		"pending count 1e18":     metaField(8, 1e18),
+		"optimizer step -1":      metaField(6, -1),
+		"optimizer step 2.5":     metaField(6, 2.5),
+		"step count -1":          metaField(5, -1),
+		"step count 1e300":       metaField(5, 1e300),
+		"frames since adapt NaN": metaField(4, math.NaN()),
+		"epoch -1":               metaField(2, -1),
+		"stream +Inf":            metaField(1, math.Inf(1)),
+		"FPS 0":                  metaField(3, 0),
+		"FPS -30":                metaField(3, -30),
+		"FPS NaN":                metaField(3, math.NaN()),
+		"FPS +Inf":               metaField(3, math.Inf(1)),
 		"5-value pending image": func(extras map[string]*tensor.Tensor) {
 			extras["pending.000.image"] = tensor.New(5)
 		},

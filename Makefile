@@ -4,7 +4,9 @@
 #   make fmt     fail if any file is not gofmt-clean
 #   make vet     static analysis
 #   make test    full unit + property suite (tier-1 gate), including
-#                each example's Example golden
+#                each example's Example golden, in a shuffled order so a
+#                test that leans on another's side effects fails (the
+#                seed is printed; -shuffle=<seed> replays it)
 #   make purego  the kernel packages again with -tags purego (the amd64
 #                assembly in internal/tensor — gemm_amd64.s and
 #                elem_amd64.s — compiled out, so the Go kernels — the
@@ -57,11 +59,12 @@
 #                green
 #   make fingerprints  every cross-commit pin (the Fingerprint, Golden
 #                and MatchesRunOnline tests of adapt, ufld, nn, serve,
-#                shard, carlane, govern and sota) at -cpu 1,2,4, then again under
-#                -tags purego: the pins were recorded through the Go
-#                kernels on one worker count, so a kernel or banding
-#                change that moves a bit at another count, or only with
-#                the assembly in, fails here. make test runs them once,
+#                shard, carlane, govern, sota and experiments) at -cpu
+#                1,2,4, then again under -tags purego: the pins were
+#                recorded through the Go kernels on one worker count,
+#                so a kernel or banding change that moves a bit at
+#                another count, or only with the assembly in, fails
+#                here. make test runs them once,
 #                at the box's GOMAXPROCS with the assembly. The same run
 #                covers the two host-scheduling pins — shard's
 #                TestConcurrentMatchesLockstep (the board bus against
@@ -104,7 +107,7 @@ vet:
 	$(GO) vet ./...
 
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 purego:
 	$(GO) vet -tags purego ./internal/tensor/
@@ -122,7 +125,7 @@ race:
 	$(GO) test -race -short ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/govern/... ./internal/tensor/... ./internal/nn/... ./internal/adapt/... ./internal/stream/...
 
 PINS = 'Fingerprint|Golden|MatchesRunOnline|MatchesLockstep|IndependentOfWorkerScheduling'
-PIN_PKGS = ./internal/adapt/ ./internal/ufld/ ./internal/nn/ ./internal/serve/ ./internal/shard/ ./internal/carlane/ ./internal/govern/ ./internal/sota/
+PIN_PKGS = ./internal/adapt/ ./internal/ufld/ ./internal/nn/ ./internal/serve/ ./internal/shard/ ./internal/carlane/ ./internal/govern/ ./internal/sota/ ./internal/experiments/
 
 fingerprints:
 	$(GO) test -cpu 1,2,4 -run $(PINS) $(PIN_PKGS)

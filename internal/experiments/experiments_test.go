@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -42,6 +46,32 @@ func TestRunFig2QuickMoLaneR18(t *testing.T) {
 	for _, want := range []string{"MoLane", "LD-BN-ADAPT", "CARLANE-SOTA", "source-val"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("table missing %q", want)
+		}
+	}
+}
+
+// TestFig3Golden pins the Fig. 3 latency table at 2 and 4 lanes and
+// the SOTA-cost table byte for byte against testdata/. Both are pure
+// pricing of the full-scale models, so any move of the Orin cost model
+// or of the model description shows here; a change that reprices on
+// purpose rewrites the files and says so.
+func TestFig3Golden(t *testing.T) {
+	for _, c := range []struct {
+		file  string
+		write func(io.Writer)
+	}{
+		{"fig3_lanes2.txt", func(w io.Writer) { WriteFig3(w, 2) }},
+		{"fig3_lanes4.txt", func(w io.Writer) { WriteFig3(w, 4) }},
+		{"sotacost_lanes4.txt", func(w io.Writer) { WriteSOTACost(w, 4) }},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		c.write(&got)
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s changed:\n%s", c.file, got.String())
 		}
 	}
 }

@@ -339,11 +339,7 @@ func RunOnline(m *ufld.Model, method Method, stream *ufld.Dataset, val *ufld.Dat
 		preds := ufld.Decode(m.Cfg, logits, len(idx))
 		cnt := 0
 		for _, si := range idx {
-			for _, c := range stream.Samples[si].Cells {
-				if c != ufld.Absent {
-					cnt++
-				}
-			}
+			cnt += stream.Samples[si].Points()
 		}
 		accW += ufld.Accuracy(m.Cfg, preds, stream.Samples, idx) * float64(cnt)
 		pointsTotal += cnt

@@ -36,13 +36,9 @@ func ComputeStats(ds *ufld.Dataset) SplitStats {
 			sumSq += float64(v) * float64(v)
 			count++
 		}
-		for _, c := range s.Cells {
-			if c == ufld.Absent {
-				st.AbsentPoints++
-			} else {
-				st.LabeledPoints++
-			}
-		}
+		labeled := s.Points()
+		st.LabeledPoints += labeled
+		st.AbsentPoints += len(s.Cells) - labeled
 	}
 	if count > 0 {
 		st.MeanBrightness = sum / float64(count)

@@ -113,13 +113,7 @@ func NewSourceSchedule(ds *ufld.Dataset, start time.Duration, phases []RatePhase
 // labeled ground-truth points of s and computes the TuSimple accuracy
 // of pred against them.
 func ScoreSample(cfg ufld.Config, pred ufld.Prediction, s ufld.Sample) (acc float64, points int) {
-	for _, c := range s.Cells {
-		if c != ufld.Absent {
-			points++
-		}
-	}
-	acc = ufld.Accuracy(cfg, []ufld.Prediction{pred}, []ufld.Sample{s}, []int{0})
-	return acc, points
+	return ufld.Accuracy(cfg, []ufld.Prediction{pred}, []ufld.Sample{s}, []int{0}), s.Points()
 }
 
 // OverloadPolicy selects what happens when the per-frame work does not

@@ -72,18 +72,14 @@ func Evaluate(m *Model, ds *Dataset, batchSize int) EvalResult {
 		for i := range idx {
 			idx[i] = lo + i
 		}
-		x, _ := Batch(m.Cfg, ds.Samples, idx)
+		x := Images(m.Cfg, ds.Samples, idx)
 		logits := m.Forward(x, nn.Eval)
 		preds := Decode(m.Cfg, logits, len(idx))
 		// Accumulate weighted by ground-truth point count so batches
 		// combine exactly.
 		cnt := 0
 		for _, si := range idx {
-			for _, c := range ds.Samples[si].Cells {
-				if c != Absent {
-					cnt++
-				}
-			}
+			cnt += ds.Samples[si].Points()
 		}
 		totalAccW += Accuracy(m.Cfg, preds, ds.Samples, idx) * float64(cnt)
 		points += cnt

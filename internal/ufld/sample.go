@@ -20,6 +20,18 @@ type Sample struct {
 	Cells []int
 }
 
+// Points counts the labeled ground-truth points of s: the cells that
+// are not Absent.
+func (s Sample) Points() int {
+	n := 0
+	for _, c := range s.Cells {
+		if c != Absent {
+			n++
+		}
+	}
+	return n
+}
+
 // Dataset is an ordered collection of samples from one domain.
 type Dataset struct {
 	// Name identifies the split (e.g. "molane/target-val").

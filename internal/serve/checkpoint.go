@@ -185,13 +185,13 @@ func (e *Engine) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	// A negative or fractional counter cannot be honest, and a negative
 	// optimizer step poisons the next Adam update (its bias correction
-	// 1 − β^step is 0 at step 0), so each counter is checked as a float
-	// before converting.
+	// 1 − β^step is 0 at step 0). Each counter's range is checked as a
+	// float before it is converted, and it must convert exactly.
 	for _, f := range [...]struct {
 		name string
 		i    int
 	}{{"stream", 1}, {"epoch", 2}, {"frames since adaptation", 4}, {"step count", 5}, {"optimizer step", 6}} {
-		if v := meta[f.i]; !(v >= 0 && v <= 1<<53 && v == math.Trunc(v)) {
+		if v := meta[f.i]; !(v >= 0 && v <= 1<<53 && float64(int64(v)) == v) {
 			return nil, fmt.Errorf("serve: checkpoint %s %v is not a non-negative integer", f.name, v)
 		}
 	}

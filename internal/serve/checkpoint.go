@@ -166,8 +166,9 @@ func EncodeCheckpoint(w io.Writer, c *Checkpoint) error {
 // to be swapped into this model's replicas. Truncated data, a foreign
 // magic, a mismatched model, a counter that is not a non-negative
 // integer, an FPS that is not finite and positive, or a pending window
-// whose count or frame size cannot be right are all errors — a failover that cannot trust a
-// checkpoint must fall back to cold state, never to a torn one.
+// whose count or frame size cannot be right are all errors — a
+// failover that cannot trust a checkpoint must fall back to cold
+// state, never to a torn one.
 func (e *Engine) DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	extras, err := nn.LoadParams(r, nil)
 	if err != nil {

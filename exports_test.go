@@ -102,9 +102,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 // scanFile records the exported declarations of a file in internal/pkg
 // (pkg is empty outside internal/) and every reference the file makes.
 func scanFile(fset *token.FileSet, f *ast.File, pkg string, declared map[string]token.Position, used, calledMethods map[string]bool) {
-	declIdents := map[*ast.Ident]bool{}
+	skip := map[*ast.Ident]bool{} // identifiers that are not a reference to pkg.Name
 	declare := func(id *ast.Ident, key string) {
-		declIdents[id] = true
+		skip[id] = true
 		if pkg != "" && id.IsExported() {
 			declared[key] = fset.Position(id.Pos())
 		}
@@ -145,7 +145,6 @@ func scanFile(fset *token.FileSet, f *ast.File, pkg string, declared map[string]
 		imports[local] = rel
 	}
 
-	skip := declIdents // identifiers that are not a reference to pkg.Name
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
@@ -174,15 +173,13 @@ func scanFile(fset *token.FileSet, f *ast.File, pkg string, declared map[string]
 }
 
 // recvName is the type name of a method receiver, with any pointer and
-// type parameters stripped.
+// type parameter stripped.
 func recvName(e ast.Expr) string {
 	for {
 		switch x := e.(type) {
 		case *ast.StarExpr:
 			e = x.X
 		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
 			e = x.X
 		case *ast.Ident:
 			return x.Name

@@ -18,7 +18,7 @@ import (
 var testOnlyExports = map[string]string{
 	"tensor.Tensor.AllClose":         "tolerance check shared by the tests of most packages",
 	"tensor.RNG.FillUniform":         "random fill shared by the tests of most packages",
-	"tensor.Tensor.HasNaN":           "non-finite check shared by the adapt, carlane and tensor tests; the planned divergence guard calls it",
+	"tensor.Tensor.HasNaN":           "non-finite check shared by the adapt, carlane and tensor tests; the planned divergence guard is meant to call it",
 	"tensor.Dot":                     "reference inner product shared by the nn, resnet and tensor tests",
 	"tensor.Tensor.MeanStd":          "moment check shared by the carlane, nn and tensor tests",
 	"serve.BurstyFleet":              "bursty arrival fixture shared by the govern, serve and shard tests",

@@ -182,16 +182,7 @@ func (m *Model) Embed(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 // not disturb the other.
 func (m *Model) Clone(rng *tensor.RNG) *Model {
 	c := MustNewModel(m.Cfg, rng)
-	src, dst := m.Params(), c.Params()
-	for i := range src {
-		dst[i].Value.CopyFrom(src[i].Value)
-	}
-	sb, db := m.BatchNorms(), c.BatchNorms()
-	for i := range sb {
-		db[i].SetRunningStats(sb[i].RunningMean, sb[i].RunningVar)
-		db[i].Momentum = sb[i].Momentum
-		db[i].AdaptMomentum = sb[i].AdaptMomentum
-	}
+	copyState(c, m)
 	return c
 }
 
@@ -208,19 +199,31 @@ func (m *Model) Replica(rng *tensor.RNG) *Model {
 	c := MustNewModel(m.Cfg, rng)
 	src, dst := m.Params(), c.Params()
 	for i := range src {
-		if strings.HasSuffix(src[i].Name, ".gamma") || strings.HasSuffix(src[i].Name, ".beta") {
-			dst[i].Value.CopyFrom(src[i].Value)
-		} else {
+		if !strings.HasSuffix(src[i].Name, ".gamma") && !strings.HasSuffix(src[i].Name, ".beta") {
 			dst[i].Value = src[i].Value // alias the shared weights
 		}
 	}
-	sb, db := m.BatchNorms(), c.BatchNorms()
+	copyState(c, m)
+	return c
+}
+
+// copyState copies src's parameter values, BN running statistics and
+// BN momenta into dst, a model of the same configuration. A parameter
+// dst already shares with src (a replica's aliased weight) is left as
+// it is.
+func copyState(dst, src *Model) {
+	sp, dp := src.Params(), dst.Params()
+	for i := range sp {
+		if dp[i].Value != sp[i].Value {
+			dp[i].Value.CopyFrom(sp[i].Value)
+		}
+	}
+	sb, db := src.BatchNorms(), dst.BatchNorms()
 	for i := range sb {
 		db[i].SetRunningStats(sb[i].RunningMean, sb[i].RunningVar)
 		db[i].Momentum = sb[i].Momentum
 		db[i].AdaptMomentum = sb[i].AdaptMomentum
 	}
-	return c
 }
 
 // BNStateExtras bundles the BN running statistics under stable names

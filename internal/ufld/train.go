@@ -39,6 +39,15 @@ func DefaultTrainConfig() TrainConfig {
 // UFLD objective (group cross-entropy + structural losses), exactly as
 // the paper's models are pre-trained on CARLA simulation data before
 // deployment. Returns the final epoch's mean training loss.
+//
+// The training runs on a working copy of m, and only its result — the
+// parameter values, the BN running statistics and momenta — is
+// written back into m, whose weight caches are then dropped. The
+// Train-mode lowerings, the activation caches, the backward scratches
+// and the optimizer state die with the copy, so a deployed model holds
+// its weights, its BN state and one frame's working set, and nothing
+// of its training. Every parameter of m is left trainable, whatever an
+// adaptation method wired to m earlier may have frozen.
 func TrainSource(m *Model, train *Dataset, tc TrainConfig, rng *tensor.RNG) (float64, error) {
 	if train.Len() == 0 {
 		return 0, fmt.Errorf("ufld: empty training set")
@@ -46,12 +55,11 @@ func TrainSource(m *Model, train *Dataset, tc TrainConfig, rng *tensor.RNG) (flo
 	if tc.BatchSize < 1 {
 		return 0, fmt.Errorf("ufld: batch size %d", tc.BatchSize)
 	}
+	nn.SetTrainable(m.Params(), m.Params())
+	w := m.Clone(tensor.NewRNG(0)) // its own RNG: rng's draws stay the training's
 	opt := nn.NewAdam(tc.LR)
-	params := m.Params()
+	params := w.Params()
 	st := nn.NewOptState(nn.ParamCount(params))
-	// Training steps every parameter, whatever an adaptation method
-	// wired to m earlier may have frozen.
-	nn.SetTrainable(params, params)
 	var epochLoss float64
 	for epoch := 0; epoch < tc.Epochs; epoch++ {
 		perm := rng.Perm(train.Len())
@@ -63,17 +71,17 @@ func TrainSource(m *Model, train *Dataset, tc TrainConfig, rng *tensor.RNG) (flo
 				hi = len(perm)
 			}
 			idx := perm[lo:hi]
-			x, targets := Batch(m.Cfg, train.Samples, idx)
+			x, targets := Batch(w.Cfg, train.Samples, idx)
 			nn.ZeroGrads(params)
-			logits := m.Forward(x, nn.Train)
+			logits := w.Forward(x, nn.Train)
 			loss, grad := nn.CrossEntropyRows(logits, targets)
-			sl, sg := SimilarityLoss(m.Cfg, logits, len(idx))
+			sl, sg := SimilarityLoss(w.Cfg, logits, len(idx))
 			loss += simWeight * sl
 			tensor.AxpyInPlace(grad, simWeight, sg)
-			pl, pg := ShapeLoss(m.Cfg, logits, len(idx))
+			pl, pg := ShapeLoss(w.Cfg, logits, len(idx))
 			loss += shapeWeight * pl
 			tensor.AxpyInPlace(grad, shapeWeight, pg)
-			m.Backward(grad)
+			w.Backward(grad)
 			nn.ClipGradNorm(params, clipNorm)
 			opt.Step(params, &st)
 			epochLoss += loss
@@ -84,5 +92,7 @@ func TrainSource(m *Model, train *Dataset, tc TrainConfig, rng *tensor.RNG) (flo
 			fmt.Fprintf(tc.Log, "epoch %d/%d: loss %.4f\n", epoch+1, tc.Epochs, epochLoss)
 		}
 	}
+	copyState(m, w)
+	m.InvalidateWeightCaches()
 	return epochLoss, nil
 }

@@ -1,6 +1,8 @@
 package ufld
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -75,6 +77,72 @@ func TestTrainSourceLearnsToyTask(t *testing.T) {
 	if acc < 0.85 {
 		t.Fatalf("toy-task accuracy %.3f, want ≥ 0.85", acc)
 	}
+}
+
+// TestTrainSourceInvalidatesWeightCaches: training writes new weights,
+// so a model whose int8 tables were built before it must not keep
+// serving them. Its int8 logits after training are bitwise a fresh
+// clone's, which quantizes the trained weights from scratch.
+func TestTrainSourceInvalidatesWeightCaches(t *testing.T) {
+	rng := tensor.NewRNG(3)
+	cfg := Tiny(resnet.R18, 2)
+	m := MustNewModel(cfg, rng)
+	x := tensor.New(1, 3, cfg.InputH, cfg.InputW)
+	rng.FillNormal(x, 0.4, 0.3)
+	m.ForwardInferInt8(x) // builds the int8 tables from the initial weights
+	tc := DefaultTrainConfig()
+	tc.Epochs = 1
+	if _, err := TrainSource(m, tinyDataset(cfg, 8, rng), tc, rng.Split()); err != nil {
+		t.Fatal(err)
+	}
+	got := m.ForwardInferInt8(x).Clone()
+	want := m.Clone(tensor.NewRNG(4)).ForwardInferInt8(x)
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("logit %d reads %v after training, a fresh clone gives %v: stale int8 weights", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestTrainSourceRetainsNoTrainingState: the Train-mode lowerings, the
+// activation caches and the backward scratches of source training die
+// with the call, so a trained model holds no more heap than about a
+// freshly built one. Not parallel: it reads the process heap.
+func TestTrainSourceRetainsNoTrainingState(t *testing.T) {
+	cfg := Tiny(resnet.R18, 2)
+	heapOf := func(build func() *Model) uint64 {
+		runtime.GC()
+		before := liveHeap()
+		m := build()
+		runtime.GC()
+		after := liveHeap()
+		runtime.KeepAlive(m)
+		if after < before {
+			return 0
+		}
+		return after - before
+	}
+	fresh := heapOf(func() *Model { return MustNewModel(cfg, tensor.NewRNG(5)) })
+	ds := tinyDataset(cfg, 16, tensor.NewRNG(6))
+	trained := heapOf(func() *Model {
+		m := MustNewModel(cfg, tensor.NewRNG(5))
+		tc := DefaultTrainConfig()
+		tc.Epochs, tc.BatchSize = 1, 8
+		if _, err := TrainSource(m, ds, tc, tensor.NewRNG(7)); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	})
+	if trained > 2*fresh {
+		t.Fatalf("trained model retains %d B, a fresh one %d B: training state outlived TrainSource", trained, fresh)
+	}
+}
+
+// liveHeap returns the bytes of live heap objects.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 func TestNewModelRejectsInvalidConfig(t *testing.T) {

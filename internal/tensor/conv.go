@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+
+	"ldbnadapt/internal/par"
+)
 
 // ConvPlane is the reusable state of ConvS1Into for one caller: the
 // zero-padded input plane, the offset table into it and one output
@@ -101,6 +105,121 @@ func (s *ConvPlane) reshape(c, h, w int, g ConvGeom) {
 		for ky := 0; ky < g.KH; ky++ {
 			for kx := 0; kx < g.KW; kx++ {
 				s.off[(ci*g.KH+ky)*g.KW+kx] = ci*hp*wp + ky*wp + kx
+			}
+		}
+	}
+}
+
+// ConvDXLines is the reusable state of ConvDXInto for one caller: one
+// line per band and, when oh·ow is not a whole number of tiles, a copy
+// of the gradient with zero slack after its last row. Both are grown to
+// the largest call seen and reused, so a steady-state call allocates
+// nothing. A ConvDXLines must not be shared by concurrent calls.
+type ConvDXLines struct {
+	lines []float32 // band b's line is lines[b·cols : (b+1)·cols]
+	g     []float32 // [outC, oh·ow], then zero slack
+}
+
+// convDXTask is the pooled argument block for ConvDXInto, banded over
+// input channels like Col2ImInto.
+type convDXTask struct {
+	dx, wt, g, lines []float32
+	cols             int
+	outC, c, h, w    int
+	oh, ow           int
+	geom             ConvGeom
+}
+
+func (t *convDXTask) Chunk(band, lo, hi int) {
+	convDXChans(t.dx, t.wt, t.g, t.lines[band*t.cols:(band+1)*t.cols], t.outC, t.c, t.h, t.w, t.oh, t.ow, t.geom, lo, hi)
+}
+
+var convDXCache par.Cache[convDXTask]
+
+// ConvDXInto computes one sample's convolution input gradient,
+// dx = col2im(wt·g), without the K × oh·ow column matrix between the
+// two. dx is [1, c, h, w], wt is the transposed weight matrix
+// [c·KH·KW, outC] and g is the output gradient [outC, oh·ow]; any
+// stride and padding. The result is bitwise MatMulInto followed by
+// Col2ImInto: each input channel is cleared, then for each tap (ky,kx)
+// in col2im's order the column row r = (ci,ky,kx) is computed by the
+// same gemmRow call into a line and its valid runs are added into the
+// channel at once, in the same order. A tap that only ever reads
+// padding is skipped, as col2im skips its row.
+//
+// The line is rounded up to whole 32-column tiles; when oh·ow is not
+// whole tiles, g is first copied next to zero slack so the last row's
+// round-up has something to read, and the columns past oh·ow are
+// computed and dropped. No padded gradient plane is read: an Inf
+// weight times a halo zero would add a NaN that col2im never adds.
+// Input channels are banded over the worker pool behind the GEMM gate.
+func ConvDXInto(dx, wt, g *Tensor, geom ConvGeom, s *ConvDXLines) {
+	if dx.NDim() != 4 || dx.shape[0] != 1 {
+		panic(fmt.Sprintf("tensor: ConvDXInto needs one [1,c,h,w] sample, got %v", dx.shape))
+	}
+	c, h, w := dx.shape[1], dx.shape[2], dx.shape[3]
+	oh, ow := geom.OutSize(h, w)
+	K, hw := c*geom.KH*geom.KW, oh*ow
+	if wt.NDim() != 2 || wt.shape[0] != K || g.NDim() != 2 || g.shape[0] != wt.shape[1] || g.shape[1] != hw {
+		panic(fmt.Sprintf("tensor: ConvDXInto %v = col2im(%v · %v), want [%d,m] weights and an [m,%d] gradient", dx.shape, wt.shape, g.shape, K, hw))
+	}
+	outC := wt.shape[1]
+	cols := (hw + convTile - 1) / convTile * convTile
+	gd := g.Data
+	if cols > hw {
+		s.g = resize(s.g, outC*hw+cols-hw)
+		copy(s.g, gd)
+		clear(s.g[outC*hw:])
+		gd = s.g
+	}
+	if K*outC*hw < matmulParMin {
+		s.lines = resize(s.lines, cols)
+		convDXChans(dx.Data, wt.Data, gd, s.lines, outC, c, h, w, oh, ow, geom, 0, c)
+		return
+	}
+	s.lines = resize(s.lines, par.Width(c, 1)*cols)
+	t := convDXCache.Get()
+	*t = convDXTask{dx: dx.Data, wt: wt.Data, g: gd, lines: s.lines, cols: cols,
+		outC: outC, c: c, h: h, w: w, oh: oh, ow: ow, geom: geom}
+	par.For(c, 1, t)
+	t.dx, t.wt, t.g, t.lines = nil, nil, nil, nil
+	convDXCache.Put(t)
+}
+
+// convDXChans clears and accumulates input channels [clo,chi) of dx,
+// computing each column row into line just before col2imChans' loop
+// would scatter it.
+func convDXChans(dx, wt, g, line []float32, outC, c, h, w, oh, ow int, geom ConvGeom, clo, chi int) {
+	hw := oh * ow
+	for ci := clo; ci < chi; ci++ {
+		dst := dx[ci*h*w : (ci+1)*h*w]
+		clear(dst)
+		for ky := 0; ky < geom.KH; ky++ {
+			for kx := 0; kx < geom.KW; kx++ {
+				ox0, ox1 := geom.oxRange(w, ow, kx)
+				if ox0 == ox1 {
+					continue // the tap only ever reads padding
+				}
+				r := (ci*geom.KH+ky)*geom.KW + kx
+				gemmRow(line, wt[r*outC:(r+1)*outC], g, hw)
+				ix0 := ox0*geom.SW - geom.PW + kx
+				for oy := 0; oy < oh; oy++ {
+					iy := oy*geom.SH - geom.PH + ky
+					if iy < 0 || iy >= h {
+						continue
+					}
+					dstRow := dst[iy*w : (iy+1)*w]
+					run := line[oy*ow+ox0 : oy*ow+ox1]
+					if geom.SW == 1 {
+						addRow(dstRow[ix0:ix0+len(run)], run)
+						continue
+					}
+					ix := ix0
+					for _, v := range run {
+						dstRow[ix] += v
+						ix += geom.SW
+					}
+				}
 			}
 		}
 	}

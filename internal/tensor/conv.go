@@ -111,27 +111,26 @@ func (s *ConvPlane) reshape(c, h, w int, g ConvGeom) {
 }
 
 // ConvDXLines is the reusable state of ConvDXInto for one caller: one
-// line per band and, when oh·ow is not a whole number of tiles, a copy
-// of the gradient with zero slack after its last row. Both are grown to
+// line per band and the gradient's partial last tile. Both are grown to
 // the largest call seen and reused, so a steady-state call allocates
 // nothing. A ConvDXLines must not be shared by concurrent calls.
 type ConvDXLines struct {
 	lines []float32 // band b's line is lines[b·cols : (b+1)·cols]
-	g     []float32 // [outC, oh·ow], then zero slack
+	tail  []float32 // [outC, convTile]: g's last oh·ow mod 32 columns, then zeros
 }
 
 // convDXTask is the pooled argument block for ConvDXInto, banded over
 // input channels like Col2ImInto.
 type convDXTask struct {
-	dx, wt, g, lines []float32
-	cols             int
-	outC, c, h, w    int
-	oh, ow           int
-	geom             ConvGeom
+	dx, wt, g, tail, lines []float32
+	cols                   int
+	outC, c, h, w          int
+	oh, ow                 int
+	geom                   ConvGeom
 }
 
 func (t *convDXTask) Chunk(band, lo, hi int) {
-	convDXChans(t.dx, t.wt, t.g, t.lines[band*t.cols:(band+1)*t.cols], t.outC, t.c, t.h, t.w, t.oh, t.ow, t.geom, lo, hi)
+	convDXChans(t.dx, t.wt, t.g, t.tail, t.lines[band*t.cols:(band+1)*t.cols], t.outC, t.c, t.h, t.w, t.oh, t.ow, t.geom, lo, hi)
 }
 
 var convDXCache par.Cache[convDXTask]
@@ -143,16 +142,17 @@ var convDXCache par.Cache[convDXTask]
 // stride and padding. The result is bitwise MatMulInto followed by
 // Col2ImInto: each input channel is cleared, then for each tap (ky,kx)
 // in col2im's order the column row r = (ci,ky,kx) is computed by the
-// same gemmRow call into a line and its valid runs are added into the
+// same row kernel into a line and its valid runs are added into the
 // channel at once, in the same order. A tap that only ever reads
 // padding is skipped, as col2im skips its row.
 //
-// The line is rounded up to whole 32-column tiles; when oh·ow is not
-// whole tiles, g is first copied next to zero slack so the last row's
-// round-up has something to read, and the columns past oh·ow are
-// computed and dropped. No padded gradient plane is read: an Inf
-// weight times a halo zero would add a NaN that col2im never adds.
-// Input channels are banded over the worker pool behind the GEMM gate.
+// The line is rounded up to whole 32-column tiles. The tiles inside
+// oh·ow read g in place; a partial last tile reads a [outC, 32] copy
+// of g's last columns with zeros after them, so its columns past oh·ow
+// are computed and dropped and g needs no slack. No padded gradient
+// plane is read: an Inf weight times a halo zero would add a NaN that
+// col2im never adds. Input channels are banded over the worker pool
+// behind the GEMM gate.
 func ConvDXInto(dx, wt, g *Tensor, geom ConvGeom, s *ConvDXLines) {
 	if dx.NDim() != 4 || dx.shape[0] != 1 {
 		panic(fmt.Sprintf("tensor: ConvDXInto needs one [1,c,h,w] sample, got %v", dx.shape))
@@ -165,32 +165,35 @@ func ConvDXInto(dx, wt, g *Tensor, geom ConvGeom, s *ConvDXLines) {
 	}
 	outC := wt.shape[1]
 	cols := (hw + convTile - 1) / convTile * convTile
-	gd := g.Data
-	if cols > hw {
-		s.g = resize(s.g, outC*hw+cols-hw)
-		copy(s.g, gd)
-		clear(s.g[outC*hw:])
-		gd = s.g
+	var tail []float32
+	if body := hw / convTile * convTile; body < hw {
+		s.tail = resize(s.tail, outC*convTile)
+		clear(s.tail)
+		for p := 0; p < outC; p++ {
+			copy(s.tail[p*convTile:], g.Data[p*hw+body:(p+1)*hw])
+		}
+		tail = s.tail
 	}
 	if K*outC*hw < matmulParMin {
 		s.lines = resize(s.lines, cols)
-		convDXChans(dx.Data, wt.Data, gd, s.lines, outC, c, h, w, oh, ow, geom, 0, c)
+		convDXChans(dx.Data, wt.Data, g.Data, tail, s.lines, outC, c, h, w, oh, ow, geom, 0, c)
 		return
 	}
 	s.lines = resize(s.lines, par.Width(c, 1)*cols)
 	t := convDXCache.Get()
-	*t = convDXTask{dx: dx.Data, wt: wt.Data, g: gd, lines: s.lines, cols: cols,
+	*t = convDXTask{dx: dx.Data, wt: wt.Data, g: g.Data, tail: tail, lines: s.lines, cols: cols,
 		outC: outC, c: c, h: h, w: w, oh: oh, ow: ow, geom: geom}
 	par.For(c, 1, t)
-	t.dx, t.wt, t.g, t.lines = nil, nil, nil, nil
+	t.dx, t.wt, t.g, t.tail, t.lines = nil, nil, nil, nil, nil
 	convDXCache.Put(t)
 }
 
 // convDXChans clears and accumulates input channels [clo,chi) of dx,
 // computing each column row into line just before col2imChans' loop
 // would scatter it.
-func convDXChans(dx, wt, g, line []float32, outC, c, h, w, oh, ow int, geom ConvGeom, clo, chi int) {
+func convDXChans(dx, wt, g, tail, line []float32, outC, c, h, w, oh, ow int, geom ConvGeom, clo, chi int) {
 	hw := oh * ow
+	body := hw / convTile * convTile
 	for ci := clo; ci < chi; ci++ {
 		dst := dx[ci*h*w : (ci+1)*h*w]
 		clear(dst)
@@ -201,7 +204,13 @@ func convDXChans(dx, wt, g, line []float32, outC, c, h, w, oh, ow int, geom Conv
 					continue // the tap only ever reads padding
 				}
 				r := (ci*geom.KH+ky)*geom.KW + kx
-				gemmRow(line, wt[r*outC:(r+1)*outC], g, hw)
+				wr := wt[r*outC : (r+1)*outC]
+				if body > 0 {
+					gemmRow(line[:body], wr, g, hw)
+				}
+				if tail != nil {
+					gemmRow(line[body:], wr, tail, convTile)
+				}
 				ix0 := ox0*geom.SW - geom.PW + kx
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*geom.SH - geom.PH + ky

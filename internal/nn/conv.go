@@ -19,9 +19,11 @@ var batchParMin = 1 << 16
 // with the weight frozen) reads a stride-1 geometry straight from a
 // zero-padded copy of each sample (tensor.ConvS1Into); every other
 // forward — stride 2, InferInt8, a trainable weight, whose lowering
-// feeds dW — and the dX backward (col2im) go through im2col and a
-// matrix product. The two are bitwise equal. Bias is optional (ResNet
-// convolutions are bias-free because they are followed by BatchNorm).
+// feeds dW — goes through im2col and a matrix product. The two are
+// bitwise equal. The dX backward builds no column matrix: it computes
+// Wᵀ·g one column row at a time and scatters each row into dX at once
+// (tensor.ConvDXInto). Bias is optional (ResNet convolutions are
+// bias-free because they are followed by BatchNorm).
 type Conv2D struct {
 	name         string
 	InC, OutC    int
@@ -62,10 +64,10 @@ type Conv2D struct {
 	// Weight-derived caches, built lazily on first use and owned by
 	// this layer instance (replicas share Weight.Value, never these):
 	// the per-output-channel symmetric int8 table for InferInt8, and
-	// the transposed weight matrix [K, outC] a frozen conv's Backward
-	// multiplies by. Serving freezes conv weights, so both stay valid;
-	// callers that mutate Weight.Value must call
-	// InvalidateWeightCaches.
+	// the transposed weight matrix [K, outC] Backward multiplies by
+	// (cached only while the weight is frozen). Serving freezes conv
+	// weights, so both stay valid; callers that mutate Weight.Value
+	// must call InvalidateWeightCaches.
 	wq      []int8
 	wScales []float32
 	wqOK    bool
@@ -74,12 +76,11 @@ type Conv2D struct {
 	wtOK    bool
 }
 
-// convShard is one band's private scratch: lowering buffers, the
-// padded plane of the stride-1 path, cached sub-tensor headers and the
-// int8 staging blocks.
+// convShard is one band's private scratch: the lowering buffer, the
+// padded plane of the stride-1 path, the backward's lines, cached
+// sub-tensor headers and the int8 staging blocks.
 type convShard struct {
 	cols  Scratch // im2col lowering nobody retains (stride 2, frozen weight)
-	dcols Scratch // backward column gradient
 	xi    View    // per-sample input view
 	oi    View    // per-sample output view
 	gi    View    // per-sample gradient view (backward phase B)
@@ -87,7 +88,8 @@ type convShard struct {
 	xq    []int8  // quantized input sample
 	colsQ []int8  // quantized im2col lowering
 
-	plane tensor.ConvPlane // padded sample, offsets and row of the stride-1 path
+	plane tensor.ConvPlane   // padded sample, offsets and row of the stride-1 path
+	dxl   tensor.ConvDXLines // the dX backward's column-row lines
 }
 
 // ensureShards grows the shard slice to bands entries (never shrinks,
@@ -296,11 +298,13 @@ func (c *Conv2D) ensureInt8() {
 	c.wqOK = true
 }
 
-// frozenWT returns the cached transpose of the weight matrix, [K, outC],
-// building it on first use.
-func (c *Conv2D) frozenWT() *tensor.Tensor {
+// weightT returns the weight matrix transposed, [K, outC], in the
+// layer's wt buffer. A frozen weight's transpose is built once and
+// cached until InvalidateWeightCaches; a trainable one is about to be
+// stepped, so it is rebuilt on every call and never cached.
+func (c *Conv2D) weightT() *tensor.Tensor {
 	K := c.kDim()
-	if !c.wtOK {
+	if !c.wtOK || !c.Weight.Frozen {
 		c.wt = growF32(c.wt, K*c.OutC)
 		w := c.Weight.Value.Data
 		for oc := 0; oc < c.OutC; oc++ {
@@ -308,7 +312,7 @@ func (c *Conv2D) frozenWT() *tensor.Tensor {
 				c.wt[k*c.OutC+oc] = v
 			}
 		}
-		c.wtOK = true
+		c.wtOK = c.Weight.Frozen
 	}
 	return c.wtView.Of(c.wt, K, c.OutC)
 }
@@ -320,36 +324,28 @@ func (c *Conv2D) frozenWT() *tensor.Tensor {
 func (c *Conv2D) InvalidateWeightCaches() { c.wqOK, c.wtOK = false, false }
 
 // convBwdBody is the sample-parallel half of Backward: the input
-// gradient. Each band owns its samples' dcols/dx scratch, and the
-// per-sample kernels (Wᵀ·gi then col2im) are the serial ones, so dX
-// is bitwise stable at any band count. Exactly one of wm and wt is
-// set: a trainable conv multiplies by wmᵀ through MatMulTAInto, a
-// frozen one by its cached transpose through the faster MatMulInto.
-// Per output row both kernels apply the same axpyRow updates in the
-// same increasing-p order with the same zero-skip, so the two are
-// bitwise interchangeable.
+// gradient. Each band owns its samples' lines and dx views, and the
+// per-sample kernel (tensor.ConvDXInto over the transposed weight) is
+// bitwise col2im(Wᵀ·gi) at any band count. A trainable and a frozen
+// weight take the same kernel; the trainable one only re-transposes
+// first. The kernel's rows are MatMulInto's gemmRow calls, which apply
+// the same updates in the same increasing-p order with the same
+// zero-skip as MatMulTAInto over the untransposed weight.
 type convBwdBody struct {
 	c         *Conv2D
 	grad, dx  *tensor.Tensor
-	wm, wt    *tensor.Tensor
+	wt        *tensor.Tensor
 	inC, h, w int
 	hw        int
 }
 
 func (b *convBwdBody) Chunk(band, lo, hi int) {
 	c := b.c
-	K := c.kDim()
 	sh := &c.shards[band]
 	for ni := lo; ni < hi; ni++ {
 		gi := sh.gi.Of(b.grad.Data[ni*c.OutC*b.hw:(ni+1)*c.OutC*b.hw], c.OutC, b.hw)
-		dcols := sh.dcols.For(K, b.hw)
-		if b.wt != nil {
-			tensor.MatMulInto(dcols, b.wt, gi)
-		} else {
-			tensor.MatMulTAInto(dcols, b.wm, gi)
-		}
 		dxi := sh.dxi.Of(b.dx.Data[ni*b.inC*b.h*b.w:(ni+1)*b.inC*b.h*b.w], 1, b.inC, b.h, b.w)
-		tensor.Col2ImInto(dxi, dcols, c.Geom)
+		tensor.ConvDXInto(dxi, b.wt, gi, c.Geom, &sh.dxl)
 	}
 }
 
@@ -358,9 +354,10 @@ func (b *convBwdBody) Chunk(band, lo, hi int) {
 // Backward. Two phases: the weight/bias gradients walk the batch
 // serially (dW accumulates across samples — its per-element order is
 // part of the bitwise contract — while the GEMM inside row-bands over
-// output channels), then the input gradients run sample-parallel. A
-// frozen Weight or Bias skips its half of the first phase and leaves
-// its Grad untouched.
+// output channels), then the input gradients run sample-parallel, one
+// tensor.ConvDXInto per sample and no K×oh·ow column matrix. A frozen
+// Weight or Bias skips its half of the first phase and leaves its
+// Grad untouched.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if !c.fwdOK {
 		panic(fmt.Sprintf("nn: %s: Backward before Forward", c.name))
@@ -400,21 +397,13 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	bands := par.Width(n, 1)
 	c.ensureShards(bands)
 	body := &c.bwdBody
-	*body = convBwdBody{c: c, grad: grad, dx: dx, inC: inC, h: h, w: w, hw: hw}
-	if needW {
-		// A trainable weight is about to be stepped: whatever transpose
-		// an earlier frozen phase cached is stale from here on.
-		c.wtOK = false
-		body.wm = c.wmView.Of(c.Weight.Value.Data, c.OutC, K)
-	} else {
-		body.wt = c.frozenWT()
-	}
+	*body = convBwdBody{c: c, grad: grad, dx: dx, wt: c.weightT(), inC: inC, h: h, w: w, hw: hw}
 	if n >= 2 && n*c.OutC*K*hw >= batchParMin {
 		par.For(n, 1, body)
 	} else {
 		body.Chunk(0, 0, n)
 	}
-	body.grad, body.dx, body.wm, body.wt = nil, nil, nil, nil
+	body.grad, body.dx, body.wt = nil, nil, nil
 	return dx
 }
 

@@ -189,8 +189,8 @@ func ConvDXInto(dx, wt, g *Tensor, geom ConvGeom, s *ConvDXLines) {
 }
 
 // convDXChans clears and accumulates input channels [clo,chi) of dx,
-// computing each column row into line just before col2imChans' loop
-// would scatter it.
+// computing each column row into line just before col2imChans would
+// scatter it, and scattering it with the same col2imRow.
 func convDXChans(dx, wt, g, tail, line []float32, outC, c, h, w, oh, ow int, geom ConvGeom, clo, chi int) {
 	hw := oh * ow
 	body := hw / convTile * convTile
@@ -211,24 +211,7 @@ func convDXChans(dx, wt, g, tail, line []float32, outC, c, h, w, oh, ow int, geo
 				if tail != nil {
 					gemmRow(line[body:], wr, tail, convTile)
 				}
-				ix0 := ox0*geom.SW - geom.PW + kx
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*geom.SH - geom.PH + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					dstRow := dst[iy*w : (iy+1)*w]
-					run := line[oy*ow+ox0 : oy*ow+ox1]
-					if geom.SW == 1 {
-						addRow(dstRow[ix0:ix0+len(run)], run)
-						continue
-					}
-					ix := ix0
-					for _, v := range run {
-						dstRow[ix] += v
-						ix += geom.SW
-					}
-				}
+				col2imRow(dst, line, h, w, oh, ow, ky, kx, ox0, ox1, geom)
 			}
 		}
 	}

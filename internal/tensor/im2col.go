@@ -225,29 +225,34 @@ func col2imChans(out, cols []float32, n, c, h, w, oh, ow int, g ConvGeom, clo, c
 				if ox0 == ox1 {
 					continue // the tap only ever reads padding
 				}
-				ix0 := ox0*g.SW - g.PW + kx
 				for ni := 0; ni < n; ni++ {
-					dst := out[(ni*c+ci)*h*w : (ni*c+ci+1)*h*w]
-					base := ni * oh * ow
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*g.SH - g.PH + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						dstRow := dst[iy*w : (iy+1)*w]
-						run := src[base+oy*ow+ox0 : base+oy*ow+ox1]
-						if g.SW == 1 {
-							addRow(dstRow[ix0:ix0+len(run)], run)
-							continue
-						}
-						ix := ix0
-						for _, v := range run {
-							dstRow[ix] += v
-							ix += g.SW
-						}
-					}
+					col2imRow(out[(ni*c+ci)*h*w:(ni*c+ci+1)*h*w], src[ni*oh*ow:(ni+1)*oh*ow], h, w, oh, ow, ky, kx, ox0, ox1, g)
 				}
 			}
+		}
+	}
+}
+
+// col2imRow adds one sample's part of the column row of tap (ky,kx),
+// src [oh·ow], into its channel plane dst [h·w]: output columns
+// [ox0,ox1) of each line whose input row is inside, in (oy, ox) order.
+func col2imRow(dst, src []float32, h, w, oh, ow, ky, kx, ox0, ox1 int, g ConvGeom) {
+	ix0 := ox0*g.SW - g.PW + kx
+	for oy := 0; oy < oh; oy++ {
+		iy := oy*g.SH - g.PH + ky
+		if iy < 0 || iy >= h {
+			continue
+		}
+		dstRow := dst[iy*w : (iy+1)*w]
+		run := src[oy*ow+ox0 : oy*ow+ox1]
+		if g.SW == 1 {
+			addRow(dstRow[ix0:ix0+len(run)], run)
+			continue
+		}
+		ix := ix0
+		for _, v := range run {
+			dstRow[ix] += v
+			ix += g.SW
 		}
 	}
 }

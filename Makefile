@@ -86,6 +86,15 @@
 #                Minimization is capped at 200 runs per new input:
 #                minimizing a mutant of the 12 KB golden takes the 60 s
 #                default, which would leave no time to fuzz
+#   make calib-check  builds the benchmark as bench/run.sh does, prints
+#                the address of main.(*calibrator).rows and its residue
+#                mod 64, and fails unless the residue is 0: the speed
+#                of the calibrator's timed kernel, and with it every
+#                timed row, depends on whether that symbol sits on a
+#                64-byte boundary (ROADMAP item 1(i)), so run it after
+#                any change to code the benchmark links. Not part of
+#                ci: the address depends on the toolchain, and CI tests
+#                other Go versions
 #   make ci      build + fmt + vet + staticcheck + test + purego + race +
 #                fingerprints + chaos-smoke + fleet-smoke + obs-smoke +
 #                fuzz-smoke + bench-smoke + bench-smoke-ext
@@ -95,7 +104,7 @@ GO ?= go
 # Keep in sync with the install step in .github/workflows/ci.yml.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build fmt vet test purego race fingerprints bench-smoke bench-smoke-ext staticcheck chaos-smoke fleet-smoke obs-smoke fuzz-smoke ci
+.PHONY: build fmt vet test purego race fingerprints bench-smoke bench-smoke-ext calib-check staticcheck chaos-smoke fleet-smoke obs-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -136,6 +145,18 @@ bench-smoke:
 
 bench-smoke-ext:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Same build flags and environment as bench/run.sh (only the cache
+# location differs, which does not move a symbol); the binary lands in
+# the git-ignored .bench_build/.
+calib-check:
+	@mkdir -p .bench_build
+	@CGO_ENABLED=0 GOTOOLCHAIN=local GOPROXY=off $(GO) build -C bench -o "$(CURDIR)/.bench_build/calib-check" .
+	@addr="$$($(GO) tool nm .bench_build/calib-check | awk '$$3 == "main.(*calibrator).rows" { print $$1 }')"; \
+	if [ -z "$$addr" ]; then echo "calib-check: main.(*calibrator).rows not found"; exit 1; fi; \
+	res=$$((0x$$addr % 64)); \
+	echo "main.(*calibrator).rows at 0x$$addr, residue mod 64 = $$res"; \
+	if [ "$$res" -ne 0 ]; then echo "calib-check: not 64-byte aligned; rewrite the new code into an equivalent form that moves it back (ROADMAP item 1(i))"; exit 1; fi
 
 # A PATH binary wins (CI installs the pinned version, so findings fail
 # the build there); otherwise probe whether the module is fetchable

@@ -23,6 +23,7 @@ import (
 	"ldbnadapt/internal/cli"
 	"ldbnadapt/internal/experiments"
 	"ldbnadapt/internal/metrics"
+	"ldbnadapt/internal/tensor"
 )
 
 func main() {
@@ -126,5 +127,5 @@ func main() {
 		experiments.WriteAblation(os.Stdout, cells)
 		fmt.Println()
 	}
-	fmt.Printf("done in %s\n", time.Since(start).Round(time.Second))
+	fmt.Printf("done in %s (%s kernels)\n", time.Since(start).Round(time.Second), tensor.Kernels())
 }

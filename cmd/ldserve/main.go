@@ -519,8 +519,8 @@ func printFleetReport(rep shard.Report, govern, placement string) {
 
 // printReport renders one run as a per-stream table plus totals.
 func printReport(label string, rep serve.Report) {
-	fmt.Printf("%s: %d frames, %.1f frames/s host throughput, mean batch %.2f, %.2f s virtual\n",
-		label, rep.Frames, rep.ThroughputFPS, rep.MeanBatch, rep.VirtualSeconds)
+	fmt.Printf("%s: %d frames, %.1f frames/s host throughput (%s kernels), mean batch %.2f, %.2f s virtual\n",
+		label, rep.Frames, rep.ThroughputFPS, tensor.Kernels(), rep.MeanBatch, rep.VirtualSeconds)
 	tb := metrics.NewTable("stream", "frames", "online acc", "p50 ms", "p99 ms", "queue ms", "miss rate", "adapt steps", "dropped", "skipped")
 	for _, sr := range rep.Streams {
 		tb.AddRow(fmt.Sprintf("#%02d", sr.Stream), sr.Frames, metrics.FormatPct(sr.OnlineAccuracy),

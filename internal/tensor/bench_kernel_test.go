@@ -76,6 +76,69 @@ func BenchmarkKernelIm2Col(b *testing.B) {
 	}
 }
 
+// Small's stride-1 conv stages at layer 1 (6 channels of 48×120) and
+// layer 3 (24 channels of 12×30), 3×3 taps padded by 1: ConvS1Into's
+// forward and ConvDXInto's input gradient, one sample each. They run
+// the row kernels at each tier, "avx2" alone and "avx512" with the
+// AVX-512 tier on (skipped where the host lacks one), and report
+// GMAC/s of the conv's own multiply-adds.
+var bkConvStages = []struct {
+	name    string
+	c, h, w int
+}{
+	{"layer1", 6, 48, 120},
+	{"layer3", 24, 12, 30},
+}
+
+func benchRowTiers(b *testing.B, macs int, run func()) {
+	for _, tier := range []string{"avx2", "avx512"} {
+		b.Run(tier, func(b *testing.B) {
+			restore, skip := rowTier(tier)
+			if skip != "" {
+				b.Skip(skip)
+			}
+			defer restore()
+			run() // sizes the caller-owned state and spawns the pool's workers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(macs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		})
+	}
+}
+
+func BenchmarkKernelConvS1(b *testing.B) {
+	for _, st := range bkConvStages {
+		rng := NewRNG(8)
+		x := New(1, st.c, st.h, st.w)
+		wm := New(st.c, st.c*9)
+		out := New(st.c, st.h*st.w)
+		rng.FillUniform(x, -1, 1)
+		rng.FillUniform(wm, -1, 1)
+		var plane ConvPlane
+		b.Run(st.name, func(b *testing.B) {
+			benchRowTiers(b, st.c*st.c*9*st.h*st.w, func() { ConvS1Into(out, wm, x, bkGeom, &plane) })
+		})
+	}
+}
+
+func BenchmarkKernelConvDX(b *testing.B) {
+	for _, st := range bkConvStages {
+		rng := NewRNG(9)
+		wt := New(st.c*9, st.c)
+		g := New(st.c, st.h*st.w)
+		dx := New(1, st.c, st.h, st.w)
+		rng.FillUniform(wt, -1, 1)
+		rng.FillUniform(g, -1, 1)
+		var lines ConvDXLines
+		b.Run(st.name, func(b *testing.B) {
+			benchRowTiers(b, st.c*9*st.c*st.h*st.w, func() { ConvDXInto(dx, wt, g, bkGeom, &lines) })
+		})
+	}
+}
+
 func BenchmarkKernelCol2Im(b *testing.B) {
 	rng := NewRNG(5)
 	cols := New(bkK, bkN)

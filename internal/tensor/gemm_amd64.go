@@ -8,13 +8,38 @@ package tensor
 // flip it to compare the two.
 var useAVX2 = cpuHasAVX2()
 
+// useAVX512 adds the AVX-512 tier of the two row kernels on top of
+// AVX2, decided the same way and just as interchangeable.
+var useAVX512 = useAVX2 && cpuHasAVX512()
+
 func cpuHasAVX2() bool
+
+func cpuHasAVX512() bool
+
+// Kernels names the kernel tiers this process runs: "go",
+// "avx2" or "avx2+avx512". It is host-dependent, so it belongs in
+// host-time reports only, never in a golden.
+func Kernels() string {
+	switch {
+	case useAVX512:
+		return "avx2+avx512"
+	case useAVX2:
+		return "avx2"
+	}
+	return "go"
+}
 
 //go:noescape
 func gemmRowAVX2(dst, a, b *float32, k, n, ldb int)
 
 //go:noescape
 func gemmRowOffAVX2(dst, a, b *float32, off *int, k, n int)
+
+//go:noescape
+func gemmRowAVX512(dst, a, b *float32, k, n, ldb int)
+
+//go:noescape
+func gemmRowOffAVX512(dst, a, b *float32, off *int, k, n int)
 
 //go:noescape
 func axpyAVX2(dst, b *float32, av float32, n int)
@@ -25,7 +50,10 @@ func addAVX2(dst, src *float32, n int)
 // The wrappers keep the assembly inside the slices: they index the
 // last element each routine touches (so a short operand panics here,
 // as it would in the Go kernel) and hand empty products to the Go
-// kernels, which the assembly's &x[0] arguments cannot express.
+// kernels, which the assembly's &x[0] arguments cannot express. With
+// the AVX-512 tier on, the row kernels' first w = n &^ 63 columns run
+// in ZMM tiles and the AVX2 routine takes the rest, re-based by w
+// columns in dst and b.
 
 func gemmRow(di, ai, b []float32, ldb int) {
 	k, n := len(ai), len(di)
@@ -34,7 +62,21 @@ func gemmRow(di, ai, b []float32, ldb int) {
 		return
 	}
 	_ = b[(k-1)*ldb+n-1]
-	gemmRowAVX2(&di[0], &ai[0], &b[0], k, n, ldb)
+	w := wideCols(n)
+	if w > 0 {
+		gemmRowAVX512(&di[0], &ai[0], &b[0], k, w, ldb)
+	}
+	if w < n {
+		gemmRowAVX2(&di[w], &ai[0], &b[w], k, n-w, ldb)
+	}
+}
+
+// wideCols is the prefix of n columns the AVX-512 tier takes.
+func wideCols(n int) int {
+	if !useAVX512 {
+		return 0
+	}
+	return n &^ 63
 }
 
 // gemmRowOff checks every offset, not only those of non-zero
@@ -51,7 +93,13 @@ func gemmRowOff(di, ai []float32, off []int, b []float32) {
 	}
 	_ = b[lo]
 	_ = b[hi+n-1]
-	gemmRowOffAVX2(&di[0], &ai[0], &b[0], &off[0], k, n)
+	w := wideCols(n)
+	if w > 0 {
+		gemmRowOffAVX512(&di[0], &ai[0], &b[0], &off[0], k, w)
+	}
+	if w < n {
+		gemmRowOffAVX2(&di[w], &ai[0], &b[w], &off[0], k, n-w)
+	}
 }
 
 func axpy(di, bp []float32, av float32) {

@@ -10,6 +10,10 @@
 // the Go code. Loads and stores stay inside [0, n): the 32- and
 // 8-column tiles are entered only while that many columns remain, the
 // rest is scalar. VZEROUPPER precedes every RET.
+//
+// The two row kernels also have an AVX-512 tier (at the end of the
+// file): the same sums over a 64-column-multiple prefix in 128- and
+// 64-column ZMM tiles, with the AVX2 routine taking the rest.
 
 // func cpuHasAVX2() bool
 //
@@ -375,5 +379,266 @@ add1:
 	JMP    add1
 
 adddone:
+	VZEROUPPER
+	RET
+
+// func cpuHasAVX512() bool
+//
+// The AVX-512 tier is usable when CPUID reports AVX512F (leaf 7 EBX
+// bit 16), the CPU has OSXSAVE (leaf 1 ECX bit 27), and the OS saves
+// XMM, YMM, opmask and both halves of the ZMM state (XCR0 bits 1, 2,
+// 5, 6 and 7: mask 0xE6). Only AVX512F instructions are used: the
+// tiles are zeroed with VPXORD, since VXORPS on ZMM is AVX512DQ.
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  no
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x08000000, CX
+	JZ   no
+	XORL CX, CX
+	XGETBV
+	ANDL $0xe6, AX
+	CMPL AX, $0xe6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $16, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func gemmRowAVX512(dst, a, b *float32, k, n, ldb int)
+//
+// gemmRowAVX2's sums over the first n columns in ZMM tiles: 128
+// columns (eight 16-lane chains) while that many remain, then 64
+// (four chains). Same order from +0, same ±0 skip, VMULPS then VADDPS.
+// Requires k > 0, n > 0 and n%64 == 0: the gemmRow wrapper hands the
+// < 64 columns after the prefix to gemmRowAVX2.
+TEXT ·gemmRowAVX512(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), CX
+	MOVQ n+32(FP), R8
+	MOVQ ldb+40(FP), R9
+	SHLQ $2, R9
+
+zrow128:
+	CMPQ   R8, $128
+	JLT    zrow64
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	MOVQ   SI, R10
+	MOVQ   DX, R11
+	MOVQ   CX, R12
+
+zrow128p:
+	MOVL         (R10), AX
+	ADDL         AX, AX
+	JZ           zrow128skip
+	VBROADCASTSS (R10), Z8
+	VMULPS       (R11), Z8, Z9
+	VMULPS       64(R11), Z8, Z10
+	VMULPS       128(R11), Z8, Z11
+	VMULPS       192(R11), Z8, Z12
+	VMULPS       256(R11), Z8, Z13
+	VMULPS       320(R11), Z8, Z14
+	VMULPS       384(R11), Z8, Z15
+	VMULPS       448(R11), Z8, Z16
+	VADDPS       Z9, Z0, Z0
+	VADDPS       Z10, Z1, Z1
+	VADDPS       Z11, Z2, Z2
+	VADDPS       Z12, Z3, Z3
+	VADDPS       Z13, Z4, Z4
+	VADDPS       Z14, Z5, Z5
+	VADDPS       Z15, Z6, Z6
+	VADDPS       Z16, Z7, Z7
+
+zrow128skip:
+	ADDQ    $4, R10
+	ADDQ    R9, R11
+	DECQ    R12
+	JNZ     zrow128p
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, 256(DI)
+	VMOVUPS Z5, 320(DI)
+	VMOVUPS Z6, 384(DI)
+	VMOVUPS Z7, 448(DI)
+	ADDQ    $512, DI
+	ADDQ    $512, DX
+	SUBQ    $128, R8
+	JMP     zrow128
+
+zrow64:
+	CMPQ   R8, $64
+	JLT    zrowdone
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	MOVQ   SI, R10
+	MOVQ   DX, R11
+	MOVQ   CX, R12
+
+zrow64p:
+	MOVL         (R10), AX
+	ADDL         AX, AX
+	JZ           zrow64skip
+	VBROADCASTSS (R10), Z8
+	VMULPS       (R11), Z8, Z9
+	VMULPS       64(R11), Z8, Z10
+	VMULPS       128(R11), Z8, Z11
+	VMULPS       192(R11), Z8, Z12
+	VADDPS       Z9, Z0, Z0
+	VADDPS       Z10, Z1, Z1
+	VADDPS       Z11, Z2, Z2
+	VADDPS       Z12, Z3, Z3
+
+zrow64skip:
+	ADDQ    $4, R10
+	ADDQ    R9, R11
+	DECQ    R12
+	JNZ     zrow64p
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, DX
+	SUBQ    $64, R8
+	JMP     zrow64
+
+zrowdone:
+	VZEROUPPER
+	RET
+
+// func gemmRowOffAVX512(dst, a, b *float32, off *int, k, n int)
+//
+// gemmRowOffAVX2's sums over the first n columns in the ZMM tiles of
+// gemmRowAVX512, row p of b found at off[p]. Requires k > 0, n > 0 and
+// n%64 == 0: the gemmRowOff wrapper hands the rest to gemmRowOffAVX2.
+TEXT ·gemmRowOffAVX512(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ off+24(FP), BX
+	MOVQ k+32(FP), CX
+	MOVQ n+40(FP), R8
+
+zoff128:
+	CMPQ   R8, $128
+	JLT    zoff64
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	MOVQ   SI, R10
+	MOVQ   BX, R11
+	MOVQ   CX, R12
+
+zoff128p:
+	MOVL         (R10), AX
+	ADDL         AX, AX
+	JZ           zoff128skip
+	MOVQ         (R11), R13
+	VBROADCASTSS (R10), Z8
+	VMULPS       (DX)(R13*4), Z8, Z9
+	VMULPS       64(DX)(R13*4), Z8, Z10
+	VMULPS       128(DX)(R13*4), Z8, Z11
+	VMULPS       192(DX)(R13*4), Z8, Z12
+	VMULPS       256(DX)(R13*4), Z8, Z13
+	VMULPS       320(DX)(R13*4), Z8, Z14
+	VMULPS       384(DX)(R13*4), Z8, Z15
+	VMULPS       448(DX)(R13*4), Z8, Z16
+	VADDPS       Z9, Z0, Z0
+	VADDPS       Z10, Z1, Z1
+	VADDPS       Z11, Z2, Z2
+	VADDPS       Z12, Z3, Z3
+	VADDPS       Z13, Z4, Z4
+	VADDPS       Z14, Z5, Z5
+	VADDPS       Z15, Z6, Z6
+	VADDPS       Z16, Z7, Z7
+
+zoff128skip:
+	ADDQ    $4, R10
+	ADDQ    $8, R11
+	DECQ    R12
+	JNZ     zoff128p
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, 256(DI)
+	VMOVUPS Z5, 320(DI)
+	VMOVUPS Z6, 384(DI)
+	VMOVUPS Z7, 448(DI)
+	ADDQ    $512, DI
+	ADDQ    $512, DX
+	SUBQ    $128, R8
+	JMP     zoff128
+
+zoff64:
+	CMPQ   R8, $64
+	JLT    zoffdone
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	MOVQ   SI, R10
+	MOVQ   BX, R11
+	MOVQ   CX, R12
+
+zoff64p:
+	MOVL         (R10), AX
+	ADDL         AX, AX
+	JZ           zoff64skip
+	MOVQ         (R11), R13
+	VBROADCASTSS (R10), Z8
+	VMULPS       (DX)(R13*4), Z8, Z9
+	VMULPS       64(DX)(R13*4), Z8, Z10
+	VMULPS       128(DX)(R13*4), Z8, Z11
+	VMULPS       192(DX)(R13*4), Z8, Z12
+	VADDPS       Z9, Z0, Z0
+	VADDPS       Z10, Z1, Z1
+	VADDPS       Z11, Z2, Z2
+	VADDPS       Z12, Z3, Z3
+
+zoff64skip:
+	ADDQ    $4, R10
+	ADDQ    $8, R11
+	DECQ    R12
+	JNZ     zoff64p
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, DX
+	SUBQ    $64, R8
+	JMP     zoff64
+
+zoffdone:
 	VZEROUPPER
 	RET

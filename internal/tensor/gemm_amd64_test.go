@@ -4,14 +4,19 @@ package tensor
 
 import (
 	"math"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
 // Assembly ≡ Go suite: the AVX2 kernels in gemm_amd64.s must produce
 // the bits the Go kernels do, for every shape, alignment and worker
 // count, because the seeded pins and byte-stable traces upstream were
-// all recorded through the Go kernels. Each case runs once with
-// useAVX2 off (the spec) and once with it on.
+// all recorded through the Go kernels. Each case runs with useAVX2
+// off (the spec), then at each assembly tier (eachTier): AVX2 alone,
+// and AVX2 with the row kernels' AVX-512 tier.
 
 // fuseX·fuseX + fuseZ is 2⁻²⁴ when evaluated as one fused
 // multiply-add and 0 when the product is rounded to float32 first.
@@ -37,6 +42,67 @@ func withAVX2(on bool, f func()) {
 	useAVX2 = on
 	defer func() { useAVX2 = prev }()
 	f()
+}
+
+// eachTier runs check as one subtest per assembly tier: "avx2" with
+// the AVX-512 tier off, then "avx512" with it on, skipped when this
+// machine cannot run it. check compares against the Go spec, which
+// withAVX2(false, ...) still computes inside it.
+func eachTier(t *testing.T, check func(t *testing.T)) {
+	t.Helper()
+	needAVX2(t)
+	for _, tier := range []string{"avx2", "avx512"} {
+		t.Run(tier, func(t *testing.T) {
+			restore, skip := rowTier(tier)
+			if skip != "" {
+				t.Skip(skip)
+			}
+			defer restore()
+			check(t)
+		})
+	}
+}
+
+// rowTier switches the row kernels to a tier, "avx2" or "avx512", and
+// returns the restore, or a reason the tier cannot run here.
+func rowTier(tier string) (restore func(), skip string) {
+	if !cpuHasAVX2() {
+		return nil, "CPU or OS without AVX2: the Go kernels are the only path"
+	}
+	wide := tier == "avx512"
+	if wide && !cpuHasAVX512() {
+		return nil, "CPU or OS without AVX-512F and ZMM state: AVX2 is the widest tier here"
+	}
+	prev, prev512 := useAVX2, useAVX512
+	useAVX2, useAVX512 = true, wide
+	return func() { useAVX2, useAVX512 = prev, prev512 }, ""
+}
+
+// TestAVX512DetectionMatchesCPUInfo: Linux lists avx512f in
+// /proc/cpuinfo only when the CPU has it and the kernel saves the
+// opmask and ZMM state, which is what cpuHasAVX512 asks of CPUID and
+// XCR0, so a wrong bit in either disagrees with the file.
+func TestAVX512DetectionMatchesCPUInfo(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the flag list is read from Linux's /proc/cpuinfo")
+	}
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no CPU flag list to compare with: %v", err)
+	}
+	listed, found := false, false
+	for _, line := range strings.Split(string(data), "\n") {
+		if key, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "flags" {
+			listed, found = slices.Contains(strings.Fields(flags), "avx512f"), true
+			break
+		}
+	}
+	if !found {
+		t.Skip("/proc/cpuinfo has no flags line")
+	}
+	if got := cpuHasAVX512(); got != listed {
+		t.Fatalf("cpuHasAVX512() = %v, but /proc/cpuinfo lists avx512f: %v", got, listed)
+	}
 }
 
 // frameBits is the NaN pattern that both poisons destinations (the
@@ -98,9 +164,9 @@ type gemmShape = struct{ m, k, n int }
 
 // avx2GEMMShapes are Small's conv GEMMs (forward, then the frozen-dX
 // transposes), followed by adversarial ones: the worker-count suite's
-// shapes (prime dims, single rows and columns) and every n in 1..70,
-// so each combination of 32-wide tiles, 8-wide tiles and scalar tail
-// occurs.
+// shapes (prime dims, single rows and columns) and every n in 1..300,
+// so each combination of 128- and 64-wide ZMM tiles, 32- and 8-wide
+// YMM tiles and scalar tail occurs.
 func avx2GEMMShapes() []gemmShape {
 	shapes := []gemmShape{
 		{6, 147, 1440}, {12, 54, 360}, {12, 108, 360}, {24, 108, 90}, {24, 216, 90},
@@ -109,16 +175,20 @@ func avx2GEMMShapes() []gemmShape {
 		{1, 257, 1}, {101, 3, 1},
 	}
 	shapes = append(shapes, gemmShapes...)
-	for n := 1; n <= 70; n++ {
+	for n := 1; n <= 300; n++ {
 		shapes = append(shapes, gemmShape{3, 7, n})
 	}
 	return shapes
 }
 
 // checkGEMMAgainstGo holds one a·b variant to the Go kernels on every
-// shape: mul is MatMulInto, or MatMulTAInto with a stored [k, m].
+// shape, at every tier: mul is MatMulInto, or MatMulTAInto with a
+// stored [k, m].
 func checkGEMMAgainstGo(t *testing.T, name string, seed uint64, transA bool, mul func(out, a, b *Tensor)) {
-	needAVX2(t)
+	eachTier(t, func(t *testing.T) { checkGEMMTier(t, name, seed, transA, mul) })
+}
+
+func checkGEMMTier(t *testing.T, name string, seed uint64, transA bool, mul func(out, a, b *Tensor)) {
 	rng := NewRNG(seed)
 	for si, sh := range avx2GEMMShapes() {
 		a := New(sh.m, sh.k)
@@ -137,7 +207,7 @@ func checkGEMMAgainstGo(t *testing.T, name string, seed uint64, transA bool, mul
 		a, b = offset(a, (off+5)%8), offset(b, (off+3)%8)
 		eachPoolConfig(t, func(procs int) {
 			got, intact := framed(off, sh.m, sh.n)
-			withAVX2(true, func() { mul(got, a, b) })
+			mul(got, a, b)
 			if i := bitsEqual(want.Data, got.Data); i >= 0 {
 				t.Fatalf("%s %dx%dx%d off=%d procs=%d: element %d is %x, Go kernel gives %x",
 					name, sh.m, sh.k, sh.n, off, procs, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
@@ -158,12 +228,15 @@ func TestAVX2MatMulTAMatchesGo(t *testing.T) {
 }
 
 // TestAVX2RowKernelEveryOffset drives the row kernel alone at every
-// (dst, b) phase of a 32-byte vector, with a row stride wider than the
-// band — the matmulCols call shape.
+// tier, every n in 1..300 and every (dst, b) phase of a 32-byte vector,
+// with a row stride wider than the band — the matmulCols call shape.
 func TestAVX2RowKernelEveryOffset(t *testing.T) {
-	needAVX2(t)
+	eachTier(t, checkRowKernelEveryOffset)
+}
+
+func checkRowKernelEveryOffset(t *testing.T) {
 	rng := NewRNG(0x0ff5)
-	const k, ldb = 9, 83
+	const k, ldb = 9, 311
 	ai := make([]float32, k)
 	bm := New(k, ldb)
 	rng.FillUniform(bm, -2, 2)
@@ -171,7 +244,8 @@ func TestAVX2RowKernelEveryOffset(t *testing.T) {
 		ai[i] = float32(rng.Range(-2, 2))
 	}
 	ai[4] = 0
-	for n := 1; n <= 70; n++ {
+	ai[7] = math.Float32frombits(1 << 31)
+	for n := 1; n <= 300; n++ {
 		for off := 0; off < 8; off++ {
 			jlo := off // band start inside the row: shifts b's phase too
 			if jlo+n > ldb {
@@ -180,7 +254,7 @@ func TestAVX2RowKernelEveryOffset(t *testing.T) {
 			want := make([]float32, n)
 			gemmRowGo(want, ai, bm.Data[jlo:], ldb)
 			got, intact := framed(off, n)
-			withAVX2(true, func() { gemmRow(got.Data, ai, bm.Data[jlo:], ldb) })
+			gemmRow(got.Data, ai, bm.Data[jlo:], ldb)
 			if i := bitsEqual(want, got.Data); i >= 0 {
 				t.Fatalf("row kernel n=%d off=%d: element %d differs", n, off, i)
 			}
@@ -192,14 +266,18 @@ func TestAVX2RowKernelEveryOffset(t *testing.T) {
 }
 
 // TestAVX2RowOffKernelMatchesGo holds the offset-table row kernel to
-// its Go spec for every k in 1..60 and every n in 1..70 (each mix of
-// 32-wide tiles, 8-wide tiles and scalar tail), at every dst phase,
-// with ±0 runs in a, NaN, ±Inf and denormals in both operands, and
-// offset tables that run forwards, backwards and repeat a row.
+// its Go spec at every tier for every k in 1..60 and every n in 1..300
+// (each mix of ZMM tiles, YMM tiles and scalar tail), each n at every
+// dst phase as k varies, with ±0 runs in a, NaN, ±Inf and denormals in
+// both operands, and offset tables that run forwards, backwards and
+// repeat a row.
 func TestAVX2RowOffKernelMatchesGo(t *testing.T) {
-	needAVX2(t)
+	eachTier(t, checkRowOffKernel)
+}
+
+func checkRowOffKernel(t *testing.T) {
 	rng := NewRNG(0x0ff7)
-	const bLen = 700
+	const bLen = 1000
 	b := make([]float32, bLen)
 	for i := range b {
 		b[i] = float32(rng.Range(-2, 2))
@@ -209,12 +287,12 @@ func TestAVX2RowOffKernelMatchesGo(t *testing.T) {
 		math.Float32frombits(1), math.Float32frombits(0x807fffff), math.Float32frombits(1 << 31),
 	}
 	for i, v := range specials {
-		b[37*i+11] = v
+		b[157*i+11] = v
 	}
 	ai := make([]float32, 60)
 	off := make([]int, 60)
 	for k := 1; k <= 60; k++ {
-		for n := 1; n <= 70; n++ {
+		for n := 1; n <= 300; n++ {
 			for i := range ai[:k] {
 				ai[i] = float32(rng.Range(-2, 2))
 			}
@@ -237,7 +315,7 @@ func TestAVX2RowOffKernelMatchesGo(t *testing.T) {
 			gemmRowOffGo(want, ai[:k], off[:k], b)
 			dOff := (k + n) % 8
 			got, intact := framed(dOff, n)
-			withAVX2(true, func() { gemmRowOff(got.Data, ai[:k], off[:k], b) })
+			gemmRowOff(got.Data, ai[:k], off[:k], b)
 			if i := sameBits(want, got.Data); i >= 0 {
 				t.Fatalf("offset row kernel k=%d n=%d: element %d is %x, Go kernel gives %x",
 					k, n, i, math.Float32bits(got.Data[i]), math.Float32bits(want[i]))
@@ -278,30 +356,39 @@ func TestAVX2Col2ImMatchesGo(t *testing.T) {
 }
 
 // TestAVX2NonFiniteMatchesGo: Inf and NaN operands must poison the
-// same output elements through both kernels — which is what the
-// a[p] == 0 skip decides (0·Inf would be NaN) — and every finite
-// element must still match bit for bit.
+// same output elements through the Go kernels and every tier — which
+// is what the a[p] == 0 skip decides (0·Inf would be NaN) — and every
+// finite element must still match bit for bit. The columns reach the
+// 128- and 64-wide ZMM tiles and every AVX2 tile after them.
 func TestAVX2NonFiniteMatchesGo(t *testing.T) {
-	needAVX2(t)
+	eachTier(t, checkNonFinite)
+}
+
+func checkNonFinite(t *testing.T) {
 	rng := NewRNG(0x1f1f)
 	inf := float32(math.Inf(1))
 	nan := float32(math.NaN())
-	const m, k, n = 5, 13, 45
+	const m, k, n = 5, 13, 237 // ZMM [0,128) [128,192), YMM [192,224) [224,232), scalar [232,237)
 	a := New(m, k)
 	b := New(k, n)
 	rng.FillUniform(a, -2, 2)
 	rng.FillUniform(b, -2, 2)
 	sprinkleZeros(a.Data)
-	b.Data[0*n+3] = inf   // under a zero of a in row 0: skipped, stays finite
+	for _, j := range []int{3, 150, 200, 228, 235} {
+		b.Data[0*n+j] = inf  // under a zero of a in row 0: skipped, stays finite
+		b.Data[1*n+j] = -inf // under a −0 of a in row 0: skipped too
+	}
 	b.Data[2*n+40] = -inf // under a non-zero: the column goes to −Inf
 	b.Data[5*n+17] = nan
 	b.Data[7*n+33], b.Data[8*n+33] = inf, -inf // Inf − Inf in one column
-	a.Data[3*k+6] = nan                        // a NaN weight is not zero: poisons its row
+	b.Data[6*n+170], b.Data[9*n+230] = nan, inf
+	a.Data[3*k+6] = nan // a NaN weight is not zero: poisons its row
 	at := Transpose(a)
 	want, wantTA := New(m, n), New(m, n)
 	withAVX2(false, func() { MatMulInto(want, a, b); MatMulTAInto(wantTA, at, b) })
 	got, gotTA := New(m, n), New(m, n)
-	withAVX2(true, func() { MatMulInto(got, a, b); MatMulTAInto(gotTA, at, b) })
+	MatMulInto(got, a, b)
+	MatMulTAInto(gotTA, at, b)
 	if i := sameBits(want.Data, got.Data); i >= 0 {
 		t.Fatalf("MatMul non-finite: element %d is %v, Go kernel gives %v", i, got.Data[i], want.Data[i])
 	}
@@ -320,11 +407,10 @@ func TestAVX2NonFiniteMatchesGo(t *testing.T) {
 }
 
 // TestAVX2EmptyProducts: the assembly takes &x[0], so the wrappers
-// must keep empty operands away from it — and k == 0 must still zero
-// dst, as the Go kernel's clear does.
+// must keep empty operands away from it at every tier — and k == 0
+// must still zero dst, as the Go kernel's clear does.
 func TestAVX2EmptyProducts(t *testing.T) {
-	needAVX2(t)
-	withAVX2(true, func() {
+	eachTier(t, func(t *testing.T) {
 		dst := []float32{7, 7, 7}
 		gemmRow(dst, nil, nil, 3) // k == 0
 		for i, v := range dst {

@@ -5,6 +5,9 @@ package tensor
 // Without the amd64 assembly (other architectures, or -tags purego)
 // the Go kernels are the only implementation.
 
+// Kernels names the kernel tiers this process runs: here always "go".
+func Kernels() string { return "go" }
+
 func gemmRow(di, ai, b []float32, ldb int) { gemmRowGo(di, ai, b, ldb) }
 
 func gemmRowOff(di, ai []float32, off []int, b []float32) { gemmRowOffGo(di, ai, off, b) }

@@ -128,11 +128,15 @@ purego:
 # are the concurrent hot paths; govern drives serve's epoch pipeline,
 # adapt owns the step every serve worker runs on its replica, and
 # stream's deploy tests run the engine again, so every one of them runs
-# under the race detector. -short skips the
+# under the race detector. Of the layer packages, nn and resnet run
+# too (resnet.BasicBlock is the one layer outside nn with a scratch of
+# its own, ~4 s under -race -short); ufld stays out, because its
+# fixture-trained tests take ~50 s there, and adapt's and serve's
+# tests already drive the whole model under the detector. -short skips the
 # long seeded acceptance pins (they rerun whole fleets and probe no
 # extra concurrency) — make test still runs them race-free.
 race:
-	$(GO) test -race -short ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/govern/... ./internal/tensor/... ./internal/nn/... ./internal/adapt/... ./internal/stream/...
+	$(GO) test -race -short ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/govern/... ./internal/tensor/... ./internal/nn/... ./internal/resnet/... ./internal/adapt/... ./internal/stream/...
 
 PINS = 'Fingerprint|Golden|MatchesRunOnline|MatchesLockstep|IndependentOfWorkerScheduling'
 PIN_PKGS = ./internal/adapt/ ./internal/ufld/ ./internal/nn/ ./internal/serve/ ./internal/shard/ ./internal/carlane/ ./internal/govern/ ./internal/sota/ ./internal/experiments/

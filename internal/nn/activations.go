@@ -9,12 +9,12 @@ import (
 // ReLU is the rectified linear activation max(0, x).
 type ReLU struct {
 	name string
-	// lastOut is the last Train/Eval/Adapt output (layer-owned or fresh,
-	// written in place by no one): y > 0 exactly where x was, so it is
-	// the backward gate and no separate mask is kept.
-	lastOut  *tensor.Tensor
-	adaptOut Scratch // Adapt-mode forward output
-	dxOut    Scratch // backward gradient output
+	// lastOut is the last Train/Eval/Adapt output (layer-owned, written
+	// in place by no one): y > 0 exactly where x was, so it is the
+	// backward gate and no separate mask is kept.
+	lastOut *tensor.Tensor
+	bpOut   Scratch // Train/Eval/Adapt forward output
+	dxOut   Scratch // backward gradient output
 }
 
 // NewReLU constructs a ReLU layer.
@@ -26,21 +26,17 @@ func (r *ReLU) Name() string { return r.name }
 // Params returns nil (ReLU has no parameters).
 func (r *ReLU) Params() []*Param { return nil }
 
-// Forward computes max(0, x) and retains the output for Backward.
-// In Infer mode it clamps in place (the input is an upstream layer's
-// scratch buffer that is not read again) and retains nothing.
+// Forward computes max(0, x) into layer scratch and retains the output
+// for Backward. In Infer mode it clamps in place (the input is an
+// upstream layer's scratch buffer that is not read again) and retains
+// nothing.
 func (r *ReLU) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	if mode.IsInfer() {
 		r.lastOut = nil // Backward after an Infer forward must panic
 		tensor.ReLUClamp(x.Data)
 		return x
 	}
-	var out *tensor.Tensor
-	if mode == Adapt {
-		out = r.adaptOut.For(x.Shape()...)
-	} else {
-		out = tensor.New(x.Shape()...)
-	}
+	out := r.bpOut.For(x.Shape()...)
 	tensor.ReLUInto(out.Data, x.Data)
 	r.lastOut = out
 	return out
@@ -63,7 +59,7 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 type Flatten struct {
 	name      string
 	lastShape []int
-	hotView   View // cached forward header (Infer/InferInt8/Adapt)
+	outView   View // cached forward header (every mode)
 	gradView  View // cached backward header
 }
 
@@ -76,18 +72,15 @@ func (f *Flatten) Name() string { return f.name }
 // Params returns nil.
 func (f *Flatten) Params() []*Param { return nil }
 
-// Forward flattens all but the leading (batch) dimension. On the hot
-// paths (Infer/InferInt8/Adapt) the returned header is a cached view
-// re-pointed at x's storage; Train and Eval allocate a fresh header.
-func (f *Flatten) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
+// Forward flattens all but the leading (batch) dimension. In every
+// mode the returned header is a cached view re-pointed at x's storage,
+// valid until the layer's next forward.
+func (f *Flatten) Forward(x *tensor.Tensor, _ Mode) *tensor.Tensor {
 	if x.NDim() < 2 {
 		panic(fmt.Sprintf("nn: %s: input %v, want rank ≥ 2", f.name, x.Shape()))
 	}
 	f.lastShape = append(f.lastShape[:0], x.Shape()...)
-	if mode.IsInfer() || mode == Adapt {
-		return f.hotView.Of(x.Data, x.Dim(0), x.Size()/x.Dim(0))
-	}
-	return x.Reshape(x.Dim(0), x.Size()/x.Dim(0))
+	return f.outView.Of(x.Data, x.Dim(0), x.Size()/x.Dim(0))
 }
 
 // Backward restores the cached input shape (as a cached view over the

@@ -53,7 +53,6 @@ type BatchNorm2D struct {
 
 	// Backward caches.
 	lastXHat     *tensor.Tensor
-	lastInvStd   []float32
 	lastMode     Mode
 	lastShape    [4]int
 	lastAdaptMom float32
@@ -63,10 +62,10 @@ type BatchNorm2D struct {
 	inferOut  Scratch
 	sampleSrc []*BNSource
 
-	// Adapt-mode scratch (see scratch.go): output, x̂ cache and the
-	// per-channel statistics buffers, reused across adaptation steps.
-	adaptOut  Scratch
-	adaptXHat Scratch
+	// Train/Eval/Adapt scratch (see scratch.go): output, x̂ cache and
+	// the per-channel statistics buffers, reused across forwards.
+	bpOut     Scratch
+	bpXHat    Scratch
 	meanBuf   []float32
 	varBuf    []float32
 	invStdBuf []float32
@@ -256,13 +255,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	if mode.IsInfer() {
 		return b.forwardInfer(x, n, h, w)
 	}
-	hot := mode == Adapt
-	var out *tensor.Tensor
-	if hot {
-		out = b.adaptOut.For(n, b.C, h, w)
-	} else {
-		out = tensor.New(n, b.C, h, w)
-	}
+	out := b.bpOut.For(n, b.C, h, w)
 	b.lastMode = mode
 	b.lastShape = [4]int{n, b.C, h, w}
 
@@ -303,16 +296,9 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s: unknown mode %v", b.name, mode))
 	}
 
-	var invStd []float32
-	var xhat *tensor.Tensor
-	if hot {
-		b.invStdBuf = growF32(b.invStdBuf, b.C)
-		invStd = b.invStdBuf
-		xhat = b.adaptXHat.For(n, b.C, h, w)
-	} else {
-		invStd = make([]float32, b.C)
-		xhat = tensor.New(n, b.C, h, w)
-	}
+	b.invStdBuf = growF32(b.invStdBuf, b.C)
+	invStd := b.invStdBuf
+	xhat := b.bpXHat.For(n, b.C, h, w)
 	for c := 0; c < b.C; c++ {
 		invStd[c] = float32(1.0 / math.Sqrt(float64(varc[c])+float64(b.Eps)))
 	}
@@ -325,7 +311,6 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	}
 	nb.x, nb.xhat, nb.out, nb.mean, nb.invStd = nil, nil, nil, nil, nil
 	b.lastXHat = xhat
-	b.lastInvStd = invStd
 	return out
 }
 
@@ -445,7 +430,7 @@ func (t *bnBwdBody) finish(c int, sumDY, sumDYX float32) {
 	if !b.Gamma.Frozen {
 		b.Gamma.Grad.Data[c] += sumDYX
 	}
-	g, is := b.Gamma.Value.Data[c], b.lastInvStd[c]
+	g, is := b.Gamma.Value.Data[c], b.invStdBuf[c]
 	if b.lastMode == Eval {
 		scale := g * is
 		for ni := 0; ni < t.n; ni++ {

@@ -19,7 +19,8 @@ var batchParMin = 1 << 16
 // with the weight frozen) reads a stride-1 geometry straight from a
 // zero-padded copy of each sample (tensor.ConvS1Into); every other
 // forward — stride 2, InferInt8, a trainable weight, whose lowering
-// feeds dW — goes through im2col and a matrix product. The two are
+// feeds dW and lives in the layer's one column slab in every non-infer
+// mode — goes through im2col and a matrix product. The two are
 // bitwise equal. The dX backward builds no column matrix: it computes
 // Wᵀ·g one column row at a time and scatters each row into dX at once
 // (tensor.ConvDXInto). Bias is optional (ResNet convolutions are
@@ -39,17 +40,18 @@ type Conv2D struct {
 	lastCols []*tensor.Tensor
 
 	// Scratch buffers and cached headers (see scratch.go for the
-	// ownership contract). Infer and Adapt keep separate output
-	// scratches because the two paths usually run at different batch
-	// sizes; sharing one would re-shape the header every call.
-	inferOut  Scratch
-	adaptOut  Scratch
-	adaptCols []float32 // one [n, K, hw] slab backing lastCols in Adapt
-	colViews  []View    // per-sample [K, hw] headers over adaptCols
-	wmView    View      // weight matrix view [outC, K]
-	giView    View      // per-sample gradient view (backward phase A)
-	dwView    View      // weight-grad matrix view (backward)
-	dxOut     Scratch   // backward input gradient
+	// ownership contract). The infer modes and the backprop-capable
+	// modes (Train, Eval, Adapt) keep separate output scratches
+	// because the two usually run at different batch sizes; sharing
+	// one would re-shape the header every call.
+	inferOut Scratch
+	bpOut    Scratch
+	bpCols   []float32 // one [n, K, hw] slab backing lastCols
+	colViews []View    // per-sample [K, hw] headers over bpCols
+	wmView   View      // weight matrix view [outC, K]
+	giView   View      // per-sample gradient view (backward phase A)
+	dwView   View      // weight-grad matrix view (backward)
+	dxOut    Scratch   // backward input gradient
 
 	// shards are the per-band scratch blocks for sample-parallel
 	// forwards/backwards: band b of a par.For over the batch owns
@@ -184,18 +186,13 @@ func (b *convFwdBody) Chunk(band, lo, hi int) {
 		default:
 			xi := sh.xi.Of(b.x.Data[ni*chw:(ni+1)*chw], 1, c.InC, b.h, b.w)
 			var cols *tensor.Tensor
-			switch {
-			case !b.retain:
+			if b.retain {
+				cols = c.colViews[ni].Of(c.bpCols[ni*K*hw:(ni+1)*K*hw], K, hw)
+				c.lastCols[ni] = cols
+			} else {
 				cols = sh.cols.For(K, hw)
-				tensor.Im2ColInto(cols, xi, c.Geom)
-			case b.mode == Adapt:
-				cols = c.colViews[ni].Of(c.adaptCols[ni*K*hw:(ni+1)*K*hw], K, hw)
-				tensor.Im2ColInto(cols, xi, c.Geom)
-				c.lastCols[ni] = cols
-			default: // Train, Eval: fresh tensors, safe to retain
-				cols = tensor.Im2Col(xi, c.Geom)
-				c.lastCols[ni] = cols
 			}
+			tensor.Im2ColInto(cols, xi, c.Geom)
 			tensor.MatMulInto(oi, b.wm, cols)
 		}
 		if c.Bias != nil {
@@ -210,18 +207,18 @@ func (b *convFwdBody) Chunk(band, lo, hi int) {
 //   - im2col: the sample is lowered to a [inC*kh*kw, oh*ow] matrix and
 //     the product W[outC, inC*kh*kw]·cols lands directly in the output
 //     layout. A trainable weight's forward takes it in Train, Eval and
-//     Adapt and keeps the lowering as dW's backward cache (fresh
-//     tensors, or the layer's Adapt slab); InferInt8 lowers in int8;
-//     any other stride-2 forward lowers into the per-band scratch.
+//     Adapt and keeps the lowering in the layer's column slab as dW's
+//     backward cache; InferInt8 lowers in int8; any other stride-2
+//     forward lowers into the per-band scratch.
 //   - padded plane: a stride-1 forward whose lowering nobody keeps —
 //     Infer, and Train/Eval/Adapt with the weight frozen — reads the
 //     sample from a zero-padded copy through an offset table
 //     (tensor.ConvS1Into) and builds no lowering at all. It runs
 //     serially inside the sample and is bitwise the im2col result.
 //
-// Infer/InferInt8 and Adapt mode write a layer-owned output scratch;
-// Train and Eval allocate fresh tensors so their outputs are safe to
-// retain across calls. Samples are processed in parallel bands over
+// The infer modes write one layer-owned output scratch, Train, Eval and
+// Adapt another; either result is valid until the layer's next forward
+// of the same class. Samples are processed in parallel bands over
 // the worker pool when the batch is big enough; the nested per-sample
 // GEMMs of the im2col path parallelize over whatever workers remain.
 func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
@@ -235,22 +232,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	K := c.kDim()
 	hw := oh * ow
 	var out *tensor.Tensor
-	switch {
-	case infer:
+	if infer {
 		out = c.inferOut.For(n, c.OutC, oh, ow)
-	case mode == Adapt:
-		out = c.adaptOut.For(n, c.OutC, oh, ow)
-	default:
-		out = tensor.New(n, c.OutC, oh, ow)
+	} else {
+		out = c.bpOut.For(n, c.OutC, oh, ow)
 	}
 	c.fwdOK = !infer // Backward after an Infer forward must panic
 	c.lastIn = [4]int{n, c.InC, h, w}
 	c.lastOutShape = [4]int{n, c.OutC, oh, ow}
-	switch {
-	case !retain:
-		c.lastCols = nil
-	case mode == Adapt:
-		c.adaptCols = growF32(c.adaptCols, n*K*hw)
+	if retain {
+		c.bpCols = growF32(c.bpCols, n*K*hw)
 		if cap(c.colViews) < n {
 			c.colViews = make([]View, n)
 		}
@@ -259,8 +250,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 			c.lastCols = make([]*tensor.Tensor, n)
 		}
 		c.lastCols = c.lastCols[:n]
-	default:
-		c.lastCols = make([]*tensor.Tensor, n)
+	} else {
+		c.lastCols = nil
 	}
 	bands := par.Width(n, 1)
 	c.ensureShards(bands)

@@ -17,8 +17,9 @@ func convIm2ColRef(c *Conv2D, x *tensor.Tensor) []float32 {
 	out := make([]float32, 0, n*c.OutC*hw)
 	for ni := 0; ni < n; ni++ {
 		xi := tensor.FromSlice(x.Data[ni*chw:(ni+1)*chw], 1, c.InC, h, w)
-		oi := tensor.New(c.OutC, hw)
-		tensor.MatMulInto(oi, wm, tensor.Im2Col(xi, c.Geom))
+		oi, cols := tensor.New(c.OutC, hw), tensor.New(c.kDim(), hw)
+		tensor.Im2ColInto(cols, xi, c.Geom)
+		tensor.MatMulInto(oi, wm, cols)
 		if c.Bias != nil {
 			c.addBiasRows(oi, hw)
 		}

@@ -197,6 +197,11 @@ func TestGlobalAvgPoolGradients(t *testing.T) {
 	x := tensor.New(2, 3, 4, 5)
 	rng.FillNormal(x, 0, 1)
 	checkGrads(t, p, x, Train, 2e-2)
+	// Forward and Backward write layer scratch, as every layer's do.
+	dy := tensor.New(2, 3)
+	if a := testing.AllocsPerRun(5, func() { p.Forward(x, Train); p.Backward(dy) }); a != 0 {
+		t.Fatalf("%.1f allocations per steady-state forward + backward", a)
+	}
 }
 
 func TestSequentialGradients(t *testing.T) {

@@ -34,10 +34,12 @@ const (
 	// target domain.
 	Adapt
 	// Infer is the serving fast path: numerically identical to Eval but
-	// layers skip every backward cache and reuse layer-owned scratch
-	// buffers for their outputs. A tensor returned by an Infer forward
-	// is only valid until the layer's next Infer forward, and Backward
-	// after an Infer forward panics. BatchNorm2D additionally honours
+	// layers skip every backward cache and write their outputs into the
+	// infer scratch, layer-owned buffers kept apart from the one scratch
+	// Train, Eval and Adapt share. A tensor returned by an Infer forward
+	// is only valid until the layer's next Infer forward (one returned
+	// by a Train/Eval/Adapt forward until the layer's next forward in
+	// one of those modes), and Backward after an Infer forward panics. BatchNorm2D additionally honours
 	// per-sample statistics sources in this mode (multi-stream batched
 	// serving, see SetSampleSources).
 	Infer

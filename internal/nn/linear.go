@@ -23,10 +23,11 @@ type Linear struct {
 	Bias    *Param // [out]
 	lastX   *tensor.Tensor
 
-	// Scratch (see scratch.go): separate infer and adapt output
-	// buffers because the two paths run at different batch sizes.
+	// Scratch (see scratch.go): separate output buffers for the infer
+	// modes and for Train/Eval/Adapt, because the two classes run at
+	// different batch sizes.
 	inferOut Scratch
-	adaptOut Scratch
+	bpOut    Scratch
 	dwTmp    Scratch // backward weight-grad staging
 	dxOut    Scratch // backward input gradient
 
@@ -63,37 +64,32 @@ func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 // HasTrainable reports whether the weight or the bias is unfrozen.
 func (l *Linear) HasTrainable() bool { return !l.Weight.Frozen || !l.Bias.Frozen }
 
-// Forward computes x·Wᵀ + b. Infer/InferInt8 and Adapt mode write into
-// layer-owned scratch (no backward cache on the infer paths); Train
-// and Eval allocate fresh outputs that are safe to retain.
+// Forward computes x·Wᵀ + b into layer-owned scratch: one output buffer
+// for the infer modes (no backward cache), another for Train, Eval and
+// Adapt, each valid until the layer's next forward of the same class.
 func (l *Linear) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	if x.NDim() != 2 || x.Dim(1) != l.In {
 		panic(fmt.Sprintf("nn: %s: input %v, want [n,%d]", l.name, x.Shape(), l.In))
 	}
 	n := x.Dim(0)
 	var out *tensor.Tensor
-	switch {
-	case mode.IsInfer():
+	if mode.IsInfer() {
 		l.lastX = nil // Backward after an Infer forward must panic
 		out = l.inferOut.For(n, l.Out)
-		if mode == InferInt8 {
-			l.ensureInt8()
-			l.xq = growI8(l.xq, n*l.In)
-			l.xScales = growF32(l.xScales, n)
-			for i := 0; i < n; i++ {
-				l.xScales[i] = tensor.QuantizeInt8(l.xq[i*l.In:(i+1)*l.In], x.Data[i*l.In:(i+1)*l.In])
-			}
-			tensor.Int8MatMulTBInto(out, l.xq, l.xScales, l.wq, l.wScales, n, l.In, l.Out)
-		} else {
-			tensor.MatMulTBInto(out, x, l.Weight.Value)
+	} else {
+		l.lastX = x
+		out = l.bpOut.For(n, l.Out)
+	}
+	if mode == InferInt8 {
+		l.ensureInt8()
+		l.xq = growI8(l.xq, n*l.In)
+		l.xScales = growF32(l.xScales, n)
+		for i := 0; i < n; i++ {
+			l.xScales[i] = tensor.QuantizeInt8(l.xq[i*l.In:(i+1)*l.In], x.Data[i*l.In:(i+1)*l.In])
 		}
-	case mode == Adapt:
-		l.lastX = x
-		out = l.adaptOut.For(n, l.Out)
+		tensor.Int8MatMulTBInto(out, l.xq, l.xScales, l.wq, l.wScales, n, l.In, l.Out)
+	} else {
 		tensor.MatMulTBInto(out, x, l.Weight.Value)
-	default:
-		l.lastX = x
-		out = tensor.MatMulTB(x, l.Weight.Value) // [n, out]
 	}
 	for i := 0; i < n; i++ {
 		row := out.Data[i*l.Out : (i+1)*l.Out]

@@ -16,7 +16,7 @@ type MaxPool2D struct {
 	lastOutN int
 
 	inferOut Scratch // Infer-mode output buffer
-	adaptOut Scratch // Adapt-mode output buffer
+	bpOut    Scratch // Train/Eval/Adapt output buffer
 	dxOut    Scratch // backward gradient output
 }
 
@@ -31,9 +31,9 @@ func (p *MaxPool2D) Name() string { return p.name }
 // Params returns nil.
 func (p *MaxPool2D) Params() []*Param { return nil }
 
-// Forward computes the windowed maximum, remembering argmax indices.
-// In Infer mode the output lands in a reusable scratch buffer and the
-// argmax cache is skipped.
+// Forward computes the windowed maximum into layer scratch,
+// remembering argmax indices. In Infer mode the argmax cache is
+// skipped.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	if x.NDim() != 4 {
 		panic(fmt.Sprintf("nn: %s: input %v, want [n,c,h,w]", p.name, x.Shape()))
@@ -43,13 +43,8 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	record := !mode.IsInfer()
 	var out *tensor.Tensor
 	if record {
-		if mode == Adapt {
-			out = p.adaptOut.For(n, c, oh, ow)
-			p.lastIdx = growI32(p.lastIdx, n*c*oh*ow)
-		} else {
-			out = tensor.New(n, c, oh, ow)
-			p.lastIdx = make([]int32, n*c*oh*ow)
-		}
+		out = p.bpOut.For(n, c, oh, ow)
+		p.lastIdx = growI32(p.lastIdx, n*c*oh*ow)
 		p.lastIn = [4]int{n, c, h, w}
 		p.lastOutN = n * c * oh * ow
 	} else {
@@ -117,7 +112,9 @@ func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // GlobalAvgPool averages each channel's spatial extent: [n,c,h,w] → [n,c].
 type GlobalAvgPool struct {
 	name   string
-	lastIn []int
+	lastIn [4]int
+	out    Scratch // forward output (every mode)
+	dxOut  Scratch // backward gradient output
 }
 
 // NewGlobalAvgPool constructs a global average-pool layer.
@@ -129,14 +126,15 @@ func (p *GlobalAvgPool) Name() string { return p.name }
 // Params returns nil.
 func (p *GlobalAvgPool) Params() []*Param { return nil }
 
-// Forward averages over H×W per channel.
+// Forward averages over H×W per channel into layer scratch, valid until
+// the layer's next forward.
 func (p *GlobalAvgPool) Forward(x *tensor.Tensor, _ Mode) *tensor.Tensor {
 	if x.NDim() != 4 {
 		panic(fmt.Sprintf("nn: %s: input %v, want [n,c,h,w]", p.name, x.Shape()))
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	p.lastIn = []int{n, c, h, w}
-	out := tensor.New(n, c)
+	p.lastIn = [4]int{n, c, h, w}
+	out := p.out.For(n, c)
 	hw := h * w
 	inv := 1.0 / float64(hw)
 	for i := 0; i < n*c; i++ {
@@ -151,14 +149,14 @@ func (p *GlobalAvgPool) Forward(x *tensor.Tensor, _ Mode) *tensor.Tensor {
 
 // Backward spreads the gradient uniformly over each channel plane.
 func (p *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if p.lastIn == nil {
+	if p.lastIn == [4]int{} {
 		panic(fmt.Sprintf("nn: %s: Backward before Forward", p.name))
 	}
 	n, c, h, w := p.lastIn[0], p.lastIn[1], p.lastIn[2], p.lastIn[3]
 	if grad.Size() != n*c {
 		panic(fmt.Sprintf("nn: %s: grad %v, want [%d,%d]", p.name, grad.Shape(), n, c))
 	}
-	dx := tensor.New(n, c, h, w)
+	dx := p.dxOut.For(n, c, h, w)
 	hw := h * w
 	inv := float32(1.0 / float64(hw))
 	for i := 0; i < n*c; i++ {

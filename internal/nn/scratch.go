@@ -17,8 +17,9 @@ import "ldbnadapt/internal/tensor"
 // Ownership contract (see internal/nn/README.md): a tensor returned
 // from a Scratch or View is valid only until the owner's next request
 // with the same primitive. Layers therefore never let two live uses of
-// one Scratch overlap, and callers of Infer/Adapt-mode forwards must
-// copy anything they want to keep across calls.
+// one Scratch overlap, and callers of a forward in any mode must copy
+// anything they want to keep across a second forward of the same
+// class (the infer modes, or Train/Eval/Adapt).
 
 // Scratch is a reusable tensor: a growable buffer plus a cached header.
 // The zero value is ready to use.

@@ -78,9 +78,9 @@ type BasicBlock struct {
 
 	// lastOut is the last Train/Eval/Adapt output: positive exactly
 	// where the residual sum was, so it gates Backward (see nn.ReLU).
-	lastOut  *tensor.Tensor
-	adaptOut nn.Scratch // Adapt-mode residual-add output
-	dMask    nn.Scratch // backward masked-gradient staging
+	lastOut *tensor.Tensor
+	bpOut   nn.Scratch // Train/Eval/Adapt residual-add output
+	dMask   nn.Scratch // backward masked-gradient staging
 }
 
 // NewBasicBlock constructs a residual block mapping inC→outC with the
@@ -129,7 +129,8 @@ func (b *BasicBlock) BatchNorms() []*nn.BatchNorm2D {
 	return out
 }
 
-// Forward computes the residual block output.
+// Forward computes the residual block output. Train/Eval/Adapt write
+// it into block scratch, valid until the block's next such forward.
 func (b *BasicBlock) Forward(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	main := b.conv1.Forward(x, mode)
 	main = b.bn1.Forward(main, mode)
@@ -148,12 +149,7 @@ func (b *BasicBlock) Forward(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 		tensor.AddReLUClamp(main.Data, short.Data)
 		return main
 	}
-	var out *tensor.Tensor
-	if mode == nn.Adapt {
-		out = b.adaptOut.For(main.Shape()...)
-	} else {
-		out = tensor.New(main.Shape()...)
-	}
+	out := b.bpOut.For(main.Shape()...)
 	tensor.AddReLUInto(out.Data, main.Data, short.Data)
 	b.lastOut = out
 	return out

@@ -110,7 +110,8 @@ func TestPropBatchedForwardMatchesSequential(t *testing.T) {
 
 // TestPropInferReusesStorage pins the allocation contract of the fast
 // path: the second ForwardInfer call must hand back the same backing
-// storage (scratch reuse), while Forward allocates fresh logits.
+// storage (scratch reuse), while an Eval Forward writes the other
+// scratch class and never the infer one.
 func TestPropInferReusesStorage(t *testing.T) {
 	m := testModel(5)
 	samples := testSamples(m.Cfg, 2, 6)

@@ -58,21 +58,6 @@ func (g ConvGeom) oxRange(w, ow, kx int) (ox0, ox1 int) {
 	return min(ox0, ox1), ox1
 }
 
-// Im2Col lowers a batched image tensor x with shape [n, c, h, w] into a
-// matrix of shape [c*kh*kw, n*oh*ow] so that convolution becomes a
-// single matrix product weights[outC, c*kh*kw] · cols.
-// Out-of-bounds taps read as zero (zero padding).
-func Im2Col(x *Tensor, g ConvGeom) *Tensor {
-	if x.NDim() != 4 {
-		panic(fmt.Sprintf("tensor: Im2Col needs [n,c,h,w] input, got %v", x.shape))
-	}
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oh, ow := g.OutSize(h, w)
-	out := New(c*g.KH*g.KW, n*oh*ow)
-	Im2ColInto(out, x, g)
-	return out
-}
-
 // im2colTask is the pooled argument block for Im2ColInto, banded over
 // output rows (each row is one (channel, kernel-tap) combination and
 // is written by exactly one band).
@@ -89,9 +74,10 @@ func (t *im2colTask) Chunk(_, lo, hi int) {
 
 var im2colCache par.Cache[im2colTask]
 
-// Im2ColInto is Im2Col writing into a preallocated [c*kh*kw, n*oh*ow]
-// matrix, so inference-path callers can reuse the lowering buffer
-// across frames instead of allocating one per convolution call. Rows
+// Im2ColInto lowers a batched image tensor x with shape [n, c, h, w]
+// into a preallocated matrix of shape [c*kh*kw, n*oh*ow], so that
+// convolution becomes a single matrix product weights[outC, c*kh*kw] ·
+// cols. Out-of-bounds taps read as zero (zero padding). Rows
 // are zero-filled only when their kernel tap can read out of bounds
 // (zero padding); unpadded geometries overwrite every element, so the
 // old full-buffer Zero() pass is skipped entirely.
@@ -180,10 +166,10 @@ func (t *col2imTask) Chunk(_, lo, hi int) {
 
 var col2imCache par.Cache[col2imTask]
 
-// Col2ImInto is the adjoint of Im2Col: it scatters a [c*kh*kw, n*oh*ow]
+// Col2ImInto is the adjoint of Im2ColInto: it scatters a [c*kh*kw, n*oh*ow]
 // matrix back into the preallocated [n, c, h, w] tensor out,
 // accumulating where kernel windows overlap. It is the gradient of
-// Im2Col and is used by the convolution backward pass. out is zeroed
+// Im2ColInto and is used by the convolution backward pass. out is zeroed
 // first, and the scatter order is the same at any worker count.
 func Col2ImInto(out, cols *Tensor, g ConvGeom) {
 	if out.NDim() != 4 {

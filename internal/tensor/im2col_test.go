@@ -74,8 +74,9 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 		rng.FillNormal(x, 0, 1)
 		rng.FillNormal(w, 0, 1)
 		oh, ow := tc.g.OutSize(tc.h, tc.w)
-		cols := Im2Col(x, tc.g)
-		wm := w.Reshape(tc.outC, tc.c*tc.g.KH*tc.g.KW)
+		cols := New(tc.c*tc.g.KH*tc.g.KW, tc.n*oh*ow)
+		Im2ColInto(cols, x, tc.g)
+		wm := FromSlice(w.Data, tc.outC, tc.c*tc.g.KH*tc.g.KW)
 		prod := MatMul(wm, cols) // [outC, n*oh*ow]
 		// Rearrange [outC, n, oh*ow] → [n, outC, oh, ow].
 		got := New(tc.n, tc.outC, oh, ow)
@@ -95,14 +96,16 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 
 // TestCol2ImAdjoint verifies the defining adjoint property
 // <Im2Col(x), y> == <x, Col2Im(y)> which makes Col2Im the correct
-// gradient of Im2Col.
+// gradient of Im2Col (the lowering Im2ColInto writes).
 func TestCol2ImAdjoint(t *testing.T) {
 	rng := NewRNG(22)
 	g := ConvGeom{KH: 3, KW: 3, SH: 2, SW: 1, PH: 1, PW: 1}
 	n, c, h, w := 2, 3, 7, 6
 	x := New(n, c, h, w)
 	rng.FillNormal(x, 0, 1)
-	cols := Im2Col(x, g)
+	oh, ow := g.OutSize(h, w)
+	cols := New(c*g.KH*g.KW, n*oh*ow)
+	Im2ColInto(cols, x, g)
 	y := New(cols.Dim(0), cols.Dim(1))
 	rng.FillNormal(y, 0, 1)
 	lhs := Dot(cols, y)
@@ -118,7 +121,7 @@ func TestIm2ColShapePanics(t *testing.T) {
 			t.Fatal("no panic for 3-D input")
 		}
 	}()
-	Im2Col(New(1, 2, 3), ConvGeom{KH: 1, KW: 1, SH: 1, SW: 1})
+	Im2ColInto(New(2, 3), New(1, 2, 3), ConvGeom{KH: 1, KW: 1, SH: 1, SW: 1})
 }
 
 func TestCol2ImShapePanics(t *testing.T) {

@@ -213,21 +213,6 @@ func matmulTARows(dst, a, b []float32, m, k, n, lo, hi int) {
 	}
 }
 
-// MatMulTB computes a·bᵀ for a:[m,k], b:[n,k] → [m,n] without
-// materializing the transpose.
-func MatMulTB(a, b *Tensor) *Tensor {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTB needs 2-D operands, got %v × %v", a.shape, b.shape))
-	}
-	m := a.shape[0]
-	if b.shape[1] != a.shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulTB inner-dimension mismatch %v × %v", a.shape, b.shape))
-	}
-	out := New(m, b.shape[0])
-	MatMulTBInto(out, a, b)
-	return out
-}
-
 // matmulTB runs a·bᵀ through the pool, banding over output rows when
 // the batch dimension m can feed it and over output columns otherwise
 // (the m∈{1..4} adaptation batches). acc selects += over =.
@@ -265,9 +250,9 @@ func MatMulTBInto(out, a, b *Tensor) { matmulTB(out, a, b, false) }
 
 // MatMulTBAcc computes out += a·bᵀ. The per-element dot product is the
 // same row kernel as MatMulTBInto (matmulTBRows), so
-// `MatMulTBAcc(g, a, b)` is bitwise equal to
-// `AddInPlace(g, MatMulTB(a, b))` without the intermediate allocation
-// — exactly what gradient accumulation needs.
+// `MatMulTBAcc(g, a, b)` is bitwise equal to `MatMulTBInto(t, a, b)`
+// then `AddInPlace(g, t)` without the intermediate buffer — exactly
+// what gradient accumulation needs.
 func MatMulTBAcc(out, a, b *Tensor) { matmulTB(out, a, b, true) }
 
 // matmulTBRows is the one a·bᵀ kernel: rows [ilo,ihi) × columns

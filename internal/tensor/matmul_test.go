@@ -90,7 +90,8 @@ func TestMatMulTB(t *testing.T) {
 	a, b := New(5, 8), New(9, 8) // a·bᵀ : [5,9]
 	rng.FillNormal(a, 0, 1)
 	rng.FillNormal(b, 0, 1)
-	got := MatMulTB(a, b)
+	got := New(5, 9)
+	MatMulTBInto(got, a, b)
 	want := MatMul(a, Transpose(b))
 	if !got.AllClose(want, 1e-4) {
 		t.Fatal("MatMulTB mismatch")
@@ -102,7 +103,7 @@ func TestMatMulShapePanics(t *testing.T) {
 		func() { MatMul(New(2, 3), New(4, 2)) },
 		func() { MatMul(New(2), New(2, 2)) },
 		func() { MatMulTA(New(3, 2), New(4, 2)) },
-		func() { MatMulTB(New(2, 3), New(2, 4)) },
+		func() { MatMulTBInto(New(2, 2), New(2, 3), New(2, 4)) },
 	}
 	for i, f := range cases {
 		func() {

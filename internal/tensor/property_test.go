@@ -140,7 +140,8 @@ func TestPropIm2ColAdjoint(t *testing.T) {
 		rng := NewRNG(seed)
 		x := New(1, 2, h, w)
 		rng.FillNormal(x, 0, 1)
-		cols := Im2Col(x, g)
+		cols := New(2*g.KH*g.KW, h*w) // stride 1, padding 1: oh, ow = h, w
+		Im2ColInto(cols, x, g)
 		y := New(cols.Dim(0), cols.Dim(1))
 		rng.FillNormal(y, 0, 1)
 		lhs := Dot(cols, y)

@@ -1,7 +1,8 @@
 // Package tensor implements a small dense float32 tensor library: the
 // numeric substrate for every neural-network component in this
 // repository. Tensors are row-major and contiguous; shapes are immutable
-// after construction (use Reshape to obtain a view with a new shape).
+// after construction (FromSlice over another tensor's Data gives a view
+// with a new shape).
 //
 // The package is deliberately minimal — only the operations needed by
 // the UFLD lane detector, the LD-BN-ADAPT algorithm and the CARLANE
@@ -94,16 +95,6 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %v vs %v", t.shape, src.shape))
 	}
 	copy(t.Data, src.Data)
-}
-
-// Reshape returns a view over the same data with a new shape.
-// The element count must be preserved.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := checkShape(shape)
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.Data), shape, n))
-	}
-	return &Tensor{Data: t.Data, shape: append([]int(nil), shape...)}
 }
 
 // SameShape reports whether t and o have identical shapes.

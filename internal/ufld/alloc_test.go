@@ -5,16 +5,40 @@ import (
 	"runtime"
 	"testing"
 
+	"ldbnadapt/internal/nn"
 	"ldbnadapt/internal/resnet"
 	"ldbnadapt/internal/tensor"
 )
 
-// TestInferForwardAllocationFree pins the serving fast path's
-// allocation contract: after one warmup call has grown every
-// layer-owned scratch buffer (and, on the int8 rung, quantized the
-// weights), repeated Infer-mode forwards of the same shape perform
-// zero heap allocations. This is what lets a worker replica serve
-// frames for hours without GC pressure; the contract is documented in
+// allocCases are the forwards the allocation pins measure on m: both
+// infer modes, an Eval forward, and one Train forward with the full
+// backward (every parameter trainable, so each conv keeps its lowering
+// for dW) — every mode writes layer scratch, so none allocates once a
+// warm-up call has grown it (and, on the int8 rung, quantized the
+// weights).
+func allocCases(m *Model, x *tensor.Tensor) []struct {
+	name string
+	f    func()
+} {
+	g := tensor.New(x.Dim(0)*m.Cfg.Groups(), m.Cfg.Classes())
+	tensor.NewRNG(5).FillNormal(g, 0, 1e-3)
+	return []struct {
+		name string
+		f    func()
+	}{
+		{"ForwardInfer", func() { m.ForwardInfer(x) }},
+		{"ForwardInferInt8", func() { m.ForwardInferInt8(x) }},
+		{"Forward(Eval)", func() { m.Forward(x, nn.Eval) }},
+		{"Forward(Train)+Backward", func() { m.Forward(x, nn.Train); m.Backward(g) }},
+	}
+}
+
+// TestInferForwardAllocationFree pins the forward allocation contract:
+// after one warmup call has grown every layer-owned scratch buffer,
+// repeated forwards of the same shape perform zero heap allocations in
+// every mode. This is what lets a worker replica serve frames for
+// hours without GC pressure, and source training and the ablations run
+// without garbage; the contract is documented in
 // internal/nn/README.md, and serve.TestSessionSteadyStateAllocs holds
 // the serve loop around it below one allocation per served frame.
 func TestInferForwardAllocationFree(t *testing.T) {
@@ -23,13 +47,11 @@ func TestInferForwardAllocationFree(t *testing.T) {
 	x := tensor.New(2, 3, cfg.InputH, cfg.InputW)
 	tensor.NewRNG(4).FillNormal(x, 0, 1)
 
-	m.ForwardInfer(x) // warmup: grow scratch outside the measurement
-	if n := testing.AllocsPerRun(20, func() { m.ForwardInfer(x) }); n != 0 {
-		t.Fatalf("ForwardInfer allocates %.1f objects per call at steady state, want 0", n)
-	}
-	m.ForwardInferInt8(x) // warmup: lazy weight quantization + int8 scratch
-	if n := testing.AllocsPerRun(20, func() { m.ForwardInferInt8(x) }); n != 0 {
-		t.Fatalf("ForwardInferInt8 allocates %.1f objects per call at steady state, want 0", n)
+	for _, c := range allocCases(m, x) {
+		c.f() // warmup: grow scratch outside the measurement
+		if n := testing.AllocsPerRun(20, c.f); n != 0 {
+			t.Fatalf("%s allocates %.1f objects per call at steady state, want 0", c.name, n)
+		}
 	}
 }
 
@@ -73,6 +95,7 @@ func TestInferForwardAllocationFreeParallel(t *testing.T) {
 			t.Fatalf("%s allocates %.2f objects per call at GOMAXPROCS 4 in its quietest window, want 0", name, quietest)
 		}
 	}
-	measure("ForwardInfer", func() { m.ForwardInfer(x) })
-	measure("ForwardInferInt8", func() { m.ForwardInferInt8(x) })
+	for _, c := range allocCases(m, x) {
+		measure(c.name, c.f)
+	}
 }

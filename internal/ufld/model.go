@@ -24,13 +24,13 @@ type Model struct {
 	pool     *nn.GlobalAvgPool // Embed's pooling, outside net
 	lastN    int
 
-	// Cached reshape headers for the hot paths (see nn.View): the
-	// logits-rows views returned by Infer/InferInt8 and Adapt forwards
-	// (separate, because a serving replica alternates the two at
-	// different batch sizes) and the gradient view consumed by
+	// Cached reshape headers (see nn.View): the logits-rows views
+	// returned by the infer modes and by Train/Eval/Adapt forwards
+	// (separate, because a serving replica alternates the two classes
+	// at different batch sizes) and the gradient view consumed by
 	// Backward.
 	inferRows nn.View
-	adaptRows nn.View
+	bpRows    nn.View
 	gradView  nn.View
 }
 
@@ -75,6 +75,10 @@ func MustNewModel(cfg Config, rng *tensor.RNG) *Model {
 // Forward runs the detector on a batch [n, 3, H, W] and returns the
 // classification logits as rows: shape [n·Lanes·RowAnchors, Classes].
 // Row (ni, lane, anchor) lives at index (ni·Lanes+lane)·RowAnchors+anchor.
+// The logits alias layer scratch: a Train/Eval/Adapt result is valid
+// until the model's next Train/Eval/Adapt forward, an infer result
+// until its next infer forward, so a caller that keeps one across a
+// second forward of the same class must Clone it.
 func (m *Model) Forward(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(2) != m.Cfg.InputH || x.Dim(3) != m.Cfg.InputW {
 		panic(fmt.Sprintf("ufld: input %v, want [n,3,%d,%d]", x.Shape(), m.Cfg.InputH, m.Cfg.InputW))
@@ -82,23 +86,18 @@ func (m *Model) Forward(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	n := x.Dim(0)
 	m.lastN = n
 	out := m.net.Forward(x, mode) // [n, groups*classes]
-	// Hot paths reuse a cached header; Train/Eval outputs stay freshly
-	// allocated so callers may retain them across calls.
 	if mode.IsInfer() {
 		return m.inferRows.Of(out.Data, n*m.Cfg.Groups(), m.Cfg.Classes())
 	}
-	if mode == nn.Adapt {
-		return m.adaptRows.Of(out.Data, n*m.Cfg.Groups(), m.Cfg.Classes())
-	}
-	return out.Reshape(n*m.Cfg.Groups(), m.Cfg.Classes())
+	return m.bpRows.Of(out.Data, n*m.Cfg.Groups(), m.Cfg.Classes())
 }
 
 // ForwardInfer is the serving fast path: numerically identical to
 // Forward in Eval mode, but every layer skips its backward caches and
-// reuses layer-owned scratch buffers, so a steady-state serving loop
-// performs almost no per-call allocation. The returned logits alias
-// layer scratch storage and are only valid until the model's next
-// ForwardInfer call; Backward after ForwardInfer panics. Combined with
+// writes the infer scratch, apart from the one a Train/Eval/Adapt
+// forward writes, so it can interleave with an adaptation step without
+// re-shaping either. The returned logits are only valid until the
+// model's next infer forward; Backward after ForwardInfer panics. Combined with
 // nn.BatchNorm2D.SetSampleSources this is the batched multi-stream
 // entry point used by internal/serve.
 func (m *Model) ForwardInfer(x *tensor.Tensor) *tensor.Tensor {
@@ -170,9 +169,10 @@ func (m *Model) FCParams() []*nn.Param {
 func (m *Model) Backbone() *resnet.ResNet { return m.backbone }
 
 // Embed runs the backbone and global-average-pools the feature map
-// into one embedding vector per sample: [n, OutChannels]. The SOTA
-// baseline clusters these embeddings to encode the semantic structure
-// of the source and target domains.
+// into one embedding vector per sample: [n, OutChannels], in the pool's
+// scratch until the next Embed. The SOTA baseline clusters these
+// embeddings to encode the semantic structure of the source and target
+// domains.
 func (m *Model) Embed(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	return m.pool.Forward(m.backbone.Forward(x, mode), mode)
 }

@@ -182,7 +182,7 @@ func (b *convFwdBody) Chunk(band, lo, hi int) {
 			tensor.Int8MatMulInto(oi, c.wq, c.wScales, sh.colsQ, xScale, c.OutC, K, hw)
 		case b.s1:
 			xi := sh.xi.Of(b.x.Data[ni*chw:(ni+1)*chw], 1, c.InC, b.h, b.w)
-			tensor.ConvS1Into(oi, b.wm, xi, c.Geom, &sh.plane)
+			tensor.ConvInto(oi, b.wm, xi, c.Geom, &sh.plane)
 		default:
 			xi := sh.xi.Of(b.x.Data[ni*chw:(ni+1)*chw], 1, c.InC, b.h, b.w)
 			var cols *tensor.Tensor

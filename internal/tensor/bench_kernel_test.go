@@ -76,18 +76,23 @@ func BenchmarkKernelIm2Col(b *testing.B) {
 	}
 }
 
-// Small's stride-1 conv stages at layer 1 (6 channels of 48×120) and
-// layer 3 (24 channels of 12×30), 3×3 taps padded by 1: ConvS1Into's
-// forward and ConvDXInto's input gradient, one sample each. They run
-// the row kernels at each tier, "avx2" alone and "avx512" with the
-// AVX-512 tier on (skipped where the host lacks one), and report
-// GMAC/s of the conv's own multiply-adds.
+// Small's conv stages, one sample each: the stride-1 3×3/p1 convs of
+// layer 1 (6 channels of 48×120) and layer 3 (24 channels of 12×30),
+// and layer 2's entry from 48×120 (6 → 12 channels, 3×3/s2/p1) with
+// its 1×1/s2 shortcut. Each runs ConvInto's forward, ConvDXInto's
+// input gradient and ConvDWAcc's weight gradient through the row
+// kernels at each tier, "avx2" alone and "avx512" with the AVX-512
+// tier on (skipped where the host lacks one), and reports GMAC/s of
+// the conv's own multiply-adds.
 var bkConvStages = []struct {
-	name    string
-	c, h, w int
+	name            string
+	inC, outC, h, w int
+	g               ConvGeom
 }{
-	{"layer1", 6, 48, 120},
-	{"layer3", 24, 12, 30},
+	{"layer1", 6, 6, 48, 120, bkGeom},
+	{"layer3", 24, 24, 12, 30, bkGeom},
+	{"layer2-s2", 6, 12, 48, 120, ConvGeom{KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1}},
+	{"layer2-shortcut", 6, 12, 48, 120, ConvGeom{KH: 1, KW: 1, SH: 2, SW: 2}},
 }
 
 func benchRowTiers(b *testing.B, macs int, run func()) {
@@ -109,34 +114,45 @@ func benchRowTiers(b *testing.B, macs int, run func()) {
 	}
 }
 
-func BenchmarkKernelConvS1(b *testing.B) {
+// benchConvStages runs one conv kernel over every stage, handing it
+// the stage's input x, weight matrix wm [outC, K], its transpose wt
+// and an output gradient g, all random.
+func benchConvStages(b *testing.B, kernel func(x, wm, wt, g *Tensor, geom ConvGeom) func()) {
 	for _, st := range bkConvStages {
 		rng := NewRNG(8)
-		x := New(1, st.c, st.h, st.w)
-		wm := New(st.c, st.c*9)
-		out := New(st.c, st.h*st.w)
-		rng.FillUniform(x, -1, 1)
-		rng.FillUniform(wm, -1, 1)
-		var plane ConvPlane
-		b.Run(st.name, func(b *testing.B) {
-			benchRowTiers(b, st.c*st.c*9*st.h*st.w, func() { ConvS1Into(out, wm, x, bkGeom, &plane) })
-		})
+		oh, ow := st.g.OutSize(st.h, st.w)
+		K := st.inC * st.g.KH * st.g.KW
+		x, wm, wt, g := New(1, st.inC, st.h, st.w), New(st.outC, K), New(K, st.outC), New(st.outC, oh*ow)
+		for _, t := range []*Tensor{x, wm, wt, g} {
+			rng.FillUniform(t, -1, 1)
+		}
+		run := kernel(x, wm, wt, g, st.g)
+		b.Run(st.name, func(b *testing.B) { benchRowTiers(b, K*st.outC*oh*ow, run) })
 	}
 }
 
+func BenchmarkKernelConv(b *testing.B) {
+	benchConvStages(b, func(x, wm, _, g *Tensor, geom ConvGeom) func() {
+		out := New(g.Shape()...)
+		var plane ConvPlane
+		return func() { ConvInto(out, wm, x, geom, &plane) }
+	})
+}
+
 func BenchmarkKernelConvDX(b *testing.B) {
-	for _, st := range bkConvStages {
-		rng := NewRNG(9)
-		wt := New(st.c*9, st.c)
-		g := New(st.c, st.h*st.w)
-		dx := New(1, st.c, st.h, st.w)
-		rng.FillUniform(wt, -1, 1)
-		rng.FillUniform(g, -1, 1)
+	benchConvStages(b, func(x, _, wt, g *Tensor, geom ConvGeom) func() {
+		dx := New(x.Shape()...)
 		var lines ConvDXLines
-		b.Run(st.name, func(b *testing.B) {
-			benchRowTiers(b, st.c*9*st.c*st.h*st.w, func() { ConvDXInto(dx, wt, g, bkGeom, &lines) })
-		})
-	}
+		return func() { ConvDXInto(dx, wt, g, geom, &lines) }
+	})
+}
+
+func BenchmarkKernelConvDW(b *testing.B) {
+	benchConvStages(b, func(x, wm, _, g *Tensor, geom ConvGeom) func() {
+		dw := New(wm.Shape()...)
+		var lines ConvDWLines
+		return func() { ConvDWAcc(dw, g, x, geom, &lines) }
+	})
 }
 
 func BenchmarkKernelCol2Im(b *testing.B) {

@@ -1,12 +1,8 @@
 package tensor
 
-import (
-	"fmt"
+import "fmt"
 
-	"ldbnadapt/internal/par"
-)
-
-// Parallel gate for the lowering kernels, in output elements. The
+// Parallel gate for the int8 lowering, in output elements. The
 // lowering is a strided copy (memory-bound, no MACs), so its
 // break-even is higher than the GEMM gate in per-element terms; the
 // var is lowered by the bitwise property suite like the GEMM gates.
@@ -58,29 +54,16 @@ func (g ConvGeom) oxRange(w, ow, kx int) (ox0, ox1 int) {
 	return min(ox0, ox1), ox1
 }
 
-// im2colTask is the pooled argument block for Im2ColInto, banded over
-// output rows (each row is one (channel, kernel-tap) combination and
-// is written by exactly one band).
-type im2colTask struct {
-	out, x     []float32
-	n, c, h, w int
-	oh, ow     int
-	g          ConvGeom
-}
-
-func (t *im2colTask) Chunk(_, lo, hi int) {
-	im2colRows(t.out, t.x, t.n, t.c, t.h, t.w, t.oh, t.ow, t.g, lo, hi)
-}
-
-var im2colCache par.Cache[im2colTask]
-
 // Im2ColInto lowers a batched image tensor x with shape [n, c, h, w]
 // into a preallocated matrix of shape [c*kh*kw, n*oh*ow], so that
 // convolution becomes a single matrix product weights[outC, c*kh*kw] ·
 // cols. Out-of-bounds taps read as zero (zero padding). Rows
 // are zero-filled only when their kernel tap can read out of bounds
 // (zero padding); unpadded geometries overwrite every element, so the
-// old full-buffer Zero() pass is skipped entirely.
+// old full-buffer Zero() pass is skipped entirely. It runs serially:
+// no layer lowers a float sample any more (ConvInto reads the padded
+// plane, ConvDWAcc lowers one row at a time), so it is the reference
+// those kernels are tested against and a probe the benchmark times.
 func Im2ColInto(out, x *Tensor, g ConvGeom) {
 	if x.NDim() != 4 {
 		panic(fmt.Sprintf("tensor: Im2ColInto needs [n,c,h,w] input, got %v", x.shape))
@@ -92,85 +75,63 @@ func Im2ColInto(out, x *Tensor, g ConvGeom) {
 	if out.NDim() != 2 || out.shape[0] != rows || out.shape[1] != cols {
 		panic(fmt.Sprintf("tensor: Im2ColInto dst %v, want [%d,%d]", out.shape, rows, cols))
 	}
-	if rows*cols < lowerParMin {
-		im2colRows(out.Data, x.Data, n, c, h, w, oh, ow, g, 0, rows)
-		return
-	}
-	t := im2colCache.Get()
-	*t = im2colTask{out: out.Data, x: x.Data, n: n, c: c, h: h, w: w, oh: oh, ow: ow, g: g}
-	par.For(rows, 1, t)
-	t.out, t.x = nil, nil
-	im2colCache.Put(t)
+	im2colRows(out.Data, x.Data, n, c, h, w, oh, ow, g, 0, rows)
 }
 
 // im2colRows fills output rows [rlo,rhi) of the float or int8
-// lowering. Row r corresponds to (channel ci, kernel tap ky,kx); column
-// corresponds to (image ni, output pixel oy,ox). A row is zero-filled
-// only when its tap can read out of bounds; the in-bounds run of each
-// output line is one copy when SW == 1.
+// lowering, each of n·oh·ow columns.
 func im2colRows[T float32 | int8](out, x []T, n, c, h, w, oh, ow int, g ConvGeom, rlo, rhi int) {
 	cols := n * oh * ow
 	for r := rlo; r < rhi; r++ {
-		kx := r % g.KW
-		ky := (r / g.KW) % g.KH
-		ci := r / (g.KH * g.KW)
-		dst := out[r*cols : (r+1)*cols]
-		if g.tapOOB(h, w, oh, ow, ky, kx) {
-			clear(dst)
-		}
-		ox0, ox1 := g.oxRange(w, ow, kx)
-		if ox0 == ox1 {
-			continue // the tap only ever reads padding
-		}
-		ix0 := ox0*g.SW - g.PW + kx
-		for ni := 0; ni < n; ni++ {
-			src := x[(ni*c+ci)*h*w : (ni*c+ci+1)*h*w]
-			base := ni * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				iy := oy*g.SH - g.PH + ky
-				if iy < 0 || iy >= h {
-					continue // leave zeros
-				}
-				rowSrc := src[iy*w : (iy+1)*w]
-				run := dst[base+oy*ow+ox0 : base+oy*ow+ox1]
-				if g.SW == 1 {
-					copy(run, rowSrc[ix0:ix0+len(run)])
-					continue
-				}
-				ix := ix0
-				for i := range run {
-					run[i] = rowSrc[ix]
-					ix += g.SW
-				}
+		im2colRow(out[r*cols:(r+1)*cols], x, n, c, h, w, oh, ow, g, r)
+	}
+}
+
+// im2colRow fills row r of the lowering, dst [n·oh·ow]. Row r
+// corresponds to (channel ci, kernel tap ky,kx); column corresponds to
+// (image ni, output pixel oy,ox). The row is zero-filled only when its
+// tap can read out of bounds, so every other element is overwritten;
+// the in-bounds run of each output line is one copy when SW == 1.
+func im2colRow[T float32 | int8](dst, x []T, n, c, h, w, oh, ow int, g ConvGeom, r int) {
+	kx := r % g.KW
+	ky := (r / g.KW) % g.KH
+	ci := r / (g.KH * g.KW)
+	if g.tapOOB(h, w, oh, ow, ky, kx) {
+		clear(dst)
+	}
+	ox0, ox1 := g.oxRange(w, ow, kx)
+	if ox0 == ox1 {
+		return // the tap only ever reads padding
+	}
+	ix0 := ox0*g.SW - g.PW + kx
+	for ni := 0; ni < n; ni++ {
+		src := x[(ni*c+ci)*h*w : (ni*c+ci+1)*h*w]
+		base := ni * oh * ow
+		for oy := 0; oy < oh; oy++ {
+			iy := oy*g.SH - g.PH + ky
+			if iy < 0 || iy >= h {
+				continue // leave zeros
+			}
+			rowSrc := src[iy*w : (iy+1)*w]
+			run := dst[base+oy*ow+ox0 : base+oy*ow+ox1]
+			if g.SW == 1 {
+				copy(run, rowSrc[ix0:ix0+len(run)])
+				continue
+			}
+			ix := ix0
+			for i := range run {
+				run[i] = rowSrc[ix]
+				ix += g.SW
 			}
 		}
 	}
 }
 
-// col2imTask is the pooled argument block for Col2ImInto, banded over
-// input channels: destination element (ni,ci,iy,ix) only receives
-// scatter-adds from im2col rows of the same channel ci, so channel
-// bands own disjoint output and the per-element accumulation order
-// (ky,kx,oy,ox-major, exactly the serial loop) is unchanged at any
-// worker count.
-type col2imTask struct {
-	out, cols  []float32
-	n, c, h, w int
-	oh, ow     int
-	g          ConvGeom
-}
-
-func (t *col2imTask) Chunk(_, lo, hi int) {
-	col2imChans(t.out, t.cols, t.n, t.c, t.h, t.w, t.oh, t.ow, t.g, lo, hi)
-}
-
-var col2imCache par.Cache[col2imTask]
-
 // Col2ImInto is the adjoint of Im2ColInto: it scatters a [c*kh*kw, n*oh*ow]
 // matrix back into the preallocated [n, c, h, w] tensor out,
-// accumulating where kernel windows overlap. It is the gradient of
-// Im2ColInto and is used by the convolution backward pass. out is zeroed
-// first, and the scatter order is the same at any worker count.
+// accumulating where kernel windows overlap. out is zeroed first.
+// It runs serially: it is ConvDXInto's reference, which fuses it with
+// the product before it, and a probe the benchmark times.
 func Col2ImInto(out, cols *Tensor, g ConvGeom) {
 	if out.NDim() != 4 {
 		panic(fmt.Sprintf("tensor: Col2ImInto needs [n,c,h,w] dst, got %v", out.shape))
@@ -182,37 +143,18 @@ func Col2ImInto(out, cols *Tensor, g ConvGeom) {
 	if cols.NDim() != 2 || cols.shape[0] != rows || cols.shape[1] != nc {
 		panic(fmt.Sprintf("tensor: Col2ImInto got %v, want [%d,%d]", cols.shape, rows, nc))
 	}
-	if rows*nc < lowerParMin {
-		col2imChans(out.Data, cols.Data, n, c, h, w, oh, ow, g, 0, c)
-		return
-	}
-	t := col2imCache.Get()
-	*t = col2imTask{out: out.Data, cols: cols.Data, n: n, c: c, h: h, w: w, oh: oh, ow: ow, g: g}
-	par.For(c, 1, t)
-	t.out, t.cols = nil, nil
-	col2imCache.Put(t)
-}
-
-// col2imChans zeroes and scatter-accumulates destination channels
-// [clo,chi) across all samples.
-func col2imChans(out, cols []float32, n, c, h, w, oh, ow int, g ConvGeom, clo, chi int) {
-	nc := n * oh * ow
-	for ci := clo; ci < chi; ci++ {
-		for ni := 0; ni < n; ni++ {
-			clear(out[(ni*c+ci)*h*w : (ni*c+ci+1)*h*w])
-		}
-	}
-	for ci := clo; ci < chi; ci++ {
+	clear(out.Data)
+	for ci := 0; ci < c; ci++ {
 		for ky := 0; ky < g.KH; ky++ {
 			for kx := 0; kx < g.KW; kx++ {
 				r := (ci*g.KH+ky)*g.KW + kx
-				src := cols[r*nc : (r+1)*nc]
+				src := cols.Data[r*nc : (r+1)*nc]
 				ox0, ox1 := g.oxRange(w, ow, kx)
 				if ox0 == ox1 {
 					continue // the tap only ever reads padding
 				}
 				for ni := 0; ni < n; ni++ {
-					col2imRow(out[(ni*c+ci)*h*w:(ni*c+ci+1)*h*w], src[ni*oh*ow:(ni+1)*oh*ow], h, w, oh, ow, ky, kx, ox0, ox1, g)
+					col2imRow(out.Data[(ni*c+ci)*h*w:(ni*c+ci+1)*h*w], src[ni*oh*ow:(ni+1)*oh*ow], h, w, oh, ow, ky, kx, ox0, ox1, g)
 				}
 			}
 		}

@@ -14,17 +14,17 @@ import (
 // bitwise suite can force sample banding on small shapes.
 var batchParMin = 1 << 16
 
-// Conv2D is a 2-D convolution over NCHW tensors. A forward whose
-// lowering nobody keeps (the float Infer mode, and Adapt/Eval/Train
-// with the weight frozen) reads a stride-1 geometry straight from a
-// zero-padded copy of each sample (tensor.ConvS1Into); every other
-// forward — stride 2, InferInt8, a trainable weight, whose lowering
-// feeds dW and lives in the layer's one column slab in every non-infer
-// mode — goes through im2col and a matrix product. The two are
-// bitwise equal. The dX backward builds no column matrix: it computes
-// Wᵀ·g one column row at a time and scatters each row into dX at once
-// (tensor.ConvDXInto). Bias is optional (ResNet convolutions are
-// bias-free because they are followed by BatchNorm).
+// Conv2D is a 2-D convolution over NCHW tensors. Its float forward,
+// in every float mode and at every stride, reads each sample through
+// its zero-padded parity planes (tensor.ConvInto), bitwise im2col
+// followed by a matrix product, and builds no lowering; InferInt8
+// lowers in int8 and multiplies in int32. Neither half of the backward
+// builds a column matrix: dW re-lowers the forward's input one row at
+// a time (tensor.ConvDWAcc), and dX computes Wᵀ·g one column row at a
+// time and scatters each row into dX at once (tensor.ConvDXInto). So a
+// Backward re-reads the input its forward was given, and that input
+// must stay unchanged until Backward. Bias is optional (ResNet
+// convolutions are bias-free because they are followed by BatchNorm).
 type Conv2D struct {
 	name         string
 	InC, OutC    int
@@ -34,10 +34,10 @@ type Conv2D struct {
 	lastIn       [4]int // cached input shape [n,c,h,w]
 	lastOutShape [4]int
 	// fwdOK is set by a Train/Eval/Adapt forward (Backward may follow);
-	// lastCols holds its per-sample lowerings, nil when Weight was
-	// frozen at that forward.
-	fwdOK    bool
-	lastCols []*tensor.Tensor
+	// lastX is that forward's input data, a reference and not a copy,
+	// which dW re-lowers.
+	fwdOK bool
+	lastX []float32
 
 	// Scratch buffers and cached headers (see scratch.go for the
 	// ownership contract). The infer modes and the backprop-capable
@@ -46,12 +46,12 @@ type Conv2D struct {
 	// one would re-shape the header every call.
 	inferOut Scratch
 	bpOut    Scratch
-	bpCols   []float32 // one [n, K, hw] slab backing lastCols
-	colViews []View    // per-sample [K, hw] headers over bpCols
-	wmView   View      // weight matrix view [outC, K]
-	giView   View      // per-sample gradient view (backward phase A)
-	dwView   View      // weight-grad matrix view (backward)
-	dxOut    Scratch   // backward input gradient
+	wmView   View               // weight matrix view [outC, K]
+	giView   View               // per-sample gradient view (backward phase A)
+	xView    View               // per-sample view of lastX (backward phase A)
+	dwView   View               // weight-grad matrix view (backward)
+	dwl      tensor.ConvDWLines // dW's lowering lines
+	dxOut    Scratch            // backward input gradient
 
 	// shards are the per-band scratch blocks for sample-parallel
 	// forwards/backwards: band b of a par.For over the batch owns
@@ -78,11 +78,10 @@ type Conv2D struct {
 	wtOK    bool
 }
 
-// convShard is one band's private scratch: the lowering buffer, the
-// padded plane of the stride-1 path, the backward's lines, cached
-// sub-tensor headers and the int8 staging blocks.
+// convShard is one band's private scratch: the padded plane of the
+// float forward, the dX backward's lines, cached sub-tensor headers
+// and the int8 staging blocks.
 type convShard struct {
-	cols  Scratch // im2col lowering nobody retains (stride 2, frozen weight)
 	xi    View    // per-sample input view
 	oi    View    // per-sample output view
 	gi    View    // per-sample gradient view (backward phase B)
@@ -90,7 +89,7 @@ type convShard struct {
 	xq    []int8  // quantized input sample
 	colsQ []int8  // quantized im2col lowering
 
-	plane tensor.ConvPlane   // padded sample, offsets and row of the stride-1 path
+	plane tensor.ConvPlane   // padded sample, offsets and row of the float forward
 	dxl   tensor.ConvDXLines // the dX backward's column-row lines
 }
 
@@ -162,8 +161,6 @@ type convFwdBody struct {
 	x, out       *tensor.Tensor
 	wm           *tensor.Tensor
 	mode         Mode
-	retain       bool // keep each sample's lowering for dW
-	s1           bool // read the padded plane instead of lowering
 	h, w, oh, ow int
 }
 
@@ -175,25 +172,13 @@ func (b *convFwdBody) Chunk(band, lo, hi int) {
 	sh := &c.shards[band]
 	for ni := lo; ni < hi; ni++ {
 		oi := sh.oi.Of(b.out.Data[ni*c.OutC*hw:(ni+1)*c.OutC*hw], c.OutC, hw)
-		switch {
-		case b.mode == InferInt8:
+		if b.mode == InferInt8 {
 			xScale := tensor.QuantizeInt8(sh.xq, b.x.Data[ni*chw:(ni+1)*chw])
 			tensor.Im2ColInt8Into(sh.colsQ, sh.xq, c.InC, b.h, b.w, c.Geom)
 			tensor.Int8MatMulInto(oi, c.wq, c.wScales, sh.colsQ, xScale, c.OutC, K, hw)
-		case b.s1:
+		} else {
 			xi := sh.xi.Of(b.x.Data[ni*chw:(ni+1)*chw], 1, c.InC, b.h, b.w)
 			tensor.ConvInto(oi, b.wm, xi, c.Geom, &sh.plane)
-		default:
-			xi := sh.xi.Of(b.x.Data[ni*chw:(ni+1)*chw], 1, c.InC, b.h, b.w)
-			var cols *tensor.Tensor
-			if b.retain {
-				cols = c.colViews[ni].Of(c.bpCols[ni*K*hw:(ni+1)*K*hw], K, hw)
-				c.lastCols[ni] = cols
-			} else {
-				cols = sh.cols.For(K, hw)
-			}
-			tensor.Im2ColInto(cols, xi, c.Geom)
-			tensor.MatMulInto(oi, b.wm, cols)
 		}
 		if c.Bias != nil {
 			c.addBiasRows(oi, hw)
@@ -202,25 +187,22 @@ func (b *convFwdBody) Chunk(band, lo, hi int) {
 }
 
 // Forward computes the convolution sample by sample, on one of two
-// paths fixed by the mode, the weight and the geometry:
+// paths fixed by the mode alone:
 //
-//   - im2col: the sample is lowered to a [inC*kh*kw, oh*ow] matrix and
-//     the product W[outC, inC*kh*kw]·cols lands directly in the output
-//     layout. A trainable weight's forward takes it in Train, Eval and
-//     Adapt and keeps the lowering in the layer's column slab as dW's
-//     backward cache; InferInt8 lowers in int8; any other stride-2
-//     forward lowers into the per-band scratch.
-//   - padded plane: a stride-1 forward whose lowering nobody keeps —
-//     Infer, and Train/Eval/Adapt with the weight frozen — reads the
-//     sample from a zero-padded copy through an offset table
-//     (tensor.ConvS1Into) and builds no lowering at all. It runs
-//     serially inside the sample and is bitwise the im2col result.
+//   - float (Infer, Train, Eval, Adapt): the sample is read from its
+//     zero-padded parity planes through an offset table
+//     (tensor.ConvInto), serially inside the sample, bitwise the
+//     im2col lowering times the weight matrix, without the lowering.
+//   - InferInt8: the sample is quantized, lowered in int8 and
+//     multiplied in int32.
 //
 // The infer modes write one layer-owned output scratch, Train, Eval and
 // Adapt another; either result is valid until the layer's next forward
-// of the same class. Samples are processed in parallel bands over
-// the worker pool when the batch is big enough; the nested per-sample
-// GEMMs of the im2col path parallelize over whatever workers remain.
+// of the same class. A Train, Eval or Adapt forward keeps a reference
+// to x for dW, so x must stay unchanged until Backward. Samples are
+// processed in parallel bands over the worker pool when the batch is
+// big enough; the int8 path's per-sample GEMMs parallelize over
+// whatever workers remain.
 func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: %s: input %v, want [n,%d,h,w]", c.name, x.Shape(), c.InC))
@@ -228,7 +210,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh, ow := c.Geom.OutSize(h, w)
 	infer := mode.IsInfer()
-	retain := !infer && !c.Weight.Frozen
 	K := c.kDim()
 	hw := oh * ow
 	var out *tensor.Tensor
@@ -238,21 +219,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 		out = c.bpOut.For(n, c.OutC, oh, ow)
 	}
 	c.fwdOK = !infer // Backward after an Infer forward must panic
+	if !infer {
+		c.lastX = x.Data
+	}
 	c.lastIn = [4]int{n, c.InC, h, w}
 	c.lastOutShape = [4]int{n, c.OutC, oh, ow}
-	if retain {
-		c.bpCols = growF32(c.bpCols, n*K*hw)
-		if cap(c.colViews) < n {
-			c.colViews = make([]View, n)
-		}
-		c.colViews = c.colViews[:n]
-		if cap(c.lastCols) < n {
-			c.lastCols = make([]*tensor.Tensor, n)
-		}
-		c.lastCols = c.lastCols[:n]
-	} else {
-		c.lastCols = nil
-	}
 	bands := par.Width(n, 1)
 	c.ensureShards(bands)
 	if mode == InferInt8 {
@@ -263,8 +234,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 		}
 	}
 	body := &c.fwdBody
-	*body = convFwdBody{c: c, x: x, out: out, mode: mode, retain: retain, h: h, w: w, oh: oh, ow: ow,
-		s1: !retain && mode != InferInt8 && c.Geom.SH == 1 && c.Geom.SW == 1}
+	*body = convFwdBody{c: c, x: x, out: out, mode: mode, h: h, w: w, oh: oh, ow: ow}
 	if mode != InferInt8 {
 		body.wm = c.wmView.Of(c.Weight.Value.Data, c.OutC, K)
 	}
@@ -343,21 +313,21 @@ func (b *convBwdBody) Chunk(band, lo, hi int) {
 // Backward accumulates dW (and db) and returns dX. The returned
 // gradient lives in layer-owned scratch, valid until the next
 // Backward. Two phases: the weight/bias gradients walk the batch
-// serially (dW accumulates across samples — its per-element order is
-// part of the bitwise contract — while the GEMM inside row-bands over
-// output channels), then the input gradients run sample-parallel, one
-// tensor.ConvDXInto per sample and no K×oh·ow column matrix. A frozen
-// Weight or Bias skips its half of the first phase and leaves its
-// Grad untouched.
+// serially (dW accumulates across samples in sample order — its
+// per-element order is part of the bitwise contract — and
+// tensor.ConvDWAcc re-lowers each sample of the forward's input, which
+// must still hold what that forward read, one row at a time, banded
+// over the rows), then the input gradients run sample-parallel, one
+// tensor.ConvDXInto per sample. No K×oh·ow column matrix exists in
+// either. A frozen Weight or Bias skips its half of the first phase
+// and leaves its Grad untouched; whether the weight was frozen at the
+// forward does not matter.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if !c.fwdOK {
 		panic(fmt.Sprintf("nn: %s: Backward before Forward", c.name))
 	}
 	needW := !c.Weight.Frozen
 	needB := c.Bias != nil && !c.Bias.Frozen
-	if needW && c.lastCols == nil {
-		panic(fmt.Sprintf("nn: %s: weight unfrozen between Forward and Backward: the frozen forward kept no lowering for dW", c.name))
-	}
 	n, inC, h, w := c.lastIn[0], c.lastIn[1], c.lastIn[2], c.lastIn[3]
 	oh, ow := c.lastOutShape[2], c.lastOutShape[3]
 	hw := oh * ow
@@ -368,11 +338,12 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dx := c.dxOut.For(n, inC, h, w)
 	if needW || needB {
 		dW := c.dwView.Of(c.Weight.Grad.Data, c.OutC, K)
+		chw := inC * h * w
 		for ni := 0; ni < n; ni++ {
 			gi := c.giView.Of(grad.Data[ni*c.OutC*hw:(ni+1)*c.OutC*hw], c.OutC, hw)
 			if needW {
-				// dW += gi · colsᵀ
-				tensor.MatMulTBAcc(dW, gi, c.lastCols[ni])
+				xi := c.xView.Of(c.lastX[ni*chw:(ni+1)*chw], 1, inC, h, w)
+				tensor.ConvDWAcc(dW, gi, xi, c.Geom, &c.dwl) // dW += gi · cols(xi)ᵀ
 			}
 			if needB {
 				for oc := 0; oc < c.OutC; oc++ {
@@ -396,12 +367,4 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	body.grad, body.dx, body.wt = nil, nil, nil
 	return dx
-}
-
-// FLOPs returns the multiply-accumulate count for one forward pass on
-// an input of spatial size h×w (used by the Orin performance model).
-func (c *Conv2D) FLOPs(h, w int) int64 {
-	oh, ow := c.Geom.OutSize(h, w)
-	macs := int64(c.OutC) * int64(oh) * int64(ow) * int64(c.InC) * int64(c.Geom.KH) * int64(c.Geom.KW)
-	return 2 * macs
 }

@@ -50,34 +50,43 @@ func sameF32(want, got []float32) int {
 }
 
 // TestConvSlabFreeMatchesIm2Col holds the padded-plane forward that
-// Infer and the frozen-weight Adapt forward take on stride-1 convs to
-// the im2col path bit for bit: every stride-1 kernel size the models
-// use and larger ones, outputs one column wide and narrower than a
-// vector, ±0 weights, NaN/±Inf/−0 inputs, batches 1–4 with sample
-// banding forced on at 1, 2 and 4 procs. The path builds no lowering,
-// and a steady-state forward on it allocates nothing.
+// every float mode takes, at every stride, to the im2col path bit for
+// bit: the stride-1 kernel sizes the models use and larger ones, the
+// stride-2 3×3 entry, 1×1 shortcut and 7×7 stem, nn's gradcheck shape,
+// outputs one column wide and narrower than a vector, ±0 weights,
+// NaN/±Inf/−0 inputs, batches 1–4 with sample banding forced on at 1,
+// 2 and 4 procs, in Infer and Adapt with the weight frozen and in
+// Train with it trainable. A steady-state forward allocates nothing.
 func TestConvSlabFreeMatchesIm2Col(t *testing.T) {
-	sq := func(k, p int) tensor.ConvGeom { return tensor.ConvGeom{KH: k, KW: k, SH: 1, SW: 1, PH: p, PW: p} }
+	sq := func(k, s, p int) tensor.ConvGeom { return tensor.ConvGeom{KH: k, KW: k, SH: s, SW: s, PH: p, PW: p} }
 	cases := []struct {
 		inC, outC, h, w int
 		g               tensor.ConvGeom
 		bias            bool
 	}{
-		{6, 6, 12, 30, sq(3, 1), false},
-		{5, 7, 7, 9, sq(3, 0), true},
-		{12, 24, 6, 15, sq(1, 0), false},
-		{4, 5, 9, 11, sq(5, 2), true},
-		{3, 6, 10, 13, sq(7, 3), false},
-		{3, 4, 5, 1, sq(3, 1), false}, // ow 1
-		{4, 3, 6, 5, sq(3, 1), true},  // ow 5
-		{2, 3, 4, 3, sq(1, 0), false}, // ow 3, no plane
+		{6, 6, 12, 30, sq(3, 1, 1), false},
+		{5, 7, 7, 9, sq(3, 1, 0), true},
+		{12, 24, 6, 15, sq(1, 1, 0), false},
+		{4, 5, 9, 11, sq(5, 1, 2), true},
+		{3, 6, 10, 13, sq(7, 1, 3), false},
+		{3, 4, 5, 1, sq(3, 1, 1), false}, // ow 1
+		{4, 3, 6, 5, sq(3, 1, 1), true},  // ow 5
+		{2, 3, 4, 3, sq(1, 1, 0), false}, // ow 3, no plane
+		{6, 12, 12, 30, sq(3, 2, 1), false},
+		{6, 12, 12, 30, sq(1, 2, 0), false},
+		{3, 4, 7, 6, sq(3, 2, 1), true}, // the gradcheck shape
+		{3, 5, 18, 37, sq(7, 2, 3), false},
+		{3, 4, 7, 1, sq(3, 2, 1), false}, // ow 1
 	}
 	lowLayerGates(t)
 	rng := tensor.NewRNG(0x51ab)
 	negZero := math.Float32frombits(1 << 31)
+	modes := []struct {
+		mode   Mode
+		frozen bool
+	}{{Infer, true}, {Adapt, true}, {Train, false}}
 	for ci, tc := range cases {
 		c := NewConv2D("c", tc.inC, tc.outC, tc.g, tc.bias, rng)
-		c.Weight.Frozen = true
 		for i := 0; i < len(c.Weight.Value.Data); i += 7 {
 			c.Weight.Value.Data[i] = 0
 			if i+1 < len(c.Weight.Value.Data) {
@@ -97,29 +106,26 @@ func TestConvSlabFreeMatchesIm2Col(t *testing.T) {
 				x.Data[len(x.Data)-1] = float32(math.Inf(-1))
 			}
 			want := convIm2ColRef(c, x)
-			for _, mode := range []Mode{Infer, Adapt} {
+			for _, m := range modes {
+				c.Weight.Frozen = m.frozen
 				for _, procs := range []int{1, 2, 4} {
 					withNNProcs(t, procs, func() {
-						got := c.Forward(x, mode)
+						got := c.Forward(x, m.mode)
 						if i := sameF32(want, got.Data); i >= 0 {
 							t.Fatalf("case %d n=%d %v procs=%d: element %d is %v, im2col gives %v",
-								ci, n, mode, procs, i, got.Data[i], want[i])
+								ci, n, m.mode, procs, i, got.Data[i], want[i])
 						}
 					})
 				}
 			}
 		}
-		for b := range c.shards {
-			if c.shards[b].cols.buf != nil {
-				t.Fatalf("case %d: band %d built an im2col lowering", ci, b)
-			}
-		}
 		x := tensor.New(3, tc.inC, tc.h, tc.w)
 		rng.FillUniform(x, -2, 2)
-		for _, mode := range []Mode{Infer, Adapt} {
-			c.Forward(x, mode)
-			if a := testing.AllocsPerRun(5, func() { c.Forward(x, mode) }); a != 0 {
-				t.Fatalf("case %d %v: %.1f allocations per steady-state forward", ci, mode, a)
+		for _, m := range modes {
+			c.Weight.Frozen = m.frozen
+			c.Forward(x, m.mode)
+			if a := testing.AllocsPerRun(5, func() { c.Forward(x, m.mode) }); a != 0 {
+				t.Fatalf("case %d %v: %.1f allocations per steady-state forward", ci, m.mode, a)
 			}
 		}
 	}

@@ -144,19 +144,29 @@ func mustPanic(t *testing.T, want string, f func()) {
 	f()
 }
 
-// TestFrozenConvStaleFreezePanics: a frozen forward keeps no lowering,
-// so unfreezing before Backward must fail with the layer's name, not a
-// nil dereference inside the dW GEMM; the older ordering panics stay.
+// TestFrozenConvStaleFreezePanics: the forward keeps no lowering in
+// either state, only its input, so unfreezing the weight between
+// Forward and Backward yields the dW (and dX) of a trainable forward;
+// the ordering panics stay.
 func TestFrozenConvStaleFreezePanics(t *testing.T) {
-	g := tensor.ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}
-	_, c := convPair(3, 4, g, false)
-	x := tensor.New(1, 3, 6, 6)
-	grad := tensor.New(1, 4, 6, 6)
+	g := tensor.ConvGeom{KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1}
+	train, c := convPair(3, 4, g, false)
+	x := tensor.New(2, 3, 7, 6)
+	grad := tensor.New(2, 4, 4, 3)
+	tensor.NewRNG(5).FillUniform(x, -1, 1)
+	tensor.NewRNG(6).FillUniform(grad, -1, 1)
 	mustPanic(t, "Backward before Forward", func() { c.Backward(grad) })
+	train.Forward(x, Adapt)
+	wantDX := append([]float32(nil), train.Backward(grad).Data...)
 	c.Forward(x, Adapt)
 	c.Weight.Frozen = false
-	mustPanic(t, "nn: c: weight unfrozen between Forward and Backward", func() { c.Backward(grad) })
-	// The other direction is harmless: freeze after a retaining forward.
+	if i := f32Diff(wantDX, c.Backward(grad).Data); i >= 0 {
+		t.Fatalf("unfrozen after the forward: dX element %d differs from the trainable forward's", i)
+	}
+	if i := f32Diff(train.Weight.Grad.Data, c.Weight.Grad.Data); i >= 0 {
+		t.Fatalf("unfrozen after the forward: dW element %d differs from the trainable forward's", i)
+	}
+	// The other direction: freeze after a trainable forward.
 	c.Forward(x, Adapt)
 	c.Weight.Frozen = true
 	c.Backward(grad)

@@ -41,10 +41,8 @@ const (
 	opMMRows = iota // matmulInto, banded over dst rows
 	opMMCols        // matmulInto, banded over dst columns (small m)
 	opTARows        // MatMulTAInto, banded over dst rows
-	opTBRows        // MatMulTB{Into,Acc}, banded over dst rows
-	opTBCols        // MatMulTB{Into,Acc}, banded over dst columns
-	opTBAccRows
-	opTBAccCols
+	opTBRows        // MatMulTBInto, banded over dst rows
+	opTBCols        // MatMulTBInto, banded over dst columns
 )
 
 func (t *gemmTask) Chunk(_, lo, hi int) {
@@ -56,13 +54,9 @@ func (t *gemmTask) Chunk(_, lo, hi int) {
 	case opTARows:
 		matmulTARows(t.dst, t.a, t.b, t.m, t.k, t.n, lo, hi)
 	case opTBRows:
-		matmulTBRows(t.dst, t.a, t.b, t.k, t.n, lo, hi, 0, t.n, false)
+		matmulTBRows(t.dst, t.a, t.b, t.k, t.n, lo, hi, 0, t.n)
 	case opTBCols:
-		matmulTBRows(t.dst, t.a, t.b, t.k, t.n, 0, t.m, lo, hi, false)
-	case opTBAccRows:
-		matmulTBRows(t.dst, t.a, t.b, t.k, t.n, lo, hi, 0, t.n, true)
-	case opTBAccCols:
-		matmulTBRows(t.dst, t.a, t.b, t.k, t.n, 0, t.m, lo, hi, true)
+		matmulTBRows(t.dst, t.a, t.b, t.k, t.n, 0, t.m, lo, hi)
 	}
 }
 
@@ -147,8 +141,8 @@ func gemmRowGo(di, ai, b []float32, ldb int) {
 // table instead of a stride, and the spec of its assembly twin:
 // di[j] = Σ_p ai[p]·b[off[p]+j], each sum starting from +0 and taking
 // p in increasing order, zero ai[p] skipped. With off[p] = p·ldb it is
-// gemmRowGo bit for bit; ConvS1Into points the rows into a padded
-// input plane, so a stride-1 convolution needs no im2col slab.
+// gemmRowGo bit for bit; ConvInto points the rows into a padded
+// input plane, so a convolution needs no im2col slab.
 func gemmRowOffGo(di, ai []float32, off []int, b []float32) {
 	clear(di)
 	n := len(di)
@@ -213,71 +207,45 @@ func matmulTARows(dst, a, b []float32, m, k, n, lo, hi int) {
 	}
 }
 
-// matmulTB runs a·bᵀ through the pool, banding over output rows when
-// the batch dimension m can feed it and over output columns otherwise
-// (the m∈{1..4} adaptation batches). acc selects += over =.
-func matmulTB(out, a, b *Tensor, acc bool) {
+// MatMulTBInto computes out = a·bᵀ reusing out's storage ([m,k]·[n,k]ᵀ
+// → [m,n]), banding over output rows when the batch dimension m can
+// feed the pool and over output columns otherwise (the m∈{1..4}
+// adaptation batches). Every element is overwritten; out must not
+// alias a or b.
+func MatMulTBInto(out, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[0]
 	if b.shape[1] != k || out.shape[0] != m || out.shape[1] != n {
-		if acc {
-			panic(fmt.Sprintf("tensor: MatMulTBAcc shape mismatch %v += %v × %vᵀ", out.shape, a.shape, b.shape))
-		}
 		panic(fmt.Sprintf("tensor: MatMulTBInto shape mismatch %v = %v × %vᵀ", out.shape, a.shape, b.shape))
 	}
 	if m*k*n < matmulParMin {
-		matmulTBRows(out.Data, a.Data, b.Data, k, n, 0, m, 0, n, acc)
+		matmulTBRows(out.Data, a.Data, b.Data, k, n, 0, m, 0, n)
 		return
 	}
 	if m >= 2*par.Width(m, 1) {
-		op := opTBRows
-		if acc {
-			op = opTBAccRows
-		}
-		runGEMM(op, m, 1, out.Data, a.Data, b.Data, m, k, n)
+		runGEMM(opTBRows, m, 1, out.Data, a.Data, b.Data, m, k, n)
 	} else {
-		op := opTBCols
-		if acc {
-			op = opTBAccCols
-		}
-		runGEMM(op, n, 16, out.Data, a.Data, b.Data, m, k, n)
+		runGEMM(opTBCols, n, 16, out.Data, a.Data, b.Data, m, k, n)
 	}
 }
 
-// MatMulTBInto computes out = a·bᵀ reusing out's storage ([m,k]·[n,k]ᵀ
-// → [m,n]). Every element is overwritten; out must not alias a or b.
-func MatMulTBInto(out, a, b *Tensor) { matmulTB(out, a, b, false) }
-
-// MatMulTBAcc computes out += a·bᵀ. The per-element dot product is the
-// same row kernel as MatMulTBInto (matmulTBRows), so
-// `MatMulTBAcc(g, a, b)` is bitwise equal to `MatMulTBInto(t, a, b)`
-// then `AddInPlace(g, t)` without the intermediate buffer — exactly
-// what gradient accumulation needs.
-func MatMulTBAcc(out, a, b *Tensor) { matmulTB(out, a, b, true) }
-
 // matmulTBRows is the one a·bᵀ kernel: rows [ilo,ihi) × columns
-// [jlo,jhi) of out, assigning or accumulating per acc. Each output
-// element is one self-contained dot product, so any row/column
-// banding yields bitwise-identical results.
-func matmulTBRows(dst, a, b []float32, k, n, ilo, ihi, jlo, jhi int, acc bool) {
+// [jlo,jhi) of out. Each output element is one self-contained dot
+// product, so any row/column banding yields bitwise-identical results.
+func matmulTBRows(dst, a, b []float32, k, n, ilo, ihi, jlo, jhi int) {
 	for i := ilo; i < ihi; i++ {
 		ai := a[i*k : (i+1)*k]
 		oi := dst[i*n : (i+1)*n]
 		for j := jlo; j < jhi; j++ {
-			s := dotUnroll4(ai, b[j*k:(j+1)*k], k)
-			if acc {
-				oi[j] += s
-			} else {
-				oi[j] = s
-			}
+			oi[j] = dotUnroll4(ai, b[j*k:(j+1)*k], k)
 		}
 	}
 }
 
-// dotUnroll4 is the shared 4-way-unrolled dot product. The expression
-// shape (two chained 2-term sums per step) is load-bearing: it is the
-// historical MatMulTBInto/MatMulTBAcc accumulation order, which the
-// seeded report pins depend on bitwise.
+// dotUnroll4 is the shared 4-way-unrolled dot product of MatMulTBInto
+// and ConvDWAcc. The expression shape (two chained 2-term sums per
+// step) is load-bearing: it is the historical a·bᵀ accumulation order,
+// which the seeded report pins depend on bitwise.
 func dotUnroll4(a, b []float32, k int) float32 {
 	s := float32(0)
 	p := 0

@@ -59,7 +59,8 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 type Flatten struct {
 	name      string
 	lastShape []int
-	outView   View // cached forward header (every mode)
+	inferView View // cached forward header of the infer modes
+	bpView    View // cached forward header of Train, Eval and Adapt
 	gradView  View // cached backward header
 }
 
@@ -72,15 +73,20 @@ func (f *Flatten) Name() string { return f.name }
 // Params returns nil.
 func (f *Flatten) Params() []*Param { return nil }
 
-// Forward flattens all but the leading (batch) dimension. In every
-// mode the returned header is a cached view re-pointed at x's storage,
-// valid until the layer's next forward.
-func (f *Flatten) Forward(x *tensor.Tensor, _ Mode) *tensor.Tensor {
+// Forward flattens all but the leading (batch) dimension. The
+// returned header is a cached view re-pointed at x's storage, one per
+// scratch class, so alternating an infer batch with a Train, Eval or
+// Adapt batch of another size re-shapes neither; it is valid until
+// the layer's next forward of the same class.
+func (f *Flatten) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	if x.NDim() < 2 {
 		panic(fmt.Sprintf("nn: %s: input %v, want rank ≥ 2", f.name, x.Shape()))
 	}
+	if mode.IsInfer() {
+		return f.inferView.Of(x.Data, x.Dim(0), x.Size()/x.Dim(0))
+	}
 	f.lastShape = append(f.lastShape[:0], x.Shape()...)
-	return f.outView.Of(x.Data, x.Dim(0), x.Size()/x.Dim(0))
+	return f.bpView.Of(x.Data, x.Dim(0), x.Size()/x.Dim(0))
 }
 
 // Backward restores the cached input shape (as a cached view over the

@@ -82,12 +82,12 @@ type Conv2D struct {
 // float forward, the dX backward's lines, cached sub-tensor headers
 // and the int8 staging blocks.
 type convShard struct {
-	xi    View    // per-sample input view
-	oi    View    // per-sample output view
-	gi    View    // per-sample gradient view (backward phase B)
-	dxi   View    // per-sample view of dxOut
-	xq    []int8  // quantized input sample
-	colsQ []int8  // quantized im2col lowering
+	xi    View   // per-sample input view
+	oi    View   // per-sample output view
+	gi    View   // per-sample gradient view (backward phase B)
+	dxi   View   // per-sample view of dxOut
+	xq    []int8 // quantized input sample
+	colsQ []int8 // quantized im2col lowering
 
 	plane tensor.ConvPlane   // padded sample, offsets and row of the float forward
 	dxl   tensor.ConvDXLines // the dX backward's column-row lines

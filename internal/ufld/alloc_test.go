@@ -12,16 +12,27 @@ import (
 
 // allocCases are the forwards the allocation pins measure on m: both
 // infer modes, an Eval forward, and one Train forward with the full
-// backward (every parameter trainable, so each conv keeps its lowering
-// for dW) — every mode writes layer scratch, so none allocates once a
+// backward (every parameter trainable, so each conv's dW re-lowers its
+// input) — every mode writes layer scratch, so none allocates once a
 // warm-up call has grown it (and, on the int8 rung, quantized the
-// weights).
+// weights). Two cycles alternate the scratch classes at different
+// batch sizes: a serve worker's, a model with only BN γ/β trainable
+// running a batch-4 infer and then a one-frame Adapt forward, and the
+// all-trainable m running a one-frame infer and then a Train forward
+// and backward.
 func allocCases(m *Model, x *tensor.Tensor) []struct {
 	name string
 	f    func()
 } {
 	g := tensor.New(x.Dim(0)*m.Cfg.Groups(), m.Cfg.Classes())
 	tensor.NewRNG(5).FillNormal(g, 0, 1e-3)
+	x1, x4 := tensor.New(1, 3, m.Cfg.InputH, m.Cfg.InputW), tensor.New(4, 3, m.Cfg.InputH, m.Cfg.InputW)
+	tensor.NewRNG(6).FillNormal(x1, 0, 1)
+	tensor.NewRNG(7).FillNormal(x4, 0, 1)
+	g1 := tensor.New(m.Cfg.Groups(), m.Cfg.Classes())
+	tensor.NewRNG(8).FillNormal(g1, 0, 1e-3)
+	bn := MustNewModel(m.Cfg, tensor.NewRNG(9))
+	nn.SetTrainable(bn.Params(), bn.BNParams())
 	return []struct {
 		name string
 		f    func()
@@ -30,6 +41,8 @@ func allocCases(m *Model, x *tensor.Tensor) []struct {
 		{"ForwardInferInt8", func() { m.ForwardInferInt8(x) }},
 		{"Forward(Eval)", func() { m.Forward(x, nn.Eval) }},
 		{"Forward(Train)+Backward", func() { m.Forward(x, nn.Train); m.Backward(g) }},
+		{"BN-only ForwardInfer(b4)+Forward(Adapt, b1)", func() { bn.ForwardInfer(x4); bn.Forward(x1, nn.Adapt) }},
+		{"ForwardInfer(b1)+Forward(Train, b1)+Backward", func() { m.ForwardInfer(x1); m.Forward(x1, nn.Train); m.Backward(g1) }},
 	}
 }
 

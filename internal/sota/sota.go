@@ -100,10 +100,13 @@ type Result struct {
 type Adapter struct {
 	model *ufld.Model
 	cfg   Config
+	dEmb  *tensor.Tensor // the knowledge-transfer pass's embedding gradient, one target batch
 }
 
 // New wires the baseline to a model.
-func New(m *ufld.Model, cfg Config) *Adapter { return &Adapter{model: m, cfg: cfg} }
+func New(m *ufld.Model, cfg Config) *Adapter {
+	return &Adapter{model: m, cfg: cfg, dEmb: tensor.New(batchSize, m.Backbone().OutChannels())}
+}
 
 // Name identifies the baseline (the paper's "CARLANE SOTA").
 func (a *Adapter) Name() string { return "CARLANE-SOTA" }
@@ -201,42 +204,23 @@ func (a *Adapter) Run(source, target *ufld.Dataset, rng *tensor.RNG) (*Result, e
 				tgtPos++
 			}
 			tx := ufld.Images(cfg, target.Samples, tgtIdx)
-			feats := m.Backbone().Forward(tx, nn.Train)
-			n, c, fh, fw := feats.Dim(0), feats.Dim(1), feats.Dim(2), feats.Dim(3)
-			hw := fh * fw
-			emb := tensor.New(n, c)
-			inv := 1.0 / float64(hw)
-			for i := 0; i < n*c; i++ {
-				s := 0.0
-				for _, v := range feats.Data[i*hw : (i+1)*hw] {
-					s += float64(v)
-				}
-				emb.Data[i] = float32(s * inv)
-			}
+			emb := m.Embed(tx, nn.Train)
+			n, c := emb.Dim(0), emb.Dim(1)
 			alignLoss := 0.0
-			dEmb := tensor.New(n, c)
 			for i := 0; i < n; i++ {
 				cl := kmeans.AssignTo(km.Centroids, emb.Data[i*c:(i+1)*c])
 				cent := km.Centroids.Data[cl*c : (cl+1)*c]
 				for j := 0; j < c; j++ {
 					d := float64(emb.Data[i*c+j]) - float64(cent[j])
 					alignLoss += d * d
-					dEmb.Data[i*c+j] = float32(2 * d * alignWeight / float64(n*c))
+					a.dEmb.Data[i*c+j] = float32(2 * d * alignWeight / float64(n*c))
 				}
 			}
 			alignLoss *= alignWeight / float64(n*c)
 			loss += alignLoss
 			// Spread the embedding gradient uniformly over the pooled
 			// spatial positions and backprop through the backbone.
-			dFeats := tensor.New(n, c, fh, fw)
-			for i := 0; i < n*c; i++ {
-				g := dEmb.Data[i] * float32(inv)
-				dst := dFeats.Data[i*hw : (i+1)*hw]
-				for j := range dst {
-					dst[j] = g
-				}
-			}
-			m.Backbone().Backward(dFeats)
+			m.EmbedBackward(a.dEmb)
 			res.Cost.BackboneForwards += int64(n)
 			res.Cost.BackboneBackwards += int64(n)
 

@@ -177,6 +177,13 @@ func (m *Model) Embed(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	return m.pool.Forward(m.backbone.Forward(x, mode), mode)
 }
 
+// EmbedBackward propagates a gradient of the last Train, Eval or Adapt
+// Embed's output, [n, OutChannels], through the pooling and the
+// backbone, and returns the input gradient (or nil, as Backward).
+func (m *Model) EmbedBackward(dEmb *tensor.Tensor) *tensor.Tensor {
+	return m.backbone.Backward(m.pool.Backward(dEmb))
+}
+
 // Clone returns a deep copy of the model (weights, BN running stats).
 // The clone shares no storage with the original, so adapting one does
 // not disturb the other.

@@ -30,13 +30,16 @@ var testOnlyExports = map[string]string{
 // has no caller outside _test.go files and is not on testOnlyExports,
 // and when a listed identifier is gone or production has started to
 // call it. Callers are every non-test file of the repository: internal/,
-// cmd/, examples/ and the nested bench/ module. Method calls match by
-// name only, whatever the receiver, and a method named in any interface
+// cmd/, examples/ and the nested bench/ module. Methods match by name
+// only, whatever the receiver. A selector x.Name uses every method Name
+// when it is a call's function, or, as a method value, when no struct
+// declared in production code has a field Name (so reads of a field do
+// not keep a same-named method alive); a method named in any interface
 // declared in production code counts as called.
 func TestNoTestOnlyExports(t *testing.T) {
 	declared := map[string]token.Position{} // key → where it is declared
 	used := map[string]bool{}               // "pkg.Name" referenced
-	calledMethods := map[string]bool{}      // method names selected or in an interface
+	sel := selectors{called: map[string]bool{}, other: map[string]bool{}, fields: map[string]bool{}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -60,7 +63,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if dir := filepath.ToSlash(filepath.Dir(path)); strings.HasPrefix(dir, "internal/") {
 			pkg = strings.TrimPrefix(dir, "internal/")
 		}
-		scanFile(fset, f, pkg, declared, used, calledMethods)
+		scanFile(fset, f, pkg, declared, used, sel)
 		return nil
 	})
 	if err != nil {
@@ -72,7 +75,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 		parts := strings.Split(key, ".")
 		called := used[key]
 		if len(parts) == 3 {
-			called = calledMethods[parts[2]]
+			m := parts[2]
+			called = sel.called[m] || sel.other[m] && !sel.fields[m]
 		}
 		_, listed := testOnlyExports[key]
 		switch {
@@ -99,10 +103,19 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// selectors sorts the names production code selects with x.Name that
+// are not package-qualified: called holds a call's function and the
+// methods of every interface, other every other selector, and fields
+// every field name of a struct.
+type selectors struct {
+	called, other, fields map[string]bool
+}
+
 // scanFile records the exported declarations of a file in internal/pkg
 // (pkg is empty outside internal/) and every reference the file makes.
-func scanFile(fset *token.FileSet, f *ast.File, pkg string, declared map[string]token.Position, used, calledMethods map[string]bool) {
-	skip := map[*ast.Ident]bool{} // identifiers that are not a reference to pkg.Name
+func scanFile(fset *token.FileSet, f *ast.File, pkg string, declared map[string]token.Position, used map[string]bool, sel selectors) {
+	skip := map[*ast.Ident]bool{}            // identifiers that are not a reference to pkg.Name
+	callFuns := map[*ast.SelectorExpr]bool{} // selectors that are a call's function
 	declare := func(id *ast.Ident, key string) {
 		skip[id] = true
 		if pkg != "" && id.IsExported() {
@@ -147,6 +160,19 @@ func scanFile(fset *token.FileSet, f *ast.File, pkg string, declared map[string]
 
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.CallExpr:
+			if s, ok := n.Fun.(*ast.SelectorExpr); ok {
+				callFuns[s] = true
+			}
+		case *ast.StructType:
+			for _, fld := range n.Fields.List {
+				for _, id := range fld.Names {
+					sel.fields[id.Name] = true
+				}
+				if fld.Names == nil {
+					sel.fields[recvName(fld.Type)] = true // embedded
+				}
+			}
 		case *ast.SelectorExpr:
 			skip[n.Sel] = true
 			if x, ok := n.X.(*ast.Ident); ok {
@@ -156,11 +182,15 @@ func scanFile(fset *token.FileSet, f *ast.File, pkg string, declared map[string]
 					return true
 				}
 			}
-			calledMethods[n.Sel.Name] = true
+			if callFuns[n] {
+				sel.called[n.Sel.Name] = true
+			} else {
+				sel.other[n.Sel.Name] = true
+			}
 		case *ast.InterfaceType:
 			for _, m := range n.Methods.List {
 				for _, id := range m.Names {
-					calledMethods[id.Name] = true
+					sel.called[id.Name] = true
 				}
 			}
 		case *ast.Ident:
@@ -172,8 +202,8 @@ func scanFile(fset *token.FileSet, f *ast.File, pkg string, declared map[string]
 	})
 }
 
-// recvName is the type name of a method receiver, with any pointer and
-// type parameter stripped.
+// recvName is the type name of a method receiver or an embedded field,
+// with any pointer, package qualifier and type parameter stripped.
 func recvName(e ast.Expr) string {
 	for {
 		switch x := e.(type) {
@@ -181,6 +211,8 @@ func recvName(e ast.Expr) string {
 			e = x.X
 		case *ast.IndexExpr:
 			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel.Name
 		case *ast.Ident:
 			return x.Name
 		default:

@@ -144,7 +144,3 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	tensor.MatMulInto(dx, grad, l.Weight.Value)
 	return dx
 }
-
-// FLOPs returns the multiply-accumulate count of one forward pass for a
-// single sample.
-func (l *Linear) FLOPs() int64 { return 2 * int64(l.In) * int64(l.Out) }

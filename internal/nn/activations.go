@@ -82,11 +82,12 @@ func (f *Flatten) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	if x.NDim() < 2 {
 		panic(fmt.Sprintf("nn: %s: input %v, want rank ≥ 2", f.name, x.Shape()))
 	}
-	if mode.IsInfer() {
-		return f.inferView.Of(x.Data, x.Dim(0), x.Size()/x.Dim(0))
+	v := &f.inferView
+	if !mode.IsInfer() {
+		v = &f.bpView
+		f.lastShape = append(f.lastShape[:0], x.Shape()...)
 	}
-	f.lastShape = append(f.lastShape[:0], x.Shape()...)
-	return f.bpView.Of(x.Data, x.Dim(0), x.Size()/x.Dim(0))
+	return v.Of(x.Data, x.Dim(0), x.Size()/x.Dim(0))
 }
 
 // Backward restores the cached input shape (as a cached view over the

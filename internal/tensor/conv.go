@@ -306,7 +306,7 @@ func ConvDWAcc(dw, g, x *Tensor, geom ConvGeom, s *ConvDWLines) {
 	if g.NDim() != 2 || g.shape[1] != hw || dw.NDim() != 2 || dw.shape[0] != g.shape[0] || dw.shape[1] != K {
 		panic(fmt.Sprintf("tensor: ConvDWAcc %v += %v · cols(%v)ᵀ, want an [m,%d] gradient and an [m,%d] dst", dw.shape, g.shape, x.shape, hw, K))
 	}
-	outC := g.shape[0]
+	outC := dw.shape[0]
 	if K*outC*hw < matmulParMin {
 		s.lines = resize(s.lines, hw)
 		convDWRows(dw.Data, g.Data, x.Data, s.lines, outC, c, h, w, oh, ow, geom, 0, K)

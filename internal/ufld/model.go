@@ -78,7 +78,10 @@ func MustNewModel(cfg Config, rng *tensor.RNG) *Model {
 // The logits alias layer scratch: a Train/Eval/Adapt result is valid
 // until the model's next Train/Eval/Adapt forward, an infer result
 // until its next infer forward, so a caller that keeps one across a
-// second forward of the same class must Clone it.
+// second forward of the same class must Clone it. A Train, Eval or
+// Adapt forward keeps a reference to x, not a copy: the convolutions'
+// weight gradients re-lower it in Backward, so x must stay unchanged
+// until then.
 func (m *Model) Forward(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(2) != m.Cfg.InputH || x.Dim(3) != m.Cfg.InputW {
 		panic(fmt.Sprintf("ufld: input %v, want [n,3,%d,%d]", x.Shape(), m.Cfg.InputH, m.Cfg.InputW))
@@ -126,7 +129,9 @@ func (m *Model) ForwardInferInt8(x *tensor.Tensor) *tensor.Tensor {
 func (m *Model) InvalidateWeightCaches() { m.net.InvalidateWeightCaches() }
 
 // Backward propagates a gradient with the same row layout Forward
-// returns. It returns the input gradient, or nil when backprop stopped
+// returns, for the last Train, Eval or Adapt Forward, whose input must
+// not have changed since (a trainable conv weight's gradient re-reads
+// it). It returns the input gradient, or nil when backprop stopped
 // above the input because every parameter further down is frozen (see
 // nn.Sequential.Backward).
 func (m *Model) Backward(gradRows *tensor.Tensor) *tensor.Tensor {

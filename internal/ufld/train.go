@@ -43,10 +43,9 @@ func DefaultTrainConfig() TrainConfig {
 // The training runs on a working copy of m, and only its result — the
 // parameter values, the BN running statistics and momenta — is
 // written back into m, whose weight caches are then dropped. The
-// Train-mode lowerings, the activation caches, the backward scratches
-// and the optimizer state die with the copy, so a deployed model holds
-// its weights, its BN state and one frame's working set, and nothing
-// of its training. Every parameter of m is left trainable, whatever an
+// activation caches, the backward scratches and the optimizer state
+// die with the copy, so a deployed model holds its weights, its BN
+// state and one frame's working set, and nothing of its training. Every parameter of m is left trainable, whatever an
 // adaptation method wired to m earlier may have frozen.
 func TrainSource(m *Model, train *Dataset, tc TrainConfig, rng *tensor.RNG) (float64, error) {
 	if train.Len() == 0 {

@@ -53,9 +53,9 @@ const convTile = 32
 // the halo, and the grid's round-up to whole 32-column tiles (read
 // from the next plane, or from zero slack after the last), are
 // computed and dropped when the ow valid columns of each line are
-// copied out. A stride-1 conv
-// one column wide and unpadded, a 1×1, reads x itself and writes its
-// rows straight into out. It runs serially on the caller.
+// copied out. A stride-1 conv one column wide and unpadded, a 1×1,
+// reads x itself and writes its rows straight into out. It runs
+// serially on the caller.
 func ConvInto(out, wm, x *Tensor, g ConvGeom, s *ConvPlane) {
 	if x.NDim() != 4 || x.shape[0] != 1 {
 		panic(fmt.Sprintf("tensor: ConvInto needs one [1,c,h,w] sample, got %v", x.shape))
@@ -120,8 +120,10 @@ func (s *ConvPlane) fill(x []float32) {
 // reshape rebuilds the halo, the offset table and the row buffer when
 // the input shape or geometry differs from the last call's. A parity
 // plane has the oh + (KH−1)/SH rows and ow + (KW−1)/SW columns its
-// taps read. The plane is sized from the largest offset, not the last
-// tap's: a later tap can sit in an earlier parity plane.
+// taps read. The buffer is sized from the largest offset plus the
+// rounded grid, not from the last tap's offset (a later tap can sit in
+// an earlier parity plane), and never below the planes' own extent,
+// whose last rows the fill writes even where no output reads them.
 func (s *ConvPlane) reshape(c, h, w int, g ConvGeom) {
 	if s.off != nil && s.c == c && s.h == h && s.w == w && s.g == g {
 		return

@@ -14,11 +14,16 @@ import (
 // whose largest offset belongs to an interior tap, so a plane sized
 // from the last tap's offset is too short — the 7×7/s2/p3 stem and the
 // 1×1/s2 shortcut (one parity plane of four), stride 3, unequal
-// strides with a 5×3 kernel, a stride above the kernel, padding on one
-// axis only, and outputs one column wide.
+// strides with a 5×3 kernel, a stride above the kernel (with an input
+// row past every row a tap reads), padding on one axis only, and
+// outputs one column wide.
 func convShapes() []lowerShape {
 	sq := func(k, s, p int) ConvGeom { return ConvGeom{KH: k, KW: k, SH: s, SW: s, PH: p, PW: p} }
 	return []lowerShape{
+		// First, so that its plane is a fresh buffer no longer than asked
+		// for: the fill writes the last parity plane's last row, which
+		// no output reads, past the largest offset plus the grid.
+		{1, 2, 4, 100, sq(3, 2, 0)},
 		{1, 6, 12, 30, sq(3, 1, 1)}, {1, 12, 6, 15, sq(3, 1, 1)}, {1, 5, 7, 9, sq(3, 1, 0)},
 		{1, 12, 6, 15, sq(1, 1, 0)}, {1, 4, 9, 11, sq(5, 1, 2)}, {1, 3, 10, 13, sq(7, 1, 3)},
 		{1, 3, 5, 1, sq(3, 1, 1)}, {1, 2, 4, 3, sq(3, 1, 0)}, {1, 3, 3, 7, sq(3, 1, 1)},
@@ -31,7 +36,7 @@ func convShapes() []lowerShape {
 		{1, 3, 18, 37, sq(7, 2, 3)}, {1, 3, 16, 16, sq(7, 2, 3)},
 		{1, 6, 48, 120, sq(1, 2, 0)}, {1, 4, 7, 11, sq(1, 2, 0)}, {1, 3, 9, 8, sq(1, 3, 0)},
 		{1, 2, 11, 13, ConvGeom{KH: 5, KW: 3, SH: 3, SW: 2, PH: 2, PW: 1}},
-		{1, 3, 6, 9, ConvGeom{KH: 2, KW: 2, SH: 3, SW: 3}},
+		{1, 3, 7, 10, ConvGeom{KH: 2, KW: 2, SH: 3, SW: 3}},
 		{1, 3, 9, 10, ConvGeom{KH: 3, KW: 3, SH: 2, SW: 2, PW: 1}},
 		{1, 3, 9, 10, ConvGeom{KH: 3, KW: 3, SH: 2, SW: 2, PH: 1}},
 		{1, 3, 7, 1, sq(3, 2, 1)}, {1, 2, 9, 2, sq(3, 2, 0)}, {1, 3, 5, 1, sq(1, 2, 0)},

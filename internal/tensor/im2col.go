@@ -61,8 +61,8 @@ func (g ConvGeom) oxRange(w, ow, kx int) (ox0, ox1 int) {
 // are zero-filled only when their kernel tap can read out of bounds
 // (zero padding); unpadded geometries overwrite every element, so the
 // old full-buffer Zero() pass is skipped entirely. It runs serially:
-// no layer lowers a float sample any more (ConvInto reads the padded
-// plane, ConvDWAcc lowers one row at a time), so it is the reference
+// no layer calls it (ConvInto reads the padded planes, and ConvDWAcc
+// lowers one row at a time through im2colRow); it is the reference
 // those kernels are tested against and a probe the benchmark times.
 func Im2ColInto(out, x *Tensor, g ConvGeom) {
 	if x.NDim() != 4 {

@@ -324,19 +324,21 @@ func RunOnline(m *ufld.Model, method Method, stream *ufld.Dataset, val *ufld.Dat
 	pointsTotal := 0
 	accW := 0.0
 	lossSum, lossSteps := 0.0, 0
+	idx := make([]int, 0, bs)
+	var dec ufld.Decoder
 	for lo := 0; lo < n; lo += bs {
 		hi := lo + bs
 		if hi > n {
 			hi = n
 		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
+		idx = idx[:0]
+		for i := lo; i < hi; i++ {
+			idx = append(idx, i)
 		}
 		x := ufld.Images(m.Cfg, stream.Samples, idx)
 		// Phase 1: inference with the current model.
-		logits := m.Forward(x, nn.Eval)
-		preds := ufld.Decode(m.Cfg, logits, len(idx))
+		logits := m.ForwardInfer(x)
+		preds := dec.Decode(m.Cfg, logits, len(idx))
 		cnt := 0
 		for _, si := range idx {
 			cnt += stream.Samples[si].Points()

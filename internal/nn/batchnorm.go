@@ -28,11 +28,11 @@ var bnParMin = 1 << 17
 //     refresh running stats with AdaptMomentum so later Eval passes
 //     operate in the target domain.
 //
-// Parallel decomposition: the statistics and backward passes band over
-// channels (each channel's float64/float32 reduction runs in the exact
-// serial order), the normalize and infer passes band over samples.
-// Both partitions are pure output-ownership splits, so results are
-// bitwise identical at any worker count. The per-element arithmetic of
+// Parallel decomposition: every pass (statistics, normalize, infer and
+// backward) bands over channels, and each channel's float64/float32
+// reduction runs in the exact serial order. That is a pure
+// output-ownership split, so results are bitwise identical at any
+// worker count. The per-element arithmetic of
 // the normalize, infer and dX passes is tensor.BNAffineInto/BNGradInto.
 type BatchNorm2D struct {
 	name string
@@ -123,6 +123,16 @@ func (b *BatchNorm2D) HasTrainable() bool { return !b.Gamma.Frozen || !b.Beta.Fr
 // sources are installed, so adaptation passes cannot silently pick up
 // another stream's state.
 func (b *BatchNorm2D) SetSampleSources(src []*BNSource) { b.sampleSrc = src }
+
+// forChannels runs body over the channels [0, C), banded over the
+// worker pool once the tensor holds bnParMin elements.
+func (b *BatchNorm2D) forChannels(elems int, body par.Body) {
+	if elems >= bnParMin {
+		par.For(b.C, 1, body)
+	} else {
+		body.Chunk(0, 0, b.C)
+	}
+}
 
 // bnStatsBody computes per-channel batch statistics and the running
 // EMA update for channels [clo,chi). Each channel's two float64
@@ -222,18 +232,18 @@ func (t *bnStatsBody) store(c int, mean, variance float64) {
 	b.RunningVar.Data[c] = (1-t.mom)*b.RunningVar.Data[c] + t.mom*b.varBuf[c]
 }
 
-// bnNormBody writes x̂ and the affine output for samples [nlo,nhi).
+// bnNormBody writes x̂ and the affine output for channels [clo,chi).
 type bnNormBody struct {
 	b            *BatchNorm2D
 	x, xhat, out []float32
 	mean, invStd []float32
-	hw           int
+	n, hw        int
 }
 
-func (t *bnNormBody) Chunk(_, nlo, nhi int) {
+func (t *bnNormBody) Chunk(_, clo, chi int) {
 	b := t.b
-	for ni := nlo; ni < nhi; ni++ {
-		for c := 0; c < b.C; c++ {
+	for ni := 0; ni < t.n; ni++ {
+		for c := clo; c < chi; c++ {
 			base := (ni*b.C + c) * t.hw
 			tensor.BNAffineInto(t.out[base:base+t.hw], t.xhat[base:base+t.hw], t.x[base:base+t.hw],
 				t.mean[c], t.invStd[c], b.Gamma.Value.Data[c], b.Beta.Value.Data[c])
@@ -275,11 +285,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 		}
 		st := &b.statsBody
 		*st = bnStatsBody{b: b, x: x.Data, n: n, hw: hw, mom: mom}
-		if b.C >= 2 && elems >= bnParMin {
-			par.For(b.C, 1, st)
-		} else {
-			st.Chunk(0, 0, b.C)
-		}
+		b.forChannels(elems, st)
 		st.x = nil
 		if mode == Adapt {
 			// LD-BN-ADAPT normalizes with the just-refreshed running
@@ -303,35 +309,31 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 		invStd[c] = float32(1.0 / math.Sqrt(float64(varc[c])+float64(b.Eps)))
 	}
 	nb := &b.normBody
-	*nb = bnNormBody{b: b, x: x.Data, xhat: xhat.Data, out: out.Data, mean: mean, invStd: invStd, hw: hw}
-	if n >= 2 && elems >= bnParMin {
-		par.For(n, 1, nb)
-	} else {
-		nb.Chunk(0, 0, n)
-	}
+	*nb = bnNormBody{b: b, x: x.Data, xhat: xhat.Data, out: out.Data, mean: mean, invStd: invStd, n: n, hw: hw}
+	b.forChannels(elems, nb)
 	nb.x, nb.xhat, nb.out, nb.mean, nb.invStd = nil, nil, nil, nil, nil
 	b.lastXHat = xhat
 	return out
 }
 
-// bnInferBody normalizes samples [nlo,nhi) with Eval-mode arithmetic,
+// bnInferBody normalizes channels [clo,chi) with Eval-mode arithmetic,
 // resolving each sample's statistics source independently.
 type bnInferBody struct {
 	b      *BatchNorm2D
 	x, out []float32
-	hw     int
+	n, hw  int
 }
 
-func (t *bnInferBody) Chunk(_, nlo, nhi int) {
+func (t *bnInferBody) Chunk(_, clo, chi int) {
 	b := t.b
-	for ni := nlo; ni < nhi; ni++ {
+	for ni := 0; ni < t.n; ni++ {
 		mean, varc := b.RunningMean.Data, b.RunningVar.Data
 		gamma, beta := b.Gamma.Value.Data, b.Beta.Value.Data
 		if b.sampleSrc != nil {
 			src := b.sampleSrc[ni]
 			mean, varc, gamma, beta = src.Mean, src.Var, src.Gamma, src.Beta
 		}
-		for c := 0; c < b.C; c++ {
+		for c := clo; c < chi; c++ {
 			base := (ni*b.C + c) * t.hw
 			is := float32(1.0 / math.Sqrt(float64(varc[c])+float64(b.Eps)))
 			tensor.BNAffineInto(t.out[base:base+t.hw], nil, t.x[base:base+t.hw], mean[c], is, gamma[c], beta[c])
@@ -351,12 +353,8 @@ func (b *BatchNorm2D) forwardInfer(x *tensor.Tensor, n, h, w int) *tensor.Tensor
 	out := b.inferOut.For(n, b.C, h, w)
 	b.lastXHat = nil // Backward after an Infer forward must panic
 	ib := &b.inferBody
-	*ib = bnInferBody{b: b, x: x.Data, out: out.Data, hw: hw}
-	if n >= 2 && n*b.C*hw >= bnParMin {
-		par.For(n, 1, ib)
-	} else {
-		ib.Chunk(0, 0, n)
-	}
+	*ib = bnInferBody{b: b, x: x.Data, out: out.Data, n: n, hw: hw}
+	b.forChannels(n*b.C*hw, ib)
 	ib.x, ib.out = nil, nil
 	return out
 }
@@ -482,11 +480,7 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	bw := &b.bwdBody
 	*bw = bnBwdBody{b: b, grad: grad.Data, dx: dx.Data, n: n, hw: hw, cnt: float32(n * hw), statsMom: statsMom}
-	if b.C >= 2 && n*b.C*hw >= bnParMin {
-		par.For(b.C, 1, bw)
-	} else {
-		bw.Chunk(0, 0, b.C)
-	}
+	b.forChannels(n*b.C*hw, bw)
 	bw.grad, bw.dx = nil, nil
 	return dx
 }

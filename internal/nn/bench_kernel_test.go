@@ -8,8 +8,8 @@ import (
 
 // Layer-level kernel benchmarks, meant for `-cpu 1,4` sweeps: where
 // the tensor-level benchmarks measure one pooled kernel in isolation,
-// these measure the sample-banded layer paths (forward, adapt step)
-// whose nested kernel calls share the same pool. `make bench-smoke`
+// these measure the layer paths (forward, adapt step), which walk the
+// batch on the caller while their kernels band on the pool. `make bench-smoke`
 // executes each once so they cannot rot.
 
 func benchConv() (*Conv2D, *tensor.Tensor) {
@@ -23,7 +23,7 @@ func benchConv() (*Conv2D, *tensor.Tensor) {
 
 func BenchmarkKernelConvInfer(b *testing.B) {
 	c, x := benchConv()
-	c.Forward(x, Infer) // grow scratch and shards outside the timer
+	c.Forward(x, Infer) // grow scratch and the kernels' lines outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

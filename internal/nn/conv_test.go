@@ -54,8 +54,7 @@ func sameF32(want, got []float32) int {
 // bit: the stride-1 kernel sizes the models use and larger ones, the
 // stride-2 3×3 entry, 1×1 shortcut and 7×7 stem, nn's gradcheck shape,
 // outputs one column wide and narrower than a vector, ±0 weights,
-// NaN/±Inf/−0 inputs, batches 1–4 with sample banding forced on at 1,
-// 2 and 4 procs, in Infer and Adapt with the weight frozen and in
+// NaN/±Inf/−0 inputs, batches 1–4 at 1, 2 and 4 procs, in Infer and Adapt with the weight frozen and in
 // Train with it trainable. A steady-state forward allocates nothing.
 func TestConvSlabFreeMatchesIm2Col(t *testing.T) {
 	sq := func(k, s, p int) tensor.ConvGeom { return tensor.ConvGeom{KH: k, KW: k, SH: s, SW: s, PH: p, PW: p} }
@@ -78,7 +77,6 @@ func TestConvSlabFreeMatchesIm2Col(t *testing.T) {
 		{3, 5, 18, 37, sq(7, 2, 3), false},
 		{3, 4, 7, 1, sq(3, 2, 1), false}, // ow 1
 	}
-	lowLayerGates(t)
 	rng := tensor.NewRNG(0x51ab)
 	negZero := math.Float32frombits(1 << 31)
 	modes := []struct {

@@ -65,11 +65,10 @@ func TestFrozenConvMatchesTrainable(t *testing.T) {
 		{"1x1", 8, 5, tensor.ConvGeom{KH: 1, KW: 1, SH: 1, SW: 1}, false, 7},
 		{"1x1 stride 2", 8, 5, tensor.ConvGeom{KH: 1, KW: 1, SH: 2, SW: 2}, true, 8},
 		// Past the tensor package's 1<<19-MAC gate, so at procs > 1 the
-		// two dX GEMMs themselves band (rows for one, possibly columns
-		// for the other).
+		// conv kernels band: ConvInto over output channels, ConvDXInto
+		// over input channels, ConvDWAcc over lowering rows.
 		{"3x3 above the GEMM gate", 16, 32, tensor.ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}, false, 12},
 	}
-	lowLayerGates(t) // n ≥ 2 crosses sample banding at procs > 1
 	for _, gm := range geoms {
 		for _, n := range []int{1, 3} {
 			for _, mode := range []Mode{Adapt, Train, Eval} {

@@ -8,10 +8,10 @@ import (
 
 // Linear is a fully-connected layer y = x·Wᵀ + b over [n, in] inputs.
 //
-// Unlike Conv2D/BatchNorm2D, Linear needs no sample banding of its
-// own: its forward is a single MatMulTBInto (Int8MatMulTBInto on the
-// int8 rung) and its backward a MatMulTAInto + MatMulInto, all of
-// which parallelize internally on the shared worker pool — the TB
+// Linear bands nothing itself: its forward is a single MatMulTBInto
+// (Int8MatMulTBInto on the int8 rung) and its backward a MatMulTAInto
+// + MatMulInto, all of which parallelize internally on the shared
+// worker pool — the TB
 // kernels band output features when the batch has fewer rows than
 // workers, so even a one-frame forward spreads across cores. The
 // remaining per-sample loops here (bias add, activation quantize) are

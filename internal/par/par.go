@@ -35,12 +35,13 @@
 //
 // Helpers are acquired best-effort from a shared free list: a For
 // call enlists up to Width-1 free workers and always executes at
-// least its own band inline, so nested parallel kernels (a
-// sample-parallel conv forward whose per-sample GEMM is itself
-// parallel) and concurrent board actors degrade gracefully toward
-// serial execution instead of deadlocking or oversubscribing — under
-// contention the inner call simply finds no free workers and runs
-// serially on its caller.
+// least its own band inline, so concurrent callers (serve workers
+// stepping their replicas, fleet board actors) whose kernels each
+// call For degrade gracefully toward serial execution instead of
+// deadlocking or oversubscribing — under contention a call simply
+// finds no free workers and runs serially on its caller. No layer
+// nests one For inside another's band: the layers walk their batch
+// on the caller and only the kernels band.
 package par
 
 import (
@@ -56,7 +57,7 @@ const MaxWorkers = 64
 // Body is one data-parallel loop body. Chunk processes items
 // [lo, hi); band is the index of the contiguous band within this For
 // call (0 ≤ band < Width(n, minPer)), stable for the duration of the
-// call — callers use it to select per-band scratch shards.
+// call — callers use it to select a band's private scratch line.
 type Body interface {
 	Chunk(band, lo, hi int)
 }
@@ -96,8 +97,8 @@ func worker(s *slot) {
 
 // Width reports the number of bands For would use for n items with at
 // least minPer items per band: min(n/minPer, GOMAXPROCS, MaxWorkers),
-// floored at 1. Layers size per-band scratch shards with it before
-// calling For, so shard growth happens on the warmup call and the
+// floored at 1. Kernels size their per-band lines with it before
+// calling For, so that growth happens on the warmup call and the
 // steady state allocates nothing.
 func Width(n, minPer int) int {
 	if minPer < 1 {

@@ -56,9 +56,10 @@ func (m *MemCheckpoints) Latest(stream int) ([]byte, bool, error) {
 }
 
 // FileCheckpoints is the file-backed CheckpointStore: one file per
-// stream under a directory, each Put written to a temp file and
-// renamed into place so a crash mid-write leaves the previous
-// checkpoint intact rather than a torn one.
+// stream under a directory, each Put written to a temp file, synced,
+// renamed into place and the directory synced, so a crash mid-write
+// leaves the previous checkpoint intact rather than a torn one, and a
+// Put that returned survives a power loss.
 type FileCheckpoints struct {
 	dir string
 }
@@ -77,7 +78,9 @@ func (f *FileCheckpoints) path(stream int) string {
 	return filepath.Join(f.dir, fmt.Sprintf("stream-%04d.ckpt", stream))
 }
 
-// Put implements CheckpointStore (atomic via temp + rename).
+// Put implements CheckpointStore (atomic via temp + rename). The temp
+// file's bytes reach the disk before the rename can expose them, and
+// the rename itself before Put returns.
 func (f *FileCheckpoints) Put(stream int, data []byte) error {
 	tmp, err := os.CreateTemp(f.dir, fmt.Sprintf("stream-%04d-*.tmp", stream))
 	if err != nil {
@@ -89,6 +92,11 @@ func (f *FileCheckpoints) Put(stream int, data []byte) error {
 		os.Remove(name)
 		return fmt.Errorf("serve: checkpoint write: %w", err)
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		os.Remove(name)
+		return fmt.Errorf("serve: checkpoint sync: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(name)
 		return fmt.Errorf("serve: checkpoint close: %w", err)
@@ -96,6 +104,17 @@ func (f *FileCheckpoints) Put(stream int, data []byte) error {
 	if err := os.Rename(name, f.path(stream)); err != nil {
 		os.Remove(name)
 		return fmt.Errorf("serve: checkpoint rename: %w", err)
+	}
+	dir, err := os.Open(f.dir)
+	if err != nil {
+		return fmt.Errorf("serve: checkpoint dir sync: %w", err)
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("serve: checkpoint dir sync: %w", err)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -314,9 +315,11 @@ func TestCheckpointDecodeErrors(t *testing.T) {
 }
 
 // TestCheckpointStores pins the two store implementations: latest-wins
-// semantics, missing-stream misses, and defensive copying.
+// semantics, missing-stream misses, and defensive copying; the file
+// store leaves no temp file behind.
 func TestCheckpointStores(t *testing.T) {
-	file, err := NewFileCheckpoints(t.TempDir())
+	dir := t.TempDir()
+	file, err := NewFileCheckpoints(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,5 +347,8 @@ func TestCheckpointStores(t *testing.T) {
 		if _, ok, _ := store.Latest(4); ok {
 			t.Fatalf("%s: hit for a never-checkpointed stream", name)
 		}
+	}
+	if tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp")); err != nil || len(tmps) != 0 {
+		t.Fatalf("file: temp files left after two Puts: %v (%v)", tmps, err)
 	}
 }

@@ -8,11 +8,11 @@ import (
 
 // ConvPlane is the reusable state of ConvInto for one caller: the
 // zero-padded input held as its SH×SW row/column-parity planes, the
-// offset table into them and one output channel's row over the grid.
-// The halo and the table depend only on the input shape and geometry,
-// so they are built when that changes and reused otherwise; a
-// steady-state call allocates nothing. A ConvPlane must not be shared
-// by concurrent calls.
+// offset table into them and one row over the grid per band. The halo
+// and the table depend only on the input shape and geometry, so they
+// are built when that changes and reused otherwise; the rows grow to
+// the most bands seen, so a steady-state call allocates nothing. A
+// ConvPlane must not be shared by concurrent calls.
 type ConvPlane struct {
 	// plane holds parity plane (ci, ry, rx) — padded rows ry, ry+SH, …
 	// and columns rx, rx+SW, … of channel ci, hq × wq — at
@@ -22,7 +22,8 @@ type ConvPlane struct {
 	// is the one padded plane [c, h+2PH, w+2PW].
 	plane   []float32
 	off     []int     // off[(ci·KH+ky)·KW+kx]: where tap (ci,ky,kx) reads output (0,0)
-	row     []float32 // one channel over the grid, in whole row-kernel tiles
+	rows    []float32 // band b's grid row is rows[b·cols : (b+1)·cols]
+	cols    int       // one output channel over the grid, in whole row-kernel tiles
 	direct  bool      // stride 1, unpadded and one column wide (a 1×1): x is the grid, no plane or row
 	hq, wq  int       // one parity plane's rows and columns
 	c, h, w int
@@ -54,8 +55,11 @@ const convTile = 32
 // from the next plane, or from zero slack after the last), are
 // computed and dropped when the ow valid columns of each line are
 // copied out. A stride-1 conv one column wide and unpadded, a 1×1,
-// reads x itself and writes its rows straight into out. It runs
-// serially on the caller.
+// reads x itself and writes its rows straight into out. The planes
+// are filled serially; the output channels are then banded over the
+// worker pool behind the GEMM gate, each band writing its own
+// channels from its own grid row, so no element's sum depends on the
+// band count.
 func ConvInto(out, wm, x *Tensor, g ConvGeom, s *ConvPlane) {
 	if x.NDim() != 4 || x.shape[0] != 1 {
 		panic(fmt.Sprintf("tensor: ConvInto needs one [1,c,h,w] sample, got %v", x.shape))
@@ -67,18 +71,53 @@ func ConvInto(out, wm, x *Tensor, g ConvGeom, s *ConvPlane) {
 		panic(fmt.Sprintf("tensor: ConvInto %v = %v ⊛ %v, want [m,%d] weights and a [m,%d] dst", out.shape, wm.shape, x.shape, K, hw))
 	}
 	s.reshape(c, h, w, g)
-	if s.direct {
-		for oc := 0; oc < out.shape[0]; oc++ {
-			gemmRowOff(out.Data[oc*hw:(oc+1)*hw], wm.Data[oc*K:(oc+1)*K], s.off, x.Data)
-		}
+	src := x.Data
+	if !s.direct {
+		s.fill(x.Data)
+		src = s.plane
+	}
+	outC := out.shape[0]
+	if K*outC*hw < matmulParMin {
+		s.rows = resize(s.rows, s.cols)
+		s.chans(out.Data, wm.Data, src, s.rows, oh, ow, 0, outC)
 		return
 	}
-	s.fill(x.Data)
-	for oc := 0; oc < out.shape[0]; oc++ {
-		gemmRowOff(s.row, wm.Data[oc*K:(oc+1)*K], s.off, s.plane)
-		dst := out.Data[oc*hw : (oc+1)*hw]
+	s.rows = resize(s.rows, par.Width(outC, 1)*s.cols)
+	t := convCache.Get()
+	*t = convTask{s: s, out: out.Data, wm: wm.Data, src: src, oh: oh, ow: ow}
+	par.For(outC, 1, t)
+	t.s, t.out, t.wm, t.src = nil, nil, nil, nil
+	convCache.Put(t)
+}
+
+// convTask is the pooled argument block for ConvInto, banded over
+// output channels: band b writes its channels of out through grid row
+// b and only reads the planes and the offset table.
+type convTask struct {
+	s            *ConvPlane
+	out, wm, src []float32
+	oh, ow       int
+}
+
+func (t *convTask) Chunk(band, lo, hi int) {
+	t.s.chans(t.out, t.wm, t.src, t.s.rows[band*t.s.cols:(band+1)*t.s.cols], t.oh, t.ow, lo, hi)
+}
+
+var convCache par.Cache[convTask]
+
+// chans computes output channels [lo,hi) from src, the filled planes
+// (through row, one grid row) or, on the direct path, x itself.
+func (s *ConvPlane) chans(out, wm, src, row []float32, oh, ow, lo, hi int) {
+	K, hw := len(s.off), oh*ow
+	for oc := lo; oc < hi; oc++ {
+		dst := out[oc*hw : (oc+1)*hw]
+		if s.direct {
+			gemmRowOff(dst, wm[oc*K:(oc+1)*K], s.off, src)
+			continue
+		}
+		gemmRowOff(row, wm[oc*K:(oc+1)*K], s.off, src)
 		for oy := 0; oy < oh; oy++ {
-			copy(dst[oy*ow:(oy+1)*ow], s.row[oy*s.wq:oy*s.wq+ow])
+			copy(dst[oy*ow:(oy+1)*ow], row[oy*s.wq:oy*s.wq+ow])
 		}
 	}
 }
@@ -117,8 +156,8 @@ func (s *ConvPlane) fill(x []float32) {
 	}
 }
 
-// reshape rebuilds the halo, the offset table and the row buffer when
-// the input shape or geometry differs from the last call's. A parity
+// reshape rebuilds the halo, the offset table and the grid row's length
+// when the input shape or geometry differs from the last call's. A parity
 // plane has the oh + (KH−1)/SH rows and ow + (KW−1)/SW columns its
 // taps read. The buffer is sized from the largest offset plus the
 // rounded grid, not from the last tap's offset (a later tap can sit in
@@ -147,11 +186,11 @@ func (s *ConvPlane) reshape(c, h, w int, g ConvGeom) {
 			}
 		}
 	}
+	s.cols = 0
 	if !s.direct {
 		grid := (oh-1)*s.wq + ow
-		cols := (grid + convTile - 1) / convTile * convTile
-		s.row = resize(s.row, cols)
-		s.plane = resize(s.plane, max(c*nry*nrx*s.hq*s.wq, maxOff+cols))
+		s.cols = (grid + convTile - 1) / convTile * convTile
+		s.plane = resize(s.plane, max(c*nry*nrx*s.hq*s.wq, maxOff+s.cols))
 		clear(s.plane)
 	}
 }

@@ -45,12 +45,15 @@ func convShapes() []lowerShape {
 
 // TestConvS1MatchesIm2Col holds the plane convolution to im2col +
 // MatMulInto bit for bit on every geometry, at every stride, with ±0
-// weights and NaN, ±Inf and −0 inputs, one ConvPlane reused across
-// every shape (so each change of shape rebuilds the halo and tables,
-// and a repeat does not).
+// weights and NaN, ±Inf and −0 inputs, serially and banded over output
+// channels at 1, 2 and 4 procs with the gate lowered, one ConvPlane
+// reused across every shape (so each change of shape rebuilds the halo
+// and tables, and a repeat does not).
 func TestConvS1MatchesIm2Col(t *testing.T) {
 	rng := NewRNG(0xc5a1)
 	var s ConvPlane
+	pm := matmulParMin
+	t.Cleanup(func() { matmulParMin = pm })
 	negZero := math.Float32frombits(1 << 31)
 	for rep := 0; rep < 2; rep++ {
 		for _, sh := range convShapes() {
@@ -68,14 +71,22 @@ func TestConvS1MatchesIm2Col(t *testing.T) {
 				x.Data[len(x.Data)-1] = float32(math.Inf(1))
 				x.Data[len(x.Data)/2] = float32(math.Inf(-1))
 			}
+			matmulParMin = math.MaxInt
 			cols := New(K, oh*ow)
 			Im2ColInto(cols, x, g)
 			want := New(outC, oh*ow)
 			MatMulInto(want, wm, cols)
-			got := Full(float32(math.NaN()), outC, oh*ow)
-			ConvInto(got, wm, x, g, &s)
-			if i := sameBits(want.Data, got.Data); i >= 0 {
-				t.Fatalf("rep %d %+v: element %d is %v, im2col gives %v", rep, sh, i, got.Data[i], want.Data[i])
+			run := func(how string) {
+				got := Full(float32(math.NaN()), outC, oh*ow)
+				ConvInto(got, wm, x, g, &s)
+				if i := sameBits(want.Data, got.Data); i >= 0 {
+					t.Fatalf("rep %d %+v %s: element %d is %v, im2col gives %v", rep, sh, how, i, got.Data[i], want.Data[i])
+				}
+			}
+			run("serial")
+			matmulParMin = 1
+			for _, procs := range []int{1, 2, 4} {
+				withMaxProcs(t, procs, func() { run(fmt.Sprintf("banded at %d procs", procs)) })
 			}
 		}
 	}

@@ -91,7 +91,7 @@ func TestInferForwardAllocationFreeParallel(t *testing.T) {
 	measure := func(name string, f func()) {
 		t.Helper()
 		for i := 0; i < 5; i++ {
-			f() // warmup: grow scratch, shards, pooled task blocks, workers
+			f() // warmup: grow scratch, per-band lines, pooled task blocks, workers
 		}
 		const windows, runs = 8, 10
 		quietest := math.Inf(1)

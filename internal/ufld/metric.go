@@ -3,7 +3,6 @@ package ufld
 import (
 	"math"
 
-	"ldbnadapt/internal/nn"
 	"ldbnadapt/internal/tensor"
 )
 
@@ -54,8 +53,9 @@ type EvalResult struct {
 	Samples int
 }
 
-// Evaluate runs the model in Eval mode over the whole dataset in
-// batches and returns accuracy plus mean prediction entropy.
+// Evaluate runs the model over the whole dataset in batches through
+// ForwardInfer, bitwise an Eval forward without its backward caches,
+// and returns accuracy plus mean prediction entropy.
 func Evaluate(m *Model, ds *Dataset, batchSize int) EvalResult {
 	if batchSize < 1 {
 		batchSize = 1
@@ -73,7 +73,7 @@ func Evaluate(m *Model, ds *Dataset, batchSize int) EvalResult {
 			idx[i] = lo + i
 		}
 		x := Images(m.Cfg, ds.Samples, idx)
-		logits := m.Forward(x, nn.Eval)
+		logits := m.ForwardInfer(x)
 		preds := Decode(m.Cfg, logits, len(idx))
 		// Accumulate weighted by ground-truth point count so batches
 		// combine exactly.

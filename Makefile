@@ -9,8 +9,9 @@
 #                seed is printed; -shuffle=<seed> replays it)
 #   make purego  the kernel packages again with -tags purego (the amd64
 #                assembly in internal/tensor — gemm_amd64.s and
-#                elem_amd64.s, both tiers: AVX2 and the row kernels'
-#                AVX-512 — compiled out, so the Go kernels — the
+#                elem_amd64.s, both tiers: AVX2, and AVX-512 for the
+#                row kernels and the conv weight gradient's lane
+#                kernel — compiled out, so the Go kernels — the
 #                spec — carry tensor, nn, resnet and ufld on their
 #                own; nn and resnet call the elementwise kernels
 #                directly), plus vet of internal/tensor under that tag

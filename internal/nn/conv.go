@@ -11,8 +11,8 @@ import (
 // its zero-padded parity planes (tensor.ConvInto), bitwise im2col
 // followed by a matrix product, and builds no lowering; InferInt8
 // lowers in int8 and multiplies in int32. Neither half of the backward
-// builds a column matrix: dW re-lowers the forward's input one row at
-// a time (tensor.ConvDWAcc), and dX computes Wᵀ·g one column row at a
+// builds a column matrix: dW re-lowers the forward's input four rows
+// at a time (tensor.ConvDWAcc), and dX computes Wᵀ·g one column row at a
 // time and scatters each row into dX at once (tensor.ConvDXInto). So a
 // Backward re-reads the input its forward was given, and that input
 // must stay unchanged until Backward. Forward and Backward walk the
@@ -220,7 +220,7 @@ func (c *Conv2D) InvalidateWeightCaches() { c.wqOK, c.wtOK = false, false }
 // Backward. It walks the batch in sample order: dW accumulates across
 // samples in that order (its per-element order is part of the bitwise
 // contract), tensor.ConvDWAcc re-lowering each sample of the forward's
-// input, which must still hold what that forward read, one row at a
+// input, which must still hold what that forward read, four rows at a
 // time; each sample's dX is one tensor.ConvDXInto over the transposed
 // weight. No K×oh·ow column matrix exists in either. A trainable and a
 // frozen weight take the same dX kernel; the trainable one only

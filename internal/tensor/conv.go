@@ -302,26 +302,36 @@ func convDXChans(dx, wt, g, tail, line []float32, outC, c, h, w, oh, ow int, geo
 	}
 }
 
-// ConvDWLines is the reusable state of ConvDWAcc for one caller: one
-// lowering row per band, grown to the largest call seen and reused, so
-// a steady-state call allocates nothing. A ConvDWLines must not be
-// shared by concurrent calls.
+// ConvDWLines is the reusable state of ConvDWAcc for one caller: the
+// sample's gradient transposed to [oh·ow, L], L = outC rounded up to
+// whole 8-lane blocks with the lanes past outC zero, and per band
+// dwRows lowering rows and their lane chains. All three grow to the
+// largest call seen and are reused, so a steady-state call allocates
+// nothing. A ConvDWLines must not be shared by concurrent calls.
 type ConvDWLines struct {
-	lines []float32 // band b's line is lines[b·oh·ow : (b+1)·oh·ow]
+	gt    []float32 // gt[j·L + oc] = g[oc, j]
+	lines []float32 // band b's rows are lines[b·dwRows·oh·ow : (b+1)·dwRows·oh·ow]
+	acc   []float32 // band b's chains are acc[b·dwRows·L : (b+1)·dwRows·L]
 }
 
+// dwRows is how many lowering rows one pass of the lane kernel takes:
+// they share its loads of the transposed gradient.
+const dwRows = 4
+
 // convDWTask is the pooled argument block for ConvDWAcc, banded over
-// the lowering's rows: band b owns dW's columns [lo,hi) and line b.
+// the lowering's rows: band b owns dW's columns [lo,hi), its rows and
+// its chains, and only reads the transposed gradient.
 type convDWTask struct {
-	dw, g, x, lines []float32
-	outC, c, h, w   int
-	oh, ow          int
-	geom            ConvGeom
+	s       *ConvDWLines
+	dw, x   []float32
+	outC, L int
+	c, h, w int
+	oh, ow  int
+	geom    ConvGeom
 }
 
 func (t *convDWTask) Chunk(band, lo, hi int) {
-	hw := t.oh * t.ow
-	convDWRows(t.dw, t.g, t.x, t.lines[band*hw:(band+1)*hw], t.outC, t.c, t.h, t.w, t.oh, t.ow, t.geom, lo, hi)
+	convDWBand(t.dw, t.x, t.s, band, t.outC, t.L, t.c, t.h, t.w, t.oh, t.ow, t.geom, lo, hi)
 }
 
 var convDWCache par.Cache[convDWTask]
@@ -329,14 +339,17 @@ var convDWCache par.Cache[convDWTask]
 // ConvDWAcc accumulates one sample's convolution weight gradient,
 // dw += g·cols(x)ᵀ, without the K × oh·ow lowering between the two.
 // dw is [outC, c·KH·KW], g is the output gradient [outC, oh·ow] and x
-// is the sample's input [1, c, h, w]; any stride and padding. Row p of
-// the lowering is built into a line by Im2ColInto's own row body, and
-// each dw[oc, p] gains the same 4-way dot product a·bᵀ's kernel takes
-// of g's row oc and that line, so the result is bitwise Im2ColInto,
-// MatMulTBInto and an elementwise add. The rows are banded over the
-// worker pool behind the GEMM gate; each band owns its dw columns and
-// its line, so no element's sum depends on the band count. A batch
-// calls it once per sample, in sample order.
+// is the sample's input [1, c, h, w]; any stride and padding. g is
+// transposed once per call so that its oh·ow positions are rows of
+// output-channel lanes. Row p of the lowering is built by Im2ColInto's
+// own row body, dwRows rows at a time, and the lane kernel (dwLanes)
+// advances one chain per output channel over the row's positions in
+// dotUnroll4's order: each dw[oc, p] gains exactly the dot product
+// MatMulTBInto takes of g's row oc and that row, so the result is
+// bitwise Im2ColInto, MatMulTBInto and an elementwise add. The rows
+// are banded over the worker pool behind the GEMM gate; each band
+// owns its dw columns, rows and chains, so no element's sum depends on
+// the band count. A batch calls it once per sample, in sample order.
 func ConvDWAcc(dw, g, x *Tensor, geom ConvGeom, s *ConvDWLines) {
 	if x.NDim() != 4 || x.shape[0] != 1 {
 		panic(fmt.Sprintf("tensor: ConvDWAcc needs one [1,c,h,w] sample, got %v", x.shape))
@@ -348,28 +361,102 @@ func ConvDWAcc(dw, g, x *Tensor, geom ConvGeom, s *ConvDWLines) {
 		panic(fmt.Sprintf("tensor: ConvDWAcc %v += %v · cols(%v)ᵀ, want an [m,%d] gradient and an [m,%d] dst", dw.shape, g.shape, x.shape, hw, K))
 	}
 	outC := dw.shape[0]
-	if K*outC*hw < matmulParMin {
-		s.lines = resize(s.lines, hw)
-		convDWRows(dw.Data, g.Data, x.Data, s.lines, outC, c, h, w, oh, ow, geom, 0, K)
+	L := (outC + 7) &^ 7
+	s.gt = resize(s.gt, hw*L)
+	transposeLanes(s.gt, g.Data, outC, hw, L)
+	bands := 1
+	if K*outC*hw >= matmulParMin {
+		bands = par.Width(K, 1)
+	}
+	s.lines = resize(s.lines, bands*dwRows*hw)
+	s.acc = resize(s.acc, bands*dwRows*L)
+	if bands == 1 {
+		convDWBand(dw.Data, x.Data, s, 0, outC, L, c, h, w, oh, ow, geom, 0, K)
 		return
 	}
-	s.lines = resize(s.lines, par.Width(K, 1)*hw)
 	t := convDWCache.Get()
-	*t = convDWTask{dw: dw.Data, g: g.Data, x: x.Data, lines: s.lines,
-		outC: outC, c: c, h: h, w: w, oh: oh, ow: ow, geom: geom}
+	*t = convDWTask{s: s, dw: dw.Data, x: x.Data, outC: outC, L: L, c: c, h: h, w: w, oh: oh, ow: ow, geom: geom}
 	par.For(K, 1, t)
-	t.dw, t.g, t.x, t.lines = nil, nil, nil, nil
+	t.s, t.dw, t.x = nil, nil, nil
 	convDWCache.Put(t)
 }
 
-// convDWRows lowers rows [lo,hi) of one sample into line, one at a
-// time, and adds each row's products with g into its column of dw.
-func convDWRows(dw, g, x, line []float32, outC, c, h, w, oh, ow int, geom ConvGeom, lo, hi int) {
-	K, hw := c*geom.KH*geom.KW, oh*ow
-	for p := lo; p < hi; p++ {
-		im2colRow(line, x, 1, c, h, w, oh, ow, geom, p)
+// transposeLanes writes g [outC, hw] into gt [hw, L] with the lanes
+// past outC zero, four positions per pass over g's rows.
+func transposeLanes(gt, g []float32, outC, hw, L int) {
+	j := 0
+	for ; j+4 <= hw; j += 4 {
+		t0 := gt[j*L : (j+1)*L]
+		t1 := gt[(j+1)*L : (j+2)*L][:len(t0)]
+		t2 := gt[(j+2)*L : (j+3)*L][:len(t0)]
+		t3 := gt[(j+3)*L : (j+4)*L][:len(t0)]
 		for oc := 0; oc < outC; oc++ {
-			dw[oc*K+p] += dotUnroll4(g[oc*hw:(oc+1)*hw], line, hw)
+			src := g[oc*hw+j : oc*hw+j+4]
+			t0[oc], t1[oc], t2[oc], t3[oc] = src[0], src[1], src[2], src[3]
+		}
+		for oc := outC; oc < L; oc++ {
+			t0[oc], t1[oc], t2[oc], t3[oc] = 0, 0, 0, 0
+		}
+	}
+	for ; j < hw; j++ {
+		row := gt[j*L : (j+1)*L]
+		for oc := 0; oc < outC; oc++ {
+			row[oc] = g[oc*hw+j]
+		}
+		clear(row[outC:])
+	}
+}
+
+// convDWBand lowers rows [lo,hi) of one sample into band b's rows,
+// dwRows at a time, runs the lane kernel over them and adds each row's
+// chains into its column of dw.
+func convDWBand(dw, x []float32, s *ConvDWLines, b, outC, L, c, h, w, oh, ow int, geom ConvGeom, lo, hi int) {
+	K, hw := c*geom.KH*geom.KW, oh*ow
+	lines := s.lines[b*dwRows*hw : (b+1)*dwRows*hw]
+	acc := s.acc[b*dwRows*L : (b+1)*dwRows*L]
+	for p0 := lo; p0 < hi; p0 += dwRows {
+		nr := min(dwRows, hi-p0)
+		for r := 0; r < nr; r++ {
+			im2colRow(lines[r*hw:(r+1)*hw], x, 1, c, h, w, oh, ow, geom, p0+r)
+		}
+		dwLanes(acc[:nr*L], s.gt, lines[:nr*hw], hw, L, nr)
+		for r := 0; r < nr; r++ {
+			for oc, v := range acc[r*L : r*L+outC] {
+				dw[oc*K+p0+r] += v
+			}
+		}
+	}
+}
+
+// dwLanesGo is the lane kernel's spec. For each of nr rows of lines
+// (hw apart) it sets acc[r·L + oc] to the dot product of that row with
+// lane oc of gt ([hw, L]), for every lane: one chain per lane, from
+// +0, gaining ((g₀l₀ + g₁l₁) + g₂l₂) + g₃l₃ per four positions and one
+// product per leftover position — dotUnroll4's expression, lane by
+// lane, so each chain is bitwise dotUnroll4 of the lane's column and
+// the row. The assembly tiers run eight or sixteen lanes per vector.
+func dwLanesGo(acc, gt, lines []float32, hw, L, nr int) {
+	for r := 0; r < nr; r++ {
+		a := acc[r*L : (r+1)*L]
+		l := lines[r*hw : (r+1)*hw]
+		clear(a)
+		j := 0
+		for ; j+4 <= hw; j += 4 {
+			g0 := gt[j*L : (j+1)*L][:len(a)]
+			g1 := gt[(j+1)*L : (j+2)*L][:len(a)]
+			g2 := gt[(j+2)*L : (j+3)*L][:len(a)]
+			g3 := gt[(j+3)*L : (j+4)*L][:len(a)]
+			l0, l1, l2, l3 := l[j], l[j+1], l[j+2], l[j+3]
+			for oc := range a {
+				a[oc] += g0[oc]*l0 + g1[oc]*l1 + g2[oc]*l2 + g3[oc]*l3
+			}
+		}
+		for ; j < hw; j++ {
+			gj := gt[j*L : (j+1)*L][:len(a)]
+			lj := l[j]
+			for oc := range a {
+				a[oc] += gj[oc] * lj
+			}
 		}
 	}
 }

@@ -48,18 +48,34 @@ func convShapes() []lowerShape {
 // weights and NaN, ±Inf and −0 inputs, serially and banded over output
 // channels at 1, 2 and 4 procs with the gate lowered, one ConvPlane
 // reused across every shape (so each change of shape rebuilds the halo
-// and tables, and a repeat does not).
+// and tables, and a repeat does not). Every geometry runs 5 output
+// channels; the last two cases run 32 over a 48×120 input at strides 1
+// and 2, so that each band computes long enough for the bands to
+// overlap in time and a band reading or writing another's grid row
+// shows in a plain run.
 func TestConvS1MatchesIm2Col(t *testing.T) {
 	rng := NewRNG(0xc5a1)
 	var s ConvPlane
 	pm := matmulParMin
 	t.Cleanup(func() { matmulParMin = pm })
 	negZero := math.Float32frombits(1 << 31)
+	type convCase struct {
+		sh   lowerShape
+		outC int
+	}
+	var cases []convCase
+	for _, sh := range convShapes() {
+		cases = append(cases, convCase{sh, 5})
+	}
+	cases = append(cases,
+		convCase{lowerShape{1, 4, 48, 120, ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}}, 32},
+		convCase{lowerShape{1, 4, 48, 120, ConvGeom{KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1}}, 32})
 	for rep := 0; rep < 2; rep++ {
-		for _, sh := range convShapes() {
+		for _, cc := range cases {
+			sh, outC := cc.sh, cc.outC
 			g := sh.g
 			oh, ow := g.OutSize(sh.h, sh.w)
-			K, outC := sh.c*g.KH*g.KW, 5
+			K := sh.c * g.KH * g.KW
 			x := New(1, sh.c, sh.h, sh.w)
 			wm := New(outC, K)
 			rng.FillUniform(x, -2, 2)
@@ -169,62 +185,152 @@ func TestConvDXMatchesCol2Im(t *testing.T) {
 	}
 }
 
-// TestConvDWAccMatchesIm2Col holds the row-at-a-time weight gradient
-// to Im2ColInto + MatMulTBInto + an elementwise add bit for bit,
-// accumulated over three samples into one dW on every geometry: ±0
-// and NaN/±Inf in the gradient and the input, serially and banded
-// over the lowering's rows at 1, 2 and 4 procs with the gate lowered,
-// one ConvDWLines reused across every shape.
+// TestConvDWAccMatchesIm2Col holds the lane weight gradient to
+// Im2ColInto + MatMulTBInto + an elementwise add bit for bit,
+// accumulated over three samples into one dW on every geometry at
+// outC 5, 6, 12, 13 and 24 (none a whole number of 16-lane blocks, and
+// all but 24 ragged at 8): ±0 and NaN/±Inf in the gradient and the
+// input, serially and banded over the lowering's rows at 1, 2 and 4
+// procs with the gate lowered, one ConvDWLines reused across every
+// shape.
 func TestConvDWAccMatchesIm2Col(t *testing.T) {
 	rng := NewRNG(0xd3a1)
 	var s ConvDWLines
 	pm := matmulParMin
 	t.Cleanup(func() { matmulParMin = pm })
-	negZero := math.Float32frombits(1 << 31)
 	for rep := 0; rep < 2; rep++ {
 		for _, sh := range convDXShapes() {
-			g := sh.g
-			oh, ow := g.OutSize(sh.h, sh.w)
-			K, outC, hw := sh.c*g.KH*g.KW, 5, oh*ow
-			xs, gs := make([]*Tensor, 3), make([]*Tensor, 3)
-			for i := range xs {
-				xs[i], gs[i] = New(1, sh.c, sh.h, sh.w), New(outC, hw)
-				rng.FillUniform(xs[i], -2, 2)
-				rng.FillUniform(gs[i], -2, 2)
-				sprinkleZeros(gs[i].Data)
-				xs[i].Data[len(xs[i].Data)/3] = negZero
-			}
-			if rep == 1 {
-				xs[1].Data[0] = float32(math.NaN())
-				xs[2].Data[len(xs[2].Data)-1] = float32(math.Inf(1))
-				gs[0].Data[len(gs[0].Data)/2] = float32(math.Inf(-1))
-			}
-			init := New(outC, K)
-			rng.FillUniform(init, -1, 1)
-			matmulParMin = math.MaxInt
-			want := init.Clone()
-			cols, prod := New(K, hw), New(outC, K)
-			for i := range xs {
-				Im2ColInto(cols, xs[i], g)
-				MatMulTBInto(prod, gs[i], cols)
-				for j, v := range prod.Data {
-					want.Data[j] += v
-				}
-			}
-			run := func(how string) {
-				got := init.Clone()
-				for i := range xs {
-					ConvDWAcc(got, gs[i], xs[i], g, &s)
-				}
-				if i := sameBits(want.Data, got.Data); i >= 0 {
-					t.Fatalf("rep %d %+v %s: element %d is %v, im2col gives %v", rep, sh, how, i, got.Data[i], want.Data[i])
-				}
-			}
-			run("serial")
-			matmulParMin = 1
-			for _, procs := range []int{1, 2, 4} {
-				withMaxProcs(t, procs, func() { run(fmt.Sprintf("banded at %d procs", procs)) })
+			for _, outC := range []int{5, 6, 12, 13, 24} {
+				checkConvDWAcc(t, rng, &s, sh, outC, rep == 1)
 			}
 		}
+	}
+}
+
+// checkConvDWAcc is one case of TestConvDWAccMatchesIm2Col; nonFinite
+// adds the NaN and ±Inf operands.
+func checkConvDWAcc(t *testing.T, rng *RNG, s *ConvDWLines, sh lowerShape, outC int, nonFinite bool) {
+	g := sh.g
+	oh, ow := g.OutSize(sh.h, sh.w)
+	K, hw := sh.c*g.KH*g.KW, oh*ow
+	xs, gs := make([]*Tensor, 3), make([]*Tensor, 3)
+	for i := range xs {
+		xs[i], gs[i] = New(1, sh.c, sh.h, sh.w), New(outC, hw)
+		rng.FillUniform(xs[i], -2, 2)
+		rng.FillUniform(gs[i], -2, 2)
+		sprinkleZeros(gs[i].Data)
+		xs[i].Data[len(xs[i].Data)/3] = math.Float32frombits(1 << 31) // −0
+	}
+	if nonFinite {
+		xs[1].Data[0] = float32(math.NaN())
+		xs[2].Data[len(xs[2].Data)-1] = float32(math.Inf(1))
+		gs[0].Data[len(gs[0].Data)/2] = float32(math.Inf(-1))
+	}
+	init := New(outC, K)
+	rng.FillUniform(init, -1, 1)
+	matmulParMin = math.MaxInt
+	want := init.Clone()
+	cols, prod := New(K, hw), New(outC, K)
+	for i := range xs {
+		Im2ColInto(cols, xs[i], g)
+		MatMulTBInto(prod, gs[i], cols)
+		for j, v := range prod.Data {
+			want.Data[j] += v
+		}
+	}
+	run := func(how string) {
+		got := init.Clone()
+		for i := range xs {
+			ConvDWAcc(got, gs[i], xs[i], g, s)
+		}
+		if i := sameBits(want.Data, got.Data); i >= 0 {
+			t.Fatalf("%+v outC %d non-finite %v %s: element %d is %v, im2col gives %v", sh, outC, nonFinite, how, i, got.Data[i], want.Data[i])
+		}
+	}
+	run("serial")
+	matmulParMin = 1
+	for _, procs := range []int{1, 2, 4} {
+		withMaxProcs(t, procs, func() { run(fmt.Sprintf("banded at %d procs", procs)) })
+	}
+}
+
+// TestConvDWLanesMatchesGo holds the weight gradient's lane kernel to
+// dotUnroll4, the dot product MatMulTBInto takes: the Go twin, then
+// each assembly tier (AVX2 alone, and with the AVX-512 tier's 16-lane
+// prefix). Every outC in 1..17, 24 and 48 is rounded up to whole
+// 8-lane blocks as ConvDWAcc rounds it, so each mix of ZMM blocks, a
+// YMM block and zero padding lanes occurs; every hw in 1..9 (each
+// remainder mod 4, with and without whole groups), 37 and 360;
+// 1..6 rows per call (a four-row pass, then single rows); ±0 runs and
+// NaN, ±Inf and −0 in both the gradient and the rows. Padding lanes
+// are written but not compared; nothing outside acc is written.
+func TestConvDWLanesMatchesGo(t *testing.T) {
+	t.Run("go", func(t *testing.T) { checkDWLanes(t, dwLanesGo) })
+	eachTier(t, func(t *testing.T) { checkDWLanes(t, dwLanes) })
+}
+
+func checkDWLanes(t *testing.T, lanes func(acc, gt, lines []float32, hw, L, nr int)) {
+	rng := NewRNG(0xd1a5)
+	negZero := math.Float32frombits(1 << 31)
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), negZero, 0}
+	outCs := []int{24, 48}
+	for outC := 1; outC <= 17; outC++ {
+		outCs = append(outCs, outC)
+	}
+	hws := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 37, 360}
+	nans, total, cases := 0, 0, 0
+	for _, outC := range outCs {
+		L := (outC + 7) &^ 7
+		for _, hw := range hws {
+			for nr := 1; nr <= 6; nr++ {
+				cases++
+				g := make([]float32, outC*hw)
+				lines := make([]float32, nr*hw)
+				for i := range g {
+					g[i] = float32(rng.Range(-2, 2))
+				}
+				for i := range lines {
+					lines[i] = float32(rng.Range(-2, 2))
+				}
+				sprinkleZeros(g)
+				sprinkleZeros(lines)
+				if cases%3 != 0 {
+					g[(7*cases)%len(g)] = specials[cases%len(specials)]
+					lines[(5*cases)%len(lines)] = specials[(cases/3)%len(specials)]
+				}
+				gt := make([]float32, hw*L)
+				for oc := 0; oc < outC; oc++ {
+					for j := 0; j < hw; j++ {
+						gt[j*L+oc] = g[oc*hw+j]
+					}
+				}
+				want := make([]float32, nr*outC)
+				for r := 0; r < nr; r++ {
+					for oc := 0; oc < outC; oc++ {
+						want[r*outC+oc] = dotUnroll4(g[oc*hw:(oc+1)*hw], lines[r*hw:(r+1)*hw], hw)
+					}
+				}
+				got, intact := framed(cases%8, nr*L)
+				lanes(got.Data, gt, lines, hw, L, nr)
+				for r := 0; r < nr; r++ {
+					if i := sameBits(want[r*outC:(r+1)*outC], got.Data[r*L:r*L+outC]); i >= 0 {
+						t.Fatalf("outC=%d hw=%d nr=%d: row %d lane %d is %v, dotUnroll4 gives %v",
+							outC, hw, nr, r, i, got.Data[r*L+i], want[r*outC+i])
+					}
+				}
+				if !intact() {
+					t.Fatalf("outC=%d hw=%d nr=%d: wrote outside acc", outC, hw, nr)
+				}
+				for _, v := range want {
+					if v != v {
+						nans++
+					}
+				}
+				total += len(want)
+			}
+		}
+	}
+	if nans == 0 || nans == total {
+		t.Fatalf("fixture is not discriminating: %d of %d chains are NaN", nans, total)
 	}
 }

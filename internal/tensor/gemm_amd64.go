@@ -2,6 +2,8 @@
 
 package tensor
 
+import "fmt"
+
 // useAVX2 selects the assembly kernels in gemm_amd64.s over the Go
 // ones. They are bitwise interchangeable (see README.md), so this is
 // a property of the machine, decided once at init; the bitwise tests
@@ -40,6 +42,12 @@ func gemmRowAVX512(dst, a, b *float32, k, n, ldb int)
 
 //go:noescape
 func gemmRowOffAVX512(dst, a, b *float32, off *int, k, n int)
+
+//go:noescape
+func dwLanesAVX2(acc, gt, lines *float32, hw, nl, ldg, nr int)
+
+//go:noescape
+func dwLanesAVX512(acc, gt, lines *float32, hw, nl, ldg, nr int)
 
 //go:noescape
 func axpyAVX2(dst, b *float32, av float32, n int)
@@ -99,6 +107,33 @@ func gemmRowOff(di, ai []float32, off []int, b []float32) {
 	}
 	if w < n {
 		gemmRowOffAVX2(&di[w], &ai[0], &b[w], &off[0], k, n-w)
+	}
+}
+
+// dwLanes runs the lane kernel: AVX2 eight lanes per vector, with the
+// AVX-512 tier the first L &^ 15 lanes sixteen per vector and the
+// AVX2 routine the eight after them, re-based by that many lanes in
+// acc and gt. L must be a whole number of 8-lane blocks.
+func dwLanes(acc, gt, lines []float32, hw, L, nr int) {
+	if L%8 != 0 {
+		panic(fmt.Sprintf("tensor: dwLanes over %d lanes, want whole 8-lane blocks", L))
+	}
+	if !useAVX2 || hw == 0 || L == 0 || nr == 0 {
+		dwLanesGo(acc, gt, lines, hw, L, nr)
+		return
+	}
+	_ = acc[nr*L-1]
+	_ = gt[hw*L-1]
+	_ = lines[nr*hw-1]
+	w := 0
+	if useAVX512 {
+		w = L &^ 15
+	}
+	if w > 0 {
+		dwLanesAVX512(&acc[0], &gt[0], &lines[0], hw, w, L, nr)
+	}
+	if w < L {
+		dwLanesAVX2(&acc[w], &gt[w], &lines[0], hw, L-w, L, nr)
 	}
 }
 

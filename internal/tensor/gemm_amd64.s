@@ -3,17 +3,19 @@
 #include "textflag.h"
 
 // AVX2 mirrors of the Go float kernels in matmul.go (gemmRowGo,
-// gemmRowOffGo, axpyRow) and im2col.go (addRowGo). Every lane
-// performs VMULPS then VADDPS — never FMA — in the Go kernel's order,
-// so each output element goes through exactly the scalar sequence
-// acc = acc + float32(a·b) and the bits match the GOAMD64=v1 build of
-// the Go code. Loads and stores stay inside [0, n): the 32- and
-// 8-column tiles are entered only while that many columns remain, the
-// rest is scalar. VZEROUPPER precedes every RET.
+// gemmRowOffGo, axpyRow), im2col.go (addRowGo) and conv.go
+// (dwLanesGo). Every lane performs VMULPS then VADDPS — never FMA — in
+// the Go kernel's order, so each output element goes through exactly
+// the scalar sequence acc = acc + float32(a·b) (in the lane kernel,
+// dotUnroll4's grouping of four products per add) and the bits match
+// the GOAMD64=v1 build of the Go code. Loads and stores stay inside
+// [0, n): the 32- and 8-column tiles are entered only while that many
+// columns remain, the rest is scalar. VZEROUPPER precedes every RET.
 //
-// The two row kernels also have an AVX-512 tier (at the end of the
-// file): the same sums over a 64-column-multiple prefix in 128- and
-// 64-column ZMM tiles, with the AVX2 routine taking the rest.
+// The two row kernels and the lane kernel also have an AVX-512 tier
+// (at the end of the file): the same sums over a 64-column-multiple
+// prefix in 128- and 64-column ZMM tiles, or over a 16-lane-multiple
+// prefix in 16-lane blocks, with the AVX2 routine taking the rest.
 
 // func cpuHasAVX2() bool
 //
@@ -382,6 +384,217 @@ adddone:
 	VZEROUPPER
 	RET
 
+// func dwLanesAVX2(acc, gt, lines *float32, hw, nl, ldg, nr int)
+//
+// The conv weight gradient's lane kernel (dwLanesGo is its spec): for
+// each of the nr rows of lines (hw floats apart) and each of the first
+// nl lanes of gt ([hw, ldg], the gradient transposed), acc[r·ldg+lane]
+// is one chain from +0 over the row's positions in dotUnroll4's order.
+// Per four positions the lane's products g·l are summed as
+// ((g₀l₀ + g₁l₁) + g₂l₂) + g₃l₃ — VMULPS per product, VADDPS per sum,
+// each sum with the later product as its first operand and the chain
+// first in its own add, as go1.24 compiles dotUnroll4, so even a NaN's
+// payload matches it there — and the group is added into the chain;
+// leftover positions add one product each. Four rows share each load
+// of gt while four remain, then one at a time; within a pass the lanes
+// go eight per YMM block. Requires hw > 0, nr > 0 and nl a positive
+// multiple of 8.
+TEXT ·dwLanesAVX2(SB), NOSPLIT, $0-56
+	MOVQ acc+0(FP), DI
+	MOVQ gt+8(FP), SI
+	MOVQ lines+16(FP), DX
+	MOVQ hw+24(FP), CX
+	MOVQ nl+32(FP), R8
+	MOVQ ldg+40(FP), R9
+	MOVQ nr+48(FP), R10
+	SHLQ $2, R8 // lanes in bytes
+	SHLQ $2, R9 // row stride of gt and acc in bytes
+	MOVQ CX, R14
+	SHLQ $2, R14 // row stride of lines in bytes
+
+dwrows4:
+	CMPQ R10, $4
+	JLT  dwrows1
+	XORQ R11, R11
+
+dwblk4:
+	CMPQ   R11, R8
+	JGE    dwnext4
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	LEAQ   (SI)(R11*1), R12
+	MOVQ   DX, R13
+	LEAQ   (DX)(R14*2), BX
+	MOVQ   CX, AX
+
+dwgrp4:
+	CMPQ         AX, $4
+	JLT          dwtail4
+	VMOVUPS      (R12), Y8
+	VMOVUPS      (R12)(R9*1), Y9
+	LEAQ         (R12)(R9*2), R12
+	VMOVUPS      (R12), Y10
+	VMOVUPS      (R12)(R9*1), Y11
+	LEAQ         (R12)(R9*2), R12
+	VBROADCASTSS (R13), Y12
+	VMULPS       Y12, Y8, Y4
+	VBROADCASTSS 4(R13), Y12
+	VMULPS       Y12, Y9, Y13
+	VADDPS       Y4, Y13, Y4
+	VBROADCASTSS 8(R13), Y12
+	VMULPS       Y12, Y10, Y13
+	VADDPS       Y4, Y13, Y4
+	VBROADCASTSS 12(R13), Y12
+	VMULPS       Y12, Y11, Y13
+	VADDPS       Y4, Y13, Y4
+	VADDPS       Y4, Y0, Y0
+	VBROADCASTSS (R13)(R14*1), Y14
+	VMULPS       Y14, Y8, Y5
+	VBROADCASTSS 4(R13)(R14*1), Y14
+	VMULPS       Y14, Y9, Y15
+	VADDPS       Y5, Y15, Y5
+	VBROADCASTSS 8(R13)(R14*1), Y14
+	VMULPS       Y14, Y10, Y15
+	VADDPS       Y5, Y15, Y5
+	VBROADCASTSS 12(R13)(R14*1), Y14
+	VMULPS       Y14, Y11, Y15
+	VADDPS       Y5, Y15, Y5
+	VADDPS       Y5, Y1, Y1
+	VBROADCASTSS (BX), Y12
+	VMULPS       Y12, Y8, Y6
+	VBROADCASTSS 4(BX), Y12
+	VMULPS       Y12, Y9, Y13
+	VADDPS       Y6, Y13, Y6
+	VBROADCASTSS 8(BX), Y12
+	VMULPS       Y12, Y10, Y13
+	VADDPS       Y6, Y13, Y6
+	VBROADCASTSS 12(BX), Y12
+	VMULPS       Y12, Y11, Y13
+	VADDPS       Y6, Y13, Y6
+	VADDPS       Y6, Y2, Y2
+	VBROADCASTSS (BX)(R14*1), Y14
+	VMULPS       Y14, Y8, Y7
+	VBROADCASTSS 4(BX)(R14*1), Y14
+	VMULPS       Y14, Y9, Y15
+	VADDPS       Y7, Y15, Y7
+	VBROADCASTSS 8(BX)(R14*1), Y14
+	VMULPS       Y14, Y10, Y15
+	VADDPS       Y7, Y15, Y7
+	VBROADCASTSS 12(BX)(R14*1), Y14
+	VMULPS       Y14, Y11, Y15
+	VADDPS       Y7, Y15, Y7
+	VADDPS       Y7, Y3, Y3
+	ADDQ         $16, R13
+	ADDQ         $16, BX
+	SUBQ         $4, AX
+	JMP          dwgrp4
+
+dwtail4:
+	TESTQ        AX, AX
+	JZ           dwstore4
+	VMOVUPS      (R12), Y8
+	VBROADCASTSS (R13), Y12
+	VMULPS       Y12, Y8, Y13
+	VADDPS       Y13, Y0, Y0
+	VBROADCASTSS (R13)(R14*1), Y14
+	VMULPS       Y14, Y8, Y15
+	VADDPS       Y15, Y1, Y1
+	VBROADCASTSS (BX), Y12
+	VMULPS       Y12, Y8, Y13
+	VADDPS       Y13, Y2, Y2
+	VBROADCASTSS (BX)(R14*1), Y14
+	VMULPS       Y14, Y8, Y15
+	VADDPS       Y15, Y3, Y3
+	ADDQ         R9, R12
+	ADDQ         $4, R13
+	ADDQ         $4, BX
+	DECQ         AX
+	JMP          dwtail4
+
+dwstore4:
+	LEAQ    (DI)(R11*1), R12
+	VMOVUPS Y0, (R12)
+	VMOVUPS Y1, (R12)(R9*1)
+	LEAQ    (R12)(R9*2), R12
+	VMOVUPS Y2, (R12)
+	VMOVUPS Y3, (R12)(R9*1)
+	ADDQ    $32, R11
+	JMP     dwblk4
+
+dwnext4:
+	LEAQ (DX)(R14*4), DX
+	LEAQ (DI)(R9*4), DI
+	SUBQ $4, R10
+	JMP  dwrows4
+
+dwrows1:
+	TESTQ R10, R10
+	JZ    dwdone
+	XORQ  R11, R11
+
+dwblk1:
+	CMPQ   R11, R8
+	JGE    dwnext1
+	VXORPS Y0, Y0, Y0
+	LEAQ   (SI)(R11*1), R12
+	MOVQ   DX, R13
+	MOVQ   CX, AX
+
+dwgrp1:
+	CMPQ         AX, $4
+	JLT          dwtail1
+	VMOVUPS      (R12), Y8
+	VMOVUPS      (R12)(R9*1), Y9
+	LEAQ         (R12)(R9*2), R12
+	VMOVUPS      (R12), Y10
+	VMOVUPS      (R12)(R9*1), Y11
+	LEAQ         (R12)(R9*2), R12
+	VBROADCASTSS (R13), Y12
+	VMULPS       Y12, Y8, Y4
+	VBROADCASTSS 4(R13), Y12
+	VMULPS       Y12, Y9, Y13
+	VADDPS       Y4, Y13, Y4
+	VBROADCASTSS 8(R13), Y12
+	VMULPS       Y12, Y10, Y13
+	VADDPS       Y4, Y13, Y4
+	VBROADCASTSS 12(R13), Y12
+	VMULPS       Y12, Y11, Y13
+	VADDPS       Y4, Y13, Y4
+	VADDPS       Y4, Y0, Y0
+	ADDQ         $16, R13
+	SUBQ         $4, AX
+	JMP          dwgrp1
+
+dwtail1:
+	TESTQ        AX, AX
+	JZ           dwstore1
+	VMOVUPS      (R12), Y8
+	VBROADCASTSS (R13), Y12
+	VMULPS       Y12, Y8, Y13
+	VADDPS       Y13, Y0, Y0
+	ADDQ         R9, R12
+	ADDQ         $4, R13
+	DECQ         AX
+	JMP          dwtail1
+
+dwstore1:
+	LEAQ    (DI)(R11*1), R12
+	VMOVUPS Y0, (R12)
+	ADDQ    $32, R11
+	JMP     dwblk1
+
+dwnext1:
+	ADDQ R14, DX
+	ADDQ R9, DI
+	DECQ R10
+	JMP  dwrows1
+
+dwdone:
+	VZEROUPPER
+	RET
+
 // func cpuHasAVX512() bool
 //
 // The AVX-512 tier is usable when CPUID reports AVX512F (leaf 7 EBX
@@ -640,5 +853,182 @@ zoff64skip:
 	JMP     zoff64
 
 zoffdone:
+	VZEROUPPER
+	RET
+
+// func dwLanesAVX512(acc, gt, lines *float32, hw, nl, ldg, nr int)
+//
+// dwLanesAVX2's chains sixteen lanes per ZMM block, the row's value
+// broadcast from memory into each VMULPS. Requires nl a positive
+// multiple of 16: the dwLanes wrapper hands an 8-lane rest to
+// dwLanesAVX2.
+TEXT ·dwLanesAVX512(SB), NOSPLIT, $0-56
+	MOVQ acc+0(FP), DI
+	MOVQ gt+8(FP), SI
+	MOVQ lines+16(FP), DX
+	MOVQ hw+24(FP), CX
+	MOVQ nl+32(FP), R8
+	MOVQ ldg+40(FP), R9
+	MOVQ nr+48(FP), R10
+	SHLQ $2, R8 // lanes in bytes
+	SHLQ $2, R9 // row stride of gt and acc in bytes
+	MOVQ CX, R14
+	SHLQ $2, R14 // row stride of lines in bytes
+
+zdwrows4:
+	CMPQ R10, $4
+	JLT  zdwrows1
+	XORQ R11, R11
+
+zdwblk4:
+	CMPQ   R11, R8
+	JGE    zdwnext4
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	LEAQ   (SI)(R11*1), R12
+	MOVQ   DX, R13
+	LEAQ   (DX)(R14*2), BX
+	MOVQ   CX, AX
+
+zdwgrp4:
+	CMPQ        AX, $4
+	JLT         zdwtail4
+	VMOVUPS     (R12), Z8
+	VMOVUPS     (R12)(R9*1), Z9
+	LEAQ        (R12)(R9*2), R12
+	VMOVUPS     (R12), Z10
+	VMOVUPS     (R12)(R9*1), Z11
+	LEAQ        (R12)(R9*2), R12
+	VMULPS.BCST (R13), Z8, Z4
+	VMULPS.BCST 4(R13), Z9, Z13
+	VADDPS      Z4, Z13, Z4
+	VMULPS.BCST 8(R13), Z10, Z13
+	VADDPS      Z4, Z13, Z4
+	VMULPS.BCST 12(R13), Z11, Z13
+	VADDPS      Z4, Z13, Z4
+	VADDPS      Z4, Z0, Z0
+	VMULPS.BCST (R13)(R14*1), Z8, Z5
+	VMULPS.BCST 4(R13)(R14*1), Z9, Z15
+	VADDPS      Z5, Z15, Z5
+	VMULPS.BCST 8(R13)(R14*1), Z10, Z15
+	VADDPS      Z5, Z15, Z5
+	VMULPS.BCST 12(R13)(R14*1), Z11, Z15
+	VADDPS      Z5, Z15, Z5
+	VADDPS      Z5, Z1, Z1
+	VMULPS.BCST (BX), Z8, Z6
+	VMULPS.BCST 4(BX), Z9, Z13
+	VADDPS      Z6, Z13, Z6
+	VMULPS.BCST 8(BX), Z10, Z13
+	VADDPS      Z6, Z13, Z6
+	VMULPS.BCST 12(BX), Z11, Z13
+	VADDPS      Z6, Z13, Z6
+	VADDPS      Z6, Z2, Z2
+	VMULPS.BCST (BX)(R14*1), Z8, Z7
+	VMULPS.BCST 4(BX)(R14*1), Z9, Z15
+	VADDPS      Z7, Z15, Z7
+	VMULPS.BCST 8(BX)(R14*1), Z10, Z15
+	VADDPS      Z7, Z15, Z7
+	VMULPS.BCST 12(BX)(R14*1), Z11, Z15
+	VADDPS      Z7, Z15, Z7
+	VADDPS      Z7, Z3, Z3
+	ADDQ        $16, R13
+	ADDQ        $16, BX
+	SUBQ        $4, AX
+	JMP         zdwgrp4
+
+zdwtail4:
+	TESTQ       AX, AX
+	JZ          zdwstore4
+	VMOVUPS     (R12), Z8
+	VMULPS.BCST (R13), Z8, Z13
+	VADDPS      Z13, Z0, Z0
+	VMULPS.BCST (R13)(R14*1), Z8, Z15
+	VADDPS      Z15, Z1, Z1
+	VMULPS.BCST (BX), Z8, Z13
+	VADDPS      Z13, Z2, Z2
+	VMULPS.BCST (BX)(R14*1), Z8, Z15
+	VADDPS      Z15, Z3, Z3
+	ADDQ        R9, R12
+	ADDQ        $4, R13
+	ADDQ        $4, BX
+	DECQ        AX
+	JMP         zdwtail4
+
+zdwstore4:
+	LEAQ    (DI)(R11*1), R12
+	VMOVUPS Z0, (R12)
+	VMOVUPS Z1, (R12)(R9*1)
+	LEAQ    (R12)(R9*2), R12
+	VMOVUPS Z2, (R12)
+	VMOVUPS Z3, (R12)(R9*1)
+	ADDQ    $64, R11
+	JMP     zdwblk4
+
+zdwnext4:
+	LEAQ (DX)(R14*4), DX
+	LEAQ (DI)(R9*4), DI
+	SUBQ $4, R10
+	JMP  zdwrows4
+
+zdwrows1:
+	TESTQ R10, R10
+	JZ    zdwdone
+	XORQ  R11, R11
+
+zdwblk1:
+	CMPQ   R11, R8
+	JGE    zdwnext1
+	VPXORD Z0, Z0, Z0
+	LEAQ   (SI)(R11*1), R12
+	MOVQ   DX, R13
+	MOVQ   CX, AX
+
+zdwgrp1:
+	CMPQ        AX, $4
+	JLT         zdwtail1
+	VMOVUPS     (R12), Z8
+	VMOVUPS     (R12)(R9*1), Z9
+	LEAQ        (R12)(R9*2), R12
+	VMOVUPS     (R12), Z10
+	VMOVUPS     (R12)(R9*1), Z11
+	LEAQ        (R12)(R9*2), R12
+	VMULPS.BCST (R13), Z8, Z4
+	VMULPS.BCST 4(R13), Z9, Z13
+	VADDPS      Z4, Z13, Z4
+	VMULPS.BCST 8(R13), Z10, Z13
+	VADDPS      Z4, Z13, Z4
+	VMULPS.BCST 12(R13), Z11, Z13
+	VADDPS      Z4, Z13, Z4
+	VADDPS      Z4, Z0, Z0
+	ADDQ        $16, R13
+	SUBQ        $4, AX
+	JMP         zdwgrp1
+
+zdwtail1:
+	TESTQ       AX, AX
+	JZ          zdwstore1
+	VMOVUPS     (R12), Z8
+	VMULPS.BCST (R13), Z8, Z13
+	VADDPS      Z13, Z0, Z0
+	ADDQ        R9, R12
+	ADDQ        $4, R13
+	DECQ        AX
+	JMP         zdwtail1
+
+zdwstore1:
+	LEAQ    (DI)(R11*1), R12
+	VMOVUPS Z0, (R12)
+	ADDQ    $64, R11
+	JMP     zdwblk1
+
+zdwnext1:
+	ADDQ R14, DX
+	ADDQ R9, DI
+	DECQ R10
+	JMP  zdwrows1
+
+zdwdone:
 	VZEROUPPER
 	RET

@@ -242,10 +242,12 @@ func matmulTBRows(dst, a, b []float32, k, n, ilo, ihi, jlo, jhi int) {
 	}
 }
 
-// dotUnroll4 is the shared 4-way-unrolled dot product of MatMulTBInto
-// and ConvDWAcc. The expression shape (two chained 2-term sums per
-// step) is load-bearing: it is the historical a·bᵀ accumulation order,
-// which the seeded report pins depend on bitwise.
+// dotUnroll4 is MatMulTBInto's 4-way-unrolled dot product and the
+// oracle of ConvDWAcc's lane kernel (dwLanesGo), whose lanes each run
+// this chain. The grouping — one chain from +0 gaining
+// ((a₀b₀ + a₁b₁) + a₂b₂) + a₃b₃ per four elements, then one product
+// per leftover — is load-bearing: it is the historical a·bᵀ
+// accumulation order, which the seeded report pins depend on bitwise.
 func dotUnroll4(a, b []float32, k int) float32 {
 	s := float32(0)
 	p := 0

@@ -38,6 +38,38 @@ func withMaxProcs(t *testing.T, procs int, f func()) {
 	f()
 }
 
+// frameBits is the NaN pattern that both poisons destinations (the
+// kernels must overwrite every element) and frames them (the kernels
+// must not write outside).
+const frameBits = 0xffc0beef
+
+const framePad = 8
+
+// framed returns a tensor whose storage starts off floats into a
+// poison-filled buffer with framePad floats spare on each side, and a
+// function reporting whether anything outside the tensor was written.
+func framed(off int, shape ...int) (*Tensor, func() bool) {
+	size := 1
+	for _, d := range shape {
+		size *= d
+	}
+	buf := make([]float32, framePad+off+size+framePad)
+	poison := math.Float32frombits(frameBits)
+	for i := range buf {
+		buf[i] = poison
+	}
+	lo := framePad + off
+	intact := func() bool {
+		for i, v := range buf {
+			if (i < lo || i >= lo+size) && math.Float32bits(v) != frameBits {
+				return false
+			}
+		}
+		return true
+	}
+	return FromSlice(buf[lo:lo+size:lo+size], shape...), intact
+}
+
 // bitsEqual reports exact bitwise equality (NaN-safe, ±0-distinguishing).
 func bitsEqual(a, b []float32) int {
 	if len(a) != len(b) {

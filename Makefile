@@ -66,7 +66,8 @@
 #                recorded through the Go kernels on one worker count,
 #                so a kernel or banding change that moves a bit at
 #                another count, or only with the assembly in, fails
-#                here. make test runs them once,
+#                here (ufld's TestInt8Fingerprint holds the int8
+#                rung's logits the same way). make test runs them once,
 #                at the box's GOMAXPROCS with the assembly. The same run
 #                covers the two host-scheduling pins — shard's
 #                TestConcurrentMatchesLockstep (the board bus against

@@ -1,6 +1,10 @@
 package ufld
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -65,6 +69,39 @@ func TestInt8ForwardBatchedMatchesSequential(t *testing.T) {
 					t.Fatalf("sample %d row %d class %d: batched %g != solo %g", i, r, c, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestInt8Fingerprint pins every bit of the int8 rung's logits across
+// commits: Tiny R-18 at batch 1 and 4 and Small R-18 and R-34 at batch
+// 1 and 2, each from seeded weights and inputs, hashed with SHA-256.
+// The int32 sums are exact, so a change of lowering, kernel, banding or
+// tier may move no bit; a change of quantization or of the scale
+// expression turns it red. make fingerprints runs it at -cpu 1,2,4 and
+// under purego.
+func TestInt8Fingerprint(t *testing.T) {
+	for _, row := range []struct {
+		cfg  Config
+		name string
+		n    int
+		want string
+	}{
+		{Tiny(resnet.R18, 2), "tiny-r18", 1, "a1a7877cbe40fbe020f2be477ec4b386a73f9fbf7aaf8cc83954ceaf6e4e9729"},
+		{Tiny(resnet.R18, 2), "tiny-r18", 4, "8859ea1f461e15f5247b91747643aa3f3122407de75f7e8cfc88d972de4e7203"},
+		{Small(resnet.R18, 2), "small-r18", 1, "84ffe6b0c6a09c63f2ac90ecf341983646b1752a15a0620ac66fb63ed103aca5"},
+		{Small(resnet.R18, 2), "small-r18", 2, "b9182c67b12d8de3e3ea6e27aed91e1a384fe5a949ffc1e58fba0865854dd773"},
+		{Small(resnet.R34, 2), "small-r34", 1, "9c47a1423e405ba087163dbc1e46d2b4769eaee0ed379d00d568f7006c2aeffa"},
+		{Small(resnet.R34, 2), "small-r34", 2, "1ce0d201d1f95d41ffe85f9c739f6760d540fe4155e5071e27b88173d953cd52"},
+	} {
+		name := fmt.Sprintf("%s/bs%d", row.name, row.n)
+		m := MustNewModel(row.cfg, tensor.NewRNG(41))
+		x := tensor.New(row.n, 3, row.cfg.InputH, row.cfg.InputW)
+		tensor.NewRNG(43).FillNormal(x, 0.4, 0.3)
+		h := sha256.New()
+		_ = binary.Write(h, binary.LittleEndian, m.ForwardInferInt8(x).Data)
+		if got := hex.EncodeToString(h.Sum(nil)); got != row.want {
+			t.Errorf("%s: fingerprint %s, want %s", name, got, row.want)
 		}
 	}
 }

@@ -6,11 +6,12 @@ import (
 	"ldbnadapt/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW tensors. Its float forward,
-// in every float mode and at every stride, reads each sample through
-// its zero-padded parity planes (tensor.ConvInto), bitwise im2col
-// followed by a matrix product, and builds no lowering; InferInt8
-// lowers in int8 and multiplies in int32. Neither half of the backward
+// Conv2D is a 2-D convolution over NCHW tensors. Its forward, in every
+// mode and at every stride, reads each sample through its zero-padded
+// parity planes and builds no lowering: float32 planes in the float
+// modes (tensor.ConvInto, bitwise im2col followed by a matrix product),
+// int8 planes of the quantized sample multiplied in int32 in InferInt8
+// (tensor.ConvInt8Into), both through one ConvPlane. Neither half of the backward
 // builds a column matrix: dW re-lowers the forward's input four rows
 // at a time (tensor.ConvDWAcc), and dX computes Wᵀ·g one column row at a
 // time and scatters each row into dX at once (tensor.ConvDXInto). So a
@@ -47,11 +48,10 @@ type Conv2D struct {
 	dwView   View               // weight-grad matrix view (backward)
 	inView   View               // one sample of the input or of dX, [1, inC, h, w]
 	outView  View               // one sample of the output or of its gradient, [outC, oh·ow]
-	plane    tensor.ConvPlane   // the float forward's padded sample
+	plane    tensor.ConvPlane   // the forward's padded sample, in either precision
 	dxl      tensor.ConvDXLines // dX's column-row lines
 	dwl      tensor.ConvDWLines // dW's lowering lines
 	xq       []int8             // InferInt8's quantized input sample
-	colsQ    []int8             // InferInt8's int8 lowering
 
 	// Weight-derived caches, built lazily on first use and owned by
 	// this layer instance (replicas share Weight.Value, never these):
@@ -116,16 +116,18 @@ func (c *Conv2D) addBiasRows(oi *tensor.Tensor, hw int) {
 	}
 }
 
-// Forward computes the convolution sample by sample, on one of two
-// paths fixed by the mode alone:
+// Forward computes the convolution sample by sample, in the precision
+// fixed by the mode alone:
 //
 //   - float (Infer, Train, Eval, Adapt): the sample is read from its
 //     zero-padded parity planes through an offset table
 //     (tensor.ConvInto), bitwise the im2col lowering times the weight
-//     matrix, without the lowering; its output channels are banded
-//     over the worker pool.
-//   - InferInt8: the sample is quantized, lowered in int8 and
-//     multiplied in int32.
+//     matrix, without the lowering.
+//   - InferInt8: the sample is quantized with one scale and read from
+//     int8 parity planes through the same table (tensor.ConvInt8Into),
+//     accumulating exactly in int32.
+//
+// Either way the output channels are banded over the worker pool.
 //
 // The infer modes write one layer-owned output scratch, Train, Eval and
 // Adapt another; either result is valid until the layer's next forward
@@ -157,7 +159,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	if mode == InferInt8 {
 		c.ensureInt8()
 		c.xq = growI8(c.xq, chw)
-		c.colsQ = growI8(c.colsQ, K*hw)
 	} else {
 		wm = c.wmView.Of(c.Weight.Value.Data, c.OutC, K)
 	}
@@ -165,8 +166,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 		oi := c.outView.Of(out.Data[ni*c.OutC*hw:(ni+1)*c.OutC*hw], c.OutC, hw)
 		if mode == InferInt8 {
 			xScale := tensor.QuantizeInt8(c.xq, x.Data[ni*chw:(ni+1)*chw])
-			tensor.Im2ColInt8Into(c.colsQ, c.xq, c.InC, h, w, c.Geom)
-			tensor.Int8MatMulInto(oi, c.wq, c.wScales, c.colsQ, xScale, c.OutC, K, hw)
+			tensor.ConvInt8Into(oi, c.wq, c.wScales, c.xq, xScale, c.InC, h, w, c.Geom, &c.plane)
 		} else {
 			xi := c.inView.Of(x.Data[ni*chw:(ni+1)*chw], 1, c.InC, h, w)
 			tensor.ConvInto(oi, wm, xi, c.Geom, &c.plane)

@@ -8,14 +8,15 @@ import (
 
 // Linear is a fully-connected layer y = x·Wᵀ + b over [n, in] inputs.
 //
-// Linear bands nothing itself: its forward is a single MatMulTBInto
-// (Int8MatMulTBInto on the int8 rung) and its backward a MatMulTAInto
-// + MatMulInto, all of which parallelize internally on the shared
-// worker pool — the TB
-// kernels band output features when the batch has fewer rows than
-// workers, so even a one-frame forward spreads across cores. The
-// remaining per-sample loops here (bias add, activation quantize) are
-// O(n·out) byte-movers far below any dispatch break-even.
+// Linear bands nothing itself: its float forward is a single
+// MatMulTBInto and its backward a MatMulTAInto + MatMulInto, all of
+// which parallelize internally on the shared worker pool — the TB
+// kernel bands output features when the batch has fewer rows than
+// workers, so even a one-frame forward spreads across cores. On the
+// int8 rung each sample is quantized with its own scale and multiplied
+// as an [in, 1] column by Int8MatMulInto, which bands output features.
+// The remaining per-sample loops here (bias add, activation quantize)
+// are O(n·out) byte-movers far below any dispatch break-even.
 type Linear struct {
 	name    string
 	In, Out int
@@ -38,8 +39,8 @@ type Linear struct {
 	wq      []int8
 	wScales []float32
 	wqOK    bool
-	xq      []int8
-	xScales []float32
+	xq      []int8 // InferInt8's quantized input sample
+	outView View   // one sample's output row as an [out, 1] column
 }
 
 // NewLinear constructs a Kaiming-initialized fully-connected layer.
@@ -82,12 +83,12 @@ func (l *Linear) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	}
 	if mode == InferInt8 {
 		l.ensureInt8()
-		l.xq = growI8(l.xq, n*l.In)
-		l.xScales = growF32(l.xScales, n)
+		l.xq = growI8(l.xq, l.In)
 		for i := 0; i < n; i++ {
-			l.xScales[i] = tensor.QuantizeInt8(l.xq[i*l.In:(i+1)*l.In], x.Data[i*l.In:(i+1)*l.In])
+			xScale := tensor.QuantizeInt8(l.xq, x.Data[i*l.In:(i+1)*l.In])
+			oi := l.outView.Of(out.Data[i*l.Out:(i+1)*l.Out], l.Out, 1)
+			tensor.Int8MatMulInto(oi, l.wq, l.wScales, l.xq, xScale, l.Out, l.In, 1)
 		}
-		tensor.Int8MatMulTBInto(out, l.xq, l.xScales, l.wq, l.wScales, n, l.In, l.Out)
 	} else {
 		tensor.MatMulTBInto(out, x, l.Weight.Value)
 	}

@@ -37,29 +37,7 @@ type BatchEstimate struct {
 // and overhead amortize — and it degenerates exactly to
 // EstimateInferenceOnly at bs = 1.
 func EstimateInferenceBatch(name string, cost resnet.ModelCost, mode PowerMode, bs int) BatchEstimate {
-	if bs < 1 {
-		panic(fmt.Sprintf("orin: batch size %d", bs))
-	}
-	totalUs := 0.0
-	for _, l := range cost.Layers {
-		computeUs := float64(bs) * float64(l.FLOPs) / mode.EffGFLOPS / 1e3
-		bytes := float64(bs)*float64(2*l.ActBytes) + float64(l.WeightBytes)
-		memUs := bytes / mode.MemBWGBs / 1e3
-		if memUs > computeUs {
-			totalUs += memUs
-		} else {
-			totalUs += computeUs
-		}
-	}
-	e := BatchEstimate{
-		ModelName: name,
-		Mode:      mode,
-		BatchSize: bs,
-		BatchMs:   mode.OverheadMs + totalUs/1e3,
-	}
-	e.PerFrameMs = e.BatchMs / float64(bs)
-	e.EnergyMJ = float64(mode.Watts) * e.PerFrameMs
-	return e
+	return batchEstimate(name, mode, bs, rooflineMs(cost, mode, mode.EffGFLOPS, float64(bs), float64(bs), 1, 1))
 }
 
 // EstimateInferenceBatchInt8 prices the same batched forward with the
@@ -73,25 +51,20 @@ func EstimateInferenceBatch(name string, cost resnet.ModelCost, mode PowerMode, 
 // do not quantize. This is the price the governor compares against the
 // float path when deciding whether to climb to the int8 rung.
 func EstimateInferenceBatchInt8(name string, cost resnet.ModelCost, mode PowerMode, bs int) BatchEstimate {
+	return batchEstimate(name, mode, bs, rooflineMs(cost, mode, mode.Int8GOPS, float64(bs), float64(bs), 1, 4))
+}
+
+// batchEstimate completes a batch's price from its roofline, ms: one
+// fixed overhead for the whole batch, shared by its bs frames.
+func batchEstimate(name string, mode PowerMode, bs int, ms float64) BatchEstimate {
 	if bs < 1 {
 		panic(fmt.Sprintf("orin: batch size %d", bs))
-	}
-	totalUs := 0.0
-	for _, l := range cost.Layers {
-		computeUs := float64(bs) * float64(l.FLOPs) / mode.Int8GOPS / 1e3
-		bytes := (float64(bs)*float64(2*l.ActBytes) + float64(l.WeightBytes)) / 4
-		memUs := bytes / mode.MemBWGBs / 1e3
-		if memUs > computeUs {
-			totalUs += memUs
-		} else {
-			totalUs += computeUs
-		}
 	}
 	e := BatchEstimate{
 		ModelName: name,
 		Mode:      mode,
 		BatchSize: bs,
-		BatchMs:   mode.OverheadMs + totalUs/1e3,
+		BatchMs:   mode.OverheadMs + ms,
 	}
 	e.PerFrameMs = e.BatchMs / float64(bs)
 	e.EnergyMJ = float64(mode.Watts) * e.PerFrameMs

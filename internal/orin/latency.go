@@ -35,20 +35,26 @@ func (e Estimate) FPS() float64 { return 1000.0 / e.TotalMs }
 // Meets reports whether the estimate fits a latency deadline (ms).
 func (e Estimate) Meets(deadlineMs float64) bool { return e.TotalMs <= deadlineMs }
 
-// phaseMs prices a set of layers with a per-layer roofline:
-// max(compute, memory) summed over layers, scaled by flopScale
-// (backward ≈ 2× forward for conv/linear layers).
+// phaseMs prices a float phase over every layer: the roofline at the
+// mode's float rate with FLOPs scaled by flopScale (backward ≈ 2×
+// forward for conv/linear layers) and all traffic by byteScale.
 func phaseMs(cost resnet.ModelCost, mode PowerMode, flopScale, byteScale float64) float64 {
+	return rooflineMs(cost, mode, mode.EffGFLOPS, flopScale, byteScale, byteScale, 1)
+}
+
+// rooflineMs is the per-layer roofline every price here sums, in ms:
+// each layer takes max(compute, memory), compute being flopScale·FLOPs
+// at rate (GFLOP/s or GOP/s) and memory (actScale·2·ActBytes +
+// weightScale·WeightBytes)/div bytes at the mode's bandwidth. Every
+// scale is a small integer or a power of two applied to integer byte
+// counts, so the callers' prices are exact in any grouping.
+func rooflineMs(cost resnet.ModelCost, mode PowerMode, rate, flopScale, actScale, weightScale, div float64) float64 {
 	totalUs := 0.0
 	for _, l := range cost.Layers {
-		computeUs := flopScale * float64(l.FLOPs) / mode.EffGFLOPS / 1e3
-		bytes := byteScale * float64(2*l.ActBytes+l.WeightBytes)
+		computeUs := flopScale * float64(l.FLOPs) / rate / 1e3
+		bytes := (actScale*float64(2*l.ActBytes) + weightScale*float64(l.WeightBytes)) / div
 		memUs := bytes / mode.MemBWGBs / 1e3
-		if memUs > computeUs {
-			totalUs += memUs
-		} else {
-			totalUs += computeUs
-		}
+		totalUs += max(memUs, computeUs)
 	}
 	return totalUs / 1e3
 }

@@ -339,8 +339,7 @@ func (p *planner) absorb(a arrival) {
 }
 
 // runUntil plans every dispatch with virtual dispatch time < endMs
-// under the current controls, accumulating epoch telemetry into es
-// when non-nil. Batches whose dispatch falls at or beyond endMs are
+// under the current controls, accumulating epoch telemetry into es. Batches whose dispatch falls at or beyond endMs are
 // left for the next call, which recomputes them identically when the
 // controls have not changed — an epoch partition with static controls
 // reproduces the one-shot schedule exactly.
@@ -407,9 +406,7 @@ func (p *planner) runUntil(endMs float64, es *EpochStats) {
 				if p.rec != nil {
 					p.rec.Frame(a.stream, a.frame.Index, a.arrMs, dispatch, "shed")
 				}
-				if es != nil {
-					es.FramesDropped++
-				}
+				es.FramesDropped++
 				continue
 			}
 			batch = append(batch, plannedFrame{stream: a.stream, frame: a.frame})
@@ -441,9 +438,7 @@ func (p *planner) runUntil(endMs float64, es *EpochStats) {
 				f.action = adaptSkip
 				p.sc.streams[si].skipped++
 				p.bm.Skipped.Add(1)
-				if es != nil {
-					es.AdaptsSkipped++
-				}
+				es.AdaptsSkipped++
 			} else {
 				f.action = adaptStep
 				if p.rec != nil {
@@ -499,37 +494,26 @@ func (p *planner) runUntil(endMs float64, es *EpochStats) {
 		p.served += n
 		p.sc.batches = append(p.sc.batches, plannedBatch{
 			dispatchMs: dispatch, worker: wi, quantized: p.ctrl.Quantized, frames: batch})
-		if es != nil {
-			es.Served += n
-			es.AdaptSteps += steps
-			es.BusyMs += busy
-			es.BusyEnergyMJ += watts * busy
-			for i := range batch {
-				f := &batch[i]
-				// Frames still awaiting their step share are judged at
-				// the steady-state floor — a pending share will only
-				// push them later, never earlier.
-				est := f.latencyMs
-				if f.windowed && !f.shared {
-					est += p.tbl.adaptPerStepMs / float64(p.ctrl.AdaptEvery)
-				}
-				if est <= cfg.DeadlineMs {
-					es.hits++
-				}
-				es.queueSum += f.queueMs
-				if f.queueMs > es.MaxQueueMs {
-					es.MaxQueueMs = f.queueMs
-				}
+		es.Served += n
+		es.AdaptSteps += steps
+		es.BusyMs += busy
+		es.BusyEnergyMJ += watts * busy
+		for i := range batch {
+			f := &batch[i]
+			// Frames still awaiting their step share are judged at
+			// the steady-state floor — a pending share will only
+			// push them later, never earlier.
+			est := f.latencyMs
+			if f.windowed && !f.shared {
+				est += p.tbl.adaptPerStepMs / float64(p.ctrl.AdaptEvery)
+			}
+			if est <= cfg.DeadlineMs {
+				es.hits++
+			}
+			es.queueSum += f.queueMs
+			if f.queueMs > es.MaxQueueMs {
+				es.MaxQueueMs = f.queueMs
 			}
 		}
 	}
-}
-
-// plan runs the whole fleet to completion under the engine's static
-// configuration — the one-shot schedule RunGoverned generalizes.
-func (e *Engine) plan(sources []*stream.Source) *schedule {
-	p := e.newPlanner(sources)
-	p.setControls(Controls{Mode: e.cfg.Mode, Policy: e.cfg.Policy, AdaptEvery: e.cfg.AdaptEvery, Quantized: e.cfg.Quantized})
-	p.runUntil(math.Inf(1), nil)
-	return p.sc
 }

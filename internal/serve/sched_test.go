@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -151,7 +152,13 @@ func TestSchedPlanIsDeterministic(t *testing.T) {
 	m := testModel(45)
 	fleet := SyntheticFleet(m.Cfg, 3, 10, 30, 23)
 	e := New(m, overloadConfig(stream.DropFrames))
-	a, b := e.plan(fleet), e.plan(fleet)
+	plan := func() *schedule {
+		p := e.newPlanner(fleet)
+		p.setControls(Controls{Mode: e.cfg.Mode, Policy: e.cfg.Policy, AdaptEvery: e.cfg.AdaptEvery, Quantized: e.cfg.Quantized})
+		p.runUntil(math.Inf(1), &EpochStats{})
+		return p.sc
+	}
+	a, b := plan(), plan()
 	if len(a.batches) != len(b.batches) {
 		t.Fatalf("plan sizes differ: %d vs %d", len(a.batches), len(b.batches))
 	}

@@ -6,21 +6,29 @@ import (
 	"ldbnadapt/internal/par"
 )
 
-// ConvPlane is the reusable state of ConvInto for one caller: the
-// zero-padded input held as its SH×SW row/column-parity planes, the
-// offset table into them and one row over the grid per band. The halo
-// and the table depend only on the input shape and geometry, so they
-// are built when that changes and reused otherwise; the rows grow to
-// the most bands seen, so a steady-state call allocates nothing. A
-// ConvPlane must not be shared by concurrent calls.
+// ConvPlane is the reusable state of ConvInto and ConvInt8Into for one
+// caller: the zero-padded input held as its SH×SW row/column-parity
+// planes (a float32 copy, an int8 copy, or both), the offset table into
+// them and one row over the grid per band. The table depends only on
+// the input shape and geometry, so it is built when that changes and
+// reused otherwise; each precision's planes are sized and their halo
+// zeroed on their first use after such a change, so a caller that runs
+// one precision holds no planes of the other. The rows grow to the most
+// bands seen, so a steady-state call allocates nothing. A ConvPlane must
+// not be shared by concurrent calls.
 type ConvPlane struct {
 	// plane holds parity plane (ci, ry, rx) — padded rows ry, ry+SH, …
 	// and columns rx, rx+SW, … of channel ci, hq × wq — at
 	// ((ci·nry+ry)·nrx+rx)·hq·wq, for the nry = min(KH,SH) row and
 	// nrx = min(KW,SW) column parities some tap reads, then zero
 	// slack; only the interior is rewritten per call. At stride 1 it
-	// is the one padded plane [c, h+2PH, w+2PW].
+	// is the one padded plane [c, h+2PH, w+2PW]. planeQ is its int8
+	// twin, laid out alike.
 	plane   []float32
+	planeQ  []int8
+	size    int       // one precision's planes and slack, in elements
+	fresh   bool      // plane is sized and zeroed for the current shape
+	freshQ  bool      // planeQ is
 	off     []int     // off[(ci·KH+ky)·KW+kx]: where tap (ci,ky,kx) reads output (0,0)
 	rows    []float32 // band b's grid row is rows[b·cols : (b+1)·cols]
 	cols    int       // one output channel over the grid, in whole row-kernel tiles
@@ -30,10 +38,10 @@ type ConvPlane struct {
 	g       ConvGeom
 }
 
-// convTile is the row kernel's widest column tile. Four independent
-// accumulator chains advance per coefficient in it, against one in the
-// 8-wide tile and the scalar tail, so a whole tile costs what one
-// 8-wide step does and the grid is rounded up to whole tiles.
+// convTile is the float row kernel's widest column tile. Four
+// independent accumulator chains advance per coefficient in it, against
+// one in the 8-wide tile and the scalar tail, so a whole tile costs what
+// one 8-wide step does and the float grid is rounded up to whole tiles.
 const convTile = 32
 
 // ConvInto computes one sample's convolution, out = wm ⊛ x, at any
@@ -73,61 +81,117 @@ func ConvInto(out, wm, x *Tensor, g ConvGeom, s *ConvPlane) {
 	s.reshape(c, h, w, g)
 	src := x.Data
 	if !s.direct {
-		s.fill(x.Data)
-		src = s.plane
+		src = fill(s, &s.plane, &s.fresh, x.Data)
 	}
 	outC := out.shape[0]
-	if K*outC*hw < matmulParMin {
-		s.rows = resize(s.rows, s.cols)
-		s.chans(out.Data, wm.Data, src, s.rows, oh, ow, 0, outC)
-		return
-	}
-	s.rows = resize(s.rows, par.Width(outC, 1)*s.cols)
-	t := convCache.Get()
-	*t = convTask{s: s, out: out.Data, wm: wm.Data, src: src, oh: oh, ow: ow}
-	par.For(outC, 1, t)
-	t.s, t.out, t.wm, t.src = nil, nil, nil, nil
-	convCache.Put(t)
+	s.run(convTask{s: s, out: out.Data, wm: wm.Data, src: src, oh: oh, ow: ow}, outC, K*outC*hw, matmulParMin)
 }
 
-// convTask is the pooled argument block for ConvInto, banded over
-// output channels: band b writes its channels of out through grid row
-// b and only reads the planes and the offset table.
+// ConvInt8Into is ConvInto on the int8 rung: out = diag(wScales)·(wq ⊛ xq)·xScale
+// for the int8 weight matrix wq [outC, c·KH·KW] with per-row scales and
+// one quantized sample xq [c·h·w] with one scale; out is [outC, oh·ow].
+// It quantizes nothing itself. The sample is copied into the int8
+// parity planes by the float path's fill, read through the same offset
+// table and banded over output channels through the same task behind
+// the int8 gate; each channel is one int8Row call over the grid's exact
+// length, (oh−1)·wq + ow, whose halo columns are dropped as in
+// ConvInto, and a 1×1 reads xq itself. The int32 sums are exact, so the
+// result is bitwise an int8 im2col lowering followed by Int8MatMulInto.
+func ConvInt8Into(out *Tensor, wq []int8, wScales []float32, xq []int8, xScale float32, c, h, w int, g ConvGeom, s *ConvPlane) {
+	oh, ow := g.OutSize(h, w)
+	outC, K, hw := len(wScales), c*g.KH*g.KW, oh*ow
+	if len(xq) != c*h*w || len(wq) != outC*K || out.NDim() != 2 || out.shape[0] != outC || out.shape[1] != hw {
+		panic(fmt.Sprintf("tensor: ConvInt8Into %v = %d weights ⊛ %d inputs, want %d×%d weights, %d inputs and an [%d,%d] dst",
+			out.shape, len(wq), len(xq), outC, K, c*h*w, outC, hw))
+	}
+	s.reshape(c, h, w, g)
+	src := xq
+	if !s.direct {
+		src = fill(s, &s.planeQ, &s.freshQ, xq)
+	}
+	s.run(convTask{s: s, out: out.Data, wq: wq, wScales: wScales, srcQ: src, xScale: xScale, oh: oh, ow: ow}, outC, K*outC*hw, int8ParMin)
+}
+
+// run computes t's outC output channels: on the caller below gate MACs,
+// otherwise banded over the worker pool, band b through grid row b.
+func (s *ConvPlane) run(t convTask, outC, macs, gate int) {
+	bands := 1
+	if macs >= gate {
+		bands = par.Width(outC, 1)
+	}
+	s.rows = resize(s.rows, bands*s.cols)
+	if bands == 1 {
+		t.Chunk(0, 0, outC)
+		return
+	}
+	p := convCache.Get()
+	*p = t
+	par.For(outC, 1, p)
+	*p = convTask{}
+	convCache.Put(p)
+}
+
+// convTask is the pooled argument block for ConvInto and ConvInt8Into,
+// banded over output channels: band b writes its channels of out
+// through grid row b and only reads the planes and the offset table.
+// The float operands (wm, src) or the int8 ones (wq, wScales, srcQ,
+// xScale) are set, never both.
 type convTask struct {
 	s            *ConvPlane
 	out, wm, src []float32
+	wq, srcQ     []int8
+	wScales      []float32
+	xScale       float32
 	oh, ow       int
 }
 
+// Chunk computes output channels [lo,hi) from the filled planes
+// through band's grid row or, on the direct path, from x itself.
 func (t *convTask) Chunk(band, lo, hi int) {
-	t.s.chans(t.out, t.wm, t.src, t.s.rows[band*t.s.cols:(band+1)*t.s.cols], t.oh, t.ow, lo, hi)
+	s := t.s
+	K, hw := len(s.off), t.oh*t.ow
+	var row []float32
+	if !s.direct {
+		row = s.rows[band*s.cols : (band+1)*s.cols]
+		if t.wq != nil {
+			row = row[:(t.oh-1)*s.wq+t.ow]
+		}
+	}
+	for oc := lo; oc < hi; oc++ {
+		dst := t.out[oc*hw : (oc+1)*hw]
+		if !s.direct {
+			dst = row
+		}
+		if t.wq == nil {
+			gemmRowOff(dst, t.wm[oc*K:(oc+1)*K], s.off, t.src)
+		} else {
+			int8Row(dst, t.wq[oc*K:(oc+1)*K], s.off, 0, t.srcQ, t.wScales[oc]*t.xScale)
+		}
+		if !s.direct {
+			for oy := 0; oy < t.oh; oy++ {
+				copy(t.out[oc*hw+oy*t.ow:oc*hw+(oy+1)*t.ow], row[oy*s.wq:oy*s.wq+t.ow])
+			}
+		}
+	}
 }
 
 var convCache par.Cache[convTask]
 
-// chans computes output channels [lo,hi) from src, the filled planes
-// (through row, one grid row) or, on the direct path, x itself.
-func (s *ConvPlane) chans(out, wm, src, row []float32, oh, ow, lo, hi int) {
-	K, hw := len(s.off), oh*ow
-	for oc := lo; oc < hi; oc++ {
-		dst := out[oc*hw : (oc+1)*hw]
-		if s.direct {
-			gemmRowOff(dst, wm[oc*K:(oc+1)*K], s.off, src)
-			continue
-		}
-		gemmRowOff(row, wm[oc*K:(oc+1)*K], s.off, src)
-		for oy := 0; oy < oh; oy++ {
-			copy(dst[oy*ow:(oy+1)*ow], row[oy*s.wq:oy*s.wq+ow])
-		}
+// fill copies x into the parity planes that some tap reads and returns
+// them: *buf, sized to s.size and zeroed first when *fresh says the
+// shape changed since its last fill. Input row iy is padded row iy+PH,
+// so it lands in row parity (iy+PH) mod SH, and each column parity rx
+// takes every SW-th element of it. One division per row, a copy
+// (SW == 1) or a strided run per parity; rows no tap reads (a stride
+// above the kernel) are skipped. Quantized zero is exactly 0, so the
+// int8 halo is the padding the float halo is.
+func fill[T float32 | int8](s *ConvPlane, buf *[]T, fresh *bool, x []T) []T {
+	if !*fresh {
+		*buf = resize(*buf, s.size)
+		clear(*buf)
+		*fresh = true
 	}
-}
-
-// fill copies the input rows into the parity planes that some tap
-// reads: input row iy is padded row iy+PH, so it lands in row parity
-// (iy+PH) mod SH, and each column parity rx takes every SW-th element
-// of it. One division per row, a copy (SW == 1) or a strided run per
-// parity; rows no tap reads (a stride above the kernel) are skipped.
-func (s *ConvPlane) fill(x []float32) {
+	plane := *buf
 	g := s.g
 	nry, nrx := min(g.KH, g.SH), min(g.KW, g.SW)
 	for ci := 0; ci < s.c; ci++ {
@@ -141,7 +205,7 @@ func (s *ConvPlane) fill(x []float32) {
 			for rx := 0; rx < nrx; rx++ {
 				q0, q1 := g.oxRange(s.w, s.wq, rx)
 				at := ((ci*nry+ry)*nrx+rx)*s.hq*s.wq + qy*s.wq
-				dst := s.plane[at+q0 : at+q1]
+				dst := plane[at+q0 : at+q1]
 				ix := q0*g.SW + rx - g.PW
 				if g.SW == 1 {
 					copy(dst, src[ix:ix+len(dst)])
@@ -154,15 +218,17 @@ func (s *ConvPlane) fill(x []float32) {
 			}
 		}
 	}
+	return plane
 }
 
-// reshape rebuilds the halo, the offset table and the grid row's length
-// when the input shape or geometry differs from the last call's. A parity
-// plane has the oh + (KH−1)/SH rows and ow + (KW−1)/SW columns its
-// taps read. The buffer is sized from the largest offset plus the
-// rounded grid, not from the last tap's offset (a later tap can sit in
-// an earlier parity plane), and never below the planes' own extent,
-// whose last rows the fill writes even where no output reads them.
+// reshape rebuilds the offset table, the grid row's length and the
+// planes' size when the input shape or geometry differs from the last
+// call's, and marks both precisions' planes stale. A parity plane has
+// the oh + (KH−1)/SH rows and ow + (KW−1)/SW columns its taps read. The
+// planes are sized from the largest offset plus the rounded grid, not
+// from the last tap's offset (a later tap can sit in an earlier parity
+// plane), and never below the planes' own extent, whose last rows the
+// fill writes even where no output reads them.
 func (s *ConvPlane) reshape(c, h, w int, g ConvGeom) {
 	if s.off != nil && s.c == c && s.h == h && s.w == w && s.g == g {
 		return
@@ -186,12 +252,11 @@ func (s *ConvPlane) reshape(c, h, w int, g ConvGeom) {
 			}
 		}
 	}
-	s.cols = 0
+	s.cols, s.fresh, s.freshQ = 0, false, false
 	if !s.direct {
 		grid := (oh-1)*s.wq + ow
 		s.cols = (grid + convTile - 1) / convTile * convTile
-		s.plane = resize(s.plane, max(c*nry*nrx*s.hq*s.wq, maxOff+s.cols))
-		clear(s.plane)
+		s.size = max(c*nry*nrx*s.hq*s.wq, maxOff+s.cols)
 	}
 }
 
@@ -463,9 +528,9 @@ func dwLanesGo(acc, gt, lines []float32, hw, L, nr int) {
 
 // resize returns buf with length n, reallocating only when its
 // capacity is short.
-func resize(buf []float32, n int) []float32 {
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float32, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

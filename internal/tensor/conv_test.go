@@ -43,6 +43,24 @@ func convShapes() []lowerShape {
 	}
 }
 
+// convCase is one forward geometry and its output channel count.
+type convCase struct {
+	sh   lowerShape
+	outC int
+}
+
+// convCases are convShapes at 5 output channels, then 32 channels over
+// a 4×48×120 input at 3×3/p1 strides 1 and 2.
+func convCases() []convCase {
+	var cases []convCase
+	for _, sh := range convShapes() {
+		cases = append(cases, convCase{sh, 5})
+	}
+	return append(cases,
+		convCase{lowerShape{1, 4, 48, 120, ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}}, 32},
+		convCase{lowerShape{1, 4, 48, 120, ConvGeom{KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1}}, 32})
+}
+
 // TestConvS1MatchesIm2Col holds the plane convolution to im2col +
 // MatMulInto bit for bit on every geometry, at every stride, with ±0
 // weights and NaN, ±Inf and −0 inputs, serially and banded over output
@@ -59,19 +77,8 @@ func TestConvS1MatchesIm2Col(t *testing.T) {
 	pm := matmulParMin
 	t.Cleanup(func() { matmulParMin = pm })
 	negZero := math.Float32frombits(1 << 31)
-	type convCase struct {
-		sh   lowerShape
-		outC int
-	}
-	var cases []convCase
-	for _, sh := range convShapes() {
-		cases = append(cases, convCase{sh, 5})
-	}
-	cases = append(cases,
-		convCase{lowerShape{1, 4, 48, 120, ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}}, 32},
-		convCase{lowerShape{1, 4, 48, 120, ConvGeom{KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1}}, 32})
 	for rep := 0; rep < 2; rep++ {
-		for _, cc := range cases {
+		for _, cc := range convCases() {
 			sh, outC := cc.sh, cc.outC
 			g := sh.g
 			oh, ow := g.OutSize(sh.h, sh.w)
@@ -101,6 +108,79 @@ func TestConvS1MatchesIm2Col(t *testing.T) {
 			}
 			run("serial")
 			matmulParMin = 1
+			for _, procs := range []int{1, 2, 4} {
+				withMaxProcs(t, procs, func() { run(fmt.Sprintf("banded at %d procs", procs)) })
+			}
+		}
+	}
+}
+
+// TestConvInt8MatchesIm2Col holds the int8 plane convolution to an int8
+// im2col lowering (refIm2Col) followed by Int8MatMulInto, bit for bit,
+// on every forward geometry, serially and banded over output channels
+// at 1, 2 and 4 procs with the gates lowered. The weights hold zero
+// pairs and odd inner dimensions (the kernel's pair skip and its last
+// single coefficient); the second pass runs every value at ±127, the
+// largest int32 sums. One ConvPlane is reused across every shape and
+// across precisions: a float ConvInto, held to im2col too, runs on it
+// between the serial and the banded int8 calls, so a plane of either
+// precision left stale by a change of shape shows.
+func TestConvInt8MatchesIm2Col(t *testing.T) {
+	rng := NewRNG(0x18c0)
+	var s ConvPlane
+	pm, im := matmulParMin, int8ParMin
+	t.Cleanup(func() { matmulParMin, int8ParMin = pm, im })
+	q := func(extreme bool) int8 {
+		if extreme {
+			return int8(127 - 254*rng.Intn(2))
+		}
+		return int8(rng.Intn(255) - 127)
+	}
+	for rep := 0; rep < 2; rep++ {
+		for _, cc := range convCases() {
+			sh, outC := cc.sh, cc.outC
+			g := sh.g
+			oh, ow := g.OutSize(sh.h, sh.w)
+			K, hw := sh.c*g.KH*g.KW, oh*ow
+			xq, wq := make([]int8, sh.c*sh.h*sh.w), make([]int8, outC*K)
+			for i := range xq {
+				xq[i] = q(rep == 1)
+			}
+			for i := range wq {
+				if wq[i] = q(rep == 1); i%7 < 2 {
+					wq[i] = 0
+				}
+			}
+			ws := make([]float32, outC)
+			for i := range ws {
+				ws[i] = float32(rng.Float64()) + 0.01
+			}
+			xs := float32(rng.Float64()) + 0.01
+			matmulParMin, int8ParMin = math.MaxInt, math.MaxInt
+			cols := make([]int8, K*hw)
+			refIm2Col(cols, xq, 1, sh.c, sh.h, sh.w, g)
+			want := New(outC, hw)
+			Int8MatMulInto(want, wq, ws, cols, xs, outC, K, hw)
+			run := func(how string) {
+				got := Full(float32(math.NaN()), outC, hw)
+				ConvInt8Into(got, wq, ws, xq, xs, sh.c, sh.h, sh.w, g, &s)
+				if i := sameBits(want.Data, got.Data); i >= 0 {
+					t.Fatalf("rep %d %+v %s: element %d is %v, int8 im2col gives %v", rep, sh, how, i, got.Data[i], want.Data[i])
+				}
+			}
+			run("serial")
+			x, wm := New(1, sh.c, sh.h, sh.w), New(outC, K)
+			rng.FillUniform(x, -2, 2)
+			rng.FillUniform(wm, -2, 2)
+			fcols := New(K, hw)
+			Im2ColInto(fcols, x, g)
+			fwant, fgot := New(outC, hw), Full(float32(math.NaN()), outC, hw)
+			MatMulInto(fwant, wm, fcols)
+			ConvInto(fgot, wm, x, g, &s)
+			if i := sameBits(fwant.Data, fgot.Data); i >= 0 {
+				t.Fatalf("rep %d %+v float between int8 calls: element %d is %v, im2col gives %v", rep, sh, i, fgot.Data[i], fwant.Data[i])
+			}
+			matmulParMin, int8ParMin = 1, 1
 			for _, procs := range []int{1, 2, 4} {
 				withMaxProcs(t, procs, func() { run(fmt.Sprintf("banded at %d procs", procs)) })
 			}
@@ -139,8 +219,8 @@ func convDXShapes() []lowerShape {
 func TestConvDXMatchesCol2Im(t *testing.T) {
 	rng := NewRNG(0xdc01)
 	var s ConvDXLines
-	pm, lm := matmulParMin, lowerParMin
-	t.Cleanup(func() { matmulParMin, lowerParMin = pm, lm })
+	pm := matmulParMin
+	t.Cleanup(func() { matmulParMin = pm })
 	negZero := math.Float32frombits(1 << 31)
 	for rep := 0; rep < 2; rep++ {
 		for _, sh := range convDXShapes() {
@@ -161,7 +241,7 @@ func TestConvDXMatchesCol2Im(t *testing.T) {
 				grad.Data[len(grad.Data)-1] = float32(math.Inf(1))
 				grad.Data[len(grad.Data)/2] = float32(math.Inf(-1))
 			}
-			matmulParMin, lowerParMin = math.MaxInt, math.MaxInt
+			matmulParMin = math.MaxInt
 			dcols := New(K, oh*ow)
 			MatMulInto(dcols, wt, grad)
 			want := New(1, sh.c, sh.h, sh.w)

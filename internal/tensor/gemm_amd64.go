@@ -50,9 +50,6 @@ func dwLanesAVX2(acc, gt, lines *float32, hw, nl, ldg, nr int)
 func dwLanesAVX512(acc, gt, lines *float32, hw, nl, ldg, nr int)
 
 //go:noescape
-func axpyAVX2(dst, b *float32, av float32, n int)
-
-//go:noescape
 func addAVX2(dst, src *float32, n int)
 
 // The wrappers keep the assembly inside the slices: they index the
@@ -135,16 +132,6 @@ func dwLanes(acc, gt, lines []float32, hw, L, nr int) {
 	if w < L {
 		dwLanesAVX2(&acc[w], &gt[w], &lines[0], hw, L-w, L, nr)
 	}
-}
-
-func axpy(di, bp []float32, av float32) {
-	n := len(di)
-	if !useAVX2 || n == 0 {
-		axpyRow(di, bp, av)
-		return
-	}
-	_ = bp[n-1]
-	axpyAVX2(&di[0], &bp[0], av, n)
 }
 
 func addRow(dst, src []float32) {

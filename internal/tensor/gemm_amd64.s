@@ -3,7 +3,7 @@
 #include "textflag.h"
 
 // AVX2 mirrors of the Go float kernels in matmul.go (gemmRowGo,
-// gemmRowOffGo, axpyRow), im2col.go (addRowGo) and conv.go
+// gemmRowOffGo), im2col.go (addRowGo) and conv.go
 // (dwLanesGo). Every lane performs VMULPS then VADDPS — never FMA — in
 // the Go kernel's order, so each output element goes through exactly
 // the scalar sequence acc = acc + float32(a·b) (in the lane kernel,
@@ -272,61 +272,6 @@ off1skip:
 	JMP    off1
 
 offdone:
-	VZEROUPPER
-	RET
-
-// func axpyAVX2(dst, b *float32, av float32, n int)
-//
-// dst[j] += av·b[j] for j in [0,n): axpyRow, eight lanes at a time.
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-32
-	MOVQ         dst+0(FP), DI
-	MOVQ         b+8(FP), SI
-	VBROADCASTSS av+16(FP), Y4
-	MOVQ         n+24(FP), CX
-
-axpy32:
-	CMPQ    CX, $32
-	JLT     axpy8
-	VMULPS  (SI), Y4, Y0
-	VMULPS  32(SI), Y4, Y1
-	VMULPS  64(SI), Y4, Y2
-	VMULPS  96(SI), Y4, Y3
-	VADDPS  (DI), Y0, Y0
-	VADDPS  32(DI), Y1, Y1
-	VADDPS  64(DI), Y2, Y2
-	VADDPS  96(DI), Y3, Y3
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	SUBQ    $32, CX
-	JMP     axpy32
-
-axpy8:
-	CMPQ    CX, $8
-	JLT     axpy1
-	VMULPS  (SI), Y4, Y0
-	VADDPS  (DI), Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JMP     axpy8
-
-axpy1:
-	TESTQ  CX, CX
-	JZ     axpydone
-	VMULSS (SI), X4, X0
-	VADDSS (DI), X0, X0
-	VMOVSS X0, (DI)
-	ADDQ   $4, SI
-	ADDQ   $4, DI
-	DECQ   CX
-	JMP    axpy1
-
-axpydone:
 	VZEROUPPER
 	RET
 

@@ -120,9 +120,9 @@ func offset(src *Tensor, off int) *Tensor {
 func eachPoolConfig(t *testing.T, check func(procs int)) {
 	t.Helper()
 	check(0)
-	pm, lm := matmulParMin, lowerParMin
-	matmulParMin, lowerParMin = 1, 1
-	defer func() { matmulParMin, lowerParMin = pm, lm }()
+	pm := matmulParMin
+	matmulParMin = 1
+	defer func() { matmulParMin = pm }()
 	for _, procs := range parProcs {
 		withMaxProcs(t, procs, func() { check(procs) })
 	}
@@ -389,8 +389,6 @@ func TestAVX2EmptyProducts(t *testing.T) {
 		gemmRow(nil, []float32{1, 2}, nil, 0) // n == 0
 		matmulRows(nil, nil, nil, 0, 0, 4, 4) // m == 0
 		matmulCols(dst, nil, nil, 1, 0, 3, 0, 3)
-		matmulTARows(dst, nil, nil, 1, 0, 3, 0, 1)
-		axpy(nil, nil, 2)
 		addRow(nil, nil)
 		dst = []float32{7, 7, 7}
 		gemmRowOff(dst, nil, nil, nil) // k == 0

@@ -14,6 +14,4 @@ func gemmRowOff(di, ai []float32, off []int, b []float32) { gemmRowOffGo(di, ai,
 
 func dwLanes(acc, gt, lines []float32, hw, L, nr int) { dwLanesGo(acc, gt, lines, hw, L, nr) }
 
-func axpy(di, bp []float32, av float32) { axpyRow(di, bp, av) }
-
 func addRow(dst, src []float32) { addRowGo(dst, src) }

@@ -2,12 +2,6 @@ package tensor
 
 import "fmt"
 
-// Parallel gate for the int8 lowering, in output elements. The
-// lowering is a strided copy (memory-bound, no MACs), so its
-// break-even is higher than the GEMM gate in per-element terms; the
-// var is lowered by the bitwise property suite like the GEMM gates.
-var lowerParMin = 1 << 17
-
 // ConvGeom describes the geometry of a 2-D convolution: kernel size,
 // stride and symmetric zero padding. It is shared by the convolution
 // layer, the pooling layers and the FLOPs model.
@@ -78,9 +72,9 @@ func Im2ColInto(out, x *Tensor, g ConvGeom) {
 	im2colRows(out.Data, x.Data, n, c, h, w, oh, ow, g, 0, rows)
 }
 
-// im2colRows fills output rows [rlo,rhi) of the float or int8
-// lowering, each of n·oh·ow columns.
-func im2colRows[T float32 | int8](out, x []T, n, c, h, w, oh, ow int, g ConvGeom, rlo, rhi int) {
+// im2colRows fills output rows [rlo,rhi) of the lowering, each of
+// n·oh·ow columns.
+func im2colRows(out, x []float32, n, c, h, w, oh, ow int, g ConvGeom, rlo, rhi int) {
 	cols := n * oh * ow
 	for r := rlo; r < rhi; r++ {
 		im2colRow(out[r*cols:(r+1)*cols], x, n, c, h, w, oh, ow, g, r)
@@ -92,7 +86,7 @@ func im2colRows[T float32 | int8](out, x []T, n, c, h, w, oh, ow int, g ConvGeom
 // (image ni, output pixel oy,ox). The row is zero-filled only when its
 // tap can read out of bounds, so every other element is overwritten;
 // the in-bounds run of each output line is one copy when SW == 1.
-func im2colRow[T float32 | int8](dst, x []T, n, c, h, w, oh, ow int, g ConvGeom, r int) {
+func im2colRow(dst, x []float32, n, c, h, w, oh, ow int, g ConvGeom, r int) {
 	kx := r % g.KW
 	ky := (r / g.KW) % g.KH
 	ci := r / (g.KH * g.KW)

@@ -80,185 +80,85 @@ func QuantizeInt8PerRow(dst []int8, scales []float32, src []float32, rows, k int
 // Int8MatMulInto computes out[m,n] = diag(aScales)·(a·b)·xScale where
 // a is an int8 [m,k] matrix with per-row scales (quantized weights)
 // and b an int8 [k,n] matrix with a single scale (quantized
-// activations, e.g. an im2col lowering of one sample). Accumulation is
-// int32; out is overwritten.
+// activations: Linear's one sample as a [k,1] column). Each output row
+// is one int8Row call with b's rows n apart; accumulation is int32 and
+// exact, so the output rows are banded over the pool behind the int8
+// gate at no cost to any bit. out is overwritten.
 func Int8MatMulInto(out *Tensor, a []int8, aScales []float32, b []int8, xScale float32, m, k, n int) {
 	if len(a) != m*k || len(b) != k*n || len(aScales) != m || len(out.Data) != m*n {
 		panic(fmt.Sprintf("tensor: Int8MatMulInto size mismatch a=%d b=%d scales=%d out=%d (m=%d k=%d n=%d)",
 			len(a), len(b), len(aScales), len(out.Data), m, k, n))
 	}
+	t := i8Task{out: out.Data, a: a, aScales: aScales, b: b, xScale: xScale, k: k, n: n}
 	if m*k*n < int8ParMin {
-		int8MMRows(out.Data, a, aScales, b, xScale, k, n, 0, m)
+		t.Chunk(0, 0, m)
 		return
 	}
-	t := i8Cache.Get()
-	*t = i8Task{op: opI8Rows, out: out.Data, a: a, aScales: aScales, b: b, xScale: xScale, m: m, k: k, n: n}
-	par.For(m, 1, t)
-	t.out, t.a, t.aScales, t.b, t.bScales = nil, nil, nil, nil, nil
-	i8Cache.Put(t)
+	p := i8Cache.Get()
+	*p = t
+	par.For(m, 1, p)
+	*p = i8Task{}
+	i8Cache.Put(p)
 }
 
-// int8MMRows computes output rows [lo,hi) of the weight-stationary
-// int8 GEMM. Each row's int32 accumulation is self-contained, so row
-// banding is trivially bitwise-stable (and integer accumulation is
-// exact regardless).
-func int8MMRows(out []float32, a []int8, aScales []float32, b []int8, xScale float32, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ai := a[i*k : (i+1)*k]
-		oi := out[i*n : (i+1)*n]
-		int8AxpyRows(oi, ai, b, k, n, aScales[i]*xScale)
-	}
-}
-
-// i8Task is the pooled argument block shared by the int8 GEMM
-// variants.
+// i8Task is the pooled argument block for Int8MatMulInto, banded over
+// output rows.
 type i8Task struct {
-	op               int
-	out              []float32
-	a, b             []int8
-	aScales, bScales []float32
-	xScale           float32
-	m, k, n          int
+	out     []float32
+	a, b    []int8
+	aScales []float32
+	xScale  float32
+	k, n    int
 }
-
-const (
-	opI8Rows = iota // Int8MatMulInto, banded over output rows
-	opI8TBRows
-	opI8TBCols
-)
 
 func (t *i8Task) Chunk(_, lo, hi int) {
-	switch t.op {
-	case opI8Rows:
-		int8MMRows(t.out, t.a, t.aScales, t.b, t.xScale, t.k, t.n, lo, hi)
-	case opI8TBRows:
-		int8TBRange(t.out, t.a, t.aScales, t.b, t.bScales, t.k, t.n, lo, hi, 0, t.n)
-	case opI8TBCols:
-		int8TBRange(t.out, t.a, t.aScales, t.b, t.bScales, t.k, t.n, 0, t.m, lo, hi)
+	for i := lo; i < hi; i++ {
+		int8Row(t.out[i*t.n:(i+1)*t.n], t.a[i*t.k:(i+1)*t.k], nil, t.n, t.b, t.aScales[i]*t.xScale)
 	}
 }
 
 var i8Cache par.Cache[i8Task]
 
-// int8AxpyRows computes oi = s · Σ_p ai[p]·b[p*n:...] with int32
-// accumulation per output element, using a k-blocked walk so the
-// int32 partial sums live in a small reused stack buffer.
-func int8AxpyRows(oi []float32, ai []int8, b []int8, k, n int, s float32) {
+// int8Row is the one int8 row kernel: dst[j] = scale · Σ_p ai[p]·b[o_p + j]
+// with o_p = off[p], or p·ld when off is nil. It accumulates in int32
+// over 256-column blocks held on the stack and takes the coefficients
+// two at a time, a pair of zeros skipped; the sums are exact, so neither
+// the pairing nor the order moves a bit.
+func int8Row(dst []float32, ai []int8, off []int, ld int, b []int8, scale float32) {
 	const block = 256
-	var acc [block]int32
-	for j0 := 0; j0 < n; j0 += block {
-		j1 := j0 + block
-		if j1 > n {
-			j1 = n
-		}
-		w := j1 - j0
-		for j := 0; j < w; j++ {
-			acc[j] = 0
-		}
-		for p := 0; p < k; p++ {
-			av := int32(ai[p])
-			if av == 0 {
+	var buf [block]int32
+	k := len(ai)
+	for j0 := 0; j0 < len(dst); j0 += block {
+		acc := buf[:min(block, len(dst)-j0)]
+		clear(acc)
+		p := 0
+		for ; p+1 < k; p += 2 {
+			a0, a1 := int32(ai[p]), int32(ai[p+1])
+			if a0|a1 == 0 {
 				continue
 			}
-			bp := b[p*n+j0 : p*n+j1]
-			for j, bv := range bp {
-				acc[j] += av * int32(bv)
+			o0, o1 := p*ld, (p+1)*ld
+			if off != nil {
+				o0, o1 = off[p], off[p+1]
+			}
+			b0 := b[o0+j0:][:len(acc)]
+			b1 := b[o1+j0:][:len(acc)]
+			for j := range acc {
+				acc[j] += a0*int32(b0[j]) + a1*int32(b1[j])
 			}
 		}
-		for j := 0; j < w; j++ {
-			oi[j0+j] = s * float32(acc[j])
+		if p < k && ai[p] != 0 {
+			a0, o0 := int32(ai[p]), p*ld
+			if off != nil {
+				o0 = off[p]
+			}
+			b0 := b[o0+j0:][:len(acc)]
+			for j := range acc {
+				acc[j] += a0 * int32(b0[j])
+			}
 		}
-	}
-}
-
-// Int8MatMulTBInto computes out[m,n] = a·bᵀ for int8 a:[m,k] with
-// per-row scales aScales (quantized activations, one scale per sample
-// row) and int8 b:[n,k] with per-row scales bScales (quantized weights,
-// one scale per output feature). Accumulation is int32; out is
-// overwritten. This is the quantized Linear forward.
-func Int8MatMulTBInto(out *Tensor, a []int8, aScales []float32, b []int8, bScales []float32, m, k, n int) {
-	if len(a) != m*k || len(b) != n*k || len(aScales) != m || len(bScales) != n || len(out.Data) != m*n {
-		panic(fmt.Sprintf("tensor: Int8MatMulTBInto size mismatch a=%d b=%d out=%d (m=%d k=%d n=%d)",
-			len(a), len(b), len(out.Data), m, k, n))
-	}
-	if m*k*n < int8ParMin {
-		int8TBRange(out.Data, a, aScales, b, bScales, k, n, 0, m, 0, n)
-		return
-	}
-	t := i8Cache.Get()
-	if m >= 2*par.Width(m, 1) {
-		*t = i8Task{op: opI8TBRows, out: out.Data, a: a, aScales: aScales, b: b, bScales: bScales, m: m, k: k, n: n}
-		par.For(m, 1, t)
-	} else {
-		// Serving batches are small (m ∈ 1..8): band the output
-		// features instead so one frame still spreads across workers.
-		*t = i8Task{op: opI8TBCols, out: out.Data, a: a, aScales: aScales, b: b, bScales: bScales, m: m, k: k, n: n}
-		par.For(n, 16, t)
-	}
-	t.out, t.a, t.aScales, t.b, t.bScales = nil, nil, nil, nil, nil
-	i8Cache.Put(t)
-}
-
-// int8TBRange computes rows [ilo,ihi) × columns [jlo,jhi) of the
-// activation-stationary int8 GEMM. Every element is one exact int32
-// dot product, so any banding is bitwise-stable.
-func int8TBRange(out []float32, a []int8, aScales []float32, b []int8, bScales []float32, k, n, ilo, ihi, jlo, jhi int) {
-	for i := ilo; i < ihi; i++ {
-		ai := a[i*k : (i+1)*k]
-		oi := out[i*n : (i+1)*n]
-		as := aScales[i]
-		for j := jlo; j < jhi; j++ {
-			bj := b[j*k : (j+1)*k]
-			s := int32(0)
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				s += int32(ai[p])*int32(bj[p]) + int32(ai[p+1])*int32(bj[p+1]) +
-					int32(ai[p+2])*int32(bj[p+2]) + int32(ai[p+3])*int32(bj[p+3])
-			}
-			for ; p < k; p++ {
-				s += int32(ai[p]) * int32(bj[p])
-			}
-			oi[j] = as * bScales[j] * float32(s)
+		for j, v := range acc {
+			dst[j0+j] = scale * float32(v)
 		}
 	}
 }
-
-// Im2ColInt8Into lowers one int8 image [c, h, w] into a [c*kh*kw,
-// oh*ow] int8 matrix (single-sample im2col). Zero padding is exact in
-// int8 — the symmetric scheme maps 0.0 to quantized 0 — so the lowering
-// commutes with quantization.
-func Im2ColInt8Into(dst []int8, x []int8, c, h, w int, g ConvGeom) {
-	oh, ow := g.OutSize(h, w)
-	rows := c * g.KH * g.KW
-	cols := oh * ow
-	if len(x) != c*h*w || len(dst) != rows*cols {
-		panic(fmt.Sprintf("tensor: Im2ColInt8Into size mismatch x=%d dst=%d want x=%d dst=%d",
-			len(x), len(dst), c*h*w, rows*cols))
-	}
-	if rows*cols < lowerParMin {
-		im2colRows(dst, x, 1, c, h, w, oh, ow, g, 0, rows)
-		return
-	}
-	t := i8LowerCache.Get()
-	*t = i8LowerTask{dst: dst, x: x, c: c, h: h, w: w, oh: oh, ow: ow, g: g}
-	par.For(rows, 1, t)
-	t.dst, t.x = nil, nil
-	i8LowerCache.Put(t)
-}
-
-// i8LowerTask is the pooled argument block for Im2ColInt8Into, banded
-// over output rows like the float lowering, whose row kernel it shares
-// (im2colRows with n = 1): quantized zero is exactly 0, so padding
-// stays exact and unpadded geometries skip the clearing pass too.
-type i8LowerTask struct {
-	dst, x  []int8
-	c, h, w int
-	oh, ow  int
-	g       ConvGeom
-}
-
-func (t *i8LowerTask) Chunk(_, lo, hi int) {
-	im2colRows(t.dst, t.x, 1, t.c, t.h, t.w, t.oh, t.ow, t.g, lo, hi)
-}
-
-var i8LowerCache par.Cache[i8LowerTask]

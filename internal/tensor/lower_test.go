@@ -159,35 +159,6 @@ func TestIm2ColMatchesReferenceLoop(t *testing.T) {
 	}
 }
 
-func TestIm2ColInt8MatchesReferenceLoop(t *testing.T) {
-	rng := NewRNG(0x10e8)
-	for _, sh := range lowerTestShapes() {
-		if sh.n != 1 {
-			continue // the int8 lowering is single-sample
-		}
-		x := make([]int8, sh.c*sh.h*sh.w)
-		for i := range x {
-			x[i] = int8(rng.Intn(255) - 127)
-		}
-		oh, ow := sh.g.OutSize(sh.h, sh.w)
-		size := sh.c * sh.g.KH * sh.g.KW * oh * ow
-		want, got := make([]int8, size), make([]int8, size)
-		for i := range want {
-			want[i], got[i] = -128, -128 // never produced by the quantizer
-		}
-		refIm2Col(want, x, 1, sh.c, sh.h, sh.w, sh.g)
-		Im2ColInt8Into(got, x, sh.c, sh.h, sh.w, sh.g)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("Im2ColInt8 %+v: element %d is %d, reference loop gives %d", sh, i, got[i], want[i])
-			}
-			if got[i] == -128 {
-				t.Fatalf("Im2ColInt8 %+v: destination poison survived at %d", sh, i)
-			}
-		}
-	}
-}
-
 func TestCol2ImMatchesReferenceLoop(t *testing.T) {
 	rng := NewRNG(0xc0e1)
 	nan := float32(math.NaN())

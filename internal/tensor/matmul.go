@@ -29,18 +29,19 @@ var (
 
 // gemmTask is the pooled argument block for every float GEMM variant:
 // op selects the row/column kernel, the slices alias caller storage
-// for the duration of one par.For call.
+// for the duration of one par.For call. at is MatMulTAInto's transpose
+// of a, owned by the block and grown to the largest seen.
 type gemmTask struct {
 	op      int
 	dst     []float32
 	a, b    []float32
+	at      []float32
 	m, k, n int
 }
 
 const (
 	opMMRows = iota // matmulInto, banded over dst rows
 	opMMCols        // matmulInto, banded over dst columns (small m)
-	opTARows        // MatMulTAInto, banded over dst rows
 	opTBRows        // MatMulTBInto, banded over dst rows
 	opTBCols        // MatMulTBInto, banded over dst columns
 )
@@ -51,8 +52,6 @@ func (t *gemmTask) Chunk(_, lo, hi int) {
 		matmulRows(t.dst, t.a, t.b, lo, hi, t.k, t.n)
 	case opMMCols:
 		matmulCols(t.dst, t.a, t.b, t.m, t.k, t.n, lo, hi)
-	case opTARows:
-		matmulTARows(t.dst, t.a, t.b, t.m, t.k, t.n, lo, hi)
 	case opTBRows:
 		matmulTBRows(t.dst, t.a, t.b, t.k, t.n, lo, hi, 0, t.n)
 	case opTBCols:
@@ -155,7 +154,8 @@ func gemmRowOffGo(di, ai []float32, off []int, b []float32) {
 	}
 }
 
-// axpyRow computes di += av*bp with 4-way unrolling.
+// axpyRow computes di += av*bp with 4-way unrolling: one coefficient's
+// update in the Go row kernels.
 func axpyRow(di, bp []float32, av float32) {
 	n := len(di)
 	i := 0
@@ -171,40 +171,27 @@ func axpyRow(di, bp []float32, av float32) {
 }
 
 // MatMulTAInto computes out = aᵀ·b reusing out's storage ([k,m]ᵀ·[k,n]
-// → [m,n]) without materializing the transpose. The accumulation order
-// is the same at any worker count — banding is over output rows and
-// each row accumulates over k in serial order. out must not alias a or
-// b.
+// → [m,n]). It transposes a into a buffer of its pooled task block,
+// then runs matmulInto over it, so each row accumulates its rank-1
+// updates in increasing p from +0 with ±0 coefficients skipped — the
+// order a k-outer walk of a would take — at any worker count. The
+// buffer grows to the largest a seen, so a steady-state call allocates
+// nothing. out must not alias a or b.
 func MatMulTAInto(out, a, b *Tensor) {
 	k, m := a.shape[0], a.shape[1]
 	n := b.shape[1]
 	if b.shape[0] != k || out.shape[0] != m || out.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTAInto shape mismatch %v = %vᵀ × %v", out.shape, a.shape, b.shape))
 	}
-	if m*k*n < matmulParMin {
-		matmulTARows(out.Data, a.Data, b.Data, m, k, n, 0, m)
-		return
-	}
-	runGEMM(opTARows, m, 1, out.Data, a.Data, b.Data, m, k, n)
-}
-
-// matmulTARows computes rows [lo,hi) of out = aᵀ·b. The k-outer loop
-// order is the serial kernel's: each owned row accumulates its
-// rank-1 updates in increasing p, so band boundaries never reorder
-// any element's sum.
-func matmulTARows(dst, a, b []float32, m, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		clear(dst[i*n : (i+1)*n])
-	}
+	t := gemmCache.Get()
+	t.at = resize(t.at, m*k)
 	for p := 0; p < k; p++ {
-		ap := a[p*m : (p+1)*m]
-		bp := b[p*n : (p+1)*n]
-		for i := lo; i < hi; i++ {
-			if av := ap[i]; av != 0 {
-				axpy(dst[i*n:(i+1)*n], bp, av)
-			}
+		for i, v := range a.Data[p*m : (p+1)*m] {
+			t.at[i*k+p] = v
 		}
 	}
+	matmulInto(out.Data, t.at, b.Data, m, k, n)
+	gemmCache.Put(t)
 }
 
 // MatMulTBInto computes out = a·bᵀ reusing out's storage ([m,k]·[n,k]ᵀ

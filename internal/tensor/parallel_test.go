@@ -19,16 +19,16 @@ import (
 // the production gates after the test.
 func lowGates(t *testing.T) {
 	t.Helper()
-	pm, im, lm := matmulParMin, int8ParMin, lowerParMin
-	matmulParMin, int8ParMin, lowerParMin = 1, 1, 1
-	t.Cleanup(func() { matmulParMin, int8ParMin, lowerParMin = pm, im, lm })
+	pm, im := matmulParMin, int8ParMin
+	matmulParMin, int8ParMin = 1, 1
+	t.Cleanup(func() { matmulParMin, int8ParMin = pm, im })
 }
 
 // serialGates disables the pooled path entirely.
 func serialGates(t *testing.T) func() {
-	pm, im, lm := matmulParMin, int8ParMin, lowerParMin
-	matmulParMin, int8ParMin, lowerParMin = math.MaxInt, math.MaxInt, math.MaxInt
-	return func() { matmulParMin, int8ParMin, lowerParMin = pm, im, lm }
+	pm, im := matmulParMin, int8ParMin
+	matmulParMin, int8ParMin = math.MaxInt, math.MaxInt
+	return func() { matmulParMin, int8ParMin = pm, im }
 }
 
 func withMaxProcs(t *testing.T, procs int, f func()) {
@@ -253,30 +253,20 @@ func TestInt8KernelsBitwiseAcrossWorkers(t *testing.T) {
 	for _, sh := range gemmShapes {
 		a := make([]int8, sh.m*sh.k)
 		b := make([]int8, sh.k*sh.n)
-		bt := make([]int8, sh.n*sh.k)
 		aScales := make([]float32, sh.m)
-		bScales := make([]float32, sh.n)
 		for i := range a {
 			a[i] = int8(rng.Intn(255) - 127)
 		}
 		for i := range b {
 			b[i] = int8(rng.Intn(255) - 127)
 		}
-		for i := range bt {
-			bt[i] = int8(rng.Intn(255) - 127)
-		}
 		for i := range aScales {
 			aScales[i] = float32(rng.Float64()) + 0.01
 		}
-		for i := range bScales {
-			bScales[i] = float32(rng.Float64()) + 0.01
-		}
 		xScale := float32(rng.Float64()) + 0.01
 		goldenMM := New(sh.m, sh.n)
-		goldenTB := New(sh.m, sh.n)
 		restore := serialGates(t)
 		Int8MatMulInto(goldenMM, a, aScales, b, xScale, sh.m, sh.k, sh.n)
-		Int8MatMulTBInto(goldenTB, a, aScales, bt, bScales, sh.m, sh.k, sh.n)
 		restore()
 		lowGates(t)
 		for _, procs := range parProcs {
@@ -286,46 +276,6 @@ func TestInt8KernelsBitwiseAcrossWorkers(t *testing.T) {
 				if i := bitsEqual(goldenMM.Data, got.Data); i >= 0 {
 					t.Fatalf("Int8MatMul %dx%dx%d procs=%d: element %d differs",
 						sh.m, sh.k, sh.n, procs, i)
-				}
-				gotTB := New(sh.m, sh.n)
-				Int8MatMulTBInto(gotTB, a, aScales, bt, bScales, sh.m, sh.k, sh.n)
-				if i := bitsEqual(goldenTB.Data, gotTB.Data); i >= 0 {
-					t.Fatalf("Int8MatMulTB %dx%dx%d procs=%d: element %d differs",
-						sh.m, sh.k, sh.n, procs, i)
-				}
-			})
-		}
-	}
-}
-
-func TestIm2ColInt8BitwiseAcrossWorkers(t *testing.T) {
-	rng := NewRNG(0x18c0)
-	for _, sh := range lowerShapes {
-		if sh.n != 1 {
-			continue // int8 lowering is single-sample
-		}
-		x := make([]int8, sh.c*sh.h*sh.w)
-		for i := range x {
-			x[i] = int8(rng.Intn(255) - 127)
-		}
-		oh, ow := sh.g.OutSize(sh.h, sh.w)
-		rows := sh.c * sh.g.KH * sh.g.KW
-		golden := make([]int8, rows*oh*ow)
-		restore := serialGates(t)
-		Im2ColInt8Into(golden, x, sh.c, sh.h, sh.w, sh.g)
-		restore()
-		lowGates(t)
-		for _, procs := range parProcs {
-			withMaxProcs(t, procs, func() {
-				got := make([]int8, rows*oh*ow)
-				for i := range got {
-					got[i] = 42
-				}
-				Im2ColInt8Into(got, x, sh.c, sh.h, sh.w, sh.g)
-				for i := range golden {
-					if golden[i] != got[i] {
-						t.Fatalf("Im2ColInt8 %+v procs=%d: element %d differs", sh, procs, i)
-					}
 				}
 			})
 		}

@@ -24,11 +24,9 @@ type ConvPlane struct {
 	// slack; only the interior is rewritten per call. At stride 1 it
 	// is the one padded plane [c, h+2PH, w+2PW]. planeQ is its int8
 	// twin, laid out alike.
-	plane   []float32
-	planeQ  []int8
+	plane   planes[float32]
+	planeQ  planes[int8]
 	size    int       // one precision's planes and slack, in elements
-	fresh   bool      // plane is sized and zeroed for the current shape
-	freshQ  bool      // planeQ is
 	off     []int     // off[(ci·KH+ky)·KW+kx]: where tap (ci,ky,kx) reads output (0,0)
 	rows    []float32 // band b's grid row is rows[b·cols : (b+1)·cols]
 	cols    int       // one output channel over the grid, in whole row-kernel tiles
@@ -81,7 +79,7 @@ func ConvInto(out, wm, x *Tensor, g ConvGeom, s *ConvPlane) {
 	s.reshape(c, h, w, g)
 	src := x.Data
 	if !s.direct {
-		src = fill(s, &s.plane, &s.fresh, x.Data)
+		src = s.plane.fill(s, x.Data)
 	}
 	outC := out.shape[0]
 	s.run(convTask{s: s, out: out.Data, wm: wm.Data, src: src, oh: oh, ow: ow}, outC, K*outC*hw, matmulParMin)
@@ -91,7 +89,7 @@ func ConvInto(out, wm, x *Tensor, g ConvGeom, s *ConvPlane) {
 // for the int8 weight matrix wq [outC, c·KH·KW] with per-row scales and
 // one quantized sample xq [c·h·w] with one scale; out is [outC, oh·ow].
 // It quantizes nothing itself. The sample is copied into the int8
-// parity planes by the float path's fill, read through the same offset
+// parity planes by ConvInto's own fill, read through the same offset
 // table and banded over output channels through the same task behind
 // the int8 gate; each channel is one int8Row call over the grid's exact
 // length, (oh−1)·wq + ow, whose halo columns are dropped as in
@@ -107,7 +105,7 @@ func ConvInt8Into(out *Tensor, wq []int8, wScales []float32, xq []int8, xScale f
 	s.reshape(c, h, w, g)
 	src := xq
 	if !s.direct {
-		src = fill(s, &s.planeQ, &s.freshQ, xq)
+		src = s.planeQ.fill(s, xq)
 	}
 	s.run(convTask{s: s, out: out.Data, wq: wq, wScales: wScales, srcQ: src, xScale: xScale, oh: oh, ow: ow}, outC, K*outC*hw, int8ParMin)
 }
@@ -177,21 +175,28 @@ func (t *convTask) Chunk(band, lo, hi int) {
 
 var convCache par.Cache[convTask]
 
+// planes is one precision's parity planes. fresh is set once buf is
+// sized and its halo zeroed for the shape s.reshape last saw.
+type planes[T float32 | int8] struct {
+	buf   []T
+	fresh bool
+}
+
 // fill copies x into the parity planes that some tap reads and returns
-// them: *buf, sized to s.size and zeroed first when *fresh says the
-// shape changed since its last fill. Input row iy is padded row iy+PH,
-// so it lands in row parity (iy+PH) mod SH, and each column parity rx
-// takes every SW-th element of it. One division per row, a copy
-// (SW == 1) or a strided run per parity; rows no tap reads (a stride
-// above the kernel) are skipped. Quantized zero is exactly 0, so the
-// int8 halo is the padding the float halo is.
-func fill[T float32 | int8](s *ConvPlane, buf *[]T, fresh *bool, x []T) []T {
-	if !*fresh {
-		*buf = resize(*buf, s.size)
-		clear(*buf)
-		*fresh = true
+// them, sized to s.size and zeroed first if the shape changed since
+// their last fill. Input row iy is padded row iy+PH, so it lands in row
+// parity (iy+PH) mod SH, and each column parity rx takes every SW-th
+// element of it. One division per row, a copy (SW == 1) or a strided
+// run per parity; rows no tap reads (a stride above the kernel) are
+// skipped. Quantized zero is exactly 0, so the int8 halo is the
+// padding the float halo is.
+func (p *planes[T]) fill(s *ConvPlane, x []T) []T {
+	if !p.fresh {
+		p.buf = resize(p.buf, s.size)
+		clear(p.buf)
+		p.fresh = true
 	}
-	plane := *buf
+	plane := p.buf
 	g := s.g
 	nry, nrx := min(g.KH, g.SH), min(g.KW, g.SW)
 	for ci := 0; ci < s.c; ci++ {
@@ -252,7 +257,7 @@ func (s *ConvPlane) reshape(c, h, w int, g ConvGeom) {
 			}
 		}
 	}
-	s.cols, s.fresh, s.freshQ = 0, false, false
+	s.cols, s.plane.fresh, s.planeQ.fresh = 0, false, false
 	if !s.direct {
 		grid := (oh-1)*s.wq + ow
 		s.cols = (grid + convTile - 1) / convTile * convTile

@@ -45,9 +45,9 @@ func phaseMs(cost resnet.ModelCost, mode PowerMode, flopScale, byteScale float64
 // rooflineMs is the per-layer roofline every price here sums, in ms:
 // each layer takes max(compute, memory), compute being flopScale·FLOPs
 // at rate (GFLOP/s or GOP/s) and memory (actScale·2·ActBytes +
-// weightScale·WeightBytes)/div bytes at the mode's bandwidth. Every
-// scale is a small integer or a power of two applied to integer byte
-// counts, so the callers' prices are exact in any grouping.
+// weightScale·WeightBytes)/div bytes at the mode's bandwidth. The byte
+// scales and div are small integers or powers of two applied to integer
+// byte counts, so the byte sums are exact however they are grouped.
 func rooflineMs(cost resnet.ModelCost, mode PowerMode, rate, flopScale, actScale, weightScale, div float64) float64 {
 	totalUs := 0.0
 	for _, l := range cost.Layers {

@@ -155,6 +155,24 @@ func BenchmarkKernelConvDW(b *testing.B) {
 	})
 }
 
+// BenchmarkKernelConvInt8 is ConvInto's int8 twin on the same stages:
+// the weights and the sample are quantized once outside the loop, so
+// the GMAC/s are ConvInt8Into's alone — the plane fill and the int8 row
+// kernel at each tier.
+func BenchmarkKernelConvInt8(b *testing.B) {
+	benchConvStages(b, func(x, wm, _, g *Tensor, geom ConvGeom) func() {
+		out := New(g.Shape()...)
+		outC, K := wm.Shape()[0], wm.Shape()[1]
+		wq, ws := make([]int8, outC*K), make([]float32, outC)
+		QuantizeInt8PerRow(wq, ws, wm.Data, outC, K)
+		xq := make([]int8, len(x.Data))
+		xs := QuantizeInt8(xq, x.Data)
+		c, h, w := x.Shape()[1], x.Shape()[2], x.Shape()[3]
+		var plane ConvPlane
+		return func() { ConvInt8Into(out, wq, ws, xq, xs, c, h, w, geom, &plane) }
+	})
+}
+
 func BenchmarkKernelCol2Im(b *testing.B) {
 	rng := NewRNG(5)
 	cols := New(bkK, bkN)

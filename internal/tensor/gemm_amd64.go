@@ -10,13 +10,21 @@ import "fmt"
 // flip it to compare the two.
 var useAVX2 = cpuHasAVX2()
 
-// useAVX512 adds the AVX-512 tier of the two row kernels on top of
-// AVX2, decided the same way and just as interchangeable.
+// useAVX512 adds the AVX-512 tier of the row kernels and the lane
+// kernel on top of AVX2, decided the same way and just as
+// interchangeable.
 var useAVX512 = useAVX2 && cpuHasAVX512()
+
+// avx512BW says the CPU has AVX512BW, which the int8 row kernel's ZMM
+// tier needs on top of the AVX-512 tier's AVX512F and ZMM state; the
+// float kernels never ask for it.
+var avx512BW = cpuHasAVX512BW()
 
 func cpuHasAVX2() bool
 
 func cpuHasAVX512() bool
+
+func cpuHasAVX512BW() bool
 
 // Kernels names the kernel tiers this process runs: "go",
 // "avx2" or "avx2+avx512". It is host-dependent, so it belongs in
@@ -48,6 +56,12 @@ func dwLanesAVX2(acc, gt, lines *float32, hw, nl, ldg, nr int)
 
 //go:noescape
 func dwLanesAVX512(acc, gt, lines *float32, hw, nl, ldg, nr int)
+
+//go:noescape
+func int8RowAVX2(dst *float32, a, b *int8, off *int, offStep, rowStep, k, n int, scale float32)
+
+//go:noescape
+func int8RowAVX512(dst *float32, a, b *int8, off *int, offStep, rowStep, k, n int, scale float32)
 
 //go:noescape
 func addAVX2(dst, src *float32, n int)
@@ -104,6 +118,53 @@ func gemmRowOff(di, ai []float32, off []int, b []float32) {
 	}
 	if w < n {
 		gemmRowOffAVX2(&di[w], &ai[0], &b[w], &off[0], k, n-w)
+	}
+}
+
+// int8Row runs the int8 row kernel in assembly whenever a row has 8
+// columns or more: with the AVX-512 tier on and AVX512BW, the first
+// n &^ 63 columns in 64-column ZMM tiles, then the AVX2 routine's 32-,
+// 16- and 8-column tiles up to n &^ 7, re-based by that many columns in
+// dst and b. The n mod 8 columns after them run as one more 8-column
+// tile that ends at column n: it stores again up to seven columns the
+// tiles before it stored, with the same bits, because each column's
+// sum is exact whichever tile computes it. Rows under 8 columns (a
+// 1×1 grid, Linear's one-column product) stay in int8RowGo. Both
+// addressing modes reach the assembly as a table it walks: the offset
+// table itself, a pair (16 bytes) per step, or for o_p = p·ld the
+// two-entry table {0, ld} held still while the rows advance by 2·ld per
+// pair. Like gemmRowOff, it checks the lowest and the highest offset
+// plus n−1, whichever coefficients are zero.
+func int8Row(dst []float32, ai []int8, off []int, ld int, b []int8, scale float32) {
+	k, n := len(ai), len(dst)
+	if !useAVX2 || k == 0 || n < 8 {
+		int8RowGo(dst, ai, off, ld, b, scale)
+		return
+	}
+	ldPair := [2]int{0, ld}
+	tab, offStep, rowStep := &ldPair[0], 0, 2*ld
+	lo, hi := 0, (k-1)*ld
+	if off != nil {
+		lo, hi = off[k-1], off[k-1]
+		for _, o := range off[:k] {
+			lo, hi = min(lo, o), max(hi, o)
+		}
+		tab, offStep, rowStep = &off[0], 16, 0
+	}
+	_ = b[lo]
+	_ = b[hi+n-1]
+	w, t := 0, n&^7
+	if useAVX512 && avx512BW {
+		w = n &^ 63
+	}
+	if w > 0 {
+		int8RowAVX512(&dst[0], &ai[0], &b[0], tab, offStep, rowStep, k, w, scale)
+	}
+	if w < t {
+		int8RowAVX2(&dst[w], &ai[0], &b[w], tab, offStep, rowStep, k, t-w, scale)
+	}
+	if t < n {
+		int8RowAVX2(&dst[n-8], &ai[0], &b[n-8], tab, offStep, rowStep, k, 8, scale)
 	}
 }
 

@@ -275,6 +275,226 @@ offdone:
 	VZEROUPPER
 	RET
 
+// func int8RowAVX2(dst *float32, a, b *int8, off *int, offStep, rowStep, k, n int, scale float32)
+//
+// int8RowGo in int32 lanes: dst[j] = scale · float32(Σ_p a[p]·b[o_p+j])
+// for j in [0,n). The offsets come from a table that advances offStep
+// bytes per pair of coefficients while the row base advances rowStep
+// bytes (the int8Row wrapper's two addressing modes). Per pair
+// (a0, a1), broadcast as two int16, the two 16-byte runs of b at
+// o_p + j and o_{p+1} + j are interleaved byte by byte (VPUNPCKLBW,
+// VPUNPCKHBW) and sign-extended (VPMOVSXBW), so VPMADDWD adds
+// a0·b0[j] + a1·b1[j] into column j's int32 lane: that sum is at most
+// 2·128² = 32768 in magnitude, far inside int32 (VPMADDWD wraps only
+// on −32768 words), so no pair overflows, and int32
+// addition, wrapping included, does not depend on order, so each lane
+// ends on int8RowGo's sum. A last odd coefficient runs as the pair
+// (a0, 0) over its one row. At the end of a tile VCVTDQ2PS rounds each
+// sum as float32(int32) does (round to nearest even under the default
+// MXCSR) and VMULPS scales it. Column tiles are the outer loop, so a
+// tile's accumulators stay in registers across all k: 32 columns while
+// that many remain, then 16, then 8. Requires k > 0 and n > 0 a
+// multiple of 8: the int8Row wrapper runs a row's last n mod 8 columns
+// as one more 8-column call that overlaps the tile before it.
+TEXT ·int8RowAVX2(SB), NOSPLIT, $0-68
+	MOVQ         dst+0(FP), DI
+	MOVQ         a+8(FP), SI
+	MOVQ         b+16(FP), DX
+	MOVQ         off+24(FP), BX
+	MOVQ         offStep+32(FP), R9
+	MOVQ         rowStep+40(FP), R15
+	MOVQ         k+48(FP), CX
+	MOVQ         n+56(FP), R8
+	VBROADCASTSS scale+64(FP), Y15
+
+i8t32:
+	CMPQ  R8, $32
+	JLT   i8t16
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	MOVQ  SI, R10
+	MOVQ  BX, R11
+	MOVQ  DX, R12
+	MOVQ  CX, AX
+
+i8t32p:
+	CMPQ         AX, $2
+	JLT          i8t32odd
+	VPBROADCASTW (R10), X8
+	VPMOVSXBW    X8, Y8
+	MOVQ         (R11), R13
+	MOVQ         8(R11), R14
+	ADDQ         $2, R10
+	ADDQ         R9, R11
+	SUBQ         $2, AX
+
+i8t32mac:
+	VMOVDQU    (R12)(R13*1), X9
+	VPUNPCKHBW (R12)(R14*1), X9, X10
+	VPUNPCKLBW (R12)(R14*1), X9, X9
+	VPMOVSXBW  X9, Y9
+	VPMOVSXBW  X10, Y10
+	VPMADDWD   Y8, Y9, Y9
+	VPMADDWD   Y8, Y10, Y10
+	VPADDD     Y9, Y0, Y0
+	VPADDD     Y10, Y1, Y1
+	VMOVDQU    16(R12)(R13*1), X11
+	VPUNPCKHBW 16(R12)(R14*1), X11, X12
+	VPUNPCKLBW 16(R12)(R14*1), X11, X11
+	VPMOVSXBW  X11, Y11
+	VPMOVSXBW  X12, Y12
+	VPMADDWD   Y8, Y11, Y11
+	VPMADDWD   Y8, Y12, Y12
+	VPADDD     Y11, Y2, Y2
+	VPADDD     Y12, Y3, Y3
+	ADDQ       R15, R12
+	JMP        i8t32p
+
+i8t32odd:
+	TESTQ        AX, AX
+	JZ           i8t32st
+	MOVBLSX      (R10), AX
+	MOVWLZX      AX, AX
+	VMOVD        AX, X8
+	VPBROADCASTD X8, Y8
+	MOVQ         (R11), R13
+	MOVQ         R13, R14
+	XORL         AX, AX
+	JMP          i8t32mac
+
+i8t32st:
+	VCVTDQ2PS Y0, Y0
+	VCVTDQ2PS Y1, Y1
+	VCVTDQ2PS Y2, Y2
+	VCVTDQ2PS Y3, Y3
+	VMULPS    Y15, Y0, Y0
+	VMULPS    Y15, Y1, Y1
+	VMULPS    Y15, Y2, Y2
+	VMULPS    Y15, Y3, Y3
+	VMOVUPS   Y0, (DI)
+	VMOVUPS   Y1, 32(DI)
+	VMOVUPS   Y2, 64(DI)
+	VMOVUPS   Y3, 96(DI)
+	ADDQ      $128, DI
+	ADDQ      $32, DX
+	SUBQ      $32, R8
+	JMP       i8t32
+
+i8t16:
+	CMPQ  R8, $16
+	JLT   i8t8
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	MOVQ  SI, R10
+	MOVQ  BX, R11
+	MOVQ  DX, R12
+	MOVQ  CX, AX
+
+i8t16p:
+	CMPQ         AX, $2
+	JLT          i8t16odd
+	VPBROADCASTW (R10), X8
+	VPMOVSXBW    X8, Y8
+	MOVQ         (R11), R13
+	MOVQ         8(R11), R14
+	ADDQ         $2, R10
+	ADDQ         R9, R11
+	SUBQ         $2, AX
+
+i8t16mac:
+	VMOVDQU    (R12)(R13*1), X9
+	VPUNPCKHBW (R12)(R14*1), X9, X10
+	VPUNPCKLBW (R12)(R14*1), X9, X9
+	VPMOVSXBW  X9, Y9
+	VPMOVSXBW  X10, Y10
+	VPMADDWD   Y8, Y9, Y9
+	VPMADDWD   Y8, Y10, Y10
+	VPADDD     Y9, Y0, Y0
+	VPADDD     Y10, Y1, Y1
+	ADDQ       R15, R12
+	JMP        i8t16p
+
+i8t16odd:
+	TESTQ        AX, AX
+	JZ           i8t16st
+	MOVBLSX      (R10), AX
+	MOVWLZX      AX, AX
+	VMOVD        AX, X8
+	VPBROADCASTD X8, Y8
+	MOVQ         (R11), R13
+	MOVQ         R13, R14
+	XORL         AX, AX
+	JMP          i8t16mac
+
+i8t16st:
+	VCVTDQ2PS Y0, Y0
+	VCVTDQ2PS Y1, Y1
+	VMULPS    Y15, Y0, Y0
+	VMULPS    Y15, Y1, Y1
+	VMOVUPS   Y0, (DI)
+	VMOVUPS   Y1, 32(DI)
+	ADDQ      $64, DI
+	ADDQ      $16, DX
+	SUBQ      $16, R8
+	JMP       i8t16
+
+i8t8:
+	CMPQ  R8, $8
+	JLT   i8done
+	VPXOR Y0, Y0, Y0
+	MOVQ  SI, R10
+	MOVQ  BX, R11
+	MOVQ  DX, R12
+	MOVQ  CX, AX
+
+i8t8p:
+	CMPQ         AX, $2
+	JLT          i8t8odd
+	VPBROADCASTW (R10), X8
+	VPMOVSXBW    X8, Y8
+	MOVQ         (R11), R13
+	MOVQ         8(R11), R14
+	ADDQ         $2, R10
+	ADDQ         R9, R11
+	SUBQ         $2, AX
+
+i8t8mac:
+	VMOVQ      (R12)(R13*1), X9
+	VMOVQ      (R12)(R14*1), X10
+	VPUNPCKLBW X10, X9, X9
+	VPMOVSXBW  X9, Y9
+	VPMADDWD   Y8, Y9, Y9
+	VPADDD     Y9, Y0, Y0
+	ADDQ       R15, R12
+	JMP        i8t8p
+
+i8t8odd:
+	TESTQ        AX, AX
+	JZ           i8t8st
+	MOVBLSX      (R10), AX
+	MOVWLZX      AX, AX
+	VMOVD        AX, X8
+	VPBROADCASTD X8, Y8
+	MOVQ         (R11), R13
+	MOVQ         R13, R14
+	XORL         AX, AX
+	JMP          i8t8mac
+
+i8t8st:
+	VCVTDQ2PS Y0, Y0
+	VMULPS    Y15, Y0, Y0
+	VMOVUPS   Y0, (DI)
+	ADDQ      $32, DI
+	ADDQ      $8, DX
+	SUBQ      $8, R8
+	JMP       i8t8
+
+i8done:
+	VZEROUPPER
+	RET
+
 // func addAVX2(dst, src *float32, n int)
 //
 // dst[j] += src[j] for j in [0,n): addRowGo, eight lanes at a time.
@@ -975,5 +1195,130 @@ zdwnext1:
 	JMP  zdwrows1
 
 zdwdone:
+	VZEROUPPER
+	RET
+
+// func cpuHasAVX512BW() bool
+//
+// CPUID leaf 7 EBX bit 30: the CPU has AVX512BW, which the int8 row
+// kernel's ZMM tier needs (VPMOVSXBW and VPMADDWD on ZMM). The OS
+// state it needs is cpuHasAVX512's, which the caller checks first.
+TEXT ·cpuHasAVX512BW(SB), NOSPLIT, $0-1
+	XORL  AX, AX
+	CPUID
+	CMPL  AX, $7
+	JLT   no
+	MOVL  $7, AX
+	XORL  CX, CX
+	CPUID
+	SHRL  $30, BX
+	ANDL  $1, BX
+	MOVB  BX, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func int8RowAVX512(dst *float32, a, b *int8, off *int, offStep, rowStep, k, n int, scale float32)
+//
+// int8RowAVX2's sums over the first n columns in 64-column ZMM tiles
+// (AVX512BW). Per pair, each 32-byte run of b is interleaved with its
+// partner within 128-bit lanes, so a 32-column step's two
+// accumulators hold columns 0–7 and 16–23, and 8–15 and 24–31; the
+// tile's stores put each 8-column half back in place. Requires k > 0,
+// n > 0 and n%64 == 0: the int8Row wrapper hands the rest to
+// int8RowAVX2.
+TEXT ·int8RowAVX512(SB), NOSPLIT, $0-68
+	MOVQ         dst+0(FP), DI
+	MOVQ         a+8(FP), SI
+	MOVQ         b+16(FP), DX
+	MOVQ         off+24(FP), BX
+	MOVQ         offStep+32(FP), R9
+	MOVQ         rowStep+40(FP), R15
+	MOVQ         k+48(FP), CX
+	MOVQ         n+56(FP), R8
+	VBROADCASTSS scale+64(FP), Z15
+
+zi8t64:
+	CMPQ   R8, $64
+	JLT    zi8done
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	MOVQ   SI, R10
+	MOVQ   BX, R11
+	MOVQ   DX, R12
+	MOVQ   CX, AX
+
+zi8t64p:
+	CMPQ         AX, $2
+	JLT          zi8t64odd
+	VPBROADCASTW (R10), Y8
+	VPMOVSXBW    Y8, Z8
+	MOVQ         (R11), R13
+	MOVQ         8(R11), R14
+	ADDQ         $2, R10
+	ADDQ         R9, R11
+	SUBQ         $2, AX
+
+zi8t64mac:
+	VMOVDQU    (R12)(R13*1), Y9
+	VPUNPCKHBW (R12)(R14*1), Y9, Y10
+	VPUNPCKLBW (R12)(R14*1), Y9, Y9
+	VPMOVSXBW  Y9, Z9
+	VPMOVSXBW  Y10, Z10
+	VPMADDWD   Z8, Z9, Z9
+	VPMADDWD   Z8, Z10, Z10
+	VPADDD     Z9, Z0, Z0
+	VPADDD     Z10, Z1, Z1
+	VMOVDQU    32(R12)(R13*1), Y11
+	VPUNPCKHBW 32(R12)(R14*1), Y11, Y12
+	VPUNPCKLBW 32(R12)(R14*1), Y11, Y11
+	VPMOVSXBW  Y11, Z11
+	VPMOVSXBW  Y12, Z12
+	VPMADDWD   Z8, Z11, Z11
+	VPMADDWD   Z8, Z12, Z12
+	VPADDD     Z11, Z2, Z2
+	VPADDD     Z12, Z3, Z3
+	ADDQ       R15, R12
+	JMP        zi8t64p
+
+zi8t64odd:
+	TESTQ        AX, AX
+	JZ           zi8t64st
+	MOVBLSX      (R10), AX
+	MOVWLZX      AX, AX
+	VMOVD        AX, X8
+	VPBROADCASTD X8, Z8
+	MOVQ         (R11), R13
+	MOVQ         R13, R14
+	XORL         AX, AX
+	JMP          zi8t64mac
+
+zi8t64st:
+	VCVTDQ2PS     Z0, Z0
+	VCVTDQ2PS     Z1, Z1
+	VCVTDQ2PS     Z2, Z2
+	VCVTDQ2PS     Z3, Z3
+	VMULPS        Z15, Z0, Z0
+	VMULPS        Z15, Z1, Z1
+	VMULPS        Z15, Z2, Z2
+	VMULPS        Z15, Z3, Z3
+	VMOVUPS       Y0, (DI)
+	VMOVUPS       Y1, 32(DI)
+	VEXTRACTF64X4 $1, Z0, 64(DI)
+	VEXTRACTF64X4 $1, Z1, 96(DI)
+	VMOVUPS       Y2, 128(DI)
+	VMOVUPS       Y3, 160(DI)
+	VEXTRACTF64X4 $1, Z2, 192(DI)
+	VEXTRACTF64X4 $1, Z3, 224(DI)
+	ADDQ          $256, DI
+	ADDQ          $64, DX
+	SUBQ          $64, R8
+	JMP           zi8t64
+
+zi8done:
 	VZEROUPPER
 	RET

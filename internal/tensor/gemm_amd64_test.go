@@ -81,7 +81,9 @@ func rowTier(tier string) (restore func(), skip string) {
 // TestAVX512DetectionMatchesCPUInfo: Linux lists avx512f in
 // /proc/cpuinfo only when the CPU has it and the kernel saves the
 // opmask and ZMM state, which is what cpuHasAVX512 asks of CPUID and
-// XCR0, so a wrong bit in either disagrees with the file.
+// XCR0, so a wrong bit in either disagrees with the file. avx512bw is
+// listed under the same OS condition, so cpuHasAVX512 together with
+// cpuHasAVX512BW (the int8 row kernel's ZMM tier) must match it too.
 func TestAVX512DetectionMatchesCPUInfo(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("the flag list is read from Linux's /proc/cpuinfo")
@@ -90,18 +92,21 @@ func TestAVX512DetectionMatchesCPUInfo(t *testing.T) {
 	if err != nil {
 		t.Skipf("no CPU flag list to compare with: %v", err)
 	}
-	listed, found := false, false
+	var flags []string
 	for _, line := range strings.Split(string(data), "\n") {
-		if key, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "flags" {
-			listed, found = slices.Contains(strings.Fields(flags), "avx512f"), true
+		if key, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "flags" {
+			flags = strings.Fields(list)
 			break
 		}
 	}
-	if !found {
+	if flags == nil {
 		t.Skip("/proc/cpuinfo has no flags line")
 	}
-	if got := cpuHasAVX512(); got != listed {
+	if got, listed := cpuHasAVX512(), slices.Contains(flags, "avx512f"); got != listed {
 		t.Fatalf("cpuHasAVX512() = %v, but /proc/cpuinfo lists avx512f: %v", got, listed)
+	}
+	if got, listed := cpuHasAVX512() && cpuHasAVX512BW(), slices.Contains(flags, "avx512bw"); got != listed {
+		t.Fatalf("cpuHasAVX512() && cpuHasAVX512BW() = %v, but /proc/cpuinfo lists avx512bw: %v", got, listed)
 	}
 }
 
@@ -398,5 +403,105 @@ func TestAVX2EmptyProducts(t *testing.T) {
 			}
 		}
 		gemmRowOff(nil, []float32{1, 2}, []int{0, 0}, nil) // n == 0
+		// The int8 kernel at k == 0 in both addressing modes.
+		for _, off := range [][]int{nil, {}} {
+			dst = []float32{7, 7, 7}
+			int8Row(dst, nil, off, 3, nil, 1.5)
+			for i, v := range dst {
+				if math.Float32bits(v) != 0 {
+					t.Fatalf("int8 k=0 off=%v: dst[%d] = %v, want +0", off, i, v)
+				}
+			}
+		}
+		int8Row(nil, []int8{1, 2}, []int{0, 0}, 0, nil, 1) // n == 0
+		int8Row(nil, []int8{1, 2}, nil, 5, nil, 1)
 	})
+}
+
+// TestInt8RowMatchesGo holds the int8 row kernel to int8RowGo bit for
+// bit at every tier, through both addressing modes (an offset table
+// running forwards, backwards or at random with repeats, and o_p =
+// p·ld), for n in 1..70 and at 255, 256, 257 and 600 (every mix of
+// ZMM, 32-, 16- and 8-column tiles, the overlapping last tile, and
+// rows under 8 columns that stay in Go) and k of 1, odd and
+// even, and 2304. Three operand patterns run: random values with zero
+// pairs and lone zeros, every value at ±127, and −128 operands whose
+// sums pass 2²⁴ at k = 2304, so the int32 → float32 rounding differs
+// from the exact sum and must match too.
+func TestInt8RowMatchesGo(t *testing.T) {
+	eachTier(t, checkInt8Row)
+}
+
+func checkInt8Row(t *testing.T) {
+	rng := NewRNG(0x1e81)
+	ns := []int{255, 256, 257, 600}
+	for n := 1; n <= 70; n++ {
+		ns = append(ns, n)
+	}
+	ks := []int{1, 2, 3, 8, 9, 54, 2304}
+	for mode := 0; mode < 3; mode++ {
+		q := func() int8 {
+			switch mode {
+			case 1:
+				return int8(127 - 254*rng.Intn(2))
+			case 2:
+				if rng.Intn(8) == 0 {
+					return int8(rng.Intn(256) - 128)
+				}
+				return -128
+			}
+			return int8(rng.Intn(256) - 128)
+		}
+		for _, k := range ks {
+			ai := make([]int8, k)
+			for i := range ai {
+				ai[i] = q()
+				if mode == 0 && (i%9 == 0 || i%9 == 1 || i%9 == 4) {
+					ai[i] = 0 // a zero pair at even k, then a lone zero
+				}
+			}
+			for _, n := range ns {
+				if k == 2304 && n > 70 && n != 600 {
+					continue
+				}
+				const span = 1000
+				b := make([]int8, max((k-1)*n+n, span+n)+7)
+				for i := range b {
+					b[i] = q()
+				}
+				off := make([]int, k)
+				for p := range off {
+					switch (k + n) % 3 {
+					case 0:
+						off[p] = p * span / k
+					case 1:
+						off[p] = span - p*span/k
+					default:
+						off[p] = rng.Intn(span + 1)
+					}
+				}
+				scale := float32(rng.Float64()) + 0.01
+				if n%5 == 0 {
+					scale = -scale
+				}
+				for _, path := range []struct {
+					name string
+					off  []int
+					ld   int
+					b    []int8
+				}{{"off", off, 0, b[n%7:]}, {"ld", nil, n, b[n%7:]}} {
+					want := make([]float32, n)
+					int8RowGo(want, ai, path.off, path.ld, path.b, scale)
+					got, intact := framed((k+n)%8, n)
+					int8Row(got.Data, ai, path.off, path.ld, path.b, scale)
+					if i := bitsEqual(want, got.Data); i >= 0 {
+						t.Fatalf("int8 row %s k=%d n=%d: element %d is %v, int8RowGo gives %v", path.name, k, n, i, got.Data[i], want[i])
+					}
+					if !intact() {
+						t.Fatalf("int8 row %s k=%d n=%d: wrote outside dst", path.name, k, n)
+					}
+				}
+			}
+		}
+	}
 }

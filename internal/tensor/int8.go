@@ -119,12 +119,13 @@ func (t *i8Task) Chunk(_, lo, hi int) {
 
 var i8Cache par.Cache[i8Task]
 
-// int8Row is the one int8 row kernel: dst[j] = scale · Σ_p ai[p]·b[o_p + j]
+// int8RowGo is the int8 row kernel's spec: dst[j] = scale · float32(Σ_p ai[p]·b[o_p + j])
 // with o_p = off[p], or p·ld when off is nil. It accumulates in int32
 // over 256-column blocks held on the stack and takes the coefficients
 // two at a time, a pair of zeros skipped; the sums are exact, so neither
-// the pairing nor the order moves a bit.
-func int8Row(dst []float32, ai []int8, off []int, ld int, b []int8, scale float32) {
+// the pairing nor the order moves a bit, and the assembly tiers
+// (int8Row in gemm_amd64.go) reproduce it bit for bit.
+func int8RowGo(dst []float32, ai []int8, off []int, ld int, b []int8, scale float32) {
 	const block = 256
 	var buf [block]int32
 	k := len(ai)

@@ -221,6 +221,18 @@ func benchElemOperands() (dst, a, b []float32) {
 	return make([]float32, bkChans*bkPlane), ta.Data, tb.Data
 }
 
+// BenchmarkKernelQuantizeInt8 quantizes one Small layer-1 activation,
+// as InferInt8's conv does per sample before ConvInt8Into.
+func BenchmarkKernelQuantizeInt8(b *testing.B) {
+	_, x, _ := benchElemOperands()
+	q := make([]int8, len(x))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		QuantizeInt8(q, x)
+	}
+}
+
 func BenchmarkKernelReLU(b *testing.B) {
 	dst, x, _ := benchElemOperands()
 	b.ReportAllocs()

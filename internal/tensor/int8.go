@@ -33,26 +33,27 @@ func QuantizeInt8(dst []int8, src []float32) float32 {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: QuantizeInt8 size mismatch %d vs %d", len(dst), len(src)))
 	}
-	maxAbs := float32(0)
+	// The largest |v| as bits: with the sign cleared a float's bits
+	// order as its magnitude does, and a NaN (above +Inf's bits) counts
+	// as 0, so it is ignored as a NaN compared with > would be.
+	maxBits := uint32(0)
 	for _, v := range src {
-		a := v
-		if a < 0 {
-			a = -a
+		u := math.Float32bits(v) &^ (1 << 31)
+		if u > 0x7f800000 {
+			u = 0
 		}
-		if a > maxAbs {
-			maxAbs = a
-		}
+		maxBits = max(maxBits, u)
 	}
-	if maxAbs == 0 {
+	if maxBits == 0 {
 		for i := range dst {
 			dst[i] = 0
 		}
 		return 0
 	}
-	scale := maxAbs / 127
+	scale := math.Float32frombits(maxBits) / 127
 	inv := 1 / float64(scale)
 	for i, v := range src {
-		q := math.Round(float64(v) * inv)
+		q := roundHalfAway(float64(v) * inv)
 		if q > 127 {
 			q = 127
 		} else if q < -127 {
@@ -61,6 +62,21 @@ func QuantizeInt8(dst []int8, src []float32) float32 {
 		dst[i] = int8(q)
 	}
 	return scale
+}
+
+// roundHalfAway is math.Round, bit for bit, for |x| < 2⁵², ±Inf and
+// NaN, which covers every x QuantizeInt8 rounds (|v·inv| is at most
+// ~127.5 unless it is ±Inf or NaN). Adding and subtracting 2⁵² rounds
+// |x| to the nearest integer, ties to even, and a tie rounded down is
+// moved up, away from zero; ±Inf and NaN pass through both steps. The
+// sign, −0 included, is x's.
+func roundHalfAway(x float64) float64 {
+	a := math.Abs(x)
+	r := (a + 0x1p52) - 0x1p52
+	if a-r == 0.5 {
+		r++
+	}
+	return math.Copysign(r, x)
 }
 
 // QuantizeInt8PerRow quantizes a [rows, k] row-major matrix with an

@@ -1,10 +1,11 @@
 package tensor
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"sync"
 )
 
 // magic identifies the on-disk tensor format ("LDT1" = lane-detection
@@ -13,32 +14,51 @@ const magic = 0x4C445431
 
 // WriteTo serializes the tensor (shape + raw little-endian float32
 // payload) to w. The format is stable and covered by round-trip tests.
+// The header and payload are encoded into one pooled fixed-size chunk
+// and written a chunk at a time, so no call allocates in proportion to
+// the tensor, nor at all once the pool holds a chunk.
 func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
+	chunk := ioChunks.Get().(*[4096]byte)
 	var n int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
+	b := chunk[:0]
+	// put appends words to b, writing b out each time it fills.
+	put := func(words int, word func(i int) uint32) error {
+		for i := 0; i < words; i++ {
+			if len(b) == len(chunk) {
+				m, err := w.Write(b)
+				n += int64(m)
+				if err != nil {
+					return err
+				}
+				b = chunk[:0]
+			}
+			b = binary.LittleEndian.AppendUint32(b, word(i))
 		}
-		n += int64(binary.Size(v))
 		return nil
 	}
-	if err := write(uint32(magic)); err != nil {
-		return n, err
-	}
-	if err := write(uint32(len(t.shape))); err != nil {
-		return n, err
-	}
-	for _, d := range t.shape {
-		if err := write(uint32(d)); err != nil {
-			return n, err
+	err := put(2+len(t.shape), func(i int) uint32 {
+		switch i {
+		case 0:
+			return magic
+		case 1:
+			return uint32(len(t.shape))
 		}
+		return uint32(t.shape[i-2])
+	})
+	if err == nil {
+		err = put(len(t.Data), func(i int) uint32 { return math.Float32bits(t.Data[i]) })
 	}
-	if err := write(t.Data); err != nil {
-		return n, err
+	if err == nil {
+		var m int
+		m, err = w.Write(b)
+		n += int64(m)
 	}
-	return n, bw.Flush()
+	ioChunks.Put(chunk)
+	return n, err
 }
+
+// ioChunks holds WriteTo's encoding chunks.
+var ioChunks = sync.Pool{New: func() any { return new([4096]byte) }}
 
 // ReadFrom deserializes a tensor previously written with WriteTo.
 // It reads exactly the serialized bytes (no read-ahead), so tensors can

@@ -10,11 +10,11 @@
 #   make purego  the kernel packages again with -tags purego (the amd64
 #                assembly in internal/tensor — gemm_amd64.s and
 #                elem_amd64.s, both tiers: AVX2, and AVX-512 for the
-#                row kernels and the conv weight gradient's lane
-#                kernel — compiled out, so the Go kernels — the
-#                spec — carry tensor, nn, resnet and ufld on their
-#                own; nn and resnet call the elementwise kernels
-#                directly), plus vet of internal/tensor under that tag
+#                float and int8 row kernels and the conv weight
+#                gradient's lane kernel — compiled out, so the Go
+#                kernels — the spec, int8RowGo among them — carry
+#                tensor, nn, resnet and ufld on their own; nn and
+#                resnet call the elementwise kernels directly), plus vet of internal/tensor under that tag
 #                and under GOARCH=arm64, so the fallbacks
 #                (gemm_generic.go, elem_generic.go) and their build
 #                tags cannot rot; plain `go vet` already checks both

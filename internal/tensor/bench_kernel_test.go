@@ -15,6 +15,8 @@ const (
 	bkN = 784 // 28×28 output pixels
 )
 
+// BenchmarkKernelMatMul is the a·b product in the row kernel's stride
+// mode, at each tier (benchRowTiers), in GMAC/s.
 func BenchmarkKernelMatMul(b *testing.B) {
 	rng := NewRNG(1)
 	a := New(bkM, bkK)
@@ -22,11 +24,7 @@ func BenchmarkKernelMatMul(b *testing.B) {
 	out := New(bkM, bkN)
 	rng.FillUniform(a, -1, 1)
 	rng.FillUniform(x, -1, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(out, a, x)
-	}
+	benchRowTiers(b, bkM*bkK*bkN, func() { MatMulInto(out, a, x) })
 }
 
 // BenchmarkKernelMatMulTB is the Linear-forward shape: a small serving
@@ -46,8 +44,9 @@ func BenchmarkKernelMatMulTB(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelMatMulTA is the conv-backward dcols shape:
-// Wᵀ[K,outC] · dY[outC, hw].
+// BenchmarkKernelMatMulTA is the conv-backward dcols shape,
+// Wᵀ[K,outC] · dY[outC, hw], at each tier like BenchmarkKernelMatMul;
+// its GMAC/s include the transpose of W.
 func BenchmarkKernelMatMulTA(b *testing.B) {
 	rng := NewRNG(3)
 	w := New(bkM, bkK)
@@ -55,11 +54,7 @@ func BenchmarkKernelMatMulTA(b *testing.B) {
 	out := New(bkK, bkN)
 	rng.FillUniform(w, -1, 1)
 	rng.FillUniform(g, -1, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulTAInto(out, w, g)
-	}
+	benchRowTiers(b, bkK*bkM*bkN, func() { MatMulTAInto(out, w, g) })
 }
 
 var bkGeom = ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}
@@ -80,10 +75,8 @@ func BenchmarkKernelIm2Col(b *testing.B) {
 // layer 1 (6 channels of 48×120) and layer 3 (24 channels of 12×30),
 // and layer 2's entry from 48×120 (6 → 12 channels, 3×3/s2/p1) with
 // its 1×1/s2 shortcut. Each runs ConvInto's forward, ConvDXInto's
-// input gradient and ConvDWAcc's weight gradient through the row
-// kernels at each tier, "avx2" alone and "avx512" with the AVX-512
-// tier on (skipped where the host lacks one), and reports GMAC/s of
-// the conv's own multiply-adds.
+// input gradient and ConvDWAcc's weight gradient at each tier
+// (benchRowTiers), in GMAC/s of the conv's own multiply-adds.
 var bkConvStages = []struct {
 	name            string
 	inC, outC, h, w int
@@ -95,6 +88,9 @@ var bkConvStages = []struct {
 	{"layer2-shortcut", 6, 12, 48, 120, ConvGeom{KH: 1, KW: 1, SH: 2, SW: 2}},
 }
 
+// benchRowTiers times run at each kernel tier, "avx2" alone and
+// "avx512" with the AVX-512 tier on (skipped where the host lacks one),
+// and reports GMAC/s of its macs multiply-adds.
 func benchRowTiers(b *testing.B, macs int, run func()) {
 	for _, tier := range []string{"avx2", "avx512"} {
 		b.Run(tier, func(b *testing.B) {

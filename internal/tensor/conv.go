@@ -54,7 +54,7 @@ const convTile = 32
 // holds that element at off[p] + oy·wq + ox, the halo's +0 where the
 // lowering zero-fills.
 //
-// Each output channel is one gemmRowOff call over the grid, positions
+// Each output channel is one gemmRow call over the grid, positions
 // oy·wq + ox for ox < wq, so every row of the product is a contiguous
 // run of one parity plane; the wq − ow columns per line that straddle
 // the halo, and the grid's round-up to whole 32-column tiles (read
@@ -82,7 +82,7 @@ func ConvInto(out, wm, x *Tensor, g ConvGeom, s *ConvPlane) {
 		src = s.plane.fill(s, x.Data)
 	}
 	outC := out.shape[0]
-	s.run(convTask{s: s, out: out.Data, wm: wm.Data, src: src, oh: oh, ow: ow}, outC, K*outC*hw, matmulParMin)
+	s.run(convTask{s: s, out: out.Data, wm: wm.Data, src: src, oh: oh, ow: ow}, outC, K*outC*hw)
 }
 
 // ConvInt8Into is ConvInto on the int8 rung: out = diag(wScales)·(wq ⊛ xq)·xScale
@@ -91,7 +91,7 @@ func ConvInto(out, wm, x *Tensor, g ConvGeom, s *ConvPlane) {
 // It quantizes nothing itself. The sample is copied into the int8
 // parity planes by ConvInto's own fill, read through the same offset
 // table and banded over output channels through the same task behind
-// the int8 gate; each channel is one int8Row call over the grid's exact
+// the same gate; each channel is one int8Row call over the grid's exact
 // length, (oh−1)·wq + ow, whose halo columns are dropped as in
 // ConvInto, and a 1×1 reads xq itself. The int32 sums are exact, so the
 // result is bitwise an int8 im2col lowering followed by Int8MatMulInto.
@@ -107,14 +107,15 @@ func ConvInt8Into(out *Tensor, wq []int8, wScales []float32, xq []int8, xScale f
 	if !s.direct {
 		src = s.planeQ.fill(s, xq)
 	}
-	s.run(convTask{s: s, out: out.Data, wq: wq, wScales: wScales, srcQ: src, xScale: xScale, oh: oh, ow: ow}, outC, K*outC*hw, int8ParMin)
+	s.run(convTask{s: s, out: out.Data, wq: wq, wScales: wScales, srcQ: src, xScale: xScale, oh: oh, ow: ow}, outC, K*outC*hw)
 }
 
-// run computes t's outC output channels: on the caller below gate MACs,
-// otherwise banded over the worker pool, band b through grid row b.
-func (s *ConvPlane) run(t convTask, outC, macs, gate int) {
+// run computes t's outC output channels: on the caller below the GEMM
+// gate, otherwise banded over the worker pool, band b through grid row
+// b.
+func (s *ConvPlane) run(t convTask, outC, macs int) {
 	bands := 1
-	if macs >= gate {
+	if macs >= matmulParMin {
 		bands = par.Width(outC, 1)
 	}
 	s.rows = resize(s.rows, bands*s.cols)
@@ -161,7 +162,7 @@ func (t *convTask) Chunk(band, lo, hi int) {
 			dst = row
 		}
 		if t.wq == nil {
-			gemmRowOff(dst, t.wm[oc*K:(oc+1)*K], s.off, t.src)
+			gemmRow(dst, t.wm[oc*K:(oc+1)*K], s.off, 0, t.src)
 		} else {
 			int8Row(dst, t.wq[oc*K:(oc+1)*K], s.off, 0, t.srcQ, t.wScales[oc]*t.xScale)
 		}
@@ -361,10 +362,10 @@ func convDXChans(dx, wt, g, tail, line []float32, outC, c, h, w, oh, ow int, geo
 				r := (ci*geom.KH+ky)*geom.KW + kx
 				wr := wt[r*outC : (r+1)*outC]
 				if body > 0 {
-					gemmRow(line[:body], wr, g, hw)
+					gemmRow(line[:body], wr, nil, hw, g)
 				}
 				if tail != nil {
-					gemmRow(line[body:], wr, tail, convTile)
+					gemmRow(line[body:], wr, nil, convTile, tail)
 				}
 				col2imRow(dst, line, h, w, oh, ow, ky, kx, ox0, ox1, geom)
 			}

@@ -118,7 +118,7 @@ func TestConvS1MatchesIm2Col(t *testing.T) {
 // TestConvInt8MatchesIm2Col holds the int8 plane convolution to an int8
 // im2col lowering (refIm2Col) followed by Int8MatMulInto, bit for bit,
 // on every forward geometry, serially and banded over output channels
-// at 1, 2 and 4 procs with the gates lowered. The weights hold zero
+// at 1, 2 and 4 procs with the gate lowered. The weights hold zero
 // pairs and odd inner dimensions (the kernel's pair skip and its last
 // single coefficient); the second pass runs every value at ±127, the
 // largest int32 sums. One ConvPlane is reused across every shape and
@@ -128,8 +128,8 @@ func TestConvS1MatchesIm2Col(t *testing.T) {
 func TestConvInt8MatchesIm2Col(t *testing.T) {
 	rng := NewRNG(0x18c0)
 	var s ConvPlane
-	pm, im := matmulParMin, int8ParMin
-	t.Cleanup(func() { matmulParMin, int8ParMin = pm, im })
+	pm := matmulParMin
+	t.Cleanup(func() { matmulParMin = pm })
 	q := func(extreme bool) int8 {
 		if extreme {
 			return int8(127 - 254*rng.Intn(2))
@@ -156,7 +156,7 @@ func TestConvInt8MatchesIm2Col(t *testing.T) {
 				ws[i] = float32(rng.Float64()) + 0.01
 			}
 			xs := float32(rng.Float64()) + 0.01
-			matmulParMin, int8ParMin = math.MaxInt, math.MaxInt
+			matmulParMin = math.MaxInt
 			cols := make([]int8, K*hw)
 			refIm2Col(cols, xq, 1, sh.c, sh.h, sh.w, g)
 			want := New(outC, hw)
@@ -180,7 +180,7 @@ func TestConvInt8MatchesIm2Col(t *testing.T) {
 			if i := sameBits(fwant.Data, fgot.Data); i >= 0 {
 				t.Fatalf("rep %d %+v float between int8 calls: element %d is %v, im2col gives %v", rep, sh, i, fgot.Data[i], fwant.Data[i])
 			}
-			matmulParMin, int8ParMin = 1, 1
+			matmulParMin = 1
 			for _, procs := range []int{1, 2, 4} {
 				withMaxProcs(t, procs, func() { run(fmt.Sprintf("banded at %d procs", procs)) })
 			}

@@ -40,16 +40,10 @@ func Kernels() string {
 }
 
 //go:noescape
-func gemmRowAVX2(dst, a, b *float32, k, n, ldb int)
+func gemmRowAVX2(dst, a, b *float32, off *int, offStep, rowStep, k, n int)
 
 //go:noescape
-func gemmRowOffAVX2(dst, a, b *float32, off *int, k, n int)
-
-//go:noescape
-func gemmRowAVX512(dst, a, b *float32, k, n, ldb int)
-
-//go:noescape
-func gemmRowOffAVX512(dst, a, b *float32, off *int, k, n int)
+func gemmRowAVX512(dst, a, b *float32, off *int, offStep, rowStep, k, n int)
 
 //go:noescape
 func dwLanesAVX2(acc, gt, lines *float32, hw, nl, ldg, nr int)
@@ -74,51 +68,51 @@ func addAVX2(dst, src *float32, n int)
 // in ZMM tiles and the AVX2 routine takes the rest, re-based by w
 // columns in dst and b.
 
-func gemmRow(di, ai, b []float32, ldb int) {
+// gemmRow runs the float row kernel. Both addressing modes reach the
+// assembly as a table it walks, as in int8Row: the offset
+// table itself, one entry (8 bytes) per coefficient, or for o_p = p·ld
+// the one-entry table {0} held still while the row advances 4·ld bytes
+// per coefficient.
+func gemmRow(di, ai []float32, off []int, ld int, b []float32) {
 	k, n := len(ai), len(di)
 	if !useAVX2 || k == 0 || n == 0 {
-		gemmRowGo(di, ai, b, ldb)
+		gemmRowGo(di, ai, off, ld, b)
 		return
 	}
-	_ = b[(k-1)*ldb+n-1]
-	w := wideCols(n)
+	lo, hi := rowSpan(off, ld, k)
+	_ = b[lo]
+	_ = b[hi+n-1]
+	var zero [1]int
+	tab, offStep, rowStep := &zero[0], 0, 4*ld
+	if off != nil {
+		tab, offStep, rowStep = &off[0], 8, 0
+	}
+	w := 0
+	if useAVX512 {
+		w = n &^ 63
+	}
 	if w > 0 {
-		gemmRowAVX512(&di[0], &ai[0], &b[0], k, w, ldb)
+		gemmRowAVX512(&di[0], &ai[0], &b[0], tab, offStep, rowStep, k, w)
 	}
 	if w < n {
-		gemmRowAVX2(&di[w], &ai[0], &b[w], k, n-w, ldb)
+		gemmRowAVX2(&di[w], &ai[0], &b[w], tab, offStep, rowStep, k, n-w)
 	}
 }
 
-// wideCols is the prefix of n columns the AVX-512 tier takes.
-func wideCols(n int) int {
-	if !useAVX512 {
-		return 0
+// rowSpan is the lowest and the highest row offset o_p of a row kernel
+// call over k > 0 coefficients: off's extremes, or 0 and (k−1)·ld when
+// off is nil. The wrappers check b at the lowest and at the highest
+// plus n−1, whichever coefficients are zero, so they are stricter than
+// the Go kernels they dispatch to.
+func rowSpan(off []int, ld, k int) (lo, hi int) {
+	if off == nil {
+		return 0, (k - 1) * ld
 	}
-	return n &^ 63
-}
-
-// gemmRowOff checks every offset, not only those of non-zero
-// coefficients, so it is stricter than the Go kernel it dispatches to.
-func gemmRowOff(di, ai []float32, off []int, b []float32) {
-	k, n := len(ai), len(di)
-	if !useAVX2 || k == 0 || n == 0 {
-		gemmRowOffGo(di, ai, off, b)
-		return
-	}
-	lo, hi := off[k-1], off[k-1]
+	lo, hi = off[k-1], off[k-1]
 	for _, o := range off[:k] {
 		lo, hi = min(lo, o), max(hi, o)
 	}
-	_ = b[lo]
-	_ = b[hi+n-1]
-	w := wideCols(n)
-	if w > 0 {
-		gemmRowOffAVX512(&di[0], &ai[0], &b[0], &off[0], k, w)
-	}
-	if w < n {
-		gemmRowOffAVX2(&di[w], &ai[0], &b[w], &off[0], k, n-w)
-	}
+	return lo, hi
 }
 
 // int8Row runs the int8 row kernel in assembly whenever a row has 8
@@ -133,26 +127,21 @@ func gemmRowOff(di, ai []float32, off []int, b []float32) {
 // addressing modes reach the assembly as a table it walks: the offset
 // table itself, a pair (16 bytes) per step, or for o_p = p·ld the
 // two-entry table {0, ld} held still while the rows advance by 2·ld per
-// pair. Like gemmRowOff, it checks the lowest and the highest offset
-// plus n−1, whichever coefficients are zero.
+// pair. It checks b as gemmRow does (rowSpan).
 func int8Row(dst []float32, ai []int8, off []int, ld int, b []int8, scale float32) {
 	k, n := len(ai), len(dst)
 	if !useAVX2 || k == 0 || n < 8 {
 		int8RowGo(dst, ai, off, ld, b, scale)
 		return
 	}
-	ldPair := [2]int{0, ld}
-	tab, offStep, rowStep := &ldPair[0], 0, 2*ld
-	lo, hi := 0, (k-1)*ld
-	if off != nil {
-		lo, hi = off[k-1], off[k-1]
-		for _, o := range off[:k] {
-			lo, hi = min(lo, o), max(hi, o)
-		}
-		tab, offStep, rowStep = &off[0], 16, 0
-	}
+	lo, hi := rowSpan(off, ld, k)
 	_ = b[lo]
 	_ = b[hi+n-1]
+	ldPair := [2]int{0, ld}
+	tab, offStep, rowStep := &ldPair[0], 0, 2*ld
+	if off != nil {
+		tab, offStep, rowStep = &off[0], 16, 0
+	}
 	w, t := 0, n&^7
 	if useAVX512 && avx512BW {
 		w = n &^ 63

@@ -2,20 +2,27 @@
 
 #include "textflag.h"
 
-// AVX2 mirrors of the Go float kernels in matmul.go (gemmRowGo,
-// gemmRowOffGo), im2col.go (addRowGo) and conv.go
-// (dwLanesGo). Every lane performs VMULPS then VADDPS — never FMA — in
-// the Go kernel's order, so each output element goes through exactly
-// the scalar sequence acc = acc + float32(a·b) (in the lane kernel,
+// AVX2 mirrors of the Go kernels in matmul.go (gemmRowGo), int8.go
+// (int8RowGo), im2col.go (addRowGo) and conv.go (dwLanesGo). Every
+// float lane performs VMULPS then VADDPS — never FMA — in the Go
+// kernel's order, so each output element goes through exactly the
+// scalar sequence acc = acc + float32(a·b) (in the lane kernel,
 // dotUnroll4's grouping of four products per add) and the bits match
-// the GOAMD64=v1 build of the Go code. Loads and stores stay inside
-// [0, n): the 32- and 8-column tiles are entered only while that many
-// columns remain, the rest is scalar. VZEROUPPER precedes every RET.
+// the GOAMD64=v1 build of the Go code; the int8 row kernel's int32
+// sums are exact, so its order is free. Both row kernels find row p of
+// b the same way, through a table walked offStep bytes per step while
+// the row base moves rowStep bytes: the offset table itself under a
+// fixed base, or, for a row stride, a fixed table ({0}, or {0, ld} for
+// the int8 kernel's pairs) under a base that moves by the stride. The
+// float row kernel's loads
+// and stores stay inside [0, n): its 32- and 8-column tiles are
+// entered only while that many columns remain, the rest is scalar.
+// VZEROUPPER precedes every RET.
 //
 // The two row kernels and the lane kernel also have an AVX-512 tier
-// (at the end of the file): the same sums over a 64-column-multiple
-// prefix in 128- and 64-column ZMM tiles, or over a 16-lane-multiple
-// prefix in 16-lane blocks, with the AVX2 routine taking the rest.
+// (after the AVX2 routines): the same sums over a 64-column-multiple
+// prefix in ZMM tiles, or over a 16-lane-multiple prefix in 16-lane
+// blocks, with the AVX2 routine taking the rest.
 
 // func cpuHasAVX2() bool
 //
@@ -49,20 +56,28 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func gemmRowAVX2(dst, a, b *float32, k, n, ldb int)
+// func gemmRowAVX2(dst, a, b *float32, off *int, offStep, rowStep, k, n int)
 //
-// dst[j] = Σ_p a[p]·b[p·ldb+j] for j in [0,n), p increasing, each sum
-// starting from +0 and skipping a[p] == ±0 as gemmRowGo does. Column
-// tiles are the outer loop so a tile's accumulators stay in registers
-// across the whole p loop. Requires k > 0 and n > 0.
-TEXT ·gemmRowAVX2(SB), NOSPLIT, $0-48
+// gemmRowGo in YMM lanes: dst[j] = Σ_p a[p]·b[o_p+j] for j in [0,n),
+// p increasing, each sum starting from +0 and skipping a[p] == ±0.
+// Row p of b is found as int8RowAVX2 finds it: the element offset o_p
+// is read from a table that advances offStep bytes per coefficient
+// while the row base advances rowStep bytes (the gemmRow wrapper's two
+// addressing modes). One LEAQ per coefficient forms the row's address,
+// so every VMULPS reads base plus displacement: with an indexed memory
+// operand in each VMULPS the stride mode read 6–21 % slower in the
+// kernel benchmarks. Column tiles are the
+// outer loop so a tile's accumulators stay in registers across the
+// whole p loop. Requires k > 0 and n > 0.
+TEXT ·gemmRowAVX2(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
-	MOVQ k+24(FP), CX
-	MOVQ n+32(FP), R8
-	MOVQ ldb+40(FP), R9
-	SHLQ $2, R9 // row stride of b in bytes
+	MOVQ off+24(FP), BX
+	MOVQ offStep+32(FP), R9
+	MOVQ rowStep+40(FP), R15
+	MOVQ k+48(FP), CX
+	MOVQ n+56(FP), R8
 
 row32:
 	CMPQ   R8, $32
@@ -72,18 +87,21 @@ row32:
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
 	MOVQ   SI, R10
-	MOVQ   DX, R11
-	MOVQ   CX, R12
+	MOVQ   BX, R11
+	MOVQ   DX, R12
+	MOVQ   CX, R14
 
 row32p:
 	MOVL         (R10), AX
 	ADDL         AX, AX // drops the sign bit: zero iff a[p] is ±0
 	JZ           row32skip
+	MOVQ         (R11), R13
+	LEAQ         (R12)(R13*4), R13
 	VBROADCASTSS (R10), Y4
-	VMULPS       (R11), Y4, Y5
-	VMULPS       32(R11), Y4, Y6
-	VMULPS       64(R11), Y4, Y7
-	VMULPS       96(R11), Y4, Y8
+	VMULPS       (R13), Y4, Y5
+	VMULPS       32(R13), Y4, Y6
+	VMULPS       64(R13), Y4, Y7
+	VMULPS       96(R13), Y4, Y8
 	VADDPS       Y5, Y0, Y0
 	VADDPS       Y6, Y1, Y1
 	VADDPS       Y7, Y2, Y2
@@ -92,7 +110,8 @@ row32p:
 row32skip:
 	ADDQ    $4, R10
 	ADDQ    R9, R11
-	DECQ    R12
+	ADDQ    R15, R12
+	DECQ    R14
 	JNZ     row32p
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
@@ -108,21 +127,25 @@ row8:
 	JLT    row1
 	VXORPS Y0, Y0, Y0
 	MOVQ   SI, R10
-	MOVQ   DX, R11
-	MOVQ   CX, R12
+	MOVQ   BX, R11
+	MOVQ   DX, R12
+	MOVQ   CX, R14
 
 row8p:
 	MOVL         (R10), AX
 	ADDL         AX, AX
 	JZ           row8skip
+	MOVQ         (R11), R13
+	LEAQ         (R12)(R13*4), R13
 	VBROADCASTSS (R10), Y4
-	VMULPS       (R11), Y4, Y5
+	VMULPS       (R13), Y4, Y5
 	VADDPS       Y5, Y0, Y0
 
 row8skip:
 	ADDQ    $4, R10
 	ADDQ    R9, R11
-	DECQ    R12
+	ADDQ    R15, R12
+	DECQ    R14
 	JNZ     row8p
 	VMOVUPS Y0, (DI)
 	ADDQ    $32, DI
@@ -135,21 +158,25 @@ row1:
 	JZ     rowdone
 	VXORPS X0, X0, X0
 	MOVQ   SI, R10
-	MOVQ   DX, R11
-	MOVQ   CX, R12
+	MOVQ   BX, R11
+	MOVQ   DX, R12
+	MOVQ   CX, R14
 
 row1p:
 	MOVL   (R10), AX
 	ADDL   AX, AX
 	JZ     row1skip
+	MOVQ   (R11), R13
+	LEAQ   (R12)(R13*4), R13
 	VMOVSS (R10), X4
-	VMULSS (R11), X4, X5
+	VMULSS (R13), X4, X5
 	VADDSS X5, X0, X0
 
 row1skip:
 	ADDQ   $4, R10
 	ADDQ   R9, R11
-	DECQ   R12
+	ADDQ   R15, R12
+	DECQ   R14
 	JNZ    row1p
 	VMOVSS X0, (DI)
 	ADDQ   $4, DI
@@ -158,120 +185,6 @@ row1skip:
 	JMP    row1
 
 rowdone:
-	VZEROUPPER
-	RET
-
-// func gemmRowOffAVX2(dst, a, b *float32, off *int, k, n int)
-//
-// dst[j] = Σ_p a[p]·b[off[p]+j] for j in [0,n): gemmRowAVX2 with row p
-// of b found at element offset off[p] (loaded per p and applied as a
-// scaled index) instead of p·ldb, as gemmRowOffGo does. Same tiles,
-// same order, same ±0 skip. Requires k > 0 and n > 0.
-TEXT ·gemmRowOffAVX2(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ off+24(FP), BX
-	MOVQ k+32(FP), CX
-	MOVQ n+40(FP), R8
-
-off32:
-	CMPQ   R8, $32
-	JLT    off8
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ   SI, R10
-	MOVQ   BX, R11
-	MOVQ   CX, R12
-
-off32p:
-	MOVL         (R10), AX
-	ADDL         AX, AX
-	JZ           off32skip
-	MOVQ         (R11), R13
-	VBROADCASTSS (R10), Y4
-	VMULPS       (DX)(R13*4), Y4, Y5
-	VMULPS       32(DX)(R13*4), Y4, Y6
-	VMULPS       64(DX)(R13*4), Y4, Y7
-	VMULPS       96(DX)(R13*4), Y4, Y8
-	VADDPS       Y5, Y0, Y0
-	VADDPS       Y6, Y1, Y1
-	VADDPS       Y7, Y2, Y2
-	VADDPS       Y8, Y3, Y3
-
-off32skip:
-	ADDQ    $4, R10
-	ADDQ    $8, R11
-	DECQ    R12
-	JNZ     off32p
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	ADDQ    $128, DI
-	ADDQ    $128, DX
-	SUBQ    $32, R8
-	JMP     off32
-
-off8:
-	CMPQ   R8, $8
-	JLT    off1
-	VXORPS Y0, Y0, Y0
-	MOVQ   SI, R10
-	MOVQ   BX, R11
-	MOVQ   CX, R12
-
-off8p:
-	MOVL         (R10), AX
-	ADDL         AX, AX
-	JZ           off8skip
-	MOVQ         (R11), R13
-	VBROADCASTSS (R10), Y4
-	VMULPS       (DX)(R13*4), Y4, Y5
-	VADDPS       Y5, Y0, Y0
-
-off8skip:
-	ADDQ    $4, R10
-	ADDQ    $8, R11
-	DECQ    R12
-	JNZ     off8p
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, DI
-	ADDQ    $32, DX
-	SUBQ    $8, R8
-	JMP     off8
-
-off1:
-	TESTQ  R8, R8
-	JZ     offdone
-	VXORPS X0, X0, X0
-	MOVQ   SI, R10
-	MOVQ   BX, R11
-	MOVQ   CX, R12
-
-off1p:
-	MOVL   (R10), AX
-	ADDL   AX, AX
-	JZ     off1skip
-	MOVQ   (R11), R13
-	VMOVSS (R10), X4
-	VMULSS (DX)(R13*4), X4, X5
-	VADDSS X5, X0, X0
-
-off1skip:
-	ADDQ   $4, R10
-	ADDQ   $8, R11
-	DECQ   R12
-	JNZ    off1p
-	VMOVSS X0, (DI)
-	ADDQ   $4, DI
-	ADDQ   $4, DX
-	DECQ   R8
-	JMP    off1
-
-offdone:
 	VZEROUPPER
 	RET
 
@@ -794,21 +707,22 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func gemmRowAVX512(dst, a, b *float32, k, n, ldb int)
+// func gemmRowAVX512(dst, a, b *float32, off *int, offStep, rowStep, k, n int)
 //
 // gemmRowAVX2's sums over the first n columns in ZMM tiles: 128
 // columns (eight 16-lane chains) while that many remain, then 64
-// (four chains). Same order from +0, same ±0 skip, VMULPS then VADDPS.
-// Requires k > 0, n > 0 and n%64 == 0: the gemmRow wrapper hands the
-// < 64 columns after the prefix to gemmRowAVX2.
-TEXT ·gemmRowAVX512(SB), NOSPLIT, $0-48
+// (four chains). Same addressing, same order from +0, same ±0 skip,
+// VMULPS then VADDPS. Requires k > 0, n > 0 and n%64 == 0: the gemmRow
+// wrapper hands the < 64 columns after the prefix to gemmRowAVX2.
+TEXT ·gemmRowAVX512(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
-	MOVQ k+24(FP), CX
-	MOVQ n+32(FP), R8
-	MOVQ ldb+40(FP), R9
-	SHLQ $2, R9
+	MOVQ off+24(FP), BX
+	MOVQ offStep+32(FP), R9
+	MOVQ rowStep+40(FP), R15
+	MOVQ k+48(FP), CX
+	MOVQ n+56(FP), R8
 
 zrow128:
 	CMPQ   R8, $128
@@ -822,22 +736,25 @@ zrow128:
 	VPXORD Z6, Z6, Z6
 	VPXORD Z7, Z7, Z7
 	MOVQ   SI, R10
-	MOVQ   DX, R11
-	MOVQ   CX, R12
+	MOVQ   BX, R11
+	MOVQ   DX, R12
+	MOVQ   CX, R14
 
 zrow128p:
 	MOVL         (R10), AX
 	ADDL         AX, AX
 	JZ           zrow128skip
+	MOVQ         (R11), R13
+	LEAQ         (R12)(R13*4), R13
 	VBROADCASTSS (R10), Z8
-	VMULPS       (R11), Z8, Z9
-	VMULPS       64(R11), Z8, Z10
-	VMULPS       128(R11), Z8, Z11
-	VMULPS       192(R11), Z8, Z12
-	VMULPS       256(R11), Z8, Z13
-	VMULPS       320(R11), Z8, Z14
-	VMULPS       384(R11), Z8, Z15
-	VMULPS       448(R11), Z8, Z16
+	VMULPS       (R13), Z8, Z9
+	VMULPS       64(R13), Z8, Z10
+	VMULPS       128(R13), Z8, Z11
+	VMULPS       192(R13), Z8, Z12
+	VMULPS       256(R13), Z8, Z13
+	VMULPS       320(R13), Z8, Z14
+	VMULPS       384(R13), Z8, Z15
+	VMULPS       448(R13), Z8, Z16
 	VADDPS       Z9, Z0, Z0
 	VADDPS       Z10, Z1, Z1
 	VADDPS       Z11, Z2, Z2
@@ -850,7 +767,8 @@ zrow128p:
 zrow128skip:
 	ADDQ    $4, R10
 	ADDQ    R9, R11
-	DECQ    R12
+	ADDQ    R15, R12
+	DECQ    R14
 	JNZ     zrow128p
 	VMOVUPS Z0, (DI)
 	VMOVUPS Z1, 64(DI)
@@ -873,18 +791,21 @@ zrow64:
 	VPXORD Z2, Z2, Z2
 	VPXORD Z3, Z3, Z3
 	MOVQ   SI, R10
-	MOVQ   DX, R11
-	MOVQ   CX, R12
+	MOVQ   BX, R11
+	MOVQ   DX, R12
+	MOVQ   CX, R14
 
 zrow64p:
 	MOVL         (R10), AX
 	ADDL         AX, AX
 	JZ           zrow64skip
+	MOVQ         (R11), R13
+	LEAQ         (R12)(R13*4), R13
 	VBROADCASTSS (R10), Z8
-	VMULPS       (R11), Z8, Z9
-	VMULPS       64(R11), Z8, Z10
-	VMULPS       128(R11), Z8, Z11
-	VMULPS       192(R11), Z8, Z12
+	VMULPS       (R13), Z8, Z9
+	VMULPS       64(R13), Z8, Z10
+	VMULPS       128(R13), Z8, Z11
+	VMULPS       192(R13), Z8, Z12
 	VADDPS       Z9, Z0, Z0
 	VADDPS       Z10, Z1, Z1
 	VADDPS       Z11, Z2, Z2
@@ -893,7 +814,8 @@ zrow64p:
 zrow64skip:
 	ADDQ    $4, R10
 	ADDQ    R9, R11
-	DECQ    R12
+	ADDQ    R15, R12
+	DECQ    R14
 	JNZ     zrow64p
 	VMOVUPS Z0, (DI)
 	VMOVUPS Z1, 64(DI)
@@ -905,119 +827,6 @@ zrow64skip:
 	JMP     zrow64
 
 zrowdone:
-	VZEROUPPER
-	RET
-
-// func gemmRowOffAVX512(dst, a, b *float32, off *int, k, n int)
-//
-// gemmRowOffAVX2's sums over the first n columns in the ZMM tiles of
-// gemmRowAVX512, row p of b found at off[p]. Requires k > 0, n > 0 and
-// n%64 == 0: the gemmRowOff wrapper hands the rest to gemmRowOffAVX2.
-TEXT ·gemmRowOffAVX512(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ off+24(FP), BX
-	MOVQ k+32(FP), CX
-	MOVQ n+40(FP), R8
-
-zoff128:
-	CMPQ   R8, $128
-	JLT    zoff64
-	VPXORD Z0, Z0, Z0
-	VPXORD Z1, Z1, Z1
-	VPXORD Z2, Z2, Z2
-	VPXORD Z3, Z3, Z3
-	VPXORD Z4, Z4, Z4
-	VPXORD Z5, Z5, Z5
-	VPXORD Z6, Z6, Z6
-	VPXORD Z7, Z7, Z7
-	MOVQ   SI, R10
-	MOVQ   BX, R11
-	MOVQ   CX, R12
-
-zoff128p:
-	MOVL         (R10), AX
-	ADDL         AX, AX
-	JZ           zoff128skip
-	MOVQ         (R11), R13
-	VBROADCASTSS (R10), Z8
-	VMULPS       (DX)(R13*4), Z8, Z9
-	VMULPS       64(DX)(R13*4), Z8, Z10
-	VMULPS       128(DX)(R13*4), Z8, Z11
-	VMULPS       192(DX)(R13*4), Z8, Z12
-	VMULPS       256(DX)(R13*4), Z8, Z13
-	VMULPS       320(DX)(R13*4), Z8, Z14
-	VMULPS       384(DX)(R13*4), Z8, Z15
-	VMULPS       448(DX)(R13*4), Z8, Z16
-	VADDPS       Z9, Z0, Z0
-	VADDPS       Z10, Z1, Z1
-	VADDPS       Z11, Z2, Z2
-	VADDPS       Z12, Z3, Z3
-	VADDPS       Z13, Z4, Z4
-	VADDPS       Z14, Z5, Z5
-	VADDPS       Z15, Z6, Z6
-	VADDPS       Z16, Z7, Z7
-
-zoff128skip:
-	ADDQ    $4, R10
-	ADDQ    $8, R11
-	DECQ    R12
-	JNZ     zoff128p
-	VMOVUPS Z0, (DI)
-	VMOVUPS Z1, 64(DI)
-	VMOVUPS Z2, 128(DI)
-	VMOVUPS Z3, 192(DI)
-	VMOVUPS Z4, 256(DI)
-	VMOVUPS Z5, 320(DI)
-	VMOVUPS Z6, 384(DI)
-	VMOVUPS Z7, 448(DI)
-	ADDQ    $512, DI
-	ADDQ    $512, DX
-	SUBQ    $128, R8
-	JMP     zoff128
-
-zoff64:
-	CMPQ   R8, $64
-	JLT    zoffdone
-	VPXORD Z0, Z0, Z0
-	VPXORD Z1, Z1, Z1
-	VPXORD Z2, Z2, Z2
-	VPXORD Z3, Z3, Z3
-	MOVQ   SI, R10
-	MOVQ   BX, R11
-	MOVQ   CX, R12
-
-zoff64p:
-	MOVL         (R10), AX
-	ADDL         AX, AX
-	JZ           zoff64skip
-	MOVQ         (R11), R13
-	VBROADCASTSS (R10), Z8
-	VMULPS       (DX)(R13*4), Z8, Z9
-	VMULPS       64(DX)(R13*4), Z8, Z10
-	VMULPS       128(DX)(R13*4), Z8, Z11
-	VMULPS       192(DX)(R13*4), Z8, Z12
-	VADDPS       Z9, Z0, Z0
-	VADDPS       Z10, Z1, Z1
-	VADDPS       Z11, Z2, Z2
-	VADDPS       Z12, Z3, Z3
-
-zoff64skip:
-	ADDQ    $4, R10
-	ADDQ    $8, R11
-	DECQ    R12
-	JNZ     zoff64p
-	VMOVUPS Z0, (DI)
-	VMOVUPS Z1, 64(DI)
-	VMOVUPS Z2, 128(DI)
-	VMOVUPS Z3, 192(DI)
-	ADDQ    $256, DI
-	ADDQ    $256, DX
-	SUBQ    $64, R8
-	JMP     zoff64
-
-zoffdone:
 	VZEROUPPER
 	RET
 

@@ -118,10 +118,10 @@ func offset(src *Tensor, off int) *Tensor {
 	return FromSlice(buf[off:], src.Shape()...)
 }
 
-// eachPoolConfig runs check at the production gates (procs 0), then
-// with the gates forced low at every worker count: rows band at high
-// m, and at low m matmulCols' 16-float column bands reach the row
-// kernel with ldb != n.
+// eachPoolConfig runs check at the production gate (procs 0), then
+// with the gate forced low at every worker count: rows band at high
+// m, and at low m runGEMM's 16-float column bands reach the row
+// kernel with a stride wider than the band.
 func eachPoolConfig(t *testing.T, check func(procs int)) {
 	t.Helper()
 	check(0)
@@ -202,7 +202,7 @@ func TestAVX2MatMulTAMatchesGo(t *testing.T) {
 
 // TestAVX2RowKernelEveryOffset drives the row kernel alone at every
 // tier, every n in 1..300 and every (dst, b) phase of a 32-byte vector,
-// with a row stride wider than the band — the matmulCols call shape.
+// with a row stride wider than the band — a column band's call shape.
 func TestAVX2RowKernelEveryOffset(t *testing.T) {
 	eachTier(t, checkRowKernelEveryOffset)
 }
@@ -225,9 +225,9 @@ func checkRowKernelEveryOffset(t *testing.T) {
 				continue
 			}
 			want := make([]float32, n)
-			gemmRowGo(want, ai, bm.Data[jlo:], ldb)
+			gemmRowGo(want, ai, nil, ldb, bm.Data[jlo:])
 			got, intact := framed(off, n)
-			gemmRow(got.Data, ai, bm.Data[jlo:], ldb)
+			gemmRow(got.Data, ai, nil, ldb, bm.Data[jlo:])
 			if i := bitsEqual(want, got.Data); i >= 0 {
 				t.Fatalf("row kernel n=%d off=%d: element %d differs", n, off, i)
 			}
@@ -238,12 +238,14 @@ func checkRowKernelEveryOffset(t *testing.T) {
 	}
 }
 
-// TestAVX2RowOffKernelMatchesGo holds the offset-table row kernel to
-// its Go spec at every tier for every k in 1..60 and every n in 1..300
-// (each mix of ZMM tiles, YMM tiles and scalar tail), each n at every
-// dst phase as k varies, with ±0 runs in a, NaN, ±Inf and denormals in
-// both operands, and offset tables that run forwards, backwards and
-// repeat a row.
+// TestAVX2RowOffKernelMatchesGo holds the row kernel to its Go spec at
+// every tier, through both addressing modes, for every k in 1..60 and
+// every n in 1..300 (each mix of ZMM tiles, YMM tiles and scalar
+// tail), each n at every dst phase as k varies, with ±0 runs in a,
+// NaN, ±Inf and denormals in both operands. The offset tables run
+// forwards, backwards and repeat a row; the stride path (o_p = p·ld,
+// rows overlapping when ld < n) is held to the offset mode's Go
+// kernel over the table {p·ld}, so the two modes agree bit for bit.
 func TestAVX2RowOffKernelMatchesGo(t *testing.T) {
 	eachTier(t, checkRowOffKernel)
 }
@@ -263,7 +265,7 @@ func checkRowOffKernel(t *testing.T) {
 		b[157*i+11] = v
 	}
 	ai := make([]float32, 60)
-	off := make([]int, 60)
+	off, offLD := make([]int, 60), make([]int, 60)
 	for k := 1; k <= 60; k++ {
 		for n := 1; n <= 300; n++ {
 			for i := range ai[:k] {
@@ -274,6 +276,7 @@ func checkRowOffKernel(t *testing.T) {
 				ai[k/2] = specials[(k+n)%len(specials)]
 			}
 			span := bLen - n
+			ld := span / k
 			for p := range off[:k] {
 				switch (k + n) % 3 {
 				case 0: // forwards, rows overlapping
@@ -283,18 +286,26 @@ func checkRowOffKernel(t *testing.T) {
 				default: // arbitrary, repeats allowed
 					off[p] = int(rng.Range(0, float64(span)))
 				}
+				offLD[p] = p * ld
 			}
-			want := make([]float32, n)
-			gemmRowOffGo(want, ai[:k], off[:k], b)
-			dOff := (k + n) % 8
-			got, intact := framed(dOff, n)
-			gemmRowOff(got.Data, ai[:k], off[:k], b)
-			if i := sameBits(want, got.Data); i >= 0 {
-				t.Fatalf("offset row kernel k=%d n=%d: element %d is %x, Go kernel gives %x",
-					k, n, i, math.Float32bits(got.Data[i]), math.Float32bits(want[i]))
-			}
-			if !intact() {
-				t.Fatalf("offset row kernel k=%d n=%d: wrote outside dst", k, n)
+			for _, path := range []struct {
+				name    string
+				off     []int
+				ld      int
+				specOff []int
+			}{{"off", off[:k], 0, off[:k]}, {"ld", nil, ld, offLD[:k]}} {
+				want := make([]float32, n)
+				gemmRowGo(want, ai[:k], path.specOff, 0, b)
+				dOff := (k + n) % 8
+				got, intact := framed(dOff, n)
+				gemmRow(got.Data, ai[:k], path.off, path.ld, b)
+				if i := sameBits(want, got.Data); i >= 0 {
+					t.Fatalf("row kernel %s k=%d n=%d: element %d is %x, Go kernel gives %x",
+						path.name, k, n, i, math.Float32bits(got.Data[i]), math.Float32bits(want[i]))
+				}
+				if !intact() {
+					t.Fatalf("row kernel %s k=%d n=%d: wrote outside dst", path.name, k, n)
+				}
 			}
 		}
 	}
@@ -380,31 +391,19 @@ func checkNonFinite(t *testing.T) {
 }
 
 // TestAVX2EmptyProducts: the assembly takes &x[0], so the wrappers
-// must keep empty operands away from it at every tier — and k == 0
-// must still zero dst, as the Go kernel's clear does.
+// must keep empty operands away from it at every tier, in both
+// addressing modes — and k == 0 must still zero dst, as the Go
+// kernel's clear does, while n == 0 touches nothing.
 func TestAVX2EmptyProducts(t *testing.T) {
 	eachTier(t, func(t *testing.T) {
-		dst := []float32{7, 7, 7}
-		gemmRow(dst, nil, nil, 3) // k == 0
-		for i, v := range dst {
-			if math.Float32bits(v) != 0 {
-				t.Fatalf("k=0: dst[%d] = %v, want +0", i, v)
-			}
-		}
-		gemmRow(nil, []float32{1, 2}, nil, 0) // n == 0
-		matmulRows(nil, nil, nil, 0, 0, 4, 4) // m == 0
-		matmulCols(dst, nil, nil, 1, 0, 3, 0, 3)
-		addRow(nil, nil)
-		dst = []float32{7, 7, 7}
-		gemmRowOff(dst, nil, nil, nil) // k == 0
-		for i, v := range dst {
-			if math.Float32bits(v) != 0 {
-				t.Fatalf("offset k=0: dst[%d] = %v, want +0", i, v)
-			}
-		}
-		gemmRowOff(nil, []float32{1, 2}, []int{0, 0}, nil) // n == 0
-		// The int8 kernel at k == 0 in both addressing modes.
 		for _, off := range [][]int{nil, {}} {
+			dst := []float32{7, 7, 7}
+			gemmRow(dst, nil, off, 3, nil) // k == 0
+			for i, v := range dst {
+				if math.Float32bits(v) != 0 {
+					t.Fatalf("k=0 off=%v: dst[%d] = %v, want +0", off, i, v)
+				}
+			}
 			dst = []float32{7, 7, 7}
 			int8Row(dst, nil, off, 3, nil, 1.5)
 			for i, v := range dst {
@@ -413,8 +412,70 @@ func TestAVX2EmptyProducts(t *testing.T) {
 				}
 			}
 		}
-		int8Row(nil, []int8{1, 2}, []int{0, 0}, 0, nil, 1) // n == 0
+		gemmRow(nil, []float32{1, 2}, []int{0, 0}, 0, nil) // n == 0
+		gemmRow(nil, []float32{1, 2}, nil, 2, make([]float32, 2))
+		int8Row(nil, []int8{1, 2}, []int{0, 0}, 0, nil, 1)
 		int8Row(nil, []int8{1, 2}, nil, 5, nil, 1)
+		matmulRows(nil, nil, nil, 4, 4, 0, 0, 0, 4) // m == 0
+		dst := []float32{7, 7, 7}
+		matmulRows(dst, nil, nil, 0, 3, 0, 1, 0, 3) // k == 0 over a column band
+		if dst[0] != 0 || dst[1] != 0 || dst[2] != 0 {
+			t.Fatalf("matmulRows k=0: dst = %v, want zeros", dst)
+		}
+		addRow(nil, nil)
+	})
+}
+
+// TestRowWrappersCheckBounds holds both row kernels' wrappers to their
+// bounds contract at every tier and in both addressing modes: b must
+// reach the last element the call reads — the highest offset plus
+// n−1, or (k−1)·ld + n−1 with a stride — and the lowest offset, so a
+// short b or a negative offset panics in the wrapper instead of being
+// read by the assembly, while a b that ends exactly there is accepted.
+// The n cover the ZMM prefix, the YMM tiles and the float kernel's
+// scalar tail. The short b's capacity ends with it: the int8 kernel
+// hands n < 8 to Go, whose reslicing is bounded by capacity.
+func TestRowWrappersCheckBounds(t *testing.T) {
+	eachTier(t, func(t *testing.T) {
+		panics := func(f func()) (p bool) {
+			defer func() { p = recover() != nil }()
+			f()
+			return false
+		}
+		const ld = 150
+		a := []float32{1, -2, 3, 0.5, 4}
+		a8 := []int8{1, -2, 3, 5, 4}
+		offs := []int{40, 7, 90, 12, 55} // the highest is not the last
+		for _, n := range []int{3, 8, 20, 64, 130} {
+			for _, mode := range []struct {
+				name string
+				off  []int
+				ld   int
+				last int
+			}{{"off", offs, 0, 90 + n - 1}, {"ld", nil, ld, (len(a)-1)*ld + n - 1}} {
+				b := make([]float32, mode.last+1)
+				b8 := make([]int8, mode.last+1)
+				dst := make([]float32, n)
+				if panics(func() { gemmRow(dst, a, mode.off, mode.ld, b) }) ||
+					panics(func() { int8Row(dst, a8, mode.off, mode.ld, b8, 1) }) {
+					t.Fatalf("%s n=%d: b of %d elements panics, but reaches the last one read", mode.name, n, len(b))
+				}
+				if !panics(func() { gemmRow(dst, a, mode.off, mode.ld, b[:mode.last:mode.last]) }) {
+					t.Fatalf("%s n=%d: gemmRow read b[%d] of a %d-element b", mode.name, n, mode.last, mode.last)
+				}
+				if !panics(func() { int8Row(dst, a8, mode.off, mode.ld, b8[:mode.last:mode.last], 1) }) {
+					t.Fatalf("%s n=%d: int8Row read b[%d] of a %d-element b", mode.name, n, mode.last, mode.last)
+				}
+			}
+			neg := []int{40, 7, -1, 12, 55}
+			b, b8 := make([]float32, 200), make([]int8, 200)
+			if !panics(func() { gemmRow(make([]float32, n), a, neg, 0, b) }) {
+				t.Fatalf("n=%d: gemmRow accepted a negative offset", n)
+			}
+			if !panics(func() { int8Row(make([]float32, n), a8, neg, 0, b8, 1) }) {
+				t.Fatalf("n=%d: int8Row accepted a negative offset", n)
+			}
+		}
 	})
 }
 

@@ -8,9 +8,7 @@ package tensor
 // Kernels names the kernel tiers this process runs: here always "go".
 func Kernels() string { return "go" }
 
-func gemmRow(di, ai, b []float32, ldb int) { gemmRowGo(di, ai, b, ldb) }
-
-func gemmRowOff(di, ai []float32, off []int, b []float32) { gemmRowOffGo(di, ai, off, b) }
+func gemmRow(di, ai []float32, off []int, ld int, b []float32) { gemmRowGo(di, ai, off, ld, b) }
 
 func int8Row(dst []float32, ai []int8, off []int, ld int, b []int8, scale float32) {
 	int8RowGo(dst, ai, off, ld, b, scale)

@@ -98,7 +98,7 @@ func QuantizeInt8PerRow(dst []int8, scales []float32, src []float32, rows, k int
 // and b an int8 [k,n] matrix with a single scale (quantized
 // activations: Linear's one sample as a [k,1] column). Each output row
 // is one int8Row call with b's rows n apart; accumulation is int32 and
-// exact, so the output rows are banded over the pool behind the int8
+// exact, so the output rows are banded over the pool behind the GEMM
 // gate at no cost to any bit. out is overwritten.
 func Int8MatMulInto(out *Tensor, a []int8, aScales []float32, b []int8, xScale float32, m, k, n int) {
 	if len(a) != m*k || len(b) != k*n || len(aScales) != m || len(out.Data) != m*n {
@@ -106,7 +106,7 @@ func Int8MatMulInto(out *Tensor, a []int8, aScales []float32, b []int8, xScale f
 			len(a), len(b), len(aScales), len(out.Data), m, k, n))
 	}
 	t := i8Task{out: out.Data, a: a, aScales: aScales, b: b, xScale: xScale, k: k, n: n}
-	if m*k*n < int8ParMin {
+	if m*k*n < matmulParMin {
 		t.Chunk(0, 0, m)
 		return
 	}

@@ -76,7 +76,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner-dimension mismatch %v × %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	matmulInto(out.Data, a.Data, b.Data, m, k, n)
+	runGEMM(matmulRows, out.Data, a.Data, b.Data, m, k, n)
 	return out
 }
 

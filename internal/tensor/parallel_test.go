@@ -10,25 +10,25 @@ import (
 // produce byte-identical output at any worker count, because band
 // boundaries only decide WHO computes an output element, never the
 // order of that element's accumulation (see internal/tensor/README.md
-// and internal/par). The suite lowers the serial-threshold gate vars
+// and internal/par). The suite lowers the serial-threshold gate var
 // so even adversarial small shapes — prime dims, fewer rows than
 // workers, empty remainder bands — take the pooled path, and compares
-// against a golden computed with the gates at +∞ (strictly serial).
+// against a golden computed with the gate at +∞ (strictly serial).
 
 // lowGates forces every kernel through the pooled path and restores
-// the production gates after the test.
+// the production gate after the test.
 func lowGates(t *testing.T) {
 	t.Helper()
-	pm, im := matmulParMin, int8ParMin
-	matmulParMin, int8ParMin = 1, 1
-	t.Cleanup(func() { matmulParMin, int8ParMin = pm, im })
+	pm := matmulParMin
+	matmulParMin = 1
+	t.Cleanup(func() { matmulParMin = pm })
 }
 
 // serialGates disables the pooled path entirely.
 func serialGates(t *testing.T) func() {
-	pm, im := matmulParMin, int8ParMin
-	matmulParMin, int8ParMin = math.MaxInt, math.MaxInt
-	return func() { matmulParMin, int8ParMin = pm, im }
+	pm := matmulParMin
+	matmulParMin = math.MaxInt
+	return func() { matmulParMin = pm }
 }
 
 func withMaxProcs(t *testing.T, procs int, f func()) {

@@ -76,14 +76,19 @@
 #                failures depend on how many CPUs race
 #   make fuzz-smoke  ten seconds each of FuzzDecodeCheckpoint, the decoder
 #                the fleet's failover path runs on stored checkpoint
-#                bytes, FuzzParsePlan, the parser of ldserve's -chaos
-#                spec, and FuzzLoadParams, the reader of the weights
-#                file ldtrain writes for ldadapt and ldserve: no input
-#                may panic, an accepted checkpoint or weights file must
-#                re-encode (re-save) stably, and an accepted plan must
-#                hold only well-formed events. Their seeds are the
-#                committed v2 golden, the chaos specs the docs use, or a
-#                Tiny detector's SaveParams output, and an empty input; a
+#                bytes, FuzzEncodeCheckpoint, the append encoder every
+#                checkpoint pass runs, held to the map-based oracle
+#                over fuzzed random states, FuzzParsePlan, the parser
+#                of ldserve's -chaos spec, and FuzzLoadParams, the
+#                reader of the weights file ldtrain writes for ldadapt
+#                and ldserve: no input may panic, an accepted
+#                checkpoint or weights file must re-encode (re-save)
+#                stably, an encoding must equal the oracle's bytes,
+#                and an accepted plan must hold only well-formed
+#                events. Their seeds are the
+#                committed v2 golden, BN layer counts from 0 to 1001,
+#                the chaos specs the docs use, or a Tiny detector's
+#                SaveParams output, and an empty input; a
 #                crasher any of them finds is committed under the package's
 #                testdata/fuzz/, where plain `go test` replays it.
 #                Minimization is capped at 200 runs per new input:
@@ -208,6 +213,7 @@ obs-smoke:
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s -fuzzminimizetime 200x ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzEncodeCheckpoint -fuzztime 10s -fuzzminimizetime 200x ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s -fuzzminimizetime 200x ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzLoadParams -fuzztime 10s -fuzzminimizetime 200x ./internal/nn
 

@@ -6,30 +6,33 @@ import "fmt"
 // must carry the stream's forecaster history across a board failure —
 // a recovered stream whose forecaster restarts cold predicts zero load
 // for its first epochs, which is exactly when the failover destination
-// needs the demand signal most. Snapshot and Restore flatten the
+// needs the demand signal most. AppendSnapshot and Restore flatten the
 // built-in models to plain float64 state so any binary codec can carry
 // them without knowing the model internals.
 
-// Snapshot extracts a built-in forecaster's full state for
-// checkpointing: the model kind (its Name) and a flat state vector
-// Restore can rebuild it from. ok is false for forecaster
-// implementations this package does not know — callers checkpoint
-// nothing for those and restore a fresh model instead.
-func Snapshot(f Forecaster) (kind string, state []float64, ok bool) {
+// AppendSnapshot extracts a built-in forecaster's full state for
+// checkpointing: the model kind (its Name) and a flat state vector,
+// appended to dst, that Restore can rebuild it from (five values hold
+// every built-in model's state, so a caller can keep them in an array
+// of its own). ok is false for forecaster implementations this package
+// does not know — callers checkpoint nothing for those and restore a
+// fresh model instead.
+func AppendSnapshot(dst []float64, f Forecaster) (kind string, state []float64, ok bool) {
 	switch v := f.(type) {
 	case *Naive:
-		return v.Name(), []float64{v.last}, true
+		return v.Name(), append(dst, v.last), true
 	case *EWMA:
-		return v.Name(), []float64{v.Alpha, v.level, boolToF(v.seen)}, true
+		return v.Name(), append(dst, v.Alpha, v.level, boolToF(v.seen)), true
 	case *Holt:
-		return v.Name(), []float64{v.Alpha, v.Beta, v.level, v.trend, boolToF(v.seen)}, true
+		return v.Name(), append(dst, v.Alpha, v.Beta, v.level, v.trend, boolToF(v.seen)), true
 	}
-	return "", nil, false
+	return "", dst, false
 }
 
-// Restore rebuilds a forecaster from a Snapshot. The kind selects the
-// model and the state vector must have the exact length Snapshot
-// produced for it; anything else is a corrupt checkpoint.
+// Restore rebuilds a forecaster from AppendSnapshot's kind and state.
+// The kind selects the model and the state vector must have the exact
+// length AppendSnapshot produced for it; anything else is a corrupt
+// checkpoint.
 func Restore(kind string, state []float64) (Forecaster, error) {
 	switch kind {
 	case "naive":

@@ -17,7 +17,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		for _, v := range history {
 			f.Observe(v)
 		}
-		kind, state, ok := Snapshot(f)
+		kind, state, ok := AppendSnapshot(nil, f)
 		if !ok {
 			t.Fatalf("%s: Snapshot not ok", f.Name())
 		}
@@ -47,7 +47,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 func TestSnapshotPreservesSeen(t *testing.T) {
 	e := NewEWMA(0.5)
 	e.Observe(10)
-	kind, state, _ := Snapshot(e)
+	kind, state, _ := AppendSnapshot(nil, e)
 	g, err := Restore(kind, state)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 // TestSnapshotUnknownForecaster: custom implementations are not
 // snapshotable; callers must fall back to a fresh model.
 func TestSnapshotUnknownForecaster(t *testing.T) {
-	if _, _, ok := Snapshot(customForecaster{}); ok {
+	if _, _, ok := AppendSnapshot(nil, customForecaster{}); ok {
 		t.Fatal("Snapshot claimed to handle an unknown forecaster")
 	}
 }

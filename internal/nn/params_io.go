@@ -12,30 +12,39 @@ import (
 // paramsMagic identifies the parameter-bundle format ("LDP1").
 const paramsMagic = 0x4C445031
 
+// AppendBundleHeader appends the header of an LDP1 bundle holding
+// count records to b: magic, then count, little-endian uint32s.
+func AppendBundleHeader(b []byte, count int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, paramsMagic)
+	return binary.LittleEndian.AppendUint32(b, uint32(count))
+}
+
+// AppendRecordName appends the framing that opens one bundle record to
+// b: the name's byte length as a little-endian uint32, then the name.
+// The record's LDT1 tensor (tensor.AppendHeader and
+// tensor.AppendFloats, or Tensor.WriteTo) follows it.
+func AppendRecordName[S ~string | ~[]byte](b []byte, name S) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(name)))
+	return append(b, name...)
+}
+
 // SaveParams writes a named parameter bundle: every Param's Value plus
 // the extras map (used for BN running statistics, which are state but
-// not trainable parameters).
+// not trainable parameters), extras in sorted name order. The bundle
+// streams through one buffered writer, record by record, so no call
+// holds a whole model's bytes.
 func SaveParams(w io.Writer, params []*Param, extras map[string]*tensor.Tensor) error {
 	bw := bufio.NewWriter(w)
-	if err := binary.Write(bw, binary.LittleEndian, uint32(paramsMagic)); err != nil {
+	if _, err := bw.Write(AppendBundleHeader(nil, len(params)+len(extras))); err != nil {
 		return err
 	}
-	total := len(params) + len(extras)
-	if err := binary.Write(bw, binary.LittleEndian, uint32(total)); err != nil {
-		return err
-	}
+	var frame []byte
 	writeOne := func(name string, t *tensor.Tensor) error {
-		nb := []byte(name)
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(nb))); err != nil {
+		frame = AppendRecordName(frame[:0], name)
+		if _, err := bw.Write(frame); err != nil {
 			return err
 		}
-		if _, err := bw.Write(nb); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		_, err := t.WriteTo(w)
+		_, err := t.WriteTo(bw)
 		return err
 	}
 	for _, p := range params {

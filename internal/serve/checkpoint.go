@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
+	"sync"
 
 	"ldbnadapt/internal/forecast"
 	"ldbnadapt/internal/nn"
@@ -40,7 +43,7 @@ type Checkpoint struct {
 	state      *streamState
 	sinceAdapt int
 	// fcKind/fcState are the forecaster model and its flattened state
-	// (forecast.Snapshot); kind "" means the forecaster was a custom
+	// (forecast.AppendSnapshot); kind "" means the forecaster was a custom
 	// implementation the codec cannot carry and restore starts fresh.
 	fcKind  string
 	fcState []float64
@@ -76,7 +79,7 @@ func (s *Session) Checkpoint(id int) *Checkpoint {
 		state:      s.states[id].snapshot(),
 		sinceAdapt: s.p.sinceAdapt[id],
 	}
-	if kind, st, ok := forecast.Snapshot(s.fc[id]); ok {
+	if kind, st, ok := forecast.AppendSnapshot(nil, s.fc[id]); ok {
 		c.fcKind, c.fcState = kind, st
 	}
 	return c
@@ -128,36 +131,146 @@ const checkpointVersion = 2
 // "meta" record, per-BN-layer state, optimizer moments, forecaster
 // state and the pending adaptation-window samples. Every scalar is
 // stored bit-exactly (float64 values as two float32 bit lanes), so
-// decode reproduces the checkpoint bitwise.
+// decode reproduces the checkpoint bitwise. The bytes are appendTo's,
+// encoded into a pooled buffer and written in one call.
 func EncodeCheckpoint(w io.Writer, c *Checkpoint) error {
-	st := c.state
-	extras := map[string]*tensor.Tensor{
-		"meta": packF64([]float64{
-			checkpointVersion,
-			float64(c.Stream), float64(c.Epoch), c.FPS,
-			float64(c.sinceAdapt), float64(st.steps), float64(st.opt.Step),
-			float64(len(st.bn)), float64(len(st.pending)),
-			b2f(c.Quantized),
-		}),
+	bp := encodeBufs.Get().(*[]byte)
+	*bp = c.appendTo((*bp)[:0])
+	_, err := w.Write(*bp)
+	encodeBufs.Put(bp)
+	return err
+}
+
+// encodeBufs holds EncodeCheckpoint's encoding buffers.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// AppendCheckpoint appends board-local stream id's checkpoint, stamped
+// with the fleet-global stream id and epoch, to b and returns the
+// extended buffer: the bytes EncodeCheckpoint writes for
+// s.Checkpoint(id) so stamped, read from the live state under the
+// stream's lock instead of from a snapshot copy. Into a buffer with
+// room it allocates nothing. Call only at an epoch boundary.
+func (s *Session) AppendCheckpoint(b []byte, id, stream, epoch int) []byte {
+	st := s.states[id]
+	c := Checkpoint{
+		Stream: stream, Epoch: epoch,
+		FPS:        s.sources[id].FPS,
+		Quantized:  s.p.ctrl.Quantized,
+		state:      st,
+		sinceAdapt: s.p.sinceAdapt[id],
 	}
-	for _, l := range st.lanes() {
-		if len(l.data) > 0 {
-			extras[l.name] = tensor.FromSlice(l.data, len(l.data))
-		}
+	var fc [5]float64
+	if kind, v, ok := forecast.AppendSnapshot(fc[:0], s.fc[id]); ok {
+		c.fcKind, c.fcState = kind, v
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return c.appendTo(b)
+}
+
+// appendTo appends c's v2 encoding to b: an LDP1 bundle whose records
+// come in the sorted-name order nn.SaveParams gives a map of them —
+// "bn.<i>.{beta,gamma,mean,var}" by lexNext, "fc.<kind>", "meta",
+// "opt.m", "opt.v", then "pending.<i>.{cells,image}" — with empty
+// float32 lanes left out. It builds no tensor, map or name string.
+func (c *Checkpoint) appendTo(b []byte) []byte {
+	st := c.state
+	count := 1 + 2*len(st.pending) + nonEmpty(st.opt.M) + nonEmpty(st.opt.V)
+	for _, v := range st.bn {
+		count += nonEmpty(v.Beta) + nonEmpty(v.Gamma) + nonEmpty(v.Mean) + nonEmpty(v.Var)
 	}
 	if c.fcKind != "" {
-		extras["fc."+c.fcKind] = packF64(c.fcState)
+		count++
 	}
-	for i, smp := range st.pending {
-		extras[fmt.Sprintf("pending.%03d.image", i)] = smp.Image
-		cells := make([]float32, len(smp.Cells)+1)
-		cells[0] = float32(len(smp.Cells))
-		for j, v := range smp.Cells {
-			cells[j+1] = float32(v)
+	b = nn.AppendBundleHeader(b, count)
+	var name [48]byte
+	for i := lexNext(-1, len(st.bn)); i >= 0; i = lexNext(i, len(st.bn)) {
+		v := st.bn[i]
+		prefix := appendIndex(append(name[:0], "bn."...), i)
+		b = appendLane(b, append(prefix, ".beta"...), v.Beta)
+		b = appendLane(b, append(prefix, ".gamma"...), v.Gamma)
+		b = appendLane(b, append(prefix, ".mean"...), v.Mean)
+		b = appendLane(b, append(prefix, ".var"...), v.Var)
+	}
+	if c.fcKind != "" {
+		b = nn.AppendRecordName(b, append(append(name[:0], "fc."...), c.fcKind...))
+		b = appendF64s(b, c.fcState...)
+	}
+	b = appendF64s(nn.AppendRecordName(b, "meta"),
+		checkpointVersion,
+		float64(c.Stream), float64(c.Epoch), c.FPS,
+		float64(c.sinceAdapt), float64(st.steps), float64(st.opt.Step),
+		float64(len(st.bn)), float64(len(st.pending)),
+		b2f(c.Quantized))
+	b = appendLane(b, append(name[:0], "opt.m"...), st.opt.M)
+	b = appendLane(b, append(name[:0], "opt.v"...), st.opt.V)
+	for i := lexNext(-1, len(st.pending)); i >= 0; i = lexNext(i, len(st.pending)) {
+		smp := st.pending[i]
+		prefix := appendIndex(append(name[:0], "pending."...), i)
+		b = nn.AppendRecordName(b, append(prefix, ".cells"...))
+		b = tensor.AppendHeader(b, len(smp.Cells)+1)
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(len(smp.Cells))))
+		for _, v := range smp.Cells {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(v)))
 		}
-		extras[fmt.Sprintf("pending.%03d.cells", i)] = tensor.FromSlice(cells, len(cells))
+		b = smp.Image.AppendTo(nn.AppendRecordName(b, append(prefix, ".image"...)))
 	}
-	return nn.SaveParams(w, nil, extras)
+	return b
+}
+
+// appendLane appends one float32 lane as a rank-1 record, or nothing
+// for an empty lane.
+func appendLane(b, name []byte, data []float32) []byte {
+	if len(data) == 0 {
+		return b
+	}
+	b = tensor.AppendHeader(nn.AppendRecordName(b, name), len(data))
+	return tensor.AppendFloats(b, data)
+}
+
+// appendF64s appends vals as a rank-1 record of two float32 bit lanes
+// per value, low word first: float64 values stored bit-exactly in the
+// float32-only tensor format (unpackF64 reverses it).
+func appendF64s(b []byte, vals ...float64) []byte {
+	b = tensor.AppendHeader(b, 2*len(vals))
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// nonEmpty counts a lane as a record: 1 unless it is empty.
+func nonEmpty(data []float32) int { return min(len(data), 1) }
+
+// appendIndex appends i as the record names spell it: decimal, at
+// least three digits, zero-padded (fmt's %03d).
+func appendIndex(b []byte, i int) []byte {
+	switch {
+	case i < 10:
+		b = append(b, '0', '0')
+	case i < 100:
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(i), 10)
+}
+
+// lexNext walks 0..n-1 in the byte order of the indices' appendIndex
+// names, the order a sorted name map puts records in: it returns the
+// index after i, the first for i = -1, and -1 after the last. Up to
+// 1000 entries that is numeric order; past it a longer name follows
+// the name it extends ("100", "1000", ..., "1009", "101"), because the
+// '.' after a name sorts before every digit.
+func lexNext(i, n int) int {
+	if i >= 100 && i*10 < n {
+		return i * 10
+	}
+	for i >= 1000 && (i%10 == 9 || i+1 >= n) {
+		i /= 10
+	}
+	if i+1 >= n || i == 999 {
+		return -1
+	}
+	return i + 1
 }
 
 // DecodeCheckpoint reads a checkpoint written by EncodeCheckpoint and
@@ -296,20 +409,7 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// packF64 stores float64 values bit-exactly in a float32 tensor, two
-// bit lanes per value, so checkpoints round-trip bitwise through the
-// float32-only tensor wire format.
-func packF64(vals []float64) *tensor.Tensor {
-	t := tensor.New(2 * len(vals))
-	for i, v := range vals {
-		b := math.Float64bits(v)
-		t.Data[2*i] = math.Float32frombits(uint32(b))
-		t.Data[2*i+1] = math.Float32frombits(uint32(b >> 32))
-	}
-	return t
-}
-
-// unpackF64 reverses packF64.
+// unpackF64 reverses appendF64s.
 func unpackF64(t *tensor.Tensor) ([]float64, error) {
 	if t == nil {
 		return nil, fmt.Errorf("missing record")

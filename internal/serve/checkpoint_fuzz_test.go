@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"os"
 	"testing"
 )
@@ -47,5 +48,37 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
 			t.Fatalf("re-encode is not stable: %d vs %d bytes", once.Len(), twice.Len())
 		}
+	})
+}
+
+// FuzzEncodeCheckpoint holds the append encoder to the map-based
+// oracle over fuzzed random states: the inputs pick the RNG seed, the
+// BN layer count (up to 1200, past where sorted names leave numeric
+// order), 0–3 pending samples, the forecaster kind (none or one of the
+// built-in three), Quantized, empty optimizer moments, and whether the
+// state fits the test model — then it also decodes through
+// DecodeCheckpoint. Every encoding must equal the oracle's bytes and
+// re-encode to itself after decoding.
+func FuzzEncodeCheckpoint(f *testing.F) {
+	for _, layers := range []uint16{0, 9, 10, 99, 100, 1000, 1001} {
+		f.Add(int64(layers), layers, uint8(layers%4), uint8(layers%3), uint8(layers%8))
+	}
+	f.Add(int64(1), uint16(0), uint8(3), uint8(1), uint8(4))
+	e := New(testModel(91), migrationConfig())
+	kinds := []string{"", "naive", "ewma", "holt"}
+	f.Fuzz(func(t *testing.T, seed int64, layers uint16, pending, kind, flags uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		sh := ckptShape{widths: make([]int, layers%1201), image: []int{1 + rng.Intn(3), 2}}
+		for j := range sh.widths {
+			sh.widths[j] = rng.Intn(4)
+		}
+		var dec *Engine
+		if flags&4 != 0 {
+			sh, dec = modelShape(e), e
+		} else {
+			sh.emptyOpt = flags&2 != 0
+		}
+		sh.nPending, sh.fcKind, sh.quantized = int(pending%4), kinds[kind%4], flags&1 != 0
+		checkEncoding(t, dec, randomCheckpoint(rng, sh))
 	})
 }

@@ -13,7 +13,10 @@ import (
 // must tolerate concurrent Puts for different streams — boards
 // checkpoint in parallel at the epoch barrier.
 type CheckpointStore interface {
-	// Put durably records data as stream id's latest checkpoint.
+	// Put durably records data as stream id's latest checkpoint. A
+	// store must not retain data after Put returns — copy what it
+	// keeps: callers encode into buffers they reuse for the next
+	// checkpoint (the fleet's boards keep theirs across epochs).
 	Put(stream int, data []byte) error
 	// Latest returns stream id's most recent checkpoint, or ok=false
 	// when the stream has never been checkpointed. An error means the
@@ -36,11 +39,14 @@ func NewMemCheckpoints() *MemCheckpoints {
 	return &MemCheckpoints{data: make(map[int][]byte)}
 }
 
-// Put implements CheckpointStore.
+// Put implements CheckpointStore. It copies data into the stream's
+// slot, reusing the slot's memory, so a Put over a checkpoint as large
+// allocates nothing; Latest hands out copies, so no reader sees the
+// slot change.
 func (m *MemCheckpoints) Put(stream int, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.data[stream] = append([]byte(nil), data...)
+	m.data[stream] = append(m.data[stream][:0], data...)
 	return nil
 }
 

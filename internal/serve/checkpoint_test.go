@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -81,6 +83,53 @@ func equalCheckpoints(t *testing.T, want, got *Checkpoint) {
 			t.Fatalf("forecaster state %d: %v, want %v", i, got.fcState[i], want.fcState[i])
 		}
 	}
+}
+
+// encodeCheckpointOracle is the map-based v2 encoder that appendTo
+// replaced, kept as its oracle: every record built as a tensor under
+// its fmt-made name in an extras map, then written by nn.SaveParams in
+// sorted-name order. Its bytes define the format.
+func encodeCheckpointOracle(w io.Writer, c *Checkpoint) error {
+	st := c.state
+	extras := map[string]*tensor.Tensor{
+		"meta": packF64([]float64{
+			checkpointVersion,
+			float64(c.Stream), float64(c.Epoch), c.FPS,
+			float64(c.sinceAdapt), float64(st.steps), float64(st.opt.Step),
+			float64(len(st.bn)), float64(len(st.pending)),
+			b2f(c.Quantized),
+		}),
+	}
+	for _, l := range st.lanes() {
+		if len(l.data) > 0 {
+			extras[l.name] = tensor.FromSlice(l.data, len(l.data))
+		}
+	}
+	if c.fcKind != "" {
+		extras["fc."+c.fcKind] = packF64(c.fcState)
+	}
+	for i, smp := range st.pending {
+		extras[fmt.Sprintf("pending.%03d.image", i)] = smp.Image
+		cells := make([]float32, len(smp.Cells)+1)
+		cells[0] = float32(len(smp.Cells))
+		for j, v := range smp.Cells {
+			cells[j+1] = float32(v)
+		}
+		extras[fmt.Sprintf("pending.%03d.cells", i)] = tensor.FromSlice(cells, len(cells))
+	}
+	return nn.SaveParams(w, nil, extras)
+}
+
+// packF64 stores float64 values bit-exactly in a float32 tensor, two
+// bit lanes per value, the oracle's form of appendF64s.
+func packF64(vals []float64) *tensor.Tensor {
+	t := tensor.New(2 * len(vals))
+	for i, v := range vals {
+		b := math.Float64bits(v)
+		t.Data[2*i] = math.Float32frombits(uint32(b))
+		t.Data[2*i+1] = math.Float32frombits(uint32(b >> 32))
+	}
+	return t
 }
 
 // f32bytes views a float32 slice's raw bits for bitwise comparison.
@@ -315,8 +364,9 @@ func TestCheckpointDecodeErrors(t *testing.T) {
 }
 
 // TestCheckpointStores pins the two store implementations: latest-wins
-// semantics, missing-stream misses, and defensive copying; the file
-// store leaves no temp file behind.
+// semantics, missing-stream misses, and defensive copying both ways —
+// neither Latest's result nor the buffer handed to Put aliases the
+// store; the file store leaves no temp file behind.
 func TestCheckpointStores(t *testing.T) {
 	dir := t.TempDir()
 	file, err := NewFileCheckpoints(dir)
@@ -347,8 +397,18 @@ func TestCheckpointStores(t *testing.T) {
 		if _, ok, _ := store.Latest(4); ok {
 			t.Fatalf("%s: hit for a never-checkpointed stream", name)
 		}
+		// Callers reuse their encoding buffers: overwriting one after
+		// Put must not reach the store (the Put contract).
+		buf := []byte("v3")
+		if err := store.Put(3, buf); err != nil {
+			t.Fatal(err)
+		}
+		copy(buf, "XX")
+		if again, _, _ := store.Latest(3); string(again) != "v3" {
+			t.Fatalf("%s: store retained the caller's buffer: %q", name, again)
+		}
 	}
 	if tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp")); err != nil || len(tmps) != 0 {
-		t.Fatalf("file: temp files left after two Puts: %v (%v)", tmps, err)
+		t.Fatalf("file: temp files left after three Puts: %v (%v)", tmps, err)
 	}
 }

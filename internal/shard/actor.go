@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"bytes"
-
-	"ldbnadapt/internal/serve"
-)
+import "ldbnadapt/internal/serve"
 
 // Board actors. Each board's serve.Session is owned by one long-lived
 // goroutine for the run's lifetime — spawned when the board joins the
@@ -104,20 +100,18 @@ func (b *board) decide(epochMs float64) {
 	b.sess.SetControls(next)
 }
 
-// encode snapshots and encodes the given streams; a nil entry marks an
-// encode failure. Stamping and the store write stay with the
-// coordinator.
-func (b *board) encode(locals, globals []int, epoch int) [][]byte {
-	out := make([][]byte, len(locals))
-	for i, li := range locals {
-		c := b.sess.Checkpoint(li)
-		c.Stream, c.Epoch = globals[i], epoch
-		var buf bytes.Buffer
-		if err := serve.EncodeCheckpoint(&buf, c); err == nil {
-			out[i] = buf.Bytes()
-		}
+// encode appends each of the board's homed streams' checkpoint,
+// stamped with its fleet id and epoch, into the board's kept buffers
+// (b.ckpt.enc), read from the live stream state. The store write stays
+// with the coordinator.
+func (b *board) encode(epoch int) {
+	j := &b.ckpt
+	for len(j.enc) < len(j.locals) {
+		j.enc = append(j.enc, nil)
 	}
-	return out
+	for i, li := range j.locals {
+		j.enc[i] = b.sess.AppendCheckpoint(j.enc[i][:0], li, j.globals[i], epoch)
+	}
 }
 
 // The request-reply calls below run one function on the (already

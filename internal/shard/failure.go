@@ -423,25 +423,21 @@ func (r *runCtx) evacuateLeavers(epoch int) {
 // checkpointPass writes every homed stream's adaptation state into the
 // store on the configured cadence — after the boundary's placement, so
 // each checkpoint reflects the stream's current home and the state its
-// next epoch will start from. Snapshot and encode run on each board's
-// actor (one broadcast — the deep copies and the binary codec dominate
-// the cost); only the store writes stay serial on the coordinator, after
+// next epoch will start from. Encoding runs on each board's actor (one
+// broadcast, each board appending into buffers it keeps across
+// passes); only the store writes stay serial on the coordinator, after
 // the barrier and in board/stream order, so the pass is deterministic.
+// A store keeps no reference to the bytes it is given
+// (serve.CheckpointStore), so the next pass may overwrite them.
 func (r *runCtx) checkpointPass(epoch int) {
 	every := r.f.cfg.CheckpointEvery
 	if r.store == nil || every <= 0 || epoch%every != 0 {
 		return
 	}
-	// jobs is indexed by board id, so each actor writes only its own
-	// slot.
-	type job struct {
-		locals, globals []int
-		enc             [][]byte
-	}
-	jobs := make([]job, len(r.boards))
 	var bs []*board
 	for _, b := range r.boards {
-		j := &jobs[b.id]
+		j := &b.ckpt
+		j.locals, j.globals = j.locals[:0], j.globals[:0]
 		if b.alive {
 			r.eachHomed(b, func(li, gid int) {
 				j.locals = append(j.locals, li)
@@ -452,18 +448,11 @@ func (r *runCtx) checkpointPass(epoch int) {
 			bs = append(bs, b)
 		}
 	}
-	r.f.broadcast(bs, func(b *board) {
-		j := &jobs[b.id]
-		j.enc = b.encode(j.locals, j.globals, epoch)
-	})
+	r.f.broadcast(bs, func(b *board) { b.encode(epoch) })
 	c0, e0 := r.ckpts, r.ckptErrs
 	for _, b := range bs {
-		j := &jobs[b.id]
-		for k, d := range j.enc {
-			if d == nil {
-				r.ckptErrs++
-				continue
-			}
+		j := &b.ckpt
+		for k, d := range j.enc[:len(j.locals)] {
 			if err := r.store.Put(j.globals[k], d); err != nil {
 				r.ckptErrs++
 				continue

@@ -323,6 +323,14 @@ type board struct {
 	// futil publishes the board's forecast utilization each boundary
 	// (nil when metrics are off).
 	futil *obs.Gauge
+	// ckpt is the board's share of a checkpoint pass, kept across
+	// epochs so a steady pass allocates nothing: the homed streams'
+	// local and fleet ids, and their encodings, which the coordinator
+	// Puts before the next pass overwrites them.
+	ckpt struct {
+		locals, globals []int
+		enc             [][]byte
+	}
 }
 
 // Fleet coordinates N governed boards serving one stream fleet. It is

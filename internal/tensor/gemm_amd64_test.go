@@ -433,8 +433,8 @@ func TestAVX2EmptyProducts(t *testing.T) {
 // short b or a negative offset panics in the wrapper instead of being
 // read by the assembly, while a b that ends exactly there is accepted.
 // The n cover the ZMM prefix, the YMM tiles and the float kernel's
-// scalar tail. The short b's capacity ends with it: the int8 kernel
-// hands n < 8 to Go, whose reslicing is bounded by capacity.
+// scalar tail. The short b keeps the full b's capacity: the int8
+// kernel hands n < 8 to Go, which must bound its reads by len(b) too.
 func TestRowWrappersCheckBounds(t *testing.T) {
 	eachTier(t, func(t *testing.T) {
 		panics := func(f func()) (p bool) {
@@ -460,10 +460,10 @@ func TestRowWrappersCheckBounds(t *testing.T) {
 					panics(func() { int8Row(dst, a8, mode.off, mode.ld, b8, 1) }) {
 					t.Fatalf("%s n=%d: b of %d elements panics, but reaches the last one read", mode.name, n, len(b))
 				}
-				if !panics(func() { gemmRow(dst, a, mode.off, mode.ld, b[:mode.last:mode.last]) }) {
+				if !panics(func() { gemmRow(dst, a, mode.off, mode.ld, b[:mode.last]) }) {
 					t.Fatalf("%s n=%d: gemmRow read b[%d] of a %d-element b", mode.name, n, mode.last, mode.last)
 				}
-				if !panics(func() { int8Row(dst, a8, mode.off, mode.ld, b8[:mode.last:mode.last], 1) }) {
+				if !panics(func() { int8Row(dst, a8, mode.off, mode.ld, b8[:mode.last], 1) }) {
 					t.Fatalf("%s n=%d: int8Row read b[%d] of a %d-element b", mode.name, n, mode.last, mode.last)
 				}
 			}

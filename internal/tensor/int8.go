@@ -145,6 +145,7 @@ func int8RowGo(dst []float32, ai []int8, off []int, ld int, b []int8, scale floa
 	const block = 256
 	var buf [block]int32
 	k := len(ai)
+	b = b[:len(b):len(b)] // bound the row slices below by len(b), not cap(b)
 	for j0 := 0; j0 < len(dst); j0 += block {
 		acc := buf[:min(block, len(dst)-j0)]
 		clear(acc)

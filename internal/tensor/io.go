@@ -5,56 +5,79 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
+	"unsafe"
 )
 
 // magic identifies the on-disk tensor format ("LDT1" = lane-detection
 // tensor, version 1).
 const magic = 0x4C445431
 
+// AppendHeader appends the header of an LDT1 record for a tensor of
+// the given shape to b: magic, rank, then each dimension, all
+// little-endian uint32. The payload follows as AppendFloats writes it.
+func AppendHeader(b []byte, shape ...int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, magic)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(shape)))
+	for _, d := range shape {
+		b = binary.LittleEndian.AppendUint32(b, uint32(d))
+	}
+	return b
+}
+
+// AppendFloats appends v's bits to b as little-endian uint32 words,
+// the payload of an LDT1 record. On a little-endian host those are
+// v's bytes as they lie in memory, appended in one copy.
+func AppendFloats(b []byte, v []float32) []byte {
+	if nativeLE {
+		return append(b, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))...)
+	}
+	return appendFloatWords(b, v)
+}
+
+// appendFloatWords is AppendFloats a word at a time, on a host of
+// either byte order.
+func appendFloatWords(b []byte, v []float32) []byte {
+	b = slices.Grow(b, 4*len(v))
+	for _, f := range v {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(f))
+	}
+	return b
+}
+
+// nativeLE reports whether the host stores a uint32 little-endian.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// AppendTo appends the tensor's LDT1 record (AppendHeader, then
+// AppendFloats of its data) to b: the bytes WriteTo writes.
+func (t *Tensor) AppendTo(b []byte) []byte {
+	return AppendFloats(AppendHeader(b, t.shape...), t.Data)
+}
+
 // WriteTo serializes the tensor (shape + raw little-endian float32
 // payload) to w. The format is stable and covered by round-trip tests.
-// The header and payload are encoded into one pooled fixed-size chunk
-// and written a chunk at a time, so no call allocates in proportion to
-// the tensor, nor at all once the pool holds a chunk.
+// The record is encoded by AppendHeader and AppendFloats into one
+// pooled fixed-size chunk and written a chunk at a time, so no call
+// allocates in proportion to the tensor, nor at all once the pool
+// holds a chunk.
 func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 	chunk := ioChunks.Get().(*[4096]byte)
 	var n int64
-	b := chunk[:0]
-	// put appends words to b, writing b out each time it fills.
-	put := func(words int, word func(i int) uint32) error {
-		for i := 0; i < words; i++ {
-			if len(b) == len(chunk) {
-				m, err := w.Write(b)
-				n += int64(m)
-				if err != nil {
-					return err
-				}
-				b = chunk[:0]
-			}
-			b = binary.LittleEndian.AppendUint32(b, word(i))
+	b := AppendHeader(chunk[:0], t.shape...)
+	data := t.Data
+	for {
+		k := min(len(data), (len(chunk)-len(b))/4)
+		if k > 0 {
+			b, data = AppendFloats(b, data[:k]), data[k:]
 		}
-		return nil
-	}
-	err := put(2+len(t.shape), func(i int) uint32 {
-		switch i {
-		case 0:
-			return magic
-		case 1:
-			return uint32(len(t.shape))
+		m, err := w.Write(b)
+		if n += int64(m); err != nil || len(data) == 0 {
+			ioChunks.Put(chunk)
+			return n, err
 		}
-		return uint32(t.shape[i-2])
-	})
-	if err == nil {
-		err = put(len(t.Data), func(i int) uint32 { return math.Float32bits(t.Data[i]) })
+		b = chunk[:0]
 	}
-	if err == nil {
-		var m int
-		m, err = w.Write(b)
-		n += int64(m)
-	}
-	ioChunks.Put(chunk)
-	return n, err
 }
 
 // ioChunks holds WriteTo's encoding chunks.

@@ -112,6 +112,7 @@ func matmulRows(dst, a, b []float32, k, n, ilo, ihi, jlo, jhi int) {
 func gemmRowGo(di, ai []float32, off []int, ld int, b []float32) {
 	clear(di)
 	n := len(di)
+	b = b[:len(b):len(b)] // bound the row slices below by len(b), not cap(b)
 	for p, av := range ai {
 		if av == 0 {
 			continue

@@ -152,3 +152,50 @@ func TestMatMulFloatStability(t *testing.T) {
 		t.Fatalf("accumulation drifted: %v", got)
 	}
 }
+
+// TestGoRowKernelsCheckLength holds the Go row kernels — gemmRowGo and
+// int8RowGo, and the wrappers, which are those kernels without the
+// amd64 assembly (purego, other architectures) — to reading b only up
+// to len(b): a b one element short of the last one read must panic
+// even when its capacity reaches past it, in both addressing modes.
+// Every coefficient is non-zero, so no row the Go kernels would skip
+// hides the read. A b that ends exactly there is accepted.
+func TestGoRowKernelsCheckLength(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	const ld = 150
+	a := []float32{1, -2, 3, 0.5, 4}
+	a8 := []int8{1, -2, 3, 5, 4}
+	offs := []int{40, 7, 90, 12, 55} // the highest is not the last
+	for _, n := range []int{3, 8, 20, 64, 130, 300} {
+		for _, mode := range []struct {
+			name string
+			off  []int
+			ld   int
+			last int
+		}{{"off", offs, 0, 90 + n - 1}, {"ld", nil, ld, (len(a)-1)*ld + n - 1}} {
+			b := make([]float32, mode.last+1, mode.last+64)
+			b8 := make([]int8, mode.last+1, mode.last+64)
+			dst := make([]float32, n)
+			for _, k := range []struct {
+				name string
+				run  func(b []float32, b8 []int8)
+			}{
+				{"gemmRowGo", func(b []float32, _ []int8) { gemmRowGo(dst, a, mode.off, mode.ld, b) }},
+				{"int8RowGo", func(_ []float32, b8 []int8) { int8RowGo(dst, a8, mode.off, mode.ld, b8, 1) }},
+				{"gemmRow", func(b []float32, _ []int8) { gemmRow(dst, a, mode.off, mode.ld, b) }},
+				{"int8Row", func(_ []float32, b8 []int8) { int8Row(dst, a8, mode.off, mode.ld, b8, 1) }},
+			} {
+				if panics(func() { k.run(b, b8) }) {
+					t.Fatalf("%s %s n=%d: b of %d elements panics, but reaches the last one read", k.name, mode.name, n, len(b))
+				}
+				if !panics(func() { k.run(b[:mode.last], b8[:mode.last]) }) {
+					t.Fatalf("%s %s n=%d: read b[%d] of a %d-element b", k.name, mode.name, n, mode.last, mode.last)
+				}
+			}
+		}
+	}
+}

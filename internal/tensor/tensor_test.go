@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"runtime"
 	"testing"
@@ -229,6 +230,50 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if !x.SameShape(y) || !x.AllClose(y, 0) {
 		t.Fatal("round trip mismatch")
 	}
+}
+
+// TestRecordEncoders: WriteTo streams exactly the bytes AppendTo
+// appends and returns their count, for payloads on both sides of its
+// 4 KB chunk boundaries (a 1021-float vector fills one chunk to the
+// byte); AppendFloats, a single copy on a little-endian host, equals
+// the word loop any host runs, NaN payloads included; and a writer
+// that fails mid-record leaves WriteTo's count at the bytes it took.
+func TestRecordEncoders(t *testing.T) {
+	rng := NewRNG(49)
+	for _, shape := range [][]int{{1}, {1021}, {1022}, {1023}, {1024}, {1025}, {2, 1023}, {3, 5, 700}} {
+		x := New(shape...)
+		for i := range x.Data {
+			x.Data[i] = math.Float32frombits(uint32(rng.Uint64()))
+		}
+		got := x.AppendTo([]byte("keep"))
+		want := appendFloatWords(AppendHeader(nil, shape...), x.Data)
+		if string(got[:4]) != "keep" || !bytes.Equal(got[4:], want) {
+			t.Fatalf("%v: AppendTo diverges from the word loop", shape)
+		}
+		var buf bytes.Buffer
+		n, err := x.WriteTo(&buf)
+		if err != nil || n != int64(len(want)) || !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%v: WriteTo wrote %d bytes (returned %d, %v), want AppendTo's %d", shape, buf.Len(), n, err, len(want))
+		}
+	}
+	x := New(3000)
+	lw := &limitWriter{left: 5000}
+	if n, err := x.WriteTo(lw); err == nil || n != 5000 {
+		t.Fatalf("WriteTo into a writer that takes 5000 bytes returned %d, %v", n, err)
+	}
+}
+
+// limitWriter takes left bytes, then fails.
+type limitWriter struct{ left int }
+
+func (w *limitWriter) Write(p []byte) (int, error) {
+	if len(p) > w.left {
+		n := w.left
+		w.left = 0
+		return n, io.ErrShortWrite
+	}
+	w.left -= len(p)
+	return len(p), nil
 }
 
 func TestReadFromRejectsGarbage(t *testing.T) {

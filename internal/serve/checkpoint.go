@@ -1,13 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 
 	"ldbnadapt/internal/forecast"
 	"ldbnadapt/internal/nn"
@@ -73,14 +73,21 @@ func (c *Checkpoint) Steps() int { return c.state.steps }
 // caller to fill (they belong to the fleet namespace, not the board).
 // Call only at an epoch boundary.
 func (s *Session) Checkpoint(id int) *Checkpoint {
-	c := &Checkpoint{
+	c := s.checkpointOf(id, s.states[id].snapshot(), nil)
+	return &c
+}
+
+// checkpointOf is board-local stream id's checkpoint over adaptation
+// state st, with the forecaster's state appended to fc.
+func (s *Session) checkpointOf(id int, st *streamState, fc []float64) Checkpoint {
+	c := Checkpoint{
 		FPS:        s.sources[id].FPS,
 		Quantized:  s.p.ctrl.Quantized,
-		state:      s.states[id].snapshot(),
+		state:      st,
 		sinceAdapt: s.p.sinceAdapt[id],
 	}
-	if kind, st, ok := forecast.AppendSnapshot(nil, s.fc[id]); ok {
-		c.fcKind, c.fcState = kind, st
+	if kind, v, ok := forecast.AppendSnapshot(fc, s.fc[id]); ok {
+		c.fcKind, c.fcState = kind, v
 	}
 	return c
 }
@@ -132,17 +139,16 @@ const checkpointVersion = 2
 // state and the pending adaptation-window samples. Every scalar is
 // stored bit-exactly (float64 values as two float32 bit lanes), so
 // decode reproduces the checkpoint bitwise. The bytes are appendTo's,
-// encoded into a pooled buffer and written in one call.
+// written in one call; into a *bytes.Buffer they are encoded in place,
+// so a buffer with room allocates nothing.
 func EncodeCheckpoint(w io.Writer, c *Checkpoint) error {
-	bp := encodeBufs.Get().(*[]byte)
-	*bp = c.appendTo((*bp)[:0])
-	_, err := w.Write(*bp)
-	encodeBufs.Put(bp)
+	if buf, ok := w.(*bytes.Buffer); ok {
+		buf.Write(c.appendTo(buf.AvailableBuffer()))
+		return nil
+	}
+	_, err := w.Write(c.appendTo(nil))
 	return err
 }
-
-// encodeBufs holds EncodeCheckpoint's encoding buffers.
-var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // AppendCheckpoint appends board-local stream id's checkpoint, stamped
 // with the fleet-global stream id and epoch, to b and returns the
@@ -152,17 +158,9 @@ var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 // room it allocates nothing. Call only at an epoch boundary.
 func (s *Session) AppendCheckpoint(b []byte, id, stream, epoch int) []byte {
 	st := s.states[id]
-	c := Checkpoint{
-		Stream: stream, Epoch: epoch,
-		FPS:        s.sources[id].FPS,
-		Quantized:  s.p.ctrl.Quantized,
-		state:      st,
-		sinceAdapt: s.p.sinceAdapt[id],
-	}
 	var fc [5]float64
-	if kind, v, ok := forecast.AppendSnapshot(fc[:0], s.fc[id]); ok {
-		c.fcKind, c.fcState = kind, v
-	}
+	c := s.checkpointOf(id, st, fc[:0])
+	c.Stream, c.Epoch = stream, epoch
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return c.appendTo(b)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -218,6 +219,25 @@ func TestCheckpointEncodeAllocs(t *testing.T) {
 	c := s.Checkpoint(0)
 	if n := testing.AllocsPerRun(20, func() { buf = c.appendTo(buf[:0]) }); n != 0 {
 		t.Errorf("encoding a snapshot into a warm buffer allocates %.1f times, want 0", n)
+	}
+	var enc bytes.Buffer
+	if n := testing.AllocsPerRun(20, func() {
+		enc.Reset()
+		if err := EncodeCheckpoint(&enc, c); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("EncodeCheckpoint into a warm bytes.Buffer allocates %.1f times, want 0", n)
+	}
+	if !bytes.Equal(enc.Bytes(), buf) {
+		t.Error("EncodeCheckpoint into a bytes.Buffer differs from appendTo")
+	}
+	var plain bytes.Buffer
+	if err := EncodeCheckpoint(struct{ io.Writer }{&plain}, c); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), buf) {
+		t.Error("EncodeCheckpoint through a plain io.Writer differs from appendTo")
 	}
 	store := NewMemCheckpoints()
 	if err := store.Put(7, buf); err != nil {

@@ -102,8 +102,8 @@ func (b *board) decide(epochMs float64) {
 
 // encode appends each of the board's homed streams' checkpoint,
 // stamped with its fleet id and epoch, into the board's kept buffers
-// (b.ckpt.enc), read from the live stream state. The store write stays
-// with the coordinator.
+// (b.ckpt.enc, one per homed stream after the call), read from the
+// live stream state. The store write stays with the coordinator.
 func (b *board) encode(epoch int) {
 	j := &b.ckpt
 	for len(j.enc) < len(j.locals) {

@@ -444,6 +444,12 @@ func (r *runCtx) checkpointPass(epoch int) {
 				j.globals = append(j.globals, gid)
 			})
 		}
+		// Drop the buffers past the streams the board homes now, so a
+		// board keeps no encodings of streams that moved away.
+		if len(j.enc) > len(j.locals) {
+			clear(j.enc[len(j.locals):])
+			j.enc = j.enc[:len(j.locals)]
+		}
 		if len(j.locals) > 0 {
 			bs = append(bs, b)
 		}
@@ -452,7 +458,7 @@ func (r *runCtx) checkpointPass(epoch int) {
 	c0, e0 := r.ckpts, r.ckptErrs
 	for _, b := range bs {
 		j := &b.ckpt
-		for k, d := range j.enc[:len(j.locals)] {
+		for k, d := range j.enc {
 			if err := r.store.Put(j.globals[k], d); err != nil {
 				r.ckptErrs++
 				continue

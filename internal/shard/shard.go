@@ -326,7 +326,9 @@ type board struct {
 	// ckpt is the board's share of a checkpoint pass, kept across
 	// epochs so a steady pass allocates nothing: the homed streams'
 	// local and fleet ids, and their encodings, which the coordinator
-	// Puts before the next pass overwrites them.
+	// Puts before the next pass overwrites them. Each pass trims enc to
+	// the streams the board homes, so it holds none for streams that
+	// left.
 	ckpt struct {
 		locals, globals []int
 		enc             [][]byte

@@ -22,10 +22,14 @@
 #                declarations; and the examples' Example goldens under
 #                the same tag, so every example's printed output is
 #                checked end to end against the Go kernels alone
-#   make race    race-detector pass over the concurrent packages
+#   make race    race-detector pass over the concurrent packages, plus
+#                the long fleet pins whose failover re-homes and drain
+#                evacuations -short skips
 #   make bench-smoke  one iteration of every testing.B benchmark in
 #                every package (today the BenchmarkKernel* rows in
-#                internal/tensor and internal/nn), no memstats: the
+#                internal/tensor and internal/nn,
+#                BenchmarkEncodeCheckpoint in internal/serve and
+#                BenchmarkCheckpointPass in internal/shard), no memstats: the
 #                bit-rot gate that proves they still compile and run.
 #                The repo's measurement is the benchmark in bench/
 #                (BENCHMARK.json, `bash bench/run.sh`); the allocation
@@ -70,8 +74,8 @@
 #                rung's logits the same way). make test runs them once,
 #                at the box's GOMAXPROCS with the assembly. The same run
 #                covers the two host-scheduling pins — shard's
-#                TestConcurrentMatchesLockstep (the board bus against
-#                its serial reference) and serve's
+#                TestConcurrentMatchesLockstep (the fork-join barrier
+#                against its serial reference) and serve's
 #                TestReportIndependentOfWorkerScheduling — whose
 #                failures depend on how many CPUs race
 #   make fuzz-smoke  ten seconds each of FuzzDecodeCheckpoint, the decoder
@@ -99,7 +103,7 @@
 #                mod 64, and fails unless the residue is 0: the speed
 #                of the calibrator's timed kernel, and with it every
 #                timed row, depends on whether that symbol sits on a
-#                64-byte boundary (ROADMAP item 1(i)), so run it after
+#                64-byte boundary (ROADMAP item 31), so run it after
 #                any change to code the benchmark links. Not part of
 #                ci: the address depends on the toolchain, and CI tests
 #                other Go versions
@@ -140,10 +144,14 @@ purego:
 # its own, ~4 s under -race -short); ufld stays out, because its
 # fixture-trained tests take ~50 s there, and adapt's and serve's
 # tests already drive the whole model under the detector. -short skips the
-# long seeded acceptance pins (they rerun whole fleets and probe no
-# extra concurrency) — make test still runs them race-free.
+# long seeded acceptance pins (they rerun whole fleets) — make test still
+# runs them race-free. The second line runs shard's fleet pins that
+# -short skips under the detector after all: their migration, failover
+# and drain scenarios are the only runs of the coordinator's direct
+# session calls between barriers (stream moves, energize, Finish).
 race:
 	$(GO) test -race -short ./internal/par/... ./internal/serve/... ./internal/shard/... ./internal/govern/... ./internal/tensor/... ./internal/nn/... ./internal/resnet/... ./internal/adapt/... ./internal/stream/...
+	$(GO) test -race -run 'TestConcurrentMatchesLockstep|TestChaosRecoveryPin|TestRollingUpgrade' ./internal/shard/
 
 PINS = 'Fingerprint|Golden|MatchesRunOnline|MatchesLockstep|IndependentOfWorkerScheduling'
 PIN_PKGS = ./internal/adapt/ ./internal/ufld/ ./internal/nn/ ./internal/serve/ ./internal/shard/ ./internal/carlane/ ./internal/govern/ ./internal/sota/ ./internal/experiments/
@@ -168,7 +176,7 @@ calib-check:
 	if [ -z "$$addr" ]; then echo "calib-check: main.(*calibrator).rows not found"; exit 1; fi; \
 	res=$$((0x$$addr % 64)); \
 	echo "main.(*calibrator).rows at 0x$$addr, residue mod 64 = $$res"; \
-	if [ "$$res" -ne 0 ]; then echo "calib-check: not 64-byte aligned; rewrite the new code into an equivalent form that moves it back (ROADMAP item 1(i))"; exit 1; fi
+	if [ "$$res" -ne 0 ]; then echo "calib-check: not 64-byte aligned; rewrite the new code into an equivalent form that moves it back (ROADMAP item 31)"; exit 1; fi
 
 # A PATH binary wins (CI installs the pinned version, so findings fail
 # the build there); otherwise probe whether the module is fetchable
@@ -192,8 +200,8 @@ chaos-smoke:
 
 # The package tests pin the hierarchical runtime's semantics; this run
 # proves the -groups/-admit/-shared-scenes flag path end to end at a
-# board count where every layer (actors, group placers, admission,
-# cross-group rebalance) is live.
+# board count where every layer (the fork-join barrier, group placers,
+# admission, cross-group rebalance) is live.
 fleet-smoke:
 	$(GO) run ./cmd/ldserve -streams 256 -frames 4 -fps 4 -boards 64 -workers 1 -epochs 1 \
 		-epoch-ms 250 -govern hysteresis -migrate -consolidate -groups 16 \

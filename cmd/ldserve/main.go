@@ -69,7 +69,7 @@
 // four-digit-stream fleet costs O(frames), not O(streams × frames).
 // The fleet report then ends with the coordinator-overhead line:
 // fleet epochs stepped, the step rate, and the share of wall time the
-// board actors spent waiting on coordinator boundary work.
+// boards spent waiting on coordinator boundary work.
 //
 // -chaos injects a seeded membership plan ("kind[:target]@epoch" items,
 // comma-separated: kill:hot@8, kill:2@5, drain:0@6, join@4) to

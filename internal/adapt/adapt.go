@@ -231,11 +231,14 @@ func (a *weightAdapt) Steps() int { return a.steps }
 // warmup, whose forwards are skipped).
 func (a *weightAdapt) LastStepLoss() (float64, bool) { return a.lastLoss, a.hasLoss }
 
-// Adapt performs one entropy step on the method's parameter set.
+// Adapt performs one entropy step on the method's parameter set. The
+// step writes conv or FC weights in place, so it drops the model's
+// weight-derived caches: the next int8 forward re-quantizes them.
 func (a *weightAdapt) Adapt(batch *tensor.Tensor) {
 	a.hasLoss = a.steps >= a.step.cfg.WarmupSteps
 	if a.hasLoss {
 		a.lastLoss = a.step.Run(batch, nn.Eval, &a.opt, a.steps)
+		a.step.model.InvalidateWeightCaches()
 	}
 	a.steps++
 }

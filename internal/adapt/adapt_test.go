@@ -208,6 +208,44 @@ func TestFCAdaptTouchesOnlyFCParams(t *testing.T) {
 	}
 }
 
+// TestWeightAblationsRefreshInt8Cache pins that a weight ablation's
+// step drops the int8 tables quantized from the old weights: after the
+// updates, the int8 forward equals, bit for bit, that of a fresh clone,
+// which quantizes the new weights from scratch.
+func TestWeightAblationsRefreshInt8Cache(t *testing.T) {
+	f := getFixture(t)
+	noWarm := DefaultConfig()
+	noWarm.WarmupSteps = 0
+	for _, tc := range []struct {
+		name string
+		mk   func(*ufld.Model) Method
+	}{
+		{"CONV-ADAPT", func(m *ufld.Model) Method { return NewConvAdapt(m, noWarm) }},
+		{"FC-ADAPT", func(m *ufld.Model) Method { return NewFCAdapt(m, noWarm) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := f.model.Clone(f.rng.Split())
+			x := ufld.Images(m.Cfg, f.bench.TargetVal.Samples, []int{0, 1})
+			m.ForwardInferInt8(x) // quantize the source weights
+			meth := tc.mk(m)
+			for i := 0; i < 3; i++ {
+				meth.Adapt(ufld.Images(m.Cfg, f.bench.TargetTrain.Samples, []int{2 * i, 2*i + 1}))
+			}
+			got := m.ForwardInferInt8(x).Clone()
+			want := m.Clone(f.rng.Split()).ForwardInferInt8(x)
+			n := 0
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					n++
+				}
+			}
+			if n > 0 {
+				t.Fatalf("%d of %d int8 logits differ from a fresh clone's after the update", n, len(want.Data))
+			}
+		})
+	}
+}
+
 func TestNoAdaptChangesNothing(t *testing.T) {
 	f := getFixture(t)
 	m := f.model.Clone(f.rng.Split())

@@ -43,8 +43,8 @@
 // Controllers are board-local and goroutine-confined: a Controller
 // instance observes and actuates exactly one engine, keeps no shared
 // state, and needs no locking. The fleet runtime (internal/shard)
-// relies on that to run every board's Decide concurrently on the
-// board's own actor goroutine between epoch barriers — parallel
+// relies on that to run every board's Decide concurrently, one
+// goroutine per board, between epoch barriers — parallel
 // decides cannot change any decision because no controller can see
 // another board.
 package govern

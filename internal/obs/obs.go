@@ -5,15 +5,17 @@
 // histograms). Because every timestamp is virtual, a seeded run's
 // trace is bitwise-reproducible — and identical between the fleet
 // runtime's Config.Lockstep serial reference and its concurrent
-// actors — so the observability layer itself is pinned by tests
+// barrier — so the observability layer itself is pinned by tests
 // (shard's TestConcurrentMatchesLockstep) rather than best-effort.
 //
 // The design splits three ways:
 //
 //   - Recorder is a single-writer event buffer. The fleet coordinator
-//     owns one (board -1), each board actor owns one; the epoch
-//     barrier's happens-before edges make the merge race-free without
-//     any locking on the emission path.
+//     owns one (board -1) and each board one; a board's recorder is
+//     written by whichever goroutine runs that board's phase work, one
+//     at a time, and the epoch barrier's happens-before edges make the
+//     writes and the merge race-free without any locking on the
+//     emission path.
 //   - Trace owns the recorders and merges their buffers into one
 //     deterministic event order: concatenate in recorder-creation
 //     order (fleet first, then boards in open order), then stable-sort
@@ -179,9 +181,9 @@ func (t *Trace) Recorder(board int, mapStream func(local int) int) *Recorder {
 
 // Events merges every recorder's buffer into one deterministic order:
 // concatenation in recorder-creation order, then a stable sort by
-// timestamp. Call only after the run finished (the fleet joins its
-// actors before returning, which is the happens-before edge that makes
-// this read race-free).
+// timestamp. Call only after the run finished (the fleet joins every
+// goroutine it starts before returning, which is the happens-before
+// edge that makes this read race-free).
 func (t *Trace) Events() []Event {
 	if t == nil {
 		return nil

@@ -36,12 +36,13 @@
 // Helpers are acquired best-effort from a shared free list: a For
 // call enlists up to Width-1 free workers and always executes at
 // least its own band inline, so concurrent callers (serve workers
-// stepping their replicas, fleet board actors) whose kernels each
-// call For degrade gracefully toward serial execution instead of
+// stepping their replicas, a fleet's boards stepping in parallel)
+// whose kernels each call For degrade gracefully toward serial
+// execution instead of
 // deadlocking or oversubscribing — under contention a call simply
 // finds no free workers and runs serially on its caller. No layer
-// nests one For inside another's band: the layers walk their batch
-// on the caller and only the kernels band.
+// nests one For inside another's band: the layers walk their batch on
+// the caller and only the kernels band.
 package par
 
 import (
@@ -119,9 +120,9 @@ func Width(n, minPer int) int {
 
 // grab pops up to k idle worker ids into ids, spawning workers lazily
 // but never more than GOMAXPROCS in total — concurrent For callers
-// (fleet board actors) share one GOMAXPROCS-sized pool rather than
-// oversubscribing the machine, so a contended call gets fewer (or
-// zero) helpers and For degrades toward serial.
+// (a fleet's boards stepping in parallel) share one GOMAXPROCS-sized
+// pool rather than oversubscribing the machine, so a contended call
+// gets fewer (or zero) helpers and For degrades toward serial.
 func grab(ids []int, k int) int {
 	gp := runtime.GOMAXPROCS(0)
 	if gp > MaxWorkers {

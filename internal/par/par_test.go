@@ -100,8 +100,9 @@ func (b *sumBody) Chunk(band, lo, hi int) {
 }
 
 // TestNestedAndConcurrentFor hammers the pool from many client
-// goroutines with nested For calls — the fleet-of-board-actors shape —
-// under the race detector (make race includes this package).
+// goroutines with nested For calls — the shape of a fleet's boards
+// stepping in parallel — under the race detector (make race includes
+// this package).
 func TestNestedAndConcurrentFor(t *testing.T) {
 	withProcs(t, 4, func() {
 		src := make([]float64, 1000)

@@ -63,10 +63,6 @@ func (c *Checkpoint) Forecast() float64 {
 	return f.Forecast()
 }
 
-// Steps is the stream's lifetime adaptation-step count at the
-// snapshot, a staleness proxy for reports and debugging.
-func (c *Checkpoint) Steps() int { return c.state.steps }
-
 // Checkpoint snapshots board-local stream id's adaptation state
 // without detaching it — the periodic durability hook a coordinator
 // calls at epoch boundaries. Stream and Epoch are left zero for the

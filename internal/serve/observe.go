@@ -12,8 +12,8 @@ import (
 // layer consumes: a governor that can say *why* its last Decide moved
 // the controls ("pre-climb", "descend", "escalate-policy", ...). The
 // interface lives in serve rather than govern so the trace emission
-// sites (RunObserved here, the board actor in internal/shard) need no
-// dependency on any concrete governor package.
+// sites (RunObserved here, the fleet's decide phase in internal/shard)
+// need no dependency on any concrete governor package.
 type Explainer interface {
 	// Explain describes the last Decide's branch in a short stable
 	// token; traced verbatim, so keep it deterministic.
@@ -24,8 +24,8 @@ type Explainer interface {
 // controller actually moved the controls, carrying the before/after
 // actuator state and the deciding telemetry (hit rate, backlog,
 // utilization) — plus the controller's own reason when it implements
-// Explainer. Shared by RunObserved and the fleet board actors so the
-// single-board and fleet traces use one vocabulary.
+// Explainer. Shared by RunObserved and the fleet's decide phase so
+// the single-board and fleet traces use one vocabulary.
 func GovernEvent(rec *obs.Recorder, ctl Controller, prev EpochStats, cur, next Controls) {
 	if rec == nil || next == cur {
 		return

@@ -29,15 +29,16 @@ import (
 // everything in a single epoch so the batching benchmarks lose
 // nothing.
 //
-// Ownership: a Session is confined to one goroutine. It has no
+// Ownership: a Session is used by one goroutine at a time. It has no
 // internal locking beyond the worker pool — the epoch-synchronous
-// methods above must all be called from the same goroutine, with any
-// cross-goroutine handoff ordered by a happens-before edge. The fleet
-// runtime (internal/shard) follows exactly that contract: each
-// board's actor goroutine owns its Session for the board's lifetime
-// and runs the functions the coordinator sends over its bus, and the
-// coordinator may read a quiescent session (Done, Now, Controls) only
-// after the actor has signalled that the current function returned.
+// methods above must never run concurrently, and a call from another
+// goroutine than the last caller's must be ordered after it by a
+// happens-before edge. The fleet runtime (internal/shard) follows
+// exactly that contract: each barrier phase runs a board's work in a
+// goroutine of its own and joins it before the next phase, and
+// between phases the coordinator calls the quiescent session (Done,
+// Now, Controls, DetachStream, AttachStream, SetControls, Finish)
+// directly.
 type Session struct {
 	e       *Engine
 	p       *planner

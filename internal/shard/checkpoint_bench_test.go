@@ -14,7 +14,8 @@ import (
 // streams each, with a MemCheckpoints store, for driving
 // runCtx.checkpointPass directly. The boards first serve two 250 ms
 // epochs, so each stream carries moved BN state and an open
-// adaptation window. The returned func stops the boards' actors.
+// adaptation window. The returned func finishes the boards' sessions,
+// which stops their workers.
 func checkpointRun(tb testing.TB, boards, perBoard int) (*runCtx, func()) {
 	m := ufld.MustNewModel(ufld.Tiny(resnet.R18, 2), tensor.NewRNG(3))
 	sources := serve.SyntheticFleet(m.Cfg, boards*perBoard, 40, 30, 7)
@@ -43,7 +44,7 @@ func checkpointRun(tb testing.TB, boards, perBoard int) (*runCtx, func()) {
 	}
 	return r, func() {
 		for _, bd := range r.boards {
-			bd.act.stop()
+			bd.sess.Finish()
 		}
 	}
 }
@@ -78,9 +79,9 @@ func TestCheckpointPassTrimsKeptBuffers(t *testing.T) {
 
 // BenchmarkCheckpointPass times one coordinator checkpoint pass — the
 // fleet's persist phase — over 4 boards homing 4 Tiny streams each:
-// every stream encoded on its board's actor, then Put into a
-// MemCheckpoints on the coordinator. Run with -benchmem for B/op and
-// allocs/op.
+// the boards encode their streams in parallel, then the coordinator
+// Puts every encoding into a MemCheckpoints. Run with -benchmem for
+// B/op and allocs/op.
 func BenchmarkCheckpointPass(b *testing.B) {
 	const boards, perBoard = 4, 4
 	r, stop := checkpointRun(b, boards, perBoard)

@@ -217,7 +217,7 @@ func (r *runCtx) applyEvents(epoch int, end float64) {
 			b.group = r.assignGroup()
 			// One zero-cost epoch catches the empty session's clock up to
 			// the fleet boundary, so its first real epoch is in lockstep.
-			b.do(func() { b.step(end) })
+			b.step(end)
 			r.boards = append(r.boards, b)
 			r.events = append(r.events, EventRecord{Epoch: epoch, Kind: Join, Board: id})
 			r.rec.Instant("join", r.nowMs, fmt.Sprintf("board=%d group=%d epoch=%d", id, b.group, epoch))
@@ -226,12 +226,12 @@ func (r *runCtx) applyEvents(epoch int, end float64) {
 }
 
 // kill removes a board instantly: the session finalizes with whatever
-// it served (and the board's actor stops), frames still queued are
+// it served (and its workers stop), frames still queued are
 // counted lost, and the streams it homed become orphans for
 // recoverOrphans.
 func (r *runCtx) kill(b *board, epoch int) {
 	b.alive, b.leaveEpoch = false, epoch
-	rep := b.retire()
+	rep := b.sess.Finish()
 	arrived := 0
 	for _, es := range rep.Epochs {
 		arrived += es.Arrived
@@ -351,9 +351,9 @@ func (r *runCtx) recoverOrphans(epoch int, end float64) {
 			if dst == nil {
 				break // no survivors: the remaining orphans die with the fleet
 			}
-			// The dead board's actor is gone and the handoff was rebuilt
-			// from the checkpoint, so there is nothing to detach: the
-			// re-home is an attach plus the move's bookkeeping.
+			// The dead board's session is finished and the handoff was
+			// rebuilt from the checkpoint, so there is nothing to detach:
+			// the re-home is an attach plus the move's bookkeeping.
 			r.rehome(dst, o.gid, o.h)
 			r.recordMove(pk.b, dst, o.gid, epoch, Failover)
 			// Hold the consolidation clock so the recovered stream is not
@@ -423,10 +423,10 @@ func (r *runCtx) evacuateLeavers(epoch int) {
 // checkpointPass writes every homed stream's adaptation state into the
 // store on the configured cadence — after the boundary's placement, so
 // each checkpoint reflects the stream's current home and the state its
-// next epoch will start from. Encoding runs on each board's actor (one
-// broadcast, each board appending into buffers it keeps across
-// passes); only the store writes stay serial on the coordinator, after
-// the barrier and in board/stream order, so the pass is deterministic.
+// next epoch will start from. Encoding runs in one broadcast, each
+// board appending into buffers it keeps across passes; only the store
+// writes stay serial on the coordinator, after the barrier and in
+// board/stream order, so the pass is deterministic.
 // A store keeps no reference to the bytes it is given
 // (serve.CheckpointStore), so the next pass may overwrite them.
 func (r *runCtx) checkpointPass(epoch int) {

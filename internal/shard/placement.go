@@ -385,16 +385,16 @@ func (r *runCtx) energize(dst *board, extraFrames float64) {
 		}
 		if utilAt(m) <= 0.7 || m.Watts == f.ladder[len(f.ladder)-1].Watts {
 			cur.Mode = m
-			dst.setControls(cur)
+			dst.sess.SetControls(cur)
 			return
 		}
 	}
 }
 
-// rehome lands fleet stream gid's handoff on dst — an attach
-// request-reply on dst's bus — and makes dst the stream's home.
+// rehome lands fleet stream gid's handoff on dst and makes dst the
+// stream's home.
 func (r *runCtx) rehome(dst *board, gid int, h *serve.Handoff) {
-	dst.local[gid] = dst.attach(h)
+	dst.local[gid] = dst.sess.AttachStream(h)
 	dst.globals = append(dst.globals, gid)
 	r.home[gid] = dst.id
 }
@@ -412,13 +412,12 @@ func (r *runCtx) recordMove(src, dst *board, gid, epoch int, reason string) {
 	r.met.migrations.Add(1)
 }
 
-// move hands stream gid from src to dst at an epoch boundary — a
-// detach/attach request-reply pair on the two boards' buses, never a
-// direct cross-board session call — and records the migration. Returns
+// move hands stream gid from src to dst at an epoch boundary, while
+// both boards are quiescent, and records the migration. Returns
 // false when the stream has no future frames (nothing to migrate — it
 // drains where it is).
 func (r *runCtx) move(src, dst *board, gid, epoch int, reason string) bool {
-	h := src.detach(src.local[gid])
+	h := src.sess.DetachStream(src.local[gid])
 	if h == nil {
 		return false
 	}

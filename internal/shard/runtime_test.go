@@ -3,6 +3,8 @@ package shard
 import (
 	"bytes"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,11 +175,11 @@ func TestConcurrentRerunDeterministic(t *testing.T) {
 }
 
 // TestFleetRuntimeAtScale drives the concurrent runtime at 16 boards
-// with every layer live — actors, group placers, admission, failover —
-// and checks global frame conservation: every produced frame is
-// served, shed, lost in the killed board's queue, or dropped at the
-// admission gate. It runs under -short on purpose: this is the ≥16
-// board workload `make race` holds the actor protocol to.
+// with every layer live — the fork-join barrier, group placers,
+// admission, failover — and checks global frame conservation: every
+// produced frame is served, shed, lost in the killed board's queue, or
+// dropped at the admission gate. It runs under -short on purpose: this
+// is the ≥16 board workload `make race` holds the barrier to.
 func TestFleetRuntimeAtScale(t *testing.T) {
 	m, fleet, cfg := scaleScenario(91)
 	f, err := New(m, cfg)
@@ -248,4 +250,56 @@ func TestJoinGroupAssignment(t *testing.T) {
 	if joined.Group != killed.Group {
 		t.Fatalf("joined board landed in group %d, want the kill-shrunk group %d", joined.Group, killed.Group)
 	}
+}
+
+// TestRunLeavesNoGoroutines pins that Run joins every goroutine it
+// starts, its barrier's and its sessions' workers alike, on a plan that
+// takes every exit path: a kill, a join and a drain. Goroutines that
+// were stopped but not yet descheduled may linger a moment, so the
+// check polls for up to two seconds before it fails.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	m, fleet := chaosScenario(67)
+	cfg := chaosConfig(&FailurePlan{Events: []FleetEvent{
+		{Epoch: 2, Kind: Join},
+		{Epoch: 3, Kind: Kill, Board: 1},
+		{Epoch: 4, Kind: Drain, Board: 2},
+	}})
+	f, err := New(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := f.Run(fleet)
+	kinds := map[EventKind]bool{}
+	for _, ev := range rep.Events {
+		kinds[ev.Kind] = true
+	}
+	if !kinds[Kill] || !kinds[Join] || !kinds[Drain] {
+		t.Fatalf("plan fired %+v, want a kill, a join and a drain", rep.Events)
+	}
+	var left []string
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		left = fleetGoroutines()
+		if len(left) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, g := range left {
+		t.Errorf("goroutine outlived Run:\n%s", g)
+	}
+}
+
+// fleetGoroutines returns the stacks of every goroutine but the
+// caller's that runs code of this package or a session's worker loop.
+func fleetGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var out []string
+	// The first stack is the caller's own.
+	for _, g := range strings.Split(string(buf), "\n\n")[1:] {
+		if strings.Contains(g, "ldbnadapt/internal/shard.") ||
+			strings.Contains(g, "ldbnadapt/internal/serve.(*Engine).NewSession.func") {
+			out = append(out, g)
+		}
+	}
+	return out
 }

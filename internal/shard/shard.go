@@ -66,11 +66,10 @@ type Config struct {
 	// queuing or shedding per the policy. Nil keeps the legacy
 	// contract — every stream placed unconditionally at start.
 	Admission *Admission
-	// Lockstep steps the boards serially through their actors — one
-	// function outstanding in the whole fleet at a time — instead of
-	// concurrently. It is the reference execution the concurrent
-	// runtime is pinned against (TestConcurrentMatchesLockstep), not a
-	// production mode.
+	// Lockstep runs every board's phase work serially on the
+	// coordinator, one board at a time, instead of concurrently. It is
+	// the reference execution the concurrent runtime is pinned against
+	// (TestConcurrentMatchesLockstep), not a production mode.
 	Lockstep bool
 	// CheckpointEvery writes every homed stream's adaptation state into
 	// Checkpoints every N fleet epochs (0 disables checkpointing;
@@ -272,7 +271,7 @@ type Report struct {
 	FleetEpochs int
 	// CoordSeconds is host wall-clock the coordinator spent in boundary
 	// work — membership, placement, admission, checkpoint store writes
-	// — while the board actors idled at the barrier. CoordSeconds /
+	// — while the boards idled at the barrier. CoordSeconds /
 	// WallSeconds is the coordinator-overhead share; board stepping and
 	// the parallel governor/checkpoint-encode barriers are excluded.
 	CoordSeconds float64
@@ -294,7 +293,6 @@ type board struct {
 	id      int
 	sess    *serve.Session
 	ctl     serve.Controller
-	act     *boardActor
 	group   int         // placement group (see Config.GroupSize)
 	globals []int       // local id → fleet stream id
 	local   map[int]int // fleet stream id → current local id
@@ -303,10 +301,10 @@ type board struct {
 	// top": the ladder top for closed-loop governors, the pinned mode
 	// for static deployments.
 	satW int
-	// stats is the board's last epoch telemetry, written by step on the
-	// board's actor and read by the coordinator after the step barrier
-	// — there is no dense-id fleet slice to index out of range when
-	// membership changes mid-run.
+	// stats is the board's last epoch telemetry, written by step and
+	// read by the coordinator after the step barrier — there is no
+	// dense-id fleet slice to index out of range when membership
+	// changes mid-run.
 	stats serve.EpochStats
 	// alive is false once the board is killed or retired; leaving marks
 	// a graceful drain in progress (evacuated, still draining its
@@ -316,9 +314,9 @@ type board struct {
 	// fleet epochs (leaveEpoch -1 while in the fleet).
 	joinEpoch, leaveEpoch int
 	// rec is the board's trace recorder (nil when tracing is off). It
-	// is single-writer: after openBoard hands the session to the actor,
-	// only the actor's goroutine emits into it, and the coordinator
-	// reads it only after the actors stop.
+	// is single-writer: only calls into this board's session and
+	// governor emit into it, and the barrier orders those calls, so at
+	// most one goroutine writes it at a time.
 	rec *obs.Recorder
 	// futil publishes the board's forecast utilization each boundary
 	// (nil when metrics are off).
@@ -462,10 +460,8 @@ func (f *Fleet) controller() serve.Controller {
 }
 
 // openBoard builds one board incarnation around a fresh session over
-// the given streams, with its private controller started, and hands
-// the session to a new long-lived board actor. The setup touches the
-// session directly — the actor does not exist yet, so the coordinator
-// still owns it.
+// the given streams, with its private controller started and its
+// observability wired.
 func (f *Fleet) openBoard(eng *serve.Engine, id, joinEpoch int, mine []*stream.Source) *board {
 	b := &board{
 		id: id, ctl: f.controller(), local: make(map[int]int), satW: f.topW,
@@ -481,11 +477,9 @@ func (f *Fleet) openBoard(eng *serve.Engine, id, joinEpoch int, mine []*stream.S
 	} else {
 		b.satW = eng.Config().Mode.Watts
 	}
-	// Observability wiring must precede the actor handoff: the actor's
-	// goroutine is the recorder's single writer once it owns the
-	// session. The stream mapping closes over b.globals, which the
-	// coordinator only mutates at barriers while the actor is
-	// quiescent — the same happens-before contract the session has.
+	// The stream mapping closes over b.globals, which the coordinator
+	// only mutates between barriers while the board is quiescent — the
+	// same happens-before contract the session has.
 	b.rec = f.cfg.Trace.Recorder(id, func(li int) int {
 		if li >= 0 && li < len(b.globals) {
 			return b.globals[li]
@@ -494,7 +488,6 @@ func (f *Fleet) openBoard(eng *serve.Engine, id, joinEpoch int, mine []*stream.S
 	})
 	b.sess.Observe(b.rec, obs.NewBoardMetrics(f.cfg.Metrics))
 	b.futil = f.cfg.Metrics.Gauge(fmt.Sprintf("board%03d.forecast_util", id))
-	b.act = newBoardActor()
 	return b
 }
 
@@ -511,16 +504,15 @@ func live(boards []*board) []*board {
 }
 
 // Run places the fleet onto the boards and serves it to completion.
-// Every board's session is owned by a long-lived actor goroutine; the
-// coordinator drives them through shared control epochs with an
-// explicit barrier protocol (see actor.go): step barrier, then
-// board-local governor actuation, then the coordinator's boundary
-// work — membership, failover, admission, the per-group placers and
-// the top-level rebalancer — then the checkpoint pass. Every placement
-// decision runs single-threaded at the boundary while the actors are
-// quiescent, so the concurrent runtime reproduces the lockstep
-// coordinator's Report bit for bit (Config.Lockstep is the pinned
-// reference).
+// The coordinator drives every board's session through shared control
+// epochs with an explicit barrier protocol (see barrier.go): step
+// barrier, then board-local governor actuation, then the
+// coordinator's boundary work — membership, failover, admission, the
+// per-group placers and the top-level rebalancer — then the checkpoint
+// pass. Every placement decision runs single-threaded at the boundary
+// while the boards are quiescent, so the concurrent runtime reproduces
+// the lockstep coordinator's Report bit for bit (Config.Lockstep is
+// the pinned reference).
 func (f *Fleet) Run(sources []*stream.Source) Report {
 	cfg := f.cfg
 	start := time.Now()
@@ -640,12 +632,12 @@ func (f *Fleet) Run(sources []*stream.Source) Report {
 				// A drained leaver retires: rail off, out of the registry's
 				// live view, report already final.
 				b.alive, b.leaveEpoch = false, epoch
-				b.retire()
+				b.sess.Finish()
 			}
 		}
 		coord += time.Since(t0)
 		// Governors first, placement second: each board's controller
-		// actuates from its own telemetry — on its own actor, in
+		// actuates from its own telemetry — board-local, in
 		// parallel — then the coordinator rewires streams, and may
 		// raise (never lower) a migration destination's rung for the
 		// load it just handed it (energize). In the reverse order the
@@ -661,12 +653,6 @@ func (f *Fleet) Run(sources []*stream.Source) Report {
 		r.checkpointPass(epoch)
 		coord += time.Since(t0)
 	}
-	for _, b := range r.boards {
-		if b.act != nil {
-			b.act.stop()
-		}
-	}
-
 	return r.buildReport(time.Since(start), coord)
 }
 
@@ -680,9 +666,8 @@ func pickLoads(loads []float64, idx []int) []float64 {
 	return out
 }
 
-// buildReport finalizes every board incarnation (every actor is
-// stopped by now, so the coordinator owns the sessions again; Finish
-// is idempotent, so killed and retired boards contribute their
+// buildReport finalizes every board incarnation (Finish is
+// idempotent, so killed and retired boards contribute their
 // already-final reports) and aggregates the fleet view.
 func (r *runCtx) buildReport(wall, coord time.Duration) Report {
 	rep := Report{

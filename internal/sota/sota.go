@@ -268,6 +268,9 @@ func (a *Adapter) Run(source, target *ufld.Dataset, rng *tensor.RNG) (*Result, e
 				epoch+1, a.cfg.Epochs, epochLoss, res.PseudoLabelsAccepted)
 		}
 	}
+	// Every weight moved: drop the caches derived from the old ones, so
+	// the next int8 forward re-quantizes.
+	m.InvalidateWeightCaches()
 	// Final statistics-only pass over the unlabeled target stream, so
 	// the inference-time BN statistics match the deployment domain
 	// (training interleaves source and target batches, which leaves the

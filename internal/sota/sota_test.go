@@ -1,6 +1,7 @@
 package sota
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -128,6 +129,33 @@ func TestRunUpdatesAllParameterKinds(t *testing.T) {
 	}
 	if m.BNParams()[0].Value.AllClose(bnBefore, 0) {
 		t.Fatal("bn params not updated")
+	}
+}
+
+// TestRunRefreshesInt8Cache pins that Run drops the int8 tables
+// quantized from the weights it retrains: afterwards the int8 forward
+// equals, bit for bit, that of a fresh clone, which quantizes the new
+// weights from scratch.
+func TestRunRefreshesInt8Cache(t *testing.T) {
+	f := getFixture(t)
+	m := f.model.Clone(f.rng.Split())
+	x := ufld.Images(m.Cfg, f.bench.TargetVal.Samples, []int{0, 1})
+	m.ForwardInferInt8(x) // quantize the source weights
+	cfg := DefaultConfig()
+	cfg.Epochs = 1
+	if _, err := New(m, cfg).Run(f.bench.SourceTrain, f.bench.TargetTrain, tensor.NewRNG(12)); err != nil {
+		t.Fatal(err)
+	}
+	got := m.ForwardInferInt8(x).Clone()
+	want := m.Clone(f.rng.Split()).ForwardInferInt8(x)
+	n := 0
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			n++
+		}
+	}
+	if n > 0 {
+		t.Fatalf("%d of %d int8 logits differ from a fresh clone's after Run", n, len(want.Data))
 	}
 }
 

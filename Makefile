@@ -22,6 +22,13 @@
 #                declarations; and the examples' Example goldens under
 #                the same tag, so every example's printed output is
 #                checked end to end against the Go kernels alone
+#   make retain-check  the layer and model packages again with
+#                -tags retaincheck: every conv keeps a copy of the input
+#                a Train, Eval or Adapt forward retains and its Backward
+#                panics if that input changed in between (dW re-lowers
+#                it), so a buffer-lifetime change that lets something
+#                write a retained input fails here instead of returning
+#                the gradient of other data
 #   make race    race-detector pass over the concurrent packages, plus
 #                the long fleet pins whose failover re-homes and drain
 #                evacuations -short skips
@@ -107,16 +114,17 @@
 #                any change to code the benchmark links. Not part of
 #                ci: the address depends on the toolchain, and CI tests
 #                other Go versions
-#   make ci      build + fmt + vet + staticcheck + test + purego + race +
-#                fingerprints + chaos-smoke + fleet-smoke + obs-smoke +
-#                fuzz-smoke + bench-smoke + bench-smoke-ext
+#   make ci      build + fmt + vet + staticcheck + test + purego +
+#                retain-check + race + fingerprints + chaos-smoke +
+#                fleet-smoke + obs-smoke + fuzz-smoke + bench-smoke +
+#                bench-smoke-ext
 
 GO ?= go
 # Pinned staticcheck: 2024.1.1 supports the go 1.22/1.23 CI matrix.
 # Keep in sync with the install step in .github/workflows/ci.yml.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build fmt vet test purego race fingerprints bench-smoke bench-smoke-ext calib-check staticcheck chaos-smoke fleet-smoke obs-smoke fuzz-smoke ci
+.PHONY: build fmt vet test purego retain-check race fingerprints bench-smoke bench-smoke-ext calib-check staticcheck chaos-smoke fleet-smoke obs-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -134,6 +142,9 @@ purego:
 	$(GO) vet -tags purego ./internal/tensor/
 	GOARCH=arm64 $(GO) vet ./internal/tensor/
 	$(GO) test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/resnet/... ./internal/ufld/... ./examples/...
+
+retain-check:
+	$(GO) test -tags retaincheck ./internal/nn/ ./internal/resnet/ ./internal/adapt/ ./internal/sota/ ./internal/ufld/ ./internal/serve/
 
 # The serving engine, the fleet coordinator and the tensor matmul pool
 # are the concurrent hot paths; govern drives serve's epoch pipeline,
@@ -225,4 +236,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s -fuzzminimizetime 200x ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzLoadParams -fuzztime 10s -fuzzminimizetime 200x ./internal/nn
 
-ci: build fmt vet staticcheck test purego race fingerprints chaos-smoke fleet-smoke obs-smoke fuzz-smoke bench-smoke bench-smoke-ext
+ci: build fmt vet staticcheck test purego retain-check race fingerprints chaos-smoke fleet-smoke obs-smoke fuzz-smoke bench-smoke bench-smoke-ext

@@ -116,11 +116,16 @@ type Step struct {
 // NewStep wires a step to the params of m it will update, marking
 // exactly those trainable and every other parameter of m frozen: the
 // layers then skip the gradients nobody steps and backprop stops below
-// the lowest trainable layer. One model carries one Step at a time —
+// the lowest trainable layer. It allocates the stepped params'
+// gradients now, so no Run has to; the frozen ones get none. One model
+// carries one Step at a time —
 // building a second re-draws the freeze, and the displaced Step's Run
 // panics rather than silently stepping nothing.
 func NewStep(m *ufld.Model, params []*nn.Param, cfg Config) *Step {
 	nn.SetTrainable(m.Params(), params)
+	for _, p := range params {
+		p.EnsureGrad()
+	}
 	return &Step{model: m, params: params, cfg: cfg, opt: NewOptimizer(cfg)}
 }
 

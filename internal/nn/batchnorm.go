@@ -57,9 +57,9 @@ type BatchNorm2D struct {
 	lastShape    [4]int
 	lastAdaptMom float32
 
-	// Infer-mode state: reusable output buffer and optional per-sample
-	// statistics sources (multi-stream batched serving).
-	inferOut  Scratch
+	// Infer-mode state: optional per-sample statistics sources
+	// (multi-stream batched serving). The infer forward normalizes in
+	// place and owns no output buffer.
 	sampleSrc []*BNSource
 
 	// Train/Eval/Adapt scratch (see scratch.go): output, x̂ cache and
@@ -104,6 +104,24 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 		Beta:          NewParam(name+".beta", tensor.New(c)),
 		RunningMean:   tensor.New(c),
 		RunningVar:    tensor.Ones(c),
+	}
+}
+
+// Replica returns a BN layer for another goroutine with a copy of b's
+// state: γ, β, running statistics, Eps and both momenta, owned by the
+// replica (which adapts them on its own), with no Grad and empty
+// scratch.
+func (b *BatchNorm2D) Replica() *BatchNorm2D {
+	return &BatchNorm2D{
+		name:          b.name,
+		C:             b.C,
+		Eps:           b.Eps,
+		Momentum:      b.Momentum,
+		AdaptMomentum: b.AdaptMomentum,
+		Gamma:         NewParam(b.Gamma.Name, b.Gamma.Value.Clone()),
+		Beta:          NewParam(b.Beta.Name, b.Beta.Value.Clone()),
+		RunningMean:   b.RunningMean.Clone(),
+		RunningVar:    b.RunningVar.Clone(),
 	}
 }
 
@@ -251,7 +269,9 @@ func (t *bnNormBody) Chunk(_, clo, chi int) {
 	}
 }
 
-// Forward normalizes x according to the mode.
+// Forward normalizes x according to the mode: the infer modes in place
+// over x, which they return, and Train, Eval and Adapt into layer
+// scratch, keeping x̂ for Backward.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(1) != b.C {
 		panic(fmt.Sprintf("nn: %s: input %v, want [n,%d,h,w]", b.name, x.Shape(), b.C))
@@ -316,12 +336,13 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	return out
 }
 
-// bnInferBody normalizes channels [clo,chi) with Eval-mode arithmetic,
-// resolving each sample's statistics source independently.
+// bnInferBody normalizes channels [clo,chi) of x in place with
+// Eval-mode arithmetic, resolving each sample's statistics source
+// independently.
 type bnInferBody struct {
-	b      *BatchNorm2D
-	x, out []float32
-	n, hw  int
+	b     *BatchNorm2D
+	x     []float32
+	n, hw int
 }
 
 func (t *bnInferBody) Chunk(_, clo, chi int) {
@@ -336,27 +357,29 @@ func (t *bnInferBody) Chunk(_, clo, chi int) {
 		for c := clo; c < chi; c++ {
 			base := (ni*b.C + c) * t.hw
 			is := float32(1.0 / math.Sqrt(float64(varc[c])+float64(b.Eps)))
-			tensor.BNAffineInto(t.out[base:base+t.hw], nil, t.x[base:base+t.hw], mean[c], is, gamma[c], beta[c])
+			plane := t.x[base : base+t.hw]
+			tensor.BNAffineInto(plane, nil, plane, mean[c], is, gamma[c], beta[c])
 		}
 	}
 }
 
 // forwardInfer is the serving fast path: Eval-mode arithmetic (bitwise
-// identical per sample) without the x̂ backward cache, writing into a
-// reusable scratch buffer. When sample sources are installed each
-// sample is normalized with its own stream's statistics and γ/β.
+// identical per sample) without the x̂ backward cache, normalizing x in
+// place (like ReLU's infer clamp: the input is an upstream layer's
+// infer output that nothing reads again) and returning it. When sample
+// sources are installed each sample is normalized with its own
+// stream's statistics and γ/β.
 func (b *BatchNorm2D) forwardInfer(x *tensor.Tensor, n, h, w int) *tensor.Tensor {
 	if b.sampleSrc != nil && len(b.sampleSrc) != n {
 		panic(fmt.Sprintf("nn: %s: %d sample sources for batch of %d", b.name, len(b.sampleSrc), n))
 	}
 	hw := h * w
-	out := b.inferOut.For(n, b.C, h, w)
 	b.lastXHat = nil // Backward after an Infer forward must panic
 	ib := &b.inferBody
-	*ib = bnInferBody{b: b, x: x.Data, out: out.Data, n: n, hw: hw}
+	*ib = bnInferBody{b: b, x: x.Data, n: n, hw: hw}
 	b.forChannels(n*b.C*hw, ib)
-	ib.x, ib.out = nil, nil
-	return out
+	ib.x = nil
+	return x
 }
 
 // bnBwdBody runs the full per-channel backward for channels [clo,chi):
@@ -477,6 +500,13 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	statsMom := float32(1)
 	if b.lastMode == Adapt {
 		statsMom = b.lastAdaptMom
+	}
+	// Allocate the accumulators here: the bands below write them.
+	if !b.Gamma.Frozen {
+		b.Gamma.EnsureGrad()
+	}
+	if !b.Beta.Frozen {
+		b.Beta.EnsureGrad()
 	}
 	bw := &b.bwdBody
 	*bw = bnBwdBody{b: b, grad: grad.Data, dx: dx.Data, n: n, hw: hw, cnt: float32(n * hw), statsMom: statsMom}

@@ -33,14 +33,16 @@ type Conv2D struct {
 	// fwdOK is set by a Train/Eval/Adapt forward (Backward may follow);
 	// lastX is that forward's input data, a reference and not a copy,
 	// which dW re-lowers.
-	fwdOK bool
-	lastX []float32
+	fwdOK    bool
+	lastX    []float32
+	retained retained // a copy of lastX to check at Backward, under the retaincheck tag
 
 	// Scratch buffers and cached headers (see scratch.go for the
 	// ownership contract). The infer modes and the backprop-capable
 	// modes (Train, Eval, Adapt) keep separate output scratches
 	// because the two usually run at different batch sizes; sharing
-	// one would re-shape the header every call.
+	// one would re-shape the header every call. In a planned model
+	// the infer one is an arena slot (see Arena).
 	inferOut Scratch
 	bpOut    Scratch
 	dxOut    Scratch            // backward input gradient
@@ -86,6 +88,19 @@ func NewConv2D(name string, inC, outC int, g tensor.ConvGeom, withBias bool, rng
 	return c
 }
 
+// Replica returns a conv of c's configuration for another goroutine:
+// its Params are its own, with no Grad, but their Values are c's
+// weight and bias tensors, and its scratch and weight-derived caches
+// start empty. Nothing may write the shared tensors while either
+// layer runs.
+func (c *Conv2D) Replica() *Conv2D {
+	r := &Conv2D{name: c.name, InC: c.InC, OutC: c.OutC, Geom: c.Geom, Weight: c.Weight.share()}
+	if c.Bias != nil {
+		r.Bias = c.Bias.share()
+	}
+	return r
+}
+
 // Name returns the layer identifier.
 func (c *Conv2D) Name() string { return c.name }
 
@@ -129,9 +144,11 @@ func (c *Conv2D) addBiasRows(oi *tensor.Tensor, hw int) {
 //
 // Either way the output channels are banded over the worker pool.
 //
-// The infer modes write one layer-owned output scratch, Train, Eval and
-// Adapt another; either result is valid until the layer's next forward
-// of the same class. A Train, Eval or Adapt forward keeps a reference
+// The infer modes write one output scratch, Train, Eval and Adapt a
+// layer-owned other; either result is valid until the layer's next
+// forward of the same class (an infer result of a planned model, whose
+// infer scratch is an arena slot, until the model's next infer
+// forward). A Train, Eval or Adapt forward keeps a reference
 // to x for dW, so x must stay unchanged until Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(1) != c.InC {
@@ -152,6 +169,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	c.fwdOK = !infer // Backward after an Infer forward must panic
 	if !infer {
 		c.lastX = x.Data
+		c.retained.keep(x.Data)
 	}
 	c.lastIn = [4]int{n, c.InC, h, w}
 	c.lastOutShape = [4]int{n, c.OutC, oh, ow}
@@ -177,6 +195,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	}
 	return out
 }
+
+// PlanInfer places the infer output in a slot apart from the input's.
+func (c *Conv2D) PlanInfer(a *Arena, in int, keep []int) int { return a.place(&c.inferOut, in, keep) }
 
 // ensureInt8 builds the per-output-channel int8 weight cache.
 func (c *Conv2D) ensureInt8() {
@@ -234,6 +255,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if !c.fwdOK {
 		panic(fmt.Sprintf("nn: %s: Backward before Forward", c.name))
 	}
+	c.retained.check(c.name, c.lastX)
 	needW := !c.Weight.Frozen
 	needB := c.Bias != nil && !c.Bias.Frozen
 	n, inC, h, w := c.lastIn[0], c.lastIn[1], c.lastIn[2], c.lastIn[3]
@@ -245,10 +267,17 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	chw := inC * h * w
 	dx := c.dxOut.For(n, inC, h, w)
 	wt := c.weightT()
+	var dW *tensor.Tensor
+	if needW {
+		dW = c.dwView.Of(c.Weight.EnsureGrad().Data, c.OutC, c.kDim())
+	}
+	var db []float32
+	if needB {
+		db = c.Bias.EnsureGrad().Data
+	}
 	for ni := 0; ni < n; ni++ {
 		gi := c.outView.Of(grad.Data[ni*c.OutC*hw:(ni+1)*c.OutC*hw], c.OutC, hw)
 		if needW {
-			dW := c.dwView.Of(c.Weight.Grad.Data, c.OutC, c.kDim())
 			xi := c.inView.Of(c.lastX[ni*chw:(ni+1)*chw], 1, inC, h, w)
 			tensor.ConvDWAcc(dW, gi, xi, c.Geom, &c.dwl) // dW += gi · cols(xi)ᵀ
 		}
@@ -258,7 +287,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				for _, v := range gi.Data[oc*hw : (oc+1)*hw] {
 					s += v
 				}
-				c.Bias.Grad.Data[oc] += s
+				db[oc] += s
 			}
 		}
 		dxi := c.inView.Of(dx.Data[ni*chw:(ni+1)*chw], 1, inC, h, w)

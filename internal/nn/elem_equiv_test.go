@@ -268,8 +268,8 @@ func checkBatchNorm(t *testing.T, rng *tensor.RNG, c, n, h, w int, mode Mode, fr
 	rng.FillUniform(b.Beta.Value, -0.5, 0.5)
 	rng.FillUniform(b.RunningMean, -0.3, 0.3)
 	rng.FillUniform(b.RunningVar, 0.5, 1.5)
-	rng.FillUniform(b.Gamma.Grad, -1, 1) // Backward accumulates
-	rng.FillUniform(b.Beta.Grad, -1, 1)
+	rng.FillUniform(b.Gamma.EnsureGrad(), -1, 1) // Backward accumulates
+	rng.FillUniform(b.Beta.EnsureGrad(), -1, 1)
 	b.Gamma.Frozen, b.Beta.Frozen = frozenGamma, frozenBeta
 	ref := refBNOf(b)
 	x := tensor.New(n, c, h, w)

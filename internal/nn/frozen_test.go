@@ -19,8 +19,9 @@ func fillSentinel(ps ...*Param) {
 		if p == nil {
 			continue
 		}
-		for i := range p.Grad.Data {
-			p.Grad.Data[i] = sentinel
+		g := p.EnsureGrad()
+		for i := range g.Data {
+			g.Data[i] = sentinel
 		}
 	}
 }

@@ -35,13 +35,17 @@ const (
 	Adapt
 	// Infer is the serving fast path: numerically identical to Eval but
 	// layers skip every backward cache and write their outputs into the
-	// infer scratch, layer-owned buffers kept apart from the one scratch
-	// Train, Eval and Adapt share. A tensor returned by an Infer forward
-	// is only valid until the layer's next Infer forward (one returned
-	// by a Train/Eval/Adapt forward until the layer's next forward in
-	// one of those modes), and Backward after an Infer forward panics. BatchNorm2D additionally honours
-	// per-sample statistics sources in this mode (multi-stream batched
-	// serving, see SetSampleSources).
+	// infer scratch, kept apart from the layer-owned scratch Train, Eval
+	// and Adapt share: BatchNorm2D and ReLU normalize and clamp their
+	// input in place, and the other layers' outputs are layer-owned
+	// buffers or, in a model planned over an Arena, the arena's few
+	// shared slots. A tensor returned by an Infer forward is only valid
+	// until the layer's next Infer forward (in a planned model, until
+	// the model's next one; one returned by a Train/Eval/Adapt forward
+	// until the layer's next forward in one of those modes), and
+	// Backward after an Infer forward panics. BatchNorm2D additionally
+	// honours per-sample statistics sources in this mode (multi-stream
+	// batched serving, see SetSampleSources).
 	Infer
 	// InferInt8 is Infer with the Conv2D and Linear products computed in
 	// symmetric int8 (per-output-channel weight scales, one dynamic
@@ -83,7 +87,10 @@ type Param struct {
 	Name string
 	// Value is the parameter tensor.
 	Value *tensor.Tensor
-	// Grad accumulates the loss gradient; same shape as Value.
+	// Grad accumulates the loss gradient, same shape as Value. It is
+	// nil until the first Backward that writes it (EnsureGrad), so a
+	// parameter nothing trains holds no gradient; ZeroGrad, ClipGradNorm
+	// and the optimizers read a nil Grad as zeros.
 	Grad *tensor.Tensor
 	// Frozen marks a parameter no optimizer will step: the owning
 	// layer's Backward leaves Grad untouched, and backprop stops below
@@ -93,13 +100,32 @@ type Param struct {
 	Frozen bool
 }
 
-// NewParam allocates a parameter with a zeroed gradient.
+// NewParam wraps value as a parameter. Its Grad stays nil until a
+// Backward accumulates into it.
 func NewParam(name string, value *tensor.Tensor) *Param {
-	return &Param{Name: name, Value: value, Grad: tensor.New(value.Shape()...)}
+	return &Param{Name: name, Value: value}
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+// share returns a parameter of p's name over p's Value tensor itself,
+// trainable and with no Grad: a replica's handle on a shared weight.
+func (p *Param) share() *Param { return NewParam(p.Name, p.Value) }
+
+// EnsureGrad returns the gradient accumulator, allocating it zeroed on
+// the first call. Layers call it in Backward before accumulating, and
+// never from inside a parallel band.
+func (p *Param) EnsureGrad() *tensor.Tensor {
+	if p.Grad == nil {
+		p.Grad = tensor.New(p.Value.Shape()...)
+	}
+	return p.Grad
+}
+
+// ZeroGrad clears the accumulated gradient, if there is one.
+func (p *Param) ZeroGrad() {
+	if p.Grad != nil {
+		p.Grad.Zero()
+	}
+}
 
 // Layer is a differentiable network component.
 type Layer interface {

@@ -26,7 +26,8 @@ type Linear struct {
 
 	// Scratch (see scratch.go): separate output buffers for the infer
 	// modes and for Train/Eval/Adapt, because the two classes run at
-	// different batch sizes.
+	// different batch sizes. In a planned model the infer one is an
+	// arena slot (see Arena).
 	inferOut Scratch
 	bpOut    Scratch
 	dwTmp    Scratch // backward weight-grad staging
@@ -56,6 +57,12 @@ func NewLinear(name string, in, out int, rng *tensor.RNG) *Linear {
 	}
 }
 
+// Replica returns a linear layer of l's configuration for another
+// goroutine, sharing l's weight and bias tensors (see Conv2D.Replica).
+func (l *Linear) Replica() *Linear {
+	return &Linear{name: l.name, In: l.In, Out: l.Out, Weight: l.Weight.share(), Bias: l.Bias.share()}
+}
+
 // Name returns the layer identifier.
 func (l *Linear) Name() string { return l.name }
 
@@ -65,9 +72,11 @@ func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 // HasTrainable reports whether the weight or the bias is unfrozen.
 func (l *Linear) HasTrainable() bool { return !l.Weight.Frozen || !l.Bias.Frozen }
 
-// Forward computes x·Wᵀ + b into layer-owned scratch: one output buffer
-// for the infer modes (no backward cache), another for Train, Eval and
-// Adapt, each valid until the layer's next forward of the same class.
+// Forward computes x·Wᵀ + b into scratch: one output buffer for the
+// infer modes (no backward cache; an arena slot in a planned model),
+// another for Train, Eval and Adapt, each valid until the layer's next
+// forward of the same class (a planned infer result, until the model's
+// next infer forward).
 func (l *Linear) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	if x.NDim() != 2 || x.Dim(1) != l.In {
 		panic(fmt.Sprintf("nn: %s: input %v, want [n,%d]", l.name, x.Shape(), l.In))
@@ -101,6 +110,9 @@ func (l *Linear) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	return out
 }
 
+// PlanInfer places the infer output in a slot apart from the input's.
+func (l *Linear) PlanInfer(a *Arena, in int, keep []int) int { return a.place(&l.inferOut, in, keep) }
+
 // ensureInt8 builds the per-output-feature int8 weight cache.
 func (l *Linear) ensureInt8() {
 	if l.wqOK {
@@ -131,13 +143,14 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if !l.Weight.Frozen {
 		dw := l.dwTmp.For(l.Out, l.In)
 		tensor.MatMulTAInto(dw, grad, l.lastX)
-		tensor.AddInPlace(l.Weight.Grad, dw)
+		tensor.AddInPlace(l.Weight.EnsureGrad(), dw)
 	}
 	if !l.Bias.Frozen {
+		db := l.Bias.EnsureGrad().Data
 		for i := 0; i < n; i++ {
 			row := grad.Data[i*l.Out : (i+1)*l.Out]
 			for j, v := range row {
-				l.Bias.Grad.Data[j] += v
+				db[j] += v
 			}
 		}
 	}

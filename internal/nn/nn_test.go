@@ -185,7 +185,7 @@ func TestSGDReducesQuadratic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.ZeroGrad()
 		for j := range p.Value.Data {
-			p.Grad.Data[j] = 2 * (p.Value.Data[j] - target.Data[j])
+			p.EnsureGrad().Data[j] = 2 * (p.Value.Data[j] - target.Data[j])
 		}
 		opt.Step([]*Param{p}, &st)
 	}
@@ -201,7 +201,7 @@ func TestAdamReducesQuadratic(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		p.ZeroGrad()
 		for j := range p.Value.Data {
-			p.Grad.Data[j] = 2 * (p.Value.Data[j] - target.Data[j])
+			p.EnsureGrad().Data[j] = 2 * (p.Value.Data[j] - target.Data[j])
 		}
 		opt.Step([]*Param{p}, &st)
 	}
@@ -224,7 +224,7 @@ func TestSGDWeightDecayShrinks(t *testing.T) {
 
 func TestClipGradNorm(t *testing.T) {
 	p := NewParam("w", tensor.New(4))
-	p.Grad.CopyFrom(tensor.FromSlice([]float32{3, 4, 0, 0}, 4)) // norm 5
+	p.EnsureGrad().CopyFrom(tensor.FromSlice([]float32{3, 4, 0, 0}, 4)) // norm 5
 	pre := ClipGradNorm([]*Param{p}, 1)
 	if math.Abs(pre-5) > 1e-6 {
 		t.Fatalf("pre-clip norm %v", pre)

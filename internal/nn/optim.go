@@ -10,7 +10,8 @@ import (
 // Optimizer is an update rule: Step applies one update to every
 // parameter from its accumulated gradient and advances the state the
 // caller owns (see OptState). Gradients are left untouched (callers
-// clear them with ZeroGrads).
+// clear them with ZeroGrads); a nil Grad, one no Backward has written,
+// reads as zeros.
 type Optimizer interface {
 	Step(params []*Param, s *OptState)
 }
@@ -75,8 +76,13 @@ func (o *SGD) Step(params []*Param, s *OptState) {
 	off := 0
 	for _, p := range params {
 		v := s.M[off : off+len(p.Value.Data)]
+		gd := gradData(p)
 		for i := range p.Value.Data {
-			g := p.Grad.Data[i] + wd*p.Value.Data[i]
+			var g float32
+			if gd != nil {
+				g = gd[i]
+			}
+			g += wd * p.Value.Data[i]
 			v[i] = mu*v[i] + g
 			p.Value.Data[i] -= lr * v[i]
 		}
@@ -115,8 +121,13 @@ func (a *Adam) Step(params []*Param, s *OptState) {
 	for _, p := range params {
 		m := s.M[off : off+len(p.Value.Data)]
 		v := s.V[off : off+len(p.Value.Data)]
+		gd := gradData(p)
 		for i := range p.Value.Data {
-			g := p.Grad.Data[i] + wd*p.Value.Data[i]
+			var g float32
+			if gd != nil {
+				g = gd[i]
+			}
+			g += wd * p.Value.Data[i]
 			m[i] = b1*m[i] + (1-b1)*g
 			v[i] = b2*v[i] + (1-b2)*g*g
 			mh := float64(m[i]) / bc1
@@ -127,19 +138,33 @@ func (a *Adam) Step(params []*Param, s *OptState) {
 	}
 }
 
+// gradData is p's accumulated gradient, or nil when no Backward has
+// written one (the optimizers read it as zeros).
+func gradData(p *Param) []float32 {
+	if p.Grad == nil {
+		return nil
+	}
+	return p.Grad.Data
+}
+
 // ClipGradNorm rescales gradients so their global L2 norm does not
-// exceed maxNorm. Returns the pre-clip norm.
+// exceed maxNorm. Returns the pre-clip norm. A nil Grad counts as
+// zeros and stays nil.
 func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	total := 0.0
 	for _, p := range params {
-		n := p.Grad.Norm2()
-		total += n * n
+		if p.Grad != nil {
+			n := p.Grad.Norm2()
+			total += n * n
+		}
 	}
 	norm := math.Sqrt(total)
 	if norm > maxNorm && norm > 0 {
 		scale := float32(maxNorm / norm)
 		for _, p := range params {
-			tensor.ScaleInPlace(p.Grad, scale)
+			if p.Grad != nil {
+				tensor.ScaleInPlace(p.Grad, scale)
+			}
 		}
 	}
 	return norm

@@ -38,7 +38,7 @@ func TestOptimizerFingerprint(t *testing.T) {
 		}
 		for step := 0; step < 20; step++ {
 			for _, p := range params {
-				rng.FillUniform(p.Grad, -1, 1)
+				rng.FillUniform(p.EnsureGrad(), -1, 1)
 			}
 			row.opt.Step(params, &st)
 		}
@@ -69,5 +69,68 @@ func TestOptimizerStateSizeMismatchPanics(t *testing.T) {
 			st := NewOptState(6)
 			opt.Step(params, &st)
 		}()
+	}
+}
+
+// TestNilGradReadsAsZeros: a parameter no Backward has written holds
+// no Grad, and the optimizers, ClipGradNorm and ZeroGrad treat it as a
+// zero gradient: the same values and state, bit for bit, as a twin
+// whose Grad is allocated and zero, weight decay and momentum included.
+func TestNilGradReadsAsZeros(t *testing.T) {
+	adamWD := NewAdam(1e-2)
+	adamWD.WeightDecay = 0.5
+	for _, opt := range []Optimizer{adamWD, NewSGD(1e-2, 0.9, 0.5)} {
+		rng := tensor.NewRNG(31)
+		v := tensor.New(5)
+		rng.FillUniform(v, -1, 1)
+		lazy, zero := NewParam("w", v.Clone()), NewParam("w", v.Clone())
+		zero.EnsureGrad()
+		sl, sz := NewOptState(5), NewOptState(5)
+		rng.FillUniform(tensor.FromSlice(sl.M, 5), -1, 1)
+		copy(sz.M, sl.M)
+		for step := 0; step < 3; step++ {
+			ZeroGrads([]*Param{lazy, zero})
+			if n := ClipGradNorm([]*Param{lazy}, 1); n != 0 {
+				t.Fatalf("%T: a nil Grad's norm reads %v", opt, n)
+			}
+			opt.Step([]*Param{lazy}, &sl)
+			opt.Step([]*Param{zero}, &sz)
+		}
+		if lazy.Grad != nil {
+			t.Fatalf("%T: the optimizer allocated a Grad", opt)
+		}
+		for i := range v.Data {
+			if lazy.Value.Data[i] != zero.Value.Data[i] || sl.M[i] != sz.M[i] || sl.V[i] != sz.V[i] {
+				t.Fatalf("%T: element %d differs from the zero-gradient twin", opt, i)
+			}
+		}
+	}
+}
+
+// TestBackwardAllocatesOnlyTrainableGrads: every layer's parameters
+// start without a Grad, and a Backward allocates exactly the unfrozen
+// ones'.
+func TestBackwardAllocatesOnlyTrainableGrads(t *testing.T) {
+	rng := tensor.NewRNG(33)
+	conv := NewConv2D("c", 2, 3, tensor.ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}, true, rng)
+	bn := NewBatchNorm2D("b", 3)
+	fc := NewLinear("f", 3*4*4, 5, rng)
+	net := NewSequential("net", conv, bn, NewReLU("r"), NewFlatten("fl"), fc)
+	for _, p := range net.Params() {
+		if p.Grad != nil {
+			t.Fatalf("%s: a new layer holds a Grad", p.Name)
+		}
+	}
+	conv.Weight.Frozen, bn.Gamma.Frozen, fc.Bias.Frozen = true, true, true
+	x := tensor.New(2, 2, 4, 4)
+	rng.FillUniform(x, -1, 1)
+	g := tensor.New(2, 5)
+	rng.FillUniform(g, -1, 1)
+	net.Forward(x, Train)
+	net.Backward(g)
+	for _, p := range net.Params() {
+		if (p.Grad != nil) == p.Frozen {
+			t.Fatalf("%s: frozen %v, holds a Grad %v", p.Name, p.Frozen, p.Grad != nil)
+		}
 	}
 }

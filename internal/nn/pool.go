@@ -15,7 +15,7 @@ type MaxPool2D struct {
 	lastIn   [4]int
 	lastOutN int
 
-	inferOut Scratch // Infer-mode output buffer
+	inferOut Scratch // Infer-mode output buffer (an arena slot in a planned model)
 	bpOut    Scratch // Train/Eval/Adapt output buffer
 	dxOut    Scratch // backward gradient output
 }
@@ -89,6 +89,11 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 		}
 	}
 	return out
+}
+
+// PlanInfer places the infer output in a slot apart from the input's.
+func (p *MaxPool2D) PlanInfer(a *Arena, in int, keep []int) int {
+	return a.place(&p.inferOut, in, keep)
 }
 
 // Backward routes gradient to each window's argmax.

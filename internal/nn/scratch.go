@@ -16,31 +16,41 @@ import "ldbnadapt/internal/tensor"
 //
 // Ownership contract (see internal/nn/README.md): a tensor returned
 // from a Scratch or View is valid only until the owner's next request
-// with the same primitive. Layers therefore never let two live uses of
+// with the same primitive (from a Scratch placed in an Arena slot,
+// until any request in that slot). Layers therefore never let two live uses of
 // one Scratch overlap, and callers of a forward in any mode must copy
 // anything they want to keep across a second forward of the same
 // class (the infer modes, or Train/Eval/Adapt).
 
 // Scratch is a reusable tensor: a growable buffer plus a cached header.
-// The zero value is ready to use.
+// The zero value is ready to use. A Scratch placed in an Arena slot
+// hands out the slot's buffer, which other layers' Scratches share,
+// and keeps only its header.
 type Scratch struct {
-	buf []float32
-	v   View
+	buf  []float32
+	slot *[]float32 // the arena slot's buffer, when placed
+	v    View
 }
 
-// For returns a tensor of the given shape backed by the scratch buffer,
-// growing it when too small. Contents are uninitialized (whatever the
-// previous use left); callers that need zeros must Zero() it. The
-// returned tensor is only valid until the next For call.
+// For returns a tensor of the given shape backed by the scratch buffer
+// (or its arena slot's), growing it when too small. Contents are
+// uninitialized (whatever the previous use left); callers that need
+// zeros must Zero() it. The returned tensor is only valid until the
+// next For call (on a placed Scratch, until the next For of any
+// Scratch in the same slot).
 func (s *Scratch) For(shape ...int) *tensor.Tensor {
 	n := 1
 	for _, d := range shape {
 		n *= d
 	}
-	if cap(s.buf) < n {
-		s.buf = make([]float32, n)
+	buf := &s.buf
+	if s.slot != nil {
+		buf = s.slot
 	}
-	return s.v.Of(s.buf[:n], shape...)
+	if cap(*buf) < n {
+		*buf = make([]float32, n)
+	}
+	return s.v.Of((*buf)[:n], shape...)
 }
 
 // View is a cached tensor header over caller-owned storage. The zero

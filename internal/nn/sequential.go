@@ -29,6 +29,15 @@ func (s *Sequential) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	return x
 }
 
+// PlanInfer plans each layer in order, each reading the slot the one
+// before it wrote, and keeps the caller's slots live throughout.
+func (s *Sequential) PlanInfer(a *Arena, in int, keep []int) int {
+	for _, l := range s.Layers {
+		in = a.Plan(l, in, keep...)
+	}
+	return in
+}
+
 // Backward runs each layer's backward pass in reverse order, stopping
 // after the lowest layer that still has a trainable parameter: below
 // it nothing consumes a gradient. When it stops early it returns nil

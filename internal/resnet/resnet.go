@@ -104,6 +104,24 @@ func NewBasicBlock(name string, inC, outC, stride int, rng *tensor.RNG) *BasicBl
 	return b
 }
 
+// replica returns a block for another goroutine over b's weight
+// tensors, with copies of its BN state (see nn.Conv2D.Replica and
+// nn.BatchNorm2D.Replica).
+func (b *BasicBlock) replica() *BasicBlock {
+	r := &BasicBlock{
+		name:  b.name,
+		conv1: b.conv1.Replica(),
+		bn1:   b.bn1.Replica(),
+		relu1: nn.NewReLU(b.relu1.Name()),
+		conv2: b.conv2.Replica(),
+		bn2:   b.bn2.Replica(),
+	}
+	if b.dsConv != nil {
+		r.dsConv, r.dsBN = b.dsConv.Replica(), b.dsBN.Replica()
+	}
+	return r
+}
+
 // Name returns the block identifier.
 func (b *BasicBlock) Name() string { return b.name }
 
@@ -152,6 +170,26 @@ func (b *BasicBlock) Forward(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	out := b.bpOut.For(main.Shape()...)
 	tensor.AddReLUInto(out.Data, main.Data, short.Data)
 	b.lastOut = out
+	return out
+}
+
+// PlanInfer places the block's infer outputs in a. The input stays
+// live until the shortcut reads it, so the main branch's convs (and the
+// downsample conv, whose output must also spare the main branch's) get
+// slots apart from it; BN, ReLU and the residual add run in place, and
+// the block's output is conv2's slot.
+func (b *BasicBlock) PlanInfer(a *nn.Arena, in int, keep []int) int {
+	main := append(keep[:len(keep):len(keep)], in)
+	mid := a.Plan(b.conv1, in, main...)
+	mid = a.Plan(b.bn1, mid, main...)
+	mid = a.Plan(b.relu1, mid, main...)
+	out := a.Plan(b.conv2, mid, main...)
+	out = a.Plan(b.bn2, out, main...)
+	if b.dsConv != nil {
+		short := append(keep[:len(keep):len(keep)], out)
+		s := a.Plan(b.dsConv, in, short...)
+		a.Plan(b.dsBN, s, short...)
+	}
 	return out
 }
 
@@ -233,6 +271,32 @@ func New(cfg Config, rng *tensor.RNG) *ResNet {
 	}
 	return &ResNet{Cfg: cfg, net: nn.NewSequential(fmt.Sprintf("resnet%d", int(cfg.Variant)), layers...)}
 }
+
+// Replica returns a backbone for another goroutine over r's weight
+// tensors, with copies of its BN state and fresh scratch.
+func (r *ResNet) Replica() *ResNet {
+	layers := make([]nn.Layer, len(r.net.Layers))
+	for i, l := range r.net.Layers {
+		switch v := l.(type) {
+		case *BasicBlock:
+			layers[i] = v.replica()
+		case *nn.Conv2D:
+			layers[i] = v.Replica()
+		case *nn.BatchNorm2D:
+			layers[i] = v.Replica()
+		case *nn.ReLU:
+			layers[i] = nn.NewReLU(v.Name())
+		case *nn.MaxPool2D:
+			layers[i] = nn.NewMaxPool2D(v.Name(), v.Geom)
+		default:
+			panic(fmt.Sprintf("resnet: cannot replicate %T", l))
+		}
+	}
+	return &ResNet{Cfg: r.Cfg, net: nn.NewSequential(r.net.Name(), layers...)}
+}
+
+// PlanInfer places the backbone's infer outputs in a (see nn.Arena).
+func (r *ResNet) PlanInfer(a *nn.Arena, in int, keep []int) int { return r.net.PlanInfer(a, in, keep) }
 
 // Name returns e.g. "resnet18".
 func (r *ResNet) Name() string { return r.net.Name() }

@@ -419,10 +419,7 @@ type worker struct {
 
 // newWorker builds a worker around a fresh shared-weight replica.
 func (e *Engine) newWorker() *worker {
-	// The rng only seeds weights that are immediately aliased or
-	// overwritten by Replica, so a fixed seed keeps workers cheap and
-	// deterministic.
-	m := e.model.Replica(tensor.NewRNG(1))
+	m := e.model.Replica()
 	wk := &worker{e: e, model: m, bns: m.BatchNorms(), step: adapt.NewStep(m, m.BNParams(), e.cfg.Adapt)}
 	chw := 3 * m.Cfg.InputH * m.Cfg.InputW
 	wk.inBuf = make([]float32, e.cfg.MaxBatch*chw)

@@ -31,7 +31,7 @@ func TestPropBatchedInt8MatchesSequential(t *testing.T) {
 		}
 
 		// Batched path: shared-weight replica, per-sample sources.
-		replica := m.Replica(rng.Split())
+		replica := m.Replica()
 		bns := replica.BatchNorms()
 		for j, b := range bns {
 			srcs := make([]*nn.BNSource, n)

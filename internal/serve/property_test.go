@@ -60,7 +60,7 @@ func TestPropBatchedForwardMatchesSequential(t *testing.T) {
 		}
 
 		// Batched path: shared-weight replica, per-sample sources.
-		replica := m.Replica(rng.Split())
+		replica := m.Replica()
 		bns := replica.BatchNorms()
 		for j, b := range bns {
 			srcs := make([]*nn.BNSource, n)
@@ -129,10 +129,11 @@ func TestPropInferReusesStorage(t *testing.T) {
 }
 
 // TestReplicaSharesWeights pins the memory contract: replicas alias
-// the conv/FC weight tensors and own their BN parameters.
+// the conv/FC weight tensors, own their BN parameters, and hold no
+// gradient accumulator until a Backward of their own writes one.
 func TestReplicaSharesWeights(t *testing.T) {
 	m := testModel(9)
-	r := m.Replica(tensor.NewRNG(2))
+	r := m.Replica()
 	mp, rp := m.Params(), r.Params()
 	shared, private := 0, 0
 	for i := range mp {
@@ -153,8 +154,8 @@ func TestReplicaSharesWeights(t *testing.T) {
 		default:
 			shared++
 		}
-		if &mp[i].Grad.Data[0] == &rp[i].Grad.Data[0] {
-			t.Fatalf("%s: gradient accumulator aliased across replicas", mp[i].Name)
+		if rp[i].Grad != nil {
+			t.Fatalf("%s: a fresh replica holds a gradient accumulator", rp[i].Name)
 		}
 	}
 	if shared == 0 || private == 0 {

@@ -256,7 +256,9 @@ func (s *Session) DetachStream(id int) *Handoff {
 		return nil
 	}
 	frames := make([]stream.Frame, 0, future)
-	kept := p.all[:p.arrSeen:p.arrSeen]
+	// Compact in place: kept never passes the read position, and no
+	// clone holds the list across a detach (probes end first).
+	kept := p.all[:p.arrSeen]
 	for _, a := range p.all[p.arrSeen:] {
 		if a.stream == id {
 			frames = append(frames, a.frame)

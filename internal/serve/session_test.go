@@ -201,6 +201,41 @@ func TestDetachAccounting(t *testing.T) {
 	}
 }
 
+// TestDetachCompactsInPlace: a detach keeps the arrivals before the
+// read position where they are and compacts the other streams' future
+// arrivals, in order, into the same backing array, so a move copies
+// no board's whole future.
+func TestDetachCompactsInPlace(t *testing.T) {
+	m := testModel(95)
+	fleet := SyntheticFleet(m.Cfg, 3, 12, 4, 29)
+	s := New(m, migrationConfig()).NewSession(fleet)
+	s.RunEpoch(500)
+	p := s.p
+	before := append([]arrival(nil), p.all...)
+	base, capBefore := &p.all[0], cap(p.all)
+	if s.DetachStream(1) == nil {
+		t.Fatal("nothing detached")
+	}
+	if &p.all[0] != base || cap(p.all) != capBefore {
+		t.Fatal("DetachStream moved the arrival list to a new backing array")
+	}
+	want := before[:p.arrSeen:p.arrSeen]
+	for _, a := range before[p.arrSeen:] {
+		if a.stream != 1 {
+			want = append(want, a)
+		}
+	}
+	if len(p.all) != len(want) {
+		t.Fatalf("%d arrivals kept, want %d", len(p.all), len(want))
+	}
+	for i := range want {
+		if p.all[i].stream != want[i].stream || p.all[i].frame.Arrival != want[i].frame.Arrival {
+			t.Fatalf("arrival %d is stream %d at %v, want stream %d at %v",
+				i, p.all[i].stream, p.all[i].frame.Arrival, want[i].stream, want[i].frame.Arrival)
+		}
+	}
+}
+
 // TestSessionMatchesRunGoverned: driving a session by hand with fixed
 // controls reproduces RunGoverned's report exactly — the Session API
 // is the same machine, exposed.

@@ -29,7 +29,7 @@ type refWorker struct {
 }
 
 func newRefWorker(m *ufld.Model, cfg adapt.Config) *refWorker {
-	r := m.Replica(tensor.NewRNG(1))
+	r := m.Replica()
 	return &refWorker{model: r, bns: r.BatchNorms(), bnParams: r.BNParams(), cfg: cfg, opt: adapt.NewOptimizer(cfg)}
 }
 

@@ -28,6 +28,7 @@ type ConvPlane struct {
 	planeQ  planes[int8]
 	size    int       // one precision's planes and slack, in elements
 	off     []int     // off[(ci·KH+ky)·KW+kx]: where tap (ci,ky,kx) reads output (0,0)
+	maxOff  int       // off's largest entry; its smallest is tap (0,0,0)'s 0
 	rows    []float32 // band b's grid row is rows[b·cols : (b+1)·cols]
 	cols    int       // one output channel over the grid, in whole row-kernel tiles
 	direct  bool      // stride 1, unpadded and one column wide (a 1×1): x is the grid, no plane or row
@@ -162,9 +163,9 @@ func (t *convTask) Chunk(band, lo, hi int) {
 			dst = row
 		}
 		if t.wq == nil {
-			gemmRow(dst, t.wm[oc*K:(oc+1)*K], s.off, 0, t.src)
+			gemmRowSpan(dst, t.wm[oc*K:(oc+1)*K], s.off, 0, t.src, 0, s.maxOff)
 		} else {
-			int8Row(dst, t.wq[oc*K:(oc+1)*K], s.off, 0, t.srcQ, t.wScales[oc]*t.xScale)
+			int8RowSpan(dst, t.wq[oc*K:(oc+1)*K], s.off, 0, t.srcQ, t.wScales[oc]*t.xScale, 0, s.maxOff)
 		}
 		if !s.direct {
 			for oy := 0; oy < t.oh; oy++ {
@@ -258,6 +259,7 @@ func (s *ConvPlane) reshape(c, h, w int, g ConvGeom) {
 			}
 		}
 	}
+	s.maxOff = maxOff
 	s.cols, s.plane.fresh, s.planeQ.fresh = 0, false, false
 	if !s.direct {
 		grid := (oh-1)*s.wq + ow

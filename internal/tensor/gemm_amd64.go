@@ -74,12 +74,19 @@ func addAVX2(dst, src *float32, n int)
 // the one-entry table {0} held still while the row advances 4·ld bytes
 // per coefficient.
 func gemmRow(di, ai []float32, off []int, ld int, b []float32) {
+	lo, hi := rowSpan(off, ld, len(ai))
+	gemmRowSpan(di, ai, off, ld, b, lo, hi)
+}
+
+// gemmRowSpan is gemmRow for a caller that already knows rowSpan's
+// result, lo and hi (ConvInto: 0 and its table's largest offset), so
+// the bounds check does not rescan the table per call.
+func gemmRowSpan(di, ai []float32, off []int, ld int, b []float32, lo, hi int) {
 	k, n := len(ai), len(di)
 	if !useAVX2 || k == 0 || n == 0 {
 		gemmRowGo(di, ai, off, ld, b)
 		return
 	}
-	lo, hi := rowSpan(off, ld, k)
 	_ = b[lo]
 	_ = b[hi+n-1]
 	var zero [1]int
@@ -100,11 +107,15 @@ func gemmRow(di, ai []float32, off []int, ld int, b []float32) {
 }
 
 // rowSpan is the lowest and the highest row offset o_p of a row kernel
-// call over k > 0 coefficients: off's extremes, or 0 and (k−1)·ld when
-// off is nil. The wrappers check b at the lowest and at the highest
-// plus n−1, whichever coefficients are zero, so they are stricter than
-// the Go kernels they dispatch to.
+// call over k coefficients: off's extremes, or 0 and (k−1)·ld when off
+// is nil (0 and 0 when k is 0, a call the Go kernels take). The
+// wrappers check b at the lowest and at the highest plus n−1, whichever
+// coefficients are zero, so they are stricter than the Go kernels they
+// dispatch to.
 func rowSpan(off []int, ld, k int) (lo, hi int) {
+	if k == 0 {
+		return 0, 0
+	}
 	if off == nil {
 		return 0, (k - 1) * ld
 	}
@@ -129,12 +140,18 @@ func rowSpan(off []int, ld, k int) (lo, hi int) {
 // two-entry table {0, ld} held still while the rows advance by 2·ld per
 // pair. It checks b as gemmRow does (rowSpan).
 func int8Row(dst []float32, ai []int8, off []int, ld int, b []int8, scale float32) {
+	lo, hi := rowSpan(off, ld, len(ai))
+	int8RowSpan(dst, ai, off, ld, b, scale, lo, hi)
+}
+
+// int8RowSpan is int8Row with rowSpan's result passed in, as
+// gemmRowSpan.
+func int8RowSpan(dst []float32, ai []int8, off []int, ld int, b []int8, scale float32, lo, hi int) {
 	k, n := len(ai), len(dst)
 	if !useAVX2 || k == 0 || n < 8 {
 		int8RowGo(dst, ai, off, ld, b, scale)
 		return
 	}
-	lo, hi := rowSpan(off, ld, k)
 	_ = b[lo]
 	_ = b[hi+n-1]
 	ldPair := [2]int{0, ld}

@@ -10,7 +10,15 @@ func Kernels() string { return "go" }
 
 func gemmRow(di, ai []float32, off []int, ld int, b []float32) { gemmRowGo(di, ai, off, ld, b) }
 
+func gemmRowSpan(di, ai []float32, off []int, ld int, b []float32, _, _ int) {
+	gemmRowGo(di, ai, off, ld, b)
+}
+
 func int8Row(dst []float32, ai []int8, off []int, ld int, b []int8, scale float32) {
+	int8RowGo(dst, ai, off, ld, b, scale)
+}
+
+func int8RowSpan(dst []float32, ai []int8, off []int, ld int, b []int8, scale float32, _, _ int) {
 	int8RowGo(dst, ai, off, ld, b, scale)
 }
 

@@ -47,6 +47,12 @@ func NewModel(cfg Config, rng *tensor.RNG) (*Model, error) {
 	flatDim := cfg.NeckChannels * oh * ow
 	fc1 := nn.NewLinear("head.fc1", flatDim, cfg.HiddenDim, rng)
 	fc2 := nn.NewLinear("head.fc2", cfg.HiddenDim, cfg.Groups()*cfg.Classes(), rng)
+	return assemble(cfg, backbone, neckConv, neckBN, fc1, fc2), nil
+}
+
+// assemble chains the detector's layers around the given parameterized
+// ones and places every infer output in the model's one arena.
+func assemble(cfg Config, backbone *resnet.ResNet, neckConv *nn.Conv2D, neckBN *nn.BatchNorm2D, fc1, fc2 *nn.Linear) *Model {
 	net := nn.NewSequential("ufld",
 		backbone,
 		neckConv,
@@ -57,9 +63,10 @@ func NewModel(cfg Config, rng *tensor.RNG) (*Model, error) {
 		nn.NewReLU("head.relu"),
 		fc2,
 	)
+	net.PlanInfer(&nn.Arena{}, -1, nil)
 	return &Model{Cfg: cfg, net: net, backbone: backbone,
 		neckConv: neckConv, neckBN: neckBN, fc1: fc1, fc2: fc2,
-		pool: nn.NewGlobalAvgPool("embed.pool")}, nil
+		pool: nn.NewGlobalAvgPool("embed.pool")}
 }
 
 // MustNewModel is NewModel that panics on configuration errors
@@ -198,37 +205,28 @@ func (m *Model) Clone(rng *tensor.RNG) *Model {
 	return c
 }
 
-// Replica returns a model that literally shares m's convolution and
-// fully-connected weight tensors (read-only at serving time) while
-// owning private BatchNorm parameters, running statistics, gradient
-// accumulators and layer caches. The multi-stream serving engine gives
-// each worker a replica: concurrent forward passes never race because
-// all mutable per-pass state (caches, scratch, BN state) is
-// per-replica, yet the heavy weights exist once in memory. Only the BN
-// γ/β set may be updated on a replica (LD-BN-ADAPT's parameter set);
-// mutating shared conv/FC weights would corrupt every replica.
-func (m *Model) Replica(rng *tensor.RNG) *Model {
-	c := MustNewModel(m.Cfg, rng)
-	src, dst := m.Params(), c.Params()
-	for i := range src {
-		if !strings.HasSuffix(src[i].Name, ".gamma") && !strings.HasSuffix(src[i].Name, ".beta") {
-			dst[i].Value = src[i].Value // alias the shared weights
-		}
-	}
-	copyState(c, m)
-	return c
+// Replica returns a model built around m's convolution and
+// fully-connected weight tensors themselves (read-only at serving
+// time), with its own copies of the BatchNorm parameters, running
+// statistics and momenta, and its own infer arena and layer caches.
+// It initializes no weights and holds no weight gradient: a Grad is
+// allocated only by a Backward that writes it, and LD-BN-ADAPT writes
+// only γ/β's. The multi-stream serving engine gives each worker a
+// replica: concurrent forward passes never race because all mutable
+// per-pass state (caches, scratch, BN state) is per-replica, yet the
+// heavy weights exist once in memory. Only the BN γ/β set may be
+// updated on a replica (LD-BN-ADAPT's parameter set); mutating shared
+// conv/FC weights would corrupt every replica.
+func (m *Model) Replica() *Model {
+	return assemble(m.Cfg, m.backbone.Replica(), m.neckConv.Replica(), m.neckBN.Replica(), m.fc1.Replica(), m.fc2.Replica())
 }
 
 // copyState copies src's parameter values, BN running statistics and
-// BN momenta into dst, a model of the same configuration. A parameter
-// dst already shares with src (a replica's aliased weight) is left as
-// it is.
+// BN momenta into dst, a model of the same configuration.
 func copyState(dst, src *Model) {
 	sp, dp := src.Params(), dst.Params()
 	for i := range sp {
-		if dp[i].Value != sp[i].Value {
-			dp[i].Value.CopyFrom(sp[i].Value)
-		}
+		dp[i].Value.CopyFrom(sp[i].Value)
 	}
 	sb, db := src.BatchNorms(), dst.BatchNorms()
 	for i := range sb {

@@ -13,8 +13,8 @@ type ReLU struct {
 	// in place by no one): y > 0 exactly where x was, so it is the
 	// backward gate and no separate mask is kept.
 	lastOut *tensor.Tensor
-	bpOut   Scratch // Train/Eval/Adapt forward output
-	dxOut   Scratch // backward gradient output
+	bpOut   Scratch // Train/Eval/Adapt forward output, always the layer's own
+	dxOut   Scratch // backward gradient output (an arena slot in a planned model)
 }
 
 // NewReLU constructs a ReLU layer.

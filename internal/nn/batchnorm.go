@@ -63,7 +63,9 @@ type BatchNorm2D struct {
 	sampleSrc []*BNSource
 
 	// Train/Eval/Adapt scratch (see scratch.go): output, x̂ cache and
-	// the per-channel statistics buffers, reused across forwards.
+	// the per-channel statistics buffers, reused across forwards. In a
+	// planned model the output and dX are arena slots (see Arena); x̂,
+	// which Backward reads, stays the layer's own.
 	bpOut     Scratch
 	bpXHat    Scratch
 	meanBuf   []float32

@@ -14,9 +14,10 @@ import (
 // (tensor.ConvInt8Into), both through one ConvPlane. Neither half of the backward
 // builds a column matrix: dW re-lowers the forward's input four rows
 // at a time (tensor.ConvDWAcc), and dX computes Wᵀ·g one column row at a
-// time and scatters each row into dX at once (tensor.ConvDXInto). So a
-// Backward re-reads the input its forward was given, and that input
-// must stay unchanged until Backward. Forward and Backward walk the
+// time from the untransposed weight and scatters each row into dX at
+// once (tensor.ConvDXInto), so no transposed weight is kept. A Backward
+// re-reads the input its forward was given, and that input must stay
+// unchanged until Backward. Forward and Backward walk the
 // batch in sample order on the caller; the parallelism is inside the
 // per-sample kernels, each banded over what it writes (output channels
 // in ConvInto, input channels in ConvDXInto, lowering rows in
@@ -37,37 +38,40 @@ type Conv2D struct {
 	lastX    []float32
 	retained retained // a copy of lastX to check at Backward, under the retaincheck tag
 
+	// noDX marks a conv whose input gradient nobody reads (a
+	// backbone's stem, whose input is the image): Backward computes
+	// none and returns nil.
+	noDX bool
+
 	// Scratch buffers and cached headers (see scratch.go for the
 	// ownership contract). The infer modes and the backprop-capable
 	// modes (Train, Eval, Adapt) keep separate output scratches
 	// because the two usually run at different batch sizes; sharing
 	// one would re-shape the header every call. In a planned model
-	// the infer one is an arena slot (see Arena).
+	// all three are arena slots (see Arena).
 	inferOut Scratch
 	bpOut    Scratch
-	dxOut    Scratch            // backward input gradient
-	wmView   View               // weight matrix view [outC, K]
-	dwView   View               // weight-grad matrix view (backward)
-	inView   View               // one sample of the input or of dX, [1, inC, h, w]
-	outView  View               // one sample of the output or of its gradient, [outC, oh·ow]
-	plane    tensor.ConvPlane   // the forward's padded sample, in either precision
-	dxl      tensor.ConvDXLines // dX's column-row lines
-	dwl      tensor.ConvDWLines // dW's lowering lines
-	xq       []int8             // InferInt8's quantized input sample
+	dxOut    Scratch // backward input gradient
+	wmView   View    // weight matrix view [outC, K]
+	dwView   View    // weight-grad matrix view (backward)
+	inView   View    // one sample of the input or of dX, [1, inC, h, w]
+	outView  View    // one sample of the output or of its gradient, [outC, oh·ow]
+	xq       []int8  // InferInt8's quantized input sample
+	// Per-call kernel scratch, rewritten by every call: the layer's
+	// own, made on first use, or in a planned model the model's, shared
+	// by its convs.
+	plane *tensor.ConvPlane   // the forward's padded sample, in either precision
+	dxl   *tensor.ConvDXLines // dX's column-row lines
+	dwl   *tensor.ConvDWLines // dW's lowering lines
 
-	// Weight-derived caches, built lazily on first use and owned by
-	// this layer instance (replicas share Weight.Value, never these):
-	// the per-output-channel symmetric int8 table for InferInt8, and
-	// the transposed weight matrix [K, outC] Backward multiplies by
-	// (cached only while the weight is frozen). Serving freezes conv
-	// weights, so both stay valid; callers that mutate Weight.Value
-	// must call InvalidateWeightCaches.
+	// The int8 weight cache, built lazily on the first InferInt8 forward
+	// and owned by this layer instance (replicas share Weight.Value,
+	// never this): the per-output-channel symmetric int8 table. Serving
+	// freezes conv weights, so it stays valid; callers that mutate
+	// Weight.Value must call InvalidateWeightCaches.
 	wq      []int8
 	wScales []float32
 	wqOK    bool
-	wt      []float32
-	wtView  View
-	wtOK    bool
 }
 
 // NewConv2D constructs a convolution layer with Kaiming-initialized
@@ -75,13 +79,7 @@ type Conv2D struct {
 func NewConv2D(name string, inC, outC int, g tensor.ConvGeom, withBias bool, rng *tensor.RNG) *Conv2D {
 	w := tensor.New(outC, inC, g.KH, g.KW)
 	rng.KaimingConv(w)
-	c := &Conv2D{
-		name:   name,
-		InC:    inC,
-		OutC:   outC,
-		Geom:   g,
-		Weight: NewParam(name+".weight", w),
-	}
+	c := &Conv2D{name: name, InC: inC, OutC: outC, Geom: g, Weight: NewParam(name+".weight", w)}
 	if withBias {
 		c.Bias = NewParam(name+".bias", tensor.New(outC))
 	}
@@ -90,15 +88,33 @@ func NewConv2D(name string, inC, outC int, g tensor.ConvGeom, withBias bool, rng
 
 // Replica returns a conv of c's configuration for another goroutine:
 // its Params are its own, with no Grad, but their Values are c's
-// weight and bias tensors, and its scratch and weight-derived caches
-// start empty. Nothing may write the shared tensors while either
-// layer runs.
+// weight and bias tensors, and its scratch and int8 cache start empty.
+// Nothing may write the shared tensors while either layer runs.
 func (c *Conv2D) Replica() *Conv2D {
-	r := &Conv2D{name: c.name, InC: c.InC, OutC: c.OutC, Geom: c.Geom, Weight: c.Weight.share()}
+	r := &Conv2D{name: c.name, InC: c.InC, OutC: c.OutC, Geom: c.Geom, Weight: c.Weight.share(), noDX: c.noDX}
 	if c.Bias != nil {
 		r.Bias = c.Bias.share()
 	}
 	return r
+}
+
+// SkipInputGrad makes Backward compute no input gradient and return
+// nil: for a conv whose input is data nobody differentiates, such as a
+// backbone's stem reading the image.
+func (c *Conv2D) SkipInputGrad() { c.noDX = true }
+
+// share points c's per-call kernel scratch at the backprop arena's:
+// the plane of the convs with c's input channels and geometry, and the
+// one dX and dW line set of the model.
+func (c *Conv2D) share(a *Arena) {
+	if a.planes == nil {
+		a.planes = map[planeKey]*tensor.ConvPlane{}
+	}
+	k := planeKey{c.InC, c.Geom}
+	if a.planes[k] == nil {
+		a.planes[k] = new(tensor.ConvPlane)
+	}
+	c.plane, c.dxl, c.dwl = a.planes[k], &a.dxl, &a.dwl
 }
 
 // Name returns the layer identifier.
@@ -144,12 +160,13 @@ func (c *Conv2D) addBiasRows(oi *tensor.Tensor, hw int) {
 //
 // Either way the output channels are banded over the worker pool.
 //
-// The infer modes write one output scratch, Train, Eval and Adapt a
-// layer-owned other; either result is valid until the layer's next
-// forward of the same class (an infer result of a planned model, whose
-// infer scratch is an arena slot, until the model's next infer
-// forward). A Train, Eval or Adapt forward keeps a reference
-// to x for dW, so x must stay unchanged until Backward.
+// The infer modes write one output scratch, Train, Eval and Adapt
+// another; either result is valid until the layer's next forward of
+// the same class. In a planned model both are arena slots: an infer
+// result is valid until the model's next infer forward, a Train, Eval
+// or Adapt one until its next forward of that class or Backward (see
+// Arena). A Train, Eval or Adapt forward keeps a reference to x for
+// dW, so x must stay unchanged until Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: %s: input %v, want [n,%d,h,w]", c.name, x.Shape(), c.InC))
@@ -173,6 +190,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	}
 	c.lastIn = [4]int{n, c.InC, h, w}
 	c.lastOutShape = [4]int{n, c.OutC, oh, ow}
+	if c.plane == nil {
+		c.plane = new(tensor.ConvPlane)
+	}
 	var wm *tensor.Tensor
 	if mode == InferInt8 {
 		c.ensureInt8()
@@ -184,10 +204,10 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 		oi := c.outView.Of(out.Data[ni*c.OutC*hw:(ni+1)*c.OutC*hw], c.OutC, hw)
 		if mode == InferInt8 {
 			xScale := tensor.QuantizeInt8(c.xq, x.Data[ni*chw:(ni+1)*chw])
-			tensor.ConvInt8Into(oi, c.wq, c.wScales, c.xq, xScale, c.InC, h, w, c.Geom, &c.plane)
+			tensor.ConvInt8Into(oi, c.wq, c.wScales, c.xq, xScale, c.InC, h, w, c.Geom, c.plane)
 		} else {
 			xi := c.inView.Of(x.Data[ni*chw:(ni+1)*chw], 1, c.InC, h, w)
-			tensor.ConvInto(oi, wm, xi, c.Geom, &c.plane)
+			tensor.ConvInto(oi, wm, xi, c.Geom, c.plane)
 		}
 		if c.Bias != nil {
 			c.addBiasRows(oi, hw)
@@ -195,9 +215,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	}
 	return out
 }
-
-// PlanInfer places the infer output in a slot apart from the input's.
-func (c *Conv2D) PlanInfer(a *Arena, in int, keep []int) int { return a.place(&c.inferOut, in, keep) }
 
 // ensureInt8 builds the per-output-channel int8 weight cache.
 func (c *Conv2D) ensureInt8() {
@@ -211,46 +228,28 @@ func (c *Conv2D) ensureInt8() {
 	c.wqOK = true
 }
 
-// weightT returns the weight matrix transposed, [K, outC], in the
-// layer's wt buffer. A frozen weight's transpose is built once and
-// cached until InvalidateWeightCaches; a trainable one is about to be
-// stepped, so it is rebuilt on every call and never cached.
-func (c *Conv2D) weightT() *tensor.Tensor {
-	K := c.kDim()
-	if !c.wtOK || !c.Weight.Frozen {
-		c.wt = growF32(c.wt, K*c.OutC)
-		w := c.Weight.Value.Data
-		for oc := 0; oc < c.OutC; oc++ {
-			for k, v := range w[oc*K : (oc+1)*K] {
-				c.wt[k*c.OutC+oc] = v
-			}
-		}
-		c.wtOK = c.Weight.Frozen
-	}
-	return c.wtView.Of(c.wt, K, c.OutC)
-}
+// InvalidateWeightCaches drops the cached int8 weights so the next
+// InferInt8 forward re-quantizes Weight.Value. Call after mutating the
+// weights. (Backward reads Weight.Value itself and caches nothing.)
+func (c *Conv2D) InvalidateWeightCaches() { c.wqOK = false }
 
-// InvalidateWeightCaches drops the cached int8 and transposed weights
-// so the next InferInt8 forward re-quantizes, and the next frozen
-// Backward re-transposes, Weight.Value. Call after mutating the
-// weights.
-func (c *Conv2D) InvalidateWeightCaches() { c.wqOK, c.wtOK = false, false }
-
-// Backward accumulates dW (and db) and returns dX. The returned
-// gradient lives in layer-owned scratch, valid until the next
-// Backward. It walks the batch in sample order: dW accumulates across
-// samples in that order (its per-element order is part of the bitwise
-// contract), tensor.ConvDWAcc re-lowering each sample of the forward's
-// input, which must still hold what that forward read, four rows at a
-// time; each sample's dX is one tensor.ConvDXInto over the transposed
-// weight. No K×oh·ow column matrix exists in either. A trainable and a
-// frozen weight take the same dX kernel; the trainable one only
-// re-transposes first. The kernel's rows are MatMulInto's gemmRow
-// calls, which apply the same updates in the same increasing-p order
-// with the same zero-skip as MatMulTAInto over the untransposed
-// weight. A frozen Weight or Bias skips its gradient and leaves its
-// Grad untouched; whether the weight was frozen at the forward does
-// not matter.
+// Backward accumulates dW (and db) and returns dX, or nil after
+// SkipInputGrad. The returned gradient lives in layer scratch, valid
+// until the layer's next Backward (in a planned model, an arena slot,
+// until the model's next Train/Eval/Adapt forward or Backward). It
+// walks the batch in sample order: dW accumulates across samples in
+// that order (its per-element order is part of the bitwise contract),
+// tensor.ConvDWAcc re-lowering each sample of the forward's input,
+// which must still hold what that forward read, four rows at a time;
+// each sample's dX is one tensor.ConvDXInto over the weight matrix,
+// which gathers each weight column as it goes. No K×oh·ow column
+// matrix and no transposed weight exists in either. A trainable and a
+// frozen weight take the same dX kernel. The kernel's rows are
+// MatMulInto's gemmRow calls, which apply the same updates in the same
+// increasing-p order with the same zero-skip as MatMulTAInto over the
+// untransposed weight. A frozen Weight or Bias skips its gradient and
+// leaves its Grad untouched; whether the weight was frozen at the
+// forward does not matter.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if !c.fwdOK {
 		panic(fmt.Sprintf("nn: %s: Backward before Forward", c.name))
@@ -265,8 +264,14 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s: grad %v, want %v", c.name, grad.Shape(), c.lastOutShape))
 	}
 	chw := inC * h * w
-	dx := c.dxOut.For(n, inC, h, w)
-	wt := c.weightT()
+	var dx *tensor.Tensor
+	if !c.noDX {
+		dx = c.dxOut.For(n, inC, h, w)
+	}
+	if c.dxl == nil {
+		c.dxl, c.dwl = new(tensor.ConvDXLines), new(tensor.ConvDWLines)
+	}
+	wm := c.wmView.Of(c.Weight.Value.Data, c.OutC, c.kDim())
 	var dW *tensor.Tensor
 	if needW {
 		dW = c.dwView.Of(c.Weight.EnsureGrad().Data, c.OutC, c.kDim())
@@ -279,7 +284,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		gi := c.outView.Of(grad.Data[ni*c.OutC*hw:(ni+1)*c.OutC*hw], c.OutC, hw)
 		if needW {
 			xi := c.inView.Of(c.lastX[ni*chw:(ni+1)*chw], 1, inC, h, w)
-			tensor.ConvDWAcc(dW, gi, xi, c.Geom, &c.dwl) // dW += gi · cols(xi)ᵀ
+			tensor.ConvDWAcc(dW, gi, xi, c.Geom, c.dwl) // dW += gi · cols(xi)ᵀ
 		}
 		if needB {
 			for oc := 0; oc < c.OutC; oc++ {
@@ -290,8 +295,10 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				db[oc] += s
 			}
 		}
-		dxi := c.inView.Of(dx.Data[ni*chw:(ni+1)*chw], 1, inC, h, w)
-		tensor.ConvDXInto(dxi, wt, gi, c.Geom, &c.dxl)
+		if dx != nil {
+			dxi := c.inView.Of(dx.Data[ni*chw:(ni+1)*chw], 1, inC, h, w)
+			tensor.ConvDXInto(dxi, wm, gi, c.Geom, c.dxl)
+		}
 	}
 	return dx
 }

@@ -26,8 +26,10 @@ type Linear struct {
 
 	// Scratch (see scratch.go): separate output buffers for the infer
 	// modes and for Train/Eval/Adapt, because the two classes run at
-	// different batch sizes. In a planned model the infer one is an
-	// arena slot (see Arena).
+	// different batch sizes. In a planned model the infer one and dX
+	// are arena slots (see Arena); the Train/Eval/Adapt one stays the
+	// layer's own, because the next Linear retains it for dW or it is
+	// the model's logits.
 	inferOut Scratch
 	bpOut    Scratch
 	dwTmp    Scratch // backward weight-grad staging
@@ -110,9 +112,6 @@ func (l *Linear) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	return out
 }
 
-// PlanInfer places the infer output in a slot apart from the input's.
-func (l *Linear) PlanInfer(a *Arena, in int, keep []int) int { return a.place(&l.inferOut, in, keep) }
-
 // ensureInt8 builds the per-output-feature int8 weight cache.
 func (l *Linear) ensureInt8() {
 	if l.wqOK {
@@ -130,7 +129,9 @@ func (l *Linear) ensureInt8() {
 func (l *Linear) InvalidateWeightCaches() { l.wqOK = false }
 
 // Backward accumulates dW = dYᵀ·X and db = Σ dY, returning dX = dY·W
-// in layer-owned scratch (valid until the next Backward). A frozen
+// in layer scratch, valid until the next Backward (in a planned model,
+// an arena slot: until the model's next Train/Eval/Adapt forward or
+// Backward). A frozen
 // Weight or Bias skips its gradient and leaves its Grad untouched.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if l.lastX == nil {

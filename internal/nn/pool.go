@@ -16,8 +16,8 @@ type MaxPool2D struct {
 	lastOutN int
 
 	inferOut Scratch // Infer-mode output buffer (an arena slot in a planned model)
-	bpOut    Scratch // Train/Eval/Adapt output buffer
-	dxOut    Scratch // backward gradient output
+	bpOut    Scratch // Train/Eval/Adapt output buffer, which the next conv retains
+	dxOut    Scratch // backward gradient output (an arena slot in a planned model)
 }
 
 // NewMaxPool2D constructs a max-pool layer with the given geometry.
@@ -89,11 +89,6 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 		}
 	}
 	return out
-}
-
-// PlanInfer places the infer output in a slot apart from the input's.
-func (p *MaxPool2D) PlanInfer(a *Arena, in int, keep []int) int {
-	return a.place(&p.inferOut, in, keep)
 }
 
 // Backward routes gradient to each window's argmax.

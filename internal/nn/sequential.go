@@ -29,13 +29,22 @@ func (s *Sequential) Forward(x *tensor.Tensor, mode Mode) *tensor.Tensor {
 	return x
 }
 
-// PlanInfer plans each layer in order, each reading the slot the one
+// PlanForward plans each layer in order, each reading the slot the one
 // before it wrote, and keeps the caller's slots live throughout.
-func (s *Sequential) PlanInfer(a *Arena, in int, keep []int) int {
+func (s *Sequential) PlanForward(a *Arena, in int, keep []int) int {
 	for _, l := range s.Layers {
-		in = a.Plan(l, in, keep...)
+		in = a.PlanForward(l, in, keep...)
 	}
 	return in
+}
+
+// PlanBackward plans each layer's backward in reverse order, each
+// reading the gradient slot the one above it wrote.
+func (s *Sequential) PlanBackward(a *Arena, g int, keep []int) int {
+	for i := len(s.Layers) - 1; i >= 0; i-- {
+		g = a.PlanBackward(s.Layers[i], g, keep...)
+	}
+	return g
 }
 
 // Backward runs each layer's backward pass in reverse order, stopping
@@ -45,7 +54,8 @@ func (s *Sequential) PlanInfer(a *Arena, in int, keep []int) int {
 // under FC-ADAPT the whole backbone's is not). With every parameter
 // frozen — or none at all — the chain is a pure function of its input
 // and the full input gradient is returned, as it is when the bottom
-// layer is trainable.
+// layer is trainable, unless that layer computes none (a conv after
+// SkipInputGrad), when it is nil too.
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	cut := 0
 	for i, l := range s.Layers {
@@ -80,15 +90,13 @@ func (s *Sequential) HasTrainable() bool {
 
 // WeightCacheInvalidator is implemented by layers (and composite
 // layers) that cache something derived from their weights: the int8
-// tables for InferInt8 forwards and the transposed weights a frozen
-// conv's backward multiplies by.
+// tables for InferInt8 forwards.
 type WeightCacheInvalidator interface {
 	InvalidateWeightCaches()
 }
 
 // InvalidateWeightCaches drops every weight-derived cache in the chain
-// (int8 tables, transposed frozen weights) so the next use rebuilds
-// from the current weights.
+// (the int8 tables) so the next use rebuilds from the current weights.
 func (s *Sequential) InvalidateWeightCaches() {
 	for _, l := range s.Layers {
 		if inv, ok := l.(WeightCacheInvalidator); ok {

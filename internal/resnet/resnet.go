@@ -79,8 +79,8 @@ type BasicBlock struct {
 	// lastOut is the last Train/Eval/Adapt output: positive exactly
 	// where the residual sum was, so it gates Backward (see nn.ReLU).
 	lastOut *tensor.Tensor
-	bpOut   nn.Scratch // Train/Eval/Adapt residual-add output
-	dMask   nn.Scratch // backward masked-gradient staging
+	bpOut   nn.Scratch // Train/Eval/Adapt residual-add output, always the block's own
+	dMask   nn.Scratch // backward masked-gradient staging (an arena slot in a planned model)
 }
 
 // NewBasicBlock constructs a residual block mapping inC→outC with the
@@ -173,24 +173,49 @@ func (b *BasicBlock) Forward(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	return out
 }
 
-// PlanInfer places the block's infer outputs in a. The input stays
-// live until the shortcut reads it, so the main branch's convs (and the
-// downsample conv, whose output must also spare the main branch's) get
-// slots apart from it; BN, ReLU and the residual add run in place, and
-// the block's output is conv2's slot.
-func (b *BasicBlock) PlanInfer(a *nn.Arena, in int, keep []int) int {
+// PlanForward places the block's forward outputs of a's class (see
+// nn.Arena). The input stays live until the shortcut reads it, so the
+// main branch's outputs (and the downsample branch's, which must also
+// spare the main branch's) get slots apart from it. In the infer class
+// BN, ReLU and the residual add run in place, and the block's output
+// is conv2's slot; in the backprop class the output is the block's own
+// buffer, which its Backward gates on.
+func (b *BasicBlock) PlanForward(a *nn.Arena, in int, keep []int) int {
 	main := append(keep[:len(keep):len(keep)], in)
-	mid := a.Plan(b.conv1, in, main...)
-	mid = a.Plan(b.bn1, mid, main...)
-	mid = a.Plan(b.relu1, mid, main...)
-	out := a.Plan(b.conv2, mid, main...)
-	out = a.Plan(b.bn2, out, main...)
+	mid := a.PlanForward(b.conv1, in, main...)
+	mid = a.PlanForward(b.bn1, mid, main...)
+	mid = a.PlanForward(b.relu1, mid, main...)
+	out := a.PlanForward(b.conv2, mid, main...)
+	out = a.PlanForward(b.bn2, out, main...)
 	if b.dsConv != nil {
 		short := append(keep[:len(keep):len(keep)], out)
-		s := a.Plan(b.dsConv, in, short...)
-		a.Plan(b.dsBN, s, short...)
+		s := a.PlanForward(b.dsConv, in, short...)
+		a.PlanForward(b.dsBN, s, short...)
+	}
+	if !a.Infer() {
+		return -1
 	}
 	return out
+}
+
+// PlanBackward places the block's backward buffers in a. The gated
+// gradient stays live until the shortcut reads it, so the main
+// branch's gradients get slots apart from it, and the shortcut's spare
+// the main branch's input gradient, into which they are summed.
+func (b *BasicBlock) PlanBackward(a *nn.Arena, g int, keep []int) int {
+	d := a.Place(&b.dMask, g, keep...)
+	main := append(keep[:len(keep):len(keep)], d)
+	dm := a.PlanBackward(b.bn2, d, main...)
+	dm = a.PlanBackward(b.conv2, dm, main...)
+	dm = a.PlanBackward(b.relu1, dm, main...)
+	dm = a.PlanBackward(b.bn1, dm, main...)
+	dm = a.PlanBackward(b.conv1, dm, main...)
+	if b.dsConv != nil {
+		short := append(keep[:len(keep):len(keep)], dm)
+		ds := a.PlanBackward(b.dsBN, d, short...)
+		a.PlanBackward(b.dsConv, ds, short...)
+	}
+	return dm
 }
 
 // InvalidateWeightCaches drops the block's weight-derived caches (both
@@ -244,9 +269,11 @@ type ResNet struct {
 
 // New builds a backbone per cfg with weights drawn from rng.
 func New(cfg Config, rng *tensor.RNG) *ResNet {
+	conv := nn.NewConv2D("stem.conv", cfg.InChannels, cfg.BaseWidth,
+		tensor.ConvGeom{KH: 3, KW: 3, SH: cfg.StemStride, SW: cfg.StemStride, PH: 1, PW: 1}, false, rng)
+	conv.SkipInputGrad() // the input is the image: nobody reads its gradient
 	stem := []nn.Layer{
-		nn.NewConv2D("stem.conv", cfg.InChannels, cfg.BaseWidth,
-			tensor.ConvGeom{KH: 3, KW: 3, SH: cfg.StemStride, SW: cfg.StemStride, PH: 1, PW: 1}, false, rng),
+		conv,
 		nn.NewBatchNorm2D("stem.bn", cfg.BaseWidth),
 		nn.NewReLU("stem.relu"),
 	}
@@ -295,8 +322,16 @@ func (r *ResNet) Replica() *ResNet {
 	return &ResNet{Cfg: r.Cfg, net: nn.NewSequential(r.net.Name(), layers...)}
 }
 
-// PlanInfer places the backbone's infer outputs in a (see nn.Arena).
-func (r *ResNet) PlanInfer(a *nn.Arena, in int, keep []int) int { return r.net.PlanInfer(a, in, keep) }
+// PlanForward places the backbone's forward outputs in a (see
+// nn.Arena).
+func (r *ResNet) PlanForward(a *nn.Arena, in int, keep []int) int {
+	return r.net.PlanForward(a, in, keep)
+}
+
+// PlanBackward places the backbone's backward buffers in a.
+func (r *ResNet) PlanBackward(a *nn.Arena, g int, keep []int) int {
+	return r.net.PlanBackward(a, g, keep)
+}
 
 // Name returns e.g. "resnet18".
 func (r *ResNet) Name() string { return r.net.Name() }
@@ -306,9 +341,9 @@ func (r *ResNet) Forward(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	return r.net.Forward(x, mode)
 }
 
-// Backward propagates through the backbone, stopping (and returning
-// nil) below the lowest layer with a trainable parameter — see
-// nn.Sequential.Backward.
+// Backward propagates through the backbone, stopping below the lowest
+// layer with a trainable parameter (see nn.Sequential.Backward). It
+// returns nil: the stem conv computes no gradient of the image.
 func (r *ResNet) Backward(grad *tensor.Tensor) *tensor.Tensor { return r.net.Backward(grad) }
 
 // InvalidateWeightCaches drops every weight-derived cache in the

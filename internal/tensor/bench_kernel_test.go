@@ -111,24 +111,24 @@ func benchRowTiers(b *testing.B, macs int, run func()) {
 }
 
 // benchConvStages runs one conv kernel over every stage, handing it
-// the stage's input x, weight matrix wm [outC, K], its transpose wt
-// and an output gradient g, all random.
-func benchConvStages(b *testing.B, kernel func(x, wm, wt, g *Tensor, geom ConvGeom) func()) {
+// the stage's input x, weight matrix wm [outC, K] and an output
+// gradient g, all random.
+func benchConvStages(b *testing.B, kernel func(x, wm, g *Tensor, geom ConvGeom) func()) {
 	for _, st := range bkConvStages {
 		rng := NewRNG(8)
 		oh, ow := st.g.OutSize(st.h, st.w)
 		K := st.inC * st.g.KH * st.g.KW
-		x, wm, wt, g := New(1, st.inC, st.h, st.w), New(st.outC, K), New(K, st.outC), New(st.outC, oh*ow)
-		for _, t := range []*Tensor{x, wm, wt, g} {
+		x, wm, g := New(1, st.inC, st.h, st.w), New(st.outC, K), New(st.outC, oh*ow)
+		for _, t := range []*Tensor{x, wm, g} {
 			rng.FillUniform(t, -1, 1)
 		}
-		run := kernel(x, wm, wt, g, st.g)
+		run := kernel(x, wm, g, st.g)
 		b.Run(st.name, func(b *testing.B) { benchRowTiers(b, K*st.outC*oh*ow, run) })
 	}
 }
 
 func BenchmarkKernelConv(b *testing.B) {
-	benchConvStages(b, func(x, wm, _, g *Tensor, geom ConvGeom) func() {
+	benchConvStages(b, func(x, wm, g *Tensor, geom ConvGeom) func() {
 		out := New(g.Shape()...)
 		var plane ConvPlane
 		return func() { ConvInto(out, wm, x, geom, &plane) }
@@ -136,15 +136,15 @@ func BenchmarkKernelConv(b *testing.B) {
 }
 
 func BenchmarkKernelConvDX(b *testing.B) {
-	benchConvStages(b, func(x, _, wt, g *Tensor, geom ConvGeom) func() {
+	benchConvStages(b, func(x, wm, g *Tensor, geom ConvGeom) func() {
 		dx := New(x.Shape()...)
 		var lines ConvDXLines
-		return func() { ConvDXInto(dx, wt, g, geom, &lines) }
+		return func() { ConvDXInto(dx, wm, g, geom, &lines) }
 	})
 }
 
 func BenchmarkKernelConvDW(b *testing.B) {
-	benchConvStages(b, func(x, wm, _, g *Tensor, geom ConvGeom) func() {
+	benchConvStages(b, func(x, wm, g *Tensor, geom ConvGeom) func() {
 		dw := New(wm.Shape()...)
 		var lines ConvDWLines
 		return func() { ConvDWAcc(dw, g, x, geom, &lines) }
@@ -156,7 +156,7 @@ func BenchmarkKernelConvDW(b *testing.B) {
 // the GMAC/s are ConvInt8Into's alone — the plane fill and the int8 row
 // kernel at each tier.
 func BenchmarkKernelConvInt8(b *testing.B) {
-	benchConvStages(b, func(x, wm, _, g *Tensor, geom ConvGeom) func() {
+	benchConvStages(b, func(x, wm, g *Tensor, geom ConvGeom) func() {
 		out := New(g.Shape()...)
 		outC, K := wm.Shape()[0], wm.Shape()[1]
 		wq, ws := make([]int8, outC*K), make([]float32, outC)

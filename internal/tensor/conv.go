@@ -268,41 +268,46 @@ func (s *ConvPlane) reshape(c, h, w int, g ConvGeom) {
 	}
 }
 
-// ConvDXLines is the reusable state of ConvDXInto for one caller: one
-// line per band and the gradient's partial last tile. Both are grown to
-// the largest call seen and reused, so a steady-state call allocates
-// nothing. A ConvDXLines must not be shared by concurrent calls.
+// ConvDXLines is the reusable state of ConvDXInto for one caller: per
+// band a line and a gathered weight column, and the gradient's partial
+// last tile. All are grown to the largest call seen and reused, so a
+// steady-state call allocates nothing. A ConvDXLines must not be shared
+// by concurrent calls.
 type ConvDXLines struct {
 	lines []float32 // band b's line is lines[b·cols : (b+1)·cols]
+	wcol  []float32 // band b's weight column is wcol[b·outC : (b+1)·outC]
 	tail  []float32 // [outC, convTile]: g's last oh·ow mod 32 columns, then zeros
 }
 
 // convDXTask is the pooled argument block for ConvDXInto, banded over
 // input channels: each band clears and accumulates its own channels.
 type convDXTask struct {
-	dx, wt, g, tail, lines []float32
-	cols                   int
-	outC, c, h, w          int
-	oh, ow                 int
-	geom                   ConvGeom
+	dx, wm, g, tail, lines, wcol []float32
+	cols                         int
+	outC, c, h, w                int
+	oh, ow                       int
+	geom                         ConvGeom
 }
 
 func (t *convDXTask) Chunk(band, lo, hi int) {
-	convDXChans(t.dx, t.wt, t.g, t.tail, t.lines[band*t.cols:(band+1)*t.cols], t.outC, t.c, t.h, t.w, t.oh, t.ow, t.geom, lo, hi)
+	convDXChans(t.dx, t.wm, t.g, t.tail, t.lines[band*t.cols:(band+1)*t.cols], t.wcol[band*t.outC:(band+1)*t.outC],
+		t.outC, t.c, t.h, t.w, t.oh, t.ow, t.geom, lo, hi)
 }
 
 var convDXCache par.Cache[convDXTask]
 
 // ConvDXInto computes one sample's convolution input gradient,
-// dx = col2im(wt·g), without the K × oh·ow column matrix between the
-// two. dx is [1, c, h, w], wt is the transposed weight matrix
-// [c·KH·KW, outC] and g is the output gradient [outC, oh·ow]; any
-// stride and padding. The result is bitwise MatMulInto followed by
+// dx = col2im(wmᵀ·g), without the K × oh·ow column matrix between the
+// two. dx is [1, c, h, w], wm is the weight matrix [outC, c·KH·KW] and
+// g is the output gradient [outC, oh·ow]; any stride and padding. The
+// result is bitwise MatMulInto over the transposed weight followed by
 // Col2ImInto: each input channel is cleared, then for each tap (ky,kx)
-// in col2im's order the column row r = (ci,ky,kx) is computed by the
-// same row kernel into a line and its valid runs are added into the
-// channel at once, in the same order. A tap that only ever reads
-// padding is skipped, as col2im skips its row.
+// in col2im's order the weight column r = (ci,ky,kx) — outC values, K
+// apart in wm — is gathered into the band's scratch, the column row r
+// is computed from it by the same row kernel into a line, and the
+// line's valid runs are added into the channel at once, in the same
+// order. So no transposed weight is built or kept. A tap that only ever
+// reads padding is skipped, as col2im skips its row.
 //
 // The line is rounded up to whole 32-column tiles. The tiles inside
 // oh·ow read g in place; a partial last tile reads a [outC, 32] copy
@@ -311,17 +316,17 @@ var convDXCache par.Cache[convDXTask]
 // plane is read: an Inf weight times a halo zero would add a NaN that
 // col2im never adds. Input channels are banded over the worker pool
 // behind the GEMM gate.
-func ConvDXInto(dx, wt, g *Tensor, geom ConvGeom, s *ConvDXLines) {
+func ConvDXInto(dx, wm, g *Tensor, geom ConvGeom, s *ConvDXLines) {
 	if dx.NDim() != 4 || dx.shape[0] != 1 {
 		panic(fmt.Sprintf("tensor: ConvDXInto needs one [1,c,h,w] sample, got %v", dx.shape))
 	}
 	c, h, w := dx.shape[1], dx.shape[2], dx.shape[3]
 	oh, ow := geom.OutSize(h, w)
 	K, hw := c*geom.KH*geom.KW, oh*ow
-	if wt.NDim() != 2 || wt.shape[0] != K || g.NDim() != 2 || g.shape[0] != wt.shape[1] || g.shape[1] != hw {
-		panic(fmt.Sprintf("tensor: ConvDXInto %v = col2im(%v · %v), want [%d,m] weights and an [m,%d] gradient", dx.shape, wt.shape, g.shape, K, hw))
+	if wm.NDim() != 2 || wm.shape[1] != K || g.NDim() != 2 || g.shape[0] != wm.shape[0] || g.shape[1] != hw {
+		panic(fmt.Sprintf("tensor: ConvDXInto %v = col2im(%vᵀ · %v), want [m,%d] weights and an [m,%d] gradient", dx.shape, wm.shape, g.shape, K, hw))
 	}
-	outC := wt.shape[1]
+	outC := wm.shape[0]
 	cols := (hw + convTile - 1) / convTile * convTile
 	var tail []float32
 	if body := hw / convTile * convTile; body < hw {
@@ -334,24 +339,29 @@ func ConvDXInto(dx, wt, g *Tensor, geom ConvGeom, s *ConvDXLines) {
 	}
 	if K*outC*hw < matmulParMin {
 		s.lines = resize(s.lines, cols)
-		convDXChans(dx.Data, wt.Data, g.Data, tail, s.lines, outC, c, h, w, oh, ow, geom, 0, c)
+		s.wcol = resize(s.wcol, outC)
+		convDXChans(dx.Data, wm.Data, g.Data, tail, s.lines, s.wcol, outC, c, h, w, oh, ow, geom, 0, c)
 		return
 	}
-	s.lines = resize(s.lines, par.Width(c, 1)*cols)
+	bands := par.Width(c, 1)
+	s.lines = resize(s.lines, bands*cols)
+	s.wcol = resize(s.wcol, bands*outC)
 	t := convDXCache.Get()
-	*t = convDXTask{dx: dx.Data, wt: wt.Data, g: g.Data, tail: tail, lines: s.lines, cols: cols,
+	*t = convDXTask{dx: dx.Data, wm: wm.Data, g: g.Data, tail: tail, lines: s.lines, wcol: s.wcol, cols: cols,
 		outC: outC, c: c, h: h, w: w, oh: oh, ow: ow, geom: geom}
 	par.For(c, 1, t)
-	t.dx, t.wt, t.g, t.tail, t.lines = nil, nil, nil, nil, nil
+	t.dx, t.wm, t.g, t.tail, t.lines, t.wcol = nil, nil, nil, nil, nil, nil
 	convDXCache.Put(t)
 }
 
 // convDXChans clears and accumulates input channels [clo,chi) of dx,
-// computing each column row into line just before Col2ImInto would
-// scatter it, and scattering it with the same col2imRow.
-func convDXChans(dx, wt, g, tail, line []float32, outC, c, h, w, oh, ow int, geom ConvGeom, clo, chi int) {
+// gathering each weight column into wcol and computing its column row
+// into line just before Col2ImInto would scatter it, and scattering it
+// with the same col2imRow.
+func convDXChans(dx, wm, g, tail, line, wcol []float32, outC, c, h, w, oh, ow int, geom ConvGeom, clo, chi int) {
 	hw := oh * ow
 	body := hw / convTile * convTile
+	K := c * geom.KH * geom.KW
 	for ci := clo; ci < chi; ci++ {
 		dst := dx[ci*h*w : (ci+1)*h*w]
 		clear(dst)
@@ -362,12 +372,14 @@ func convDXChans(dx, wt, g, tail, line []float32, outC, c, h, w, oh, ow int, geo
 					continue // the tap only ever reads padding
 				}
 				r := (ci*geom.KH+ky)*geom.KW + kx
-				wr := wt[r*outC : (r+1)*outC]
+				for oc := range wcol {
+					wcol[oc] = wm[oc*K+r]
+				}
 				if body > 0 {
-					gemmRow(line[:body], wr, nil, hw, g)
+					gemmRow(line[:body], wcol, nil, hw, g)
 				}
 				if tail != nil {
-					gemmRow(line[body:], wr, nil, convTile, tail)
+					gemmRow(line[body:], wcol, nil, convTile, tail)
 				}
 				col2imRow(dst, line, h, w, oh, ow, ky, kx, ox0, ox1, geom)
 			}

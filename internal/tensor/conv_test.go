@@ -227,27 +227,27 @@ func TestConvDXMatchesCol2Im(t *testing.T) {
 			g := sh.g
 			oh, ow := g.OutSize(sh.h, sh.w)
 			K, outC := sh.c*g.KH*g.KW, 5
-			wt := New(K, outC)
+			wm := New(outC, K)
 			grad := New(outC, oh*ow)
-			rng.FillUniform(wt, -2, 2)
+			rng.FillUniform(wm, -2, 2)
 			rng.FillUniform(grad, -2, 2)
-			sprinkleZeros(wt.Data)
+			sprinkleZeros(wm.Data)
 			sprinkleZeros(grad.Data)
 			grad.Data[len(grad.Data)/3] = negZero
 			if rep == 1 {
-				wt.Data[len(wt.Data)/2] = float32(math.Inf(1))
-				wt.Data[len(wt.Data)-1] = float32(math.Inf(-1))
+				wm.Data[len(wm.Data)/2] = float32(math.Inf(1))
+				wm.Data[len(wm.Data)-1] = float32(math.Inf(-1))
 				grad.Data[0] = float32(math.NaN())
 				grad.Data[len(grad.Data)-1] = float32(math.Inf(1))
 				grad.Data[len(grad.Data)/2] = float32(math.Inf(-1))
 			}
 			matmulParMin = math.MaxInt
 			dcols := New(K, oh*ow)
-			MatMulInto(dcols, wt, grad)
+			MatMulInto(dcols, transpose(wm), grad)
 			want := New(1, sh.c, sh.h, sh.w)
 			Col2ImInto(want, dcols, g)
 			got := Full(float32(math.NaN()), 1, sh.c, sh.h, sh.w)
-			ConvDXInto(got, wt, grad, g, &s)
+			ConvDXInto(got, wm, grad, g, &s)
 			if i := sameBits(want.Data, got.Data); i >= 0 {
 				t.Fatalf("rep %d %+v serial: element %d is %v, col2im gives %v", rep, sh, i, got.Data[i], want.Data[i])
 			}
@@ -255,12 +255,125 @@ func TestConvDXMatchesCol2Im(t *testing.T) {
 			for _, procs := range parProcs {
 				withMaxProcs(t, procs, func() {
 					got := Full(float32(math.NaN()), 1, sh.c, sh.h, sh.w)
-					ConvDXInto(got, wt, grad, g, &s)
+					ConvDXInto(got, wm, grad, g, &s)
 					if i := sameBits(want.Data, got.Data); i >= 0 {
 						t.Fatalf("rep %d %+v banded at %d procs: element %d is %v, col2im gives %v", rep, sh, procs, i, got.Data[i], want.Data[i])
 					}
 				})
 			}
+		}
+	}
+}
+
+// transpose returns a's transpose as a new tensor.
+func transpose(a *Tensor) *Tensor {
+	m, k := a.shape[0], a.shape[1]
+	at := New(k, m)
+	for i := 0; i < m; i++ {
+		for p := 0; p < k; p++ {
+			at.Data[p*m+i] = a.Data[i*k+p]
+		}
+	}
+	return at
+}
+
+// convDXTransposed is ConvDXInto as it ran before it gathered weight
+// columns: serially, over a transposed weight wt [c·KH·KW, outC] whose
+// row r is column row r's coefficients. It is the oracle that the
+// gathered path feeds the row kernel the same values in the same order.
+func convDXTransposed(dx, wt, g *Tensor, geom ConvGeom) {
+	c, h, w := dx.shape[1], dx.shape[2], dx.shape[3]
+	oh, ow := geom.OutSize(h, w)
+	outC, hw := wt.shape[1], oh*ow
+	cols := (hw + convTile - 1) / convTile * convTile
+	body := hw / convTile * convTile
+	line := make([]float32, cols)
+	tail := make([]float32, outC*convTile)
+	for p := 0; p < outC; p++ {
+		copy(tail[p*convTile:], g.Data[p*hw+body:(p+1)*hw])
+	}
+	for ci := 0; ci < c; ci++ {
+		dst := dx.Data[ci*h*w : (ci+1)*h*w]
+		clear(dst)
+		for ky := 0; ky < geom.KH; ky++ {
+			for kx := 0; kx < geom.KW; kx++ {
+				ox0, ox1 := geom.oxRange(w, ow, kx)
+				if ox0 == ox1 {
+					continue
+				}
+				r := (ci*geom.KH+ky)*geom.KW + kx
+				wr := wt.Data[r*outC : (r+1)*outC]
+				if body > 0 {
+					gemmRow(line[:body], wr, nil, hw, g.Data)
+				}
+				if body < hw {
+					gemmRow(line[body:], wr, nil, convTile, tail)
+				}
+				col2imRow(dst, line, h, w, oh, ow, ky, kx, ox0, ox1, geom)
+			}
+		}
+	}
+}
+
+// TestConvDXMatchesTransposedPath holds ConvDXInto, which gathers each
+// weight column from the [outC, K] matrix, to the transposed-weight
+// path it replaced, bit for bit: at the Small profile's conv shapes
+// (batch 1, serially and banded at 1, 2 and 4 procs with the gate
+// lowered) and at outC 1..70 on a ragged 3×3 shape, with zeros, ±Inf
+// and NaN sprinkled in, one ConvDXLines reused throughout.
+func TestConvDXMatchesTransposedPath(t *testing.T) {
+	rng := NewRNG(0xdc02)
+	var s ConvDXLines
+	pm := matmulParMin
+	t.Cleanup(func() { matmulParMin = pm })
+	s3 := func(st int) ConvGeom { return ConvGeom{KH: 3, KW: 3, SH: st, SW: st, PH: 1, PW: 1} }
+	s1x1 := func(st int) ConvGeom { return ConvGeom{KH: 1, KW: 1, SH: st, SW: st} }
+	type shape struct {
+		c, h, w, outC int
+		g             ConvGeom
+	}
+	// Small: 48×120 input, width 6, stride-1 stem, no pool.
+	shapes := []shape{
+		{3, 48, 120, 6, s3(1)}, {6, 48, 120, 6, s3(1)},
+		{6, 48, 120, 12, s3(2)}, {6, 48, 120, 12, s1x1(2)}, {12, 24, 60, 12, s3(1)},
+		{12, 24, 60, 24, s3(2)}, {12, 24, 60, 24, s1x1(2)}, {24, 12, 30, 24, s3(1)},
+		{24, 12, 30, 48, s3(2)}, {24, 12, 30, 48, s1x1(2)}, {48, 6, 15, 48, s3(1)},
+		{48, 6, 15, 4, s1x1(1)},
+	}
+	for outC := 1; outC <= 70; outC++ {
+		shapes = append(shapes, shape{2, 7, 9, outC, s3(1)})
+	}
+	for i, sh := range shapes {
+		oh, ow := sh.g.OutSize(sh.h, sh.w)
+		wm, grad := New(sh.outC, sh.c*sh.g.KH*sh.g.KW), New(sh.outC, oh*ow)
+		rng.FillUniform(wm, -2, 2)
+		rng.FillUniform(grad, -2, 2)
+		sprinkleZeros(wm.Data)
+		sprinkleZeros(grad.Data)
+		if i%2 == 1 {
+			wm.Data[len(wm.Data)/2] = float32(math.Inf(1))
+			grad.Data[len(grad.Data)-1] = float32(math.NaN())
+		}
+		want := New(1, sh.c, sh.h, sh.w)
+		convDXTransposed(want, transpose(wm), grad, sh.g)
+		matmulParMin = math.MaxInt
+		got := Full(float32(math.NaN()), 1, sh.c, sh.h, sh.w)
+		ConvDXInto(got, wm, grad, sh.g, &s)
+		if j := sameBits(want.Data, got.Data); j >= 0 {
+			t.Fatalf("%+v serial: element %d is %v, the transposed path gives %v", sh, j, got.Data[j], want.Data[j])
+		}
+		if i >= 12 {
+			continue
+		}
+		matmulParMin = 1
+		for _, procs := range parProcs {
+			withMaxProcs(t, procs, func() {
+				got := Full(float32(math.NaN()), 1, sh.c, sh.h, sh.w)
+				ConvDXInto(got, wm, grad, sh.g, &s)
+				if j := sameBits(want.Data, got.Data); j >= 0 {
+					t.Fatalf("%+v banded at %d procs: element %d differs from the transposed path", sh, procs, j)
+				}
+			})
 		}
 	}
 }

@@ -161,10 +161,10 @@ func TestMatMulBitwiseAcrossWorkers(t *testing.T) {
 
 // TestMatMulTABitwiseAcrossWorkers also holds MatMulInto over the
 // materialized transpose to the same bits: the conv backward
-// (ConvDXInto) runs MatMulInto's row kernel over a transposed weight
-// where a trainable conv once ran MatMulTAInto, which is only sound
-// because per output row both apply the same axpy updates in the same
-// increasing-p order with the same zero-skip.
+// (ConvDXInto) runs MatMulInto's row kernel over gathered weight
+// columns where a trainable conv once ran MatMulTAInto, which is only
+// sound because per output row both apply the same axpy updates in the
+// same increasing-p order with the same zero-skip.
 func TestMatMulTABitwiseAcrossWorkers(t *testing.T) {
 	rng := NewRNG(0xabcd)
 	for _, sh := range gemmShapes {

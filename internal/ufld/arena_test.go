@@ -197,4 +197,75 @@ func TestReplicaHoldsNoWeights(t *testing.T) {
 	r.ForwardInfer(x)
 	step.Run(x, nn.Adapt, &st, 0)
 	check("after a step")
+	replicaHoldsNoTransposedWeights(t)
+}
+
+// replicaHoldsNoTransposedWeights: a replica's backward keeps no
+// copy of the shared weights, such as the transposed weight matrix a
+// frozen conv's dX once multiplied by. On a wide backbone, where the
+// conv weights dwarf an activation, a replica's first full LD-BN-ADAPT
+// step, after an infer forward and a warm-up step have sized its
+// arenas, adds less than a quarter of the conv weights' bytes to the
+// live heap; a transposed copy of them would add about all of it.
+func replicaHoldsNoTransposedWeights(t *testing.T) {
+	cfg := ufld.Tiny(resnet.R18, 2)
+	cfg.Backbone.BaseWidth = 16
+	m := ufld.MustNewModel(cfg, tensor.NewRNG(29))
+	weights := 0.0
+	for _, p := range m.ConvParams() {
+		weights += float64(4*p.Value.Size()) / 1e6
+	}
+	r := m.Replica()
+	acfg := adapt.DefaultConfig()
+	step := adapt.NewStep(r, r.BNParams(), acfg)
+	st := step.NewState()
+	x := tensor.New(1, 3, cfg.InputH, cfg.InputW)
+	tensor.NewRNG(30).FillNormal(x, 0, 1)
+	r.ForwardInfer(x)
+	step.Run(x, nn.Adapt, &st, 0)
+	before := liveMB()
+	step.Run(x, nn.Adapt, &st, acfg.WarmupSteps)
+	grown := liveMB() - before
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(r)
+	runtime.KeepAlive(step)
+	if grown > weights/4 {
+		t.Fatalf("a replica's first full step keeps %.2f MB more live, against %.2f MB of conv weights", grown, weights)
+	}
+	t.Logf("a replica's first full step: %.3f MB more live, %.2f MB of conv weights", grown, weights)
+}
+
+// TestStepArenaHoldsFewActivations: what a Small model holds for its
+// Train/Eval/Adapt class, measured as the live-heap growth from after a
+// bs-1 infer forward (which sized every conv's padded planes, shared by
+// both classes) to after one full LD-BN-ADAPT step at bs 1, forward,
+// backward and update, is a bounded multiple of its largest activation.
+// A Backward reads one buffer per BN (x̂), per ReLU and per residual
+// block, about nineteen activations at Small; the backprop arena's
+// slots, the shared dX and dW lines and the BN gradients add a few
+// more. With a conv and BN output and a dX per layer, and each frozen
+// conv's cached transposed weight, it was about seventy.
+func TestStepArenaHoldsFewActivations(t *testing.T) {
+	if retainCheck {
+		t.Skip("a retaincheck build copies each conv's retained input, which this bound does not count")
+	}
+	cfg := ufld.Small(resnet.R18, 2)
+	m := ufld.MustNewModel(cfg, tensor.NewRNG(27))
+	x := tensor.New(1, 3, cfg.InputH, cfg.InputW)
+	tensor.NewRNG(28).FillNormal(x, 0, 1)
+	m.ForwardInfer(x)
+	before := liveMB()
+	acfg := adapt.DefaultConfig()
+	step := adapt.NewStep(m, m.BNParams(), acfg)
+	st := step.NewState()
+	step.Run(x, nn.Adapt, &st, acfg.WarmupSteps)
+	grown := liveMB() - before
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(step)
+	largest := float64(cfg.Backbone.BaseWidth*cfg.InputH*cfg.InputW*4) / 1e6
+	if grown > 28*largest {
+		t.Fatalf("a first full step keeps %.2f MB more live, %.1f× the largest activation (%.3f MB); want ≤ 28×",
+			grown, grown/largest, largest)
+	}
+	t.Logf("first full step: %.2f MB more live, %.1f× the largest activation", grown, grown/largest)
 }

@@ -51,7 +51,9 @@ func NewModel(cfg Config, rng *tensor.RNG) (*Model, error) {
 }
 
 // assemble chains the detector's layers around the given parameterized
-// ones and places every infer output in the model's one arena.
+// ones and plans the model's two arenas (see nn.Arena): one for the
+// infer outputs, one for every Train/Eval/Adapt output and gradient
+// that no Backward reads.
 func assemble(cfg Config, backbone *resnet.ResNet, neckConv *nn.Conv2D, neckBN *nn.BatchNorm2D, fc1, fc2 *nn.Linear) *Model {
 	net := nn.NewSequential("ufld",
 		backbone,
@@ -63,7 +65,7 @@ func assemble(cfg Config, backbone *resnet.ResNet, neckConv *nn.Conv2D, neckBN *
 		nn.NewReLU("head.relu"),
 		fc2,
 	)
-	net.PlanInfer(&nn.Arena{}, -1, nil)
+	nn.PlanModel(net)
 	return &Model{Cfg: cfg, net: net, backbone: backbone,
 		neckConv: neckConv, neckBN: neckBN, fc1: fc1, fc2: fc2,
 		pool: nn.NewGlobalAvgPool("embed.pool")}
@@ -83,12 +85,16 @@ func MustNewModel(cfg Config, rng *tensor.RNG) *Model {
 // classification logits as rows: shape [n·Lanes·RowAnchors, Classes].
 // Row (ni, lane, anchor) lives at index (ni·Lanes+lane)·RowAnchors+anchor.
 // The logits alias layer scratch: a Train/Eval/Adapt result is valid
-// until the model's next Train/Eval/Adapt forward, an infer result
-// until its next infer forward, so a caller that keeps one across a
-// second forward of the same class must Clone it. A Train, Eval or
-// Adapt forward keeps a reference to x, not a copy: the convolutions'
-// weight gradients re-lower it in Backward, so x must stay unchanged
-// until then.
+// until the model's next Train/Eval/Adapt forward (no Backward writes
+// it), an infer result until its next infer forward, so a caller that
+// keeps one across a second forward of the same class must Clone it. A
+// Train, Eval or Adapt forward keeps a reference to x, not a copy: the
+// convolutions' weight gradients re-lower it in Backward, so x must
+// stay unchanged until then. It keeps, per layer, only what a Backward
+// reads (BN's x̂, the ReLU and residual-block outputs, and the inputs
+// the convs and FCs retain); every other activation lives in the
+// model's backprop arena, which the next such forward or Backward
+// rewrites.
 func (m *Model) Forward(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(2) != m.Cfg.InputH || x.Dim(3) != m.Cfg.InputW {
 		panic(fmt.Sprintf("ufld: input %v, want [n,3,%d,%d]", x.Shape(), m.Cfg.InputH, m.Cfg.InputW))
@@ -128,19 +134,21 @@ func (m *Model) ForwardInferInt8(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // InvalidateWeightCaches drops every weight-derived cache — the int8
-// tables and the frozen convolutions' transposed weights — so the next
-// ForwardInferInt8 re-quantizes, and the next frozen-weight Backward
-// re-transposes, from the current weights. Call it after writing conv
-// or FC weights in place (an optimizer step on a trainable weight needs
-// no call: a trainable conv keeps no transpose).
+// tables of the convolutions and FC layers — so the next
+// ForwardInferInt8 re-quantizes from the current weights. Call it after
+// writing conv or FC weights in place; Backward reads the weights
+// themselves and caches nothing of them.
 func (m *Model) InvalidateWeightCaches() { m.net.InvalidateWeightCaches() }
 
 // Backward propagates a gradient with the same row layout Forward
 // returns, for the last Train, Eval or Adapt Forward, whose input must
 // not have changed since (a trainable conv weight's gradient re-reads
-// it). It returns the input gradient, or nil when backprop stopped
-// above the input because every parameter further down is frozen (see
-// nn.Sequential.Backward).
+// it), accumulating the trainable parameters' gradients. It returns
+// nil: the stem conv computes no gradient of the image (see
+// resnet.New), and backprop stops above it anyway when every parameter
+// further down is frozen (see nn.Sequential.Backward). The layers'
+// input gradients live in the backprop arena, which the next Train,
+// Eval or Adapt forward or Backward rewrites.
 func (m *Model) Backward(gradRows *tensor.Tensor) *tensor.Tensor {
 	g := m.gradView.Of(gradRows.Data, m.lastN, m.Cfg.Groups()*m.Cfg.Classes())
 	return m.net.Backward(g)
@@ -191,7 +199,7 @@ func (m *Model) Embed(x *tensor.Tensor, mode nn.Mode) *tensor.Tensor {
 
 // EmbedBackward propagates a gradient of the last Train, Eval or Adapt
 // Embed's output, [n, OutChannels], through the pooling and the
-// backbone, and returns the input gradient (or nil, as Backward).
+// backbone, and returns nil, as Backward.
 func (m *Model) EmbedBackward(dEmb *tensor.Tensor) *tensor.Tensor {
 	return m.backbone.Backward(m.pool.Backward(dEmb))
 }

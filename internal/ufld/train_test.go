@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ldbnadapt/internal/nn"
 	"ldbnadapt/internal/resnet"
 	"ldbnadapt/internal/tensor"
 )
@@ -168,4 +169,48 @@ func TestForwardRejectsWrongGeometry(t *testing.T) {
 		}
 	}()
 	m.Forward(tensor.New(1, 3, cfg.InputH+2, cfg.InputW), 0)
+}
+
+// TestPooledStemTrainStep runs a Train forward and Backward over a
+// small-width backbone with the full-scale max-pooled stem, every
+// parameter trainable: layer1's first conv retains the pool's output
+// for its weight gradient, so that output must stay the pool's own
+// buffer and not an arena slot (make retain-check panics if it
+// changed before the conv's Backward). Backward returns nil, since the
+// stem computes no image gradient, and the gradients are finite and
+// the same when the step is repeated.
+func TestPooledStemTrainStep(t *testing.T) {
+	cfg := Tiny(resnet.R18, 2)
+	cfg.Backbone.StemPool = true
+	m := MustNewModel(cfg, tensor.NewRNG(41))
+	ds := tinyDataset(cfg, 3, tensor.NewRNG(42))
+	x, targets := Batch(cfg, ds.Samples, []int{0, 1, 2})
+	params := m.Params()
+	step := func() []float32 {
+		nn.ZeroGrads(params)
+		_, grad := nn.CrossEntropyRows(m.Forward(x, nn.Train), targets)
+		if dx := m.Backward(grad); dx != nil {
+			t.Fatal("Backward returned an image gradient")
+		}
+		var all []float32
+		for _, p := range params {
+			if p.Grad == nil {
+				t.Fatalf("%s: no gradient", p.Name)
+			}
+			all = append(all, p.Grad.Data...)
+		}
+		return all
+	}
+	first := step()
+	for i, v := range first {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			t.Fatalf("gradient element %d is %v", i, v)
+		}
+	}
+	m.Forward(x, nn.Eval) // rewrite the arena before the repeat
+	for i, v := range step() {
+		if math.Float32bits(v) != math.Float32bits(first[i]) {
+			t.Fatalf("gradient element %d differs on a repeated step", i)
+		}
+	}
 }
